@@ -10,13 +10,13 @@ inside the fundamental domain of the coordinate torus.  All transitions are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cutoffs import bump_profile
 from .errors import ChartDomainError, CoverageError, InputError
-from .fields import TWO_PI, GridDomain
+from .fields import TWO_PI, GridDomain, axis_interpolation_matrix, tensor_points
 from .maps import Diffeo
 
 PI = np.pi
@@ -75,15 +75,54 @@ class Chart:
         return self.window_half - np.max(np.abs(x - PI), axis=1)
 
 
+@dataclass(frozen=True)
+class OverlapTransfer:
+    """Per-axis interpolation from two chart windows to their overlap samples.
+
+    The overlap samples of charts ``i < j`` are the tensor grid (C order)
+    of the per-axis manifold angles ``angles[d]``.  ``first[d]`` and
+    ``second[d]`` map the axis-d window lattice of chart i and of chart j
+    to those angles' chart coordinates (see ``fields.tensor_transfer``).
+    """
+
+    i: int
+    j: int
+    angles: tuple[np.ndarray, ...]
+    first: tuple[np.ndarray, ...]
+    second: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class PartitionTransfer:
+    """One source chart's term of the partition-of-unity sum on a target window.
+
+    The source bump is a tensor bump supported in the source window, so the
+    target nodes it reaches are the product of the per-axis node positions
+    ``hits[d]``.  ``matrices[d]`` interpolates the source window lattice to
+    those nodes, and ``weights`` holds the source's partition weight on the
+    hit block, shape (h0[, h1], 1).
+    """
+
+    source: int
+    hits: tuple[np.ndarray, ...]
+    matrices: tuple[np.ndarray, ...]
+    weights: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Atlas:
-    """Finite chart collection with partition bumps subordinate to windows."""
+    """Finite chart collection with partition bumps subordinate to windows.
+
+    Interpolation operators that depend only on the atlas are built on
+    first use and kept on the instance, so they live as long as it does.
+    """
 
     name: str
     m: int
     charts: tuple[Chart, ...]
     plateau: float = 0.5
     lattice_resolution: int = 257
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.m not in (1, 2):
@@ -151,10 +190,7 @@ class Atlas:
     def manifold_grid(self, per_axis: int) -> np.ndarray:
         """Deterministic dense sample of the manifold, shape (Q, m)."""
         ax = TWO_PI * (np.arange(per_axis) + 0.5) / per_axis
-        if self.m == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return tensor_points([ax] * self.m)
 
     def _axis_overlap_arcs(self, i: int, j: int, d: int):
         """Intersection arcs of two witness arcs on coordinate axis d.
@@ -174,33 +210,95 @@ class Atlas:
             arcs.append((mid + PI, h - PI + 0.5 * delta))
         return arcs
 
-    def overlap_samples(
-        self, i: int, j: int, per_axis: int = 33, margin: float | None = None
-    ) -> np.ndarray:
-        """Manifold points lying inside both witness windows.
+    def _overlap_axes(self, i: int, j: int, per_axis: int, margin: float | None):
+        """Per-axis sample angles of the overlap of two witness windows.
 
-        The pairwise overlap is a product of per-axis arc intersections,
-        each sampled uniformly.  ``margin`` keeps the samples away from
-        the window edges (defaulting to two lattice cells) but is reduced
-        on bands too thin for it, so genuine overlaps always yield points.
+        Each arc intersection is sampled uniformly.  ``margin`` keeps the
+        samples away from the window edges (defaulting to two lattice
+        cells) but is reduced on bands too thin for it, so genuine
+        overlaps always yield points.  Returns None for an empty overlap.
         """
         if margin is None:
             margin = 2.0 * TWO_PI / self.lattice_resolution
-        per_arc = []
+        axes = []
         for d in range(self.m):
             arcs = self._axis_overlap_arcs(i, j, d)
             if not arcs:
-                return np.empty((0, self.m))
+                return None
             pts = []
             for center, half in arcs:
                 inset = min(margin, 0.45 * half)
                 pts.append(np.linspace(center - half + inset,
                                        center + half - inset, per_axis))
-            per_arc.append(np.mod(np.concatenate(pts), TWO_PI))
-        if self.m == 1:
-            return per_arc[0][:, None]
-        xx, yy = np.meshgrid(per_arc[0], per_arc[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+            axes.append(np.mod(np.concatenate(pts), TWO_PI))
+        return axes
+
+    def overlap_samples(
+        self, i: int, j: int, per_axis: int = 33, margin: float | None = None
+    ) -> np.ndarray:
+        """Manifold points lying inside both witness windows.
+
+        The pairwise overlap is a product of per-axis arc intersections;
+        the points are the tensor grid of their samples.
+        """
+        axes = self._overlap_axes(i, j, per_axis, margin)
+        if axes is None:
+            return np.empty((0, self.m))
+        return tensor_points(axes)
+
+    def _axis_matrices(self, k: int, angles) -> tuple[np.ndarray, ...]:
+        """Per-axis interpolation from chart k's window to manifold angles."""
+        c = self.charts[k]
+        return tuple(
+            axis_interpolation_matrix(c.window, d, PI + wrap_angle(a - c.offset[d]))
+            for d, a in enumerate(angles)
+        )
+
+    def overlap_transfers(self, per_axis: int) -> tuple[OverlapTransfer, ...]:
+        """Transfers to :meth:`overlap_samples` for each overlapping pair i < j."""
+        key = ("overlap", per_axis)
+        if key not in self._operators:
+            ops = []
+            for i in range(self.chart_count):
+                for j in range(i + 1, self.chart_count):
+                    axes = self._overlap_axes(i, j, per_axis, None)
+                    if axes is None:
+                        continue
+                    ops.append(OverlapTransfer(
+                        i, j, tuple(axes),
+                        self._axis_matrices(i, axes), self._axis_matrices(j, axes),
+                    ))
+            self._operators[key] = tuple(ops)
+        return self._operators[key]
+
+    def partition_transfers(self, t: int) -> tuple[PartitionTransfer, ...]:
+        """Terms of the partition-of-unity sum at the window nodes of chart t."""
+        key = ("partition", t)
+        if key not in self._operators:
+            c = self.charts[t]
+            axes = [
+                np.mod(c.window.axis_nodes(d) - PI + c.offset[d], TWO_PI)
+                for d in range(self.m)
+            ]
+            weights = self.partition_weights(tensor_points(axes))
+            ops = []
+            for i, src in enumerate(self.charts):
+                coords = [PI + wrap_angle(a - src.offset[d]) for d, a in enumerate(axes)]
+                hits = tuple(
+                    np.flatnonzero(
+                        bump_profile(np.abs(x - PI) / src.window_half, self.plateau) > 0.0
+                    )
+                    for x in coords
+                )
+                if any(h.size == 0 for h in hits):
+                    continue
+                block = weights[:, i].reshape(c.window.axis_counts)[np.ix_(*hits)]
+                ops.append(PartitionTransfer(
+                    i, hits, self._axis_matrices(i, [a[h] for a, h in zip(axes, hits)]),
+                    block[..., None],
+                ))
+            self._operators[key] = tuple(ops)
+        return self._operators[key]
 
 
 def transition(a: Atlas, i: int, j: int) -> Diffeo:
@@ -352,8 +450,3 @@ def validate_atlas(
         enlarged_ok,
         passed,
     )
-
-
-def transition_eval(a: Atlas, i: int, j: int, x: np.ndarray) -> np.ndarray:
-    """Convenience wrapper mirroring ``Atlas.transition_point``."""
-    return a.transition_point(i, j, x)

@@ -121,11 +121,7 @@ class GridDomain:
 
     def nodes(self) -> np.ndarray:
         """Masked node coordinates, shape (node_count, m), C order."""
-        axes = [self.axis_nodes(d) for d in range(self.m)]
-        if self.m == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return tensor_points([self.axis_nodes(d) for d in range(self.m)])
 
     def spacing(self, d: int) -> float:
         return TWO_PI / self.resolution[d]
@@ -164,6 +160,14 @@ class GridDomain:
         else:
             mask[np.ix_(self.axis_indices[0], self.axis_indices[1])] = True
         return mask
+
+
+def tensor_points(axes) -> np.ndarray:
+    """Tensor grid of per-axis coordinates, shape (Q, m), C order."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def _resolution_tuple(resolution, m):
@@ -486,6 +490,17 @@ def random_field(
     return BandlimitedField(m, modes, hermitian_part(raw), real=True)
 
 
+def _equispaced_barycentric(p: int) -> np.ndarray:
+    return np.array(
+        [1.0 / np.prod(j - np.delete(np.arange(p), j).astype(float)) for j in range(p)]
+    )
+
+
+# Barycentric weights of the equispaced stencil of each width up to
+# INTERP_POINTS, indexed by width (Berrut & Trefethen, SIAM Rev. 46(3), 2004).
+_BARYCENTRIC = tuple(_equispaced_barycentric(p) for p in range(INTERP_POINTS + 1))
+
+
 def _axis_stencils(xq: np.ndarray, nodes: np.ndarray):
     """Stencil start indices and barycentric weights along one axis."""
     count = nodes.size
@@ -495,11 +510,7 @@ def _axis_stencils(xq: np.ndarray, nodes: np.ndarray):
     idx = start[:, None] + np.arange(p)[None, :]
     xs = nodes[idx]
     diff = xq[:, None] - xs
-    # Barycentric weights for an arbitrary (here: equispaced) stencil.
-    bw = np.empty(p)
-    for j in range(p):
-        d = np.delete(np.arange(p), j)
-        bw[j] = 1.0 / np.prod(j - d.astype(float))
+    bw = _BARYCENTRIC[p]
     hit = np.abs(diff) < 1e-13
     any_hit = hit.any(axis=1)
     terms = bw[None, :] / np.where(hit, 1.0, diff)
@@ -507,6 +518,39 @@ def _axis_stencils(xq: np.ndarray, nodes: np.ndarray):
     if np.any(any_hit):
         weights[any_hit] = hit[any_hit].astype(float)
     return idx, weights
+
+
+def axis_interpolation_matrix(grid: GridDomain, d: int, xq: np.ndarray) -> np.ndarray:
+    """Dense matrix of the local Lagrange weights along axis ``d``.
+
+    Row q holds the stencil weights :meth:`SampledField.interpolate` uses
+    on a window grid at coordinate ``xq[q]``, scattered over the window's
+    axis-``d`` nodes, so interpolation at a tensor grid of points is a
+    product of these matrices with the lattice values (see
+    :func:`tensor_transfer`).
+    """
+    xq = np.asarray(xq, dtype=float)
+    lo, hi = grid.window[d]
+    outside = (xq <= lo) | (xq >= hi)
+    if np.any(outside):
+        bad = xq[np.argmax(outside)]
+        raise InputError(f"axis {d} coordinate {bad} outside the grid window")
+    idx, w = _axis_stencils(xq, grid.axis_nodes(d))
+    out = np.zeros((xq.size, grid.axis_counts[d]))
+    np.put_along_axis(out, idx, w, axis=1)
+    return out
+
+
+def tensor_transfer(matrices, lattice: np.ndarray) -> np.ndarray:
+    """Apply per-axis matrices to lattice values of shape (c0[, c1], n).
+
+    Returns ``W0 @ L`` on curves and ``W0 @ L @ W1.T`` (per component) on
+    surfaces, shaped (q0[, q1], n).
+    """
+    if len(matrices) == 1:
+        return matrices[0] @ lattice
+    w0, w1 = matrices
+    return np.moveaxis(w0 @ np.moveaxis(lattice, -1, 0) @ w1.T, 0, -1)
 
 
 def _lagrange_interpolate(v: SampledField, pts: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .atlas import Atlas
 from .errors import ChartDomainError, InputError, ShapeMismatchError
 from .fields import SampledField
-from .sections import Section, _same_atlas, random_section
+from .sections import Section, _same_atlas, compatibility_defect, random_section
 
 LOGGER = logging.getLogger("mapgroups.groups")
 
@@ -365,37 +365,18 @@ class GroupSection:
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
-        worst, where = _group_compatibility(self, return_worst=True)
+        # Overlap agreement of the matrix entries, as for a Section.
+        flat = tuple(
+            SampledField(c.window, p.reshape(p.shape[0], d * d))
+            for c, p in zip(self.atlas.charts, self.pieces)
+        )
+        worst, where = compatibility_defect(flat, self.atlas, return_worst=True)
         if worst > self.tolerance:
             raise InputError(
                 f"group section overlap defect {worst:.3e} exceeds "
-                f"{self.tolerance:.1e} near charts {where[0]}/{where[1]}"
+                f"{self.tolerance:.1e} near charts {where[0]}/{where[1]} at "
+                f"point {where[2]}"
             )
-
-
-def _group_compatibility(gs: GroupSection, per_axis: int = 24, return_worst=False):
-    """Overlap agreement of matrix entries, via entrywise interpolation."""
-    d = gs.group.dim
-    flat = tuple(
-        SampledField(c.window, p.reshape(p.shape[0], d * d))
-        for c, p in zip(gs.atlas.charts, gs.pieces)
-    )
-    worst = 0.0
-    worst_pair = (0, 0)
-    for i in range(gs.atlas.chart_count):
-        for j in range(i + 1, gs.atlas.chart_count):
-            pts = gs.atlas.overlap_samples(i, j, per_axis)
-            if pts.size == 0:
-                continue
-            vi = flat[i].interpolate(gs.atlas.to_chart(i, pts))
-            vj = flat[j].interpolate(gs.atlas.to_chart(j, pts))
-            diff = float(np.abs(vi - vj).max())
-            if diff > worst:
-                worst = diff
-                worst_pair = (i, j)
-    if return_worst:
-        return worst, worst_pair
-    return worst
 
 
 @dataclass(frozen=True, eq=False)

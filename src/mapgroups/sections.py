@@ -21,7 +21,7 @@ from .errors import (
     InputError,
     ShapeMismatchError,
 )
-from .fields import GridDomain, SampledField, same_grid
+from .fields import GridDomain, SampledField, same_grid, tensor_transfer
 from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
 DEFAULT_TOLERANCE = 1e-9
@@ -49,6 +49,22 @@ def _same_atlas(a: Atlas, b: Atlas) -> bool:
     )
 
 
+def _window_pieces(pieces, atlas: Atlas) -> tuple[SampledField, ...]:
+    """One piece per chart, all sampled on their chart's witness window."""
+    pieces = tuple(pieces)
+    if len(pieces) != atlas.chart_count:
+        raise ShapeMismatchError("one piece per chart required")
+    n = pieces[0].components
+    for c, p in zip(atlas.charts, pieces):
+        if p.components != n:
+            raise ShapeMismatchError("pieces disagree on component count")
+        if not same_grid(p.domain, c.window):
+            raise InputError(
+                f"piece for chart {c.index} is not sampled on its window"
+            )
+    return pieces
+
+
 def compatibility_defect(
     pieces,
     atlas: Atlas,
@@ -57,27 +73,26 @@ def compatibility_defect(
 ):
     """Largest disagreement between chart pieces over sampled overlaps.
 
-    Pieces are evaluated at shared manifold points through their own chart
-    coordinates by interpolation; the defect is the max over points and
-    chart pairs of the value difference (sup over components).
+    Pieces are interpolated to the shared points of
+    ``atlas.overlap_samples(i, j, per_axis)`` through their own chart
+    coordinates; the defect is the max over points and chart pairs of the
+    value difference (sup over components).  The points form a tensor
+    grid, so each piece's values there are a product of the atlas's cached
+    per-axis interpolation matrices with its lattice values.  With
+    ``return_worst`` the chart pair and manifold point of the maximum are
+    returned as well.
     """
-    pieces = tuple(pieces)
-    if len(pieces) != atlas.chart_count:
-        raise ShapeMismatchError("one piece per chart required")
+    lattices = [p.lattice_values() for p in _window_pieces(pieces, atlas)]
     worst = 0.0
     worst_point = None
-    for i in range(atlas.chart_count):
-        for j in range(i + 1, atlas.chart_count):
-            pts = atlas.overlap_samples(i, j, per_axis)
-            if pts.size == 0:
-                continue
-            vi = pieces[i].interpolate(atlas.to_chart(i, pts))
-            vj = pieces[j].interpolate(atlas.to_chart(j, pts))
-            diff = np.max(np.abs(vi - vj), axis=1)
-            k = int(np.argmax(diff))
-            if diff[k] > worst:
-                worst = float(diff[k])
-                worst_point = (i, j, pts[k].tolist())
+    for op in atlas.overlap_transfers(per_axis):
+        vi = tensor_transfer(op.first, lattices[op.i])
+        vj = tensor_transfer(op.second, lattices[op.j])
+        diff = np.max(np.abs(vi - vj), axis=-1)
+        k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[k] > worst:
+            worst = float(diff[k])
+            worst_point = (op.i, op.j, [float(a[q]) for a, q in zip(op.angles, k)])
     if return_worst:
         return worst, worst_point
     return worst
@@ -94,16 +109,6 @@ class Section:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if len(self.pieces) != self.atlas.chart_count:
-            raise ShapeMismatchError("one piece per chart required")
-        n = self.pieces[0].components
-        for c, p in zip(self.atlas.charts, self.pieces):
-            if p.components != n:
-                raise ShapeMismatchError("pieces disagree on component count")
-            if not same_grid(p.domain, c.window):
-                raise InputError(
-                    f"piece for chart {c.index} is not sampled on its window"
-                )
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
         defect, where = compatibility_defect(
@@ -202,11 +207,11 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     The value on chart j's window is the partition-of-unity combination
     ``sum_i h_i(p) * piece_i(phi_i(p))`` over the manifold point p of each
     node, which is linear in the pieces and reproduces compatible input
-    at the nodes.
+    at the nodes.  Every piece must be sampled on its chart's window; each
+    term is a product of the atlas's cached per-axis interpolation matrices
+    with the piece's lattice values.
     """
     pieces = tuple(pieces)
-    if len(pieces) != atlas.chart_count:
-        raise ShapeMismatchError("one piece per chart required")
     defect, where = compatibility_defect(pieces, atlas, return_worst=True)
     if defect > tolerance:
         raise IncompatibleSectionError(
@@ -214,21 +219,16 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
             f"{tolerance:.1e} near charts {where[0]}/{where[1]} at point "
             f"{where[2]}"
         )
+    lattices = [p.lattice_values() for p in pieces]
     n = pieces[0].components
     out = []
-    for c in atlas.charts:
-        theta = c.from_chart(c.window.nodes())
-        weights = atlas.partition_weights(theta)
-        vals = np.zeros((theta.shape[0], n))
-        for i, piece in enumerate(pieces):
-            w = weights[:, i]
-            hit = w > 0.0
-            if not np.any(hit):
-                continue
-            vals[hit] += w[hit, None] * piece.interpolate(
-                atlas.to_chart(i, theta[hit])
+    for t, c in enumerate(atlas.charts):
+        vals = np.zeros(c.window.axis_counts + (n,))
+        for op in atlas.partition_transfers(t):
+            vals[np.ix_(*op.hits)] += op.weights * tensor_transfer(
+                op.matrices, lattices[op.source]
             )
-        out.append(SampledField(c.window, vals))
+        out.append(SampledField(c.window, vals.reshape(c.window.node_count, n)))
     return Section(atlas, tuple(out), tolerance)
 
 

@@ -228,6 +228,19 @@ def test_group_section_rejects_non_members(atlas):
         GroupSection(atlas, g, pieces)
 
 
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+def test_group_section_names_the_worst_overlap_point(atlas, g):
+    rng = np.random.default_rng(37)
+    pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
+    pieces[1] = pieces[1] @ g.exp(np.full(g.algebra_dim, 1e-6))
+    with pytest.raises(
+        InputError,
+        match=r"^group section overlap defect \S+ exceeds 1\.0e-09 near charts "
+        r"0/1 at point \[\S+\]$",
+    ):
+        GroupSection(atlas, g, tuple(pieces))
+
+
 def test_adjoint_by_identity_fixes_direction(atlas):
     rng = np.random.default_rng(31)
     g = su2_real()
