@@ -54,6 +54,7 @@ from .limits import (
 from .serialize import (
     convention_tag,
     dump_group_section,
+    json_is,
     load_curve,
     read_json,
     write_json,
@@ -61,16 +62,17 @@ from .serialize import (
 )
 from .sobolev import CONVENTIONS, extension_probe, hs_norm
 
-CONFIG_KEYS = (
-    "seed",
-    "modes",
-    "grid_factor",
-    "tolerances",
-    "atlas",
-    "group",
-    "convention",
-    "out",
-)
+# Config file keys and the JSON type of each value.
+CONFIG_KEYS = {
+    "seed": int,
+    "modes": int,
+    "grid_factor": int,
+    "tolerances": dict,
+    "atlas": str,
+    "group": str,
+    "convention": str,
+    "out": str,
+}
 
 
 @dataclass(frozen=True)
@@ -130,19 +132,29 @@ def load_config_file(path: Path) -> dict:
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         raise InputError(f"{path}: unknown config keys {unknown}")
+    for key, kind in CONFIG_KEYS.items():
+        if key in doc and not json_is(doc[key], kind):
+            raise InputError(
+                f"{path}: config key {key!r} must be {kind.__name__}, got {doc[key]!r}"
+            )
+    for name, value in doc.get("tolerances", {}).items():
+        if not json_is(value, (int, float)):
+            raise InputError(
+                f"{path}: tolerance {name!r} must be a number, got {value!r}"
+            )
     return doc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     doc = load_config_file(args.config) if args.config else {}
     merged = {
-        "seed": int(doc.get("seed", 0)),
-        "modes": int(doc.get("modes", 32)),
-        "grid_factor": int(doc.get("grid_factor", 4)),
+        "seed": doc.get("seed", 0),
+        "modes": doc.get("modes", 32),
+        "grid_factor": doc.get("grid_factor", 4),
         "tolerances": dict(doc.get("tolerances", {})),
-        "atlas": str(doc.get("atlas", "circle2")),
-        "group": str(doc.get("group", "SO3")),
-        "convention": str(doc.get("convention", "paper")),
+        "atlas": doc.get("atlas", "circle2"),
+        "group": doc.get("group", "SO3"),
+        "convention": doc.get("convention", "paper"),
         "out": Path(doc.get("out", "out")),
     }
     if args.seed is not None:
@@ -339,7 +351,11 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
         curve = constant_curve(xi)
         mode = "constant"
     else:
-        curve = load_curve(read_json(curve_path))
+        doc = read_json(curve_path)
+        try:
+            curve = load_curve(doc)
+        except InputError as exc:
+            raise InputError(f"{curve_path}: {exc}") from exc
         mode = "file"
         steps = max(steps, curve.resolution)
     eta1 = evolve(curve, steps)

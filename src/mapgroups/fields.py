@@ -253,21 +253,16 @@ class BandlimitedField:
     def components(self) -> int:
         return self.coeffs.shape[0]
 
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(-self.modes, self.modes + 1)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary points, shape (Q, m) -> (Q, components)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.m:
             raise ShapeMismatchError("points do not match field dimension")
-        k = self.wavenumbers()
         if self.m == 1:
-            phase = np.exp(1j * np.outer(pts[:, 0], k))
-            vals = phase @ self.coeffs.T
+            vals = phase_matrix(pts[:, 0], self.modes) @ self.coeffs.T
         else:
-            p0 = np.exp(1j * np.outer(pts[:, 0], k))
-            p1 = np.exp(1j * np.outer(pts[:, 1], k))
+            p0 = phase_matrix(pts[:, 0], self.modes)
+            p1 = phase_matrix(pts[:, 1], self.modes)
             tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)
             vals = np.einsum("qb,qnb->qn", p1, tmp)
         return vals.real if self.real else vals
@@ -375,17 +370,28 @@ class SampledField:
         return SampledField(self.domain, float(factor) * self.values, self.parent_modes)
 
 
+def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
+    """Fourier phases exp(i x k) for |k| <= modes, shape (len(x), 2*modes+1)."""
+    return np.exp(1j * np.outer(x, np.arange(-modes, modes + 1)))
+
+
+def wavenumber_squares(m: int, modes: int) -> np.ndarray:
+    """Lattice of |k|^2 over every |k_d| <= modes, shape (2*modes+1,)*m."""
+    k = np.arange(-modes, modes + 1, dtype=float)
+    if m == 1:
+        return k**2
+    if m == 2:
+        return k[:, None] ** 2 + k[None, :] ** 2
+    raise InputError(f"dimension m must be 1 or 2, got {m}")
+
+
 def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     """Evaluate a band-limited field at the masked nodes of a grid."""
     if field.m != grid.m:
         raise ShapeMismatchError("field and grid dimensions differ")
-    k = field.wavenumbers()
-    phases = [np.exp(1j * np.outer(grid.axis_nodes(d), k)) for d in range(grid.m)]
-    if grid.m == 1:
-        vals = phases[0] @ field.coeffs.T
-    else:
-        vals = np.einsum("ia,jb,nab->ijn", phases[0], phases[1], field.coeffs)
-        vals = vals.reshape(grid.node_count, field.components)
+    phases = [phase_matrix(grid.axis_nodes(d), field.modes) for d in range(grid.m)]
+    vals = tensor_transfer(phases, np.moveaxis(field.coeffs, 0, -1))
+    vals = vals.reshape(grid.node_count, field.components)
     vals = vals.real if field.real else vals
     return SampledField(grid, np.ascontiguousarray(vals), parent_modes=field.modes)
 
@@ -478,15 +484,9 @@ def random_field(
     amplitude: float = 1.0,
 ) -> BandlimitedField:
     """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
-    width = 2 * modes + 1
-    shape = (components,) + (width,) * m
+    shape = (components,) + (2 * modes + 1,) * m
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = np.arange(-modes, modes + 1, dtype=float)
-    if m == 1:
-        k2 = k**2
-    else:
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
-    raw *= amplitude * (1.0 + k2) ** (-decay / 2.0)
+    raw *= amplitude * (1.0 + wavenumber_squares(m, modes)) ** (-decay / 2.0)
     return BandlimitedField(m, modes, hermitian_part(raw), real=True)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,10 +61,13 @@ class MatrixGroup:
         v = np.asarray(coords, dtype=float)
         return np.einsum("...a,aij->...ij", v, self.basis)
 
+    @cached_property
+    def _coords_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.basis.reshape(self.algebra_dim, -1).T)
+
     def from_matrix(self, mats: np.ndarray) -> np.ndarray:
         flat = np.asarray(mats, dtype=float).reshape(mats.shape[:-2] + (-1,))
-        pinv = np.linalg.pinv(self.basis.reshape(self.algebra_dim, -1).T)
-        return np.einsum("ab,...b->...a", pinv, flat)
+        return np.einsum("ab,...b->...a", self._coords_pinv, flat)
 
     def coord_norm(self, coords: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.asarray(coords, dtype=float), axis=-1)
@@ -184,9 +188,14 @@ _SIGMA = np.array(
 )
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
 def su2_real() -> MatrixGroup:
     mats = -0.5j * _SIGMA
     basis = _realify(mats.real, mats.imag)
+    coords_pinv = np.linalg.pinv(basis.reshape(3, 16).T)
     q_radius = np.pi - 0.1
 
     def exp_fn(v):
@@ -211,8 +220,7 @@ def su2_real() -> MatrixGroup:
         anti = 0.5 * (g - np.swapaxes(g, -1, -2))
         xi = inv_sinc[..., None, None] * anti
         flat = xi.reshape(xi.shape[:-2] + (16,))
-        bflat = basis.reshape(3, 16)
-        return np.einsum("ab,...b->...a", np.linalg.pinv(bflat.T), flat)
+        return np.einsum("ab,...b->...a", coords_pinv, flat)
 
     def log_valid_fn(g):
         return 2.0 * _half_angle(g) < q_radius
@@ -242,12 +250,17 @@ def su2_real() -> MatrixGroup:
         struct = np.maximum(
             np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
         )
-        u = x1 + 1j * y1
-        uhu = np.conj(np.swapaxes(u, -1, -2)) @ u
-        eye = np.broadcast_to(np.eye(2), u.shape)
-        unit = np.abs(uhu - eye).max(axis=(-2, -1))
-        det = np.abs(np.linalg.det(u) - 1.0)
-        return np.maximum(np.maximum(struct, unit), det)
+        # Entries of U = [[a, b], [c, d]] = x1 + i y1: the unitarity
+        # residuals of U^H U and |det U - 1| in closed form.
+        a, b, c, d = (
+            x1[..., i, j] + 1j * y1[..., i, j] for i in (0, 1) for j in (0, 1)
+        )
+        off = np.abs(np.conj(a) * b + np.conj(c) * d)
+        unit = np.maximum(
+            np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)
+        )
+        det = np.abs(a * d - b * c - 1.0)
+        return np.maximum(np.maximum(struct, np.maximum(unit, off)), det)
 
     return MatrixGroup(
         "SU2", 4, basis, q_radius, q_radius / 2.0,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ShapeMismatchError
-from .fields import BandlimitedField, hermitian_part
+from .fields import BandlimitedField, hermitian_part, wavenumber_squares
 from .groups import (
     LOGGER,
     RELATION_DEFECT_LIMIT,
@@ -58,10 +58,8 @@ def decay_field(alpha: float, modes: int, m: int = 1) -> BandlimitedField:
     alpha = float(alpha)
     if alpha <= 0:
         raise InputError("decay exponent must be positive")
-    k = np.arange(-modes, modes + 1, dtype=float)
-    k2 = k**2 if m == 1 else k[:, None] ** 2 + k[None, :] ** 2
-    coeffs = ((1.0 + k2) ** (-alpha / 2.0)).astype(complex)[None]
-    return BandlimitedField(m, modes, hermitian_part(coeffs), real=True)
+    coeffs = ((1.0 + wavenumber_squares(m, modes)) ** (-alpha / 2.0)).astype(complex)
+    return BandlimitedField(m, modes, hermitian_part(coeffs[None]), real=True)
 
 
 def decay_partial_norm_sq(
@@ -69,9 +67,8 @@ def decay_partial_norm_sq(
 ) -> float:
     """Squared order-s norm of the decay field truncated at ``modes`` (m=1)."""
     check_convention(convention)
-    k = np.arange(-modes, modes + 1, dtype=float)
     expo = weight_exponent(s, convention) - float(alpha)
-    return float(np.sum((1.0 + k**2) ** expo))
+    return float(np.sum((1.0 + wavenumber_squares(1, modes)) ** expo))
 
 
 def _increment_ratio(

@@ -21,7 +21,14 @@ from .errors import (
     InputError,
     ShapeMismatchError,
 )
-from .fields import GridDomain, SampledField, same_grid, tensor_transfer
+from .fields import (
+    BandlimitedField,
+    GridDomain,
+    SampledField,
+    same_grid,
+    tensor_transfer,
+    wavenumber_squares,
+)
 from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
 DEFAULT_TOLERANCE = 1e-9
@@ -176,24 +183,11 @@ def random_section(
 ) -> Section:
     """Random smooth section from a low-order trigonometric polynomial."""
     m = atlas.m
-    width = 2 * order + 1
-    shape = (components,) + (width,) * m
+    shape = (components,) + (2 * order + 1,) * m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = np.arange(-order, order + 1, dtype=float)
-    k2 = k**2 if m == 1 else k[:, None] ** 2 + k[None, :] ** 2
-    coef *= amplitude * (1.0 + k2) ** (-decay / 2.0)
-
-    def fn(theta):
-        kk = np.arange(-order, order + 1)
-        if m == 1:
-            phase = np.exp(1j * np.outer(theta[:, 0], kk))
-            return (phase @ coef.T).real
-        p0 = np.exp(1j * np.outer(theta[:, 0], kk))
-        p1 = np.exp(1j * np.outer(theta[:, 1], kk))
-        tmp = np.einsum("qa,nab->qnb", p0, coef)
-        return np.einsum("qb,qnb->qn", p1, tmp).real
-
-    return section_from_function(atlas, fn)
+    coef *= amplitude * (1.0 + wavenumber_squares(m, order)) ** (-decay / 2.0)
+    poly = BandlimitedField(m, order, coef, real=False)
+    return section_from_function(atlas, lambda theta: poly.evaluate(theta).real)
 
 
 def theta_embed(section: Section) -> tuple[SampledField, ...]:

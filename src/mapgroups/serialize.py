@@ -46,6 +46,23 @@ def read_json(path):
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def json_is(value, kind) -> bool:
+    """Type test on a loaded JSON value; true/false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _require(doc: dict, key: str, kind: type):
+    """``doc[key]``, or InputError naming the key when absent or not a ``kind``."""
+    if key not in doc:
+        raise InputError(f"{doc['kind']} document has no key {key!r}")
+    if not json_is(doc[key], kind):
+        raise InputError(
+            f"{doc['kind']} key {key!r} must be {kind.__name__}, "
+            f"got {type(doc[key]).__name__}"
+        )
+    return doc[key]
+
+
 def _complex_pairs(arr: np.ndarray) -> list:
     flat = arr.reshape(arr.shape[0], -1)
     return [[[float(z.real), float(z.imag)] for z in row] for row in flat]
@@ -167,7 +184,8 @@ def atlas_hash(a: Atlas) -> str:
 
 
 def _resolve_atlas(doc: dict) -> Atlas:
-    a = builtin_atlas(doc["atlas"], resolution=int(doc["lattice_resolution"]))
+    resolution = _require(doc, "lattice_resolution", int)
+    a = builtin_atlas(_require(doc, "atlas", str), resolution=resolution)
     if doc.get("atlas_hash") not in (None, atlas_hash(a)):
         raise InputError(
             f"atlas hash mismatch: file has {doc['atlas_hash']}, "
@@ -191,10 +209,10 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
-    if doc.get("kind") != "section":
+    if not isinstance(doc, dict) or doc.get("kind") != "section":
         raise InputError("not a section document")
     a = _resolve_atlas(doc)
-    pieces = tuple(load_sampled(p) for p in doc["pieces"])
+    pieces = tuple(load_sampled(p) for p in _require(doc, "pieces", list))
     return Section(a, pieces, float(doc.get("tolerance", 1e-9)))
 
 
@@ -239,13 +257,14 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
 
 
 def load_curve(doc: dict) -> TimeSampledCurve:
-    if doc.get("kind") != "curve":
+    if not isinstance(doc, dict) or doc.get("kind") != "curve":
         raise InputError("not a curve document")
-    group = group_by_name(doc["group"])
+    group = group_by_name(_require(doc, "group", str))
     sections = tuple(
-        AlgebraSection(group, load_section(s)) for s in doc["sections"]
+        AlgebraSection(group, load_section(s)) for s in _require(doc, "sections", list)
     )
-    return TimeSampledCurve(np.asarray(doc["times"], dtype=float), sections)
+    times = _require(doc, "times", list)
+    return TimeSampledCurve(np.asarray(times, dtype=float), sections)
 
 
 def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:

@@ -12,6 +12,8 @@ inputs give bitwise identical results.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InputError, ShapeMismatchError, SolverError
@@ -19,8 +21,10 @@ from .fields import (
     BandlimitedField,
     GridDomain,
     SampledField,
+    phase_matrix,
     random_field,
     restrict,
+    wavenumber_squares,
 )
 
 CONVENTIONS = ("paper", "standard")
@@ -30,6 +34,9 @@ CONVENTION_TAGS = {"paper": "paper-s/2", "standard": "standard-s"}
 
 # Relative singular-value floor for the interpolation pseudoinverse.
 PINV_RCOND = 1e-10
+
+# Factored interpolation systems kept by min_norm_extension (LRU).
+FACTOR_CACHE_SIZE = 16
 
 
 def check_order(s) -> float:
@@ -55,14 +62,7 @@ def weight_exponent(s: float, convention: str = "paper") -> float:
 def mode_weights(m: int, modes: int, s, convention: str = "paper") -> np.ndarray:
     """Weight lattice (1 + |k|^2)^e over all |k_d| <= modes."""
     s = check_order(s)
-    k = np.arange(-modes, modes + 1, dtype=float)
-    if m == 1:
-        k2 = k**2
-    elif m == 2:
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
-    else:
-        raise InputError(f"dimension m must be 1 or 2, got {m}")
-    return (1.0 + k2) ** weight_exponent(s, convention)
+    return (1.0 + wavenumber_squares(m, modes)) ** weight_exponent(s, convention)
 
 
 def _check_pair(a: BandlimitedField, b: BandlimitedField):
@@ -91,20 +91,6 @@ def hs_norm(a: BandlimitedField, s, convention: str = "paper") -> float:
     return float(np.sqrt(max(hs_inner(a, a, s, convention), 0.0)))
 
 
-def _evaluation_matrix(grid: GridDomain, modes: int) -> np.ndarray:
-    """Complex matrix taking flat coefficient vectors to masked node values.
-
-    Column order matches the C-order flattening of the coefficient lattice.
-    """
-    k = np.arange(-modes, modes + 1)
-    phases = [np.exp(1j * np.outer(grid.axis_nodes(d), k)) for d in range(grid.m)]
-    if grid.m == 1:
-        return phases[0]
-    a = np.einsum("ia,jb->ijab", phases[0], phases[1])
-    width = 2 * modes + 1
-    return a.reshape(grid.node_count, width * width)
-
-
 def _pair_split(ncoef: int):
     """Conjugate-mirror index pairs of the flattened coefficient lattice.
 
@@ -123,22 +109,23 @@ def _weighted_real_system(grid: GridDomain, modes: int, s, convention: str):
     Hermitian-symmetric coefficient vectors are parametrized by real
     coordinates r ordered [zero mode, cosine pairs, sine pairs]; the
     matrix maps r to node values, and the Euclidean norm of r equals the
-    order-s norm of the corresponding field.  Returns the complex
-    evaluation matrix, the real matrix, and the inverse square-root
-    weights used to map coordinates back to coefficients.
+    order-s norm of the corresponding field.  Returns the real matrix and
+    the inverse square-root weights used to map coordinates back to
+    coefficients.
     """
     ncoef = (2 * modes + 1) ** grid.m
-    a = _evaluation_matrix(grid, modes)
-    w = mode_weights(grid.m, modes, s, convention).reshape(ncoef)
-    half = w**-0.5
-    aw = a * half[None, :]
+    half = mode_weights(grid.m, modes, s, convention).reshape(ncoef) ** -0.5
+    # Columns follow the C-order flattening of the coefficient lattice.
+    phases = [phase_matrix(grid.axis_nodes(d), modes) for d in range(grid.m)]
+    a = phases[0] if grid.m == 1 else np.einsum("ia,jb->ijab", *phases)
+    aw = a.reshape(grid.node_count, ncoef) * half[None, :]
     npairs, p_idx, q_idx = _pair_split(ncoef)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    b = np.empty((a.shape[0], ncoef))
+    b = np.empty((grid.node_count, ncoef))
     b[:, 0] = aw[:, npairs].real
     b[:, 1 : 1 + npairs] = ((aw[:, p_idx] + aw[:, q_idx]) * inv_sqrt2).real
     b[:, 1 + npairs :] = ((aw[:, p_idx] - aw[:, q_idx]) * (1j * inv_sqrt2)).real
-    return a, b, half
+    return b, half
 
 
 def _real_coords_to_coeffs(rows: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -157,6 +144,26 @@ def _real_coords_to_coeffs(rows: np.ndarray, half: np.ndarray) -> np.ndarray:
     d[..., p_idx] = cos_part + 1j * sin_part
     d[..., q_idx] = cos_part - 1j * sin_part
     return half * d
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factored_system(resolution, window, index_bytes, modes, s, convention, rcond):
+    """Kept SVD factors of one window's weighted system, by value.
+
+    Keys are numbers and index bytes, never a grid or atlas.  Returns the
+    inverse square-root weights and the kept u.T, sigma[:, None] and vt.T.
+    """
+    axes = tuple(np.frombuffer(b, dtype=np.int64) for b in index_bytes)
+    grid = GridDomain(len(resolution), resolution, window, axes)
+    b, half = _weighted_real_system(grid, modes, s, convention)
+    u, sig, vt = np.linalg.svd(b, full_matrices=False)
+    if sig.size == 0 or sig[0] == 0.0:
+        raise SolverError("evaluation matrix is identically zero")
+    keep = sig > rcond * sig[0]
+    factors = (half, u[:, keep].T, sig[keep][:, None], vt[keep].T)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 def min_norm_extension(
@@ -196,15 +203,15 @@ def min_norm_extension(
             f"{grid.node_count} nodes exceed {ncoef} coefficients; "
             "raise the cutoff or thin the mask"
         )
-    a, b, half = _weighted_real_system(grid, modes, s, convention)
-    u, sig, vt = np.linalg.svd(b, full_matrices=False)
-    if sig.size == 0 or sig[0] == 0.0:
-        raise SolverError("evaluation matrix is identically zero")
-    keep = sig > rcond * sig[0]
-    coef = (u[:, keep].T @ v.values) / sig[keep][:, None]
-    r = vt[keep].T @ coef  # (ncoef, n) real coordinates
+    index_bytes = tuple(np.asarray(i, np.int64).tobytes() for i in grid.axis_indices)
+    half, ut, sig, v_kept = _factored_system(
+        grid.resolution, grid.window, index_bytes, modes, s, convention, float(rcond)
+    )
+    r = v_kept @ ((ut @ v.values) / sig)  # (ncoef, n) real coordinates
     cflat = _real_coords_to_coeffs(r.T, half)  # (n, ncoef)
-    residual = float(np.max(np.abs(cflat @ a.T - v.values.T)))
+    lattice = (2 * modes + 1,) * grid.m
+    ext = BandlimitedField(grid.m, modes, cflat.reshape((-1,) + lattice), real=True)
+    residual = float(np.max(np.abs(restrict(ext, grid).values - v.values)))
     scale = max(1.0, float(np.max(np.abs(v.values))))
     if residual > residual_tol * scale:
         raise SolverError(
@@ -213,9 +220,7 @@ def min_norm_extension(
             "for this cutoff",
             residual=residual,
         )
-    width = 2 * modes + 1
-    coeffs = cflat.reshape((v.components,) + (width,) * grid.m)
-    return BandlimitedField(grid.m, modes, coeffs, real=True)
+    return ext
 
 
 def restriction_kernel_basis(
@@ -234,7 +239,7 @@ def restriction_kernel_basis(
     """
     s = check_order(s)
     check_convention(convention)
-    _, b, half = _weighted_real_system(grid, modes, s, convention)
+    b, half = _weighted_real_system(grid, modes, s, convention)
     _, sig, vt = np.linalg.svd(b, full_matrices=True)
     tol = PINV_RCOND * (sig[0] if sig.size else 1.0)
     rank = int(np.sum(sig > tol))

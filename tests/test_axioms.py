@@ -41,6 +41,14 @@ def test_cutoff_bound_probe_grid_stable():
     assert check.measures["bound_coarse"] > 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_cutoff_bound_probe_compares_the_same_fields(seed):
+    # Both grids resolve the products of the same fields, so the bounds
+    # differ only by the grid; separate draws differed by up to 6%.
+    m = probe_cutoff_bound(np.random.default_rng(seed), trials=20).measures
+    assert abs(m["bound_fine"] - m["bound_coarse"]) <= 1e-5 * m["bound_coarse"]
+
+
 def test_suite_runs_all_four_and_is_reproducible():
     # The CLI's per-suite streams for seed 0, identical in every process.
     rng_for = RunConfig(seed=0).rng_for

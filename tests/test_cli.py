@@ -1,11 +1,15 @@
 """End-to-end runs of the command-line front end (in process)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mapgroups
 from mapgroups.cli import main
 
 
@@ -206,3 +210,53 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
     extra.write_text(json.dumps({"seeds": 3}))
     assert main(["norms", "--config", str(extra)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"seed": "abc"}, "'seed'"),
+        ({"modes": True}, "'modes'"),
+        ({"tolerances": {"x": "a"}}, "'x'"),
+        ({"tolerances": [1]}, "'tolerances'"),
+        ({"atlas": 4}, "'atlas'"),
+    ],
+    ids=["seed-str", "modes-bool", "tolerance-str", "tolerances-list", "atlas-int"],
+)
+def test_mistyped_config_values_are_input_errors(tmp_path, capsys, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and key in err
+    assert not (tmp_path / "norms.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"kind": "curve"}, "'group'"),
+        ({"kind": "curve", "group": "SO3", "times": [0.0]}, "'sections'"),
+        ({"kind": "curve", "group": "SO3", "sections": {}, "times": []}, "'sections'"),
+        ([1], "not a curve document"),
+    ],
+    ids=["no-group", "no-sections", "sections-object", "list"],
+)
+def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and key in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(mapgroups.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "mapgroups", "ladder", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ladder: pass")

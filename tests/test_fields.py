@@ -14,12 +14,14 @@ from mapgroups.fields import (
     SampledField,
     extend_by_zero,
     hermitian_part,
+    phase_matrix,
     random_field,
     restrict,
     restrict_sampled,
     same_grid,
     sample,
     synthesize,
+    wavenumber_squares,
 )
 
 
@@ -174,6 +176,48 @@ def test_restrict_matches_direct_evaluation():
     want = np.cos(g.nodes()[:, 0])[:, None]
     assert np.array_equal(v.values, f.evaluate(g.nodes()))
     assert np.abs(v.values - want).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridDomain.full_torus(1, 65), GridDomain.box(((0.4, 4.1),), 129)],
+    ids=["full", "window"],
+)
+def test_curve_sample_is_bitwise_evaluate(grid):
+    f = random_field(1, 12, 3, np.random.default_rng(21))
+    assert np.array_equal(sample(f, grid).values, f.evaluate(grid.nodes()))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridDomain.full_torus(2, 65),
+        GridDomain.box(((0.4, 4.1), (2.0, 5.9)), 129),
+        GridDomain.box(((0.4, 4.1), (2.0, 5.9)), (97, 129)),
+    ],
+    ids=["full", "window", "anisotropic-window"],
+)
+def test_surface_sample_matches_evaluate_at_nodes(grid):
+    # The separable products sum in another order than evaluate's contraction.
+    f = random_field(2, 16, 2, np.random.default_rng(22), decay=0.5, amplitude=3.0)
+    got = sample(f, grid).values
+    want = f.evaluate(grid.nodes())
+    scale = float(np.abs(want).max())
+    assert scale > 1.0
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_phase_and_wavenumber_helpers():
+    x = np.array([0.0, 0.5, 2.0])
+    p = phase_matrix(x, 2)
+    assert p.shape == (3, 5)
+    assert np.array_equal(p[0], np.ones(5))
+    assert np.allclose(p, np.exp(1j * x[:, None] * np.arange(-2, 3)[None, :]))
+    assert np.array_equal(wavenumber_squares(1, 2), [4.0, 1.0, 0.0, 1.0, 4.0])
+    k2 = wavenumber_squares(2, 1)
+    assert k2.shape == (3, 3) and k2[1, 1] == 0.0 and k2[0, 2] == 2.0
+    with pytest.raises(InputError):
+        wavenumber_squares(3, 1)
 
 
 def test_restrict_zero_field():

@@ -74,6 +74,40 @@ def test_log_domain_guards():
     assert not ut.log_valid(np.array([[[-1.0, 0.0], [0.0, 1.0]]]))[0]
 
 
+def su2_defect_reference(g):
+    """The SU2 relation defect through a batched U^H U and np.linalg.det."""
+    x1, x2, y1, y2 = g[..., :2, :2], g[..., 2:, 2:], g[..., 2:, :2], -g[..., :2, 2:]
+    struct = np.maximum(
+        np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
+    )
+    u = x1 + 1j * y1
+    uhu = np.conj(np.swapaxes(u, -1, -2)) @ u
+    unit = np.abs(uhu - np.eye(2)).max(axis=(-2, -1))
+    det = np.abs(np.linalg.det(u) - 1.0)
+    return np.maximum(np.maximum(struct, unit), det)
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-9, 1e-3])
+def test_su2_closed_form_defect_matches_matrix_reference(drift):
+    g = su2_real()
+    rng = np.random.default_rng(17)
+    mats = g.exp(rng.uniform(-1.4, 1.4, size=(500, 3)))
+    mats = mats + drift * rng.standard_normal(mats.shape)
+    got = g.relation_defect(mats)
+    assert np.abs(got - su2_defect_reference(mats)).max() <= 4 * np.finfo(float).eps
+    if drift:
+        assert got.min() > 0.1 * drift
+
+
+def test_coordinate_pseudoinverse_built_once():
+    for g in ALL_GROUPS:
+        pinv = np.linalg.pinv(g.basis.reshape(g.algebra_dim, -1).T)
+        v = np.random.default_rng(2).standard_normal((5, g.algebra_dim))
+        want = np.einsum("ab,...b->...a", pinv, g.to_matrix(v).reshape(5, -1))
+        assert np.array_equal(g.from_matrix(g.to_matrix(v)), want)
+        assert g._coords_pinv is g._coords_pinv
+
+
 def test_inverse_multiplies_to_identity():
     rng = np.random.default_rng(5)
     for g in ALL_GROUPS:
