@@ -9,7 +9,11 @@ a sharp target for the divergence-based estimator here.
 ``evolve`` integrates the right-translation equation
 ``eta'(t) = eta(t) @ gamma(t)``, ``eta(0) = identity`` node-wise with the
 classical fixed-step fourth-order scheme, interpolating the curve linearly
-between its time samples.
+between its time samples.  The equation is linear, so each RK4 step is a
+right factor ``eta -> eta @ R`` built from the curve alone; the time-1
+value is the ordered product of the step factors.  On a chart where every
+time sample is the same, all factors are equal and the product is a
+matrix power, taken by repeated squaring.
 """
 
 from __future__ import annotations
@@ -244,6 +248,21 @@ def _interp_matrices(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarr
     return (1.0 - w) * stack[pos] + w * stack[pos + 1]
 
 
+def _rk4_factor(
+    a1: np.ndarray, a2: np.ndarray, a4: np.ndarray, h: float
+) -> np.ndarray:
+    """Right factor R of one classical RK4 step of eta' = eta @ a(t).
+
+    ``a1``, ``a2``, ``a4`` are the curve at the step's start, midpoint and
+    end.  The stages k1..k4 are ``eta @ a1``, ``eta @ B2``, ``eta @ B3``,
+    ``eta @ B4``, so the step is ``eta -> eta @ R`` with R independent of eta.
+    """
+    b2 = a2 + (0.5 * h) * (a1 @ a2)
+    b3 = a2 + (0.5 * h) * (b2 @ a2)
+    b4 = a4 + h * (b3 @ a4)
+    return np.eye(a1.shape[-1]) + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
 def evolve(
     curve: TimeSampledCurve,
     steps: int,
@@ -252,10 +271,12 @@ def evolve(
     """Integrate eta' = eta * gamma(t) from the identity over [0, 1].
 
     Classical fixed-step fourth-order integration, node by node; the step
-    count must be at least the curve's time resolution.  Final matrices
-    whose relation defect exceeds the GroupSection construction limit are
-    re-projected with a log message; the returned section always satisfies
-    the group relations within ``defect_tol``.
+    count must be at least the curve's time resolution.  Each step is a
+    right factor (``_rk4_factor``); where a chart's time samples are all
+    bitwise equal, the time-1 value is that factor to the power ``steps``.
+    Final matrices whose relation defect exceeds the GroupSection
+    construction limit are re-projected with a log message; the returned
+    section always satisfies the group relations within ``defect_tol``.
     """
     if steps < curve.resolution:
         raise InputError(
@@ -266,18 +287,18 @@ def evolve(
     pieces = []
     for j in range(curve.atlas.chart_count):
         stack = _chart_curve_matrices(curve, j)
-        k_nodes = stack.shape[1]
-        eta = np.broadcast_to(group.identity(), (k_nodes, group.dim, group.dim)).copy()
-        for i in range(steps):
-            t = i * h
-            a1 = _interp_matrices(stack, curve.times, t)
-            a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
-            a4 = _interp_matrices(stack, curve.times, t + h)
-            k1 = eta @ a1
-            k2 = (eta + 0.5 * h * k1) @ a2
-            k3 = (eta + 0.5 * h * k2) @ a2
-            k4 = (eta + h * k3) @ a4
-            eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (stack == stack[0]).all():
+            a = stack[0]
+            eta = np.linalg.matrix_power(_rk4_factor(a, a, a, h), steps)
+        else:
+            eta = None
+            for i in range(steps):
+                t = i * h
+                a1 = _interp_matrices(stack, curve.times, t)
+                a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
+                a4 = _interp_matrices(stack, curve.times, t + h)
+                r = _rk4_factor(a1, a2, a4, h)
+                eta = r if eta is None else eta @ r
         defect = float(group.relation_defect(eta).max())
         if defect > RELATION_DEFECT_LIMIT:
             eta = group.project(eta)

@@ -48,24 +48,53 @@ def read_json(path):
 
 def json_is(value, kind) -> bool:
     """Type test on a loaded JSON value; true/false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _require(doc: dict, key: str, kind: type):
+def _expect_kind(doc, kind: str, what: str) -> None:
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise InputError(f"not a {what} document")
+
+
+def _require(doc: dict, key: str, kind):
     """``doc[key]``, or InputError naming the key when absent or not a ``kind``."""
+    what = doc.get("kind", "grid")  # grid documents are the only ones without a kind
     if key not in doc:
-        raise InputError(f"{doc['kind']} document has no key {key!r}")
+        raise InputError(f"{what} document has no key {key!r}")
     if not json_is(doc[key], kind):
+        name = kind.__name__ if isinstance(kind, type) else "number"
         raise InputError(
-            f"{doc['kind']} key {key!r} must be {kind.__name__}, "
-            f"got {type(doc[key]).__name__}"
+            f"{what} key {key!r} must be {name}, got {type(doc[key]).__name__}"
         )
     return doc[key]
 
 
+def _tolerance(doc: dict) -> float:
+    if "tolerance" not in doc:
+        return 1e-9
+    return float(_require(doc, "tolerance", (int, float)))
+
+
+def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
+    """``raw`` as a rectangular array whose dtype kind is one of ``kinds``."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        entries = "booleans" if kinds == "b" else "numbers"
+        raise InputError(f"{what} must be a rectangular array of {entries}")
+    return arr
+
+
+def _require_array(doc: dict, key: str, kinds: str = "iuf") -> np.ndarray:
+    what = f"{doc.get('kind', 'grid')} key {key!r}"
+    return _numeric_array(_require(doc, key, list), what, kinds)
+
+
 def _complex_pairs(arr: np.ndarray) -> list:
-    flat = arr.reshape(arr.shape[0], -1)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in flat]
+    flat = np.asarray(arr, dtype=complex).reshape(arr.shape[0], -1)
+    return np.stack([flat.real, flat.imag], axis=-1).tolist()
 
 
 def dump_bandlimited(field: BandlimitedField, convention: str = "paper") -> dict:
@@ -81,15 +110,17 @@ def dump_bandlimited(field: BandlimitedField, convention: str = "paper") -> dict
 
 
 def load_bandlimited(doc: dict) -> BandlimitedField:
-    if doc.get("kind") != "bandlimited":
-        raise InputError("not a band-limited field document")
-    m, modes, n = int(doc["m"]), int(doc["modes"]), int(doc["components"])
+    _expect_kind(doc, "bandlimited", "band-limited field")
+    m = _require(doc, "m", int)
+    if m not in (1, 2):
+        raise InputError(f"dimension m must be 1 or 2, got {m}")
+    modes, n = _require(doc, "modes", int), _require(doc, "components", int)
     width = 2 * modes + 1
-    pairs = np.asarray(doc["coeffs"], dtype=float)
+    pairs = _require_array(doc, "coeffs").astype(float, copy=False)
     if pairs.shape != (n, width**m, 2):
         raise InputError(f"coefficient table has shape {pairs.shape}")
     coeffs = (pairs[..., 0] + 1j * pairs[..., 1]).reshape((n,) + (width,) * m)
-    return BandlimitedField(m, modes, coeffs, real=bool(doc["reality"]))
+    return BandlimitedField(m, modes, coeffs, real=_require(doc, "reality", bool))
 
 
 def dump_grid(grid: GridDomain) -> dict:
@@ -102,10 +133,17 @@ def dump_grid(grid: GridDomain) -> dict:
 
 
 def load_grid(doc: dict) -> GridDomain:
-    m = int(doc["m"])
-    res = tuple(int(r) for r in doc["grid"])
-    window = tuple((float(lo), float(hi)) for lo, hi in doc["window"])
-    mask = np.asarray(doc["mask"], dtype=bool).reshape(res)
+    m = _require(doc, "m", int)
+    res = _require_array(doc, "grid", "iu")
+    window = _require_array(doc, "window").astype(float, copy=False)
+    mask = _require_array(doc, "mask", "b")
+    if res.shape != (m,) or window.shape != (m, 2):
+        raise InputError(f"grid {res.tolist()} and window do not match dimension {m}")
+    res = tuple(int(r) for r in res)
+    if any(r < 1 for r in res) or mask.shape != (int(np.prod(res)),):
+        raise InputError(f"mask of shape {mask.shape} does not fit grid {list(res)}")
+    mask = mask.reshape(res)
+    window = tuple((float(lo), float(hi)) for lo, hi in window)
     axis_idx = []
     for d in range(m):
         other = tuple(i for i in range(m) if i != d)
@@ -123,7 +161,7 @@ def dump_sampled(v: SampledField, convention: str = "paper") -> dict:
         {
             "kind": "sampled",
             "components": v.components,
-            "values": [[float(x) for x in row] for row in v.values],
+            "values": np.asarray(v.values, dtype=float).tolist(),
             "parent_modes": v.parent_modes,
             "weight_exponent_convention": convention_tag(convention),
         }
@@ -132,12 +170,13 @@ def dump_sampled(v: SampledField, convention: str = "paper") -> dict:
 
 
 def load_sampled(doc: dict) -> SampledField:
-    if doc.get("kind") != "sampled":
-        raise InputError("not a sampled field document")
+    _expect_kind(doc, "sampled", "sampled field")
     grid = load_grid(doc)
-    values = np.asarray(doc["values"], dtype=float)
+    values = _require_array(doc, "values").astype(float, copy=False)
     parent = doc.get("parent_modes")
-    return SampledField(grid, values, None if parent is None else int(parent))
+    if parent is not None:
+        parent = _require(doc, "parent_modes", int)
+    return SampledField(grid, values, parent)
 
 
 def dump_field(field, convention: str = "paper") -> dict:
@@ -209,11 +248,10 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
-    if not isinstance(doc, dict) or doc.get("kind") != "section":
-        raise InputError("not a section document")
+    _expect_kind(doc, "section", "section")
     a = _resolve_atlas(doc)
     pieces = tuple(load_sampled(p) for p in _require(doc, "pieces", list))
-    return Section(a, pieces, float(doc.get("tolerance", 1e-9)))
+    return Section(a, pieces, _tolerance(doc))
 
 
 def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
@@ -225,22 +263,27 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
         "lattice_resolution": gs.atlas.lattice_resolution,
         "tolerance": gs.tolerance,
         "pieces": [
-            [[float(x) for x in mat.ravel()] for mat in p] for p in gs.pieces
+            np.asarray(p, dtype=float).reshape(len(p), -1).tolist() for p in gs.pieces
         ],
         "weight_exponent_convention": convention_tag(convention),
     }
 
 
 def load_group_section(doc: dict) -> GroupSection:
-    if doc.get("kind") != "group_section":
-        raise InputError("not a group section document")
+    _expect_kind(doc, "group_section", "group section")
     a = _resolve_atlas(doc)
-    group = group_by_name(doc["group"])
+    group = group_by_name(_require(doc, "group", str))
     d = group.dim
-    pieces = tuple(
-        np.asarray(p, dtype=float).reshape(len(p), d, d) for p in doc["pieces"]
-    )
-    return GroupSection(a, group, pieces, float(doc.get("tolerance", 1e-9)))
+    pieces = []
+    for j, p in enumerate(_require(doc, "pieces", list)):
+        arr = _numeric_array(p, f"group_section piece {j}")
+        if arr.ndim != 2 or arr.shape[1] != d * d:
+            raise InputError(
+                f"group_section piece {j} must hold rows of {d * d} entries, "
+                f"got shape {arr.shape}"
+            )
+        pieces.append(arr.astype(float, copy=False).reshape(-1, d, d))
+    return GroupSection(a, group, tuple(pieces), _tolerance(doc))
 
 
 def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
@@ -257,14 +300,13 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
 
 
 def load_curve(doc: dict) -> TimeSampledCurve:
-    if not isinstance(doc, dict) or doc.get("kind") != "curve":
-        raise InputError("not a curve document")
+    _expect_kind(doc, "curve", "curve")
     group = group_by_name(_require(doc, "group", str))
     sections = tuple(
         AlgebraSection(group, load_section(s)) for s in _require(doc, "sections", list)
     )
-    times = _require(doc, "times", list)
-    return TimeSampledCurve(np.asarray(times, dtype=float), sections)
+    times = _require_array(doc, "times").astype(float, copy=False)
+    return TimeSampledCurve(times, sections)
 
 
 def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:

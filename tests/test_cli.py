@@ -239,8 +239,18 @@ def test_mistyped_config_values_are_input_errors(tmp_path, capsys, doc, key):
         ({"kind": "curve", "group": "SO3", "times": [0.0]}, "'sections'"),
         ({"kind": "curve", "group": "SO3", "sections": {}, "times": []}, "'sections'"),
         ([1], "not a curve document"),
+        (
+            {
+                "kind": "curve", "group": "SO3", "times": [0.0, 1.0],
+                "sections": [{
+                    "kind": "section", "atlas": "circle2",
+                    "lattice_resolution": 257, "pieces": [{"kind": "sampled"}],
+                }],
+            },
+            "'m'",
+        ),
     ],
-    ids=["no-group", "no-sections", "sections-object", "list"],
+    ids=["no-group", "no-sections", "sections-object", "list", "bare-piece"],
 )
 def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
     path = tmp_path / "curve.json"

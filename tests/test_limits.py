@@ -1,19 +1,26 @@
 """Exponent ladders, borderline decay fields, rung inclusion spectra, and
 the time-1 evolution of curves of algebra sections."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapgroups.atlas import circle_two_charts
+from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
 from mapgroups.groups import (
+    RELATION_DEFECT_LIMIT,
     exp_section,
+    group_by_name,
     random_algebra_section,
     so3,
     upper_triangular2,
 )
 from mapgroups.limits import (
     TimeSampledCurve,
+    _interp_matrices,
     constant_curve,
     critical_order_estimate,
     decay_field,
@@ -23,6 +30,7 @@ from mapgroups.limits import (
     ladder,
     rung_compactness_probe,
 )
+from mapgroups.serialize import dump_curve, load_curve
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +236,113 @@ def test_smoothness_probe_rejects_zero_direction(atlas):
     )
     with pytest.raises(InputError):
         evolution_smoothness_probe(constant_curve(xi), zero, steps=16)
+
+
+# ---------------------------------------------------------------------------
+# RK4 steps as propagators, constant curves by powering
+
+
+def stepwise_reference(curve, steps):
+    """Time-1 pieces from the stage-form RK4 loop (k1..k4 applied to eta
+    step by step), with evolve's re-projection rule."""
+    group = curve.group
+    h = 1.0 / steps
+    pieces = []
+    for j in range(curve.atlas.chart_count):
+        stack = np.stack([sec.chart_matrices(j) for sec in curve.sections])
+        eta = np.broadcast_to(group.identity(), stack.shape[1:]).copy()
+        for i in range(steps):
+            t = i * h
+            a1 = _interp_matrices(stack, curve.times, t)
+            a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
+            a4 = _interp_matrices(stack, curve.times, t + h)
+            k1 = eta @ a1
+            k2 = (eta + 0.5 * h * k1) @ a2
+            k3 = (eta + 0.5 * h * k2) @ a2
+            k4 = (eta + h * k3) @ a4
+            eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if float(group.relation_defect(eta).max()) > RELATION_DEFECT_LIMIT:
+            eta = group.project(eta)
+        pieces.append(eta)
+    return pieces
+
+
+def reference_gap(curve, steps):
+    got = evolve(curve, steps)
+    want = stepwise_reference(curve, steps)
+    return max(float(np.abs(p - q).max()) for p, q in zip(got.pieces, want))
+
+
+@pytest.fixture(scope="module")
+def torus():
+    return torus_four_charts()
+
+
+@pytest.mark.parametrize("group_name", ["SO3", "SU2", "UT2"])
+@pytest.mark.parametrize("atlas_name", ["circle2", "torus4"])
+def test_powered_constant_curve_matches_stepwise_rk4(
+    atlas, torus, atlas_name, group_name
+):
+    chosen = atlas if atlas_name == "circle2" else torus
+    xi = random_algebra_section(
+        chosen, group_by_name(group_name), np.random.default_rng(0)
+    )
+    for steps in (8, 32, 64):
+        gap = reference_gap(constant_curve(xi), steps)
+        assert gap <= 1e-13, f"{steps} steps: gap {gap:.3e}"
+
+
+@pytest.mark.parametrize("group_name", ["SO3", "SU2", "UT2"])
+def test_sampled_curve_propagators_match_stepwise_rk4(atlas, group_name):
+    group = group_by_name(group_name)
+    rng = np.random.default_rng(21)
+    times = np.linspace(0.0, 1.0, 9)
+    curve = TimeSampledCurve(
+        times, tuple(random_algebra_section(atlas, group, rng) for _ in times)
+    )
+    gap = reference_gap(curve, 64)
+    assert gap <= 1e-13, f"gap {gap:.3e}"
+
+
+def test_constant_curve_read_back_from_a_file_is_powered_identically(atlas):
+    xi = random_algebra_section(atlas, so3(), np.random.default_rng(23))
+    curve = constant_curve(xi)
+    back = load_curve(dump_curve(curve))
+    assert back.sections[0] is not back.sections[1]
+    for p, q in zip(evolve(back, 64).pieces, evolve(curve, 64).pieces):
+        assert np.array_equal(p, q)
+
+
+def test_powered_constant_curve_is_reprojected_with_a_log_record(torus, caplog):
+    group = so3()
+    xi = random_algebra_section(torus, group, np.random.default_rng(0))
+    with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
+        out = evolve(constant_curve(xi), 32)
+    drifts = [
+        r for r in caplog.records
+        if r.name == "mapgroups.groups" and "re-projected" in r.getMessage()
+    ]
+    assert drifts, "no re-projection record"
+    assert all(r.levelno == logging.INFO for r in drifts)
+    assert max(r.args[1] for r in drifts) > RELATION_DEFECT_LIMIT
+    for p in out.pieces:
+        assert float(group.relation_defect(p).max()) <= RELATION_DEFECT_LIMIT
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    group_name=st.sampled_from(["SO3", "SU2", "UT2"]),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    steps=st.integers(min_value=2, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_powering_equals_stepwise_rk4_property(group_name, fraction, steps, seed):
+    group = group_by_name(group_name)
+    xi = random_algebra_section(
+        circle_two_charts(),
+        group,
+        np.random.default_rng(seed),
+        amplitude=fraction * group.v_radius,
+    )
+    gap = reference_gap(constant_curve(xi), steps)
+    assert gap <= 1e-12, f"gap {gap:.3e}"

@@ -5,7 +5,7 @@ import pytest
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
-from mapgroups.fields import GridDomain, random_field, sample
+from mapgroups.fields import GridDomain, SampledField, random_field, sample
 from mapgroups.groups import exp_section, random_algebra_section, so3
 from mapgroups.limits import TimeSampledCurve
 from mapgroups.sections import random_section
@@ -15,12 +15,14 @@ from mapgroups.serialize import (
     dump_bandlimited,
     dump_curve,
     dump_field,
+    dump_grid,
     dump_group_section,
     dump_sampled,
     dump_section,
     load_bandlimited,
     load_curve,
     load_field,
+    load_grid,
     load_group_section,
     load_sampled,
     load_section,
@@ -119,6 +121,77 @@ def test_curve_round_trip():
     assert back.group.name == "SO3"
     for s, t in zip(back.sections, curve.sections):
         assert (s - t).sup_coord_norm() == 0.0
+
+
+def test_array_dumps_write_the_bytes_of_per_entry_floats():
+    tricky = [1e300, -1e-300, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+              2.0**53, 2.0**53 + 2.0, 1e16, -1e16, 0.1, 1.0 / 3.0]
+    grid = GridDomain.box(((0.5, 3.0),), 65)
+    values = np.resize(np.array(tricky), (grid.node_count, 2))
+    doc = dump_sampled(SampledField(grid, values))
+    assert canonical_json(doc["values"]) == canonical_json(
+        [[float(x) for x in row] for row in values]
+    )
+    gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
+                                            np.random.default_rng(19)))
+    assert canonical_json(dump_group_section(gs)["pieces"]) == canonical_json(
+        [[[float(x) for x in mat.ravel()] for mat in p] for p in gs.pieces]
+    )
+    f = random_field(2, 3, 2, np.random.default_rng(29))
+    flat = f.coeffs.reshape(2, -1)
+    assert canonical_json(dump_bandlimited(f)["coeffs"]) == canonical_json(
+        [[[float(z.real), float(z.imag)] for z in row] for row in flat]
+    )
+
+
+def _sampled_doc():
+    f = random_field(1, 6, 1, np.random.default_rng(31))
+    return dump_sampled(sample(f, GridDomain.box(((0.5, 3.0),), 65)))
+
+
+def test_load_grid_names_the_missing_or_malformed_key():
+    doc = dump_grid(GridDomain.box(((0.5, 3.0),), 65))
+    with pytest.raises(InputError, match="'mask'"):
+        load_grid({k: v for k, v in doc.items() if k != "mask"})
+    with pytest.raises(InputError, match="does not fit grid"):
+        load_grid(dict(doc, mask=doc["mask"][:-1]))
+    with pytest.raises(InputError, match="'window'"):
+        load_grid(dict(doc, window=[[0.5, "x"]]))
+    with pytest.raises(InputError, match="do not match dimension"):
+        load_grid(dict(doc, grid=[[65]]))
+
+
+def test_load_sampled_names_the_missing_or_malformed_key():
+    with pytest.raises(InputError, match="'m'"):
+        load_sampled({"kind": "sampled"})
+    with pytest.raises(InputError, match="'values'"):
+        load_sampled(dict(_sampled_doc(), values=[[1.0], [2.0, 3.0]]))
+    with pytest.raises(InputError, match="'parent_modes'"):
+        load_sampled(dict(_sampled_doc(), parent_modes="6"))
+    with pytest.raises(InputError, match="not a sampled field document"):
+        load_sampled(["sampled"])
+
+
+def test_load_bandlimited_names_the_missing_or_malformed_key():
+    doc = dump_bandlimited(random_field(1, 4, 1, np.random.default_rng(37)))
+    with pytest.raises(InputError, match="'reality'"):
+        load_bandlimited({k: v for k, v in doc.items() if k != "reality"})
+    with pytest.raises(InputError, match="'modes'"):
+        load_bandlimited(dict(doc, modes=4.0))
+    with pytest.raises(InputError, match="'coeffs'"):
+        load_bandlimited(dict(doc, coeffs="none"))
+
+
+def test_load_group_section_names_the_missing_or_malformed_key():
+    gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
+                                            np.random.default_rng(41)))
+    doc = dump_group_section(gs)
+    with pytest.raises(InputError, match="'group'"):
+        load_group_section({k: v for k, v in doc.items() if k != "group"})
+    with pytest.raises(InputError, match="piece 0 must hold rows of 9 entries"):
+        load_group_section(dict(doc, pieces=[[[1.0, 0.0]]] + doc["pieces"][1:]))
+    with pytest.raises(InputError, match="'tolerance'"):
+        load_group_section(dict(doc, tolerance="tight"))
 
 
 def test_spectrum_csv_round_trip(tmp_path):
