@@ -83,13 +83,17 @@ class OverlapTransfer:
     of the per-axis manifold angles ``angles[d]``.  ``first[d]`` and
     ``second[d]`` map the axis-d window lattice of chart i and of chart j
     to those angles' chart coordinates (see ``fields.tensor_transfer``).
+    Each matrix keeps only its live columns: the axis-d lattice nodes
+    ``first_cols[d]`` (``second_cols[d]``) that its stencils touch.
     """
 
     i: int
     j: int
     angles: tuple[np.ndarray, ...]
     first: tuple[np.ndarray, ...]
+    first_cols: tuple[np.ndarray, ...]
     second: tuple[np.ndarray, ...]
+    second_cols: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,15 @@ class PartitionTransfer:
     The source bump is a tensor bump supported in the source window, so the
     target nodes it reaches are the product of the per-axis node positions
     ``hits[d]``.  ``matrices[d]`` interpolates the source window lattice to
-    those nodes, and ``weights`` holds the source's partition weight on the
-    hit block, shape (h0[, h1], 1).
+    those nodes and keeps only its live columns, the axis-d source nodes
+    ``cols[d]`` that its stencils touch.  ``weights`` holds the source's
+    partition weight on the hit block, shape (h0[, h1]).
     """
 
     source: int
     hits: tuple[np.ndarray, ...]
     matrices: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
     weights: np.ndarray
 
 
@@ -115,6 +121,8 @@ class Atlas:
 
     Interpolation operators that depend only on the atlas are built on
     first use and kept on the instance, so they live as long as it does.
+    Each overlap and partition transfer keeps only its live columns, the
+    window lattice nodes its interpolation stencils touch.
     """
 
     name: str
@@ -246,13 +254,20 @@ class Atlas:
             return np.empty((0, self.m))
         return tensor_points(axes)
 
-    def _axis_matrices(self, k: int, angles) -> tuple[np.ndarray, ...]:
-        """Per-axis interpolation from chart k's window to manifold angles."""
+    def _axis_matrices(self, k: int, angles):
+        """Per-axis interpolation from chart k's window to manifold angles.
+
+        Each matrix is cut to its live columns, the lattice nodes its
+        stencils touch.  Returns the cut matrices and the column indices.
+        """
         c = self.charts[k]
-        return tuple(
-            axis_interpolation_matrix(c.window, d, PI + wrap_angle(a - c.offset[d]))
-            for d, a in enumerate(angles)
-        )
+        mats, cols = [], []
+        for d, a in enumerate(angles):
+            full = axis_interpolation_matrix(c.window, d, PI + wrap_angle(a - c.offset[d]))
+            live = np.flatnonzero(full.any(axis=0))
+            mats.append(full[:, live])
+            cols.append(live)
+        return tuple(mats), tuple(cols)
 
     def overlap_transfers(self, per_axis: int) -> tuple[OverlapTransfer, ...]:
         """Transfers to :meth:`overlap_samples` for each overlapping pair i < j."""
@@ -266,7 +281,7 @@ class Atlas:
                         continue
                     ops.append(OverlapTransfer(
                         i, j, tuple(axes),
-                        self._axis_matrices(i, axes), self._axis_matrices(j, axes),
+                        *self._axis_matrices(i, axes), *self._axis_matrices(j, axes),
                     ))
             self._operators[key] = tuple(ops)
         return self._operators[key]
@@ -294,8 +309,8 @@ class Atlas:
                     continue
                 block = weights[:, i].reshape(c.window.axis_counts)[np.ix_(*hits)]
                 ops.append(PartitionTransfer(
-                    i, hits, self._axis_matrices(i, [a[h] for a, h in zip(axes, hits)]),
-                    block[..., None],
+                    i, hits, *self._axis_matrices(i, [a[h] for a, h in zip(axes, hits)]),
+                    block,
                 ))
             self._operators[key] = tuple(ops)
         return self._operators[key]

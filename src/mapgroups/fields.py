@@ -390,7 +390,7 @@ def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     if field.m != grid.m:
         raise ShapeMismatchError("field and grid dimensions differ")
     phases = [phase_matrix(grid.axis_nodes(d), field.modes) for d in range(grid.m)]
-    vals = tensor_transfer(phases, np.moveaxis(field.coeffs, 0, -1))
+    vals = np.moveaxis(tensor_transfer(phases, field.coeffs), 0, -1)
     vals = vals.reshape(grid.node_count, field.components)
     vals = vals.real if field.real else vals
     return SampledField(grid, np.ascontiguousarray(vals), parent_modes=field.modes)
@@ -541,16 +541,16 @@ def axis_interpolation_matrix(grid: GridDomain, d: int, xq: np.ndarray) -> np.nd
     return out
 
 
-def tensor_transfer(matrices, lattice: np.ndarray) -> np.ndarray:
-    """Apply per-axis matrices to lattice values of shape (c0[, c1], n).
+def tensor_transfer(matrices, stack: np.ndarray) -> np.ndarray:
+    """Apply per-axis matrices to component-first values of shape (n, c0[, c1]).
 
-    Returns ``W0 @ L`` on curves and ``W0 @ L @ W1.T`` (per component) on
-    surfaces, shaped (q0[, q1], n).
+    Returns ``W0 @ S @ W1.T`` (per component) on surfaces, shaped
+    (n, q0, q1), and on curves the (n, q0) transpose of ``W0 @ S.T``.
     """
     if len(matrices) == 1:
-        return matrices[0] @ lattice
+        return (matrices[0] @ stack.T).T
     w0, w1 = matrices
-    return np.moveaxis(w0 @ np.moveaxis(lattice, -1, 0) @ w1.T, 0, -1)
+    return w0 @ stack @ w1.T
 
 
 def _lagrange_interpolate(v: SampledField, pts: np.ndarray) -> np.ndarray:

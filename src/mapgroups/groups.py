@@ -243,18 +243,18 @@ def su2_real() -> MatrixGroup:
         return _realify(w.real, w.imag)
 
     def defect_fn(g):
-        x1 = g[..., :2, :2]
-        x2 = g[..., 2:, 2:]
-        y1 = g[..., 2:, :2]
-        y2 = -g[..., :2, 2:]
-        struct = np.maximum(
-            np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
-        )
-        # Entries of U = [[a, b], [c, d]] = x1 + i y1: the unitarity
+        # One contiguous vector per entry: e[4 r + c] is entry (r, c).  In
+        # the block form [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2,
+        # X(r, c) is e[k] and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].
+        e = np.moveaxis(g.reshape(g.shape[:-2] + (16,)), -1, 0).copy()
+        struct = np.abs(e[0] - e[10])
+        for k in (1, 4, 5):
+            struct = np.maximum(struct, np.abs(e[k] - e[k + 10]))
+        for k in (0, 1, 4, 5):
+            struct = np.maximum(struct, np.abs(e[k + 8] + e[k + 2]))
+        # Entries of U = [[a, b], [c, d]] = X + i Y: the unitarity
         # residuals of U^H U and |det U - 1| in closed form.
-        a, b, c, d = (
-            x1[..., i, j] + 1j * y1[..., i, j] for i in (0, 1) for j in (0, 1)
-        )
+        a, b, c, d = (e[k] + 1j * e[k + 8] for k in (0, 1, 4, 5))
         off = np.abs(np.conj(a) * b + np.conj(c) * d)
         unit = np.maximum(
             np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)

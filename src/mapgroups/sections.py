@@ -72,6 +72,14 @@ def _window_pieces(pieces, atlas: Atlas) -> tuple[SampledField, ...]:
     return pieces
 
 
+def _lattice_block(lattice: np.ndarray, cols) -> np.ndarray:
+    """Lattice values (c0[, c1], n) at the nodes ``np.ix_(*cols)``, as a
+    contiguous component-first stack (n, g0[, g1])."""
+    block = lattice[np.ix_(*cols)]
+    # transpose: np.moveaxis costs more than this gather on curve lattices
+    return np.ascontiguousarray(block.transpose(-1, *range(len(cols))))
+
+
 def compatibility_defect(
     pieces,
     atlas: Atlas,
@@ -85,17 +93,18 @@ def compatibility_defect(
     coordinates; the defect is the max over points and chart pairs of the
     value difference (sup over components).  The points form a tensor
     grid, so each piece's values there are a product of the atlas's cached
-    per-axis interpolation matrices with its lattice values.  With
-    ``return_worst`` the chart pair and manifold point of the maximum are
-    returned as well.
+    per-axis interpolation matrices with its lattice values.  Each
+    transfer keeps only its live columns, so only the lattice block its
+    stencils touch enters the product.  With ``return_worst`` the chart
+    pair and manifold point of the maximum are returned as well.
     """
     lattices = [p.lattice_values() for p in _window_pieces(pieces, atlas)]
     worst = 0.0
     worst_point = None
     for op in atlas.overlap_transfers(per_axis):
-        vi = tensor_transfer(op.first, lattices[op.i])
-        vj = tensor_transfer(op.second, lattices[op.j])
-        diff = np.max(np.abs(vi - vj), axis=-1)
+        vi = tensor_transfer(op.first, _lattice_block(lattices[op.i], op.first_cols))
+        vj = tensor_transfer(op.second, _lattice_block(lattices[op.j], op.second_cols))
+        diff = np.max(np.abs(vi - vj), axis=0)
         k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         if diff[k] > worst:
             worst = float(diff[k])
@@ -202,8 +211,8 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     ``sum_i h_i(p) * piece_i(phi_i(p))`` over the manifold point p of each
     node, which is linear in the pieces and reproduces compatible input
     at the nodes.  Every piece must be sampled on its chart's window; each
-    term is a product of the atlas's cached per-axis interpolation matrices
-    with the piece's lattice values.
+    term is a product of the atlas's cached per-axis interpolation matrices,
+    cut to their live columns, with the lattice block they touch.
     """
     pieces = tuple(pieces)
     defect, where = compatibility_defect(pieces, atlas, return_worst=True)
@@ -217,12 +226,14 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     n = pieces[0].components
     out = []
     for t, c in enumerate(atlas.charts):
-        vals = np.zeros(c.window.axis_counts + (n,))
+        vals = np.zeros((n,) + c.window.axis_counts)
         for op in atlas.partition_transfers(t):
-            vals[np.ix_(*op.hits)] += op.weights * tensor_transfer(
-                op.matrices, lattices[op.source]
+            block = _lattice_block(lattices[op.source], op.cols)
+            vals[(slice(None),) + np.ix_(*op.hits)] += op.weights * tensor_transfer(
+                op.matrices, block
             )
-        out.append(SampledField(c.window, vals.reshape(c.window.node_count, n)))
+        vals = np.moveaxis(vals, 0, -1).reshape(c.window.node_count, n)
+        out.append(SampledField(c.window, np.ascontiguousarray(vals)))
     return Section(atlas, tuple(out), tolerance)
 
 

@@ -222,9 +222,18 @@ def atlas_hash(a: Atlas) -> str:
     return digest.hexdigest()[:12]
 
 
-def _resolve_atlas(doc: dict) -> Atlas:
+def _resolve_atlas(doc: dict, built: dict) -> Atlas:
+    """The builtin atlas a document names, checked against its hash.
+
+    ``built`` maps (name, lattice resolution) to atlases already built by
+    the caller, so documents loaded together share one instance and its
+    cached operators.
+    """
     resolution = _require(doc, "lattice_resolution", int)
-    a = builtin_atlas(_require(doc, "atlas", str), resolution=resolution)
+    key = (_require(doc, "atlas", str), resolution)
+    if key not in built:
+        built[key] = builtin_atlas(key[0], resolution=resolution)
+    a = built[key]
     if doc.get("atlas_hash") not in (None, atlas_hash(a)):
         raise InputError(
             f"atlas hash mismatch: file has {doc['atlas_hash']}, "
@@ -248,8 +257,12 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
+    return _load_section(doc, {})
+
+
+def _load_section(doc: dict, atlases: dict) -> Section:
     _expect_kind(doc, "section", "section")
-    a = _resolve_atlas(doc)
+    a = _resolve_atlas(doc, atlases)
     pieces = tuple(load_sampled(p) for p in _require(doc, "pieces", list))
     return Section(a, pieces, _tolerance(doc))
 
@@ -271,7 +284,7 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
 
 def load_group_section(doc: dict) -> GroupSection:
     _expect_kind(doc, "group_section", "group section")
-    a = _resolve_atlas(doc)
+    a = _resolve_atlas(doc, {})
     group = group_by_name(_require(doc, "group", str))
     d = group.dim
     pieces = []
@@ -302,8 +315,10 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
 def load_curve(doc: dict) -> TimeSampledCurve:
     _expect_kind(doc, "curve", "curve")
     group = group_by_name(_require(doc, "group", str))
+    atlases = {}  # one atlas per (name, resolution) for all the curve's sections
     sections = tuple(
-        AlgebraSection(group, load_section(s)) for s in _require(doc, "sections", list)
+        AlgebraSection(group, _load_section(s, atlases))
+        for s in _require(doc, "sections", list)
     )
     times = _require_array(doc, "times").astype(float, copy=False)
     return TimeSampledCurve(times, sections)

@@ -99,6 +99,45 @@ def test_su2_closed_form_defect_matches_matrix_reference(drift):
         assert got.min() > 0.1 * drift
 
 
+def su2_block_defect(g):
+    """The SU2 relation defect read from strided 2x2 blocks of each matrix."""
+    x1, x2, y1, y2 = g[..., :2, :2], g[..., 2:, 2:], g[..., 2:, :2], -g[..., :2, 2:]
+    struct = np.maximum(
+        np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
+    )
+    a, b, c, d = (x1[..., i, j] + 1j * y1[..., i, j] for i in (0, 1) for j in (0, 1))
+    off = np.abs(np.conj(a) * b + np.conj(c) * d)
+
+    def abs2(z):
+        return z.real * z.real + z.imag * z.imag
+
+    unit = np.maximum(np.abs(abs2(a) + abs2(c) - 1.0), np.abs(abs2(b) + abs2(d) - 1.0))
+    det = np.abs(a * d - b * c - 1.0)
+    return np.maximum(np.maximum(struct, np.maximum(unit, off)), det)
+
+
+@pytest.mark.parametrize("batch", [(), (500,), (3, 40)])
+def test_su2_entry_vector_defect_equals_block_form_bitwise(batch):
+    g = su2_real()
+    rng = np.random.default_rng(19)
+
+    def draw():
+        return g.exp(rng.uniform(-1.4, 1.4, size=batch + (3,)))
+
+    cases = {
+        "exp": draw(),
+        "product": draw() @ draw(),
+        "drift 1e-9": draw() + 1e-9 * rng.standard_normal(batch + (4, 4)),
+        "drift 1e-3": draw() + 1e-3 * rng.standard_normal(batch + (4, 4)),
+        "normal": rng.standard_normal(batch + (4, 4)),
+    }
+    for kind, mats in cases.items():
+        got = np.asarray(g.relation_defect(mats))
+        want = np.asarray(su2_block_defect(mats))
+        assert got.shape == batch, kind
+        assert got.tobytes() == want.tobytes(), kind
+
+
 def test_coordinate_pseudoinverse_built_once():
     for g in ALL_GROUPS:
         pinv = np.linalg.pinv(g.basis.reshape(g.algebra_dim, -1).T)

@@ -1,8 +1,9 @@
 """Atlas-cached overlap and partition transfers against pointwise references.
 
 ``compatibility_defect`` and ``glue`` apply per-axis interpolation matrices
-that each atlas builds once.  The references below evaluate the same
-quantities point by point through the public ``SampledField.interpolate``.
+that each atlas builds once, cut to their live lattice columns.  The
+references below evaluate the same quantities point by point through the
+public ``SampledField.interpolate``, or through full-width matrices.
 """
 
 import gc
@@ -11,9 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from mapgroups.atlas import circle_two_charts, torus_four_charts
+from mapgroups.atlas import PI, circle_two_charts, torus_four_charts, wrap_angle
 from mapgroups.errors import InputError
-from mapgroups.fields import GridDomain, SampledField
+from mapgroups.fields import TWO_PI, GridDomain, SampledField, axis_interpolation_matrix
 from mapgroups.groups import (
     exp_section,
     random_algebra_section,
@@ -67,6 +68,45 @@ def pointwise_glue(pieces, atlas):
     return out
 
 
+def full_axis_matrix(chart, d, angles):
+    """Fresh full-width interpolation matrix from a window axis to angles."""
+    return axis_interpolation_matrix(
+        chart.window, d, PI + wrap_angle(angles - chart.offset[d])
+    )
+
+
+def scattered(matrix, cols, width):
+    out = np.zeros((matrix.shape[0], width))
+    out[:, cols] = matrix
+    return out
+
+
+def dense_transfer(matrices, lattice):
+    """Full-width transfer on component-last lattice values (c0[, c1], n)."""
+    if len(matrices) == 1:
+        return matrices[0] @ lattice
+    w0, w1 = matrices
+    return np.moveaxis(w0 @ np.moveaxis(lattice, -1, 0) @ w1.T, 0, -1)
+
+
+def dense_defect(pieces, atlas):
+    """compatibility_defect through full-width matrices, no columns cut."""
+    lattices = [p.lattice_values() for p in pieces]
+    worst, where = 0.0, None
+    for op in atlas.overlap_transfers(PER_AXIS):
+        ci, cj = atlas.charts[op.i], atlas.charts[op.j]
+        wi = [full_axis_matrix(ci, d, a) for d, a in enumerate(op.angles)]
+        wj = [full_axis_matrix(cj, d, a) for d, a in enumerate(op.angles)]
+        vi = dense_transfer(wi, lattices[op.i])
+        vj = dense_transfer(wj, lattices[op.j])
+        diff = np.max(np.abs(vi - vj), axis=-1)
+        k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[k] > worst:
+            worst = float(diff[k])
+            where = (op.i, op.j, [float(a[q]) for a, q in zip(op.angles, k)])
+    return worst, where
+
+
 def section_pieces(atlas, rng):
     return list(random_section(atlas, 1, rng).pieces)
 
@@ -99,6 +139,51 @@ def test_defect_matches_pointwise_reference(atlas_name, kind):
     assert abs(worst - ref_worst) <= 1e-15
     assert where[:2] == ref_where[:2]
     assert np.abs(np.subtract(where[2], ref_where[2])).max() <= 1e-15
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+def test_transfers_drop_only_all_zero_columns(atlas_name):
+    atlas = ATLASES[atlas_name]()
+    dropped = 0
+    for op in atlas.overlap_transfers(PER_AXIS):
+        for k, mats, cols in ((op.i, op.first, op.first_cols),
+                              (op.j, op.second, op.second_cols)):
+            c = atlas.charts[k]
+            for d, (w, col) in enumerate(zip(mats, cols)):
+                full = full_axis_matrix(c, d, op.angles[d])
+                assert np.array_equal(scattered(w, col, full.shape[1]), full)
+                dropped += full.shape[1] - col.size
+    for t, target in enumerate(atlas.charts):
+        angles = [
+            np.mod(target.window.axis_nodes(d) - PI + target.offset[d], TWO_PI)
+            for d in range(atlas.m)
+        ]
+        for op in atlas.partition_transfers(t):
+            c = atlas.charts[op.source]
+            for d, (w, col) in enumerate(zip(op.matrices, op.cols)):
+                full = full_axis_matrix(c, d, angles[d][op.hits[d]])
+                assert np.array_equal(scattered(w, col, full.shape[1]), full)
+                dropped += full.shape[1] - col.size
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_defect_matches_dense_reference(atlas_name, name):
+    atlas = ATLASES[atlas_name]()
+    rng = np.random.default_rng(11)
+    pieces = group_entry_pieces(atlas, rng, name)
+    # Node noise on the last chart gives the defect one clear maximum.
+    last = pieces[-1]
+    pieces[-1] = SampledField(
+        last.domain, last.values + 1e-7 * rng.standard_normal(last.values.shape)
+    )
+    worst, where = compatibility_defect(pieces, atlas, return_worst=True)
+    ref_worst, ref_where = dense_defect(pieces, atlas)
+    scale = max(float(np.abs(p.values).max()) for p in pieces)
+    assert worst > 1e-8
+    assert abs(worst - ref_worst) <= 4 * np.finfo(float).eps * scale
+    assert where == ref_where
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))

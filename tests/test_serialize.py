@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
 from mapgroups.fields import GridDomain, SampledField, random_field, sample
-from mapgroups.groups import exp_section, random_algebra_section, so3
+from mapgroups.groups import exp_section, group_by_name, random_algebra_section, so3
 from mapgroups.limits import TimeSampledCurve
 from mapgroups.sections import random_section
 from mapgroups.serialize import (
@@ -121,6 +123,61 @@ def test_curve_round_trip():
     assert back.group.name == "SO3"
     for s, t in zip(back.sections, curve.sections):
         assert (s - t).sup_coord_norm() == 0.0
+
+
+def test_curve_sections_share_one_atlas():
+    rng = np.random.default_rng(23)
+    xi = random_algebra_section(circle_two_charts(), so3(), rng)
+    times = np.linspace(0.0, 1.0, 4)
+    doc = dump_curve(TimeSampledCurve(times, tuple(xi.scaled(float(t)) for t in times)))
+    back = load_curve(doc)
+    assert all(s.atlas is back.atlas for s in back.sections)
+    doc["sections"][1]["atlas_hash"] = "000000000000"
+    with pytest.raises(InputError, match="000000000000"):
+        load_curve(doc)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GROUP_NAMES = st.sampled_from(["SO3", "SU2", "UT2"])
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=15)
+@given(name=GROUP_NAMES, seed=SEEDS, fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_group_section_round_trip_is_bitwise(name, seed, fraction):
+    group = group_by_name(name)
+    xi = random_algebra_section(
+        circle_two_charts(), group, np.random.default_rng(seed),
+        amplitude=fraction * group.v_radius,
+    )
+    gs = exp_section(xi)
+    back = load_group_section(dump_group_section(gs))
+    assert back.group.name == name and back.tolerance == gs.tolerance
+    assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
+
+
+@settings(max_examples=15)
+@given(name=GROUP_NAMES, seed=SEEDS, samples=st.integers(min_value=2, max_value=5))
+def test_curve_round_trip_is_bitwise(name, seed, samples):
+    group = group_by_name(name)
+    atlas = circle_two_charts()
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, samples)
+    curve = TimeSampledCurve(
+        times, tuple(random_algebra_section(atlas, group, rng) for _ in times)
+    )
+    back = load_curve(dump_curve(curve))
+    assert back.group.name == name and same_bytes(back.times, curve.times)
+    for s, t in zip(back.sections, curve.sections):
+        assert s.section.tolerance == t.section.tolerance
+        assert all(
+            same_bytes(p.values, q.values) and p.parent_modes == q.parent_modes
+            for p, q in zip(s.section.pieces, t.section.pieces)
+        )
 
 
 def test_array_dumps_write_the_bytes_of_per_entry_floats():
