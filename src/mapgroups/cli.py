@@ -50,6 +50,7 @@ from .limits import (
     evolve,
     ladder,
     rung_compactness_probe,
+    sup_entry_gap,
 )
 from .serialize import (
     convention_tag,
@@ -146,38 +147,20 @@ def load_config_file(path: Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    doc = load_config_file(args.config) if args.config else {}
-    merged = {
-        "seed": doc.get("seed", 0),
-        "modes": doc.get("modes", 32),
-        "grid_factor": doc.get("grid_factor", 4),
-        "tolerances": dict(doc.get("tolerances", {})),
-        "atlas": doc.get("atlas", "circle2"),
-        "group": doc.get("group", "SO3"),
-        "convention": doc.get("convention", "paper"),
-        "out": Path(doc.get("out", "out")),
-    }
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.modes is not None:
-        merged["modes"] = args.modes
-    if args.convention is not None:
-        merged["convention"] = args.convention
-    if args.out is not None:
-        merged["out"] = args.out
+    merged = load_config_file(args.config) if args.config else {}
+    for key in ("seed", "modes", "convention", "out"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    if "out" in merged:
+        merged["out"] = Path(merged["out"])
     return RunConfig(**merged)
-
-
-def _emit(config: RunConfig, name: str, report: dict) -> Path:
-    config.out.mkdir(parents=True, exist_ok=True)
-    path = config.out / f"{name}.json"
-    write_json(path, report)
-    return path
 
 
 def _finish(config: RunConfig, name: str, report: dict) -> int:
     passed = bool(report["passed"])
-    path = _emit(config, name, report)
+    config.out.mkdir(parents=True, exist_ok=True)
+    path = config.out / f"{name}.json"
+    write_json(path, report)
     print(f"{name}: {'pass' if passed else 'FAIL'} ({path})")
     if not passed:
         failing = report.get("failing", [])
@@ -274,9 +257,7 @@ def cmd_group_demo(config: RunConfig) -> int:
     ident = identity_group_section(atlas, group)
 
     def sup_gap(a, b):
-        return max(
-            float(np.abs(pa - pb).max()) for pa, pb in zip(a.pieces, b.pieces)
-        )
+        return sup_entry_gap(a.pieces, b.pieces)
 
     assoc = ident_gap = inverse = explog = conj = 0.0
     pairs = 5
@@ -376,15 +357,8 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
         failing.append("relation_defect")
     if mode == "constant":
         target = exp_section(curve.sections[0])
-        gap = max(
-            float(np.abs(pa - pb).max())
-            for pa, pb in zip(eta1.pieces, target.pieces)
-        )
-        coarse = evolve(curve, steps // 2)
-        err_coarse = max(
-            float(np.abs(pa - pb).max())
-            for pa, pb in zip(coarse.pieces, target.pieces)
-        )
+        gap = sup_entry_gap(eta1.pieces, target.pieces)
+        err_coarse = sup_entry_gap(evolve(curve, steps // 2).pieces, target.pieces)
         ratio = err_coarse / max(gap, 1e-300)
         report["constant_curve_gap"] = gap
         report["halving_error_ratio"] = ratio

@@ -80,14 +80,6 @@ class SmoothCutoff:
             (float(c - r), float(c + r)) for c, r in zip(self.center, self.radius)
         )
 
-    @property
-    def plateau_box(self) -> tuple[tuple[float, float], ...]:
-        a = self.plateau
-        return tuple(
-            (float(c - a * r), float(c + a * r))
-            for c, r in zip(self.center, self.radius)
-        )
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.m:

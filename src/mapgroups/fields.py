@@ -123,9 +123,6 @@ class GridDomain:
         """Masked node coordinates, shape (node_count, m), C order."""
         return tensor_points([self.axis_nodes(d) for d in range(self.m)])
 
-    def spacing(self, d: int) -> float:
-        return TWO_PI / self.resolution[d]
-
     def subwindow(self, window) -> "GridDomain":
         """Sub-box of this window on the same lattice (exact node subset)."""
         box = _as_box(tuple(window), self.m)
@@ -155,10 +152,7 @@ class GridDomain:
     def mask_lattice(self) -> np.ndarray:
         """Dense boolean mask over the full lattice (C order)."""
         mask = np.zeros(self.resolution, dtype=bool)
-        if self.m == 1:
-            mask[self.axis_indices[0]] = True
-        else:
-            mask[np.ix_(self.axis_indices[0], self.axis_indices[1])] = True
+        mask[np.ix_(*self.axis_indices)] = True
         return mask
 
 
@@ -410,12 +404,7 @@ def restrict_sampled(v: SampledField, window) -> SampledField:
     for d in range(v.domain.m):
         pos = np.searchsorted(v.domain.axis_indices[d], sub.axis_indices[d])
         sel.append(pos)
-    lat = v.lattice_values()
-    if v.domain.m == 1:
-        out = lat[sel[0]]
-    else:
-        out = lat[np.ix_(sel[0], sel[1])]
-    out = out.reshape(sub.node_count, v.components)
+    out = v.lattice_values()[np.ix_(*sel)].reshape(sub.node_count, v.components)
     return SampledField(sub, np.ascontiguousarray(out), v.parent_modes)
 
 
@@ -436,11 +425,7 @@ def extend_by_zero(v: SampledField, target: GridDomain) -> SampledField:
             raise InputError(f"axis {d}: source nodes not contained in target window")
         pos.append(p)
     out = np.zeros(target.axis_counts + (v.components,), dtype=float)
-    lat = v.lattice_values()
-    if v.domain.m == 1:
-        out[pos[0]] = lat
-    else:
-        out[np.ix_(pos[0], pos[1])] = lat
+    out[np.ix_(*pos)] = v.lattice_values()
     return SampledField(target, out.reshape(target.node_count, v.components))
 
 
@@ -467,10 +452,7 @@ def synthesize(v: SampledField, modes: int) -> BandlimitedField:
     spec /= float(np.prod(grid.resolution))
     k = np.arange(-modes, modes + 1)
     take = [k % grid.resolution[d] for d in range(grid.m)]
-    if grid.m == 1:
-        coeffs = spec[:, take[0]]
-    else:
-        coeffs = spec[np.ix_(np.arange(vals.shape[0]), take[0], take[1])]
+    coeffs = spec[np.ix_(np.arange(vals.shape[0]), *take)]
     coeffs = hermitian_part(np.ascontiguousarray(coeffs))
     return BandlimitedField(grid.m, modes, coeffs, real=True)
 

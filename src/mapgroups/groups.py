@@ -26,7 +26,7 @@ import numpy as np
 from .atlas import Atlas
 from .errors import ChartDomainError, InputError, ShapeMismatchError
 from .fields import SampledField
-from .sections import Section, _same_atlas, compatibility_defect, random_section
+from .sections import Section, _same_atlas, random_section, require_compatible
 
 LOGGER = logging.getLogger("mapgroups.groups")
 
@@ -383,13 +383,7 @@ class GroupSection:
             SampledField(c.window, p.reshape(p.shape[0], d * d))
             for c, p in zip(self.atlas.charts, self.pieces)
         )
-        worst, where = compatibility_defect(flat, self.atlas, return_worst=True)
-        if worst > self.tolerance:
-            raise InputError(
-                f"group section overlap defect {worst:.3e} exceeds "
-                f"{self.tolerance:.1e} near charts {where[0]}/{where[1]} at "
-                f"point {where[2]}"
-            )
+        require_compatible(flat, self.atlas, self.tolerance, "group section ", InputError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,10 +422,7 @@ class AlgebraSection:
         return AlgebraSection(self.group, self.section.scaled(factor))
 
     def sup_coord_norm(self) -> float:
-        return max(
-            float(np.linalg.norm(p.values, axis=1).max())
-            for p in self.section.pieces
-        )
+        return self.section.sup_norm()
 
 
 def _require_same_group(a, b):
@@ -480,9 +471,18 @@ def exp_section(xi: AlgebraSection, tolerance: float = 1e-9) -> GroupSection:
     return GroupSection(xi.atlas, xi.group, pieces, tolerance)
 
 
+def _algebra_section(
+    group: MatrixGroup, atlas: Atlas, coords, tolerance: float
+) -> AlgebraSection:
+    """Algebra section from per-chart coordinate arrays (node_count, dim)."""
+    pieces = tuple(
+        SampledField(c.window, np.ascontiguousarray(v)) for c, v in zip(atlas.charts, coords)
+    )
+    return AlgebraSection(group, Section(atlas, pieces, tolerance))
+
+
 def log_section(gamma: GroupSection) -> AlgebraSection:
     """Node-wise group logarithm; rejects nodes outside the chart ball."""
-    pieces = []
     for j, (c, p) in enumerate(zip(gamma.atlas.charts, gamma.pieces)):
         ok = gamma.group.log_valid(p)
         if not np.all(ok):
@@ -492,10 +492,8 @@ def log_section(gamma: GroupSection) -> AlgebraSection:
                 f"chart {j}, node {bad} (x = {node}): matrix outside the "
                 f"log domain of {gamma.group.name}"
             )
-        coords = gamma.group.log(p)
-        pieces.append(SampledField(c.window, np.ascontiguousarray(coords)))
-    sec = Section(gamma.atlas, tuple(pieces), gamma.tolerance)
-    return AlgebraSection(gamma.group, sec)
+    coords = (gamma.group.log(p) for p in gamma.pieces)
+    return _algebra_section(gamma.group, gamma.atlas, coords, gamma.tolerance)
 
 
 def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection:
@@ -503,14 +501,10 @@ def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection
     if not _same_atlas(gamma.atlas, eta.atlas):
         raise InputError("sections live on different atlases")
     _require_same_group(gamma, eta)
-    pieces = []
-    for c, g, j in zip(
-        gamma.atlas.charts, gamma.pieces, range(gamma.atlas.chart_count)
-    ):
-        coords = gamma.group.adjoint(g, eta.chart_coords(j))
-        pieces.append(SampledField(c.window, np.ascontiguousarray(coords)))
-    sec = Section(gamma.atlas, tuple(pieces), eta.section.tolerance)
-    return AlgebraSection(gamma.group, sec)
+    coords = (
+        gamma.group.adjoint(g, eta.chart_coords(j)) for j, g in enumerate(gamma.pieces)
+    )
+    return _algebra_section(gamma.group, gamma.atlas, coords, eta.section.tolerance)
 
 
 def bracket(xi: AlgebraSection, eta: AlgebraSection) -> AlgebraSection:
@@ -518,12 +512,11 @@ def bracket(xi: AlgebraSection, eta: AlgebraSection) -> AlgebraSection:
     if not _same_atlas(xi.atlas, eta.atlas):
         raise InputError("sections live on different atlases")
     _require_same_group(xi, eta)
-    pieces = []
-    for c, j in zip(xi.atlas.charts, range(xi.atlas.chart_count)):
-        coords = xi.group.bracket_coords(xi.chart_coords(j), eta.chart_coords(j))
-        pieces.append(SampledField(c.window, np.ascontiguousarray(coords)))
-    sec = Section(xi.atlas, tuple(pieces), xi.section.tolerance)
-    return AlgebraSection(xi.group, sec)
+    coords = (
+        xi.group.bracket_coords(xi.chart_coords(j), eta.chart_coords(j))
+        for j in range(xi.atlas.chart_count)
+    )
+    return _algebra_section(xi.group, xi.atlas, coords, xi.section.tolerance)
 
 
 def random_algebra_section(
@@ -537,10 +530,7 @@ def random_algebra_section(
     if amplitude is None:
         amplitude = 0.9 * group.v_radius
     sec = random_section(atlas, group.algebra_dim, rng, order=order)
-    sup = max(
-        float(np.linalg.norm(p.values, axis=1).max()) for p in sec.pieces
-    )
-    scale = amplitude / max(sup, 1e-12)
+    scale = amplitude / max(sec.sup_norm(), 1e-12)
     return AlgebraSection(group, sec.scaled(scale))
 
 

@@ -316,7 +316,8 @@ def evolve(
     return GroupSection(curve.atlas, group, tuple(pieces))
 
 
-def _sup_entry_gap(pieces_a, pieces_b) -> float:
+def sup_entry_gap(pieces_a, pieces_b) -> float:
+    """Largest entry difference between two equally shaped piece tuples."""
     return max(
         float(np.abs(a - b).max()) for a, b in zip(pieces_a, pieces_b)
     )
@@ -344,7 +345,7 @@ def evolution_smoothness_probe(
         return tuple((a - b) / (2.0 * e) for a, b in zip(up.pieces, dn.pieces))
 
     ref = central(float(eps[-1]) / 8.0)
-    gaps = np.array([_sup_entry_gap(central(float(e)), ref) for e in eps])
+    gaps = np.array([sup_entry_gap(central(float(e)), ref) for e in eps])
     if np.any(gaps <= 0):
         raise InputError("differences degenerate; offsets too small")
     slope, _ = np.polyfit(np.log(eps), np.log(gaps), 1)

@@ -33,6 +33,9 @@ from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
 DEFAULT_TOLERANCE = 1e-9
 
+# Overlap sample points per axis for the compatibility check.
+OVERLAP_SAMPLES = 24
+
 # Node budgets for the quotient-norm surrogate inner product; the
 # extension cutoff is twice the per-axis node count.
 EXTENSION_NODES_1D = 24
@@ -80,16 +83,11 @@ def _lattice_block(lattice: np.ndarray, cols) -> np.ndarray:
     return np.ascontiguousarray(block.transpose(-1, *range(len(cols))))
 
 
-def compatibility_defect(
-    pieces,
-    atlas: Atlas,
-    per_axis: int = 24,
-    return_worst: bool = False,
-):
+def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     """Largest disagreement between chart pieces over sampled overlaps.
 
     Pieces are interpolated to the shared points of
-    ``atlas.overlap_samples(i, j, per_axis)`` through their own chart
+    ``atlas.overlap_samples(i, j, OVERLAP_SAMPLES)`` through their own chart
     coordinates; the defect is the max over points and chart pairs of the
     value difference (sup over components).  The points form a tensor
     grid, so each piece's values there are a product of the atlas's cached
@@ -101,7 +99,7 @@ def compatibility_defect(
     lattices = [p.lattice_values() for p in _window_pieces(pieces, atlas)]
     worst = 0.0
     worst_point = None
-    for op in atlas.overlap_transfers(per_axis):
+    for op in atlas.overlap_transfers(OVERLAP_SAMPLES):
         vi = tensor_transfer(op.first, _lattice_block(lattices[op.i], op.first_cols))
         vj = tensor_transfer(op.second, _lattice_block(lattices[op.j], op.second_cols))
         diff = np.max(np.abs(vi - vj), axis=0)
@@ -114,6 +112,20 @@ def compatibility_defect(
     return worst
 
 
+def require_compatible(pieces, atlas: Atlas, tolerance: float, what: str, error) -> None:
+    """Raise ``error`` when the pieces' overlap defect exceeds ``tolerance``.
+
+    The message, prefixed by ``what``, names the defect, the chart pair and
+    the manifold point where it is largest.
+    """
+    defect, where = compatibility_defect(pieces, atlas, return_worst=True)
+    if defect > tolerance:
+        raise error(
+            f"{what}overlap defect {defect:.3e} exceeds {tolerance:.1e} near "
+            f"charts {where[0]}/{where[1]} at point {where[2]}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Section:
     """Compatible chart family of sampled fields over an atlas."""
@@ -121,21 +133,14 @@ class Section:
     atlas: Atlas
     pieces: tuple[SampledField, ...]
     tolerance: float = DEFAULT_TOLERANCE
-    interpolation: str = "local-poly-10"
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
-        defect, where = compatibility_defect(
-            self.pieces, self.atlas, return_worst=True
+        require_compatible(
+            self.pieces, self.atlas, self.tolerance, "", IncompatibleSectionError
         )
-        if defect > self.tolerance:
-            raise IncompatibleSectionError(
-                f"overlap defect {defect:.3e} exceeds tolerance "
-                f"{self.tolerance:.1e} near charts {where[0]}/{where[1]} at "
-                f"point {where[2]}"
-            )
 
     @property
     def components(self) -> int:
@@ -172,14 +177,20 @@ def section_from_function(
 
     ``fn`` maps angle arrays (Q, m) to value arrays (Q, n).
     """
+    return Section(atlas, _chart_samples(atlas, fn), tolerance)
+
+
+def _chart_samples(atlas: Atlas, fn, *sections) -> tuple[SampledField, ...]:
+    """One field per chart: ``fn`` of the window's manifold points and the
+    given sections' values there, as a (Q, n) or (Q,) array."""
     pieces = []
-    for c in atlas.charts:
+    for j, c in enumerate(atlas.charts):
         theta = c.from_chart(c.window.nodes())
-        vals = np.asarray(fn(theta), dtype=float)
+        vals = np.asarray(fn(theta, *(s.pieces[j].values for s in sections)), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         pieces.append(SampledField(c.window, vals))
-    return Section(atlas, tuple(pieces), tolerance)
+    return tuple(pieces)
 
 
 def random_section(
@@ -215,13 +226,9 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     cut to their live columns, with the lattice block they touch.
     """
     pieces = tuple(pieces)
-    defect, where = compatibility_defect(pieces, atlas, return_worst=True)
-    if defect > tolerance:
-        raise IncompatibleSectionError(
-            f"cannot glue: overlap defect {defect:.3e} exceeds "
-            f"{tolerance:.1e} near charts {where[0]}/{where[1]} at point "
-            f"{where[2]}"
-        )
+    require_compatible(
+        pieces, atlas, tolerance, "cannot glue: ", IncompatibleSectionError
+    )
     lattices = [p.lattice_values() for p in pieces]
     n = pieces[0].components
     out = []
@@ -307,10 +314,7 @@ def _thin_for_extension(piece: SampledField, max_nodes_per_axis: int):
         count = grid.axis_counts[d]
         stride = max(1, int(np.ceil(count / max_nodes_per_axis)))
         take.append(np.arange(0, count, stride))
-    if grid.m == 1:
-        sub = lat[take[0]]
-    else:
-        sub = lat[np.ix_(take[0], take[1])]
+    sub = lat[np.ix_(*take)]
     counts = [t.size for t in take]
     # Cutoff equal to the node count doubles the coefficients per axis.
     # A square system on a window arc is catastrophically ill-conditioned
@@ -398,14 +402,8 @@ def pushforward(f, section: Section, target=None) -> Section:
             raise ChartDomainError(
                 "section values touch the complement of the target set"
             )
-    out = []
-    for c, piece in zip(section.atlas.charts, section.pieces):
-        theta = c.from_chart(c.window.nodes())
-        vals = np.asarray(f(theta, piece.values), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        out.append(SampledField(c.window, vals))
-    return Section(section.atlas, tuple(out), section.tolerance)
+    pieces = _chart_samples(section.atlas, f, section)
+    return Section(section.atlas, pieces, section.tolerance)
 
 
 def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
@@ -417,14 +415,8 @@ def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
     """
     if not _same_atlas(gamma.atlas, eta.atlas):
         raise InputError("sections live on different atlases")
-    out = []
-    for c, pg, pe in zip(gamma.atlas.charts, gamma.pieces, eta.pieces):
-        theta = c.from_chart(c.window.nodes())
-        vals = np.asarray(d2f(theta, pg.values, pe.values), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        out.append(SampledField(c.window, vals))
-    return Section(gamma.atlas, tuple(out), gamma.tolerance)
+    pieces = _chart_samples(gamma.atlas, d2f, gamma, eta)
+    return Section(gamma.atlas, pieces, gamma.tolerance)
 
 
 def split_components(section: Section, first: int):

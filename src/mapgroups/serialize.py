@@ -16,13 +16,16 @@ import numpy as np
 
 from .atlas import Atlas, builtin_atlas
 from .errors import InputError
-from .fields import BandlimitedField, GridDomain, SampledField
+from .fields import INTERP_POINTS, BandlimitedField, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
 from .sections import Section
 from .sobolev import CONVENTION_TAGS
 
 TAG_TO_CONVENTION = {v: k for k, v in CONVENTION_TAGS.items()}
+
+# Between-node scheme of section pieces, recorded in section files.
+SECTION_INTERPOLATION = f"local-poly-{INTERP_POINTS}"
 
 
 def convention_tag(convention: str) -> str:
@@ -242,17 +245,24 @@ def _resolve_atlas(doc: dict, built: dict) -> Atlas:
     return a
 
 
+def _atlas_header(a: Atlas, convention: str) -> dict:
+    """Keys naming a document's atlas and weight convention."""
+    return {
+        "atlas": a.name,
+        "atlas_hash": atlas_hash(a),
+        "lattice_resolution": a.lattice_resolution,
+        "weight_exponent_convention": convention_tag(convention),
+    }
+
+
 def dump_section(sec: Section, convention: str = "paper") -> dict:
     return {
         "kind": "section",
-        "atlas": sec.atlas.name,
-        "atlas_hash": atlas_hash(sec.atlas),
-        "lattice_resolution": sec.atlas.lattice_resolution,
+        **_atlas_header(sec.atlas, convention),
         "components": sec.components,
         "tolerance": sec.tolerance,
-        "interpolation": sec.interpolation,
+        "interpolation": SECTION_INTERPOLATION,
         "pieces": [dump_sampled(p, convention) for p in sec.pieces],
-        "weight_exponent_convention": convention_tag(convention),
     }
 
 
@@ -271,14 +281,11 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
     return {
         "kind": "group_section",
         "group": gs.group.name,
-        "atlas": gs.atlas.name,
-        "atlas_hash": atlas_hash(gs.atlas),
-        "lattice_resolution": gs.atlas.lattice_resolution,
+        **_atlas_header(gs.atlas, convention),
         "tolerance": gs.tolerance,
         "pieces": [
             np.asarray(p, dtype=float).reshape(len(p), -1).tolist() for p in gs.pieces
         ],
-        "weight_exponent_convention": convention_tag(convention),
     }
 
 
@@ -303,12 +310,9 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
     return {
         "kind": "curve",
         "group": curve.group.name,
-        "atlas": curve.atlas.name,
-        "atlas_hash": atlas_hash(curve.atlas),
-        "lattice_resolution": curve.atlas.lattice_resolution,
+        **_atlas_header(curve.atlas, convention),
         "times": [float(t) for t in curve.times],
         "sections": [dump_section(s.section, convention) for s in curve.sections],
-        "weight_exponent_convention": convention_tag(convention),
     }
 
 

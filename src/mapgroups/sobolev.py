@@ -16,11 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, ShapeMismatchError, SolverError
+from .errors import InputError, SolverError
 from .fields import (
     BandlimitedField,
     GridDomain,
     SampledField,
+    _check_same_layout,
     phase_matrix,
     random_field,
     restrict,
@@ -65,13 +66,6 @@ def mode_weights(m: int, modes: int, s, convention: str = "paper") -> np.ndarray
     return (1.0 + wavenumber_squares(m, modes)) ** weight_exponent(s, convention)
 
 
-def _check_pair(a: BandlimitedField, b: BandlimitedField):
-    if a.m != b.m or a.modes != b.modes or a.components != b.components:
-        raise ShapeMismatchError(
-            "fields differ in dimension, cutoff, or component count"
-        )
-
-
 def hs_inner(
     a: BandlimitedField,
     b: BandlimitedField,
@@ -79,7 +73,7 @@ def hs_inner(
     convention: str = "paper",
 ) -> float:
     """Sobolev inner product of two real band-limited fields."""
-    _check_pair(a, b)
+    _check_same_layout(a, b)
     if not (a.real and b.real):
         raise InputError("hs_inner expects real-flagged fields")
     w = mode_weights(a.m, a.modes, s, convention)

@@ -167,6 +167,17 @@ def test_config_file_merges_under_flags(tmp_path):
     assert rep["group"] == "UT2"  # file beats default
 
 
+def test_config_file_out_is_used_without_the_flag(tmp_path, capsys):
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(out)}))
+    code = main(["norms", "--config", str(cfg)])
+    assert code == 0
+    assert capsys.readouterr().out == f"norms: pass ({out / 'norms.json'})\n"
+    assert read(out / "norms.json")["norm_table"] == "norms.csv"
+    assert (out / "norms.csv").is_file()
+
+
 # ---------------------------------------------------------------------------
 # failure and error paths
 

@@ -314,6 +314,17 @@ def test_group_section_names_the_worst_overlap_point(atlas, g):
         GroupSection(atlas, g, tuple(pieces))
 
 
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_group_section_names_a_nonfinite_entry(atlas, g):
+    rng = np.random.default_rng(41)
+    pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
+    pieces[1] = pieces[1].copy()
+    pieces[1][5, 0, 1] = np.nan
+    with pytest.raises(InputError, match=r"^nonfinite value at node 5, component 1$"):
+        GroupSection(atlas, g, tuple(pieces))
+
+
 def test_adjoint_by_identity_fixes_direction(atlas):
     rng = np.random.default_rng(31)
     g = su2_real()

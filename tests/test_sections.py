@@ -54,9 +54,9 @@ def test_incompatible_pieces_are_rejected():
     pieces[1] = SampledField(pieces[1].domain, bumped)
     d = compatibility_defect(tuple(pieces), a)
     assert d == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(IncompatibleSectionError):
+    with pytest.raises(IncompatibleSectionError, match=r"near charts 0/1 at point \["):
         Section(a, tuple(pieces))
-    with pytest.raises(IncompatibleSectionError):
+    with pytest.raises(IncompatibleSectionError, match=r"near charts 0/1 at point \["):
         glue(tuple(pieces), a)
 
 
