@@ -17,7 +17,7 @@ import numpy as np
 from .cutoffs import bump_profile
 from .errors import ChartDomainError, CoverageError, InputError
 from .fields import TWO_PI, GridDomain, axis_interpolation_matrix, tensor_points
-from .maps import Diffeo
+from .maps import Diffeo, constant_jacobian
 
 PI = np.pi
 
@@ -218,16 +218,15 @@ class Atlas:
             arcs.append((mid + PI, h - PI + 0.5 * delta))
         return arcs
 
-    def _overlap_axes(self, i: int, j: int, per_axis: int, margin: float | None):
+    def _overlap_axes(self, i: int, j: int, per_axis: int):
         """Per-axis sample angles of the overlap of two witness windows.
 
-        Each arc intersection is sampled uniformly.  ``margin`` keeps the
-        samples away from the window edges (defaulting to two lattice
-        cells) but is reduced on bands too thin for it, so genuine
-        overlaps always yield points.  Returns None for an empty overlap.
+        Each arc intersection is sampled uniformly, kept two lattice cells
+        away from the window edges; the inset shrinks on bands too thin
+        for it, so genuine overlaps always yield points.  Returns None for
+        an empty overlap.
         """
-        if margin is None:
-            margin = 2.0 * TWO_PI / self.lattice_resolution
+        margin = 2.0 * TWO_PI / self.lattice_resolution
         axes = []
         for d in range(self.m):
             arcs = self._axis_overlap_arcs(i, j, d)
@@ -241,15 +240,13 @@ class Atlas:
             axes.append(np.mod(np.concatenate(pts), TWO_PI))
         return axes
 
-    def overlap_samples(
-        self, i: int, j: int, per_axis: int = 33, margin: float | None = None
-    ) -> np.ndarray:
+    def overlap_samples(self, i: int, j: int, per_axis: int = 33) -> np.ndarray:
         """Manifold points lying inside both witness windows.
 
         The pairwise overlap is a product of per-axis arc intersections;
         the points are the tensor grid of their samples.
         """
-        axes = self._overlap_axes(i, j, per_axis, margin)
+        axes = self._overlap_axes(i, j, per_axis)
         if axes is None:
             return np.empty((0, self.m))
         return tensor_points(axes)
@@ -276,7 +273,7 @@ class Atlas:
             ops = []
             for i in range(self.chart_count):
                 for j in range(i + 1, self.chart_count):
-                    axes = self._overlap_axes(i, j, per_axis, None)
+                    axes = self._overlap_axes(i, j, per_axis)
                     if axes is None:
                         continue
                     ops.append(OverlapTransfer(
@@ -316,10 +313,26 @@ class Atlas:
         return self._operators[key]
 
 
+def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
+    """Raise InputError unless two atlases are the same chart collection."""
+    if a is not b and not (
+        a.name == b.name
+        and a.m == b.m
+        and a.lattice_resolution == b.lattice_resolution
+        and a.chart_count == b.chart_count
+        and all(
+            np.array_equal(x.offset, y.offset)
+            and x.half_width == y.half_width
+            and x.window_half == y.window_half
+            for x, y in zip(a.charts, b.charts)
+        )
+    ):
+        raise InputError(f"{what} live on different atlases")
+
+
 def transition(a: Atlas, i: int, j: int) -> Diffeo:
     """Transition map as a Diffeo (piecewise translation, unit Jacobian)."""
     ci, cj = a.charts[i], a.charts[j]
-    eye = np.eye(a.m)
 
     def fwd(p):
         return a.transition_point(i, j, p)
@@ -327,9 +340,7 @@ def transition(a: Atlas, i: int, j: int) -> Diffeo:
     def inv(p):
         return a.transition_point(j, i, p)
 
-    def jac(p):
-        return np.broadcast_to(eye, (np.atleast_2d(p).shape[0], a.m, a.m)).copy()
-
+    jac = constant_jacobian(np.eye(a.m))
     return Diffeo(fwd, inv, jac, cj.codomain(), ci.codomain())
 
 

@@ -340,9 +340,7 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
         mode = "file"
         steps = max(steps, curve.resolution)
     eta1 = evolve(curve, steps)
-    final_defect = max(
-        float(curve.group.relation_defect(p).max()) for p in eta1.pieces
-    )
+    final_defect = max(eta1.relation_defects)
     report = {
         "suite": "evolve",
         "check_id": "eq-inival",

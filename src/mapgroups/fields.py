@@ -30,16 +30,6 @@ TWO_PI = 2.0 * math.pi
 INTERP_POINTS = 10
 
 
-def _as_box(window, m):
-    box = tuple((float(lo), float(hi)) for lo, hi in window)
-    if len(box) != m:
-        raise InputError(f"window needs one (lo, hi) pair per axis, got {box!r}")
-    for lo, hi in box:
-        if not (0.0 <= lo < hi <= TWO_PI):
-            raise InputError(f"window ({lo}, {hi}) not inside [0, 2*pi)")
-    return box
-
-
 @dataclass(frozen=True, eq=False)
 class GridDomain:
     """Open box window with nodes drawn from the global torus lattice.
@@ -89,20 +79,7 @@ class GridDomain:
 
     @classmethod
     def box(cls, window, resolution) -> "GridDomain":
-        window = tuple(window)
-        m = len(window)
-        res = _resolution_tuple(resolution, m)
-        box = _as_box(window, m)
-        idx = []
-        for d in range(m):
-            ar = np.arange(res[d], dtype=np.int64)
-            x = TWO_PI * ar / res[d]
-            lo, hi = box[d]
-            keep = ar[(x > lo) & (x < hi)]
-            if keep.size == 0:
-                raise EmptyMaskError(f"window ({lo}, {hi}) holds no lattice nodes")
-            idx.append(keep)
-        return cls(m, res, box, tuple(idx))
+        return cls.full_torus(len(window), resolution).subwindow(window)
 
     @property
     def is_full_torus(self) -> bool:
@@ -125,7 +102,12 @@ class GridDomain:
 
     def subwindow(self, window) -> "GridDomain":
         """Sub-box of this window on the same lattice (exact node subset)."""
-        box = _as_box(tuple(window), self.m)
+        box = tuple((float(lo), float(hi)) for lo, hi in window)
+        if len(box) != self.m:
+            raise InputError(f"window needs one (lo, hi) pair per axis, got {box!r}")
+        for lo, hi in box:
+            if not (0.0 <= lo < hi <= TWO_PI):
+                raise InputError(f"window ({lo}, {hi}) not inside [0, 2*pi)")
         idx = []
         for d in range(self.m):
             lo, hi = box[d]
@@ -135,7 +117,7 @@ class GridDomain:
             x = self.axis_nodes(d)
             keep = self.axis_indices[d][(x > lo) & (x < hi)]
             if keep.size == 0:
-                raise EmptyMaskError(f"subwindow ({lo}, {hi}) holds no lattice nodes")
+                raise EmptyMaskError(f"window ({lo}, {hi}) holds no lattice nodes")
             idx.append(keep)
         return GridDomain(self.m, self.resolution, box, tuple(idx))
 
@@ -262,13 +244,13 @@ class BandlimitedField:
         return vals.real if self.real else vals
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":
-        _check_same_layout(self, other)
+        check_same_layout(self, other)
         return BandlimitedField(
             self.m, self.modes, self.coeffs + other.coeffs, self.real and other.real
         )
 
     def __sub__(self, other: "BandlimitedField") -> "BandlimitedField":
-        _check_same_layout(self, other)
+        check_same_layout(self, other)
         return BandlimitedField(
             self.m, self.modes, self.coeffs - other.coeffs, self.real and other.real
         )
@@ -279,7 +261,7 @@ class BandlimitedField:
         )
 
 
-def _check_same_layout(a: BandlimitedField, b: BandlimitedField):
+def check_same_layout(a: BandlimitedField, b: BandlimitedField):
     if a.m != b.m or a.modes != b.modes or a.components != b.components:
         raise ShapeMismatchError(
             "fields differ in dimension, cutoff, or component count"
@@ -392,8 +374,6 @@ def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
 
 def restrict(field: BandlimitedField, grid: GridDomain) -> SampledField:
     """Restriction of a band-limited field to a window (node samples)."""
-    if grid.node_count == 0:
-        raise EmptyMaskError("restriction target holds no nodes")
     return sample(field, grid)
 
 

@@ -17,23 +17,30 @@ enough that products of two exponentials stay inside the chart ball.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .atlas import Atlas
-from .errors import ChartDomainError, InputError, ShapeMismatchError
+from .atlas import Atlas, require_same_atlas
+from .errors import ChartDomainError, InputError, NumericError, ShapeMismatchError
 from .fields import SampledField
-from .sections import Section, _same_atlas, random_section, require_compatible
+from .sections import (
+    DEFAULT_TOLERANCE,
+    Section,
+    check_tolerance,
+    random_section,
+    require_compatible,
+)
 
 LOGGER = logging.getLogger("mapgroups.groups")
 
 # Drift threshold above which products are re-projected onto the group.
 PROJECTION_THRESHOLD = 1e-12
 
-# Largest relation defect a GroupSection will accept at construction.
+# Largest relation defect a GroupSection will accept at construction, and
+# the most a re-projected value may keep.
 RELATION_DEFECT_LIMIT = 1e-10
 
 
@@ -348,41 +355,66 @@ def group_by_name(name: str) -> MatrixGroup:
     return GROUP_BUILDERS[name]()
 
 
-def _same_group(a: MatrixGroup, b: MatrixGroup) -> bool:
-    return a is b or a.name == b.name
+def onto_group(
+    group: MatrixGroup, mats: np.ndarray, threshold: float, what: str, chart: int
+) -> np.ndarray:
+    """Computed matrices ``mats`` of chart ``chart``, projected onto the group
+    (with an INFO record) when their relation defect exceeds ``threshold``.
+    Products and time-1 values of valid sections lie on the group, so a
+    projection that leaves more than RELATION_DEFECT_LIMIT raises NumericError."""
+    drift = float(group.relation_defect(mats).max())
+    if drift > threshold:
+        mats = group.project(mats)
+        LOGGER.info(
+            f"chart %d: {what} drifted %.3e off %s; re-projected",
+            chart, drift, group.name,
+        )
+        defect = float(group.relation_defect(mats).max())
+        if defect > RELATION_DEFECT_LIMIT:
+            raise NumericError(
+                f"chart {chart}: {what} relation defect {defect:.3e} exceeds "
+                f"{RELATION_DEFECT_LIMIT:.1e} even after re-projection"
+            )
+    return mats
 
 
 @dataclass(frozen=True, eq=False)
 class GroupSection:
-    """Chart family of node-wise group elements over an atlas."""
+    """Chart family of node-wise group elements over an atlas.
+
+    ``relation_defects`` keeps each chart's largest relation defect.
+    """
 
     atlas: Atlas
     group: MatrixGroup
     pieces: tuple[np.ndarray, ...]
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
+    relation_defects: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
+        check_tolerance(self.tolerance)
         if len(self.pieces) != self.atlas.chart_count:
             raise ShapeMismatchError("one piece per chart required")
         d = self.group.dim
+        flat = []
         for c, p in zip(self.atlas.charts, self.pieces):
             if p.shape != (c.window.node_count, d, d):
                 raise ShapeMismatchError(
                     f"chart {c.index} matrices must have shape "
                     f"({c.window.node_count}, {d}, {d}), got {p.shape}"
                 )
-            defect = float(self.group.relation_defect(p).max())
+            # The flat entry fields reject nonfinite entries, which pass the
+            # relation check (NaN compares false), and carry the overlap check.
+            flat.append(SampledField(c.window, p.reshape(p.shape[0], d * d)))
+        defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
+        object.__setattr__(self, "relation_defects", defects)
+        for c, defect in zip(self.atlas.charts, defects):
             if defect > RELATION_DEFECT_LIMIT:
                 raise InputError(
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
-        # Overlap agreement of the matrix entries, as for a Section.
-        flat = tuple(
-            SampledField(c.window, p.reshape(p.shape[0], d * d))
-            for c, p in zip(self.atlas.charts, self.pieces)
-        )
         require_compatible(flat, self.atlas, self.tolerance, "group section ", InputError)
 
 
@@ -411,11 +443,11 @@ class AlgebraSection:
         return self.group.to_matrix(self.chart_coords(j))
 
     def __add__(self, other: "AlgebraSection") -> "AlgebraSection":
-        _require_same_group(self, other)
+        require_same_group(self, other)
         return AlgebraSection(self.group, self.section + other.section)
 
     def __sub__(self, other: "AlgebraSection") -> "AlgebraSection":
-        _require_same_group(self, other)
+        require_same_group(self, other)
         return AlgebraSection(self.group, self.section - other.section)
 
     def scaled(self, factor: float) -> "AlgebraSection":
@@ -425,8 +457,8 @@ class AlgebraSection:
         return self.section.sup_norm()
 
 
-def _require_same_group(a, b):
-    if not _same_group(a.group, b.group):
+def require_same_group(a, b):
+    if not (a.group is b.group or a.group.name == b.group.name):
         raise InputError("operands belong to different groups")
 
 
@@ -440,21 +472,13 @@ def identity_group_section(atlas: Atlas, group: MatrixGroup) -> GroupSection:
 
 def group_multiply(a: GroupSection, b: GroupSection) -> GroupSection:
     """Node-wise product; re-projects and logs only if drift exceeds 1e-12."""
-    if not _same_atlas(a.atlas, b.atlas):
-        raise InputError("group sections live on different atlases")
-    _require_same_group(a, b)
-    out = []
-    for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
-        prod = pa @ pb
-        drift = float(a.group.relation_defect(prod).max())
-        if drift > PROJECTION_THRESHOLD:
-            prod = a.group.project(prod)
-            LOGGER.info(
-                "chart %d: product drifted %.3e off %s; re-projected",
-                j, drift, a.group.name,
-            )
-        out.append(prod)
-    return GroupSection(a.atlas, a.group, tuple(out), max(a.tolerance, b.tolerance))
+    require_same_atlas(a.atlas, b.atlas, "group sections")
+    require_same_group(a, b)
+    out = tuple(
+        onto_group(a.group, pa @ pb, PROJECTION_THRESHOLD, "product", j)
+        for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces))
+    )
+    return GroupSection(a.atlas, a.group, out, max(a.tolerance, b.tolerance))
 
 
 def group_invert(a: GroupSection) -> GroupSection:
@@ -463,7 +487,7 @@ def group_invert(a: GroupSection) -> GroupSection:
     )
 
 
-def exp_section(xi: AlgebraSection, tolerance: float = 1e-9) -> GroupSection:
+def exp_section(xi: AlgebraSection, tolerance=DEFAULT_TOLERANCE) -> GroupSection:
     """Node-wise group exponential of an algebra section."""
     pieces = tuple(
         xi.group.exp(xi.chart_coords(j)) for j in range(xi.atlas.chart_count)
@@ -498,9 +522,8 @@ def log_section(gamma: GroupSection) -> AlgebraSection:
 
 def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection:
     """Node-wise adjoint action of a group section on an algebra section."""
-    if not _same_atlas(gamma.atlas, eta.atlas):
-        raise InputError("sections live on different atlases")
-    _require_same_group(gamma, eta)
+    require_same_atlas(gamma.atlas, eta.atlas, "sections")
+    require_same_group(gamma, eta)
     coords = (
         gamma.group.adjoint(g, eta.chart_coords(j)) for j, g in enumerate(gamma.pieces)
     )
@@ -509,9 +532,8 @@ def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection
 
 def bracket(xi: AlgebraSection, eta: AlgebraSection) -> AlgebraSection:
     """Node-wise Lie bracket in algebra coordinates."""
-    if not _same_atlas(xi.atlas, eta.atlas):
-        raise InputError("sections live on different atlases")
-    _require_same_group(xi, eta)
+    require_same_atlas(xi.atlas, eta.atlas, "sections")
+    require_same_group(xi, eta)
     coords = (
         xi.group.bracket_coords(xi.chart_coords(j), eta.chart_coords(j))
         for j in range(xi.atlas.chart_count)

@@ -22,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ShapeMismatchError
+from .atlas import require_same_atlas
+from .errors import InputError, ShapeMismatchError
 from .fields import BandlimitedField, hermitian_part, wavenumber_squares
 from .groups import (
-    LOGGER,
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
     GroupSection,
-    _require_same_group,
+    onto_group,
+    require_same_group,
 )
-from .sections import _same_atlas
 from .sobolev import check_convention, rellich_spectrum, weight_exponent
 
 
@@ -208,9 +208,8 @@ class TimeSampledCurve:
             raise ShapeMismatchError("one section per time sample required")
         first = self.sections[0]
         for sec in self.sections[1:]:
-            _require_same_group(first, sec)
-            if not _same_atlas(first.atlas, sec.atlas):
-                raise InputError("curve sections live on different atlases")
+            require_same_group(first, sec)
+            require_same_atlas(first.atlas, sec.atlas, "curve sections")
 
     @property
     def group(self):
@@ -263,20 +262,16 @@ def _rk4_factor(
     return np.eye(a1.shape[-1]) + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
-def evolve(
-    curve: TimeSampledCurve,
-    steps: int,
-    defect_tol: float = 1e-8,
-) -> GroupSection:
+def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     """Integrate eta' = eta * gamma(t) from the identity over [0, 1].
 
     Classical fixed-step fourth-order integration, node by node; the step
     count must be at least the curve's time resolution.  Each step is a
     right factor (``_rk4_factor``); where a chart's time samples are all
     bitwise equal, the time-1 value is that factor to the power ``steps``.
-    Final matrices whose relation defect exceeds the GroupSection
-    construction limit are re-projected with a log message; the returned
-    section always satisfies the group relations within ``defect_tol``.
+    Time-1 values whose relation defect exceeds the GroupSection
+    construction limit are re-projected (``groups.onto_group``); one that
+    projection cannot repair raises NumericError.
     """
     if steps < curve.resolution:
         raise InputError(
@@ -299,20 +294,7 @@ def evolve(
                 a4 = _interp_matrices(stack, curve.times, t + h)
                 r = _rk4_factor(a1, a2, a4, h)
                 eta = r if eta is None else eta @ r
-        defect = float(group.relation_defect(eta).max())
-        if defect > RELATION_DEFECT_LIMIT:
-            eta = group.project(eta)
-            LOGGER.info(
-                "chart %d: time-1 value drifted %.3e off %s; re-projected",
-                j, defect, group.name,
-            )
-            defect = float(group.relation_defect(eta).max())
-        if defect > defect_tol:
-            raise NumericError(
-                f"chart {j}: final relation defect {defect:.3e} exceeds "
-                f"{defect_tol:.1e} even after projection"
-            )
-        pieces.append(eta)
+        pieces.append(onto_group(group, eta, RELATION_DEFECT_LIMIT, "time-1 value", j))
     return GroupSection(curve.atlas, group, tuple(pieces))
 
 

@@ -32,17 +32,21 @@ class Diffeo:
         return len(self.domain)
 
 
+def constant_jacobian(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Jacobian callable returning the matrix ``a`` at every point."""
+    def jac(p):
+        return np.broadcast_to(a, (np.atleast_2d(p).shape[0],) + a.shape).copy()
+
+    return jac
+
+
 def identity_map(m: int) -> Diffeo:
     box = tuple((0.0, TWO_PI) for _ in range(m))
-    eye = np.eye(m)
 
     def fwd(p):
         return np.array(p, dtype=float, copy=True)
 
-    def jac(p):
-        return np.broadcast_to(eye, (np.atleast_2d(p).shape[0], m, m)).copy()
-
-    return Diffeo(fwd, fwd, jac, box, box)
+    return Diffeo(fwd, fwd, constant_jacobian(np.eye(m)), box, box)
 
 
 def torus_translation(m: int, shift) -> Diffeo:
@@ -51,7 +55,6 @@ def torus_translation(m: int, shift) -> Diffeo:
     if tau.size != m:
         raise InputError("shift must have one entry per axis")
     box = tuple((0.0, TWO_PI) for _ in range(m))
-    eye = np.eye(m)
 
     def fwd(p):
         return np.mod(np.atleast_2d(np.asarray(p, dtype=float)) + tau, TWO_PI)
@@ -59,10 +62,7 @@ def torus_translation(m: int, shift) -> Diffeo:
     def inv(p):
         return np.mod(np.atleast_2d(np.asarray(p, dtype=float)) - tau, TWO_PI)
 
-    def jac(p):
-        return np.broadcast_to(eye, (np.atleast_2d(p).shape[0], m, m)).copy()
-
-    return Diffeo(fwd, inv, jac, box, box)
+    return Diffeo(fwd, inv, constant_jacobian(np.eye(m)), box, box)
 
 
 def affine_map(matrix, offset, domain) -> Diffeo:
@@ -88,10 +88,7 @@ def affine_map(matrix, offset, domain) -> Diffeo:
     def inv(p):
         return (np.atleast_2d(np.asarray(p, dtype=float)) - b) @ ainv.T
 
-    def jac(p):
-        return np.broadcast_to(a, (np.atleast_2d(p).shape[0], m, m)).copy()
-
-    return Diffeo(fwd, inv, jac, dom, codom)
+    return Diffeo(fwd, inv, constant_jacobian(a), dom, codom)
 
 
 def compose_maps(outer: Diffeo, inner: Diffeo) -> Diffeo:

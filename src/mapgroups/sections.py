@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import Atlas
+from .atlas import Atlas, require_same_atlas
 from .errors import (
     CoverageError,
     ChartDomainError,
@@ -42,21 +42,10 @@ EXTENSION_NODES_1D = 24
 EXTENSION_NODES_2D = 12
 
 
-def _same_atlas(a: Atlas, b: Atlas) -> bool:
-    if a is b:
-        return True
-    return (
-        a.name == b.name
-        and a.m == b.m
-        and a.lattice_resolution == b.lattice_resolution
-        and a.chart_count == b.chart_count
-        and all(
-            np.array_equal(x.offset, y.offset)
-            and x.half_width == y.half_width
-            and x.window_half == y.window_half
-            for x, y in zip(a.charts, b.charts)
-        )
-    )
+def check_tolerance(tolerance: float) -> None:
+    """Raise InputError unless an overlap tolerance is positive and finite."""
+    if not 0.0 < tolerance < np.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tolerance}")
 
 
 def _window_pieces(pieces, atlas: Atlas) -> tuple[SampledField, ...]:
@@ -136,8 +125,7 @@ class Section:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.tolerance <= 0:
-            raise InputError("tolerance must be positive")
+        check_tolerance(self.tolerance)
         require_compatible(
             self.pieces, self.atlas, self.tolerance, "", IncompatibleSectionError
         )
@@ -147,8 +135,7 @@ class Section:
         return self.pieces[0].components
 
     def _binary(self, other: "Section", op) -> "Section":
-        if not _same_atlas(self.atlas, other.atlas):
-            raise InputError("sections live on different atlases")
+        require_same_atlas(self.atlas, other.atlas, "sections")
         new = tuple(op(a, b) for a, b in zip(self.pieces, other.pieces))
         return Section(self.atlas, new, max(self.tolerance, other.tolerance))
 
@@ -282,8 +269,7 @@ def hilbert_inner(
     """
     s = check_order(s)
     check_convention(convention)
-    if not _same_atlas(a.atlas, b.atlas):
-        raise InputError("sections live on different atlases")
+    require_same_atlas(a.atlas, b.atlas, "sections")
     if a.components != b.components:
         raise ShapeMismatchError("component counts differ")
     if max_nodes_per_axis is None:
@@ -413,8 +399,7 @@ def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
     derivative values; the result is the section
     ``p -> d2f(p, gamma(p), eta(p))``.
     """
-    if not _same_atlas(gamma.atlas, eta.atlas):
-        raise InputError("sections live on different atlases")
+    require_same_atlas(gamma.atlas, eta.atlas, "sections")
     pieces = _chart_samples(gamma.atlas, d2f, gamma, eta)
     return Section(gamma.atlas, pieces, gamma.tolerance)
 
@@ -439,8 +424,7 @@ def split_components(section: Section, first: int):
 
 def merge_components(a: Section, b: Section) -> Section:
     """Inverse of :func:`split_components` (exact concatenation)."""
-    if not _same_atlas(a.atlas, b.atlas):
-        raise InputError("sections live on different atlases")
+    require_same_atlas(a.atlas, b.atlas, "sections")
     pieces = tuple(
         SampledField(pa.domain, np.ascontiguousarray(np.hstack([pa.values, pb.values])))
         for pa, pb in zip(a.pieces, b.pieces)

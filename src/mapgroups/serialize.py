@@ -19,10 +19,8 @@ from .errors import InputError
 from .fields import INTERP_POINTS, BandlimitedField, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
-from .sections import Section
+from .sections import DEFAULT_TOLERANCE, Section
 from .sobolev import CONVENTION_TAGS
-
-TAG_TO_CONVENTION = {v: k for k, v in CONVENTION_TAGS.items()}
 
 # Between-node scheme of section pieces, recorded in section files.
 SECTION_INTERPOLATION = f"local-poly-{INTERP_POINTS}"
@@ -74,7 +72,7 @@ def _require(doc: dict, key: str, kind):
 
 def _tolerance(doc: dict) -> float:
     if "tolerance" not in doc:
-        return 1e-9
+        return DEFAULT_TOLERANCE
     return float(_require(doc, "tolerance", (int, float)))
 
 

@@ -21,7 +21,7 @@ from .fields import (
     BandlimitedField,
     GridDomain,
     SampledField,
-    _check_same_layout,
+    check_same_layout,
     phase_matrix,
     random_field,
     restrict,
@@ -73,7 +73,7 @@ def hs_inner(
     convention: str = "paper",
 ) -> float:
     """Sobolev inner product of two real band-limited fields."""
-    _check_same_layout(a, b)
+    check_same_layout(a, b)
     if not (a.real and b.real):
         raise InputError("hs_inner expects real-flagged fields")
     w = mode_weights(a.m, a.modes, s, convention)

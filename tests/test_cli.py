@@ -271,6 +271,24 @@ def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
     assert err.startswith("error: ") and str(path) in err and key in err
 
 
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1"])
+def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import random_algebra_section, so3
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve
+
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(5))
+    doc = dump_curve(constant_curve(xi))
+    doc["sections"][0]["tolerance"] = float(tol)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tolerance must be positive")
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(mapgroups.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgroups.errors import (
     AliasingError,
@@ -113,6 +115,40 @@ def test_box_grid_nodes_inside_open_window():
 def test_empty_window_rejected():
     with pytest.raises(EmptyMaskError):
         GridDomain.box(((1.0, 1.01),), 17)
+
+
+def box_reference(window, resolution):
+    """Per-lattice node selection of a box window, axis by axis."""
+    idx = []
+    for lo, hi in window:
+        ar = np.arange(resolution, dtype=np.int64)
+        x = TWO_PI * ar / resolution
+        keep = ar[(x > lo) & (x < hi)]
+        if keep.size == 0:
+            raise EmptyMaskError(f"window ({lo}, {hi}) holds no lattice nodes")
+        idx.append(keep)
+    return GridDomain(len(window), (resolution,) * len(window), window, tuple(idx))
+
+
+def grid_outcome(build):
+    try:
+        grid = build()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return grid.window, [idx.tolist() for idx in grid.axis_indices]
+
+
+ARC = st.tuples(
+    st.floats(min_value=0.0, max_value=TWO_PI), st.floats(min_value=0.0, max_value=TWO_PI)
+).filter(lambda w: w[0] < w[1])
+
+
+@settings(max_examples=30)
+@given(window=st.lists(ARC, min_size=1, max_size=2), resolution=st.integers(3, 300))
+def test_box_selects_the_reference_nodes(window, resolution):
+    window = tuple(window)
+    got = grid_outcome(lambda: GridDomain.box(window, resolution))
+    assert got == grid_outcome(lambda: box_reference(window, resolution))
 
 
 def test_subwindow_is_exact_node_subset():

@@ -1,10 +1,12 @@
 """Matrix groups and node-wise group sections over an atlas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mapgroups.atlas import circle_two_charts
-from mapgroups.errors import ChartDomainError, InputError
+from mapgroups.atlas import circle_two_charts, torus_four_charts
+from mapgroups.errors import ChartDomainError, InputError, NumericError
 from mapgroups.groups import (
     GROUP_BUILDERS,
     AlgebraSection,
@@ -323,6 +325,47 @@ def test_group_section_names_a_nonfinite_entry(atlas, g):
     pieces[1][5, 0, 1] = np.nan
     with pytest.raises(InputError, match=r"^nonfinite value at node 5, component 1$"):
         GroupSection(atlas, g, tuple(pieces))
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.filterwarnings("error")
+def test_nonfinite_entry_is_rejected_before_any_defect_is_measured(atlas, g):
+    rng = np.random.default_rng(41)
+    pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
+    pieces[1] = pieces[1].copy()
+    pieces[1][5, 0, 1] = np.nan
+    with pytest.raises(InputError, match=r"^nonfinite value at node 5, component 1$"):
+        GroupSection(atlas, g, tuple(pieces))
+
+
+@pytest.fixture(scope="module")
+def torus():
+    return torus_four_charts()
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+def test_relation_defects_are_the_per_chart_maxima(atlas, torus, g):
+    for a in (atlas, torus):
+        gs = exp_section(random_algebra_section(a, g, np.random.default_rng(47)))
+        want = tuple(float(g.relation_defect(p).max()) for p in gs.pieces)
+        assert gs.relation_defects == want
+
+
+def test_product_projection_cannot_repair_is_a_numeric_error(atlas):
+    group = dataclasses.replace(so3(), project_fn=lambda g: g)
+    rng = np.random.default_rng(43)
+
+    def drifted():
+        # Scaling by 1 + 3e-11 moves |det - 1| to 9e-11, inside the
+        # construction limit; the product of two such factors sits 1.8e-10 off.
+        xi = random_algebra_section(atlas, group, rng)
+        pieces = tuple(p * (1.0 + 3e-11) for p in exp_section(xi).pieces)
+        return GroupSection(atlas, group, pieces)
+
+    a, b = drifted(), drifted()
+    assert 0.8e-10 < max(a.relation_defects + b.relation_defects) < 1e-10
+    with pytest.raises(NumericError, match=r"^chart 0: product relation defect "):
+        group_multiply(a, b)
 
 
 def test_adjoint_by_identity_fixes_direction(atlas):

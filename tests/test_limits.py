@@ -1,6 +1,7 @@
 """Exponent ladders, borderline decay fields, rung inclusion spectra, and
 the time-1 evolution of curves of algebra sections."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
-from mapgroups.errors import InputError
+from mapgroups.errors import InputError, NumericError
 from mapgroups.groups import (
     RELATION_DEFECT_LIMIT,
     exp_section,
@@ -327,6 +328,13 @@ def test_powered_constant_curve_is_reprojected_with_a_log_record(torus, caplog):
     assert max(r.args[1] for r in drifts) > RELATION_DEFECT_LIMIT
     for p in out.pieces:
         assert float(group.relation_defect(p).max()) <= RELATION_DEFECT_LIMIT
+
+
+def test_time1_value_projection_cannot_repair_is_a_numeric_error(torus):
+    group = dataclasses.replace(so3(), project_fn=lambda g: g)
+    xi = random_algebra_section(torus, group, np.random.default_rng(0))
+    with pytest.raises(NumericError, match=r"^chart 0: time-1 value relation defect "):
+        evolve(constant_curve(xi), 32)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

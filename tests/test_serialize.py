@@ -1,5 +1,7 @@
 """Round trips through the JSON and CSV on-disk formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,24 @@ def test_curve_sections_share_one_atlas():
     doc["sections"][1]["atlas_hash"] = "000000000000"
     with pytest.raises(InputError, match="000000000000"):
         load_curve(doc)
+
+
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), 0.0, -1.0], ids=["NaN", "Infinity", "0", "-1"]
+)
+def test_files_with_a_bad_tolerance_are_rejected(tol):
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
+    curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
+    curve["sections"][1]["tolerance"] = tol
+    cases = [
+        (load_section, {**dump_section(xi.section), "tolerance": tol}),
+        (load_group_section, {**dump_group_section(exp_section(xi)), "tolerance": tol}),
+        (load_curve, curve),
+    ]
+    for load, doc in cases:
+        # Through JSON text: Python's json writes and reads NaN and Infinity.
+        with pytest.raises(InputError, match="^tolerance must be positive"):
+            load(json.loads(canonical_json(doc)))
 
 
 def same_bytes(a, b):
