@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import require_same_atlas
-from .errors import InputError, ShapeMismatchError
+from .errors import InputError, NumericError, ShapeMismatchError
 from .fields import BandlimitedField, hermitian_part, wavenumber_squares
 from .groups import (
     RELATION_DEFECT_LIMIT,
@@ -271,7 +271,8 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     bitwise equal, the time-1 value is that factor to the power ``steps``.
     Time-1 values whose relation defect exceeds the GroupSection
     construction limit are re-projected (``groups.onto_group``); one that
-    projection cannot repair raises NumericError.
+    projection cannot repair, or whose chart pieces fail the GroupSection
+    construction checks, raises NumericError: the curve was valid input.
     """
     if steps < curve.resolution:
         raise InputError(
@@ -295,7 +296,10 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
                 r = _rk4_factor(a1, a2, a4, h)
                 eta = r if eta is None else eta @ r
         pieces.append(onto_group(group, eta, RELATION_DEFECT_LIMIT, "time-1 value", j))
-    return GroupSection(curve.atlas, group, tuple(pieces))
+    try:
+        return GroupSection(curve.atlas, group, tuple(pieces))
+    except InputError as exc:
+        raise NumericError(f"time-1 value: {exc}") from exc
 
 
 def sup_entry_gap(pieces_a, pieces_b) -> float:

@@ -4,12 +4,20 @@ Every file carries a ``weight_exponent_convention`` tag naming which
 Sobolev weight exponent the stored quantities assume ("paper-s/2" or
 "standard-s").  JSON is written with sorted keys and fixed separators so
 identical data produces identical bytes.
+
+Bulk arrays (sampled values, grid masks, group-section pieces, band-limited
+coefficients) are written as encoded-array objects
+``{"dtype": "<f8" | "|b1", "shape": [...], "b64": "..."}``: the C-order
+little-endian bytes of the array in RFC 4648 base64.  Loaders also read
+the same arrays as nested JSON lists.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +65,18 @@ def _expect_kind(doc, kind: str, what: str) -> None:
         raise InputError(f"not a {what} document")
 
 
+# Names of the JSON types ``_require`` tests as tuples; an array is a
+# nested list or an encoded-array object.
+_KIND_NAMES = {(int, float): "number", (list, dict): "array"}
+
+
 def _require(doc: dict, key: str, kind):
     """``doc[key]``, or InputError naming the key when absent or not a ``kind``."""
     what = doc.get("kind", "grid")  # grid documents are the only ones without a kind
     if key not in doc:
         raise InputError(f"{what} document has no key {key!r}")
     if not json_is(doc[key], kind):
-        name = kind.__name__ if isinstance(kind, type) else "number"
+        name = kind.__name__ if isinstance(kind, type) else _KIND_NAMES[kind]
         raise InputError(
             f"{what} key {key!r} must be {name}, got {type(doc[key]).__name__}"
         )
@@ -76,12 +89,67 @@ def _tolerance(doc: dict) -> float:
     return float(_require(doc, "tolerance", (int, float)))
 
 
-def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
-    """``raw`` as a rectangular array whose dtype kind is one of ``kinds``."""
+# Encoded-array dtypes: little-endian float64 and one-byte booleans.
+ENCODED_DTYPES = ("<f8", "|b1")
+_ENCODED_KEYS = ("b64", "dtype", "shape")
+
+
+def encode_array(arr, dtype: str = "<f8") -> dict:
+    """Encoded-array object holding the C-order bytes of ``arr`` as ``dtype``."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(arr.shape),
+        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(raw: dict, what: str) -> np.ndarray:
+    """The writable C-contiguous array an encoded-array object holds.
+
+    Raises InputError, prefixed by ``what``, on missing or extra keys, an
+    unknown dtype, a shape that is not a list of integer sizes >= 0,
+    invalid base64, or a byte count that does not match the shape.
+    """
+    if sorted(raw) != list(_ENCODED_KEYS):
+        raise InputError(
+            f"{what} must have exactly the keys {list(_ENCODED_KEYS)}, "
+            f"got {sorted(raw)}"
+        )
+    dtype, shape, text = raw["dtype"], raw["shape"], raw["b64"]
+    if not json_is(dtype, str) or dtype not in ENCODED_DTYPES:
+        raise InputError(
+            f"{what} has dtype {dtype!r}, expected one of {list(ENCODED_DTYPES)}"
+        )
+    if not json_is(shape, list) or not all(json_is(n, int) and n >= 0 for n in shape):
+        raise InputError(f"{what} shape must be a list of sizes >= 0, got {shape!r}")
+    if not json_is(text, str):
+        raise InputError(f"{what} b64 must be str, got {type(text).__name__}")
     try:
-        arr = np.asarray(raw)
-    except ValueError:  # ragged nesting
-        arr = None
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise InputError(f"{what} b64 is not valid base64") from None
+    needed = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) != needed:
+        raise InputError(
+            f"{what} holds {len(data)} bytes, shape {shape} needs {needed}"
+        )
+    try:
+        return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
+    except ValueError as exc:  # more dimensions or elements than numpy allows
+        raise InputError(f"{what} shape {shape} is not usable: {exc}") from None
+
+
+def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
+    """``raw`` -- a nested list or an encoded-array object -- as a
+    rectangular array whose dtype kind is one of ``kinds``."""
+    if json_is(raw, dict):
+        arr = decode_array(raw, what)
+    else:
+        try:
+            arr = np.asarray(raw)
+        except ValueError:  # ragged nesting
+            arr = None
     if arr is None or arr.dtype.kind not in kinds:
         entries = "booleans" if kinds == "b" else "numbers"
         raise InputError(f"{what} must be a rectangular array of {entries}")
@@ -90,12 +158,12 @@ def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
 
 def _require_array(doc: dict, key: str, kinds: str = "iuf") -> np.ndarray:
     what = f"{doc.get('kind', 'grid')} key {key!r}"
-    return _numeric_array(_require(doc, key, list), what, kinds)
+    return _numeric_array(_require(doc, key, (list, dict)), what, kinds)
 
 
-def _complex_pairs(arr: np.ndarray) -> list:
+def _complex_pairs(arr: np.ndarray) -> dict:
     flat = np.asarray(arr, dtype=complex).reshape(arr.shape[0], -1)
-    return np.stack([flat.real, flat.imag], axis=-1).tolist()
+    return encode_array(np.stack([flat.real, flat.imag], axis=-1))
 
 
 def dump_bandlimited(field: BandlimitedField, convention: str = "paper") -> dict:
@@ -129,7 +197,7 @@ def dump_grid(grid: GridDomain) -> dict:
         "m": grid.m,
         "grid": list(grid.resolution),
         "window": [[lo, hi] for lo, hi in grid.window],
-        "mask": [bool(b) for b in grid.mask_lattice().ravel()],
+        "mask": encode_array(grid.mask_lattice().ravel(), "|b1"),
     }
 
 
@@ -162,7 +230,7 @@ def dump_sampled(v: SampledField, convention: str = "paper") -> dict:
         {
             "kind": "sampled",
             "components": v.components,
-            "values": np.asarray(v.values, dtype=float).tolist(),
+            "values": encode_array(v.values),
             "parent_modes": v.parent_modes,
             "weight_exponent_convention": convention_tag(convention),
         }
@@ -281,9 +349,7 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
         "group": gs.group.name,
         **_atlas_header(gs.atlas, convention),
         "tolerance": gs.tolerance,
-        "pieces": [
-            np.asarray(p, dtype=float).reshape(len(p), -1).tolist() for p in gs.pieces
-        ],
+        "pieces": [encode_array(p.reshape(len(p), -1)) for p in gs.pieces],
     }
 
 

@@ -39,6 +39,9 @@ PINV_RCOND = 1e-10
 # Factored interpolation systems kept by min_norm_extension (LRU).
 FACTOR_CACHE_SIZE = 16
 
+# Weight lattices kept by mode_weights (LRU).
+WEIGHT_CACHE_SIZE = 64
+
 
 def check_order(s) -> float:
     s = float(s)
@@ -61,9 +64,15 @@ def weight_exponent(s: float, convention: str = "paper") -> float:
 
 
 def mode_weights(m: int, modes: int, s, convention: str = "paper") -> np.ndarray:
-    """Weight lattice (1 + |k|^2)^e over all |k_d| <= modes."""
-    s = check_order(s)
-    return (1.0 + wavenumber_squares(m, modes)) ** weight_exponent(s, convention)
+    """Weight lattice (1 + |k|^2)^e over all |k_d| <= modes (read-only, cached)."""
+    return _mode_weights(m, modes, check_order(s), check_convention(convention))
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _mode_weights(m: int, modes: int, s: float, convention: str) -> np.ndarray:
+    w = (1.0 + wavenumber_squares(m, modes)) ** weight_exponent(s, convention)
+    w.flags.writeable = False
+    return w
 
 
 def hs_inner(

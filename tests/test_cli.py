@@ -289,6 +289,44 @@ def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
     assert not (tmp_path / "evolve.json").exists()
 
 
+def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import random_algebra_section, so3
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve
+
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(5))
+    doc = dump_curve(constant_curve(xi))
+    values = doc["sections"][1]["pieces"][0]["values"]
+    values["b64"] = values["b64"][:10] + "!" + values["b64"][11:]
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: sampled key 'values' b64 is not valid base64")
+    assert not (tmp_path / "evolve.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("group", ["SO3", "UT2"])
+def test_time1_value_failing_the_overlap_check_exits_1(tmp_path, capsys, group):
+    """A valid curve whose computed time-1 value disagrees across overlaps
+    is a failed check, not bad input."""
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import group_by_name, random_algebra_section
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve, write_json
+
+    xi = random_algebra_section(circle_two_charts(), group_by_name(group),
+                                np.random.default_rng(5), amplitude=800.0)
+    path = tmp_path / "curve.json"
+    write_json(path, dump_curve(constant_curve(xi)))
+    assert main(["evolve", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: time-1 value: group section overlap defect ")
+    assert not (tmp_path / "run" / "evolve.json").exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(mapgroups.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -1,13 +1,16 @@
 """Round trips through the JSON and CSV on-disk formats."""
 
+import base64
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapgroups.atlas import circle_two_charts, torus_four_charts
+from mapgroups.atlas import builtin_atlas, circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
 from mapgroups.fields import GridDomain, SampledField, random_field, sample
 from mapgroups.groups import exp_section, group_by_name, random_algebra_section, so3
@@ -16,6 +19,7 @@ from mapgroups.sections import random_section
 from mapgroups.serialize import (
     atlas_hash,
     canonical_json,
+    decode_array,
     dump_bandlimited,
     dump_curve,
     dump_field,
@@ -23,6 +27,7 @@ from mapgroups.serialize import (
     dump_group_section,
     dump_sampled,
     dump_section,
+    encode_array,
     load_bandlimited,
     load_curve,
     load_field,
@@ -200,25 +205,40 @@ def test_curve_round_trip_is_bitwise(name, seed, samples):
         )
 
 
+def through_json(doc):
+    return json.loads(canonical_json(doc))
+
+
 def test_array_dumps_write_the_bytes_of_per_entry_floats():
     tricky = [1e300, -1e-300, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
               2.0**53, 2.0**53 + 2.0, 1e16, -1e16, 0.1, 1.0 / 3.0]
     grid = GridDomain.box(((0.5, 3.0),), 65)
     values = np.resize(np.array(tricky), (grid.node_count, 2))
-    doc = dump_sampled(SampledField(grid, values))
-    assert canonical_json(doc["values"]) == canonical_json(
-        [[float(x) for x in row] for row in values]
-    )
+    v = SampledField(grid, values)
     gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
                                             np.random.default_rng(19)))
-    assert canonical_json(dump_group_section(gs)["pieces"]) == canonical_json(
-        [[[float(x) for x in mat.ravel()] for mat in p] for p in gs.pieces]
-    )
     f = random_field(2, 3, 2, np.random.default_rng(29))
     flat = f.coeffs.reshape(2, -1)
-    assert canonical_json(dump_bandlimited(f)["coeffs"]) == canonical_json(
-        [[[float(z.real), float(z.imag)] for z in row] for row in flat]
-    )
+    encoded = [
+        (dump_sampled(v)["values"], values),
+        (dump_bandlimited(f)["coeffs"], np.stack([flat.real, flat.imag], axis=-1)),
+        *zip(dump_group_section(gs)["pieces"], (p.reshape(len(p), -1) for p in gs.pieces)),
+    ]
+    for doc, arr in encoded:
+        assert doc["dtype"] == "<f8" and doc["shape"] == list(arr.shape)
+        assert base64.b64decode(doc["b64"]) == arr.astype("<f8").tobytes()
+    # List documents of the same floats load to the same bytes.
+    listed = dict(dump_sampled(v), values=[[float(x) for x in row] for row in values])
+    assert same_bytes(load_sampled(through_json(listed)).values, values)
+    listed = dict(dump_group_section(gs), pieces=[
+        [[float(x) for x in mat.ravel()] for mat in p] for p in gs.pieces
+    ])
+    back = load_group_section(through_json(listed))
+    assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
+    listed = dict(dump_bandlimited(f), coeffs=[
+        [[float(z.real), float(z.imag)] for z in row] for row in flat
+    ])
+    assert same_bytes(load_bandlimited(through_json(listed)).coeffs, f.coeffs)
 
 
 def _sampled_doc():
@@ -227,11 +247,22 @@ def _sampled_doc():
 
 
 def test_load_grid_names_the_missing_or_malformed_key():
-    doc = dump_grid(GridDomain.box(((0.5, 3.0),), 65))
+    grid = GridDomain.box(((0.5, 3.0),), 65)
+    mask = grid.mask_lattice().ravel()
+    doc = dump_grid(grid)
+    assert doc["mask"]["dtype"] == "|b1" and doc["mask"]["shape"] == [mask.size]
+    assert base64.b64decode(doc["mask"]["b64"]) == mask.tobytes()
+    listed = dict(doc, mask=[bool(b) for b in mask])
+    for d in (doc, listed):
+        assert np.array_equal(load_grid(through_json(d)).mask_lattice(), grid.mask_lattice())
     with pytest.raises(InputError, match="'mask'"):
         load_grid({k: v for k, v in doc.items() if k != "mask"})
-    with pytest.raises(InputError, match="does not fit grid"):
-        load_grid(dict(doc, mask=doc["mask"][:-1]))
+    for short in (encode_array(mask[:-1], "|b1"), listed["mask"][:-1]):
+        with pytest.raises(InputError, match="does not fit grid"):
+            load_grid(dict(doc, mask=short))
+    for floats in (encode_array(mask), [float(b) for b in mask]):
+        with pytest.raises(InputError, match="'mask' must be a rectangular array of booleans"):
+            load_grid(dict(doc, mask=floats))
     with pytest.raises(InputError, match="'window'"):
         load_grid(dict(doc, window=[[0.5, "x"]]))
     with pytest.raises(InputError, match="do not match dimension"):
@@ -280,3 +311,137 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert text.splitlines()[1] == "k_index,sigma"
     back = read_spectrum_csv(path)
     assert np.array_equal(back, sig)
+
+
+# --- encoded arrays --------------------------------------------------------
+
+# One atlas per name for the whole module, so its operators are built once.
+builtin = functools.cache(builtin_atlas)
+
+
+def as_lists(obj):
+    """``obj`` with every encoded array written as nested JSON lists."""
+    if isinstance(obj, dict):
+        if sorted(obj) == ["b64", "dtype", "shape"]:
+            return decode_array(obj, "array").tolist()
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+def loaded_array_ok(arr):
+    return arr.flags.writeable and arr.flags.c_contiguous
+
+
+@pytest.mark.parametrize("encoding", ["b64", "lists"])
+@pytest.mark.parametrize("atlas_name", ["circle2", "torus4"])
+@settings(max_examples=3)
+@given(name=GROUP_NAMES, seed=SEEDS)
+def test_documents_round_trip_bitwise_in_both_encodings(atlas_name, encoding, name, seed):
+    atlas, group = builtin(atlas_name), group_by_name(name)
+    rng = np.random.default_rng(seed)
+
+    def again(doc):
+        doc = through_json(doc)
+        return as_lists(doc) if encoding == "lists" else doc
+
+    f = random_field(atlas.m, 3, 2, rng)
+    back = load_bandlimited(again(dump_bandlimited(f)))
+    assert same_bytes(back.coeffs, f.coeffs) and back.real == f.real
+
+    grid = atlas.charts[-1].window
+    back = load_grid(again(dump_grid(grid)))
+    assert back.window == grid.window and back.resolution == grid.resolution
+    assert all(same_bytes(a, b) for a, b in zip(back.axis_indices, grid.axis_indices))
+
+    v = sample(f, grid)
+    back = load_sampled(again(dump_sampled(v)))
+    assert same_bytes(back.values, v.values) and loaded_array_ok(back.values)
+    assert back.parent_modes == v.parent_modes
+
+    sec = random_section(atlas, 2, rng)
+    back = load_section(again(dump_section(sec)))
+    assert all(same_bytes(p.values, q.values) for p, q in zip(back.pieces, sec.pieces))
+
+    xi, eta = (random_algebra_section(atlas, group, rng) for _ in range(2))
+    gs = exp_section(xi)
+    back = load_group_section(again(dump_group_section(gs)))
+    assert all(same_bytes(p, q) and loaded_array_ok(p) for p, q in zip(back.pieces, gs.pieces))
+
+    curve = TimeSampledCurve(np.array([0.0, 1.0]), (xi, eta))
+    back = load_curve(again(dump_curve(curve)))
+    for s, t in zip(back.sections, curve.sections):
+        assert all(same_bytes(p.values, q.values)
+                   for p, q in zip(s.section.pieces, t.section.pieces))
+
+
+def _values():
+    return encode_array(np.arange(6.0).reshape(3, 2))
+
+
+BAD_ENCODINGS = {
+    "unknown-dtype": (dict(_values(), dtype="<f4"), "dtype '<f4'"),
+    "big-endian-dtype": (dict(_values(), dtype=">f8"), "dtype '>f8'"),
+    "missing-key": ({k: v for k, v in _values().items() if k != "shape"}, "exactly the keys"),
+    "extra-key": (dict(_values(), order="C"), "exactly the keys"),
+    "shape-not-a-list": (dict(_values(), shape=6), "shape must be a list"),
+    "negative-size": (dict(_values(), shape=[-3, -2]), "shape must be a list"),
+    "float-size": (dict(_values(), shape=[3.0, 2]), "shape must be a list"),
+    "boolean-size": (dict(_values(), shape=[3, True]), "shape must be a list"),
+    # Only validate=True rejects these: a lax decoder drops the stray byte.
+    "invalid-base64": (dict(_values(), b64="*" + _values()["b64"]), "not valid base64"),
+    "embedded-newline": (dict(_values(), b64="\n" + _values()["b64"]), "not valid base64"),
+    "bad-padding": (dict(_values(), b64=_values()["b64"][:-1]), "not valid base64"),
+    "b64-not-a-string": (dict(_values(), b64=[0, 1]), "b64 must be str"),
+    "byte-count": (dict(_values(), shape=[3, 3]), "48 bytes, shape [3, 3] needs 72"),
+    "too-many-dimensions": (dict(_values(), shape=[0] * 70, b64=""), "not usable"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ENCODINGS))
+def test_malformed_encoded_arrays_name_the_document_and_key(case):
+    bad, message = BAD_ENCODINGS[case]
+    grid = GridDomain.box(((0.5, 3.0),), 65)
+    gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
+                                            np.random.default_rng(43)))
+    docs = [
+        (load_sampled, dict(_sampled_doc(), values=bad), "sampled key 'values'"),
+        (load_grid, dict(dump_grid(grid), mask=bad), "grid key 'mask'"),
+        (load_bandlimited,
+         dict(dump_bandlimited(random_field(1, 4, 1, np.random.default_rng(47))), coeffs=bad),
+         "bandlimited key 'coeffs'"),
+        (load_group_section, dict(dump_group_section(gs), pieces=[bad, bad]),
+         "group_section piece 0"),
+    ]
+    for load, doc, where in docs:
+        with pytest.raises(InputError) as err:
+            load(through_json(doc))
+        assert str(err.value).startswith(where) and message in str(err.value)
+
+
+DATA = Path(__file__).parent / "data"
+
+# Circle2 files in the list form, written by the serializer of commit
+# 56f7f43 before bulk arrays were encoded.
+LEGACY = {
+    "bandlimited.json": load_bandlimited,
+    "curve_so3_3.json": load_curve,
+    "evolve_eta1_so3.json": load_group_section,
+    "section.json": load_section,
+}
+
+
+@pytest.mark.parametrize("name", list(LEGACY))
+def test_list_form_files_load_and_equal_their_encoded_redump(name):
+    text = (DATA / name).read_text()
+    doc = json.loads(text)
+    redump = {
+        load_bandlimited: dump_bandlimited,
+        load_curve: dump_curve,
+        load_group_section: dump_group_section,
+        load_section: dump_section,
+    }[LEGACY[name]](LEGACY[name](doc))
+    assert "b64" in canonical_json(redump) and "b64" not in text
+    # Floats are written with repr, so equal text is equal bits.
+    assert canonical_json(as_lists(through_json(redump))) == text

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from mapgroups.errors import InputError
-from mapgroups.fields import BandlimitedField, GridDomain, random_field, restrict
+from mapgroups.fields import (
+    BandlimitedField,
+    GridDomain,
+    random_field,
+    restrict,
+    wavenumber_squares,
+)
 from mapgroups.sobolev import (
     CONVENTION_TAGS,
     extension_probe,
@@ -39,6 +45,20 @@ def test_mode_weights_small_table():
     assert np.array_equal(w, [5.0, 2.0, 1.0, 2.0, 5.0])
     w2 = mode_weights(1, 2, 2.0, "standard")
     assert np.array_equal(w2, [25.0, 4.0, 1.0, 4.0, 25.0])
+
+
+@pytest.mark.parametrize(
+    "m, modes, s, convention",
+    [(1, 32, 1.5, "paper"), (2, 4, 2, "standard"), (1, 3, 0.0, "paper")],
+)
+def test_mode_weights_are_cached_read_only_fresh_tables(m, modes, s, convention):
+    w = mode_weights(m, modes, s, convention)
+    fresh = (1.0 + wavenumber_squares(m, modes)) ** weight_exponent(s, convention)
+    assert w.shape == fresh.shape and w.tobytes() == fresh.tobytes()
+    assert mode_weights(m, modes, float(s), convention) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[...] = 0.0
+    assert w.tobytes() == fresh.tobytes()
 
 
 def test_cos_norm_closed_form():
