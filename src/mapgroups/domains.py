@@ -187,8 +187,12 @@ class FlowField:
     floor: float = GRADIENT_FLOOR
 
     def __post_init__(self):
-        if self.band <= 0:
-            raise InputError("band width must be positive")
+        if not (np.isfinite(self.band) and self.band > 0):
+            raise InputError(f"band width must be finite and positive, got {self.band!r}")
+        if not 0.0 < self.plateau < 1.0:
+            raise InputError(
+                f"plateau fraction must lie strictly between 0 and 1, got {self.plateau!r}"
+            )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -199,12 +203,31 @@ class FlowField:
         return -(xi / nrm)[:, None] * gr
 
 
-def flow(field: FlowField, points: np.ndarray, t: float, steps: int = 256) -> np.ndarray:
-    """Flow points for time t (either sign) with fixed-step RK4."""
+def flow(
+    field: FlowField, points: np.ndarray, t: float | np.ndarray, steps: int = 256
+) -> np.ndarray:
+    """Flow points with fixed-step RK4 for time ``t`` (either sign).
+
+    ``t`` is one time for every row of ``points``, or an ``(N,)`` array
+    holding one time per row; row ``i`` then takes ``steps`` steps of
+    ``t[i] / steps``.  Every RK4 operation is elementwise or a per-row
+    reduction, so a row flowed in a stack is bitwise equal to the same row
+    flowed alone at its own time.
+    """
     if steps < 16:
         raise InputError("use at least 16 integration steps")
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    h = float(t) / steps
+    times = np.asarray(t, dtype=float)
+    if times.ndim and times.shape != (len(pts),):
+        raise InputError(
+            f"per-row flow times must have shape ({len(pts)},) for "
+            f"{len(pts)} points, got shape {times.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        row = f" in row {bad[0]}" if times.ndim else ""
+        raise InputError(f"flow time must be finite, got {times.flat[bad[0]]}{row}")
+    h = float(t) / steps if times.ndim == 0 else (times / steps)[:, None]
     for _ in range(steps):
         k1 = field(pts)
         k2 = field(pts + 0.5 * h * k1)
@@ -232,9 +255,11 @@ def monotone_descent_check(
 ) -> DescentReport:
     """Compare d/dt g(flow(y, t)) at t = 0 against -|grad g(y)|."""
     pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    fwd = field.domain.level(flow(field, pts, h, steps))
-    bwd = field.domain.level(flow(field, pts, -h, steps))
-    slopes = (fwd - bwd) / (2.0 * h)
+    n = len(pts)
+    # Forward and backward flows as one stack: rows [:n] at +h, [n:] at -h.
+    moved = flow(field, np.vstack([pts, pts]), np.repeat([h, -h], n), steps)
+    gv = field.domain.level(moved)
+    slopes = (gv[:n] - gv[n:]) / (2.0 * h)
     norms = np.linalg.norm(field.domain.gradient(pts), axis=1)
     err = float(np.abs(slopes + norms).max())
     return DescentReport(slopes, norms, err, bool(np.all(slopes < 0.0)))
@@ -273,20 +298,22 @@ def shrink_domain(
 
     A nonpositive margin yields ``passed = False`` rather than an error.
     """
+    if not np.isfinite(t0):
+        raise InputError(f"flow time must be finite, got {t0}")
     if t0 == 0.0:
         raise InputError("flow time must be nonzero")
     if rng is None:
         rng = np.random.default_rng(0)
     dom = field.domain
     pts = boundary_samples(dom, samples, rng)
-    moved = flow(field, pts, t0, steps)
-    gv = dom.level(moved)
+    # Samples and anchors flow as one stack: rows [:samples], then anchors.
+    moved = flow(field, np.vstack([pts, dom.anchors]), t0, steps)
+    gv = dom.level(moved[:samples])
     signed = -gv if t0 > 0 else gv
     margin = float(signed.min())
     order = np.argsort(signed)[:3]
     worst = tuple((float(p[0]), float(p[1])) for p in pts[order])
-    anchors_moved = flow(field, dom.anchors, t0, steps)
-    fixed_defect = float(np.abs(anchors_moved - dom.anchors).max())
+    fixed_defect = float(np.abs(moved[samples:] - dom.anchors).max())
     return ShrinkCertificate(
         dom.name,
         float(t0),

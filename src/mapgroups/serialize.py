@@ -333,14 +333,20 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
-    return _load_section(doc, {})
+    return _load_section(doc, {}, "section ")
 
 
-def _load_section(doc: dict, atlases: dict) -> Section:
+def _load_section(doc: dict, atlases: dict, where: str) -> Section:
+    """Section document; errors in piece ``j`` start ``{where}piece {j}: ``."""
     _expect_kind(doc, "section", "section")
     a = _resolve_atlas(doc, atlases)
-    pieces = tuple(load_sampled(p) for p in _require(doc, "pieces", list))
-    return Section(a, pieces, _tolerance(doc))
+    pieces = []
+    for j, p in enumerate(_require(doc, "pieces", list)):
+        try:
+            pieces.append(load_sampled(p))
+        except InputError as exc:
+            raise InputError(f"{where}piece {j}: {exc}") from None
+    return Section(a, tuple(pieces), _tolerance(doc))
 
 
 def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
@@ -385,8 +391,8 @@ def load_curve(doc: dict) -> TimeSampledCurve:
     group = group_by_name(_require(doc, "group", str))
     atlases = {}  # one atlas per (name, resolution) for all the curve's sections
     sections = tuple(
-        AlgebraSection(group, _load_section(s, atlases))
-        for s in _require(doc, "sections", list)
+        AlgebraSection(group, _load_section(s, atlases, f"curve section {k}, "))
+        for k, s in enumerate(_require(doc, "sections", list))
     )
     times = _require_array(doc, "times").astype(float, copy=False)
     return TimeSampledCurve(times, sections)

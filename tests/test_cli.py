@@ -303,7 +303,9 @@ def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: sampled key 'values' b64 is not valid base64")
+    assert err.startswith(
+        f"error: {path}: curve section 1, piece 0: sampled key 'values' b64 is not valid base64"
+    )
     assert not (tmp_path / "evolve.json").exists()
 
 

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgroups.domains import (
+    DOMAIN_BUILDERS,
+    DescentReport,
     FlowField,
+    ShrinkCertificate,
     boundary_samples,
     disc,
     domain_by_name,
@@ -125,6 +130,11 @@ def test_shrink_rejects_zero_time():
         shrink_domain(FlowField(disc()), 0.0)
 
 
+def test_shrink_rejects_a_non_finite_time():
+    with pytest.raises(InputError, match="flow time must be finite, got nan"):
+        shrink_domain(FlowField(disc()), float("nan"), samples=10)
+
+
 def test_negative_time_grows_the_domain():
     f = FlowField(disc())
     cert = shrink_domain(f, -0.1, samples=60, rng=np.random.default_rng(13))
@@ -138,3 +148,111 @@ def test_anchors_never_move():
             FlowField(d), 0.1, samples=40, rng=np.random.default_rng(17)
         )
         assert cert.fixed_defect == 0.0, d.name
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=20)
+@given(
+    name=st.sampled_from(sorted(DOMAIN_BUILDERS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    times=st.lists(
+        st.floats(min_value=-0.3, max_value=0.3, allow_subnormal=False),
+        min_size=1, max_size=6,
+    ),
+    steps=st.integers(min_value=16, max_value=40),
+)
+def test_per_row_flow_equals_separate_flows_bitwise(name, seed, times, steps):
+    d = domain_by_name(name)
+    (xlo, xhi), (ylo, yhi) = d.bbox
+    rng = np.random.default_rng(seed)
+    # Points anywhere in the box: inside the band, on the core and outside.
+    pts = np.column_stack([
+        rng.uniform(xlo, xhi, len(times)), rng.uniform(ylo, yhi, len(times))
+    ])
+    f = FlowField(d)
+    stacked = flow(f, pts, np.array(times), steps)
+    for i, t in enumerate(times):
+        assert same_bytes(stacked[i:i + 1], flow(f, pts[i:i + 1], t, steps)), (i, t)
+
+
+def descent_by_separate_flows(field, pts, h=1e-5, steps=64):
+    """The descent check as two flows, one at +h and one at -h."""
+    fwd = field.domain.level(flow(field, pts, h, steps))
+    bwd = field.domain.level(flow(field, pts, -h, steps))
+    slopes = (fwd - bwd) / (2.0 * h)
+    norms = np.linalg.norm(field.domain.gradient(pts), axis=1)
+    err = float(np.abs(slopes + norms).max())
+    return DescentReport(slopes, norms, err, bool(np.all(slopes < 0.0)))
+
+
+def shrink_by_separate_flows(field, t0, samples, steps, rng):
+    """The shrink certificate with samples and anchors flowed apart."""
+    dom = field.domain
+    pts = boundary_samples(dom, samples, rng)
+    gv = dom.level(flow(field, pts, t0, steps))
+    signed = -gv if t0 > 0 else gv
+    margin = float(signed.min())
+    worst = tuple((float(p[0]), float(p[1])) for p in pts[np.argsort(signed)[:3]])
+    anchors_moved = flow(field, dom.anchors, t0, steps)
+    fixed_defect = float(np.abs(anchors_moved - dom.anchors).max())
+    return ShrinkCertificate(
+        dom.name, float(t0), steps, samples, margin, margin > 0.0, fixed_defect, worst
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
+def test_stacked_descent_check_matches_separate_flows_bitwise(name):
+    d = domain_by_name(name)
+    f = FlowField(d)
+    pts = boundary_samples(d, 40, np.random.default_rng(19))
+    got, ref = monotone_descent_check(f, pts), descent_by_separate_flows(f, pts)
+    assert same_bytes(got.slopes, ref.slopes)
+    assert same_bytes(got.gradient_norms, ref.gradient_norms)
+    assert (got.max_abs_error, got.all_descending) == (ref.max_abs_error, ref.all_descending)
+
+
+@pytest.mark.parametrize("t0", [0.1, -0.1])
+@pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
+def test_stacked_shrink_certificate_matches_separate_flows_bitwise(name, t0):
+    f = FlowField(domain_by_name(name))
+    got = shrink_domain(f, t0, samples=60, steps=128, rng=np.random.default_rng(23))
+    ref = shrink_by_separate_flows(f, t0, 60, 128, np.random.default_rng(23))
+    assert got == ref
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"band": float("nan")}, "band width must be finite and positive, got nan"),
+        ({"band": float("inf")}, "band width must be finite and positive, got inf"),
+        ({"band": 0.0}, "band width must be finite and positive, got 0.0"),
+        ({"plateau": 1.5}, "plateau fraction .* got 1.5"),
+        ({"plateau": 0.0}, "plateau fraction .* got 0.0"),
+        ({"plateau": float("nan")}, "plateau fraction .* got nan"),
+    ],
+    ids=["band-nan", "band-inf", "band-0", "plateau-1.5", "plateau-0", "plateau-nan"],
+)
+def test_flow_field_rejects_bad_band_or_plateau(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        FlowField(disc(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (float("nan"), "flow time must be finite, got nan$"),
+        (float("-inf"), "flow time must be finite, got -inf$"),
+        (np.array([0.1, np.nan, 0.1]), "flow time must be finite, got nan in row 1"),
+        (np.array([0.1, 0.1]), r"must have shape \(3,\) for 3 points, got shape \(2,\)"),
+        (np.full((3, 1), 0.1), r"must have shape \(3,\) for 3 points, got shape \(3, 1\)"),
+    ],
+    ids=["nan", "-inf", "row-nan", "short", "column"],
+)
+def test_flow_rejects_bad_times(t, message):
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InputError, match=message):
+        flow(FlowField(disc()), pts, t, steps=16)

@@ -302,6 +302,29 @@ def test_load_group_section_names_the_missing_or_malformed_key():
         load_group_section(dict(doc, tolerance="tight"))
 
 
+def test_section_and_curve_loaders_name_the_bad_piece():
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(43))
+    curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
+    section = dump_section(xi.section)
+    b64 = section["pieces"][1]["values"]
+    corrupt = dict(b64, b64=b64["b64"][:10] + "!" + b64["b64"][11:])
+    ragged = [[1.0], [2.0, 3.0]]
+    for values, fault in (
+        (corrupt, "b64 is not valid base64"),
+        (ragged, "must be a rectangular array of numbers"),
+    ):
+        doc = json.loads(canonical_json(section))
+        doc["pieces"][1]["values"] = values
+        with pytest.raises(InputError, match=f"^section piece 1: sampled key 'values' {fault}"):
+            load_section(doc)
+        doc = json.loads(canonical_json(curve))
+        doc["sections"][1]["pieces"][0]["values"] = values
+        with pytest.raises(
+            InputError, match=f"^curve section 1, piece 0: sampled key 'values' {fault}"
+        ):
+            load_curve(doc)
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     sig = rellich_spectrum(2.0, 1.0, 16)
     path = tmp_path / "spec.csv"
