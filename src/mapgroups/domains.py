@@ -254,6 +254,8 @@ def monotone_descent_check(
     steps: int = 64,
 ) -> DescentReport:
     """Compare d/dt g(flow(y, t)) at t = 0 against -|grad g(y)|."""
+    if not (np.isfinite(h) and h != 0.0):
+        raise InputError(f"difference step h must be finite and nonzero, got {float(h)}")
     pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
     n = len(pts)
     # Forward and backward flows as one stack: rows [:n] at +h, [n:] at -h.

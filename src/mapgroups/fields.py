@@ -230,17 +230,26 @@ class BandlimitedField:
         return self.coeffs.shape[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points, shape (Q, m) -> (Q, components)."""
+        """Evaluate at arbitrary points, shape (Q, m) -> (Q, components).
+
+        For m = 2, phases and the axis-0 contraction are computed once per
+        distinct coordinate of each axis (a chart window's nodes repeat
+        each coordinate many times) and gathered back per point.  Each
+        output row sums the same terms in the same order as the per-point
+        contraction, so the result is bitwise equal to it.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.m:
             raise ShapeMismatchError("points do not match field dimension")
         if self.m == 1:
             vals = phase_matrix(pts[:, 0], self.modes) @ self.coeffs.T
         else:
-            p0 = phase_matrix(pts[:, 0], self.modes)
-            p1 = phase_matrix(pts[:, 1], self.modes)
-            tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)
-            vals = np.einsum("qb,qnb->qn", p1, tmp)
+            x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
+            x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
+            p0 = phase_matrix(x0, self.modes)
+            p1 = phase_matrix(x1, self.modes)
+            tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)[inv0]
+            vals = np.einsum("qb,qnb->qn", p1[inv1], tmp)
         return vals.real if self.real else vals
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":

@@ -18,6 +18,7 @@ import base64
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,17 @@ def read_json(path):
 def json_is(value, kind) -> bool:
     """Type test on a loaded JSON value; true/false are not numbers."""
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+@contextmanager
+def _errors_start(prefix: str):
+    """Re-raise an InputError from the block with ``prefix`` before its message."""
+    try:
+        yield
+    except InputError as exc:
+        if not prefix:
+            raise
+        raise type(exc)(f"{prefix}{exc}") from None
 
 
 def _expect_kind(doc, kind: str, what: str) -> None:
@@ -333,20 +345,27 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
-    return _load_section(doc, {}, "section ")
+    return _load_section(doc, {})
 
 
-def _load_section(doc: dict, atlases: dict, where: str) -> Section:
-    """Section document; errors in piece ``j`` start ``{where}piece {j}: ``."""
-    _expect_kind(doc, "section", "section")
-    a = _resolve_atlas(doc, atlases)
+def _load_section(doc: dict, atlases: dict, where: str = "") -> Section:
+    """Section document that errors name ``where`` (say ``curve section k``).
+
+    Errors in piece ``j`` start ``{where}, piece {j}: `` and the others
+    ``{where}: ``; with ``where`` empty they start ``section piece {j}: ``
+    and nothing.
+    """
+    head = f"{where}: " if where else ""
+    with _errors_start(head):
+        _expect_kind(doc, "section", "section")
+        a = _resolve_atlas(doc, atlases)
+        piece_docs = _require(doc, "pieces", list)
     pieces = []
-    for j, p in enumerate(_require(doc, "pieces", list)):
-        try:
+    for j, p in enumerate(piece_docs):
+        with _errors_start(f"{where}, piece {j}: " if where else f"section piece {j}: "):
             pieces.append(load_sampled(p))
-        except InputError as exc:
-            raise InputError(f"{where}piece {j}: {exc}") from None
-    return Section(a, tuple(pieces), _tolerance(doc))
+    with _errors_start(head):
+        return Section(a, tuple(pieces), _tolerance(doc))
 
 
 def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
@@ -390,12 +409,13 @@ def load_curve(doc: dict) -> TimeSampledCurve:
     _expect_kind(doc, "curve", "curve")
     group = group_by_name(_require(doc, "group", str))
     atlases = {}  # one atlas per (name, resolution) for all the curve's sections
-    sections = tuple(
-        AlgebraSection(group, _load_section(s, atlases, f"curve section {k}, "))
-        for k, s in enumerate(_require(doc, "sections", list))
-    )
+    sections = []
+    for k, s in enumerate(_require(doc, "sections", list)):
+        section = _load_section(s, atlases, f"curve section {k}")
+        with _errors_start(f"curve section {k}: "):
+            sections.append(AlgebraSection(group, section))
     times = _require_array(doc, "times").astype(float, copy=False)
-    return TimeSampledCurve(times, sections)
+    return TimeSampledCurve(times, tuple(sections))
 
 
 def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:

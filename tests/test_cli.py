@@ -285,7 +285,7 @@ def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
     path.write_text(json.dumps(doc))
     assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: tolerance must be positive")
+    assert err.startswith(f"error: {path}: curve section 0: tolerance must be positive")
     assert not (tmp_path / "evolve.json").exists()
 
 

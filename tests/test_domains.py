@@ -115,6 +115,17 @@ def test_descent_slopes_match_gradient_norm():
             assert np.abs(rep.slopes + 2.0).max() < 1e-4
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "h, shown", [(0.0, "0.0"), (float("nan"), "nan"), (float("inf"), "inf")]
+)
+def test_descent_check_rejects_a_zero_or_nonfinite_step(h, shown):
+    d = disc()
+    pts = boundary_samples(d, 5, np.random.default_rng(9))
+    with pytest.raises(InputError, match=f"h must be finite and nonzero, got {shown}$"):
+        monotone_descent_check(FlowField(d), pts, h=h)
+
 def test_shrink_certificate_on_the_disc():
     f = FlowField(disc())
     cert = shrink_domain(f, 0.1, samples=100, rng=np.random.default_rng(11))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapgroups.atlas import torus_four_charts
 from mapgroups.errors import (
     AliasingError,
     EmptyMaskError,
@@ -25,6 +26,7 @@ from mapgroups.fields import (
     synthesize,
     wavenumber_squares,
 )
+from mapgroups.sections import random_section
 
 
 def cos_field(m=1, modes=4):
@@ -68,10 +70,34 @@ def test_hermitian_part_is_bitwise_symmetric():
         shape = (3,) + (9,) * m
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         h = hermitian_part(raw)
-        rev = h[(slice(None),) + (slice(None, None, -1),) * m]
-        assert np.array_equal(h, np.conj(rev))
+        assert is_mirror_symmetric(h)
         # projection is idempotent, bitwise
         assert np.array_equal(hermitian_part(h), h)
+
+
+def is_mirror_symmetric(coeffs):
+    """c_{-k} == conj(c_k) exactly, for every component."""
+    rev = coeffs[(slice(None),) + (slice(None, None, -1),) * (coeffs.ndim - 1)]
+    return np.array_equal(coeffs, np.conj(rev))
+
+
+@settings(max_examples=25)
+@given(
+    m=st.integers(1, 2),
+    modes=st.integers(0, 6),
+    components=st.integers(1, 4),
+    factor=st.floats(-1e3, 1e3, allow_nan=False),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_fields_stay_hermitian(m, modes, components, factor, extra, seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(m, modes, components, rng)
+    g = random_field(m, modes, components, rng)
+    grid = GridDomain.full_torus(m, max(2 * modes + 1, 3) + extra)  # lattices need 3 nodes
+    back = synthesize(sample(f, grid), modes)
+    for h in (f + g, f - g, f.scaled(factor), back):
+        assert h.real and is_mirror_symmetric(h.coeffs)
 
 
 def test_random_field_evaluates_real():
@@ -241,6 +267,57 @@ def test_surface_sample_matches_evaluate_at_nodes(grid):
     scale = float(np.abs(want).max())
     assert scale > 1.0
     assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def per_point_evaluate(field, points):
+    """Reference for m = 2 evaluate: phases and both contractions per point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    p0 = phase_matrix(pts[:, 0], field.modes)
+    p1 = phase_matrix(pts[:, 1], field.modes)
+    tmp = np.einsum("qa,nab->qnb", p0, field.coeffs)
+    vals = np.einsum("qb,qnb->qn", p1, tmp)
+    return vals.real if field.real else vals
+
+
+@pytest.fixture(scope="module")
+def torus4():
+    return torus_four_charts()
+
+
+@settings(max_examples=25)
+@given(
+    components=st.integers(1, 9),
+    modes=st.integers(0, 6),
+    real=st.booleans(),
+    chart=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, real, chart, seed):
+    rng = np.random.default_rng(seed)
+    shape = (components,) + (2 * modes + 1,) * 2
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = BandlimitedField(2, modes, hermitian_part(coeffs) if real else coeffs, real)
+    c = torus4.charts[chart]
+    nodes = c.from_chart(c.window.nodes())
+    q = int(rng.integers(1, 200))
+    point_sets = {
+        "chart window": nodes,
+        "shuffled window": rng.permutation(nodes),
+        "uniform": rng.uniform(0.0, TWO_PI, (q, 2)),
+        "five values": rng.choice(rng.uniform(0.0, TWO_PI, 5), (q, 2)),
+        "single point": rng.uniform(0.0, TWO_PI, (1, 2)),
+        "signed zeros": rng.choice([0.0, -0.0, 1.5], (q, 2)),
+    }
+    for name, pts in point_sets.items():
+        assert f.evaluate(pts).tobytes() == per_point_evaluate(f, pts).tobytes(), name
+
+
+def test_random_torus_section_is_bitwise_per_point(torus4, monkeypatch):
+    got = random_section(torus4, 3, np.random.default_rng(31))
+    monkeypatch.setattr(BandlimitedField, "evaluate", per_point_evaluate)
+    want = random_section(torus4, 3, np.random.default_rng(31))
+    for g, w in zip(got.pieces, want.pieces):
+        assert g.values.tobytes() == w.values.tobytes()
 
 
 def test_phase_and_wavenumber_helpers():

@@ -152,14 +152,38 @@ def test_files_with_a_bad_tolerance_are_rejected(tol):
     curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
     curve["sections"][1]["tolerance"] = tol
     cases = [
-        (load_section, {**dump_section(xi.section), "tolerance": tol}),
-        (load_group_section, {**dump_group_section(exp_section(xi)), "tolerance": tol}),
-        (load_curve, curve),
+        (load_section, {**dump_section(xi.section), "tolerance": tol}, ""),
+        (
+            load_group_section,
+            {**dump_group_section(exp_section(xi)), "tolerance": tol},
+            "",
+        ),
+        (load_curve, curve, "curve section 1: "),
     ]
-    for load, doc in cases:
+    for load, doc, where in cases:
         # Through JSON text: Python's json writes and reads NaN and Infinity.
-        with pytest.raises(InputError, match="^tolerance must be positive"):
+        with pytest.raises(InputError, match=f"^{where}tolerance must be positive"):
             load(json.loads(canonical_json(doc)))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("atlas_hash", "000000000000", "atlas hash mismatch: file has 000000000000"),
+        ("kind", "sampled", "not a section document"),
+        ("pieces", None, "section document has no key 'pieces'"),
+    ],
+    ids=["stale-hash", "wrong-kind", "missing-key"],
+)
+def test_curve_loader_names_the_section_of_a_section_level_error(key, value, message):
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
+    doc = dump_curve(TimeSampledCurve(np.array([0.0, 0.5, 1.0]), (xi, xi, xi)))
+    if value is None:
+        del doc["sections"][2][key]
+    else:
+        doc["sections"][2][key] = value
+    with pytest.raises(InputError, match=f"^curve section 2: {message}"):
+        load_curve(doc)
 
 
 def same_bytes(a, b):
