@@ -154,24 +154,27 @@ def probe_cutoff_bound(
     )
 
 
+# Check id -> the keyword of its probe that a tolerance of that id
+# overrides (the zero-extension check is exact and takes none).
+TOLERANCE_KEYWORDS = {"axiom-PF": "slope_window", "axiom-PB": "tol", "axiom-MU": "rel_tol"}
+
+
 def run_axiom_suite(rng_for, tolerances=None) -> list[AxiomCheck]:
     """Run the four probes with independent substreams.
 
     ``rng_for(name)`` must return a fresh generator per probe name, so the
     suite outcome is reproducible regardless of execution order.  The
     optional ``tolerances`` map overrides per-check acceptance windows by
-    check id (the zero-extension check is exact and takes none).
+    check id (see ``TOLERANCE_KEYWORDS``); other names in it are ignored.
     """
     tol = dict(tolerances or {})
+
+    def window(check_id: str) -> dict:
+        return {TOLERANCE_KEYWORDS[check_id]: tol[check_id]} if check_id in tol else {}
+
     return [
-        probe_superposition_continuity(
-            rng_for("axiom-PF"), slope_window=tol.get("axiom-PF", 0.2)
-        ),
-        probe_pullback_functoriality(
-            rng_for("axiom-PB"), tol=tol.get("axiom-PB", 1e-9)
-        ),
+        probe_superposition_continuity(rng_for("axiom-PF"), **window("axiom-PF")),
+        probe_pullback_functoriality(rng_for("axiom-PB"), **window("axiom-PB")),
         probe_extend_by_zero(rng_for("axiom-GL")),
-        probe_cutoff_bound(
-            rng_for("axiom-MU"), rel_tol=tol.get("axiom-MU", 0.05)
-        ),
+        probe_cutoff_bound(rng_for("axiom-MU"), **window("axiom-MU")),
     ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import BUILTIN_ATLASES, builtin_atlas
-from .axioms import run_axiom_suite
+from .axioms import TOLERANCE_KEYWORDS, run_axiom_suite
 from .domains import (
     DOMAIN_BUILDERS,
     FlowField,
@@ -75,6 +75,23 @@ CONFIG_KEYS = {
     "out": str,
 }
 
+# Tolerance names the subcommands read, with their defaults.  The axiom
+# ids are read by ``run_axiom_suite``, which keeps their defaults.
+TOLERANCES = {
+    "norm-monotonicity": 1e-12,
+    "extension-residual": 1e-8,
+    "kernel-orthogonality": 1e-8,
+    "group-identities": 1e-12,
+    "exp-log": 1e-9,
+    "conjugation": 1e-10,
+    "bracket": 1e-6,
+    "bch-slope": 2.9,
+    "evolve-gap": 1e-8,
+    "rung-monotonicity": 1e-12,
+    "descent-slope": 1e-4,
+}
+TOLERANCE_NAMES = sorted([*TOLERANCES, *TOLERANCE_KEYWORDS])
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -116,8 +133,8 @@ class RunConfig:
     def resolution(self) -> int:
         return self.grid_factor * self.modes + 1
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
     def rng_for(self, suite: str) -> np.random.Generator:
         """Independent substream per suite name: adding a suite never
@@ -143,6 +160,10 @@ def load_config_file(path: Path) -> dict:
             raise InputError(
                 f"{path}: tolerance {name!r} must be a number, got {value!r}"
             )
+        if name not in TOLERANCE_NAMES:
+            raise InputError(
+                f"{path}: unknown tolerance {name!r}; choose from {TOLERANCE_NAMES}"
+            )
     return doc
 
 
@@ -156,40 +177,45 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _finish(config: RunConfig, name: str, report: dict) -> int:
-    passed = bool(report["passed"])
+def _record(check_id: str, passed, **measures) -> dict:
+    """One check of a report: its id, its verdict and what it measured."""
+    return {"check_id": check_id, "passed": bool(passed), "measures": measures}
+
+
+def _at_most(check_id: str, value: float, tolerance: float) -> dict:
+    return _record(check_id, value <= tolerance, value=value, tolerance=tolerance)
+
+
+def _out_path(config: RunConfig, name: str) -> Path:
     config.out.mkdir(parents=True, exist_ok=True)
-    path = config.out / f"{name}.json"
+    return config.out / name
+
+
+def _finish(config: RunConfig, name: str, report: dict, checks: list) -> int:
+    """Write the report with its seed, its check records and their verdict."""
+    failing = sorted(c["check_id"] for c in checks if not c["passed"])
+    report.update(seed=config.seed, checks=checks, failing=failing, passed=not failing)
+    path = _out_path(config, f"{name}.json")
     write_json(path, report)
-    print(f"{name}: {'pass' if passed else 'FAIL'} ({path})")
-    if not passed:
-        failing = report.get("failing", [])
-        if failing:
-            print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
-    return 0 if passed else 1
+    print(f"{name}: {'FAIL' if failing else 'pass'} ({path})")
+    if failing:
+        print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
+    return 1 if failing else 0
 
 
-def cmd_verify_axioms(config: RunConfig) -> int:
+def cmd_verify_axioms(config: RunConfig, args: argparse.Namespace) -> int:
     checks = sorted(
         run_axiom_suite(config.rng_for, config.tolerances),
         key=lambda c: c.check_id,
     )
-    report = {
-        "suite": "verify-axioms",
-        "seed": config.seed,
-        "checks": [
-            {"check_id": c.check_id, "passed": c.passed, "measures": c.measures}
-            for c in checks
-        ],
-        "failing": [c.check_id for c in checks if not c.passed],
-        "passed": all(c.passed for c in checks),
-    }
-    return _finish(config, "axioms", report)
+    records = [_record(c.check_id, c.passed, **c.measures) for c in checks]
+    report = {"suite": "verify-axioms"}
+    return _finish(config, "axioms", report, records)
 
 
-def cmd_norms(config: RunConfig) -> int:
+def cmd_norms(config: RunConfig, args: argparse.Namespace) -> int:
     rng = config.rng_for("norms")
-    tol = config.tol("norm-monotonicity", 1e-12)
+    tol = config.tol("norm-monotonicity")
     fields = 200
     pairs = 10
     worst = 0.0
@@ -203,27 +229,25 @@ def cmd_norms(config: RunConfig) -> int:
     exponents = [round(0.25 * j, 2) for j in range(17)]
     probe = random_field(1, config.modes, 1, rng)
     rows = [(s, hs_norm(probe, s, config.convention)) for s in exponents]
-    config.out.mkdir(parents=True, exist_ok=True)
-    csv_path = config.out / "norms.csv"
+    csv_path = _out_path(config, "norms.csv")
     lines = [f"# weight_exponent_convention={convention_tag(config.convention)}"]
     lines.append("s,norm")
     lines.extend(f"{s},{n!r}" for s, n in rows)
     csv_path.write_text("\n".join(lines) + "\n")
     report = {
         "suite": "norms",
-        "seed": config.seed,
         "weight_exponent_convention": convention_tag(config.convention),
         "fields": fields,
         "pairs_per_field": pairs,
         "max_relative_violation": worst,
         "tolerance": tol,
         "norm_table": csv_path.name,
-        "passed": worst <= tol,
     }
-    return _finish(config, "norms", report)
+    checks = [_at_most("norm_monotonicity", worst, tol)]
+    return _finish(config, "norms", report, checks)
 
 
-def cmd_extend(config: RunConfig) -> int:
+def cmd_extend(config: RunConfig, args: argparse.Namespace) -> int:
     measures = extension_probe(
         config.rng_for("extend"),
         instances=8,
@@ -232,25 +256,26 @@ def cmd_extend(config: RunConfig) -> int:
         resolution=config.resolution,
         convention=config.convention,
     )
-    tol_interp = config.tol("extension-residual", 1e-8)
-    tol_kernel = config.tol("kernel-orthogonality", 1e-8)
+    tol_interp = config.tol("extension-residual")
+    tol_kernel = config.tol("kernel-orthogonality")
     report = {
         "suite": "extend",
-        "seed": config.seed,
         "weight_exponent_convention": convention_tag(config.convention),
         **measures,
         "interp_tolerance": tol_interp,
         "kernel_tolerance": tol_kernel,
-        "passed": (
-            measures["max_interp_residual"] <= tol_interp
-            and measures["max_kernel_overlap"] <= tol_kernel
-            and measures["min_minimality_margin"] >= -1e-12
-        ),
     }
-    return _finish(config, "extend", report)
+    margin = measures["min_minimality_margin"]
+    floor = -1e-12
+    checks = [
+        _at_most("extension_residual", measures["max_interp_residual"], tol_interp),
+        _at_most("kernel_orthogonality", measures["max_kernel_overlap"], tol_kernel),
+        _record("minimality", margin >= floor, value=margin, minimum=floor),
+    ]
+    return _finish(config, "extend", report, checks)
 
 
-def cmd_group_demo(config: RunConfig) -> int:
+def cmd_group_demo(config: RunConfig, args: argparse.Namespace) -> int:
     rng = config.rng_for("group-demo")
     atlas = builtin_atlas(config.atlas)
     group = group_by_name(config.group)
@@ -288,42 +313,29 @@ def cmd_group_demo(config: RunConfig) -> int:
         bracket_from_products(xi, eta) - bracket(xi, eta)
     ).sup_coord_norm()
 
-    checks = {
-        "associativity": (assoc, config.tol("group-identities", 1e-12)),
-        "identity": (ident_gap, config.tol("group-identities", 1e-12)),
-        "inverse": (inverse, config.tol("group-identities", 1e-12)),
-        "exp_log_round_trip": (explog, config.tol("exp-log", 1e-9)),
-        "conjugation_adjoint": (conj, config.tol("conjugation", 1e-10)),
-        "bracket_extraction": (bracket_gap, config.tol("bracket", 1e-6)),
-    }
-    failing = [name for name, (v, tol) in checks.items() if v > tol]
-    min_slope = config.tol("bch-slope", 2.9)
-    if slope < min_slope:
-        failing.append("bch_order2_slope")
+    identities = config.tol("group-identities")
+    min_slope = config.tol("bch-slope")
+    checks = [
+        _at_most("associativity", assoc, identities),
+        _at_most("identity", ident_gap, identities),
+        _at_most("inverse", inverse, identities),
+        _at_most("exp_log_round_trip", explog, config.tol("exp-log")),
+        _at_most("conjugation_adjoint", conj, config.tol("conjugation")),
+        _at_most("bracket_extraction", bracket_gap, config.tol("bracket")),
+        _record("bch_order2_slope", slope >= min_slope, value=slope, minimum=min_slope),
+    ]
     report = {
         "suite": "group-demo",
-        "seed": config.seed,
         "group": group.name,
         "atlas": atlas.name,
         "random_pairs": pairs,
-        "checks": {
-            name: {"value": v, "tolerance": tol, "passed": v <= tol}
-            for name, (v, tol) in checks.items()
-        },
-        "bch_order2_slope": {
-            "value": slope,
-            "minimum": min_slope,
-            "passed": slope >= min_slope,
-        },
-        "failing": sorted(failing),
-        "passed": not failing,
     }
-    return _finish(config, "group_demo", report)
+    return _finish(config, "group_demo", report, checks)
 
 
-def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
+def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
     steps = 64
-    if curve_path is None:
+    if args.curve is None:
         xi = random_algebra_section(
             builtin_atlas(config.atlas),
             group_by_name(config.group),
@@ -332,11 +344,11 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
         curve = constant_curve(xi)
         mode = "constant"
     else:
-        doc = read_json(curve_path)
+        doc = read_json(args.curve)
         try:
             curve = load_curve(doc)
         except InputError as exc:
-            raise InputError(f"{curve_path}: {exc}") from exc
+            raise InputError(f"{args.curve}: {exc}") from exc
         mode = "file"
         steps = max(steps, curve.resolution)
     eta1 = evolve(curve, steps)
@@ -344,15 +356,12 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
     report = {
         "suite": "evolve",
         "check_id": "eq-inival",
-        "seed": config.seed,
         "mode": mode,
         "steps": steps,
         "final_relation_defect": final_defect,
     }
-    tol = config.tol("evolve-gap", 1e-8)
-    failing = []
-    if final_defect > tol:
-        failing.append("relation_defect")
+    tol = config.tol("evolve-gap")
+    checks = [_at_most("relation_defect", final_defect, tol)]
     if mode == "constant":
         target = exp_section(curve.sections[0])
         gap = sup_entry_gap(eta1.pieces, target.pieces)
@@ -360,21 +369,17 @@ def cmd_evolve(config: RunConfig, curve_path: Path | None) -> int:
         ratio = err_coarse / max(gap, 1e-300)
         report["constant_curve_gap"] = gap
         report["halving_error_ratio"] = ratio
-        if gap > tol:
-            failing.append("constant_curve_gap")
-    config.out.mkdir(parents=True, exist_ok=True)
-    eta_path = config.out / "evolve_eta1.json"
+        checks.append(_at_most("constant_curve_gap", gap, tol))
+    eta_path = _out_path(config, "evolve_eta1.json")
     write_json(eta_path, dump_group_section(eta1, config.convention))
     report["eta1_file"] = eta_path.name
-    report["failing"] = failing
-    report["passed"] = not failing
-    return _finish(config, "evolve", report)
+    return _finish(config, "evolve", report, checks)
 
 
-def cmd_ladder(config: RunConfig) -> int:
+def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
     rng = config.rng_for("ladder")
     lad = ladder(0.5, 4)
-    tol_mono = config.tol("rung-monotonicity", 1e-12)
+    tol_mono = config.tol("rung-monotonicity")
     estimates = []
     for alpha in (1.0, 1.5, 2.0):
         est = critical_order_estimate(alpha, convention=config.convention)
@@ -390,13 +395,12 @@ def cmd_ladder(config: RunConfig) -> int:
         ]
         for coarse, fine in zip(norms[1:], norms[:-1]):
             worst_mono = max(worst_mono, (coarse - fine) / max(fine, 1e-300))
-    config.out.mkdir(parents=True, exist_ok=True)
     spectra_files = []
     for j in range(1, lad.count):
         probe = rung_compactness_probe(
             lad, j, config.modes, convention=config.convention
         )
-        path = config.out / f"spectrum_rung_{j}.csv"
+        path = _out_path(config, f"spectrum_rung_{j}.csv")
         write_spectrum_csv(path, probe.spectrum, config.convention)
         spectra_files.append(
             {
@@ -409,14 +413,8 @@ def cmd_ladder(config: RunConfig) -> int:
                 "file": path.name,
             }
         )
-    failing = []
-    if max_err > 0.1:
-        failing.append("critical_order")
-    if worst_mono > tol_mono:
-        failing.append("rung_monotonicity")
     report = {
         "suite": "ladder",
-        "seed": config.seed,
         "weight_exponent_convention": convention_tag(config.convention),
         "s0": lad.s0,
         "rungs": list(lad.rungs),
@@ -424,31 +422,25 @@ def cmd_ladder(config: RunConfig) -> int:
         "max_order_error": max_err,
         "rung_monotonicity_violation": worst_mono,
         "spectra": spectra_files,
-        "failing": failing,
-        "passed": not failing,
     }
-    return _finish(config, "ladder", report)
+    checks = [
+        _at_most("critical_order", max_err, 0.1),
+        _at_most("rung_monotonicity", worst_mono, tol_mono),
+    ]
+    return _finish(config, "ladder", report, checks)
 
 
-def cmd_shrink(config: RunConfig, domain_name: str) -> int:
-    domain = domain_by_name(domain_name)
+def cmd_shrink(config: RunConfig, args: argparse.Namespace) -> int:
+    domain = domain_by_name(args.domain)
     flow_field = FlowField(domain)
     rng = config.rng_for("shrink-domain")
     descent = monotone_descent_check(
         flow_field, boundary_samples(domain, 40, rng)
     )
     cert = shrink_domain(flow_field, t0=0.1, samples=200, rng=rng)
-    slope_tol = config.tol("descent-slope", 1e-4)
-    failing = []
-    if not descent.all_descending:
-        failing.append("descent_direction")
-    if descent.max_abs_error > slope_tol:
-        failing.append("descent_slope")
-    if not cert.passed:
-        failing.append("shrink_margin")
+    slope_tol = config.tol("descent-slope")
     report = {
         "suite": "shrink-domain",
-        "seed": config.seed,
         "domain": domain.name,
         "t0": cert.t0,
         "steps": cert.steps,
@@ -458,10 +450,15 @@ def cmd_shrink(config: RunConfig, domain_name: str) -> int:
         "worst_points": [list(p) for p in cert.worst_points],
         "descent_slope_error": descent.max_abs_error,
         "descent_slope_tolerance": slope_tol,
-        "failing": failing,
-        "passed": not failing,
     }
-    return _finish(config, f"shrink_{domain.name}", report)
+    checks = [
+        _record("descent_direction", descent.all_descending,
+                max_slope=float(descent.slopes.max())),
+        _at_most("descent_slope", descent.max_abs_error, slope_tol),
+        # shrink_domain passes a margin strictly above the minimum.
+        _record("shrink_margin", cert.passed, value=cert.margin, minimum=0.0),
+    ]
+    return _finish(config, f"shrink_{domain.name}", report, checks)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -488,22 +485,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_run_flags(p, top=False)
+        p.set_defaults(run=run)
         return p
 
-    add("verify-axioms", "run the four closure-axiom probes")
-    add("norms", "norm monotonicity audit and norm table")
-    add("extend", "minimum-norm extension audit")
-    add("group-demo", "pointwise group identity checks")
-    p_evolve = add("evolve", "integrate a product ODE curve")
+    add("verify-axioms", "run the four closure-axiom probes", cmd_verify_axioms)
+    add("norms", "norm monotonicity audit and norm table", cmd_norms)
+    add("extend", "minimum-norm extension audit", cmd_extend)
+    add("group-demo", "pointwise group identity checks", cmd_group_demo)
+    p_evolve = add("evolve", "integrate a product ODE curve", cmd_evolve)
     p_evolve.add_argument(
         "curve", nargs="?", type=Path, default=None,
         help="curve JSON (default: random constant curve)",
     )
-    add("ladder", "rung spectra and critical-order fits")
-    p_shrink = add("shrink-domain", "inner-flow certificate")
+    add("ladder", "rung spectra and critical-order fits", cmd_ladder)
+    p_shrink = add("shrink-domain", "inner-flow certificate", cmd_shrink)
     p_shrink.add_argument(
         "domain", nargs="?", default="disc",
         help=f"domain name, one of {sorted(DOMAIN_BUILDERS)}",
@@ -516,21 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        if args.command == "verify-axioms":
-            return cmd_verify_axioms(config)
-        if args.command == "norms":
-            return cmd_norms(config)
-        if args.command == "extend":
-            return cmd_extend(config)
-        if args.command == "group-demo":
-            return cmd_group_demo(config)
-        if args.command == "evolve":
-            return cmd_evolve(config, args.curve)
-        if args.command == "ladder":
-            return cmd_ladder(config)
-        if args.command == "shrink-domain":
-            return cmd_shrink(config, args.domain)
-        raise InputError(f"unknown command {args.command!r}")
+        return args.run(config, args)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -303,6 +303,11 @@ def atlas_hash(a: Atlas) -> str:
     return digest.hexdigest()[:12]
 
 
+# Largest lattice resolution a document may name.  The named atlas is built
+# before its hash can be checked, so this bounds what a file can allocate.
+MAX_LATTICE_RESOLUTION = 4097
+
+
 def _resolve_atlas(doc: dict, built: dict) -> Atlas:
     """The builtin atlas a document names, checked against its hash.
 
@@ -311,6 +316,11 @@ def _resolve_atlas(doc: dict, built: dict) -> Atlas:
     cached operators.
     """
     resolution = _require(doc, "lattice_resolution", int)
+    if resolution > MAX_LATTICE_RESOLUTION:
+        raise InputError(
+            f"{doc['kind']} key 'lattice_resolution' must be at most "
+            f"{MAX_LATTICE_RESOLUTION}, got {resolution}"
+        )
     key = (_require(doc, "atlas", str), resolution)
     if key not in built:
         built[key] = builtin_atlas(key[0], resolution=resolution)

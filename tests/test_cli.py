@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line front end (in process)."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,27 @@ import numpy as np
 import pytest
 
 import mapgroups
-from mapgroups.cli import main
+from mapgroups.cli import TOLERANCE_NAMES, TOLERANCES, main
+from mapgroups.serialize import MAX_LATTICE_RESOLUTION
 
 
 def read(path: Path):
     return json.loads(path.read_text())
+
+
+def assert_check_records(rep: dict) -> dict:
+    """The report's checks are uniform records whose verdicts give
+    ``failing`` and ``passed``; returns the records by check id."""
+    checks = rep["checks"]
+    assert isinstance(checks, list)
+    for c in checks:
+        assert isinstance(c, dict) and set(c) == {"check_id", "passed", "measures"}
+        assert isinstance(c["passed"], bool) and isinstance(c["measures"], dict)
+    by_id = {c["check_id"]: c for c in checks}
+    assert len(by_id) == len(checks)
+    assert rep["failing"] == sorted(i for i, c in by_id.items() if c["passed"] is False)
+    assert rep["passed"] is (rep["failing"] == [])
+    return by_id
 
 
 def test_group_demo_passes_and_reports(tmp_path, capsys):
@@ -25,14 +43,16 @@ def test_group_demo_passes_and_reports(tmp_path, capsys):
     rep = read(tmp_path / "group_demo.json")
     assert rep["passed"] is True
     assert rep["group"] == "SO3" and rep["atlas"] == "circle2"
-    assert rep["checks"]["associativity"]["passed"]
-    assert rep["bch_order2_slope"]["value"] >= 2.9
+    checks = assert_check_records(rep)
+    assert checks["associativity"]["passed"]
+    assert checks["bch_order2_slope"]["measures"]["value"] >= 2.9
 
 
 def test_verify_axioms_writes_all_four_checks(tmp_path):
     code = main(["verify-axioms", "--out", str(tmp_path)])
     assert code == 0
     rep = read(tmp_path / "axioms.json")
+    assert_check_records(rep)
     ids = [c["check_id"] for c in rep["checks"]]
     assert ids == ["axiom-GL", "axiom-MU", "axiom-PB", "axiom-PF"]
     assert rep["failing"] == []
@@ -44,6 +64,7 @@ def test_norms_emits_table_and_respects_convention(tmp_path):
     )
     assert code == 0
     rep = read(tmp_path / "norms.json")
+    assert_check_records(rep)
     assert rep["weight_exponent_convention"] == "standard-s"
     assert rep["max_relative_violation"] <= 1e-12
     assert rep["norm_table"] == "norms.csv"
@@ -56,6 +77,7 @@ def test_evolve_constant_curve_and_artifact(tmp_path):
     code = main(["evolve", "--out", str(tmp_path), "--seed", "3"])
     assert code == 0
     rep = read(tmp_path / "evolve.json")
+    assert_check_records(rep)
     assert rep["check_id"] == "eq-inival"
     assert rep["mode"] == "constant"
     assert rep["constant_curve_gap"] <= 1e-8
@@ -80,6 +102,7 @@ def test_evolve_accepts_curve_file(tmp_path):
     code = main(["evolve", str(curve_path), "--out", str(tmp_path / "run")])
     assert code == 0
     rep = read(tmp_path / "run" / "evolve.json")
+    assert_check_records(rep)
     assert rep["mode"] == "file"
     assert rep["final_relation_defect"] <= 1e-8
 
@@ -88,6 +111,7 @@ def test_ladder_reports_orders_and_spectra(tmp_path):
     code = main(["ladder", "--out", str(tmp_path)])
     assert code == 0
     rep = read(tmp_path / "ladder.json")
+    assert_check_records(rep)
     assert rep["rungs"] == [1.5, 1.0, 0.8333333333333333, 0.75]
     for entry in rep["critical_orders"]:
         assert abs(entry["estimate"] - entry["target"]) < 0.1
@@ -106,6 +130,7 @@ def test_extend_probe_cli(tmp_path):
     code = main(["extend", "--out", str(tmp_path), "--modes", "16"])
     assert code == 0
     rep = read(tmp_path / "extend.json")
+    assert_check_records(rep)
     assert rep["max_interp_residual"] <= 1e-8
     assert rep["max_kernel_overlap"] <= 1e-8
     assert rep["min_minimality_margin"] >= -1e-12
@@ -116,6 +141,7 @@ def test_shrink_domain_certificate(tmp_path):
     code = main(["shrink-domain", "--out", str(tmp_path)])
     assert code == 0
     rep = read(tmp_path / "shrink_disc.json")
+    assert_check_records(rep)
     assert rep["margin"] == pytest.approx(0.19, abs=1e-6)
     assert rep["anchor_fixed_defect"] == 0.0
     code2 = main(["shrink-domain", "ellipse", "--out", str(tmp_path)])
@@ -182,16 +208,26 @@ def test_config_file_out_is_used_without_the_flag(tmp_path, capsys):
 # failure and error paths
 
 
-def test_zero_tolerance_forces_check_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, tolerance, report, check_id",
+    [
+        ("verify-axioms", "axiom-MU", "axioms.json", "axiom-MU"),
+        ("extend", "extension-residual", "extend.json", "extension_residual"),
+    ],
+    ids=["verify-axioms", "extend"],
+)
+def test_zero_tolerance_forces_check_failure(
+    tmp_path, capsys, command, tolerance, report, check_id
+):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"axiom-MU": 0.0}}))
-    code = main(["verify-axioms", "--config", str(cfg), "--out", str(tmp_path)])
+    cfg.write_text(json.dumps({"tolerances": {tolerance: 0.0}}))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path), "--modes", "16"])
     assert code == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
-    assert "failing checks: axiom-MU" in captured.err
-    rep = read(tmp_path / "axioms.json")
-    assert rep["failing"] == ["axiom-MU"]
+    assert f"failing checks: {check_id}\n" in captured.err
+    rep = read(tmp_path / report)
+    assert rep["failing"] == [check_id]
 
 
 def test_unknown_atlas_is_an_input_error(tmp_path, capsys):
@@ -231,8 +267,12 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
         ({"tolerances": {"x": "a"}}, "'x'"),
         ({"tolerances": [1]}, "'tolerances'"),
         ({"atlas": 4}, "'atlas'"),
+        ({"tolerances": {"group-identities": 1e-3, "x": 1}}, "'x'"),
     ],
-    ids=["seed-str", "modes-bool", "tolerance-str", "tolerances-list", "atlas-int"],
+    ids=[
+        "seed-str", "modes-bool", "tolerance-str", "tolerances-list", "atlas-int",
+        "tolerance-unknown",
+    ],
 )
 def test_mistyped_config_values_are_input_errors(tmp_path, capsys, doc, key):
     path = tmp_path / "cfg.json"
@@ -289,6 +329,30 @@ def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
     assert not (tmp_path / "evolve.json").exists()
 
 
+@pytest.mark.parametrize(
+    "resolution", [10**19, MAX_LATTICE_RESOLUTION + 1], ids=["1e19", "limit+1"]
+)
+def test_curve_file_with_a_huge_lattice_resolution_exits_2(tmp_path, capsys, resolution):
+    """The limit is checked before the named atlas is built."""
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import random_algebra_section, so3
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve
+
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(5))
+    doc = dump_curve(constant_curve(xi))
+    doc["sections"][0]["lattice_resolution"] = resolution
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {path}: curve section 0: section key 'lattice_resolution' must be at most "
+        f"{MAX_LATTICE_RESOLUTION}, got {resolution}\n"
+    )
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
     from mapgroups.atlas import circle_two_charts
     from mapgroups.groups import random_algebra_section, so3
@@ -339,3 +403,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ladder: pass")
+
+
+def test_readme_tolerance_table_lists_every_accepted_name():
+    from mapgroups import axioms
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-zA-Z-]+)` \| ([^ |]+) \|", readme.read_text(), re.M)
+    table = {name: float(default) for name, default in rows}
+    assert len(table) == len(rows)
+    assert sorted(table) == TOLERANCE_NAMES
+    probes = {
+        "axiom-PF": axioms.probe_superposition_continuity,
+        "axiom-PB": axioms.probe_pullback_functoriality,
+        "axiom-MU": axioms.probe_cutoff_bound,
+    }
+    for name, probe in probes.items():
+        keyword = axioms.TOLERANCE_KEYWORDS[name]
+        assert table[name] == inspect.signature(probe).parameters[keyword].default, name
+    for name, default in TOLERANCES.items():
+        assert table[name] == default, name
