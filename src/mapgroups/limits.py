@@ -13,7 +13,9 @@ between its time samples.  The equation is linear, so each RK4 step is a
 right factor ``eta -> eta @ R`` built from the curve alone; the time-1
 value is the ordered product of the step factors.  On a chart where every
 time sample is the same, all factors are equal and the product is a
-matrix power, taken by repeated squaring.
+matrix power, taken by repeated squaring.  The steps run on entry-first
+node stacks, ``(d, d, K)`` for K nodes, and every matrix product goes
+through one kernel that contracts the entry axes node by node.
 """
 
 from __future__ import annotations
@@ -234,17 +236,43 @@ def constant_curve(xi: AlgebraSection) -> TimeSampledCurve:
 
 
 def _chart_curve_matrices(curve: TimeSampledCurve, j: int) -> np.ndarray:
-    """Stack of per-time matrices for one chart, shape (T, K, d, d)."""
-    return np.stack([sec.chart_matrices(j) for sec in curve.sections])
+    """Entry-first stack of one chart's curve matrices, shape (T, d, d, K).
+
+    One C-contiguous allocation: the einsum kernel slows down many times
+    over on a strided stack.
+    """
+    d, nodes = curve.group.dim, curve.atlas.charts[j].window.node_count
+    stack = np.empty((len(curve.sections), d, d, nodes))
+    for out, sec in zip(stack, curve.sections):
+        out[...] = sec.chart_matrices(j).transpose(1, 2, 0)
+    return stack
 
 
 def _interp_matrices(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
-    """Linear-in-time interpolation of a (T, K, d, d) matrix stack."""
+    """Linear-in-time interpolation of a (T, d, d, K) matrix stack."""
     t = min(max(t, 0.0), 1.0)
     pos = np.searchsorted(times, t, side="right") - 1
     pos = min(pos, times.size - 2)
     w = (t - times[pos]) / (times[pos + 1] - times[pos])
     return (1.0 - w) * stack[pos] + w * stack[pos + 1]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Node-wise matrix product of two entry-first (d, d, K) stacks."""
+    return np.einsum("ikn,kjn->ijn", a, b)
+
+
+def _power(a: np.ndarray, n: int) -> np.ndarray:
+    """Node-wise power ``a**n`` (n >= 1) of a (d, d, K) stack by repeated
+    squaring, the powers of two multiplied in from the right."""
+    result = None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            result = a if result is None else _product(result, a)
+        if not n:
+            return result
+        a = _product(a, a)
 
 
 def _rk4_factor(
@@ -253,13 +281,15 @@ def _rk4_factor(
     """Right factor R of one classical RK4 step of eta' = eta @ a(t).
 
     ``a1``, ``a2``, ``a4`` are the curve at the step's start, midpoint and
-    end.  The stages k1..k4 are ``eta @ a1``, ``eta @ B2``, ``eta @ B3``,
-    ``eta @ B4``, so the step is ``eta -> eta @ R`` with R independent of eta.
+    end, as (d, d, K) stacks.  The stages k1..k4 are ``eta @ a1``,
+    ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
+    ``eta -> eta @ R`` with R independent of eta.
     """
-    b2 = a2 + (0.5 * h) * (a1 @ a2)
-    b3 = a2 + (0.5 * h) * (b2 @ a2)
-    b4 = a4 + h * (b3 @ a4)
-    return np.eye(a1.shape[-1]) + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+    b2 = a2 + (0.5 * h) * _product(a1, a2)
+    b3 = a2 + (0.5 * h) * _product(b2, a2)
+    b4 = a4 + h * _product(b3, a4)
+    eye = np.eye(a1.shape[0])[..., None]
+    return eye + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
 def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
@@ -269,6 +299,8 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     count must be at least the curve's time resolution.  Each step is a
     right factor (``_rk4_factor``); where a chart's time samples are all
     bitwise equal, the time-1 value is that factor to the power ``steps``.
+    Each chart runs on its entry-first stack, every product through one
+    kernel (``_product``); its time-1 value turns back to (K, d, d) once.
     Time-1 values whose relation defect exceeds the GroupSection
     construction limit are re-projected (``groups.onto_group``); one that
     projection cannot repair, or whose chart pieces fail the GroupSection
@@ -285,7 +317,7 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
         stack = _chart_curve_matrices(curve, j)
         if (stack == stack[0]).all():
             a = stack[0]
-            eta = np.linalg.matrix_power(_rk4_factor(a, a, a, h), steps)
+            eta = _power(_rk4_factor(a, a, a, h), steps)
         else:
             eta = None
             for i in range(steps):
@@ -294,7 +326,8 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
                 a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
                 a4 = _interp_matrices(stack, curve.times, t + h)
                 r = _rk4_factor(a1, a2, a4, h)
-                eta = r if eta is None else eta @ r
+                eta = r if eta is None else _product(eta, r)
+        eta = np.ascontiguousarray(eta.transpose(2, 0, 1))
         pieces.append(onto_group(group, eta, RELATION_DEFECT_LIMIT, "time-1 value", j))
     try:
         return GroupSection(curve.atlas, group, tuple(pieces))

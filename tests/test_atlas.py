@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgroups.atlas import (
     Atlas,
@@ -138,6 +140,64 @@ def test_validation_passes_for_builtins():
     rep2 = validate_atlas(torus_four_charts(), overlap_per_axis=17)
     assert rep2.passed, rep2
     assert rep2.cover_margin == pytest.approx(0.15374736581127357, abs=1e-12)
+
+
+@st.composite
+def atlas_parameters(draw, resolutions):
+    """Builtin-atlas keywords across their valid ranges, with at most one
+    of window_half, half_width or plateau pushed out of its range."""
+    broken = draw(st.sampled_from([None, None, "window_half", "half_width", "plateau"]))
+    if broken == "window_half":
+        window_half = draw(st.floats(min_value=1.0, max_value=PI / 2))
+    else:
+        window_half = draw(
+            st.floats(min_value=PI / 2, max_value=3.0, exclude_min=True)
+        )
+    if broken == "half_width":
+        half_width = draw(
+            st.floats(min_value=window_half - 0.5, max_value=window_half)
+            | st.floats(min_value=PI, max_value=PI + 0.5)
+        )
+    else:
+        half_width = draw(st.floats(
+            min_value=window_half, max_value=PI, exclude_min=True, exclude_max=True
+        ))
+    if broken == "plateau":
+        plateau = draw(st.sampled_from([-0.2, 0.0, 1.0, 1.5]))
+    else:
+        plateau = draw(st.floats(min_value=0.2, max_value=0.9))
+    return {
+        "resolution": draw(st.sampled_from(resolutions)),
+        "half_width": half_width,
+        "window_half": window_half,
+        "plateau": plateau,
+    }
+
+
+def assert_validation_verdict(build, params, **validate_kwargs):
+    """A valid parameter set passes validation; any other raises InputError."""
+    valid = (
+        PI / 2 < params["window_half"] < params["half_width"] < PI
+        and 0.0 < params["plateau"] < 1.0
+    )
+    if valid:
+        rep = validate_atlas(build(**params), **validate_kwargs)
+        assert rep.passed, (params, rep)
+    else:
+        with pytest.raises(InputError):
+            validate_atlas(build(**params), **validate_kwargs)
+
+
+@settings(max_examples=40)
+@given(params=atlas_parameters([65, 129, 257]))
+def test_circle_validation_across_parameter_ranges_property(params):
+    assert_validation_verdict(circle_two_charts, params)
+
+
+@settings(max_examples=6)
+@given(params=atlas_parameters([65, 129]))
+def test_torus_validation_across_parameter_ranges_property(params):
+    assert_validation_verdict(torus_four_charts, params, overlap_per_axis=17)
 
 
 def test_validation_catches_corrupted_transition():

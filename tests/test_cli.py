@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line front end (in process)."""
 
+import contextlib
+import functools
 import inspect
+import io
 import json
 import os
 import re
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mapgroups
 from mapgroups.cli import TOLERANCE_NAMES, TOLERANCES, main
@@ -391,6 +396,70 @@ def test_time1_value_failing_the_overlap_check_exits_1(tmp_path, capsys, group):
     err = capsys.readouterr().err
     assert err.startswith("check failed: time-1 value: group section overlap defect ")
     assert not (tmp_path / "run" / "evolve.json").exists()
+
+
+@functools.cache
+def three_sample_curve(group_name: str) -> str:
+    """A valid circle2 curve file of three random algebra sections, as JSON."""
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import group_by_name, random_algebra_section
+    from mapgroups.limits import TimeSampledCurve
+    from mapgroups.serialize import canonical_json, dump_curve
+
+    atlas, group = circle_two_charts(), group_by_name(group_name)
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 1.0, 3)
+    curve = TimeSampledCurve(
+        times, tuple(random_algebra_section(atlas, group, rng) for _ in times)
+    )
+    return canonical_json(dump_curve(curve))
+
+
+def key_paths(doc, prefix=()):
+    """Paths to every object key of a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(doc, dict):
+            yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from key_paths(v, prefix + (k,))
+
+
+CORRUPT_BASE64 = object()
+REPLACEMENTS = [
+    "text", [], {}, None, True, -3, 1.5,
+    float("nan"), float("inf"), float("-inf"), 10**30, CORRUPT_BASE64,
+]
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_mutated_curve_files_keep_the_exit_contract(tmp_path_factory, data):
+    """A curve file with one key deleted or set to a wrong type, NaN, +-Inf,
+    a huge integer or corrupt base64 exits 0, 1 or 2 without a traceback,
+    and exit 2 prints an error line naming the file."""
+    group_name = data.draw(st.sampled_from(["SO3", "SU2", "UT2"]))
+    doc = json.loads(three_sample_curve(group_name))
+    path = data.draw(st.sampled_from(list(key_paths(doc))))
+    holder = functools.reduce(lambda node, k: node[k], path[:-1], doc)
+    value = data.draw(st.sampled_from(["delete", *REPLACEMENTS]))
+    if value == "delete":
+        del holder[path[-1]]
+    elif value is CORRUPT_BASE64:
+        old = holder[path[-1]]
+        holder[path[-1]] = old[:10] + "!" + old[11:] if isinstance(old, str) else "!"
+    else:
+        holder[path[-1]] = value
+    work = tmp_path_factory.mktemp("mutated")
+    curve_path = work / "curve.json"
+    curve_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evolve", str(curve_path), "--out", str(work / "run")])
+    assert code in (0, 1, 2), (path, value, code)
+    if code == 2:
+        first = err.getvalue().splitlines()[0]
+        assert first.startswith(f"error: {curve_path}: "), (path, value, first)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import ChartDomainError, InputError, NumericError
@@ -64,6 +66,30 @@ def test_log_inverts_exp_inside_the_ball():
             v *= 0.8 * g.q_radius / max(np.linalg.norm(v), 1e-12)
             back = g.log(g.exp(v))
             assert np.abs(back - v).max() < 1e-10, f"{g.name} trial {trial}"
+
+
+@settings(max_examples=60)
+@given(
+    group=st.sampled_from(ALL_GROUPS),
+    radius=st.sampled_from(["v_radius", "q_radius"]),
+    direction=st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3
+    ),
+)
+def test_log_inverts_exp_at_the_ball_radii_property(group, radius, direction):
+    """log(exp(v)) = v at |v| = v_radius and just inside |v| = q_radius.
+
+    At exactly q_radius ``log_valid`` rightly rejects part of the draws, so
+    the outer radius is 0.999 q_radius.
+    """
+    u = np.asarray(direction)
+    assume(np.linalg.norm(u) > 1e-3)
+    r = group.v_radius if radius == "v_radius" else 0.999 * group.q_radius
+    v = r * u / np.linalg.norm(u)
+    g = group.exp(v[None])
+    assert group.log_valid(g)[0]
+    err = float(np.linalg.norm(group.log(g)[0] - v))
+    assert err <= 1e-12, f"{group.name} at {radius}: |log(exp(v)) - v| = {err:.3e}"
 
 
 def test_log_domain_guards():

@@ -21,7 +21,9 @@ from mapgroups.groups import (
 )
 from mapgroups.limits import (
     TimeSampledCurve,
+    _chart_curve_matrices,
     _interp_matrices,
+    _product,
     constant_curve,
     critical_order_estimate,
     decay_field,
@@ -354,3 +356,46 @@ def test_powering_equals_stepwise_rk4_property(group_name, fraction, steps, seed
     )
     gap = reference_gap(constant_curve(xi), steps)
     assert gap <= 1e-12, f"gap {gap:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# entry-first node stacks and their product kernel
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    nodes=st.sampled_from([1, 140, 4900]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_kernel_matches_matmul_property(d, nodes, seed):
+    """The (d, d, K) kernel is np.matmul on the same (K, d, d) stacks, to
+    within 4 ulp of the value scale."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, nodes, d, d))
+    want = a @ b
+    got = _product(
+        np.ascontiguousarray(a.transpose(1, 2, 0)),
+        np.ascontiguousarray(b.transpose(1, 2, 0)),
+    ).transpose(2, 0, 1)
+    scale = float((np.abs(a) @ np.abs(b)).max())
+    assert np.abs(got - want).max() <= 4 * np.spacing(scale)
+
+
+@pytest.mark.parametrize("group_name", ["SO3", "SU2", "UT2"])
+def test_chart_curve_stack_is_entry_first_and_contiguous(torus, group_name):
+    """A strided stack slows the kernel many times over, so evolve's chart
+    stack must be one C-contiguous (T, d, d, K) array."""
+    group = group_by_name(group_name)
+    rng = np.random.default_rng(25)
+    times = np.linspace(0.0, 1.0, 3)
+    curve = TimeSampledCurve(
+        times, tuple(random_algebra_section(torus, group, rng) for _ in times)
+    )
+    for j in range(torus.chart_count):
+        stack = _chart_curve_matrices(curve, j)
+        nodes = torus.charts[j].window.node_count
+        assert stack.shape == (times.size, group.dim, group.dim, nodes)
+        assert stack.flags.c_contiguous
+        for t, sec in enumerate(curve.sections):
+            assert np.array_equal(stack[t], sec.chart_matrices(j).transpose(1, 2, 0))
