@@ -21,6 +21,10 @@ from .maps import Diffeo, constant_jacobian
 
 PI = np.pi
 
+# Least half-width window_half - pi/2 of a chart overlap: the rounding of
+# thinner overlaps' sample angles (~1e-15 rad) can put them outside a codomain.
+MIN_OVERLAP = 1e-12
+
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
     """Principal value in (-pi, pi]."""
@@ -358,8 +362,8 @@ def circle_two_charts(
     plateau: float = 0.5,
 ) -> Atlas:
     """Two arcs offset by pi; transitions are translations by +-pi."""
-    if window_half <= PI / 2:
-        raise InputError("window_half must exceed pi/2 so two arcs cover the circle")
+    if not window_half - PI / 2 > MIN_OVERLAP:
+        raise InputError("window_half must exceed pi/2 + 1e-12 so two arcs cover the circle")
     charts = tuple(
         _make_chart(k, [off], half_width, window_half, resolution, 1)
         for k, off in enumerate((0.0, PI))
@@ -374,8 +378,8 @@ def torus_four_charts(
     plateau: float = 0.5,
 ) -> Atlas:
     """Product of two 2-chart circles: offsets (0,0), (pi,0), (0,pi), (pi,pi)."""
-    if window_half <= PI / 2:
-        raise InputError("window_half must exceed pi/2 for a four-chart cover")
+    if not window_half - PI / 2 > MIN_OVERLAP:
+        raise InputError("window_half must exceed pi/2 + 1e-12 for a four-chart cover")
     offsets = ((0.0, 0.0), (PI, 0.0), (0.0, PI), (PI, PI))
     charts = tuple(
         _make_chart(k, off, half_width, window_half, resolution, 2)

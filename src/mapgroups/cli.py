@@ -60,6 +60,7 @@ from .serialize import (
     read_json,
     write_json,
     write_spectrum_csv,
+    write_weighted_csv,
 )
 from .sobolev import CONVENTIONS, extension_probe, hs_norm
 
@@ -230,10 +231,7 @@ def cmd_norms(config: RunConfig, args: argparse.Namespace) -> int:
     probe = random_field(1, config.modes, 1, rng)
     rows = [(s, hs_norm(probe, s, config.convention)) for s in exponents]
     csv_path = _out_path(config, "norms.csv")
-    lines = [f"# weight_exponent_convention={convention_tag(config.convention)}"]
-    lines.append("s,norm")
-    lines.extend(f"{s},{n!r}" for s, n in rows)
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_weighted_csv(csv_path, ("s", "norm"), rows, config.convention)
     report = {
         "suite": "norms",
         "weight_exponent_convention": convention_tag(config.convention),

@@ -24,46 +24,45 @@ GRADIENT_FLOOR = 1e-12
 class LevelSetDomain:
     """Open planar domain {g < 0} with a closed-form gradient.
 
-    ``anchors`` are points deep inside where any boundary-band flow field
-    vanishes; they serve as fixed-point witnesses in certificates.
+    ``level_grad`` maps an (N, 2) point array to the pair ``(g, grad g)``
+    of shapes (N,) and (N, 2).  ``anchors`` are points deep inside where
+    any boundary-band flow field vanishes; they serve as fixed-point
+    witnesses in certificates.
     """
 
     name: str
-    g: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
+    level_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     bbox: tuple[tuple[float, float], tuple[float, float]]
     anchors: np.ndarray
 
+    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.level_grad(np.atleast_2d(np.asarray(points, float)))
+
     def level(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g(np.atleast_2d(np.asarray(points, float))), float)
+        return self.evaluate(points)[0]
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(np.atleast_2d(np.asarray(points, float))), float)
+        return self.evaluate(points)[1]
 
 
 def disc() -> LevelSetDomain:
-    def g(p):
-        return p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0
-
-    def grad(p):
-        return 2.0 * p
+    def level_grad(p):
+        return p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0, 2.0 * p
 
     return LevelSetDomain(
-        "disc", g, grad, ((-1.5, 1.5), (-1.5, 1.5)), np.array([[0.0, 0.0]])
+        "disc", level_grad, ((-1.5, 1.5), (-1.5, 1.5)), np.array([[0.0, 0.0]])
     )
 
 
 def ellipse(rx: float = 2.0, ry: float = 1.0) -> LevelSetDomain:
-    def g(p):
-        return (p[:, 0] / rx) ** 2 + (p[:, 1] / ry) ** 2 - 1.0
-
-    def grad(p):
-        return np.column_stack([2.0 * p[:, 0] / rx**2, 2.0 * p[:, 1] / ry**2])
+    def level_grad(p):
+        x, y = p[:, 0], p[:, 1]
+        g = (x / rx) ** 2 + (y / ry) ** 2 - 1.0
+        return g, np.column_stack([2.0 * x / rx**2, 2.0 * y / ry**2])
 
     return LevelSetDomain(
         "ellipse",
-        g,
-        grad,
+        level_grad,
         ((-rx - 0.5, rx + 0.5), (-ry - 0.5, ry + 0.5)),
         np.array([[0.0, 0.0]]),
     )
@@ -75,27 +74,17 @@ def peanut(focus: float = 1.0, size: float = 1.15) -> LevelSetDomain:
         raise InputError("need focus < size < focus*sqrt(2) for a peanut shape")
     a4 = size**4
 
-    def parts(p):
+    def level_grad(p):
         x, y = p[:, 0], p[:, 1]
         u1 = (x - focus) ** 2 + y**2
         u2 = (x + focus) ** 2 + y**2
-        return x, y, u1, u2
-
-    def g(p):
-        _, _, u1, u2 = parts(p)
-        return u1 * u2 - a4
-
-    def grad(p):
-        x, y, u1, u2 = parts(p)
         gx = 2.0 * (x - focus) * u2 + 2.0 * (x + focus) * u1
-        gy = 2.0 * y * (u1 + u2)
-        return np.column_stack([gx, gy])
+        return u1 * u2 - a4, np.column_stack([gx, 2.0 * y * (u1 + u2)])
 
     reach = np.sqrt(focus**2 + size**2)
     return LevelSetDomain(
         "peanut",
-        g,
-        grad,
+        level_grad,
         ((-reach - 0.3, reach + 0.3), (-size, size)),
         np.array([[-focus, 0.0], [focus, 0.0]]),
     )
@@ -132,22 +121,19 @@ def boundary_samples(
                 rng.uniform(ylo, yhi, size=4 * count),
             ]
         )
+        gv, gr = domain.evaluate(pts)
         for _ in range(60):
-            gv = domain.level(pts)
-            gr = domain.gradient(pts)
             nrm2 = np.sum(gr * gr, axis=1)
             ok = nrm2 > GRADIENT_FLOOR
-            stepped = pts[ok] - (gv[ok] / nrm2[ok])[:, None] * gr[ok]
-            pts = pts.copy()
-            pts[ok] = stepped
-            if np.all(np.abs(domain.level(pts)) < tol):
+            pts[ok] -= (gv[ok] / nrm2[ok])[:, None] * gr[ok]
+            gv, gr = domain.evaluate(pts)
+            if np.all(np.abs(gv) < tol):
                 break
-        gv = np.abs(domain.level(pts))
         inside_box = (
             (pts[:, 0] > xlo) & (pts[:, 0] < xhi)
             & (pts[:, 1] > ylo) & (pts[:, 1] < yhi)
         )
-        good = pts[(gv < tol) & inside_box]
+        good = pts[(np.abs(gv) < tol) & inside_box]
         out.extend(good.tolist())
     if len(out) < count:
         raise InputError(
@@ -159,11 +145,10 @@ def boundary_samples(
 def inner_normal(domain: LevelSetDomain, points: np.ndarray) -> np.ndarray:
     """Unit inner normal -grad g / |grad g| at near-boundary points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    gv = domain.level(pts)
+    gv, gr = domain.evaluate(pts)
     if np.any(np.abs(gv) >= 1e-6):
         bad = pts[int(np.argmax(np.abs(gv)))]
         raise InputError(f"point {bad} is not on the boundary (|g| >= 1e-6)")
-    gr = domain.gradient(pts)
     nrm = np.linalg.norm(gr, axis=1)
     if np.any(nrm <= 1e-8):
         bad = pts[int(np.argmin(nrm))]
@@ -195,9 +180,7 @@ class FlowField:
             )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        gv = self.domain.level(pts)
-        gr = self.domain.gradient(pts)
+        gv, gr = self.domain.evaluate(points)
         nrm = np.maximum(np.linalg.norm(gr, axis=1), self.floor)
         xi = bump_profile(np.abs(gv) / self.band, self.plateau)
         return -(xi / nrm)[:, None] * gr

@@ -370,6 +370,11 @@ def wavenumber_squares(m: int, modes: int) -> np.ndarray:
     raise InputError(f"dimension m must be 1 or 2, got {m}")
 
 
+def sobolev_weights(m: int, modes: int, exponent: float) -> np.ndarray:
+    """Lattice of (1 + |k|^2)^exponent over every |k_d| <= modes."""
+    return (1.0 + wavenumber_squares(m, modes)) ** exponent
+
+
 def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     """Evaluate a band-limited field at the masked nodes of a grid."""
     if field.m != grid.m:
@@ -457,7 +462,7 @@ def random_field(
     """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
     shape = (components,) + (2 * modes + 1,) * m
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw *= amplitude * (1.0 + wavenumber_squares(m, modes)) ** (-decay / 2.0)
+    raw *= amplitude * sobolev_weights(m, modes, -decay / 2.0)
     return BandlimitedField(m, modes, hermitian_part(raw), real=True)
 
 

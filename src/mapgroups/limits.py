@@ -26,7 +26,7 @@ import numpy as np
 
 from .atlas import require_same_atlas
 from .errors import InputError, NumericError, ShapeMismatchError
-from .fields import BandlimitedField, hermitian_part, wavenumber_squares
+from .fields import BandlimitedField, hermitian_part, sobolev_weights
 from .groups import (
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
@@ -64,7 +64,7 @@ def decay_field(alpha: float, modes: int, m: int = 1) -> BandlimitedField:
     alpha = float(alpha)
     if alpha <= 0:
         raise InputError("decay exponent must be positive")
-    coeffs = ((1.0 + wavenumber_squares(m, modes)) ** (-alpha / 2.0)).astype(complex)
+    coeffs = sobolev_weights(m, modes, -alpha / 2.0).astype(complex)
     return BandlimitedField(m, modes, hermitian_part(coeffs[None]), real=True)
 
 
@@ -74,7 +74,7 @@ def decay_partial_norm_sq(
     """Squared order-s norm of the decay field truncated at ``modes`` (m=1)."""
     check_convention(convention)
     expo = weight_exponent(s, convention) - float(alpha)
-    return float(np.sum((1.0 + wavenumber_squares(1, modes)) ** expo))
+    return float(np.sum(sobolev_weights(1, modes, expo)))
 
 
 def _increment_ratio(

@@ -26,8 +26,8 @@ from .fields import (
     GridDomain,
     SampledField,
     same_grid,
+    sobolev_weights,
     tensor_transfer,
-    wavenumber_squares,
 )
 from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
@@ -192,7 +192,7 @@ def random_section(
     m = atlas.m
     shape = (components,) + (2 * order + 1,) * m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coef *= amplitude * (1.0 + wavenumber_squares(m, order)) ** (-decay / 2.0)
+    coef *= amplitude * sobolev_weights(m, order, -decay / 2.0)
     poly = BandlimitedField(m, order, coef, real=False)
     return section_from_function(atlas, lambda theta: poly.evaluate(theta).real)
 

@@ -428,11 +428,16 @@ def load_curve(doc: dict) -> TimeSampledCurve:
     return TimeSampledCurve(times, tuple(sections))
 
 
-def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:
+def write_weighted_csv(path, columns, rows, convention: str = "paper") -> None:
+    """CSV of ``(key, value)`` rows, values as float reprs, under a convention tag."""
     lines = [f"# weight_exponent_convention={convention_tag(convention)}"]
-    lines.append("k_index,sigma")
-    lines.extend(f"{i},{float(s)!r}" for i, s in enumerate(np.asarray(sigmas)))
+    lines.append(",".join(columns))
+    lines.extend(f"{k},{float(v)!r}" for k, v in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:
+    write_weighted_csv(path, ("k_index", "sigma"), enumerate(np.asarray(sigmas)), convention)
 
 
 def read_spectrum_csv(path) -> np.ndarray:

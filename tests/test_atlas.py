@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapgroups.atlas import (
+    MIN_OVERLAP,
     Atlas,
     builtin_atlas,
     circle_two_charts,
@@ -133,6 +134,24 @@ def test_narrow_windows_rejected():
         torus_four_charts(window_half=PI / 2)
 
 
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+def test_overlaps_thinner_than_rounding_are_rejected(build):
+    # window_half 3 ulp above pi/2 and half_width 1 ulp above it: the
+    # overlap samples at 3*pi/2 land a rounding error outside the chart 1
+    # codomain, so validate_atlas could not report on such an atlas.
+    with pytest.raises(InputError, match="exceed pi/2"):
+        build(resolution=65, window_half=1.5707963267948972,
+              half_width=1.5707963267948974)
+
+
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+def test_the_thinnest_accepted_overlap_validates(build):
+    window_half = PI / 2 + 2.0 * MIN_OVERLAP
+    a = build(resolution=65, window_half=window_half,
+              half_width=np.nextafter(window_half, PI))
+    assert validate_atlas(a, overlap_per_axis=17).passed
+
+
 def test_validation_passes_for_builtins():
     rep1 = validate_atlas(circle_two_charts())
     assert rep1.passed, rep1
@@ -177,7 +196,8 @@ def atlas_parameters(draw, resolutions):
 def assert_validation_verdict(build, params, **validate_kwargs):
     """A valid parameter set passes validation; any other raises InputError."""
     valid = (
-        PI / 2 < params["window_half"] < params["half_width"] < PI
+        params["window_half"] - PI / 2 > MIN_OVERLAP
+        and params["window_half"] < params["half_width"] < PI
         and 0.0 < params["plateau"] < 1.0
     )
     if valid:

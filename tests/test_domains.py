@@ -53,6 +53,24 @@ def test_boundary_samples_land_on_the_level_set():
         assert np.abs(d.level(pts)).max() < 1e-12, d.name
 
 
+@pytest.mark.parametrize("build", [disc, ellipse, peanut])
+def test_gradient_matches_central_differences_of_the_level(build):
+    """Each domain's grad g matches a central difference of its g at
+    boundary and interior points."""
+    dom = build()
+    edge = boundary_samples(dom, 40, np.random.default_rng(8))
+    pts = np.vstack([edge, 0.5 * edge])  # the half-scaled ones lie inside
+    assert np.all(dom.level(pts[40:]) < 0.0)
+    h = 1e-5
+    fd = np.column_stack([
+        (dom.level(pts + h * e) - dom.level(pts - h * e)) / (2.0 * h)
+        for e in np.eye(2)
+    ])
+    gr = dom.gradient(pts)
+    rel = np.linalg.norm(fd - gr, axis=1) / np.linalg.norm(gr, axis=1)
+    assert rel.max() <= 1e-6, (dom.name, rel.max())
+
+
 def test_inner_normal_on_the_disc():
     d = disc()
     n = inner_normal(d, np.array([[1.0, 0.0], [0.0, -1.0]]))

@@ -1,4 +1,5 @@
-"""Module boundaries: no package module imports a private name of another."""
+"""Module boundaries: no package module imports a private name of another,
+and the Sobolev weight lattice has one home."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,28 @@ def test_the_check_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .sections import _window_pieces, glue\n")
     assert _private_imports(probe) == ["probe.py:1 imports _window_pieces"]
+
+
+def _wavenumber_square_calls(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "wavenumber_squares":
+            found.append(f"{path.name}:{node.lineno} calls wavenumber_squares")
+    return found
+
+
+def test_only_fields_computes_the_wavenumber_lattice():
+    """Weights (1 + |k|^2)^e come from fields.sobolev_weights alone."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "fields.py")
+    found = [hit for path in modules for hit in _wavenumber_square_calls(path)]
+    assert not found, "\n".join(found)
+
+
+def test_the_check_sees_a_wavenumber_lattice_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import fields\nw = 1 + fields.wavenumber_squares(1, 4)\n")
+    assert _wavenumber_square_calls(probe) == ["probe.py:2 calls wavenumber_squares"]
