@@ -10,7 +10,9 @@ inside the fundamental domain of the coordinate torus.  All transitions are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +81,16 @@ class Chart:
         return self.window_half - np.max(np.abs(x - PI), axis=1)
 
 
+def _read_only(transfer) -> None:
+    """Mark every array of a transfer read-only: builtin atlases, and the
+    operators cached on them, are shared by the whole process."""
+    for f in fields(transfer):
+        value = getattr(transfer, f.name)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class OverlapTransfer:
     """Per-axis interpolation from two chart windows to their overlap samples.
@@ -99,6 +111,8 @@ class OverlapTransfer:
     second: tuple[np.ndarray, ...]
     second_cols: tuple[np.ndarray, ...]
 
+    __post_init__ = _read_only
+
 
 @dataclass(frozen=True)
 class PartitionTransfer:
@@ -117,6 +131,8 @@ class PartitionTransfer:
     matrices: tuple[np.ndarray, ...]
     cols: tuple[np.ndarray, ...]
     weights: np.ndarray
+
+    __post_init__ = _read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,12 +407,29 @@ def torus_four_charts(
 BUILTIN_ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}
 
 
-def builtin_atlas(name: str, **kwargs) -> Atlas:
+# Builtin atlases kept alive at once, each with its cached operators.
+BUILTIN_CACHE_SIZE = 4
+
+
+def builtin_atlas(name: str, resolution: int | None = None) -> Atlas:
+    """The one shared instance of a builtin atlas at a lattice resolution.
+
+    ``resolution=None`` means the builder's default, and gives the same
+    instance as passing that default.
+    """
     if name not in BUILTIN_ATLASES:
         raise InputError(
             f"unknown atlas {name!r}; available: {sorted(BUILTIN_ATLASES)}"
         )
-    return BUILTIN_ATLASES[name](**kwargs)
+    if resolution is None:
+        build = inspect.signature(BUILTIN_ATLASES[name])
+        resolution = build.parameters["resolution"].default
+    return _shared_atlas(name, resolution)
+
+
+@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+def _shared_atlas(name: str, resolution: int) -> Atlas:
+    return BUILTIN_ATLASES[name](resolution)
 
 
 @dataclass(frozen=True)

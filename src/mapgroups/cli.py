@@ -53,6 +53,7 @@ from .limits import (
     sup_entry_gap,
 )
 from .serialize import (
+    MAX_LATTICE_RESOLUTION,
     convention_tag,
     dump_group_section,
     json_is,
@@ -109,10 +110,13 @@ class RunConfig:
 
     def __post_init__(self):
         if self.modes < 1:
-            raise InputError(f"mode cutoff must be >= 1, got {self.modes}")
+            raise InputError(f"modes must be >= 1, got {self.modes}")
         if self.grid_factor < 2:
+            raise InputError(f"grid_factor must be >= 2, got {self.grid_factor}")
+        if self.resolution > MAX_LATTICE_RESOLUTION:
             raise InputError(
-                f"grid factor must be >= 2, got {self.grid_factor}"
+                f"grid_factor * modes + 1 must be at most {MAX_LATTICE_RESOLUTION}, "
+                f"got {self.resolution}"
             )
         if self.atlas not in BUILTIN_ATLASES:
             raise InputError(
@@ -127,7 +131,8 @@ class RunConfig:
         if self.convention not in CONVENTIONS:
             raise InputError(f"unknown convention {self.convention!r}")
         for name, value in self.tolerances.items():
-            if not np.isfinite(value) or value < 0:
+            # Exact comparisons: a JSON integer may not fit a float.
+            if not 0 <= value <= sys.float_info.max:
                 raise InputError(f"tolerance {name!r} must be finite and >= 0")
 
     @property
@@ -165,6 +170,10 @@ def load_config_file(path: Path) -> dict:
             raise InputError(
                 f"{path}: unknown tolerance {name!r}; choose from {TOLERANCE_NAMES}"
             )
+    try:
+        RunConfig(**{k: v for k, v in doc.items() if k != "out"})
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return doc
 
 
@@ -289,20 +298,18 @@ def cmd_group_demo(config: RunConfig, args: argparse.Namespace) -> int:
         eta = random_algebra_section(atlas, group, rng)
         zeta = random_algebra_section(atlas, group, rng)
         g, h, k = exp_section(xi), exp_section(eta), exp_section(zeta)
+        gh = group_multiply(g, h)
         assoc = max(
             assoc,
-            sup_gap(group_multiply(group_multiply(g, h), k),
-                    group_multiply(g, group_multiply(h, k))),
+            sup_gap(group_multiply(gh, k), group_multiply(g, group_multiply(h, k))),
         )
         ident_gap = max(ident_gap, sup_gap(group_multiply(g, ident), g))
-        inverse = max(inverse, sup_gap(group_multiply(g, group_invert(g)), ident))
+        g_inv = group_invert(g)
+        inverse = max(inverse, sup_gap(group_multiply(g, g_inv), ident))
         explog = max(explog, (log_section(g) - xi).sup_coord_norm())
         conj = max(
             conj,
-            sup_gap(
-                group_multiply(group_multiply(g, h), group_invert(g)),
-                exp_section(adjoint_operator(g, eta)),
-            ),
+            sup_gap(group_multiply(gh, g_inv), exp_section(adjoint_operator(g, eta))),
         )
     xi = random_algebra_section(atlas, group, rng)
     eta = random_algebra_section(atlas, group, rng)

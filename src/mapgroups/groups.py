@@ -590,6 +590,7 @@ def bracket_from_products(
     """Extract the bracket from small products:
     (log(exp(t xi) exp(t eta)) - log(exp(t eta) exp(t xi))) / t^2,
     accurate to O(t^2) because the cubic product terms are symmetric."""
-    ab = log_section(group_multiply(exp_section(xi.scaled(t)), exp_section(eta.scaled(t))))
-    ba = log_section(group_multiply(exp_section(eta.scaled(t)), exp_section(xi.scaled(t))))
+    a, b = exp_section(xi.scaled(t)), exp_section(eta.scaled(t))
+    ab = log_section(group_multiply(a, b))
+    ba = log_section(group_multiply(b, a))
     return (ab - ba).scaled(1.0 / (t * t))

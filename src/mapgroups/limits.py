@@ -120,6 +120,10 @@ def critical_order_estimate(
     alpha = float(alpha)
     if alpha <= 0:
         raise InputError("decay exponent must be positive")
+    if not step > 0:
+        raise InputError(f"bisection step must be positive, got {step}")
+    if window < 1 or n_start < 1:
+        raise InputError(f"need window >= 1 and n_start >= 1, got {window} and {n_start}")
 
     def divergent(s: float) -> bool:
         return _increment_ratio(alpha, s, n_start, window, convention) >= 1.0

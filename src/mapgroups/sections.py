@@ -276,6 +276,8 @@ def hilbert_inner(
         max_nodes_per_axis = (
             EXTENSION_NODES_1D if a.atlas.m == 1 else EXTENSION_NODES_2D
         )
+    elif max_nodes_per_axis < 1:
+        raise InputError(f"max_nodes_per_axis must be >= 1, got {max_nodes_per_axis}")
     total = 0.0
     detail = []
     for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):

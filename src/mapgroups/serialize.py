@@ -303,28 +303,21 @@ def atlas_hash(a: Atlas) -> str:
     return digest.hexdigest()[:12]
 
 
-# Largest lattice resolution a document may name.  The named atlas is built
-# before its hash can be checked, so this bounds what a file can allocate.
+# Largest lattice resolution a document or a run config may name.  The atlas
+# a document names is built before its hash can be checked, so this bounds
+# what a file can allocate.
 MAX_LATTICE_RESOLUTION = 4097
 
 
-def _resolve_atlas(doc: dict, built: dict) -> Atlas:
-    """The builtin atlas a document names, checked against its hash.
-
-    ``built`` maps (name, lattice resolution) to atlases already built by
-    the caller, so documents loaded together share one instance and its
-    cached operators.
-    """
+def _resolve_atlas(doc: dict) -> Atlas:
+    """The builtin atlas a document names, checked against its hash."""
     resolution = _require(doc, "lattice_resolution", int)
     if resolution > MAX_LATTICE_RESOLUTION:
         raise InputError(
             f"{doc['kind']} key 'lattice_resolution' must be at most "
             f"{MAX_LATTICE_RESOLUTION}, got {resolution}"
         )
-    key = (_require(doc, "atlas", str), resolution)
-    if key not in built:
-        built[key] = builtin_atlas(key[0], resolution=resolution)
-    a = built[key]
+    a = builtin_atlas(_require(doc, "atlas", str), resolution=resolution)
     if doc.get("atlas_hash") not in (None, atlas_hash(a)):
         raise InputError(
             f"atlas hash mismatch: file has {doc['atlas_hash']}, "
@@ -355,10 +348,10 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
 
 
 def load_section(doc: dict) -> Section:
-    return _load_section(doc, {})
+    return _load_section(doc)
 
 
-def _load_section(doc: dict, atlases: dict, where: str = "") -> Section:
+def _load_section(doc: dict, where: str = "") -> Section:
     """Section document that errors name ``where`` (say ``curve section k``).
 
     Errors in piece ``j`` start ``{where}, piece {j}: `` and the others
@@ -368,7 +361,7 @@ def _load_section(doc: dict, atlases: dict, where: str = "") -> Section:
     head = f"{where}: " if where else ""
     with _errors_start(head):
         _expect_kind(doc, "section", "section")
-        a = _resolve_atlas(doc, atlases)
+        a = _resolve_atlas(doc)
         piece_docs = _require(doc, "pieces", list)
     pieces = []
     for j, p in enumerate(piece_docs):
@@ -390,7 +383,7 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
 
 def load_group_section(doc: dict) -> GroupSection:
     _expect_kind(doc, "group_section", "group section")
-    a = _resolve_atlas(doc, {})
+    a = _resolve_atlas(doc)
     group = group_by_name(_require(doc, "group", str))
     d = group.dim
     pieces = []
@@ -418,10 +411,9 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
 def load_curve(doc: dict) -> TimeSampledCurve:
     _expect_kind(doc, "curve", "curve")
     group = group_by_name(_require(doc, "group", str))
-    atlases = {}  # one atlas per (name, resolution) for all the curve's sections
     sections = []
     for k, s in enumerate(_require(doc, "sections", list)):
-        section = _load_section(s, atlases, f"curve section {k}")
+        section = _load_section(s, f"curve section {k}")
         with _errors_start(f"curve section {k}: "):
             sections.append(AlgebraSection(group, section))
     times = _require_array(doc, "times").astype(float, copy=False)

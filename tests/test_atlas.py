@@ -127,6 +127,40 @@ def test_builtin_lookup():
         builtin_atlas("moebius")
 
 
+def test_builtin_atlas_is_one_instance_per_name_and_resolution():
+    torus = builtin_atlas("torus4")
+    assert torus is builtin_atlas("torus4", resolution=129)
+    assert builtin_atlas("circle2") is builtin_atlas("circle2", resolution=257)
+    assert builtin_atlas("circle2", resolution=129) is builtin_atlas("circle2", resolution=129)
+    assert builtin_atlas("torus4", resolution=65).lattice_resolution == 65
+    assert builtin_atlas("torus4", resolution=65) is not torus
+    with pytest.raises(TypeError):
+        builtin_atlas("circle2", half_width=1.9)
+
+
+def test_unknown_builtin_atlas_is_never_cached():
+    for _ in range(2):
+        with pytest.raises(InputError, match="unknown atlas 'moebius'"):
+            builtin_atlas("moebius", resolution=129)
+
+
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
+def test_shared_transfer_arrays_are_read_only(name):
+    a = builtin_atlas(name)
+    ops = [*a.overlap_transfers(9), *a.partition_transfers(0)]
+    arrays = [
+        arr
+        for op in ops
+        for value in vars(op).values()
+        for arr in (value if isinstance(value, tuple) else (value,))
+        if isinstance(arr, np.ndarray)
+    ]
+    assert len(arrays) >= 4 * len(ops)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+
+
 def test_narrow_windows_rejected():
     with pytest.raises(InputError):
         circle_two_charts(window_half=1.5)

@@ -291,6 +291,32 @@ def test_mistyped_config_values_are_input_errors(tmp_path, capsys, doc, key):
 @pytest.mark.parametrize(
     "doc, key",
     [
+        ({"modes": 0}, "modes"),
+        ({"grid_factor": 1}, "grid_factor"),
+        ({"modes": 10**30}, "modes"),
+        ({"tolerances": {"bracket": -1}}, "'bracket'"),
+        ({"tolerances": {"bracket": 10**400}}, "'bracket'"),
+    ],
+    ids=["modes-zero", "grid-factor-one", "modes-huge", "tolerance-negative",
+         "tolerance-beyond-float"],
+)
+def test_out_of_range_config_values_name_the_file_and_key(tmp_path, capsys, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ladder", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err.splitlines()[0]
+
+
+def test_a_huge_integer_tolerance_is_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": {"rung-monotonicity": 10**30}}))
+    assert main(["ladder", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
         ({"kind": "curve"}, "'group'"),
         ({"kind": "curve", "group": "SO3", "times": [0.0]}, "'sections'"),
         ({"kind": "curve", "group": "SO3", "sections": {}, "times": []}, "'sections'"),
@@ -460,6 +486,81 @@ def test_mutated_curve_files_keep_the_exit_contract(tmp_path_factory, data):
     if code == 2:
         first = err.getvalue().splitlines()[0]
         assert first.startswith(f"error: {curve_path}: "), (path, value, first)
+
+
+def mutate(doc, data):
+    """Delete one key of ``doc`` or set it to one of REPLACEMENTS, in place;
+    returns the key's path and the value drawn."""
+    path = data.draw(st.sampled_from(list(key_paths(doc))))
+    holder = functools.reduce(lambda node, k: node[k], path[:-1], doc)
+    value = data.draw(st.sampled_from(["delete", *REPLACEMENTS]))
+    if value == "delete":
+        del holder[path[-1]]
+    elif value is CORRUPT_BASE64:
+        old = holder[path[-1]]
+        holder[path[-1]] = old[:10] + "!" + old[11:] if isinstance(old, str) else "!"
+    else:
+        holder[path[-1]] = value
+    return path, value
+
+
+CONFIG = {
+    "seed": 3, "modes": 8, "grid_factor": 3, "atlas": "circle2", "group": "SO3",
+    "convention": "paper", "out": "unused",
+    "tolerances": {"evolve-gap": 1e-8, "rung-monotonicity": 1e-12},
+}
+
+
+@settings(max_examples=25)
+@given(data=st.data(), command=st.sampled_from(["evolve", "ladder"]))
+def test_mutated_config_files_keep_the_exit_contract(tmp_path_factory, data, command):
+    """A circle2 config file with one key deleted or mutated exits 0, 1 or
+    2, and exit 2 prints an error line naming the file and the key."""
+    doc = json.loads(json.dumps(CONFIG))
+    path, value = mutate(doc, data)
+    work = tmp_path_factory.mktemp("mutated")
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(config_path), command, "--out", str(work / "run")])
+    assert code in (0, 1, 2), (path, value, code)
+    if code == 2:
+        first = err.getvalue().splitlines()[0]
+        assert first.startswith(f"error: {config_path}: "), (path, value, first)
+        assert str(path[-1]) in first, (path, value, first)
+
+
+@functools.cache
+def section_documents() -> dict:
+    """Valid circle2 section and SO3 group-section documents, as JSON."""
+    from mapgroups.atlas import builtin_atlas
+    from mapgroups.groups import exp_section, random_algebra_section, so3
+    from mapgroups.sections import random_section
+    from mapgroups.serialize import canonical_json, dump_group_section, dump_section
+
+    atlas, rng = builtin_atlas("circle2"), np.random.default_rng(37)
+    return {
+        "section": canonical_json(dump_section(random_section(atlas, 2, rng))),
+        "group_section": canonical_json(
+            dump_group_section(exp_section(random_algebra_section(atlas, so3(), rng)))
+        ),
+    }
+
+
+@settings(max_examples=25)
+@given(data=st.data(), kind=st.sampled_from(["section", "group_section"]))
+def test_mutated_section_documents_load_or_raise_input_errors(data, kind):
+    from mapgroups.errors import InputError
+    from mapgroups.serialize import load_group_section, load_section
+
+    doc = json.loads(section_documents()[kind])
+    path, value = mutate(doc, data)
+    load = load_section if kind == "section" else load_group_section
+    try:
+        load(doc)
+    except InputError:
+        pass
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -386,13 +386,21 @@ def test_full_grid_interpolation_is_trigonometric():
     assert np.abs(v.interpolate(pts) - f.evaluate(pts)).max() < 1e-12
 
 
-def test_window_interpolation_exact_at_nodes():
-    rng = np.random.default_rng(17)
-    g = GridDomain.box(((0.5, 4.5),), 129)
-    f = random_field(1, 4, 2, rng)
-    v = sample(f, g)
-    got = v.interpolate(g.nodes())
-    assert np.abs(got - v.values).max() < 1e-13
+@settings(max_examples=30)
+@given(
+    m=st.sampled_from([1, 2]),
+    resolution=st.integers(16, 160),
+    window=st.lists(
+        st.tuples(st.floats(0.01, 3.0), st.floats(0.6, 3.2)), min_size=2, max_size=2
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_interpolation_exact_at_nodes(m, resolution, window, seed):
+    """At its own nodes a window field interpolates to its values, bitwise."""
+    box = tuple((lo, lo + width) for lo, width in window[:m])
+    g = GridDomain.box(box, resolution if m == 1 else min(resolution, 64))
+    v = sample(random_field(m, 4, 2, np.random.default_rng(seed)), g)
+    assert np.array_equal(v.interpolate(g.nodes()), v.values)
 
 
 def test_window_interpolation_accuracy_between_nodes():

@@ -95,6 +95,28 @@ def test_critical_order_near_two_alpha_minus_one():
         assert abs(got - (2.0 * alpha - 1.0)) < 0.05
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"step": 0.0}, "step must be positive"),
+        ({"step": -0.01}, "step must be positive"),
+        ({"step": float("nan")}, "step must be positive"),
+        ({"window": 0}, "window >= 1"),
+        ({"n_start": 0}, "n_start >= 1"),
+        ({"n_start": -4}, "n_start >= 1"),
+    ],
+)
+def test_critical_order_rejects_bad_parameters_before_any_sum(monkeypatch, bad, match):
+    def no_sums(*args):
+        raise AssertionError("a partial sum was computed")
+
+    # With the check gone, step=0 would reach the bisection and fail here
+    # on its first sum instead of looping forever.
+    monkeypatch.setattr("mapgroups.limits._increment_ratio", no_sums)
+    with pytest.raises(InputError, match=match):
+        critical_order_estimate(2.0, **bad)
+
+
 # ---------------------------------------------------------------------------
 # rung inclusion spectra
 

@@ -1,5 +1,6 @@
 """Module boundaries: no package module imports a private name of another,
-and the Sobolev weight lattice has one home."""
+the Sobolev weight lattice has one home, and only the atlas module builds
+the builtin atlases."""
 
 import ast
 from pathlib import Path
@@ -36,16 +37,20 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(probe) == ["probe.py:1 imports _window_pieces"]
 
 
-def _wavenumber_square_calls(path: Path) -> list[str]:
+def _calls(path: Path, *names: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "wavenumber_squares":
-            found.append(f"{path.name}:{node.lineno} calls wavenumber_squares")
+        if name in names:
+            found.append(f"{path.name}:{node.lineno} calls {name}")
     return found
+
+
+def _wavenumber_square_calls(path: Path) -> list[str]:
+    return _calls(path, "wavenumber_squares")
 
 
 def test_only_fields_computes_the_wavenumber_lattice():
@@ -59,3 +64,24 @@ def test_the_check_sees_a_wavenumber_lattice_call(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from . import fields\nw = 1 + fields.wavenumber_squares(1, 4)\n")
     assert _wavenumber_square_calls(probe) == ["probe.py:2 calls wavenumber_squares"]
+
+
+BUILDERS = ("circle_two_charts", "torus_four_charts")
+
+
+def test_only_the_atlas_module_builds_the_builtin_atlases():
+    """Every builtin atlas the package uses is the shared builtin_atlas one."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "atlas.py")
+    found = [hit for path in modules for hit in _calls(path, *BUILDERS)]
+    assert not found, "\n".join(found)
+
+
+def test_the_check_sees_a_builder_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .atlas import torus_four_charts\nfrom . import atlas\n"
+        "a = torus_four_charts()\nb = atlas.circle_two_charts(resolution=65)\n"
+    )
+    assert _calls(probe, *BUILDERS) == [
+        "probe.py:3 calls torus_four_charts", "probe.py:4 calls circle_two_charts",
+    ]

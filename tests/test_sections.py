@@ -159,6 +159,13 @@ def test_hilbert_inner_rejects_mismatched_sections():
         hilbert_inner(random_section(a, 1, rng), random_section(torus_four_charts(), 1, rng), 1.0)
 
 
+@pytest.mark.parametrize("nodes", [0, -1])
+def test_hilbert_inner_rejects_fewer_than_one_node_per_axis(nodes):
+    sec = random_section(circle_two_charts(), 1, np.random.default_rng(17))
+    with pytest.raises(InputError, match="max_nodes_per_axis must be >= 1"):
+        hilbert_inner(sec, sec, 1.0, max_nodes_per_axis=nodes)
+
+
 # ---------------------------------------------------------------------------
 # openness margins
 

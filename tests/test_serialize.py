@@ -1,7 +1,6 @@
 """Round trips through the JSON and CSV on-disk formats."""
 
 import base64
-import functools
 import json
 from pathlib import Path
 
@@ -233,6 +232,14 @@ def through_json(doc):
     return json.loads(canonical_json(doc))
 
 
+def test_loaded_documents_share_the_builtin_atlas():
+    torus = builtin_atlas("torus4")
+    doc = through_json(dump_section(random_section(torus, 1, np.random.default_rng(5))))
+    assert load_section(doc).atlas is torus and load_section(doc).atlas is torus
+    gs = exp_section(random_algebra_section(torus, so3(), np.random.default_rng(7)))
+    assert load_group_section(through_json(dump_group_section(gs))).atlas is torus
+
+
 def test_array_dumps_write_the_bytes_of_per_entry_floats():
     tricky = [1e300, -1e-300, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
               2.0**53, 2.0**53 + 2.0, 1e16, -1e16, 0.1, 1.0 / 3.0]
@@ -362,10 +369,6 @@ def test_spectrum_csv_round_trip(tmp_path):
 
 # --- encoded arrays --------------------------------------------------------
 
-# One atlas per name for the whole module, so its operators are built once.
-builtin = functools.cache(builtin_atlas)
-
-
 def as_lists(obj):
     """``obj`` with every encoded array written as nested JSON lists."""
     if isinstance(obj, dict):
@@ -386,7 +389,7 @@ def loaded_array_ok(arr):
 @settings(max_examples=3)
 @given(name=GROUP_NAMES, seed=SEEDS)
 def test_documents_round_trip_bitwise_in_both_encodings(atlas_name, encoding, name, seed):
-    atlas, group = builtin(atlas_name), group_by_name(name)
+    atlas, group = builtin_atlas(atlas_name), group_by_name(name)
     rng = np.random.default_rng(seed)
 
     def again(doc):
