@@ -11,7 +11,7 @@ inside the fundamental domain of the coordinate torus.  All transitions are
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -81,18 +81,20 @@ class Chart:
         return self.window_half - np.max(np.abs(x - PI), axis=1)
 
 
-def _read_only(transfer) -> None:
-    """Mark every array of a transfer read-only: builtin atlases, and the
-    operators cached on them, are shared by the whole process."""
-    for f in fields(transfer):
-        value = getattr(transfer, f.name)
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+class _ReadOnlyArrays:
+    """Dataclass base that marks its arrays, and those in its tuple fields,
+    read-only: builtin atlases and the operators cached on them are shared
+    by the whole process."""
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class OverlapTransfer:
+class OverlapTransfer(_ReadOnlyArrays):
     """Per-axis interpolation from two chart windows to their overlap samples.
 
     The overlap samples of charts ``i < j`` are the tensor grid (C order)
@@ -111,11 +113,9 @@ class OverlapTransfer:
     second: tuple[np.ndarray, ...]
     second_cols: tuple[np.ndarray, ...]
 
-    __post_init__ = _read_only
-
 
 @dataclass(frozen=True)
-class PartitionTransfer:
+class PartitionTransfer(_ReadOnlyArrays):
     """One source chart's term of the partition-of-unity sum on a target window.
 
     The source bump is a tensor bump supported in the source window, so the
@@ -131,8 +131,6 @@ class PartitionTransfer:
     matrices: tuple[np.ndarray, ...]
     cols: tuple[np.ndarray, ...]
     weights: np.ndarray
-
-    __post_init__ = _read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,10 +405,6 @@ def torus_four_charts(
 BUILTIN_ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}
 
 
-# Builtin atlases kept alive at once, each with its cached operators.
-BUILTIN_CACHE_SIZE = 4
-
-
 def builtin_atlas(name: str, resolution: int | None = None) -> Atlas:
     """The one shared instance of a builtin atlas at a lattice resolution.
 
@@ -422,12 +416,14 @@ def builtin_atlas(name: str, resolution: int | None = None) -> Atlas:
             f"unknown atlas {name!r}; available: {sorted(BUILTIN_ATLASES)}"
         )
     if resolution is None:
-        build = inspect.signature(BUILTIN_ATLASES[name])
-        resolution = build.parameters["resolution"].default
+        resolution = inspect.signature(BUILTIN_ATLASES[name]).parameters["resolution"].default
     return _shared_atlas(name, resolution)
 
 
-@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+# Keyed by (name, resolution) as builtin_atlas passes them; the bound stops a
+# process that loads files at many resolutions from keeping every atlas and
+# its operators alive.
+@lru_cache(maxsize=4)
 def _shared_atlas(name: str, resolution: int) -> Atlas:
     return BUILTIN_ATLASES[name](resolution)
 
