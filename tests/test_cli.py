@@ -555,7 +555,7 @@ def test_mutated_section_documents_load_or_raise_input_errors(data, kind):
     from mapgroups.serialize import load_group_section, load_section
 
     doc = json.loads(section_documents()[kind])
-    path, value = mutate(doc, data)
+    mutate(doc, data)
     load = load_section if kind == "section" else load_group_section
     try:
         load(doc)
