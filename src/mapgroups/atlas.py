@@ -425,7 +425,11 @@ def builtin_atlas(name: str, resolution: int | None = None) -> Atlas:
 # its operators alive.
 @lru_cache(maxsize=4)
 def _shared_atlas(name: str, resolution: int) -> Atlas:
-    return BUILTIN_ATLASES[name](resolution)
+    atlas = BUILTIN_ATLASES[name](resolution)
+    for c in atlas.charts:
+        for arr in (c.offset, *c.window.axis_indices):
+            arr.flags.writeable = False
+    return atlas
 
 
 @dataclass(frozen=True)

@@ -291,26 +291,28 @@ def cmd_group_demo(config: RunConfig, args: argparse.Namespace) -> int:
     def sup_gap(a, b):
         return sup_entry_gap(a.pieces, b.pieces)
 
-    assoc = ident_gap = inverse = explog = conj = 0.0
-    pairs = 5
-    for _ in range(pairs):
+    def pair_gaps():
+        """Associativity, identity, inverse, exp/log and conjugation gaps of
+        one random triple; its sections are freed before the next is drawn."""
         xi = random_algebra_section(atlas, group, rng)
         eta = random_algebra_section(atlas, group, rng)
         zeta = random_algebra_section(atlas, group, rng)
         g, h, k = exp_section(xi), exp_section(eta), exp_section(zeta)
         gh = group_multiply(g, h)
-        assoc = max(
-            assoc,
-            sup_gap(group_multiply(gh, k), group_multiply(g, group_multiply(h, k))),
-        )
-        ident_gap = max(ident_gap, sup_gap(group_multiply(g, ident), g))
         g_inv = group_invert(g)
-        inverse = max(inverse, sup_gap(group_multiply(g, g_inv), ident))
-        explog = max(explog, (log_section(g) - xi).sup_coord_norm())
-        conj = max(
-            conj,
+        return (
+            sup_gap(group_multiply(gh, k), group_multiply(g, group_multiply(h, k))),
+            sup_gap(group_multiply(g, ident), g),
+            sup_gap(group_multiply(g, g_inv), ident),
+            (log_section(g) - xi).sup_coord_norm(),
             sup_gap(group_multiply(gh, g_inv), exp_section(adjoint_operator(g, eta))),
         )
+
+    pairs = 5
+    gaps = [0.0] * 5
+    for _ in range(pairs):
+        gaps = [max(a, b) for a, b in zip(gaps, pair_gaps())]
+    assoc, ident_gap, inverse, explog, conj = gaps
     xi = random_algebra_section(atlas, group, rng)
     eta = random_algebra_section(atlas, group, rng)
     slope = bch_order2_probe(xi, eta)

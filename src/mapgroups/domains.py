@@ -110,6 +110,8 @@ def boundary_samples(
 ) -> np.ndarray:
     """Random boundary points: bbox rejection plus root polishing along the
     gradient direction until |g| < tol."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     (xlo, xhi), (ylo, yhi) = domain.bbox
     out = []
     for _ in range(max_rounds):

@@ -362,6 +362,8 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
 
 def wavenumber_squares(m: int, modes: int) -> np.ndarray:
     """Lattice of |k|^2 over every |k_d| <= modes, shape (2*modes+1,)*m."""
+    if modes < 0:
+        raise InputError(f"modes must be >= 0, got {modes}")
     k = np.arange(-modes, modes + 1, dtype=float)
     if m == 1:
         return k**2
@@ -460,9 +462,10 @@ def random_field(
     amplitude: float = 1.0,
 ) -> BandlimitedField:
     """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
-    shape = (components,) + (2 * modes + 1,) * m
+    weights = sobolev_weights(m, modes, -decay / 2.0)
+    shape = (components,) + weights.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw *= amplitude * sobolev_weights(m, modes, -decay / 2.0)
+    raw *= amplitude * weights
     return BandlimitedField(m, modes, hermitian_part(raw), real=True)
 
 
@@ -522,10 +525,15 @@ def tensor_transfer(matrices, stack: np.ndarray) -> np.ndarray:
 
     Returns ``W0 @ S @ W1.T`` (per component) on surfaces, shaped
     (n, q0, q1), and on curves the (n, q0) transpose of ``W0 @ S.T``.
+    On surfaces the product is taken in the order with fewer multiply-adds,
+    ``(W0 @ S) @ W1.T`` on a tie.
     """
     if len(matrices) == 1:
         return (matrices[0] @ stack.T).T
     w0, w1 = matrices
+    (q0, g0), (q1, g1) = w0.shape, w1.shape
+    if g0 * q1 * (g1 + q0) < q0 * g1 * (g0 + q1):
+        return w0 @ (stack @ w1.T)
     return w0 @ stack @ w1.T
 
 

@@ -355,34 +355,13 @@ def group_by_name(name: str) -> MatrixGroup:
     return GROUP_BUILDERS[name]()
 
 
-def onto_group(
-    group: MatrixGroup, mats: np.ndarray, threshold: float, what: str, chart: int
-) -> np.ndarray:
-    """Computed matrices ``mats`` of chart ``chart``, projected onto the group
-    (with an INFO record) when their relation defect exceeds ``threshold``.
-    Products and time-1 values of valid sections lie on the group, so a
-    projection that leaves more than RELATION_DEFECT_LIMIT raises NumericError."""
-    drift = float(group.relation_defect(mats).max())
-    if drift > threshold:
-        mats = group.project(mats)
-        LOGGER.info(
-            f"chart %d: {what} drifted %.3e off %s; re-projected",
-            chart, drift, group.name,
-        )
-        defect = float(group.relation_defect(mats).max())
-        if defect > RELATION_DEFECT_LIMIT:
-            raise NumericError(
-                f"chart {chart}: {what} relation defect {defect:.3e} exceeds "
-                f"{RELATION_DEFECT_LIMIT:.1e} even after re-projection"
-            )
-    return mats
-
-
 @dataclass(frozen=True, eq=False)
 class GroupSection:
     """Chart family of node-wise group elements over an atlas.
 
     ``relation_defects`` keeps each chart's largest relation defect.
+    Values an operation computes are built by :meth:`computed`, which
+    measures each chart once and hands that measurement to the checks here.
     """
 
     atlas: Atlas
@@ -407,15 +386,45 @@ class GroupSection:
             # The flat entry fields reject nonfinite entries, which pass the
             # relation check (NaN compares false), and carry the overlap check.
             flat.append(SampledField(c.window, p.reshape(p.shape[0], d * d)))
-        defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
-        object.__setattr__(self, "relation_defects", defects)
-        for c, defect in zip(self.atlas.charts, defects):
+        if "relation_defects" not in vars(self):
+            defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
+            object.__setattr__(self, "relation_defects", defects)
+        for c, defect in zip(self.atlas.charts, self.relation_defects):
             if defect > RELATION_DEFECT_LIMIT:
                 raise InputError(
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
         require_compatible(flat, self.atlas, self.tolerance, "group section ", InputError)
+
+    @classmethod
+    def computed(cls, atlas, group, mats, threshold, what, tolerance=DEFAULT_TOLERANCE):
+        """Group section of computed per-chart matrices ``mats``, each chart
+        measured once and projected onto the group (with an INFO record) when
+        its relation defect exceeds ``threshold``.  Products and time-1 values
+        of valid sections lie on the group, so a projection that leaves more
+        than RELATION_DEFECT_LIMIT raises NumericError."""
+        pieces, defects = list(mats), []
+        for chart, p in enumerate(pieces):
+            drift = float(group.relation_defect(p).max())
+            if drift > threshold:
+                pieces[chart] = p = group.project(p)
+                LOGGER.info(
+                    f"chart %d: {what} drifted %.3e off %s; re-projected",
+                    chart, drift, group.name,
+                )
+                drift = float(group.relation_defect(p).max())
+                if drift > RELATION_DEFECT_LIMIT:
+                    raise NumericError(
+                        f"chart {chart}: {what} relation defect {drift:.3e} exceeds "
+                        f"{RELATION_DEFECT_LIMIT:.1e} even after re-projection"
+                    )
+            defects.append(drift)
+        # The measurements go in before __init__, whose checks then use them.
+        self = cls.__new__(cls)
+        object.__setattr__(self, "relation_defects", tuple(defects))
+        self.__init__(atlas, group, pieces, tolerance)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,11 +483,10 @@ def group_multiply(a: GroupSection, b: GroupSection) -> GroupSection:
     """Node-wise product; re-projects and logs only if drift exceeds 1e-12."""
     require_same_atlas(a.atlas, b.atlas, "group sections")
     require_same_group(a, b)
-    out = tuple(
-        onto_group(a.group, pa @ pb, PROJECTION_THRESHOLD, "product", j)
-        for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces))
+    return GroupSection.computed(
+        a.atlas, a.group, (pa @ pb for pa, pb in zip(a.pieces, b.pieces)),
+        PROJECTION_THRESHOLD, "product", max(a.tolerance, b.tolerance),
     )
-    return GroupSection(a.atlas, a.group, out, max(a.tolerance, b.tolerance))
 
 
 def group_invert(a: GroupSection) -> GroupSection:

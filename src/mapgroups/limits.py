@@ -31,7 +31,6 @@ from .groups import (
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
     GroupSection,
-    onto_group,
     require_same_group,
 )
 from .sobolev import check_convention, rellich_spectrum, weight_exponent
@@ -51,8 +50,10 @@ class SobolevLadder:
 
 def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
     s0 = float(s0)
-    if s0 < m / 2.0:
-        raise InputError(f"ladder base must be >= m/2 = {m / 2.0}, got {s0}")
+    if m not in (1, 2):
+        raise InputError(f"dimension m must be 1 or 2, got {m}")
+    if not m / 2.0 <= s0 < np.inf:
+        raise InputError(f"ladder base s0 must be finite and >= m/2 = {m / 2.0}, got {s0}")
     if count < 2:
         raise InputError("a ladder needs at least two rungs")
     rungs = tuple(s0 + 1.0 / j for j in range(1, count + 1))
@@ -289,11 +290,26 @@ def _rk4_factor(
     ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
     ``eta -> eta @ R`` with R independent of eta.
     """
-    b2 = a2 + (0.5 * h) * _product(a1, a2)
-    b3 = a2 + (0.5 * h) * _product(b2, a2)
-    b4 = a4 + h * _product(b3, a4)
-    eye = np.eye(a1.shape[0])[..., None]
-    return eye + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+    b2 = _product(a1, a2)
+    b2 *= 0.5 * h
+    b2 += a2
+    b3 = _product(b2, a2)
+    b3 *= 0.5 * h
+    b3 += a2
+    b4 = _product(b3, a4)
+    b4 *= h
+    b4 += a4
+    # r = eye + (h/6) ((a1 + 2 b2) + 2 b3 + b4), summed in that order into
+    # the product outputs; the full identity is added, as eye + r would.
+    r = b2
+    r *= 2.0
+    r += a1
+    b3 *= 2.0
+    r += b3
+    r += b4
+    r *= h / 6.0
+    r += np.eye(a1.shape[0])[..., None]
+    return r
 
 
 def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
@@ -306,7 +322,7 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     Each chart runs on its entry-first stack, every product through one
     kernel (``_product``); its time-1 value turns back to (K, d, d) once.
     Time-1 values whose relation defect exceeds the GroupSection
-    construction limit are re-projected (``groups.onto_group``); one that
+    construction limit are re-projected (``GroupSection.computed``); one that
     projection cannot repair, or whose chart pieces fail the GroupSection
     construction checks, raises NumericError: the curve was valid input.
     """
@@ -331,10 +347,11 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
                 a4 = _interp_matrices(stack, curve.times, t + h)
                 r = _rk4_factor(a1, a2, a4, h)
                 eta = r if eta is None else _product(eta, r)
-        eta = np.ascontiguousarray(eta.transpose(2, 0, 1))
-        pieces.append(onto_group(group, eta, RELATION_DEFECT_LIMIT, "time-1 value", j))
+        pieces.append(np.ascontiguousarray(eta.transpose(2, 0, 1)))
     try:
-        return GroupSection(curve.atlas, group, tuple(pieces))
+        return GroupSection.computed(
+            curve.atlas, group, pieces, RELATION_DEFECT_LIMIT, "time-1 value"
+        )
     except InputError as exc:
         raise NumericError(f"time-1 value: {exc}") from exc
 

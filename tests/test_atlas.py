@@ -161,6 +161,14 @@ def test_shared_transfer_arrays_are_read_only(name):
             arr[(0,) * arr.ndim] = 1
 
 
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
+def test_shared_chart_offsets_and_window_indices_are_read_only(name):
+    for c in builtin_atlas(name).charts:
+        for arr in (c.offset, *c.window.axis_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 def test_narrow_windows_rejected():
     with pytest.raises(InputError):
         circle_two_charts(window_half=1.5)

@@ -45,6 +45,11 @@ def test_peanut_shape_constraint():
     assert p.level(np.array([[0.0, 0.0]]))[0] < 0
 
 
+def test_boundary_samples_rejects_a_negative_count():
+    with pytest.raises(InputError, match=r"^count must be >= 0, got -1$"):
+        boundary_samples(disc(), -1, np.random.default_rng(0))
+
+
 def test_boundary_samples_land_on_the_level_set():
     rng = np.random.default_rng(3)
     for d in (disc(), ellipse(), peanut()):

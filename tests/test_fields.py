@@ -24,6 +24,7 @@ from mapgroups.fields import (
     same_grid,
     sample,
     synthesize,
+    tensor_transfer,
     wavenumber_squares,
 )
 from mapgroups.sections import random_section
@@ -98,6 +99,47 @@ def test_real_fields_stay_hermitian(m, modes, components, factor, extra, seed):
     back = synthesize(sample(f, grid), modes)
     for h in (f + g, f - g, f.scaled(factor), back):
         assert h.real and is_mirror_symmetric(h.coeffs)
+
+
+def test_random_field_rejects_negative_modes():
+    with pytest.raises(InputError, match=r"^modes must be >= 0, got -1$"):
+        random_field(1, -1, 1, np.random.default_rng(0))
+
+
+@settings(max_examples=60)
+@given(
+    dims=st.tuples(*[st.integers(1, 12)] * 4),
+    n=st.integers(1, 3),
+    tie=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_surface_tensor_transfer_matches_the_fixed_order(dims, n, tie, seed):
+    """Either contraction order gives W0 @ S @ W1.T to within 1e-13 of the
+    value scale; where ``(W0 @ S) @ W1.T`` costs no more (ties included),
+    it is the order taken, bit for bit."""
+    q0, g0, q1, g1 = dims
+    if tie:
+        q1, g1 = q0, g0
+    rng = np.random.default_rng(seed)
+    w0, w1 = rng.standard_normal((q0, g0)), rng.standard_normal((q1, g1))
+    stack = rng.standard_normal((n, g0, g1))
+    got = tensor_transfer((w0, w1), stack)
+    want = w0 @ stack @ w1.T
+    assert got.shape == (n, q0, q1)
+    if q0 * g1 * (g0 + q1) <= g0 * q1 * (g1 + q0):
+        assert got.tobytes() == want.tobytes()
+    else:
+        scale = float((np.abs(w0) @ np.abs(stack) @ np.abs(w1).T).max())
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_surface_tensor_transfer_contracts_the_wide_axis_first():
+    """torus4's 0/1 and 2/3 overlap transfers: S @ W1.T first costs 0.91M
+    multiply-adds for 16 components, against 2.37M the other way."""
+    rng = np.random.default_rng(7)
+    w0, w1 = rng.standard_normal((48, 20)), rng.standard_normal((24, 70))
+    stack = rng.standard_normal((16, 20, 70))
+    assert tensor_transfer((w0, w1), stack).tobytes() == (w0 @ (stack @ w1.T)).tobytes()
 
 
 def test_random_field_evaluates_real():

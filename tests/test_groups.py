@@ -1,6 +1,7 @@
 """Matrix groups and node-wise group sections over an atlas."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -392,6 +393,58 @@ def test_product_projection_cannot_repair_is_a_numeric_error(atlas):
     assert 0.8e-10 < max(a.relation_defects + b.relation_defects) < 1e-10
     with pytest.raises(NumericError, match=r"^chart 0: product relation defect "):
         group_multiply(a, b)
+
+
+def _counting(group):
+    """``group`` with a defect_fn that records each call, and the record."""
+    calls = []
+
+    def counting(mats):
+        calls.append(mats.shape)
+        return group.defect_fn(mats)
+
+    return dataclasses.replace(group, defect_fn=counting), calls
+
+
+@pytest.mark.parametrize("base", ALL_GROUPS, ids=lambda g: g.name)
+def test_each_constructed_value_is_measured_once_per_chart(atlas, caplog, base):
+    group, calls = _counting(base)
+    rng = np.random.default_rng(53)
+    xi, eta = (random_algebra_section(atlas, group, rng) for _ in range(2))
+    g, h = exp_section(xi), exp_section(eta)
+    for build in (
+        lambda: exp_section(xi),
+        lambda: group_invert(g),
+        lambda: group_multiply(g, h),
+    ):
+        calls.clear()
+        with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
+            built = build()
+        assert len(calls) == atlas.chart_count
+        assert not caplog.records
+        want = tuple(float(base.relation_defect(p).max()) for p in built.pieces)
+        assert built.relation_defects == want
+
+
+def test_a_reprojected_product_is_measured_twice_per_chart(atlas, caplog):
+    group, calls = _counting(upper_triangular2())
+    rng = np.random.default_rng(59)
+    pieces = []
+    for p in exp_section(random_algebra_section(atlas, group, rng)).pieces:
+        p = p.copy()
+        p[:, 1, 0] = 5e-11  # inside the construction limit, above the product threshold
+        pieces.append(p)
+    a = GroupSection(atlas, group, tuple(pieces))
+    ident = identity_group_section(atlas, group)
+    calls.clear()
+    with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
+        out = group_multiply(a, ident)
+    assert len(calls) == 2 * atlas.chart_count
+    assert [r.getMessage() for r in caplog.records] == [
+        f"chart {j}: product drifted 5.000e-11 off UT2; re-projected"
+        for j in range(atlas.chart_count)
+    ]
+    assert out.relation_defects == (0.0,) * atlas.chart_count
 
 
 def test_adjoint_by_identity_fixes_direction(atlas):

@@ -24,6 +24,7 @@ from mapgroups.limits import (
     _chart_curve_matrices,
     _interp_matrices,
     _product,
+    _rk4_factor,
     constant_curve,
     critical_order_estimate,
     decay_field,
@@ -61,6 +62,19 @@ def test_ladder_validation():
         ladder(0.9, 3, m=2)
     with pytest.raises(InputError):
         ladder(1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "s0, m, match",
+    [
+        (float("nan"), 1, r"^ladder base s0 must be finite and >= m/2 = 0\.5, got nan$"),
+        (float("inf"), 1, r"^ladder base s0 must be finite and >= m/2 = 0\.5, got inf$"),
+        (2.0, 3, r"^dimension m must be 1 or 2, got 3$"),
+    ],
+)
+def test_ladder_rejects_a_nonfinite_base_and_an_unsupported_dimension(s0, m, match):
+    with pytest.raises(InputError, match=match):
+        ladder(s0, 3, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +435,46 @@ def test_chart_curve_stack_is_entry_first_and_contiguous(torus, group_name):
         assert stack.flags.c_contiguous
         for t, sec in enumerate(curve.sections):
             assert np.array_equal(stack[t], sec.chart_matrices(j).transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rk4_factor_matches_the_allocating_formula_bitwise(d):
+    """The in-place factor keeps the sum order and the full-identity add of
+    ``eye + (h/6) (a1 + 2 b2 + 2 b3 + b4)``, so every byte agrees, signed
+    zeros included (half the entries are zero)."""
+    rng = np.random.default_rng(60 + d)
+    for h in (1.0 / 64, -0.37, 1.0):
+        a1, a2, a4 = rng.standard_normal((3, d, d, 50)) * rng.integers(0, 2, (3, d, d, 50))
+        b2 = a2 + (0.5 * h) * _product(a1, a2)
+        b3 = a2 + (0.5 * h) * _product(b2, a2)
+        b4 = a4 + h * _product(b3, a4)
+        want = np.eye(d)[..., None] + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+        assert _rk4_factor(a1, a2, a4, h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group_name", ["SO3", "SU2", "UT2"])
+@pytest.mark.parametrize("samples", [2, 3])
+def test_evolve_measures_each_time1_chart_once(atlas, caplog, group_name, samples):
+    """One measurement per chart, and one more for each chart whose time-1
+    value is re-projected (RK4 drifts off SO3 and SU2 at 8 steps)."""
+    calls = []
+    base = group_by_name(group_name)
+
+    def counting(mats):
+        calls.append(mats.shape)
+        return base.defect_fn(mats)
+
+    group = dataclasses.replace(base, defect_fn=counting)
+    rng = np.random.default_rng(61)
+    times = np.linspace(0.0, 1.0, samples)
+    xi = random_algebra_section(atlas, group, rng)
+    sections = (xi,) * 2 if samples == 2 else tuple(
+        random_algebra_section(atlas, group, rng) for _ in times
+    )
+    curve = TimeSampledCurve(times, sections)
+    calls.clear()
+    with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
+        evolve(curve, 8)
+    projected = len(caplog.records)
+    assert projected == (0 if group_name == "UT2" else atlas.chart_count)
+    assert len(calls) == atlas.chart_count + projected

@@ -191,6 +191,11 @@ def test_rellich_spectrum_sorted_and_below_one():
         assert np.all(sig <= 1.0)
 
 
+def test_rellich_spectrum_rejects_negative_modes():
+    with pytest.raises(InputError, match=r"^modes must be >= 0, got -1$"):
+        rellich_spectrum(2.0, 1.0, -1)
+
+
 def test_rellich_requires_strict_gap():
     with pytest.raises(InputError):
         rellich_spectrum(1.0, 1.0, 8)
