@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .cutoffs import bump_profile
-from .errors import InputError, SingularBoundaryError
+from .errors import InputError, SingularBoundaryError, check_count
 
 GRADIENT_FLOOR = 1e-12
 
@@ -110,8 +110,7 @@ def boundary_samples(
 ) -> np.ndarray:
     """Random boundary points: bbox rejection plus root polishing along the
     gradient direction until |g| < tol."""
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
+    count = check_count(count, "count", 0)
     (xlo, xhi), (ylo, yhi) = domain.bbox
     out = []
     for _ in range(max_rounds):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class InputError(ValueError):
     """Malformed or mismatched operation inputs."""
@@ -47,3 +49,15 @@ class SolverError(RuntimeError):
 
 class NumericError(RuntimeError):
     """Nonfinite value produced at a named location."""
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; InputError naming ``name`` unless it is a Python
+    or NumPy integer of at least ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise InputError(f"{name} must be >= {minimum}, got {count}")
+    return count

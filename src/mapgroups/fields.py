@@ -22,6 +22,7 @@ from .errors import (
     EmptyMaskError,
     InputError,
     ShapeMismatchError,
+    check_count,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -362,8 +363,7 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
 
 def wavenumber_squares(m: int, modes: int) -> np.ndarray:
     """Lattice of |k|^2 over every |k_d| <= modes, shape (2*modes+1,)*m."""
-    if modes < 0:
-        raise InputError(f"modes must be >= 0, got {modes}")
+    modes = check_count(modes, "modes", 0)
     k = np.arange(-modes, modes + 1, dtype=float)
     if m == 1:
         return k**2

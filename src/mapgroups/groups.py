@@ -12,6 +12,13 @@ Three groups are built in:
 Every group states a chart ball: ``log`` is trusted only inside radius
 ``q_radius`` (measured in algebra coordinates), and ``v_radius`` is small
 enough that products of two exponentials stay inside the chart ball.
+
+Layout: group values are entry-first stacks ``(d, d, *nodes)``, entry
+``g[i, j]`` one array over the nodes, and every node-wise matrix product
+goes through one kernel, :func:`node_product`.  Algebra coordinates are
+node-first, ``(*nodes, a)``, like the values of a sampled field.  Only the
+SVD in ``project`` and the SO3 determinant move the entry axes last, for
+LAPACK, and their results come back as C-contiguous stacks.
 """
 
 from __future__ import annotations
@@ -44,6 +51,41 @@ PROJECTION_THRESHOLD = 1e-12
 RELATION_DEFECT_LIMIT = 1e-10
 
 
+def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Node-wise matrix product of two entry-first (d, d, *nodes) stacks."""
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def node_power(a: np.ndarray, n: int) -> np.ndarray:
+    """Node-wise power ``a**n`` (n >= 1) of a (d, d, *nodes) stack by repeated
+    squaring, the powers of two multiplied in from the right."""
+    result = None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            result = a if result is None else node_product(result, a)
+        if not n:
+            return result
+        a = node_product(a, a)
+
+
+def _eye(d: int, nodes: tuple) -> np.ndarray:
+    """The identity, shaped to broadcast against a (d, d, *nodes) stack."""
+    return np.eye(d).reshape((d, d) + (1,) * len(nodes))
+
+
+def _entry_pinv(basis: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of the flat basis, entry-first and C-contiguous, (d*d, a):
+    then the coordinate sums run in one order on one matrix and on a stack."""
+    return np.ascontiguousarray(np.linalg.pinv(basis.reshape(len(basis), -1).T).T)
+
+
+def _coords(pinv: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Algebra coordinates (*nodes, a) of a (d, d, *nodes) stack."""
+    flat = mats.reshape((-1,) + mats.shape[2:])
+    return np.moveaxis(np.einsum("ba,b...->a...", pinv, flat), 0, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
     """A matrix group with a fixed algebra basis and closed-form charts."""
@@ -65,16 +107,15 @@ class MatrixGroup:
         return self.basis.shape[0]
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        v = np.asarray(coords, dtype=float)
-        return np.einsum("...a,aij->...ij", v, self.basis)
+        # Exact: every basis entry has at most one nonzero term.
+        return np.tensordot(self.basis, np.asarray(coords, dtype=float), (0, -1))
 
     @cached_property
     def _coords_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.basis.reshape(self.algebra_dim, -1).T)
+        return _entry_pinv(self.basis)
 
     def from_matrix(self, mats: np.ndarray) -> np.ndarray:
-        flat = np.asarray(mats, dtype=float).reshape(mats.shape[:-2] + (-1,))
-        return np.einsum("ab,...b->...a", self._coords_pinv, flat)
+        return _coords(self._coords_pinv, np.asarray(mats, dtype=float))
 
     def coord_norm(self, coords: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.asarray(coords, dtype=float), axis=-1)
@@ -103,32 +144,25 @@ class MatrixGroup:
     def adjoint(self, g: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Ad_g in algebra coordinates: g X g^{-1} pushed back to coords."""
         x = self.to_matrix(coords)
-        return self.from_matrix(g @ x @ self.invert(g))
+        return self.from_matrix(node_product(node_product(g, x), self.invert(g)))
 
     def bracket_coords(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         xu, xv = self.to_matrix(u), self.to_matrix(v)
-        return self.from_matrix(xu @ xv - xv @ xu)
+        return self.from_matrix(node_product(xu, xv) - node_product(xv, xu))
 
 
 def _hat3(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    x, y, z = np.moveaxis(v, -1, 0)
+    zero = np.zeros_like(x)
+    return np.array([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
 
 
 def _vee3(mats: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [mats[..., 2, 1], mats[..., 0, 2], mats[..., 1, 0]], axis=-1
-    )
+    return np.stack([mats[2, 1], mats[0, 2], mats[1, 0]], axis=-1)
 
 
 def so3() -> MatrixGroup:
-    basis = _hat3(np.eye(3))
+    basis = np.ascontiguousarray(np.moveaxis(_hat3(np.eye(3)), -1, 0))
     q_radius = np.pi - 0.1
 
     def exp_fn(v):
@@ -138,39 +172,33 @@ def so3() -> MatrixGroup:
         th = np.where(small, 1.0, theta)
         a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(th) / th)
         b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(th)) / th**2)
-        eye = np.broadcast_to(np.eye(3), k.shape)
-        return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
+        return _eye(3, theta.shape) + a * k + b * node_product(k, k)
 
     def _angle(g):
-        tr = np.trace(g, axis1=-2, axis2=-1)
-        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        return np.arccos(np.clip((np.trace(g) - 1.0) / 2.0, -1.0, 1.0))
 
     def log_fn(g):
         theta = _angle(g)
         small = theta < 1e-8
         th = np.where(small, 1.0, theta)
         factor = np.where(small, 0.5 + theta**2 / 12.0, th / (2.0 * np.sin(th)))
-        return factor[..., None] * _vee3(g - np.swapaxes(g, -1, -2))
+        return factor[..., None] * _vee3(g - g.swapaxes(0, 1))
 
     def log_valid_fn(g):
         return _angle(g) < q_radius
 
     def invert_fn(g):
-        return np.swapaxes(g, -1, -2).copy()
+        return g.swapaxes(0, 1).copy()
 
     def project_fn(g):
-        u, _, vt = np.linalg.svd(g)
-        r = u @ vt
-        det = np.linalg.det(r)
-        u = u.copy()
-        u[..., :, -1] *= np.sign(det)[..., None]
-        return u @ vt
+        u, _, vt = np.linalg.svd(np.moveaxis(g, (0, 1), (-2, -1)))
+        u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
+        return np.ascontiguousarray(np.moveaxis(u @ vt, (-2, -1), (0, 1)))
 
     def defect_fn(g):
-        gtg = np.swapaxes(g, -1, -2) @ g
-        eye = np.broadcast_to(np.eye(3), g.shape)
-        orth = np.abs(gtg - eye).max(axis=(-2, -1))
-        det = np.abs(np.linalg.det(g) - 1.0)
+        gtg = node_product(g.swapaxes(0, 1), g)
+        orth = np.abs(gtg - _eye(3, g.shape[2:])).max(axis=(0, 1))
+        det = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1))) - 1.0)
         return np.maximum(orth, det)
 
     return MatrixGroup(
@@ -180,7 +208,7 @@ def so3() -> MatrixGroup:
 
 
 def _realify(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real 4x4 block form [[X, -Y], [Y, X]] of X + iY."""
+    """Real 4x4 block form [[X, -Y], [Y, X]] of X + iY, matrix axes last."""
     top = np.concatenate([x, -y], axis=-1)
     bot = np.concatenate([y, x], axis=-1)
     return np.concatenate([top, bot], axis=-2)
@@ -202,7 +230,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def su2_real() -> MatrixGroup:
     mats = -0.5j * _SIGMA
     basis = _realify(mats.real, mats.imag)
-    coords_pinv = np.linalg.pinv(basis.reshape(3, 16).T)
+    coords_pinv = _entry_pinv(basis)
     q_radius = np.pi - 0.1
 
     def exp_fn(v):
@@ -211,49 +239,40 @@ def su2_real() -> MatrixGroup:
         small = theta < 1e-8
         hs = np.where(small, 1.0, half)
         sinc_half = np.where(small, 1.0 - half**2 / 6.0, np.sin(hs) / hs)
-        xi = np.einsum("...a,aij->...ij", v, basis)
-        eye = np.broadcast_to(np.eye(4), xi.shape)
-        return np.cos(half)[..., None, None] * eye + sinc_half[..., None, None] * xi
+        xi = np.tensordot(basis, v, (0, -1))
+        return np.cos(half) * _eye(4, theta.shape) + sinc_half * xi
 
     def _half_angle(g):
-        tr = np.trace(g, axis1=-2, axis2=-1)
-        return np.arccos(np.clip(tr / 4.0, -1.0, 1.0))
+        return np.arccos(np.clip(np.trace(g) / 4.0, -1.0, 1.0))
 
     def log_fn(g):
         half = _half_angle(g)
         small = half < 1e-8
         hs = np.where(small, 1.0, half)
         inv_sinc = np.where(small, 1.0 + half**2 / 6.0, hs / np.sin(hs))
-        anti = 0.5 * (g - np.swapaxes(g, -1, -2))
-        xi = inv_sinc[..., None, None] * anti
-        flat = xi.reshape(xi.shape[:-2] + (16,))
-        return np.einsum("ab,...b->...a", coords_pinv, flat)
+        anti = 0.5 * (g - g.swapaxes(0, 1))
+        return _coords(coords_pinv, inv_sinc * anti)
 
     def log_valid_fn(g):
         return 2.0 * _half_angle(g) < q_radius
 
     def invert_fn(g):
-        return np.swapaxes(g, -1, -2).copy()
-
-    def _blocks(g):
-        return g[..., :2, :2], g[..., 2:, :2]
+        return g.swapaxes(0, 1).copy()
 
     def project_fn(g):
-        x, y = _blocks(g)
-        u = x + 1j * y
-        uu, _, vt = np.linalg.svd(u)
+        uu, _, vt = np.linalg.svd(np.moveaxis(g[:2, :2] + 1j * g[2:, :2], (0, 1), (-2, -1)))
         w = uu @ vt
-        det = np.linalg.det(w)
         # Divide out the residual phase so the determinant is exactly one.
-        phase = det ** (-0.5)
-        w = w * phase[..., None, None]
-        return _realify(w.real, w.imag)
+        w = w * (np.linalg.det(w) ** (-0.5))[..., None, None]
+        return np.ascontiguousarray(np.moveaxis(_realify(w.real, w.imag), (-2, -1), (0, 1)))
 
     def defect_fn(g):
-        # One contiguous vector per entry: e[4 r + c] is entry (r, c).  In
-        # the block form [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2,
-        # X(r, c) is e[k] and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].
-        e = np.moveaxis(g.reshape(g.shape[:-2] + (16,)), -1, 0).copy()
+        # One row per entry: e[4 r + c] is entry (r, c).  In the block form
+        # [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2, X(r, c) is e[k]
+        # and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].  Rows, not
+        # scalars, for one matrix too: numpy's complex scalar product rounds
+        # unlike its array loop.
+        e = g.reshape(16, -1)
         struct = np.abs(e[0] - e[10])
         for k in (1, 4, 5):
             struct = np.maximum(struct, np.abs(e[k] - e[k + 10]))
@@ -267,7 +286,7 @@ def su2_real() -> MatrixGroup:
             np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)
         )
         det = np.abs(a * d - b * c - 1.0)
-        return np.maximum(np.maximum(struct, np.maximum(unit, off)), det)
+        return np.maximum(np.maximum(struct, np.maximum(unit, off)), det).reshape(g.shape[2:])
 
     return MatrixGroup(
         "SU2", 4, basis, q_radius, q_radius / 2.0,
@@ -292,50 +311,50 @@ def upper_triangular2() -> MatrixGroup:
 
     def exp_fn(v):
         x, y, z = v[..., 0], v[..., 1], v[..., 2]
-        out = np.zeros(v.shape[:-1] + (2, 2))
-        out[..., 0, 0] = np.exp(x)
-        out[..., 1, 1] = np.exp(z)
-        out[..., 0, 1] = y * _phi(x, z)
+        out = np.zeros((2, 2) + v.shape[:-1])
+        out[0, 0] = np.exp(x)
+        out[1, 1] = np.exp(z)
+        out[0, 1] = y * _phi(x, z)
         return out
 
     def log_fn(g):
-        a = g[..., 0, 0]
-        c = g[..., 1, 1]
+        a = g[0, 0]
+        c = g[1, 1]
         x = np.log(a)
         z = np.log(c)
-        y = g[..., 0, 1] / _phi(x, z)
+        y = g[0, 1] / _phi(x, z)
         return np.stack([x, y, z], axis=-1)
 
     def log_valid_fn(g):
-        a = g[..., 0, 0]
-        c = g[..., 1, 1]
+        a = g[0, 0]
+        c = g[1, 1]
         ok = (a > 1e-12) & (c > 1e-12)
         x = np.log(np.where(ok, a, 1.0))
         z = np.log(np.where(ok, c, 1.0))
-        y = g[..., 0, 1] / _phi(x, z)
+        y = g[0, 1] / _phi(x, z)
         norm = np.sqrt(x * x + y * y + z * z)
         return ok & (norm < 5.0)
 
     def invert_fn(g):
-        a = g[..., 0, 0]
-        b = g[..., 0, 1]
-        c = g[..., 1, 1]
+        a = g[0, 0]
+        b = g[0, 1]
+        c = g[1, 1]
         out = np.zeros_like(g)
-        out[..., 0, 0] = 1.0 / a
-        out[..., 1, 1] = 1.0 / c
-        out[..., 0, 1] = -b / (a * c)
+        out[0, 0] = 1.0 / a
+        out[1, 1] = 1.0 / c
+        out[0, 1] = -b / (a * c)
         return out
 
     def project_fn(g):
         out = g.copy()
-        out[..., 1, 0] = 0.0
-        out[..., 0, 0] = np.abs(out[..., 0, 0])
-        out[..., 1, 1] = np.abs(out[..., 1, 1])
+        out[1, 0] = 0.0
+        out[0, 0] = np.abs(out[0, 0])
+        out[1, 1] = np.abs(out[1, 1])
         return out
 
     def defect_fn(g):
-        lower = np.abs(g[..., 1, 0])
-        diag = np.minimum(g[..., 0, 0], g[..., 1, 1])
+        lower = np.abs(g[1, 0])
+        diag = np.minimum(g[0, 0], g[1, 1])
         return np.maximum(lower, np.maximum(-diag, 0.0))
 
     return MatrixGroup(
@@ -359,7 +378,9 @@ def group_by_name(name: str) -> MatrixGroup:
 class GroupSection:
     """Chart family of node-wise group elements over an atlas.
 
-    ``relation_defects`` keeps each chart's largest relation defect.
+    Each piece is one C-contiguous entry-first stack, ``(d, d, K)`` for a
+    chart window of K nodes.  ``relation_defects`` keeps each chart's
+    largest relation defect.
     Values an operation computes are built by :meth:`computed`, which
     measures each chart once and hands that measurement to the checks here.
     """
@@ -371,21 +392,23 @@ class GroupSection:
     relation_defects: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        # The node-wise kernel slows down many times over on strided stacks.
+        object.__setattr__(self, "pieces", tuple(map(np.ascontiguousarray, self.pieces)))
         check_tolerance(self.tolerance)
         if len(self.pieces) != self.atlas.chart_count:
             raise ShapeMismatchError("one piece per chart required")
         d = self.group.dim
         flat = []
         for c, p in zip(self.atlas.charts, self.pieces):
-            if p.shape != (c.window.node_count, d, d):
+            if p.shape != (d, d, c.window.node_count):
                 raise ShapeMismatchError(
                     f"chart {c.index} matrices must have shape "
-                    f"({c.window.node_count}, {d}, {d}), got {p.shape}"
+                    f"({d}, {d}, {c.window.node_count}), got {p.shape}"
                 )
-            # The flat entry fields reject nonfinite entries, which pass the
-            # relation check (NaN compares false), and carry the overlap check.
-            flat.append(SampledField(c.window, p.reshape(p.shape[0], d * d)))
+            # The flat entry fields, views of the pieces, reject nonfinite
+            # entries, which pass the relation check (NaN compares false),
+            # and carry the overlap check.
+            flat.append(SampledField(c.window, p.reshape(d * d, -1).T))
         if "relation_defects" not in vars(self):
             defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
             object.__setattr__(self, "relation_defects", defects)
@@ -473,7 +496,7 @@ def require_same_group(a, b):
 
 def identity_group_section(atlas: Atlas, group: MatrixGroup) -> GroupSection:
     pieces = tuple(
-        np.broadcast_to(group.identity(), (c.window.node_count,) + (group.dim,) * 2).copy()
+        np.repeat(group.identity()[..., None], c.window.node_count, axis=2)
         for c in atlas.charts
     )
     return GroupSection(atlas, group, pieces)
@@ -484,7 +507,7 @@ def group_multiply(a: GroupSection, b: GroupSection) -> GroupSection:
     require_same_atlas(a.atlas, b.atlas, "group sections")
     require_same_group(a, b)
     return GroupSection.computed(
-        a.atlas, a.group, (pa @ pb for pa, pb in zip(a.pieces, b.pieces)),
+        a.atlas, a.group, (node_product(pa, pb) for pa, pb in zip(a.pieces, b.pieces)),
         PROJECTION_THRESHOLD, "product", max(a.tolerance, b.tolerance),
     )
 

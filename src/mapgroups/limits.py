@@ -13,9 +13,10 @@ between its time samples.  The equation is linear, so each RK4 step is a
 right factor ``eta -> eta @ R`` built from the curve alone; the time-1
 value is the ordered product of the step factors.  On a chart where every
 time sample is the same, all factors are equal and the product is a
-matrix power, taken by repeated squaring.  The steps run on entry-first
-node stacks, ``(d, d, K)`` for K nodes, and every matrix product goes
-through one kernel that contracts the entry axes node by node.
+matrix power, taken by repeated squaring.  Group values are entry-first
+node stacks, ``(d, d, K)`` for K nodes, as everywhere in ``groups``;
+algebra coordinates are node-first, ``(K, a)``.  Every matrix product goes
+through the one node-wise kernel, ``groups.node_product``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import require_same_atlas
-from .errors import InputError, NumericError, ShapeMismatchError
+from .errors import InputError, NumericError, ShapeMismatchError, check_count
 from .fields import BandlimitedField, hermitian_part, sobolev_weights
 from .groups import (
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
     GroupSection,
+    node_power,
+    node_product,
     require_same_group,
 )
 from .sobolev import check_convention, rellich_spectrum, weight_exponent
@@ -54,8 +57,7 @@ def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
         raise InputError(f"dimension m must be 1 or 2, got {m}")
     if not m / 2.0 <= s0 < np.inf:
         raise InputError(f"ladder base s0 must be finite and >= m/2 = {m / 2.0}, got {s0}")
-    if count < 2:
-        raise InputError("a ladder needs at least two rungs")
+    count = check_count(count, "count", 2)
     rungs = tuple(s0 + 1.0 / j for j in range(1, count + 1))
     return SobolevLadder(s0, rungs)
 
@@ -241,16 +243,8 @@ def constant_curve(xi: AlgebraSection) -> TimeSampledCurve:
 
 
 def _chart_curve_matrices(curve: TimeSampledCurve, j: int) -> np.ndarray:
-    """Entry-first stack of one chart's curve matrices, shape (T, d, d, K).
-
-    One C-contiguous allocation: the einsum kernel slows down many times
-    over on a strided stack.
-    """
-    d, nodes = curve.group.dim, curve.atlas.charts[j].window.node_count
-    stack = np.empty((len(curve.sections), d, d, nodes))
-    for out, sec in zip(stack, curve.sections):
-        out[...] = sec.chart_matrices(j).transpose(1, 2, 0)
-    return stack
+    """One chart's curve matrices as one C-contiguous (T, d, d, K) stack."""
+    return np.stack([sec.chart_matrices(j) for sec in curve.sections])
 
 
 def _interp_matrices(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
@@ -262,41 +256,23 @@ def _interp_matrices(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarr
     return (1.0 - w) * stack[pos] + w * stack[pos + 1]
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Node-wise matrix product of two entry-first (d, d, K) stacks."""
-    return np.einsum("ikn,kjn->ijn", a, b)
-
-
-def _power(a: np.ndarray, n: int) -> np.ndarray:
-    """Node-wise power ``a**n`` (n >= 1) of a (d, d, K) stack by repeated
-    squaring, the powers of two multiplied in from the right."""
-    result = None
-    while True:
-        n, bit = divmod(n, 2)
-        if bit:
-            result = a if result is None else _product(result, a)
-        if not n:
-            return result
-        a = _product(a, a)
-
-
 def _rk4_factor(
     a1: np.ndarray, a2: np.ndarray, a4: np.ndarray, h: float
 ) -> np.ndarray:
     """Right factor R of one classical RK4 step of eta' = eta @ a(t).
 
     ``a1``, ``a2``, ``a4`` are the curve at the step's start, midpoint and
-    end, as (d, d, K) stacks.  The stages k1..k4 are ``eta @ a1``,
-    ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
+    end, as (d, d, K) stacks; they are only read.  The stages k1..k4 are
+    ``eta @ a1``, ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
     ``eta -> eta @ R`` with R independent of eta.
     """
-    b2 = _product(a1, a2)
+    b2 = node_product(a1, a2)
     b2 *= 0.5 * h
     b2 += a2
-    b3 = _product(b2, a2)
+    b3 = node_product(b2, a2)
     b3 *= 0.5 * h
     b3 += a2
-    b4 = _product(b3, a4)
+    b4 = node_product(b3, a4)
     b4 *= h
     b4 += a4
     # r = eye + (h/6) ((a1 + 2 b2) + 2 b3 + b4), summed in that order into
@@ -319,9 +295,8 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     count must be at least the curve's time resolution.  Each step is a
     right factor (``_rk4_factor``); where a chart's time samples are all
     bitwise equal, the time-1 value is that factor to the power ``steps``.
-    Each chart runs on its entry-first stack, every product through one
-    kernel (``_product``); its time-1 value turns back to (K, d, d) once.
-    Time-1 values whose relation defect exceeds the GroupSection
+    On a sampled curve, each step's end value is the next step's start
+    value.  Time-1 values whose relation defect exceeds the GroupSection
     construction limit are re-projected (``GroupSection.computed``); one that
     projection cannot repair, or whose chart pieces fail the GroupSection
     construction checks, raises NumericError: the curve was valid input.
@@ -337,17 +312,17 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
         stack = _chart_curve_matrices(curve, j)
         if (stack == stack[0]).all():
             a = stack[0]
-            eta = _power(_rk4_factor(a, a, a, h), steps)
+            eta = node_power(_rk4_factor(a, a, a, h), steps)
         else:
-            eta = None
+            eta, a1 = None, _interp_matrices(stack, curve.times, 0.0)
             for i in range(steps):
                 t = i * h
-                a1 = _interp_matrices(stack, curve.times, t)
                 a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
                 a4 = _interp_matrices(stack, curve.times, t + h)
                 r = _rk4_factor(a1, a2, a4, h)
-                eta = r if eta is None else _product(eta, r)
-        pieces.append(np.ascontiguousarray(eta.transpose(2, 0, 1)))
+                eta = r if eta is None else node_product(eta, r)
+                a1 = a4
+        pieces.append(eta)
     try:
         return GroupSection.computed(
             curve.atlas, group, pieces, RELATION_DEFECT_LIMIT, "time-1 value"

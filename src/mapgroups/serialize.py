@@ -377,7 +377,8 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
         "group": gs.group.name,
         **_atlas_header(gs.atlas, convention),
         "tolerance": gs.tolerance,
-        "pieces": [encode_array(p.reshape(len(p), -1)) for p in gs.pieces],
+        # Files keep one row of d * d entries per node.
+        "pieces": [encode_array(p.reshape(-1, p.shape[-1]).T) for p in gs.pieces],
     }
 
 
@@ -394,7 +395,7 @@ def load_group_section(doc: dict) -> GroupSection:
                 f"group_section piece {j} must hold rows of {d * d} entries, "
                 f"got shape {arr.shape}"
             )
-        pieces.append(arr.astype(float, copy=False).reshape(-1, d, d))
+        pieces.append(arr.astype(float, copy=False).T.reshape(d, d, -1))
     return GroupSection(a, group, tuple(pieces), _tolerance(doc))
 
 

@@ -50,6 +50,12 @@ def test_boundary_samples_rejects_a_negative_count():
         boundary_samples(disc(), -1, np.random.default_rng(0))
 
 
+def test_boundary_samples_takes_only_an_integer_count():
+    with pytest.raises(InputError, match=r"^count must be an integer, got 2\.5$"):
+        boundary_samples(disc(), 2.5, np.random.default_rng(0))
+    assert boundary_samples(disc(), np.int64(3), np.random.default_rng(0)).shape == (3, 2)
+
+
 def test_boundary_samples_land_on_the_level_set():
     rng = np.random.default_rng(3)
     for d in (disc(), ellipse(), peanut()):

@@ -106,6 +106,20 @@ def test_random_field_rejects_negative_modes():
         random_field(1, -1, 1, np.random.default_rng(0))
 
 
+def test_wavenumber_lattices_take_only_integer_modes():
+    """2.5 modes once gave 6 coefficients with no k = 0 centre, and a
+    4-value Rellich spectrum."""
+    from mapgroups.sobolev import rellich_spectrum
+
+    for modes in (2.5, np.float64(2.0)):
+        with pytest.raises(InputError, match=r"^modes must be an integer, got "):
+            random_field(1, modes, 1, np.random.default_rng(0))
+        with pytest.raises(InputError, match=r"^modes must be an integer, got "):
+            rellich_spectrum(2.0, 1.0, modes)
+    assert random_field(1, np.int64(2), 1, np.random.default_rng(0)).coeffs.shape == (1, 5)
+    assert rellich_spectrum(2.0, 1.0, np.int32(2)).shape == (5,)
+
+
 @settings(max_examples=60)
 @given(
     dims=st.tuples(*[st.integers(1, 12)] * 4),

@@ -25,13 +25,26 @@ from mapgroups.groups import (
     group_multiply,
     identity_group_section,
     log_section,
+    node_product,
     random_algebra_section,
     so3,
     su2_real,
     upper_triangular2,
 )
+from mapgroups.limits import TimeSampledCurve, constant_curve, evolve
+from mapgroups.serialize import (
+    dump_curve,
+    dump_group_section,
+    load_curve,
+    load_group_section,
+)
 
 ALL_GROUPS = [so3(), su2_real(), upper_triangular2()]
+
+
+def matrix_last(g):
+    """An entry-first (d, d, *nodes) stack as (*nodes, d, d), for np.matmul."""
+    return np.moveaxis(g, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +61,7 @@ def test_builders_and_lookup():
 def test_exp_of_zero_is_identity():
     for g in ALL_GROUPS:
         out = g.exp(np.zeros((4, g.algebra_dim)))
-        eye = np.broadcast_to(g.identity(), out.shape)
+        eye = np.broadcast_to(g.identity()[..., None], out.shape)
         assert np.abs(out - eye).max() < 1e-15, g.name
 
 
@@ -97,10 +110,10 @@ def test_log_domain_guards():
     g = so3()
     # rotation by pi about the x axis sits outside the log ball
     half_turn = np.diag([1.0, -1.0, -1.0])
-    assert not g.log_valid(half_turn[None])[0]
-    assert g.log_valid(g.identity()[None])[0]
+    assert not g.log_valid(half_turn[..., None])[0]
+    assert g.log_valid(g.identity()[..., None])[0]
     ut = upper_triangular2()
-    assert not ut.log_valid(np.array([[[-1.0, 0.0], [0.0, 1.0]]]))[0]
+    assert not ut.log_valid(np.array([[[-1.0], [0.0]], [[0.0], [1.0]]]))[0]
 
 
 def su2_defect_reference(g):
@@ -123,7 +136,8 @@ def test_su2_closed_form_defect_matches_matrix_reference(drift):
     mats = g.exp(rng.uniform(-1.4, 1.4, size=(500, 3)))
     mats = mats + drift * rng.standard_normal(mats.shape)
     got = g.relation_defect(mats)
-    assert np.abs(got - su2_defect_reference(mats)).max() <= 4 * np.finfo(float).eps
+    want = su2_defect_reference(matrix_last(mats))
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
     if drift:
         assert got.min() > 0.1 * drift
 
@@ -155,14 +169,15 @@ def test_su2_entry_vector_defect_equals_block_form_bitwise(batch):
 
     cases = {
         "exp": draw(),
-        "product": draw() @ draw(),
-        "drift 1e-9": draw() + 1e-9 * rng.standard_normal(batch + (4, 4)),
-        "drift 1e-3": draw() + 1e-3 * rng.standard_normal(batch + (4, 4)),
-        "normal": rng.standard_normal(batch + (4, 4)),
+        "product": node_product(draw(), draw()),
+        "drift 1e-9": draw() + 1e-9 * rng.standard_normal((4, 4) + batch),
+        "drift 1e-3": draw() + 1e-3 * rng.standard_normal((4, 4) + batch),
+        "normal": rng.standard_normal((4, 4) + batch),
     }
     for kind, mats in cases.items():
         got = np.asarray(g.relation_defect(mats))
-        want = np.asarray(su2_block_defect(mats))
+        # One matrix is a one-node stack: array arithmetic on both sides.
+        want = np.asarray(su2_block_defect(matrix_last(mats.reshape(4, 4, -1)))).reshape(batch)
         assert got.shape == batch, kind
         assert got.tobytes() == want.tobytes(), kind
 
@@ -171,9 +186,52 @@ def test_coordinate_pseudoinverse_built_once():
     for g in ALL_GROUPS:
         pinv = np.linalg.pinv(g.basis.reshape(g.algebra_dim, -1).T)
         v = np.random.default_rng(2).standard_normal((5, g.algebra_dim))
-        want = np.einsum("ab,...b->...a", pinv, g.to_matrix(v).reshape(5, -1))
+        want = np.einsum("ab,b...->...a", pinv, g.to_matrix(v).reshape(-1, 5))
         assert np.array_equal(g.from_matrix(g.to_matrix(v)), want)
         assert g._coords_pinv is g._coords_pinv
+
+
+def at_node(x, n):
+    """Node n of a (d, d, K) matrix stack, or of a node-first (K[, a]) stack."""
+    return x[:, :, n] if x.ndim == 3 else x[n]
+
+
+@settings(max_examples=30)
+@given(
+    group=st.sampled_from(ALL_GROUPS),
+    nodes=st.integers(min_value=1, max_value=12),
+    drift=st.sampled_from([0.0, 1e-9, 1e-3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ops_act_node_by_node_bitwise_property(group, nodes, drift, seed):
+    """Each op's result at node n of a stack is, bitwise, its result on that
+    node's (d, d) matrix or coordinate vector alone, as a view or a copy."""
+    rng = np.random.default_rng(seed)
+    u, v = group.v_radius * rng.uniform(-1.0, 1.0, size=(2, nodes, group.algebra_dim))
+    g = group.exp(u)
+    h = g + drift * rng.standard_normal(g.shape)
+    ops = {
+        "exp": (group.exp, u),
+        "log": (group.log, g),
+        "log_valid": (group.log_valid, h),
+        "invert": (group.invert, h),
+        "project": (group.project, h),
+        "relation_defect": (group.relation_defect, h),
+        "to_matrix": (group.to_matrix, v),
+        "from_matrix": (group.from_matrix, h),
+        "adjoint": (group.adjoint, g, v),
+        "bracket_coords": (group.bracket_coords, u, v),
+        "node_product": (node_product, g, h),
+    }
+    for name, (op, *args) in ops.items():
+        stacked = np.asarray(op(*args))
+        for n in range(nodes):
+            want = at_node(stacked, n)
+            views = [at_node(x, n) for x in args]
+            for lone in (views, [x.copy() for x in views]):
+                alone = np.asarray(op(*lone))
+                assert alone.shape == want.shape, name
+                assert alone.tobytes() == want.tobytes(), f"{group.name} {name} node {n}"
 
 
 def test_inverse_multiplies_to_identity():
@@ -181,8 +239,8 @@ def test_inverse_multiplies_to_identity():
     for g in ALL_GROUPS:
         v = rng.uniform(-0.4, 0.4, size=(6, g.algebra_dim))
         mats = g.exp(v)
-        prod = mats @ g.invert(mats)
-        eye = np.broadcast_to(g.identity(), prod.shape)
+        prod = node_product(mats, g.invert(mats))
+        eye = np.broadcast_to(g.identity()[..., None], prod.shape)
         assert np.abs(prod - eye).max() < 1e-14, g.name
 
 
@@ -190,7 +248,7 @@ def test_projection_repairs_small_drift():
     rng = np.random.default_rng(7)
     for g in ALL_GROUPS:
         v = rng.uniform(-0.4, 0.4, size=(5, g.algebra_dim))
-        mats = g.exp(v) + 1e-6 * rng.standard_normal((5, g.dim, g.dim))
+        mats = g.exp(v) + 1e-6 * rng.standard_normal((g.dim, g.dim, 5))
         fixed = g.project(mats)
         assert g.relation_defect(fixed).max() < 1e-12, g.name
         assert np.abs(fixed - mats).max() < 1e-4, g.name
@@ -201,8 +259,8 @@ def test_adjoint_matches_conjugation():
     for g in ALL_GROUPS:
         h = g.exp(rng.uniform(-0.5, 0.5, size=(8, g.algebra_dim)))
         x = rng.uniform(-1.0, 1.0, size=(8, g.algebra_dim))
-        ad = g.to_matrix(g.adjoint(h, x))
-        conj = h @ g.to_matrix(x) @ g.invert(h)
+        ad = matrix_last(g.to_matrix(g.adjoint(h, x)))
+        conj = matrix_last(h) @ matrix_last(g.to_matrix(x)) @ matrix_last(g.invert(h))
         assert np.abs(ad - conj).max() < 1e-10, g.name
 
 
@@ -313,7 +371,7 @@ def test_log_rejects_far_rotations(atlas):
     g = so3()
     coords = np.array([np.pi - 0.05, 0.0, 0.0])
     pieces = tuple(
-        np.broadcast_to(g.exp(coords), (c.window.node_count, 3, 3)).copy()
+        np.broadcast_to(g.exp(coords)[..., None], (3, 3, c.window.node_count))
         for c in atlas.charts
     )
     gamma = GroupSection(atlas, g, pieces)
@@ -324,7 +382,7 @@ def test_log_rejects_far_rotations(atlas):
 def test_group_section_rejects_non_members(atlas):
     g = so3()
     pieces = tuple(
-        np.full((c.window.node_count, 3, 3), 0.5) for c in atlas.charts
+        np.full((3, 3, c.window.node_count), 0.5) for c in atlas.charts
     )
     with pytest.raises(InputError):
         GroupSection(atlas, g, pieces)
@@ -334,7 +392,7 @@ def test_group_section_rejects_non_members(atlas):
 def test_group_section_names_the_worst_overlap_point(atlas, g):
     rng = np.random.default_rng(37)
     pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
-    pieces[1] = pieces[1] @ g.exp(np.full(g.algebra_dim, 1e-6))
+    pieces[1] = node_product(pieces[1], g.exp(np.full(g.algebra_dim, 1e-6)))
     with pytest.raises(
         InputError,
         match=r"^group section overlap defect \S+ exceeds 1\.0e-09 near charts "
@@ -349,7 +407,7 @@ def test_group_section_names_a_nonfinite_entry(atlas, g):
     rng = np.random.default_rng(41)
     pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
     pieces[1] = pieces[1].copy()
-    pieces[1][5, 0, 1] = np.nan
+    pieces[1][0, 1, 5] = np.nan
     with pytest.raises(InputError, match=r"^nonfinite value at node 5, component 1$"):
         GroupSection(atlas, g, tuple(pieces))
 
@@ -360,7 +418,7 @@ def test_nonfinite_entry_is_rejected_before_any_defect_is_measured(atlas, g):
     rng = np.random.default_rng(41)
     pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
     pieces[1] = pieces[1].copy()
-    pieces[1][5, 0, 1] = np.nan
+    pieces[1][0, 1, 5] = np.nan
     with pytest.raises(InputError, match=r"^nonfinite value at node 5, component 1$"):
         GroupSection(atlas, g, tuple(pieces))
 
@@ -432,7 +490,7 @@ def test_a_reprojected_product_is_measured_twice_per_chart(atlas, caplog):
     pieces = []
     for p in exp_section(random_algebra_section(atlas, group, rng)).pieces:
         p = p.copy()
-        p[:, 1, 0] = 5e-11  # inside the construction limit, above the product threshold
+        p[1, 0] = 5e-11  # inside the construction limit, above the product threshold
         pieces.append(p)
     a = GroupSection(atlas, group, tuple(pieces))
     ident = identity_group_section(atlas, group)
@@ -445,6 +503,29 @@ def test_a_reprojected_product_is_measured_twice_per_chart(atlas, caplog):
         for j in range(atlas.chart_count)
     ]
     assert out.relation_defects == (0.0,) * atlas.chart_count
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.name)
+def test_every_construction_gives_contiguous_entry_first_pieces(atlas, g):
+    rng = np.random.default_rng(61)
+    xi, eta, zeta = (random_algebra_section(atlas, g, rng) for _ in range(3))
+    a, b = exp_section(xi), exp_section(eta)
+    sampled = TimeSampledCurve(np.linspace(0.0, 1.0, 3), (xi, eta, zeta))
+    built = {
+        "identity": identity_group_section(atlas, g),
+        "exp": a,
+        "multiply": group_multiply(a, b),
+        "invert": group_invert(a),
+        "evolve constant curve": evolve(constant_curve(xi), 8),
+        "evolve file curve": evolve(load_curve(dump_curve(sampled)), 8),
+        "load": load_group_section(dump_group_section(a)),
+    }
+    for name, gs in built.items():
+        for c, p in zip(atlas.charts, gs.pieces):
+            assert p.shape == (g.dim, g.dim, c.window.node_count), name
+            assert p.flags.c_contiguous, name
+        fresh = tuple(float(g.relation_defect(p).max()) for p in gs.pieces)
+        assert gs.relation_defects == fresh, name
 
 
 def test_adjoint_by_identity_fixes_direction(atlas):

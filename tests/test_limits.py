@@ -15,6 +15,7 @@ from mapgroups.groups import (
     RELATION_DEFECT_LIMIT,
     exp_section,
     group_by_name,
+    node_product,
     random_algebra_section,
     so3,
     upper_triangular2,
@@ -23,7 +24,6 @@ from mapgroups.limits import (
     TimeSampledCurve,
     _chart_curve_matrices,
     _interp_matrices,
-    _product,
     _rk4_factor,
     constant_curve,
     critical_order_estimate,
@@ -62,6 +62,12 @@ def test_ladder_validation():
         ladder(0.9, 3, m=2)
     with pytest.raises(InputError):
         ladder(1.0, 1)
+
+
+def test_ladder_takes_only_an_integer_count():
+    with pytest.raises(InputError, match=r"^count must be an integer, got 2\.5$"):
+        ladder(1.0, 2.5)
+    assert ladder(1.0, np.int64(3)).rungs == ladder(1.0, 3).rungs
 
 
 @pytest.mark.parametrize(
@@ -197,7 +203,7 @@ def test_zero_curve_stays_at_identity(atlas):
     )
     out = evolve(constant_curve(zero), 16)
     for p in out.pieces:
-        eye = np.broadcast_to(np.eye(2), p.shape)
+        eye = np.broadcast_to(np.eye(2)[..., None], p.shape)
         assert np.abs(p - eye).max() < 1e-14
 
 
@@ -283,12 +289,13 @@ def test_smoothness_probe_rejects_zero_direction(atlas):
 
 def stepwise_reference(curve, steps):
     """Time-1 pieces from the stage-form RK4 loop (k1..k4 applied to eta
-    step by step), with evolve's re-projection rule."""
+    step by step), with evolve's re-projection rule.  It runs np.matmul on
+    (K, d, d) stacks and turns each time-1 value entry-first once."""
     group = curve.group
     h = 1.0 / steps
     pieces = []
     for j in range(curve.atlas.chart_count):
-        stack = np.stack([sec.chart_matrices(j) for sec in curve.sections])
+        stack = np.stack([sec.chart_matrices(j).transpose(2, 0, 1) for sec in curve.sections])
         eta = np.broadcast_to(group.identity(), stack.shape[1:]).copy()
         for i in range(steps):
             t = i * h
@@ -300,6 +307,7 @@ def stepwise_reference(curve, steps):
             k3 = (eta + 0.5 * h * k2) @ a2
             k4 = (eta + h * k3) @ a4
             eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        eta = np.ascontiguousarray(eta.transpose(1, 2, 0))
         if float(group.relation_defect(eta).max()) > RELATION_DEFECT_LIMIT:
             eta = group.project(eta)
         pieces.append(eta)
@@ -408,12 +416,10 @@ def test_product_kernel_matches_matmul_property(d, nodes, seed):
     """The (d, d, K) kernel is np.matmul on the same (K, d, d) stacks, to
     within 4 ulp of the value scale."""
     rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal((2, nodes, d, d))
+    a, b = rng.standard_normal((2, d, d, nodes))
+    got = node_product(a, b).transpose(2, 0, 1)
+    a, b = a.transpose(2, 0, 1), b.transpose(2, 0, 1)
     want = a @ b
-    got = _product(
-        np.ascontiguousarray(a.transpose(1, 2, 0)),
-        np.ascontiguousarray(b.transpose(1, 2, 0)),
-    ).transpose(2, 0, 1)
     scale = float((np.abs(a) @ np.abs(b)).max())
     assert np.abs(got - want).max() <= 4 * np.spacing(scale)
 
@@ -434,7 +440,7 @@ def test_chart_curve_stack_is_entry_first_and_contiguous(torus, group_name):
         assert stack.shape == (times.size, group.dim, group.dim, nodes)
         assert stack.flags.c_contiguous
         for t, sec in enumerate(curve.sections):
-            assert np.array_equal(stack[t], sec.chart_matrices(j).transpose(1, 2, 0))
+            assert np.array_equal(stack[t], sec.chart_matrices(j))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -445,9 +451,9 @@ def test_rk4_factor_matches_the_allocating_formula_bitwise(d):
     rng = np.random.default_rng(60 + d)
     for h in (1.0 / 64, -0.37, 1.0):
         a1, a2, a4 = rng.standard_normal((3, d, d, 50)) * rng.integers(0, 2, (3, d, d, 50))
-        b2 = a2 + (0.5 * h) * _product(a1, a2)
-        b3 = a2 + (0.5 * h) * _product(b2, a2)
-        b4 = a4 + h * _product(b3, a4)
+        b2 = a2 + (0.5 * h) * node_product(a1, a2)
+        b3 = a2 + (0.5 * h) * node_product(b2, a2)
+        b4 = a4 + h * node_product(b3, a4)
         want = np.eye(d)[..., None] + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
         assert _rk4_factor(a1, a2, a4, h).tobytes() == want.tobytes()
 

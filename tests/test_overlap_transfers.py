@@ -114,7 +114,7 @@ def section_pieces(atlas, rng):
 def group_entry_pieces(atlas, rng, name):
     gamma = exp_section(random_algebra_section(atlas, GROUPS[name](), rng))
     return [
-        SampledField(c.window, p.reshape(p.shape[0], -1))
+        SampledField(c.window, p.reshape(-1, p.shape[-1]).T)
         for c, p in zip(atlas.charts, gamma.pieces)
     ]
 

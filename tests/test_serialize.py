@@ -253,7 +253,7 @@ def test_array_dumps_write_the_bytes_of_per_entry_floats():
     encoded = [
         (dump_sampled(v)["values"], values),
         (dump_bandlimited(f)["coeffs"], np.stack([flat.real, flat.imag], axis=-1)),
-        *zip(dump_group_section(gs)["pieces"], (p.reshape(len(p), -1) for p in gs.pieces)),
+        *zip(dump_group_section(gs)["pieces"], (p.reshape(9, -1).T for p in gs.pieces)),
     ]
     for doc, arr in encoded:
         assert doc["dtype"] == "<f8" and doc["shape"] == list(arr.shape)
@@ -262,7 +262,7 @@ def test_array_dumps_write_the_bytes_of_per_entry_floats():
     listed = dict(dump_sampled(v), values=[[float(x) for x in row] for row in values])
     assert same_bytes(load_sampled(through_json(listed)).values, values)
     listed = dict(dump_group_section(gs), pieces=[
-        [[float(x) for x in mat.ravel()] for mat in p] for p in gs.pieces
+        [[float(x) for x in row] for row in p.reshape(9, -1).T] for p in gs.pieces
     ])
     back = load_group_section(through_json(listed))
     assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
