@@ -278,6 +278,16 @@ def check_same_layout(a: BandlimitedField, b: BandlimitedField):
         )
 
 
+def check_node_values(values: np.ndarray) -> None:
+    """Raise InputError unless node-first values (K, n) are real floats, all
+    finite; the message names the first nonfinite node and component."""
+    if not np.issubdtype(values.dtype, np.floating):
+        raise InputError("sampled values must be real floats")
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise InputError(f"nonfinite value at node {bad[0]}, component {bad[1]}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledField:
     """Node values of a field over a grid window.
@@ -298,11 +308,7 @@ class SampledField:
             raise ShapeMismatchError(
                 f"values must have shape (node_count, n), got {v.shape}"
             )
-        if not np.issubdtype(v.dtype, np.floating):
-            raise InputError("sampled values must be real floats")
-        if not np.all(np.isfinite(v)):
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise InputError(f"nonfinite value at node {bad[0]}, component {bad[1]}")
+        check_node_values(v)
 
     @property
     def components(self) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .atlas import Atlas, require_same_atlas
 from .errors import ChartDomainError, InputError, NumericError, ShapeMismatchError
-from .fields import SampledField
+from .fields import SampledField, check_node_values
 from .sections import (
     DEFAULT_TOLERANCE,
     Section,
@@ -398,17 +398,19 @@ class GroupSection:
         if len(self.pieces) != self.atlas.chart_count:
             raise ShapeMismatchError("one piece per chart required")
         d = self.group.dim
-        flat = []
+        lattices = []
         for c, p in zip(self.atlas.charts, self.pieces):
             if p.shape != (d, d, c.window.node_count):
                 raise ShapeMismatchError(
                     f"chart {c.index} matrices must have shape "
                     f"({d}, {d}, {c.window.node_count}), got {p.shape}"
                 )
-            # The flat entry fields, views of the pieces, reject nonfinite
-            # entries, which pass the relation check (NaN compares false),
-            # and carry the overlap check.
-            flat.append(SampledField(c.window, p.reshape(d * d, -1).T))
+            # Nonfinite entries pass the relation check (NaN compares false),
+            # so they are rejected before any defect is measured.
+            check_node_values(p.reshape(d * d, -1).T)
+            # The overlap check reads each piece as its component-first
+            # lattice (d*d, c0[, c1]), a view of the contiguous stack.
+            lattices.append(p.reshape((d * d,) + c.window.axis_counts))
         if "relation_defects" not in vars(self):
             defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
             object.__setattr__(self, "relation_defects", defects)
@@ -418,7 +420,9 @@ class GroupSection:
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
-        require_compatible(flat, self.atlas, self.tolerance, "group section ", InputError)
+        require_compatible(
+            lattices, self.atlas, self.tolerance, "group section ", InputError
+        )
 
     @classmethod
     def computed(cls, atlas, group, mats, threshold, what, tolerance=DEFAULT_TOLERANCE):

@@ -20,6 +20,7 @@ from .errors import (
     IncompatibleSectionError,
     InputError,
     ShapeMismatchError,
+    check_count,
 )
 from .fields import (
     BandlimitedField,
@@ -48,34 +49,53 @@ def check_tolerance(tolerance: float) -> None:
         raise InputError(f"tolerance must be positive and finite, got {tolerance}")
 
 
-def _window_pieces(pieces, atlas: Atlas) -> tuple[SampledField, ...]:
-    """One piece per chart, all sampled on their chart's witness window."""
+def _window_lattices(pieces, atlas: Atlas) -> list[np.ndarray]:
+    """One component-first lattice (n, c0[, c1]) per chart.
+
+    A ``SampledField`` piece must be sampled on its chart's window; it is
+    copied once, C-contiguous.  An array piece is taken as such a lattice,
+    without a copy, once its shape is checked against the window.
+    """
     pieces = tuple(pieces)
     if len(pieces) != atlas.chart_count:
         raise ShapeMismatchError("one piece per chart required")
-    n = pieces[0].components
+    lattices = []
     for c, p in zip(atlas.charts, pieces):
-        if p.components != n:
-            raise ShapeMismatchError("pieces disagree on component count")
-        if not same_grid(p.domain, c.window):
-            raise InputError(
-                f"piece for chart {c.index} is not sampled on its window"
+        counts = c.window.axis_counts
+        if isinstance(p, SampledField):
+            if not same_grid(p.domain, c.window):
+                raise InputError(
+                    f"piece for chart {c.index} is not sampled on its window"
+                )
+            p = np.ascontiguousarray(p.values.T).reshape((p.components,) + counts)
+        elif p.shape[1:] != counts:
+            raise ShapeMismatchError(
+                f"piece for chart {c.index} must have shape (n, *{counts}), "
+                f"got {p.shape}"
             )
-    return pieces
+        if lattices and p.shape[0] != lattices[0].shape[0]:
+            raise ShapeMismatchError("pieces disagree on component count")
+        lattices.append(p)
+    return lattices
 
 
 def _lattice_block(lattice: np.ndarray, cols) -> np.ndarray:
-    """Lattice values (c0[, c1], n) at the nodes ``np.ix_(*cols)``, as a
-    contiguous component-first stack (n, g0[, g1])."""
-    block = lattice[np.ix_(*cols)]
-    # transpose: np.moveaxis costs more than this gather on curve lattices
-    return np.ascontiguousarray(block.transpose(-1, *range(len(cols))))
+    """Component-first lattice values (n, c0[, c1]) at the nodes
+    ``np.ix_(*cols)``.  Only the axes whose columns are cut are gathered,
+    each a ``take`` of whole contiguous rows; an axis kept whole stays a view.
+    """
+    for axis, col in enumerate(cols, start=1):
+        if col.size < lattice.shape[axis]:
+            lattice = lattice.take(col, axis=axis)
+    return lattice
 
 
 def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     """Largest disagreement between chart pieces over sampled overlaps.
 
-    Pieces are interpolated to the shared points of
+    ``pieces`` holds one piece per chart: a ``SampledField`` on the chart's
+    window, or its component-first lattice (n, c0[, c1]).  Pieces are
+    interpolated to the shared points of
     ``atlas.overlap_samples(i, j, OVERLAP_SAMPLES)`` through their own chart
     coordinates; the defect is the max over points and chart pairs of the
     value difference (sup over components).  The points form a tensor
@@ -85,13 +105,14 @@ def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     stencils touch enters the product.  With ``return_worst`` the chart
     pair and manifold point of the maximum are returned as well.
     """
-    lattices = [p.lattice_values() for p in _window_pieces(pieces, atlas)]
+    lattices = _window_lattices(pieces, atlas)
     worst = 0.0
     worst_point = None
     for op in atlas.overlap_transfers(OVERLAP_SAMPLES):
         vi = tensor_transfer(op.first, _lattice_block(lattices[op.i], op.first_cols))
         vj = tensor_transfer(op.second, _lattice_block(lattices[op.j], op.second_cols))
-        diff = np.max(np.abs(vi - vj), axis=0)
+        vi -= vj  # vi is a fresh product, so the difference goes in place
+        diff = np.abs(vi, out=vi).max(axis=0)
         k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         if diff[k] > worst:
             worst = float(diff[k])
@@ -189,6 +210,8 @@ def random_section(
     amplitude: float = 1.0,
 ) -> Section:
     """Random smooth section from a low-order trigonometric polynomial."""
+    components = check_count(components, "components", 1)
+    order = check_count(order, "order", 0)
     m = atlas.m
     shape = (components,) + (2 * order + 1,) * m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -212,12 +235,11 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     term is a product of the atlas's cached per-axis interpolation matrices,
     cut to their live columns, with the lattice block they touch.
     """
-    pieces = tuple(pieces)
+    lattices = _window_lattices(pieces, atlas)
     require_compatible(
-        pieces, atlas, tolerance, "cannot glue: ", IncompatibleSectionError
+        lattices, atlas, tolerance, "cannot glue: ", IncompatibleSectionError
     )
-    lattices = [p.lattice_values() for p in pieces]
-    n = pieces[0].components
+    n = lattices[0].shape[0]
     out = []
     for t, c in enumerate(atlas.charts):
         vals = np.zeros((n,) + c.window.axis_counts)
@@ -234,6 +256,11 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
 def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
     """Evaluate a section at manifold points through the deepest chart."""
     pts = np.atleast_2d(np.asarray(theta, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != section.atlas.m:
+        raise ShapeMismatchError("points do not match field dimension")
+    out = np.empty((pts.shape[0], section.components))
+    if not len(pts):
+        return out
     depths = np.column_stack(
         [c.window_depth(pts) for c in section.atlas.charts]
     )
@@ -241,7 +268,6 @@ def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
     if depths[np.arange(pts.shape[0]), best].min() <= 0.0:
         bad = pts[int(np.argmin(depths.max(axis=1)))]
         raise CoverageError(f"point {bad} not inside any witness window")
-    out = np.empty((pts.shape[0], section.components))
     for j in np.unique(best):
         sel = best == j
         x = section.atlas.to_chart(j, pts[sel])
@@ -276,8 +302,8 @@ def hilbert_inner(
         max_nodes_per_axis = (
             EXTENSION_NODES_1D if a.atlas.m == 1 else EXTENSION_NODES_2D
         )
-    elif max_nodes_per_axis < 1:
-        raise InputError(f"max_nodes_per_axis must be >= 1, got {max_nodes_per_axis}")
+    else:
+        max_nodes_per_axis = check_count(max_nodes_per_axis, "max_nodes_per_axis", 1)
     total = 0.0
     detail = []
     for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
@@ -322,7 +348,7 @@ class OpenBall:
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails too
             raise InputError("ball radius must be positive")
 
     def distance_to_complement(self, values: np.ndarray) -> np.ndarray:
@@ -336,7 +362,8 @@ class OpenBox:
     def __init__(self, lo, hi):
         self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if np.any(self.hi <= self.lo):
+        # Negated, so a NaN bound fails too.
+        if not np.all(self.lo < self.hi):
             raise InputError("box upper bounds must exceed lower bounds")
 
     def distance_to_complement(self, values: np.ndarray) -> np.ndarray:
@@ -350,7 +377,7 @@ class BallComplement:
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails too
             raise InputError("ball radius must be positive")
 
     def distance_to_complement(self, values: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 ``compatibility_defect`` and ``glue`` apply per-axis interpolation matrices
 that each atlas builds once, cut to their live lattice columns.  The
 references below evaluate the same quantities point by point through the
-public ``SampledField.interpolate``, or through full-width matrices.
+public ``SampledField.interpolate``, through full-width matrices, or
+through a gather of component-last lattices followed by a transpose.
 """
 
 import gc
@@ -14,15 +15,24 @@ import pytest
 
 from mapgroups.atlas import PI, circle_two_charts, torus_four_charts, wrap_angle
 from mapgroups.errors import InputError
-from mapgroups.fields import TWO_PI, GridDomain, SampledField, axis_interpolation_matrix
+from mapgroups import sections
+from mapgroups.fields import (
+    TWO_PI,
+    GridDomain,
+    SampledField,
+    axis_interpolation_matrix,
+    tensor_transfer,
+)
 from mapgroups.groups import (
+    GroupSection,
     exp_section,
+    group_multiply,
     random_algebra_section,
     so3,
     su2_real,
     upper_triangular2,
 )
-from mapgroups.sections import compatibility_defect, glue, random_section
+from mapgroups.sections import Section, compatibility_defect, glue, random_section
 
 ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}
 GROUPS = {"SO3": so3, "SU2": su2_real, "UT2": upper_triangular2}
@@ -107,6 +117,43 @@ def dense_defect(pieces, atlas):
     return worst, where
 
 
+def gathered_block(lattice, cols):
+    """Component-last lattice values (c0[, c1], n) at ``np.ix_(*cols)``,
+    transposed to a contiguous component-first copy (n, g0[, g1])."""
+    block = lattice[np.ix_(*cols)]
+    return np.ascontiguousarray(block.transpose(-1, *range(len(cols))))
+
+
+def gathered_defect(pieces, atlas):
+    """compatibility_defect through gathered and transposed lattice blocks."""
+    lattices = [p.lattice_values() for p in pieces]
+    worst, where = 0.0, None
+    for op in atlas.overlap_transfers(PER_AXIS):
+        vi = tensor_transfer(op.first, gathered_block(lattices[op.i], op.first_cols))
+        vj = tensor_transfer(op.second, gathered_block(lattices[op.j], op.second_cols))
+        diff = np.max(np.abs(vi - vj), axis=0)
+        k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[k] > worst:
+            worst = float(diff[k])
+            where = (op.i, op.j, [float(a[q]) for a, q in zip(op.angles, k)])
+    return worst, where
+
+
+def gathered_glue(pieces, atlas):
+    """glue's node values through gathered and transposed lattice blocks."""
+    lattices = [p.lattice_values() for p in pieces]
+    out = []
+    for t, c in enumerate(atlas.charts):
+        vals = np.zeros((pieces[0].components,) + c.window.axis_counts)
+        for op in atlas.partition_transfers(t):
+            block = gathered_block(lattices[op.source], op.cols)
+            vals[(slice(None),) + np.ix_(*op.hits)] += op.weights * tensor_transfer(
+                op.matrices, block
+            )
+        out.append(np.moveaxis(vals, 0, -1).reshape(c.window.node_count, -1))
+    return out
+
+
 def section_pieces(atlas, rng):
     return list(random_section(atlas, 1, rng).pieces)
 
@@ -184,6 +231,87 @@ def test_defect_matches_dense_reference(atlas_name, name):
     assert worst > 1e-8
     assert abs(worst - ref_worst) <= 4 * np.finfo(float).eps * scale
     assert where == ref_where
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+@pytest.mark.parametrize("kind", ["section", "SO3", "SU2", "UT2"])
+def test_defect_and_glue_equal_the_gathered_reference_bitwise(atlas_name, kind):
+    atlas = ATLASES[atlas_name]()
+    rng = np.random.default_rng(13)
+    if kind == "section":
+        pieces = list(random_section(atlas, 3, rng).pieces)
+    else:
+        pieces = group_entry_pieces(atlas, rng, kind)
+    glued = glue(pieces, atlas)
+    for piece, ref in zip(glued.pieces, gathered_glue(pieces, atlas)):
+        assert piece.values.tobytes() == ref.tobytes()
+    # Node noise on the last chart gives the defect one clear maximum.
+    last = pieces[-1]
+    pieces[-1] = SampledField(
+        last.domain, last.values + 1e-7 * rng.standard_normal(last.values.shape)
+    )
+    ref = gathered_defect(pieces, atlas)
+    assert ref[0] > 1e-8
+    assert compatibility_defect(pieces, atlas, return_worst=True) == ref
+
+
+def recording_check(monkeypatch):
+    """Record the pieces of every call to the module-global check."""
+    seen = []
+    check = sections.compatibility_defect
+
+    def recording(pieces, *args, **kwargs):
+        seen.append(pieces)
+        return check(pieces, *args, **kwargs)
+
+    monkeypatch.setattr(sections, "compatibility_defect", recording)
+    return seen
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_section_hands_its_stacks_to_the_check_uncopied(
+    atlas_name, name, monkeypatch
+):
+    atlas = ATLASES[atlas_name]()
+    gamma = exp_section(
+        random_algebra_section(atlas, GROUPS[name](), np.random.default_rng(17))
+    )
+    seen = recording_check(monkeypatch)
+    GroupSection(atlas, gamma.group, gamma.pieces)
+    (lattices,) = seen
+    d = gamma.group.dim
+    for c, lattice, piece in zip(atlas.charts, lattices, gamma.pieces):
+        assert lattice.shape == (d * d,) + c.window.axis_counts
+        assert np.shares_memory(lattice, piece)
+    entries = [
+        SampledField(c.window, p.reshape(d * d, -1).T)
+        for c, p in zip(atlas.charts, gamma.pieces)
+    ]
+    got = compatibility_defect(lattices, atlas, return_worst=True)
+    assert got == gathered_defect(entries, atlas)
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+def test_each_construction_runs_the_check_once(atlas_name, monkeypatch):
+    atlas = ATLASES[atlas_name]()
+    rng = np.random.default_rng(19)
+    sec = random_section(atlas, 2, rng)
+    xi = random_algebra_section(atlas, su2_real(), rng)
+    gamma = exp_section(xi)
+    seen = recording_check(monkeypatch)
+    builds = {
+        "Section": (lambda: Section(atlas, sec.pieces), 1),
+        "GroupSection": (lambda: GroupSection(atlas, gamma.group, gamma.pieces), 1),
+        "exp_section": (lambda: exp_section(xi), 1),
+        "group_multiply": (lambda: group_multiply(gamma, gamma), 1),
+        # glue checks its input, then builds the Section it returns.
+        "glue": (lambda: glue(sec.pieces, atlas), 2),
+    }
+    for what, (build, count) in builds.items():
+        seen.clear()
+        build()
+        assert len(seen) == count, what
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))

@@ -9,6 +9,7 @@ from mapgroups.errors import (
     ChartDomainError,
     IncompatibleSectionError,
     InputError,
+    ShapeMismatchError,
 )
 from mapgroups.fields import SampledField
 from mapgroups.sections import (
@@ -98,6 +99,37 @@ def test_point_eval_sup_bounded_by_piece_sup():
     assert np.abs(point_eval(sec, pts)).max() <= sup + 1e-8
 
 
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+def test_point_eval_of_no_points_is_empty(build):
+    a = build()
+    sec = random_section(a, 2, np.random.default_rng(29))
+    out = point_eval(sec, np.zeros((0, a.m)))
+    assert out.shape == (0, 2)
+
+
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+def test_point_eval_rejects_points_of_the_wrong_width(build):
+    a = build()
+    sec = random_section(a, 1, np.random.default_rng(31))
+    for width in {1, 2, 3} - {a.m}:
+        with pytest.raises(ShapeMismatchError, match="points do not match"):
+            point_eval(sec, np.zeros((3, width)))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"components": 0}, r"^components must be >= 1, got 0$"),
+        ({"order": -1}, r"^order must be >= 0, got -1$"),
+        ({"order": 2.5}, r"^order must be an integer, got 2\.5$"),
+    ],
+)
+def test_random_section_names_a_bad_count(kwargs, message):
+    args = {"components": 1, **kwargs}
+    with pytest.raises(InputError, match=message):
+        random_section(circle_two_charts(), rng=np.random.default_rng(37), **args)
+
+
 # ---------------------------------------------------------------------------
 # quotient inner product
 
@@ -166,6 +198,13 @@ def test_hilbert_inner_rejects_fewer_than_one_node_per_axis(nodes):
         hilbert_inner(sec, sec, 1.0, max_nodes_per_axis=nodes)
 
 
+def test_hilbert_inner_rejects_a_fractional_node_count():
+    sec = random_section(circle_two_charts(), 1, np.random.default_rng(17))
+    message = r"^max_nodes_per_axis must be an integer, got 1\.5$"
+    with pytest.raises(InputError, match=message):
+        hilbert_inner(sec, sec, 1.0, max_nodes_per_axis=1.5)
+
+
 # ---------------------------------------------------------------------------
 # openness margins
 
@@ -194,6 +233,18 @@ def test_margin_in_box_and_complement():
     assert open_margin(sec, box).margin == pytest.approx(0.4, abs=1e-4)
     away = BallComplement([0.0], 1.0)
     assert open_margin(sec, away).margin == pytest.approx(0.9, abs=1e-4)
+
+
+@pytest.mark.parametrize("target", [OpenBall, BallComplement])
+def test_balls_reject_a_nan_radius(target):
+    with pytest.raises(InputError, match="ball radius must be positive"):
+        target([0.0], float("nan"))
+
+
+@pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan])])
+def test_box_rejects_nan_bounds(lo, hi):
+    with pytest.raises(InputError, match="box upper bounds must exceed lower bounds"):
+        OpenBox(lo, hi)
 
 
 # ---------------------------------------------------------------------------
