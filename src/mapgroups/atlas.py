@@ -27,6 +27,9 @@ PI = np.pi
 # thinner overlaps' sample angles (~1e-15 rad) can put them outside a codomain.
 MIN_OVERLAP = 1e-12
 
+# Largest inverse, cocycle and partition residual validate_atlas accepts.
+VALIDATION_TOL = 1e-9
+
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
     """Principal value in (-pi, pi]."""
@@ -451,14 +454,15 @@ def enlarged_window(a: Atlas, j: int) -> GridDomain:
     )
 
 
-def validate_atlas(
-    a: Atlas,
-    tol: float = 1e-9,
-    cover_per_axis: int = 1024,
-    overlap_per_axis: int = 64,
-) -> AtlasReport:
-    """Covering, inverse, cocycle, and partition checks on dense samples."""
-    pts = a.manifold_grid(cover_per_axis if a.m == 1 else max(cover_per_axis // 8, 96))
+def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
+    """Covering, inverse, cocycle, and partition checks on dense samples.
+
+    Covering and partition run on a manifold grid of 1024 points on the
+    circle, 128 per axis on the torus; inverse and cocycle on each chart
+    pair's ``overlap_per_axis`` overlap samples.  Residuals pass at most
+    ``VALIDATION_TOL``.
+    """
+    pts = a.manifold_grid(1024 if a.m == 1 else 128)
     depths = np.column_stack([c.window_depth(pts) for c in a.charts])
     cover_margin = float(depths.max(axis=1).min())
 
@@ -500,9 +504,9 @@ def validate_atlas(
 
     passed = (
         cover_margin > 0.0
-        and inverse_residual <= tol
-        and cocycle_residual <= tol
-        and partition_residual <= tol
+        and inverse_residual <= VALIDATION_TOL
+        and cocycle_residual <= VALIDATION_TOL
+        and partition_residual <= VALIDATION_TOL
         and enlarged_ok
     )
     return AtlasReport(

@@ -30,6 +30,16 @@ from .fields import (
 from .maps import compose_maps, nemytskij, pullback, torus_translation
 from .sobolev import hs_norm
 
+# Each probe's field cutoff and grid resolution; axiom-MU's fields are
+# cut at MU_MODES and measured at order MU_ORDER.
+PROBE_MODES = 16
+PROBE_RESOLUTION = 257
+MU_MODES = 12
+MU_ORDER = 1.0
+
+# Perturbation sizes of the superposition probe, largest first.
+PF_OFFSETS = (1e-2, 3e-3, 1e-3)
+
 
 @dataclass(frozen=True)
 class AxiomCheck:
@@ -39,16 +49,12 @@ class AxiomCheck:
 
 
 def probe_superposition_continuity(
-    rng: np.random.Generator,
-    modes: int = 16,
-    resolution: int = 257,
-    eps_grid=(1e-2, 3e-3, 1e-3),
-    slope_window: float = 0.2,
+    rng: np.random.Generator, slope_window: float = 0.2
 ) -> AxiomCheck:
     """axiom-PF: sup-node response of sin-superposition is first order."""
-    grid = GridDomain.full_torus(1, resolution)
-    gamma = sample(random_field(1, modes, 1, rng), grid)
-    eta = sample(random_field(1, modes, 1, rng), grid)
+    grid = GridDomain.full_torus(1, PROBE_RESOLUTION)
+    gamma = sample(random_field(1, PROBE_MODES, 1, rng), grid)
+    eta = sample(random_field(1, PROBE_MODES, 1, rng), grid)
     scale = float(np.abs(eta.values).max())
     eta = eta.scaled(1.0 / max(scale, 1e-12))
 
@@ -56,7 +62,7 @@ def probe_superposition_continuity(
         return np.sin(y)
 
     base = nemytskij(f, gamma)
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
+    eps = np.asarray(PF_OFFSETS)
     resp = np.array(
         [
             float(np.abs((nemytskij(f, gamma + eta.scaled(e)) - base).values).max())
@@ -73,14 +79,11 @@ def probe_superposition_continuity(
 
 
 def probe_pullback_functoriality(
-    rng: np.random.Generator,
-    modes: int = 16,
-    resolution: int = 257,
-    tol: float = 1e-9,
+    rng: np.random.Generator, tol: float = 1e-9
 ) -> AxiomCheck:
     """axiom-PB: pulling back along a composition equals pulling back twice."""
-    grid = GridDomain.full_torus(1, resolution)
-    gamma = sample(random_field(1, modes, 2, rng), grid)
+    grid = GridDomain.full_torus(1, PROBE_RESOLUTION)
+    gamma = sample(random_field(1, PROBE_MODES, 2, rng), grid)
     t1 = torus_translation(1, rng.uniform(0.0, 2.0 * np.pi))
     t2 = torus_translation(1, rng.uniform(0.0, 2.0 * np.pi))
     composed = pullback(compose_maps(t1, t2), gamma, grid)
@@ -91,16 +94,12 @@ def probe_pullback_functoriality(
     )
 
 
-def probe_extend_by_zero(
-    rng: np.random.Generator,
-    modes: int = 16,
-    resolution: int = 257,
-) -> AxiomCheck:
+def probe_extend_by_zero(rng: np.random.Generator) -> AxiomCheck:
     """axiom-GL: zero-extension then restriction is exactly the identity."""
     m = 1
-    inner = GridDomain.box(((1.0, 3.0),), resolution)
-    outer = GridDomain.box(((0.5, 4.5),), resolution)
-    raw = sample(random_field(m, modes, 2, rng), inner)
+    inner = GridDomain.box(((1.0, 3.0),), PROBE_RESOLUTION)
+    outer = GridDomain.box(((0.5, 4.5),), PROBE_RESOLUTION)
+    raw = sample(random_field(m, PROBE_MODES, 2, rng), inner)
     bump = SmoothCutoff(np.array([2.0]), np.array([0.9]))
     supported = SampledField(inner, raw.values * bump(inner.nodes())[:, None])
     widened = extend_by_zero(supported, outer)
@@ -120,11 +119,7 @@ def probe_extend_by_zero(
 
 
 def probe_cutoff_bound(
-    rng: np.random.Generator,
-    modes: int = 12,
-    trials: int = 100,
-    s: float = 1.0,
-    rel_tol: float = 0.05,
+    rng: np.random.Generator, trials: int = 100, rel_tol: float = 0.05
 ) -> AxiomCheck:
     """axiom-MU: empirical cutoff-multiplication bound is grid-stable."""
     h = SmoothCutoff(np.array([np.pi]), np.array([2.0]))
@@ -135,12 +130,12 @@ def probe_cutoff_bound(
         gen = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(trials):
-            g = random_field(1, modes, 1, gen)
-            denom = hs_norm(g, s)
+            g = random_field(1, MU_MODES, 1, gen)
+            denom = hs_norm(g, MU_ORDER)
             if denom < 1e-12:
                 continue
             prod = cutoff_multiply(h, g, oversample=oversample)
-            worst = max(worst, hs_norm(prod, s) / denom)
+            worst = max(worst, hs_norm(prod, MU_ORDER) / denom)
         return worst
 
     coarse = bound(2)

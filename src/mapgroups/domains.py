@@ -19,6 +19,20 @@ from .errors import InputError, SingularBoundaryError, check_count
 
 GRADIENT_FLOOR = 1e-12
 
+# Boundary polishing stops at |g| < POLISH_TOL, after at most POLISH_ROUNDS
+# rounds of fresh bbox draws.
+POLISH_TOL = 1e-12
+POLISH_ROUNDS = 200
+
+# The flow field's bump is supported on |g| < FLOW_BAND, with an exact
+# plateau on the inner FLOW_PLATEAU fraction of it.
+FLOW_BAND = 0.5
+FLOW_PLATEAU = 0.5
+
+# Time offset and RK4 steps of the descent check's central difference.
+DESCENT_OFFSET = 1e-5
+DESCENT_STEPS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class LevelSetDomain:
@@ -54,7 +68,10 @@ def disc() -> LevelSetDomain:
     )
 
 
-def ellipse(rx: float = 2.0, ry: float = 1.0) -> LevelSetDomain:
+def ellipse() -> LevelSetDomain:
+    """Ellipse (x/2)^2 + y^2 < 1."""
+    rx, ry = 2.0, 1.0
+
     def level_grad(p):
         x, y = p[:, 0], p[:, 1]
         g = (x / rx) ** 2 + (y / ry) ** 2 - 1.0
@@ -68,10 +85,10 @@ def ellipse(rx: float = 2.0, ry: float = 1.0) -> LevelSetDomain:
     )
 
 
-def peanut(focus: float = 1.0, size: float = 1.15) -> LevelSetDomain:
-    """Cassini oval: ((x-c)^2 + y^2)((x+c)^2 + y^2) = size^4, c < size."""
-    if not focus < size < focus * np.sqrt(2.0):
-        raise InputError("need focus < size < focus*sqrt(2) for a peanut shape")
+def peanut() -> LevelSetDomain:
+    """Cassini oval ((x-c)^2 + y^2)((x+c)^2 + y^2) < size^4 with focus
+    c = 1 and size 1.15; c < size < c*sqrt(2) makes it a peanut."""
+    focus, size = 1.0, 1.15
     a4 = size**4
 
     def level_grad(p):
@@ -102,18 +119,15 @@ def domain_by_name(name: str) -> LevelSetDomain:
 
 
 def boundary_samples(
-    domain: LevelSetDomain,
-    count: int,
-    rng: np.random.Generator,
-    tol: float = 1e-12,
-    max_rounds: int = 200,
+    domain: LevelSetDomain, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random boundary points: bbox rejection plus root polishing along the
-    gradient direction until |g| < tol."""
+    gradient direction until |g| < POLISH_TOL, in at most POLISH_ROUNDS
+    rounds."""
     count = check_count(count, "count", 0)
     (xlo, xhi), (ylo, yhi) = domain.bbox
     out = []
-    for _ in range(max_rounds):
+    for _ in range(POLISH_ROUNDS):
         if len(out) >= count:
             break
         pts = np.column_stack(
@@ -128,13 +142,13 @@ def boundary_samples(
             ok = nrm2 > GRADIENT_FLOOR
             pts[ok] -= (gv[ok] / nrm2[ok])[:, None] * gr[ok]
             gv, gr = domain.evaluate(pts)
-            if np.all(np.abs(gv) < tol):
+            if np.all(np.abs(gv) < POLISH_TOL):
                 break
         inside_box = (
             (pts[:, 0] > xlo) & (pts[:, 0] < xhi)
             & (pts[:, 1] > ylo) & (pts[:, 1] < yhi)
         )
-        good = pts[(np.abs(gv) < tol) & inside_box]
+        good = pts[(np.abs(gv) < POLISH_TOL) & inside_box]
         out.extend(good.tolist())
     if len(out) < count:
         raise InputError(
@@ -161,29 +175,19 @@ def inner_normal(domain: LevelSetDomain, points: np.ndarray) -> np.ndarray:
 class FlowField:
     """Inner-normal flow supported in a band around the boundary.
 
-    ``F(y) = -xi(g(y)) * grad g(y) / max(|grad g(y)|, floor)`` where ``xi``
-    is a smooth even bump in the level value with an exact plateau, so the
-    field equals the unit inner normal on the boundary and vanishes outside
-    the band (in particular on the compact core {g <= -band}).
+    ``F(y) = -xi(g(y)) * grad g(y) / max(|grad g(y)|, GRADIENT_FLOOR)``
+    where ``xi`` is a smooth even bump in the level value, supported on
+    |g| < ``FLOW_BAND``, with an exact plateau (``FLOW_PLATEAU``), so the field
+    equals the unit inner normal on the boundary and vanishes outside the
+    band (in particular on the compact core {g <= -FLOW_BAND}).
     """
 
     domain: LevelSetDomain
-    band: float = 0.5
-    plateau: float = 0.5
-    floor: float = GRADIENT_FLOOR
-
-    def __post_init__(self):
-        if not (np.isfinite(self.band) and self.band > 0):
-            raise InputError(f"band width must be finite and positive, got {self.band!r}")
-        if not 0.0 < self.plateau < 1.0:
-            raise InputError(
-                f"plateau fraction must lie strictly between 0 and 1, got {self.plateau!r}"
-            )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         gv, gr = self.domain.evaluate(points)
-        nrm = np.maximum(np.linalg.norm(gr, axis=1), self.floor)
-        xi = bump_profile(np.abs(gv) / self.band, self.plateau)
+        nrm = np.maximum(np.linalg.norm(gr, axis=1), GRADIENT_FLOOR)
+        xi = bump_profile(np.abs(gv) / FLOW_BAND, FLOW_PLATEAU)
         return -(xi / nrm)[:, None] * gr
 
 
@@ -232,18 +236,15 @@ class DescentReport:
 
 
 def monotone_descent_check(
-    field: FlowField,
-    boundary_points: np.ndarray,
-    h: float = 1e-5,
-    steps: int = 64,
+    field: FlowField, boundary_points: np.ndarray
 ) -> DescentReport:
-    """Compare d/dt g(flow(y, t)) at t = 0 against -|grad g(y)|."""
-    if not (np.isfinite(h) and h != 0.0):
-        raise InputError(f"difference step h must be finite and nonzero, got {float(h)}")
+    """Compare d/dt g(flow(y, t)) at t = 0 against -|grad g(y)|, by central
+    differences at t = +-DESCENT_OFFSET of DESCENT_STEPS RK4 steps each."""
+    h = DESCENT_OFFSET
     pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
     n = len(pts)
     # Forward and backward flows as one stack: rows [:n] at +h, [n:] at -h.
-    moved = flow(field, np.vstack([pts, pts]), np.repeat([h, -h], n), steps)
+    moved = flow(field, np.vstack([pts, pts]), np.repeat([h, -h], n), DESCENT_STEPS)
     gv = field.domain.level(moved)
     slopes = (gv[:n] - gv[n:]) / (2.0 * h)
     norms = np.linalg.norm(field.domain.gradient(pts), axis=1)

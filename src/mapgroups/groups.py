@@ -50,6 +50,9 @@ PROJECTION_THRESHOLD = 1e-12
 # the most a re-projected value may keep.
 RELATION_DEFECT_LIMIT = 1e-10
 
+# Product parameters t of the order-2 expansion probe, largest first.
+BCH_PARAMETERS = (0.1, 0.05, 0.025)
+
 
 def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Node-wise matrix product of two entry-first (d, d, *nodes) stacks."""
@@ -581,12 +584,13 @@ def random_algebra_section(
     group: MatrixGroup,
     rng: np.random.Generator,
     amplitude: float | None = None,
-    order: int = 2,
 ) -> AlgebraSection:
-    """Random smooth algebra section scaled inside the product-safe ball."""
+    """Random smooth algebra section of order-2 trigonometric polynomials,
+    scaled to sup norm ``amplitude`` (default 0.9 of the product-safe ball
+    radius)."""
     if amplitude is None:
         amplitude = 0.9 * group.v_radius
-    sec = random_section(atlas, group.algebra_dim, rng, order=order)
+    sec = random_section(atlas, group.algebra_dim, rng, order=2)
     scale = amplitude / max(sec.sup_norm(), 1e-12)
     return AlgebraSection(group, sec.scaled(scale))
 
@@ -603,15 +607,10 @@ def bch_residual(xi: AlgebraSection, eta: AlgebraSection, t: float) -> float:
     return (lg - model).sup_coord_norm()
 
 
-def bch_order2_probe(
-    xi: AlgebraSection,
-    eta: AlgebraSection,
-    t_grid=(0.1, 0.05, 0.025),
-) -> float:
-    """Log-log slope of the order-2 product expansion remainder (about 3)."""
-    ts = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if ts.size < 2 or np.any(ts <= 0):
-        raise InputError("need at least two positive probe parameters")
+def bch_order2_probe(xi: AlgebraSection, eta: AlgebraSection) -> float:
+    """Log-log slope of the order-2 product expansion remainder (about 3)
+    over the parameters ``BCH_PARAMETERS``."""
+    ts = np.asarray(BCH_PARAMETERS)
     res = np.array([bch_residual(xi, eta, float(t)) for t in ts])
     if np.any(res <= 0):
         raise InputError("remainder vanished; probe parameters too small")

@@ -38,6 +38,17 @@ from .groups import (
 )
 from .sobolev import check_convention, rellich_spectrum, weight_exponent
 
+# Critical-order estimation: the growth ratio compares partial sums over
+# RATIO_WINDOW doublings of the cutoff from RATIO_START, and bisection over
+# s in [0, ORDER_MAX] stops at a bracket of width ORDER_STEP.
+RATIO_START = 32
+RATIO_WINDOW = 10
+ORDER_STEP = 0.01
+ORDER_MAX = 8.0
+
+# Offsets of the evolution smoothness probe's central differences.
+SMOOTHNESS_OFFSETS = (0.04, 0.02, 0.01)
+
 
 @dataclass(frozen=True)
 class SobolevLadder:
@@ -80,21 +91,16 @@ def decay_partial_norm_sq(
     return float(np.sum(sobolev_weights(1, modes, expo)))
 
 
-def _increment_ratio(
-    alpha: float,
-    s: float,
-    n_start: int,
-    window: int,
-    convention: str,
-) -> float:
+def _increment_ratio(alpha: float, s: float, convention: str) -> float:
     """Tail growth ratio of partial sums over a geometric cutoff sequence.
 
     Increments of a convergent series decay geometrically along doubling
     cutoffs; for a divergent one they grow (or stall, at the borderline).
-    The ratio of the last increment to the one ``window`` doublings earlier
-    is < 1 exactly on the convergent side, with sharp sensitivity in s.
+    The ratio of the last increment to the one ``RATIO_WINDOW`` doublings
+    earlier is < 1 exactly on the convergent side, with sharp sensitivity
+    in s.
     """
-    cuts = n_start * 2 ** np.arange(window + 1)
+    cuts = RATIO_START * 2 ** np.arange(RATIO_WINDOW + 1)
     sums = np.array(
         [decay_partial_norm_sq(alpha, s, int(n), convention) for n in cuts]
     )
@@ -104,39 +110,28 @@ def _increment_ratio(
     return float(inc[-1] / inc[0])
 
 
-def critical_order_estimate(
-    alpha: float,
-    n_start: int = 32,
-    window: int = 10,
-    step: float = 0.01,
-    s_max: float = 8.0,
-    convention: str = "paper",
-) -> float:
+def critical_order_estimate(alpha: float, convention: str = "paper") -> float:
     """Largest order whose partial norms stay bounded, located by bisection.
 
-    The boundedness predicate is the partial-sum growth ratio over a
-    doubling cutoff sequence (window ``window``): ratios below one mean
-    the increments decay geometrically.  Bisection over s refines to
-    ``step``.  A return of 0.0 means even order zero diverges (the field
-    lies on no nonnegative rung).
+    The boundedness predicate is the partial-sum growth ratio over
+    ``RATIO_WINDOW`` doublings of the cutoff from ``RATIO_START``: ratios
+    below one mean the increments decay geometrically.  Bisection over s in
+    [0, ``ORDER_MAX``] refines to ``ORDER_STEP``.  A return of 0.0 means
+    even order zero diverges (the field lies on no nonnegative rung).
     """
     alpha = float(alpha)
     if alpha <= 0:
         raise InputError("decay exponent must be positive")
-    if not step > 0:
-        raise InputError(f"bisection step must be positive, got {step}")
-    if window < 1 or n_start < 1:
-        raise InputError(f"need window >= 1 and n_start >= 1, got {window} and {n_start}")
 
     def divergent(s: float) -> bool:
-        return _increment_ratio(alpha, s, n_start, window, convention) >= 1.0
+        return _increment_ratio(alpha, s, convention) >= 1.0
 
-    lo, hi = 0.0, float(s_max)
+    lo, hi = 0.0, ORDER_MAX
     if divergent(lo):
         return 0.0
     if not divergent(hi):
         return hi
-    while hi - lo > step:
+    while hi - lo > ORDER_STEP:
         mid = 0.5 * (lo + hi)
         if divergent(mid):
             hi = mid
@@ -339,20 +334,16 @@ def sup_entry_gap(pieces_a, pieces_b) -> float:
 
 
 def evolution_smoothness_probe(
-    curve: TimeSampledCurve,
-    direction: AlgebraSection,
-    eps_grid=(0.04, 0.02, 0.01),
-    steps: int = 64,
+    curve: TimeSampledCurve, direction: AlgebraSection, steps: int = 64
 ) -> float:
     """Log-log slope of central-difference convergence for the time-1 map.
 
-    Central differences of ``evolve`` along a fixed direction converge at
-    second order in the offset; the slope is fit against a reference
-    difference at a much smaller offset.
+    Central differences of ``evolve`` along a fixed direction, at the
+    offsets ``SMOOTHNESS_OFFSETS``, converge at second order in the offset;
+    the slope is fit against a reference difference at an offset eight
+    times smaller than the last.
     """
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    if eps.size < 2 or np.any(eps <= 0):
-        raise InputError("need at least two positive offsets")
+    eps = np.asarray(SMOOTHNESS_OFFSETS)
 
     def central(e: float):
         up = evolve(curve.shifted(direction, e), steps)

@@ -110,8 +110,9 @@ def compose_maps(outer: Diffeo, inner: Diffeo) -> Diffeo:
     return Diffeo(fwd, inv, jac, inner.domain, outer.codomain)
 
 
-def validate_diffeo(theta: Diffeo, points: np.ndarray, tol: float = 1e-10) -> dict:
-    """Round-trip and Jacobian checks at sample points."""
+def validate_diffeo(theta: Diffeo, points: np.ndarray) -> dict:
+    """Round-trip and Jacobian checks at sample points: a round trip within
+    1e-10 and every |det J| above 1e-12."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     back = theta.inverse(theta.forward(pts))
     delta = np.abs(back - pts)
@@ -121,7 +122,7 @@ def validate_diffeo(theta: Diffeo, points: np.ndarray, tol: float = 1e-10) -> di
     return {
         "round_trip": float(delta.max()),
         "min_abs_det": float(np.min(np.abs(dets))),
-        "passed": bool(delta.max() <= tol and np.min(np.abs(dets)) > 1e-12),
+        "passed": bool(delta.max() <= 1e-10 and np.min(np.abs(dets)) > 1e-12),
     }
 
 

@@ -202,20 +202,18 @@ def _chart_samples(atlas: Atlas, fn, *sections) -> tuple[SampledField, ...]:
 
 
 def random_section(
-    atlas: Atlas,
-    components: int,
-    rng: np.random.Generator,
-    order: int = 3,
-    decay: float = 2.0,
-    amplitude: float = 1.0,
+    atlas: Atlas, components: int, rng: np.random.Generator, order: int = 3
 ) -> Section:
-    """Random smooth section from a low-order trigonometric polynomial."""
+    """Random smooth section from a low-order trigonometric polynomial.
+
+    Coefficients are complex normal draws weighted by (1 + |k|^2)^(-1).
+    """
     components = check_count(components, "components", 1)
     order = check_count(order, "order", 0)
     m = atlas.m
     shape = (components,) + (2 * order + 1,) * m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coef *= amplitude * sobolev_weights(m, order, -decay / 2.0)
+    coef *= sobolev_weights(m, order, -1.0)
     poly = BandlimitedField(m, order, coef, real=False)
     return section_from_function(atlas, lambda theta: poly.evaluate(theta).real)
 
@@ -276,34 +274,23 @@ def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
 
 
 def hilbert_inner(
-    a: Section,
-    b: Section,
-    s,
-    convention: str = "paper",
-    max_nodes_per_axis: int | None = None,
-    return_detail: bool = False,
+    a: Section, b: Section, s, convention: str = "paper", return_detail: bool = False
 ):
     """Sum of per-chart quotient inner products of two sections.
 
-    Each chart piece is (sub)sampled to at most ``max_nodes_per_axis``
-    nodes per axis (default EXTENSION_NODES_1D on curves, smaller on
-    surfaces), extended to the band-limited field of minimal Sobolev norm
-    matching those nodes, and the extensions are paired with
-    :func:`hs_inner`.  The extension cutoff doubles the node count per
-    axis, which keeps the systems well conditioned; it is reported in the
-    detail dictionary.
+    Each chart piece is (sub)sampled to at most EXTENSION_NODES_1D nodes per
+    axis on curves, EXTENSION_NODES_2D on surfaces, extended to the
+    band-limited field of minimal Sobolev norm matching those nodes, and
+    the extensions are paired with :func:`hs_inner`.  The extension cutoff
+    doubles the node count per axis, which keeps the systems well
+    conditioned; it is reported in the detail dictionary.
     """
     s = check_order(s)
     check_convention(convention)
     require_same_atlas(a.atlas, b.atlas, "sections")
     if a.components != b.components:
         raise ShapeMismatchError("component counts differ")
-    if max_nodes_per_axis is None:
-        max_nodes_per_axis = (
-            EXTENSION_NODES_1D if a.atlas.m == 1 else EXTENSION_NODES_2D
-        )
-    else:
-        max_nodes_per_axis = check_count(max_nodes_per_axis, "max_nodes_per_axis", 1)
+    max_nodes_per_axis = EXTENSION_NODES_1D if a.atlas.m == 1 else EXTENSION_NODES_2D
     total = 0.0
     detail = []
     for j, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):

