@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import bump_profile
-from .errors import ChartDomainError, CoverageError, InputError
+from .errors import ChartDomainError, CoverageError, InputError, check_count
 from .fields import TWO_PI, GridDomain, axis_interpolation_matrix, tensor_points
 from .maps import Diffeo, constant_jacobian
 
@@ -265,9 +265,9 @@ class Atlas:
         """Manifold points lying inside both witness windows.
 
         The pairwise overlap is a product of per-axis arc intersections;
-        the points are the tensor grid of their samples.
+        the points are the tensor grid of their ``per_axis >= 1`` samples.
         """
-        axes = self._overlap_axes(i, j, per_axis)
+        axes = self._overlap_axes(i, j, check_count(per_axis, "per_axis", 1))
         if axes is None:
             return np.empty((0, self.m))
         return tensor_points(axes)
@@ -459,9 +459,10 @@ def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
 
     Covering and partition run on a manifold grid of 1024 points on the
     circle, 128 per axis on the torus; inverse and cocycle on each chart
-    pair's ``overlap_per_axis`` overlap samples.  Residuals pass at most
-    ``VALIDATION_TOL``.
+    pair's ``overlap_per_axis >= 1`` overlap samples.  Residuals pass at
+    most ``VALIDATION_TOL``.
     """
+    overlap_per_axis = check_count(overlap_per_axis, "overlap_per_axis", 1)
     pts = a.manifold_grid(1024 if a.m == 1 else 128)
     depths = np.column_stack([c.window_depth(pts) for c in a.charts])
     cover_margin = float(depths.max(axis=1).min())

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import SmoothCutoff, cutoff_multiply
+from .errors import check_count
 from .fields import (
     GridDomain,
     SampledField,
@@ -121,7 +122,9 @@ def probe_extend_by_zero(rng: np.random.Generator) -> AxiomCheck:
 def probe_cutoff_bound(
     rng: np.random.Generator, trials: int = 100, rel_tol: float = 0.05
 ) -> AxiomCheck:
-    """axiom-MU: empirical cutoff-multiplication bound is grid-stable."""
+    """axiom-MU: empirical cutoff-multiplication bound is grid-stable,
+    over ``trials >= 1`` random fields."""
+    trials = check_count(trials, "trials", 1)
     h = SmoothCutoff(np.array([np.pi]), np.array([2.0]))
     # Both grids see the same fields, so the change measures the grid alone.
     seed = rng.integers(0, 2**63)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SupportError
+from .errors import InputError, SupportError, check_count
 from .fields import TWO_PI, BandlimitedField, GridDomain, SampledField, sample, synthesize
 
 
@@ -102,10 +102,11 @@ def cutoff_multiply(h: SmoothCutoff, field, oversample: int = 2):
     """Multiply a field by a smooth cutoff.
 
     Sampled fields are multiplied pointwise at their nodes.  Band-limited
-    fields are sampled on a full-torus grid ``oversample`` times finer than
-    the doubled cutoff requires, multiplied, and resynthesized at cutoff
-    ``2 * modes``; the modes beyond that are dropped (controlled aliasing,
-    since the cutoff itself is not band-limited).
+    fields are sampled on a full-torus grid ``oversample`` (an integer
+    >= 1) times finer than the doubled cutoff requires, multiplied, and
+    resynthesized at cutoff ``2 * modes``; the modes beyond that are
+    dropped (controlled aliasing, since the cutoff itself is not
+    band-limited).
     """
     if isinstance(field, SampledField):
         if h.m != field.domain.m:
@@ -126,10 +127,9 @@ def cutoff_multiply(h: SmoothCutoff, field, oversample: int = 2):
                 f"cutoff support {h.support_box} sticks out of the fundamental "
                 "domain"
             )
-        if oversample < 1:
-            raise InputError("oversample factor must be >= 1")
+        oversample = check_count(oversample, "oversample", 1)
         out_modes = 2 * field.modes
-        res = int(oversample) * (2 * out_modes + 1)
+        res = oversample * (2 * out_modes + 1)
         grid = GridDomain.full_torus(field.m, res)
         v = sample(field, grid)
         prod = SampledField(grid, v.values * h(grid.nodes())[:, None])

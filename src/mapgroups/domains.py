@@ -200,10 +200,11 @@ def flow(
     holding one time per row; row ``i`` then takes ``steps`` steps of
     ``t[i] / steps``.  Every RK4 operation is elementwise or a per-row
     reduction, so a row flowed in a stack is bitwise equal to the same row
-    flowed alone at its own time.
+    flowed alone at its own time.  ``steps`` must be an integer >= 16.
     """
-    if steps < 16:
+    if not steps >= 16:  # NaN fails too
         raise InputError("use at least 16 integration steps")
+    steps = check_count(steps, "steps", 16)
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     times = np.asarray(t, dtype=float)
     if times.ndim and times.shape != (len(pts),):
@@ -281,10 +282,12 @@ def shrink_domain(
     rng: np.random.Generator | None = None,
 ) -> ShrinkCertificate:
     """Certificate that the time-t0 flow moves the boundary strictly
-    inward (t0 > 0) or outward (t0 < 0).
+    inward (t0 > 0) or outward (t0 < 0), from ``samples >= 1`` boundary
+    points flowed in ``steps`` RK4 steps (checked by ``flow``).
 
     A nonpositive margin yields ``passed = False`` rather than an error.
     """
+    samples = check_count(samples, "samples", 1)
     if not np.isfinite(t0):
         raise InputError(f"flow time must be finite, got {t0}")
     if t0 == 0.0:

@@ -149,8 +149,8 @@ def tensor_points(axes) -> np.ndarray:
 
 def _resolution_tuple(resolution, m):
     if np.isscalar(resolution):
-        return (int(resolution),) * m
-    res = tuple(int(r) for r in resolution)
+        return (check_count(resolution, "resolution", 3),) * m
+    res = tuple(check_count(r, "resolution", 3) for r in resolution)
     if len(res) != m:
         raise InputError("resolution needs one entry per axis")
     return res
@@ -440,8 +440,7 @@ def synthesize(v: SampledField, modes: int) -> BandlimitedField:
     grid = v.domain
     if not grid.is_full_torus:
         raise InputError("synthesis requires a full-torus grid")
-    if modes < 0:
-        raise InputError("mode cutoff must be nonnegative")
+    modes = check_count(modes, "modes", 0)
     for d, r in enumerate(grid.resolution):
         if r < 2 * modes + 1:
             raise AliasingError(
@@ -468,6 +467,7 @@ def random_field(
     amplitude: float = 1.0,
 ) -> BandlimitedField:
     """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
+    components = check_count(components, "components", 1)
     weights = sobolev_weights(m, modes, -decay / 2.0)
     shape = (components,) + weights.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

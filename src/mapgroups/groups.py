@@ -624,6 +624,8 @@ def bracket_from_products(
     """Extract the bracket from small products:
     (log(exp(t xi) exp(t eta)) - log(exp(t eta) exp(t xi))) / t^2,
     accurate to O(t^2) because the cubic product terms are symmetric."""
+    if not 0.0 < t < np.inf:  # NaN fails too
+        raise InputError(f"t must be positive and finite, got {t}")
     a, b = exp_section(xi.scaled(t)), exp_section(eta.scaled(t))
     ab = log_section(group_multiply(a, b))
     ba = log_section(group_multiply(b, a))

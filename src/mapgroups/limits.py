@@ -168,10 +168,11 @@ def rung_compactness_probe(
     The inclusion goes from the smaller exponent index to the larger one
     in the ladder order, i.e. from s_j down to s_{j+1} < s_j.
     """
-    if not 1 <= j < lad.count:
+    if not 1 <= j < lad.count:  # NaN fails too
         raise InputError(
             f"rung index must satisfy 1 <= j < {lad.count}, got {j}"
         )
+    j = check_count(j, "j", 1)
     s_fine = lad.rungs[j - 1]
     s_coarse = lad.rungs[j]
     sig = rellich_spectrum(s_fine, s_coarse, modes, m=m, convention=convention)
@@ -287,7 +288,7 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     """Integrate eta' = eta * gamma(t) from the identity over [0, 1].
 
     Classical fixed-step fourth-order integration, node by node; the step
-    count must be at least the curve's time resolution.  Each step is a
+    count must be an integer of at least the curve's time resolution.  Each step is a
     right factor (``_rk4_factor``); where a chart's time samples are all
     bitwise equal, the time-1 value is that factor to the power ``steps``.
     On a sampled curve, each step's end value is the next step's start
@@ -296,10 +297,11 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     projection cannot repair, or whose chart pieces fail the GroupSection
     construction checks, raises NumericError: the curve was valid input.
     """
-    if steps < curve.resolution:
+    if not steps >= curve.resolution:  # NaN fails too
         raise InputError(
             f"need at least {curve.resolution} steps for this time grid"
         )
+    steps = check_count(steps, "steps", curve.resolution)
     group = curve.group
     h = 1.0 / steps
     pieces = []
@@ -341,7 +343,8 @@ def evolution_smoothness_probe(
     Central differences of ``evolve`` along a fixed direction, at the
     offsets ``SMOOTHNESS_OFFSETS``, converge at second order in the offset;
     the slope is fit against a reference difference at an offset eight
-    times smaller than the last.
+    times smaller than the last.  Each ``evolve`` takes ``steps`` steps,
+    which it checks.
     """
     eps = np.asarray(SMOOTHNESS_OFFSETS)
 

@@ -252,10 +252,13 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
 
 
 def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
-    """Evaluate a section at manifold points through the deepest chart."""
+    """Evaluate a section at finite manifold points through the deepest chart."""
     pts = np.atleast_2d(np.asarray(theta, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != section.atlas.m:
         raise ShapeMismatchError("points do not match field dimension")
+    if not np.isfinite(pts).all():
+        bad = pts[int(np.argmin(np.isfinite(pts).all(axis=1)))]
+        raise InputError(f"point {bad} is not finite")
     out = np.empty((pts.shape[0], section.components))
     if not len(pts):
         return out

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, check_count
 from .fields import (
     BandlimitedField,
     GridDomain,
@@ -188,6 +188,7 @@ def min_norm_extension(
     """
     s = check_order(s)
     check_convention(convention)
+    modes = check_count(modes, "modes", 0)
     grid = v.domain
     ncoef = (2 * modes + 1) ** grid.m
     if grid.node_count > ncoef:
@@ -287,8 +288,9 @@ def extension_probe(
     random kernel combination.  A positive margin means every competitor
     had a larger norm.
     """
-    if instances < 1 or competitors < 1:
-        raise InputError("instances and competitors must be positive")
+    instances = check_count(instances, "instances", 1)
+    competitors = check_count(competitors, "competitors", 1)
+    modes = check_count(modes, "modes", 0)
     worst_residual = 0.0
     worst_overlap = 0.0
     min_margin = np.inf

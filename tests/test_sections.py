@@ -1,6 +1,8 @@
 """Sections over chart atlases: gluing, evaluation, quotient inner products,
 openness margins, and fiberwise maps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ def test_point_eval_rejects_points_of_the_wrong_width(build):
     for width in {1, 2, 3} - {a.m}:
         with pytest.raises(ShapeMismatchError, match="points do not match"):
             point_eval(sec, np.zeros((3, width)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_point_eval_names_a_nonfinite_point_as_given(build, bad):
+    a = build()
+    sec = random_section(a, 1, np.random.default_rng(31))
+    pts = np.full((3, a.m), 0.5)
+    pts[1, -1] = bad
+    message = "^" + re.escape(f"point {pts[1]} is not finite") + "$"
+    with pytest.raises(InputError, match=message):
+        point_eval(sec, pts)
 
 
 @pytest.mark.parametrize(
