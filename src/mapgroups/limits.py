@@ -288,9 +288,10 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     """Integrate eta' = eta * gamma(t) from the identity over [0, 1].
 
     Classical fixed-step fourth-order integration, node by node; the step
-    count must be an integer of at least the curve's time resolution.  Each step is a
-    right factor (``_rk4_factor``); where a chart's time samples are all
-    bitwise equal, the time-1 value is that factor to the power ``steps``.
+    count must be an integer of at least the curve's time resolution.  Each
+    step is a right factor (``_rk4_factor``); where a chart's time samples
+    are all bitwise equal, the time-1 value is that factor to the power
+    ``steps``.
     On a sampled curve, each step's end value is the next step's start
     value.  Time-1 values whose relation defect exceeds the GroupSection
     construction limit are re-projected (``GroupSection.computed``); one that
