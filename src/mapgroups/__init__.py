@@ -51,7 +51,6 @@ from .fields import (
     SampledField,
     extend_by_zero,
     random_field,
-    restrict,
     restrict_sampled,
     sample,
     synthesize,

@@ -11,12 +11,12 @@ inside the fundamental domain of the coordinate torus.  All transitions are
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cutoffs import bump_profile
+from .cutoffs import SmoothCutoff, bump_profile
 from .errors import ChartDomainError, CoverageError, InputError, check_count
 from .fields import TWO_PI, GridDomain, axis_interpolation_matrix, tensor_points
 from .maps import Diffeo, constant_jacobian
@@ -29,6 +29,10 @@ MIN_OVERLAP = 1e-12
 
 # Largest inverse, cocycle and partition residual validate_atlas accepts.
 VALIDATION_TOL = 1e-9
+
+# Overlap sample points per axis of the cached overlap transfers, which
+# the section compatibility check applies.
+OVERLAP_SAMPLES = 24
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -140,8 +144,9 @@ class PartitionTransfer(_ReadOnlyArrays):
 class Atlas:
     """Finite chart collection with partition bumps subordinate to windows.
 
-    Interpolation operators that depend only on the atlas are built on
-    first use and kept on the instance, so they live as long as it does.
+    The interpolation operators that depend only on the atlas, the
+    attributes ``overlap_transfers`` and ``partition_transfers``, are built
+    on first use and kept on the instance, so they live as long as it does.
     Each overlap and partition transfer keeps only its live columns, the
     window lattice nodes its interpolation stencils touch.
     """
@@ -151,7 +156,6 @@ class Atlas:
     charts: tuple[Chart, ...]
     plateau: float = 0.5
     lattice_resolution: int = 257
-    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.m not in (1, 2):
@@ -165,12 +169,6 @@ class Atlas:
     @property
     def chart_count(self) -> int:
         return len(self.charts)
-
-    def to_chart(self, j: int, theta: np.ndarray) -> np.ndarray:
-        return self.charts[j].to_chart(theta)
-
-    def from_chart(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self.charts[j].from_chart(x)
 
     def transition_point(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         """Transition phi_i o phi_j^(-1) at chart-j coordinates x."""
@@ -196,15 +194,10 @@ class Atlas:
         on the witness window, so subordination is structural.
         """
         th = np.atleast_2d(np.asarray(theta, dtype=float))
-        cols = []
-        for c in self.charts:
-            x = c.to_chart(th)
-            r = np.abs(x - PI) / c.window_half
-            vals = np.ones(th.shape[0])
-            for d in range(self.m):
-                vals *= bump_profile(r[:, d], self.plateau)
-            cols.append(vals)
-        return np.column_stack(cols)
+        return np.column_stack([
+            SmoothCutoff([PI] * self.m, [c.window_half] * self.m, self.plateau)(c.to_chart(th))
+            for c in self.charts
+        ])
 
     def partition_weights(self, theta: np.ndarray) -> np.ndarray:
         """Partition of unity subordinate to the witness windows."""
@@ -287,28 +280,28 @@ class Atlas:
             cols.append(live)
         return tuple(mats), tuple(cols)
 
-    def overlap_transfers(self, per_axis: int) -> tuple[OverlapTransfer, ...]:
-        """Transfers to :meth:`overlap_samples` for each overlapping pair i < j."""
-        key = ("overlap", per_axis)
-        if key not in self._operators:
-            ops = []
-            for i in range(self.chart_count):
-                for j in range(i + 1, self.chart_count):
-                    axes = self._overlap_axes(i, j, per_axis)
-                    if axes is None:
-                        continue
-                    ops.append(OverlapTransfer(
-                        i, j, tuple(axes),
-                        *self._axis_matrices(i, axes), *self._axis_matrices(j, axes),
-                    ))
-            self._operators[key] = tuple(ops)
-        return self._operators[key]
+    @cached_property
+    def overlap_transfers(self) -> tuple[OverlapTransfer, ...]:
+        """Transfers to ``overlap_samples(i, j, OVERLAP_SAMPLES)`` for each
+        overlapping pair i < j."""
+        ops = []
+        for i in range(self.chart_count):
+            for j in range(i + 1, self.chart_count):
+                axes = self._overlap_axes(i, j, OVERLAP_SAMPLES)
+                if axes is None:
+                    continue
+                ops.append(OverlapTransfer(
+                    i, j, tuple(axes),
+                    *self._axis_matrices(i, axes), *self._axis_matrices(j, axes),
+                ))
+        return tuple(ops)
 
-    def partition_transfers(self, t: int) -> tuple[PartitionTransfer, ...]:
-        """Terms of the partition-of-unity sum at the window nodes of chart t."""
-        key = ("partition", t)
-        if key not in self._operators:
-            c = self.charts[t]
+    @cached_property
+    def partition_transfers(self) -> tuple[tuple[PartitionTransfer, ...], ...]:
+        """Terms of the partition-of-unity sum at the window nodes of each
+        chart, indexed by that target chart."""
+        tables = []
+        for c in self.charts:
             axes = [
                 np.mod(c.window.axis_nodes(d) - PI + c.offset[d], TWO_PI)
                 for d in range(self.m)
@@ -330,8 +323,8 @@ class Atlas:
                     i, hits, *self._axis_matrices(i, [a[h] for a, h in zip(axes, hits)]),
                     block,
                 ))
-            self._operators[key] = tuple(ops)
-        return self._operators[key]
+            tables.append(tuple(ops))
+        return tuple(tables)
 
 
 def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
@@ -476,7 +469,7 @@ def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
             ov = a.overlap_samples(i, j, overlap_per_axis)
             if ov.size == 0:
                 continue
-            x = a.to_chart(j, ov)
+            x = a.charts[j].to_chart(ov)
             y = a.transition_point(i, j, x)
             back = a.transition_point(j, i, y)
             inverse_residual = max(inverse_residual, float(np.abs(back - x).max()))
@@ -486,7 +479,7 @@ def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
                 deep = ov[a.charts[k].window_depth(ov) > 0.05]
                 if deep.size == 0:
                     continue
-                xk = a.to_chart(k, deep)
+                xk = a.charts[k].to_chart(deep)
                 direct = a.transition_point(i, k, xk)
                 via = a.transition_point(i, j, a.transition_point(j, k, xk))
                 cocycle_residual = max(

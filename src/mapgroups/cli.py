@@ -60,7 +60,6 @@ from .serialize import (
     load_curve,
     read_json,
     write_json,
-    write_spectrum_csv,
     write_weighted_csv,
 )
 from .sobolev import CONVENTIONS, extension_probe, hs_norm
@@ -304,7 +303,7 @@ def cmd_group_demo(config: RunConfig, args: argparse.Namespace) -> int:
             sup_gap(group_multiply(gh, k), group_multiply(g, group_multiply(h, k))),
             sup_gap(group_multiply(g, ident), g),
             sup_gap(group_multiply(g, g_inv), ident),
-            (log_section(g) - xi).sup_coord_norm(),
+            (log_section(g) - xi).section.sup_norm(),
             sup_gap(group_multiply(gh, g_inv), exp_section(adjoint_operator(g, eta))),
         )
 
@@ -318,7 +317,7 @@ def cmd_group_demo(config: RunConfig, args: argparse.Namespace) -> int:
     slope = bch_order2_probe(xi, eta)
     bracket_gap = (
         bracket_from_products(xi, eta) - bracket(xi, eta)
-    ).sup_coord_norm()
+    ).section.sup_norm()
 
     identities = config.tol("group-identities")
     min_slope = config.tol("bch-slope")
@@ -408,7 +407,9 @@ def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
             lad, j, config.modes, convention=config.convention
         )
         path = _out_path(config, f"spectrum_rung_{j}.csv")
-        write_spectrum_csv(path, probe.spectrum, config.convention)
+        write_weighted_csv(
+            path, ("k_index", "sigma"), enumerate(probe.spectrum), config.convention
+        )
         spectra_files.append(
             {
                 "rung": j,

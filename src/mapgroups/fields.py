@@ -58,10 +58,13 @@ class GridDomain:
             for lo, hi in self.window:
                 if hi - lo >= TWO_PI:
                     raise InputError("proper window must have length < 2*pi")
+        object.__setattr__(self, "axis_indices", tuple(map(np.asarray, self.axis_indices)))
         for d in range(self.m):
             idx = self.axis_indices[d]
             if idx.ndim != 1 or idx.size == 0:
                 raise EmptyMaskError(f"axis {d} holds no lattice nodes")
+            if idx.dtype.kind not in "iu":
+                raise InputError(f"axis_indices[{d}] must be integers, got {idx.dtype}")
             if np.any(idx < 0) or np.any(idx >= self.resolution[d]):
                 raise InputError("lattice index out of range")
             if np.any(np.diff(idx) <= 0):
@@ -207,9 +210,9 @@ class BandlimitedField:
     def __post_init__(self):
         if self.m not in (1, 2):
             raise InputError(f"dimension m must be 1 or 2, got {self.m}")
-        if self.modes < 0:
-            raise InputError("mode cutoff must be nonnegative")
+        object.__setattr__(self, "modes", check_count(self.modes, "modes", 0))
         c = np.asarray(self.coeffs)
+        object.__setattr__(self, "coeffs", c)
         width = 2 * self.modes + 1
         want = (width,) * self.m
         if c.ndim != self.m + 1 or c.shape[1:] != want:
@@ -304,6 +307,7 @@ class SampledField:
 
     def __post_init__(self):
         v = np.asarray(self.values)
+        object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != self.domain.node_count:
             raise ShapeMismatchError(
                 f"values must have shape (node_count, n), got {v.shape}"
@@ -392,11 +396,6 @@ def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     vals = vals.reshape(grid.node_count, field.components)
     vals = vals.real if field.real else vals
     return SampledField(grid, np.ascontiguousarray(vals), parent_modes=field.modes)
-
-
-def restrict(field: BandlimitedField, grid: GridDomain) -> SampledField:
-    """Restriction of a band-limited field to a window (node samples)."""
-    return sample(field, grid)
 
 
 def restrict_sampled(v: SampledField, window) -> SampledField:

@@ -120,9 +120,6 @@ class MatrixGroup:
     def from_matrix(self, mats: np.ndarray) -> np.ndarray:
         return _coords(self._coords_pinv, np.asarray(mats, dtype=float))
 
-    def coord_norm(self, coords: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(coords, dtype=float), axis=-1)
-
     def exp(self, coords: np.ndarray) -> np.ndarray:
         return self.exp_fn(np.asarray(coords, dtype=float))
 
@@ -164,6 +161,11 @@ def _vee3(mats: np.ndarray) -> np.ndarray:
     return np.stack([mats[2, 1], mats[0, 2], mats[1, 0]], axis=-1)
 
 
+def _transpose(g: np.ndarray) -> np.ndarray:
+    """Node-wise transpose, the inverse on SO3 and SU2."""
+    return g.swapaxes(0, 1).copy()
+
+
 def so3() -> MatrixGroup:
     basis = np.ascontiguousarray(np.moveaxis(_hat3(np.eye(3)), -1, 0))
     q_radius = np.pi - 0.1
@@ -190,9 +192,6 @@ def so3() -> MatrixGroup:
     def log_valid_fn(g):
         return _angle(g) < q_radius
 
-    def invert_fn(g):
-        return g.swapaxes(0, 1).copy()
-
     def project_fn(g):
         u, _, vt = np.linalg.svd(np.moveaxis(g, (0, 1), (-2, -1)))
         u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
@@ -206,7 +205,7 @@ def so3() -> MatrixGroup:
 
     return MatrixGroup(
         "SO3", 3, basis, q_radius, q_radius / 2.0,
-        exp_fn, log_fn, log_valid_fn, invert_fn, project_fn, defect_fn,
+        exp_fn, log_fn, log_valid_fn, _transpose, project_fn, defect_fn,
     )
 
 
@@ -259,9 +258,6 @@ def su2_real() -> MatrixGroup:
     def log_valid_fn(g):
         return 2.0 * _half_angle(g) < q_radius
 
-    def invert_fn(g):
-        return g.swapaxes(0, 1).copy()
-
     def project_fn(g):
         uu, _, vt = np.linalg.svd(np.moveaxis(g[:2, :2] + 1j * g[2:, :2], (0, 1), (-2, -1)))
         w = uu @ vt
@@ -293,7 +289,7 @@ def su2_real() -> MatrixGroup:
 
     return MatrixGroup(
         "SU2", 4, basis, q_radius, q_radius / 2.0,
-        exp_fn, log_fn, log_valid_fn, invert_fn, project_fn, defect_fn,
+        exp_fn, log_fn, log_valid_fn, _transpose, project_fn, defect_fn,
     )
 
 
@@ -492,9 +488,6 @@ class AlgebraSection:
     def scaled(self, factor: float) -> "AlgebraSection":
         return AlgebraSection(self.group, self.section.scaled(factor))
 
-    def sup_coord_norm(self) -> float:
-        return self.section.sup_norm()
-
 
 def require_same_group(a, b):
     if not (a.group is b.group or a.group.name == b.group.name):
@@ -604,7 +597,7 @@ def bch_residual(xi: AlgebraSection, eta: AlgebraSection, t: float) -> float:
     g = group_multiply(exp_section(xi.scaled(t)), exp_section(eta.scaled(t)))
     lg = log_section(g)
     model = (xi + eta).scaled(t) + bracket(xi, eta).scaled(0.5 * t * t)
-    return (lg - model).sup_coord_norm()
+    return (lg - model).section.sup_norm()
 
 
 def bch_order2_probe(xi: AlgebraSection, eta: AlgebraSection) -> float:

@@ -73,11 +73,17 @@ def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
     return SobolevLadder(s0, rungs)
 
 
+def _check_decay(alpha) -> float:
+    """``alpha`` as a float; InputError unless it is positive and finite."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < np.inf:  # NaN fails too
+        raise InputError(f"decay exponent must be positive and finite, got {alpha}")
+    return alpha
+
+
 def decay_field(alpha: float, modes: int, m: int = 1) -> BandlimitedField:
     """Field with coefficients (1 + |k|^2)^(-alpha/2) (real, one component)."""
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise InputError("decay exponent must be positive")
+    alpha = _check_decay(alpha)
     coeffs = sobolev_weights(m, modes, -alpha / 2.0).astype(complex)
     return BandlimitedField(m, modes, hermitian_part(coeffs[None]), real=True)
 
@@ -87,7 +93,7 @@ def decay_partial_norm_sq(
 ) -> float:
     """Squared order-s norm of the decay field truncated at ``modes`` (m=1)."""
     check_convention(convention)
-    expo = weight_exponent(s, convention) - float(alpha)
+    expo = weight_exponent(s, convention) - _check_decay(alpha)
     return float(np.sum(sobolev_weights(1, modes, expo)))
 
 
@@ -119,9 +125,7 @@ def critical_order_estimate(alpha: float, convention: str = "paper") -> float:
     [0, ``ORDER_MAX``] refines to ``ORDER_STEP``.  A return of 0.0 means
     even order zero diverges (the field lies on no nonnegative rung).
     """
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise InputError("decay exponent must be positive")
+    alpha = _check_decay(alpha)
 
     def divergent(s: float) -> bool:
         return _increment_ratio(alpha, s, convention) >= 1.0

@@ -34,9 +34,6 @@ from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
 DEFAULT_TOLERANCE = 1e-9
 
-# Overlap sample points per axis for the compatibility check.
-OVERLAP_SAMPLES = 24
-
 # Node budgets for the quotient-norm surrogate inner product; the
 # extension cutoff is twice the per-axis node count.
 EXTENSION_NODES_1D = 24
@@ -96,19 +93,20 @@ def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     ``pieces`` holds one piece per chart: a ``SampledField`` on the chart's
     window, or its component-first lattice (n, c0[, c1]).  Pieces are
     interpolated to the shared points of
-    ``atlas.overlap_samples(i, j, OVERLAP_SAMPLES)`` through their own chart
-    coordinates; the defect is the max over points and chart pairs of the
-    value difference (sup over components).  The points form a tensor
-    grid, so each piece's values there are a product of the atlas's cached
-    per-axis interpolation matrices with its lattice values.  Each
-    transfer keeps only its live columns, so only the lattice block its
-    stencils touch enters the product.  With ``return_worst`` the chart
+    ``atlas.overlap_samples(i, j, OVERLAP_SAMPLES)``, a constant of the
+    atlas module, through their own chart coordinates; the defect is the
+    max over points and chart pairs of the value difference (sup over
+    components).  The points form a tensor grid, so each piece's values
+    there are a product of the atlas's cached per-axis interpolation
+    matrices with its lattice values.  Each transfer keeps only its live
+    columns, so only the lattice block its stencils touch enters the
+    product.  With ``return_worst`` the chart
     pair and manifold point of the maximum are returned as well.
     """
     lattices = _window_lattices(pieces, atlas)
     worst = 0.0
     worst_point = None
-    for op in atlas.overlap_transfers(OVERLAP_SAMPLES):
+    for op in atlas.overlap_transfers:
         vi = tensor_transfer(op.first, _lattice_block(lattices[op.i], op.first_cols))
         vj = tensor_transfer(op.second, _lattice_block(lattices[op.j], op.second_cols))
         vi -= vj  # vi is a fresh product, so the difference goes in place
@@ -239,9 +237,9 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     )
     n = lattices[0].shape[0]
     out = []
-    for t, c in enumerate(atlas.charts):
+    for c, ops in zip(atlas.charts, atlas.partition_transfers):
         vals = np.zeros((n,) + c.window.axis_counts)
-        for op in atlas.partition_transfers(t):
+        for op in ops:
             block = _lattice_block(lattices[op.source], op.cols)
             vals[(slice(None),) + np.ix_(*op.hits)] += op.weights * tensor_transfer(
                 op.matrices, block
@@ -271,7 +269,7 @@ def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
         raise CoverageError(f"point {bad} not inside any witness window")
     for j in np.unique(best):
         sel = best == j
-        x = section.atlas.to_chart(j, pts[sel])
+        x = section.atlas.charts[j].to_chart(pts[sel])
         out[sel] = section.pieces[j].interpolate(x)
     return out
 
@@ -375,23 +373,13 @@ class BallComplement:
         return np.maximum(d, 0.0)
 
 
-@dataclass(frozen=True)
-class OpennessMargin:
+def open_margin(section: Section, target) -> float:
     """Worst-case distance of section values to the complement of a set."""
-
-    margin: float
-
-    @property
-    def inside(self) -> bool:
-        return self.margin > 0.0
-
-
-def open_margin(section: Section, target) -> OpennessMargin:
     worst = np.inf
     for p in section.pieces:
         d = target.distance_to_complement(p.values)
         worst = min(worst, float(d.min()))
-    return OpennessMargin(max(worst, 0.0))
+    return max(worst, 0.0)
 
 
 def pushforward(f, section: Section, target=None) -> Section:
@@ -402,8 +390,7 @@ def pushforward(f, section: Section, target=None) -> Section:
     inside it (positive openness margin).
     """
     if target is not None:
-        om = open_margin(section, target)
-        if not om.inside:
+        if not open_margin(section, target) > 0.0:
             raise ChartDomainError(
                 "section values touch the complement of the target set"
             )

@@ -260,23 +260,6 @@ def load_sampled(doc: dict) -> SampledField:
     return SampledField(grid, values, parent)
 
 
-def dump_field(field, convention: str = "paper") -> dict:
-    if isinstance(field, BandlimitedField):
-        return dump_bandlimited(field, convention)
-    if isinstance(field, SampledField):
-        return dump_sampled(field, convention)
-    raise InputError(f"cannot serialize {type(field).__name__}")
-
-
-def load_field(doc: dict):
-    kind = doc.get("kind")
-    if kind == "bandlimited":
-        return load_bandlimited(doc)
-    if kind == "sampled":
-        return load_sampled(doc)
-    raise InputError(f"unknown field kind {kind!r}")
-
-
 def atlas_descriptor(a: Atlas) -> dict:
     return {
         "name": a.name,
@@ -427,17 +410,3 @@ def write_weighted_csv(path, columns, rows, convention: str = "paper") -> None:
     lines.append(",".join(columns))
     lines.extend(f"{k},{float(v)!r}" for k, v in rows)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_spectrum_csv(path, sigmas: np.ndarray, convention: str = "paper") -> None:
-    write_weighted_csv(path, ("k_index", "sigma"), enumerate(np.asarray(sigmas)), convention)
-
-
-def read_spectrum_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("k_index"):
-            continue
-        _, sigma = line.split(",")
-        rows.append(float(sigma))
-    return np.asarray(rows)

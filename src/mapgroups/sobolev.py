@@ -24,7 +24,7 @@ from .fields import (
     check_same_layout,
     phase_matrix,
     random_field,
-    restrict,
+    sample,
     sobolev_weights,
 )
 
@@ -204,7 +204,7 @@ def min_norm_extension(
     cflat = _real_coords_to_coeffs(r.T, half)  # (n, ncoef)
     lattice = (2 * modes + 1,) * grid.m
     ext = BandlimitedField(grid.m, modes, cflat.reshape((-1,) + lattice), real=True)
-    residual = float(np.max(np.abs(restrict(ext, grid).values - v.values)))
+    residual = float(np.max(np.abs(sample(ext, grid).values - v.values)))
     scale = max(1.0, float(np.max(np.abs(v.values))))
     if residual > RESIDUAL_TOL * scale:
         raise SolverError(
@@ -303,7 +303,7 @@ def extension_probe(
         width = float(rng.uniform(0.5 * width_hi, width_hi))
         grid = GridDomain.box(((lo, lo + width),), resolution)
         gamma = random_field(1, modes, 2, rng)
-        data = restrict(gamma, grid)
+        data = sample(gamma, grid)
         ext = min_norm_extension(data, s, modes, convention=convention)
         nodes = grid.nodes()
         resid = float(np.abs(ext.evaluate(nodes) - data.values).max())

@@ -199,7 +199,7 @@ def test_criterion_06_group_identities():
                                    group_multiply(g, group_multiply(h, k))))
         ident_gap = max(ident_gap, sup_gap(group_multiply(g, ident), g))
         inverse = max(inverse, sup_gap(group_multiply(g, group_invert(g)), ident))
-        explog = max(explog, (log_section(g) - xi).sup_coord_norm())
+        explog = max(explog, (log_section(g) - xi).section.sup_norm())
     conj = 0.0
     for _ in range(100):
         xi = random_algebra_section(atlas, group, rng)
@@ -240,7 +240,7 @@ def test_criterion_07_pointwise_bracket():
         xi = random_algebra_section(atlas, group, rng)
         eta = random_algebra_section(atlas, group, rng)
         probed = bracket_from_products(xi, eta, t=1e-3)
-        gap = (probed - bracket(xi, eta)).sup_coord_norm()
+        gap = (probed - bracket(xi, eta)).section.sup_norm()
         worst = max(worst, gap)
     ok = worst <= 1e-6
     line = verdict(7, "pointwise bracket", ok, f"worst extraction gap {worst:.3e} at t=1e-3, tol 1e-6")

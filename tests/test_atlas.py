@@ -15,6 +15,7 @@ from mapgroups.atlas import (
     validate_atlas,
     wrap_angle,
 )
+from mapgroups.cutoffs import bump_profile
 from mapgroups.errors import ChartDomainError, CoverageError, InputError
 from mapgroups.maps import validate_diffeo
 
@@ -33,20 +34,20 @@ def test_wrap_angle_principal_value():
 def test_chart_coordinates_center_the_offset():
     a = circle_two_charts()
     # the chart offset lands at the window center pi
-    for j, c in enumerate(a.charts):
-        x = a.to_chart(j, np.array([[c.offset[0]]]))
+    for c in a.charts:
+        x = c.to_chart(np.array([[c.offset[0]]]))
         assert x[0, 0] == pytest.approx(PI, abs=1e-15)
-        back = a.from_chart(j, x)
+        back = c.from_chart(x)
         assert abs(wrap_angle(back[0, 0] - c.offset[0])) < 1e-15
 
 
 def test_circle_transition_is_shift_by_pi():
     a = circle_two_charts()
-    x = a.to_chart(0, a.overlap_samples(1, 0, 11))
+    x = a.charts[0].to_chart(a.overlap_samples(1, 0, 11))
     y = a.transition_point(1, 0, x)
     # both charts describe the same manifold point
-    p0 = a.from_chart(0, x)
-    p1 = a.from_chart(1, y)
+    p0 = a.charts[0].from_chart(x)
+    p1 = a.charts[1].from_chart(y)
     assert np.abs(wrap_angle(p0 - p1)).max() < 1e-14
     # and the transition in coordinates is x -> x +- pi
     shift = np.abs(wrap_angle(y - x))
@@ -67,7 +68,7 @@ def test_transition_round_trip():
                 continue
             ov = a.overlap_samples(i, j, 9)
             assert ov.size > 0, f"charts {i},{j} should overlap"
-            x = a.to_chart(j, ov)
+            x = a.charts[j].to_chart(ov)
             y = a.transition_point(i, j, x)
             back = a.transition_point(j, i, y)
             assert np.abs(back - x).max() < 1e-10
@@ -87,7 +88,7 @@ def test_transition_diffeo_wrapper_passes_validation():
     a = circle_two_charts()
     d = transition(a, 1, 0)
     ov = a.overlap_samples(1, 0, 17)
-    rep = validate_diffeo(d, a.to_chart(0, ov))
+    rep = validate_diffeo(d, a.charts[0].to_chart(ov))
     assert rep["passed"], rep
 
 
@@ -120,6 +121,26 @@ def test_bumps_vanish_outside_their_window():
     assert b[1, 0] == 0.0 and b[1, 1] == 1.0
 
 
+def per_axis_bumps(a, theta):
+    """The chart bumps as a per-axis product of profiles in chart coordinates."""
+    cols = []
+    for c in a.charts:
+        r = np.abs(c.to_chart(theta) - PI) / c.window_half
+        vals = np.ones(theta.shape[0])
+        for d in range(a.m):
+            vals *= bump_profile(r[:, d], a.plateau)
+        cols.append(vals)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
+def test_bumps_equal_the_per_axis_product_bitwise(name):
+    a = builtin_atlas(name)
+    rng = np.random.default_rng(8)
+    for theta in (a.manifold_grid(64), rng.uniform(0.0, 2.0 * PI, size=(200, a.m))):
+        assert np.array_equal(a.bump_values(theta), per_axis_bumps(a, theta))
+
+
 def test_builtin_lookup():
     assert builtin_atlas("circle2").chart_count == 2
     assert builtin_atlas("torus4").chart_count == 4
@@ -145,9 +166,17 @@ def test_unknown_builtin_atlas_is_never_cached():
 
 
 @pytest.mark.parametrize("name", ["circle2", "torus4"])
+def test_transfer_tables_are_built_once(name):
+    a = builtin_atlas(name)
+    assert a.overlap_transfers is a.overlap_transfers
+    assert a.partition_transfers is a.partition_transfers
+    assert len(a.partition_transfers) == a.chart_count
+
+
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
 def test_shared_transfer_arrays_are_read_only(name):
     a = builtin_atlas(name)
-    ops = [*a.overlap_transfers(9), *a.partition_transfers(0)]
+    ops = [*a.overlap_transfers, *a.partition_transfers[0]]
     arrays = [
         arr
         for op in ops

@@ -3,7 +3,8 @@
 One row per call and bad value: a fraction above the minimum, NaN, +Inf,
 and one below the minimum.  Each must raise InputError naming the
 parameter.  ``evolve``'s step kernels are patched to fail, so a missing
-check fails fast instead of hanging.
+check fails fast instead of hanging.  A second table does the same for
+the array inputs of the value types and for the decay exponent.
 """
 
 import math
@@ -17,9 +18,11 @@ from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import FlowField, boundary_samples, disc, flow, shrink_domain
 from mapgroups.errors import InputError
 from mapgroups.fields import (
+    TWO_PI,
+    BandlimitedField,
     GridDomain,
+    SampledField,
     random_field,
-    restrict,
     sample,
     synthesize,
     wavenumber_squares,
@@ -27,7 +30,9 @@ from mapgroups.fields import (
 from mapgroups.groups import bracket_from_products, random_algebra_section, so3
 from mapgroups.limits import (
     constant_curve,
+    critical_order_estimate,
     decay_field,
+    decay_partial_norm_sq,
     evolution_smoothness_probe,
     evolve,
     ladder,
@@ -45,7 +50,7 @@ ATLAS = circle_two_charts()
 XI = random_algebra_section(ATLAS, so3(), np.random.default_rng(3))
 CURVE = constant_curve(XI)
 WINDOW = GridDomain.box(((1.0, 2.5),), 129)
-DATA = restrict(random_field(1, 8, 1, np.random.default_rng(4)), WINDOW)
+DATA = sample(random_field(1, 8, 1, np.random.default_rng(4)), WINDOW)
 TORUS_FIELD = sample(random_field(1, 4, 1, np.random.default_rng(5)),
                      GridDomain.full_torus(1, 33))
 BANDLIMITED = random_field(1, 4, 1, np.random.default_rng(6))
@@ -69,6 +74,7 @@ COUNTS = [
     ("rung_compactness_probe", lambda v: rung_compactness_probe(LADDER, 1, v), "modes", 0),
     ("ladder", lambda v: ladder(0.5, v), "count", 2),
     ("decay_field", lambda v: decay_field(2.0, v), "modes", 0),
+    ("BandlimitedField", lambda v: BandlimitedField(1, v, np.zeros((1, 3), complex)), "modes", 0),
     ("flow", lambda v: flow(FLOW_FIELD, POINTS, 0.1, v), "steps", 16),
     ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, samples=v), "samples", 1),
     ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, 4, steps=v), "steps", 16),
@@ -114,5 +120,37 @@ def test_a_bad_count_raises_input_error_naming_it(monkeypatch, call, bad, name):
 
     monkeypatch.setattr("mapgroups.limits.node_power", no_steps)
     monkeypatch.setattr("mapgroups.limits._rk4_factor", no_steps)
+    with pytest.raises(InputError, match=rf"\b{name}\b"):
+        call(bad)
+
+
+# (call, bad value, name the error must give).  Lists go through the same
+# conversion and checks as arrays.
+VALUE_ROWS = [
+    pytest.param(lambda v: GridDomain(1, (9,), ((0.0, TWO_PI),), (v,)), bad, "axis_indices",
+                 id=f"GridDomain-axis_indices-{bad}")
+    for bad in ([0.5, 1.5], [True, False], np.array([1.0, 2.0]))
+] + [
+    pytest.param(lambda v: SampledField(WINDOW, v), bad, "values", id=f"SampledField-{label}")
+    for label, bad in (("flat-list", [1.0] * WINDOW.node_count),
+                       ("short-list", [[1.0]] * 3),
+                       ("str-list", [["x"]] * WINDOW.node_count))
+] + [
+    pytest.param(lambda v: BandlimitedField(1, 1, v), bad, "coefficients",
+                 id=f"BandlimitedField-{label}")
+    for label, bad in (("real-list", [[0.0, 1.0, 0.0]]),
+                       ("short-list", [[0j, 1 + 0j]]),
+                       ("nan-list", [[0j, complex(math.nan, 0.0), 0j]]))
+] + [
+    pytest.param(call, bad, "decay exponent", id=f"{fn}-alpha-{bad}")
+    for fn, call in (("decay_field", lambda v: decay_field(v, 4)),
+                     ("decay_partial_norm_sq", lambda v: decay_partial_norm_sq(v, 1.0, 8)),
+                     ("critical_order_estimate", critical_order_estimate))
+    for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)
+]
+
+
+@pytest.mark.parametrize("call, bad, name", VALUE_ROWS)
+def test_a_bad_value_raises_input_error_naming_it(call, bad, name):
     with pytest.raises(InputError, match=rf"\b{name}\b"):
         call(bad)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
-from mapgroups.fields import GridDomain, random_field, restrict
+from mapgroups.fields import GridDomain, random_field, sample
 from mapgroups.sections import hilbert_inner, random_section
 from mapgroups.sobolev import (
     FACTOR_CACHE_SIZE,
@@ -43,7 +43,7 @@ def reference_extension(v, s, modes, convention="paper"):
 
 def window_data(lo=0.7, hi=2.9, seed=0):
     grid = GridDomain.box(((lo, hi),), 129)
-    return restrict(random_field(1, 16, 2, np.random.default_rng(seed)), grid)
+    return sample(random_field(1, 16, 2, np.random.default_rng(seed)), grid)
 
 
 def test_extension_equals_inline_svd_solve_cold_and_warm(cold):

@@ -19,7 +19,6 @@ from mapgroups.fields import (
     hermitian_part,
     phase_matrix,
     random_field,
-    restrict,
     restrict_sampled,
     same_grid,
     sample,
@@ -165,6 +164,21 @@ def test_random_field_evaluates_real():
     assert np.all(np.isfinite(vals))
 
 
+def test_value_types_store_list_inputs_as_arrays():
+    grid = GridDomain(1, (9,), ((0.0, TWO_PI),), ([0, 1, 2, 3, 4],))
+    assert grid.axis_counts == (5,) and isinstance(grid.axis_indices[0], np.ndarray)
+    v = SampledField(grid, [[float(k)] for k in range(5)])
+    assert v.components == 1 and v.lattice_values().shape == (5, 1)
+    f = BandlimitedField(1, np.int64(1), [[0.5 + 0j, 1.0 + 0j, 0.5 + 0j]])
+    assert f.components == 1 and type(f.modes) is int
+    assert f.evaluate(np.zeros((1, 1)))[0, 0] == 2.0
+    # Arrays are kept as they are.
+    lattice = np.arange(5)
+    values = np.ones((5, 1))
+    assert GridDomain(1, (9,), ((0.0, TWO_PI),), (lattice,)).axis_indices[0] is lattice
+    assert SampledField(grid, values).values is values
+
+
 def test_field_arithmetic_shapes():
     rng = np.random.default_rng(0)
     a = random_field(1, 4, 2, rng)
@@ -290,7 +304,7 @@ def test_synthesize_rejects_aliased_grid():
 def test_restrict_matches_direct_evaluation():
     f = cos_field()
     g = GridDomain.box(((0.0 + 1e-9, np.pi),), 129)
-    v = restrict(f, g)
+    v = sample(f, g)
     want = np.cos(g.nodes()[:, 0])[:, None]
     assert np.array_equal(v.values, f.evaluate(g.nodes()))
     assert np.abs(v.values - want).max() < 1e-14
@@ -391,7 +405,7 @@ def test_phase_and_wavenumber_helpers():
 
 def test_restrict_zero_field():
     f = BandlimitedField(1, 3, np.zeros((2, 7), dtype=complex))
-    v = restrict(f, GridDomain.box(((0.4, 1.9),), 65))
+    v = sample(f, GridDomain.box(((0.4, 1.9),), 65))
     assert not v.values.any()
 
 

@@ -237,7 +237,7 @@ def test_shifted_curve_moves_every_sample(atlas):
     moved = constant_curve(xi).shifted(eta, 0.25)
     want = xi + eta.scaled(0.25)
     for sec in moved.sections:
-        assert (sec - want).sup_coord_norm() < 1e-15
+        assert (sec - want).section.sup_norm() < 1e-15
 
 
 def test_smoothness_probe_second_order(atlas):

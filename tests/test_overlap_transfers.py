@@ -13,7 +13,13 @@ import weakref
 import numpy as np
 import pytest
 
-from mapgroups.atlas import PI, circle_two_charts, torus_four_charts, wrap_angle
+from mapgroups.atlas import (
+    OVERLAP_SAMPLES,
+    PI,
+    circle_two_charts,
+    torus_four_charts,
+    wrap_angle,
+)
 from mapgroups.errors import InputError
 from mapgroups import sections
 from mapgroups.fields import (
@@ -36,7 +42,6 @@ from mapgroups.sections import Section, compatibility_defect, glue, random_secti
 
 ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}
 GROUPS = {"SO3": so3, "SU2": su2_real, "UT2": upper_triangular2}
-PER_AXIS = 24
 
 
 def rounding(pieces):
@@ -51,11 +56,11 @@ def pointwise_defect(pieces, atlas):
     worst, where = 0.0, None
     for i in range(atlas.chart_count):
         for j in range(i + 1, atlas.chart_count):
-            pts = atlas.overlap_samples(i, j, PER_AXIS)
+            pts = atlas.overlap_samples(i, j, OVERLAP_SAMPLES)
             if pts.size == 0:
                 continue
-            vi = pieces[i].interpolate(atlas.to_chart(i, pts))
-            vj = pieces[j].interpolate(atlas.to_chart(j, pts))
+            vi = pieces[i].interpolate(atlas.charts[i].to_chart(pts))
+            vj = pieces[j].interpolate(atlas.charts[j].to_chart(pts))
             diff = np.max(np.abs(vi - vj), axis=1)
             k = int(np.argmax(diff))
             if diff[k] > worst:
@@ -72,7 +77,7 @@ def pointwise_glue(pieces, atlas):
         for i, piece in enumerate(pieces):
             hit = weights[:, i] > 0.0
             if np.any(hit):
-                x = atlas.to_chart(i, theta[hit])
+                x = atlas.charts[i].to_chart(theta[hit])
                 vals[hit] += weights[hit, i, None] * piece.interpolate(x)
         out.append(vals)
     return out
@@ -103,7 +108,7 @@ def dense_defect(pieces, atlas):
     """compatibility_defect through full-width matrices, no columns cut."""
     lattices = [p.lattice_values() for p in pieces]
     worst, where = 0.0, None
-    for op in atlas.overlap_transfers(PER_AXIS):
+    for op in atlas.overlap_transfers:
         ci, cj = atlas.charts[op.i], atlas.charts[op.j]
         wi = [full_axis_matrix(ci, d, a) for d, a in enumerate(op.angles)]
         wj = [full_axis_matrix(cj, d, a) for d, a in enumerate(op.angles)]
@@ -128,7 +133,7 @@ def gathered_defect(pieces, atlas):
     """compatibility_defect through gathered and transposed lattice blocks."""
     lattices = [p.lattice_values() for p in pieces]
     worst, where = 0.0, None
-    for op in atlas.overlap_transfers(PER_AXIS):
+    for op in atlas.overlap_transfers:
         vi = tensor_transfer(op.first, gathered_block(lattices[op.i], op.first_cols))
         vj = tensor_transfer(op.second, gathered_block(lattices[op.j], op.second_cols))
         diff = np.max(np.abs(vi - vj), axis=0)
@@ -145,7 +150,7 @@ def gathered_glue(pieces, atlas):
     out = []
     for t, c in enumerate(atlas.charts):
         vals = np.zeros((pieces[0].components,) + c.window.axis_counts)
-        for op in atlas.partition_transfers(t):
+        for op in atlas.partition_transfers[t]:
             block = gathered_block(lattices[op.source], op.cols)
             vals[(slice(None),) + np.ix_(*op.hits)] += op.weights * tensor_transfer(
                 op.matrices, block
@@ -192,7 +197,7 @@ def test_defect_matches_pointwise_reference(atlas_name, kind):
 def test_transfers_drop_only_all_zero_columns(atlas_name):
     atlas = ATLASES[atlas_name]()
     dropped = 0
-    for op in atlas.overlap_transfers(PER_AXIS):
+    for op in atlas.overlap_transfers:
         for k, mats, cols in ((op.i, op.first, op.first_cols),
                               (op.j, op.second, op.second_cols)):
             c = atlas.charts[k]
@@ -205,7 +210,7 @@ def test_transfers_drop_only_all_zero_columns(atlas_name):
             np.mod(target.window.axis_nodes(d) - PI + target.offset[d], TWO_PI)
             for d in range(atlas.m)
         ]
-        for op in atlas.partition_transfers(t):
+        for op in atlas.partition_transfers[t]:
             c = atlas.charts[op.source]
             for d, (w, col) in enumerate(zip(op.matrices, op.cols)):
                 full = full_axis_matrix(c, d, angles[d][op.hits[d]])

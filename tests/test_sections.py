@@ -215,25 +215,24 @@ def test_ball_margin_for_small_section():
     a = circle_two_charts()
     sec = circle_section(lambda th: 0.3 * np.sin(th[:, 0]), a)
     om = open_margin(sec, OpenBall([0.0], 1.0))
-    assert om.inside
-    assert om.margin == pytest.approx(0.7, abs=1e-4)
+    assert om > 0.0
+    assert om == pytest.approx(0.7, abs=1e-4)
 
 
 def test_margin_clamps_to_zero_when_exiting():
     a = circle_two_charts()
     sec = circle_section(lambda th: 1.5 * np.sin(th[:, 0]), a)
     om = open_margin(sec, OpenBall([0.0], 1.0))
-    assert om.margin == 0.0
-    assert not om.inside
+    assert om == 0.0
 
 
 def test_margin_in_box_and_complement():
     a = circle_two_charts()
     sec = circle_section(lambda th: 2.0 + 0.1 * np.cos(th[:, 0]), a)
     box = OpenBox([1.5], [2.5])
-    assert open_margin(sec, box).margin == pytest.approx(0.4, abs=1e-4)
+    assert open_margin(sec, box) == pytest.approx(0.4, abs=1e-4)
     away = BallComplement([0.0], 1.0)
-    assert open_margin(sec, away).margin == pytest.approx(0.9, abs=1e-4)
+    assert open_margin(sec, away) == pytest.approx(0.9, abs=1e-4)
 
 
 @pytest.mark.parametrize("target", [OpenBall, BallComplement])

@@ -8,7 +8,7 @@ from mapgroups.fields import (
     BandlimitedField,
     GridDomain,
     random_field,
-    restrict,
+    sample,
     wavenumber_squares,
 )
 from mapgroups.sobolev import (
@@ -108,7 +108,7 @@ def test_extension_recovers_low_frequency_truth():
     # three nodes determine the three cutoff-1 coefficients uniquely,
     # so the minimizer must be cos again
     f = cos_field(modes=1)
-    v = restrict(f, GridDomain.box(((0.7, 2.9),), 9))
+    v = sample(f, GridDomain.box(((0.7, 2.9),), 9))
     ext = min_norm_extension(v, 2.0, 1)
     assert np.abs(ext.coeffs - f.coeffs).max() < 1e-9
 
@@ -120,7 +120,7 @@ def test_extension_interpolates_and_is_minimal():
     modes = 14
     for trial in range(5):
         f = random_field(1, 4, 1, rng)
-        v = restrict(f, g)
+        v = sample(f, g)
         ext = min_norm_extension(v, s, modes)
         node_err = np.abs(ext.evaluate(g.nodes()) - v.values).max()
         assert node_err < 1e-9, f"trial {trial}: node residual {node_err:.3e}"
@@ -137,7 +137,7 @@ def test_extension_orthogonal_to_vanishing_fields():
     rng = np.random.default_rng(37)
     g = window_grid()
     f = random_field(1, 4, 1, rng)
-    ext = min_norm_extension(restrict(f, g), 2.0, 14)
+    ext = min_norm_extension(sample(f, g), 2.0, 14)
     for q in restriction_kernel_basis(g, 2.0, 14):
         ip = hs_inner(ext, q, 2.0)
         assert abs(ip) < 1e-10, f"overlap {ip:.3e}"
