@@ -125,7 +125,6 @@ def critical_order_estimate(alpha: float, convention: str = "paper") -> float:
     [0, ``ORDER_MAX``] refines to ``ORDER_STEP``.  A return of 0.0 means
     even order zero diverges (the field lies on no nonnegative rung).
     """
-    alpha = _check_decay(alpha)
 
     def divergent(s: float) -> bool:
         return _increment_ratio(alpha, s, convention) >= 1.0
