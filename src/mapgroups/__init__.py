@@ -27,7 +27,6 @@ from .domains import (
     domain_by_name,
     ellipse,
     flow,
-    inner_normal,
     monotone_descent_check,
     peanut,
     shrink_domain,
@@ -41,7 +40,6 @@ from .errors import (
     InputError,
     NumericError,
     ShapeMismatchError,
-    SingularBoundaryError,
     SolverError,
     SupportError,
 )
@@ -81,7 +79,6 @@ from .limits import (
     TimeSampledCurve,
     constant_curve,
     critical_order_estimate,
-    decay_field,
     decay_partial_norm_sq,
     evolution_smoothness_probe,
     evolve,
@@ -90,27 +87,21 @@ from .limits import (
 )
 from .maps import (
     Diffeo,
-    affine_map,
     compose_maps,
-    identity_map,
     nemytskij,
     pullback,
     torus_translation,
-    validate_diffeo,
 )
 from .sections import (
     Section,
     compatibility_defect,
     glue,
     hilbert_inner,
-    merge_components,
-    open_margin,
     point_eval,
     pushforward,
     pushforward_derivative,
     random_section,
     section_from_function,
-    split_components,
     theta_embed,
 )
 from .sobolev import (

@@ -18,8 +18,13 @@ import numpy as np
 
 from .cutoffs import SmoothCutoff, bump_profile
 from .errors import ChartDomainError, CoverageError, InputError, check_count
-from .fields import TWO_PI, GridDomain, axis_interpolation_matrix, tensor_points
-from .maps import Diffeo, constant_jacobian
+from .fields import (
+    TWO_PI,
+    GridDomain,
+    axis_interpolation_matrix,
+    check_dimension,
+    tensor_points,
+)
 
 PI = np.pi
 
@@ -158,8 +163,7 @@ class Atlas:
     lattice_resolution: int = 257
 
     def __post_init__(self):
-        if self.m not in (1, 2):
-            raise InputError("atlas dimension must be 1 or 2")
+        object.__setattr__(self, "m", check_dimension(self.m))
         if len(self.charts) < 2:
             raise InputError("an atlas needs at least two charts")
         for c in self.charts:
@@ -342,20 +346,6 @@ def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
         )
     ):
         raise InputError(f"{what} live on different atlases")
-
-
-def transition(a: Atlas, i: int, j: int) -> Diffeo:
-    """Transition map as a Diffeo (piecewise translation, unit Jacobian)."""
-    ci, cj = a.charts[i], a.charts[j]
-
-    def fwd(p):
-        return a.transition_point(i, j, p)
-
-    def inv(p):
-        return a.transition_point(j, i, p)
-
-    jac = constant_jacobian(np.eye(a.m))
-    return Diffeo(fwd, inv, jac, cj.codomain(), ci.codomain())
 
 
 def _make_chart(index, offset, half_width, window_half, resolution, m) -> Chart:

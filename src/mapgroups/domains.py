@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .cutoffs import bump_profile
-from .errors import InputError, SingularBoundaryError, check_count
+from .errors import InputError, check_count
 
 GRADIENT_FLOOR = 1e-12
 
@@ -155,20 +155,6 @@ def boundary_samples(
             f"could only polish {len(out)} of {count} boundary samples"
         )
     return np.asarray(out[:count])
-
-
-def inner_normal(domain: LevelSetDomain, points: np.ndarray) -> np.ndarray:
-    """Unit inner normal -grad g / |grad g| at near-boundary points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    gv, gr = domain.evaluate(pts)
-    if np.any(np.abs(gv) >= 1e-6):
-        bad = pts[int(np.argmax(np.abs(gv)))]
-        raise InputError(f"point {bad} is not on the boundary (|g| >= 1e-6)")
-    nrm = np.linalg.norm(gr, axis=1)
-    if np.any(nrm <= 1e-8):
-        bad = pts[int(np.argmin(nrm))]
-        raise SingularBoundaryError(f"gradient vanishes near {bad}")
-    return -gr / nrm[:, None]
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,10 +35,6 @@ class CoverageError(InputError):
     """Manifold point not contained in any witness window."""
 
 
-class SingularBoundaryError(InputError):
-    """Level-set gradient vanishes where a normal direction is needed."""
-
-
 class SolverError(RuntimeError):
     """Linear solve failed to meet its residual target."""
 

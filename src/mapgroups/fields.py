@@ -38,7 +38,8 @@ class GridDomain:
     ``axis_indices[d]`` holds the lattice indices along axis ``d`` whose
     node coordinate ``2*pi*i/resolution[d]`` lies inside the window.  The
     masked node set is the Cartesian product of the per-axis index sets,
-    enumerated in C order.
+    enumerated in C order.  ``resolution`` is stored as a tuple of checked
+    counts, so grids given it as a list or a tuple compare equal.
     """
 
     m: int
@@ -47,13 +48,10 @@ class GridDomain:
     axis_indices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.m not in (1, 2):
-            raise InputError(f"dimension m must be 1 or 2, got {self.m}")
-        if len(self.resolution) != self.m or len(self.axis_indices) != self.m:
+        object.__setattr__(self, "m", check_dimension(self.m))
+        object.__setattr__(self, "resolution", _resolution_tuple(self.resolution, self.m))
+        if len(self.axis_indices) != self.m:
             raise InputError("per-axis data does not match dimension")
-        for r in self.resolution:
-            if r < 3:
-                raise InputError(f"lattice resolution {r} too small")
         if not self.is_full_torus:
             for lo, hi in self.window:
                 if hi - lo >= TWO_PI:
@@ -76,6 +74,7 @@ class GridDomain:
 
     @classmethod
     def full_torus(cls, m: int, resolution) -> "GridDomain":
+        m = check_dimension(m)
         res = _resolution_tuple(resolution, m)
         window = tuple((0.0, TWO_PI) for _ in range(m))
         idx = tuple(np.arange(r, dtype=np.int64) for r in res)
@@ -150,6 +149,14 @@ def tensor_points(axes) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def check_dimension(m) -> int:
+    """``m`` as an int; InputError naming ``m`` unless it is 1 or 2."""
+    m = check_count(m, "m", 1)
+    if m > 2:
+        raise InputError(f"dimension m must be 1 or 2, got {m}")
+    return m
+
+
 def _resolution_tuple(resolution, m):
     if np.isscalar(resolution):
         return (check_count(resolution, "resolution", 3),) * m
@@ -208,8 +215,7 @@ class BandlimitedField:
     real: bool = True
 
     def __post_init__(self):
-        if self.m not in (1, 2):
-            raise InputError(f"dimension m must be 1 or 2, got {self.m}")
+        object.__setattr__(self, "m", check_dimension(self.m))
         object.__setattr__(self, "modes", check_count(self.modes, "modes", 0))
         c = np.asarray(self.coeffs)
         object.__setattr__(self, "coeffs", c)
@@ -313,6 +319,9 @@ class SampledField:
                 f"values must have shape (node_count, n), got {v.shape}"
             )
         check_node_values(v)
+        if self.parent_modes is not None:
+            parent = check_count(self.parent_modes, "parent_modes", 0)
+            object.__setattr__(self, "parent_modes", parent)
 
     @property
     def components(self) -> int:
@@ -373,13 +382,12 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
 
 def wavenumber_squares(m: int, modes: int) -> np.ndarray:
     """Lattice of |k|^2 over every |k_d| <= modes, shape (2*modes+1,)*m."""
+    m = check_dimension(m)
     modes = check_count(modes, "modes", 0)
     k = np.arange(-modes, modes + 1, dtype=float)
     if m == 1:
         return k**2
-    if m == 2:
-        return k[:, None] ** 2 + k[None, :] ** 2
-    raise InputError(f"dimension m must be 1 or 2, got {m}")
+    return k[:, None] ** 2 + k[None, :] ** 2
 
 
 def sobolev_weights(m: int, modes: int, exponent: float) -> np.ndarray:

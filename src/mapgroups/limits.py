@@ -27,7 +27,7 @@ import numpy as np
 
 from .atlas import require_same_atlas
 from .errors import InputError, NumericError, ShapeMismatchError, check_count
-from .fields import BandlimitedField, hermitian_part, sobolev_weights
+from .fields import check_dimension, sobolev_weights
 from .groups import (
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
@@ -64,8 +64,7 @@ class SobolevLadder:
 
 def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
     s0 = float(s0)
-    if m not in (1, 2):
-        raise InputError(f"dimension m must be 1 or 2, got {m}")
+    m = check_dimension(m)
     if not m / 2.0 <= s0 < np.inf:
         raise InputError(f"ladder base s0 must be finite and >= m/2 = {m / 2.0}, got {s0}")
     count = check_count(count, "count", 2)
@@ -79,13 +78,6 @@ def _check_decay(alpha) -> float:
     if not 0.0 < alpha < np.inf:  # NaN fails too
         raise InputError(f"decay exponent must be positive and finite, got {alpha}")
     return alpha
-
-
-def decay_field(alpha: float, modes: int, m: int = 1) -> BandlimitedField:
-    """Field with coefficients (1 + |k|^2)^(-alpha/2) (real, one component)."""
-    alpha = _check_decay(alpha)
-    coeffs = sobolev_weights(m, modes, -alpha / 2.0).astype(complex)
-    return BandlimitedField(m, modes, hermitian_part(coeffs[None]), real=True)
 
 
 def decay_partial_norm_sq(

@@ -40,15 +40,6 @@ def constant_jacobian(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return jac
 
 
-def identity_map(m: int) -> Diffeo:
-    box = tuple((0.0, TWO_PI) for _ in range(m))
-
-    def fwd(p):
-        return np.array(p, dtype=float, copy=True)
-
-    return Diffeo(fwd, fwd, constant_jacobian(np.eye(m)), box, box)
-
-
 def torus_translation(m: int, shift) -> Diffeo:
     """Rigid rotation of the torus by a fixed shift vector."""
     tau = np.atleast_1d(np.asarray(shift, dtype=float))
@@ -63,32 +54,6 @@ def torus_translation(m: int, shift) -> Diffeo:
         return np.mod(np.atleast_2d(np.asarray(p, dtype=float)) - tau, TWO_PI)
 
     return Diffeo(fwd, inv, constant_jacobian(np.eye(m)), box, box)
-
-
-def affine_map(matrix, offset, domain) -> Diffeo:
-    """Affine diffeomorphism x -> A x + b restricted to a domain box."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    b = np.atleast_1d(np.asarray(offset, dtype=float))
-    m = a.shape[0]
-    if a.shape != (m, m) or b.size != m:
-        raise InputError("matrix and offset sizes disagree")
-    if abs(np.linalg.det(a)) < 1e-14:
-        raise InputError("affine matrix is singular")
-    ainv = np.linalg.inv(a)
-    dom = tuple((float(lo), float(hi)) for lo, hi in domain)
-    corners = np.array(np.meshgrid(*[(lo, hi) for lo, hi in dom], indexing="ij"))
-    corners = corners.reshape(m, -1).T @ a.T + b
-    codom = tuple(
-        (float(corners[:, d].min()), float(corners[:, d].max())) for d in range(m)
-    )
-
-    def fwd(p):
-        return np.atleast_2d(np.asarray(p, dtype=float)) @ a.T + b
-
-    def inv(p):
-        return (np.atleast_2d(np.asarray(p, dtype=float)) - b) @ ainv.T
-
-    return Diffeo(fwd, inv, constant_jacobian(a), dom, codom)
 
 
 def compose_maps(outer: Diffeo, inner: Diffeo) -> Diffeo:
@@ -108,22 +73,6 @@ def compose_maps(outer: Diffeo, inner: Diffeo) -> Diffeo:
         return np.einsum("qij,qjk->qik", jo, ji)
 
     return Diffeo(fwd, inv, jac, inner.domain, outer.codomain)
-
-
-def validate_diffeo(theta: Diffeo, points: np.ndarray) -> dict:
-    """Round-trip and Jacobian checks at sample points: a round trip within
-    1e-10 and every |det J| above 1e-12."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    back = theta.inverse(theta.forward(pts))
-    delta = np.abs(back - pts)
-    # On the torus a round trip may legitimately differ by a full period.
-    delta = np.minimum(delta, np.abs(delta - TWO_PI))
-    dets = np.linalg.det(theta.jacobian(pts))
-    return {
-        "round_trip": float(delta.max()),
-        "min_abs_det": float(np.min(np.abs(dets))),
-        "passed": bool(delta.max() <= 1e-10 and np.min(np.abs(dets)) > 1e-12),
-    }
 
 
 def _box_inside(inner_box, outer_box) -> bool:

@@ -16,7 +16,6 @@ import numpy as np
 from .atlas import Atlas, require_same_atlas
 from .errors import (
     CoverageError,
-    ChartDomainError,
     IncompatibleSectionError,
     InputError,
     ShapeMismatchError,
@@ -330,70 +329,12 @@ def _thin_for_extension(piece: SampledField, max_nodes_per_axis: int):
     return SampledField(thin, np.ascontiguousarray(vals)), modes
 
 
-class OpenBall:
-    """Open Euclidean ball in value space."""
-
-    def __init__(self, center, radius: float):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        if not self.radius > 0:  # NaN fails too
-            raise InputError("ball radius must be positive")
-
-    def distance_to_complement(self, values: np.ndarray) -> np.ndarray:
-        d = self.radius - np.linalg.norm(values - self.center, axis=1)
-        return np.maximum(d, 0.0)
-
-
-class OpenBox:
-    """Open axis-aligned box in value space."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        # Negated, so a NaN bound fails too.
-        if not np.all(self.lo < self.hi):
-            raise InputError("box upper bounds must exceed lower bounds")
-
-    def distance_to_complement(self, values: np.ndarray) -> np.ndarray:
-        d = np.minimum(values - self.lo, self.hi - values).min(axis=1)
-        return np.maximum(d, 0.0)
-
-
-class BallComplement:
-    """Open complement of a closed Euclidean ball."""
-
-    def __init__(self, center, radius: float):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        if not self.radius > 0:  # NaN fails too
-            raise InputError("ball radius must be positive")
-
-    def distance_to_complement(self, values: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(values - self.center, axis=1) - self.radius
-        return np.maximum(d, 0.0)
-
-
-def open_margin(section: Section, target) -> float:
-    """Worst-case distance of section values to the complement of a set."""
-    worst = np.inf
-    for p in section.pieces:
-        d = target.distance_to_complement(p.values)
-        worst = min(worst, float(d.min()))
-    return max(worst, 0.0)
-
-
-def pushforward(f, section: Section, target=None) -> Section:
+def pushforward(f, section: Section) -> Section:
     """Apply a smooth map fiberwise: node values f(p, gamma(p)).
 
     ``f`` receives manifold points (K, m) and values (K, n), returning
-    (K, p).  If ``target`` is given, the section values must sit strictly
-    inside it (positive openness margin).
+    (K, p).
     """
-    if target is not None:
-        if not open_margin(section, target) > 0.0:
-            raise ChartDomainError(
-                "section values touch the complement of the target set"
-            )
     pieces = _chart_samples(section.atlas, f, section)
     return Section(section.atlas, pieces, section.tolerance)
 
@@ -409,30 +350,3 @@ def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
     pieces = _chart_samples(gamma.atlas, d2f, gamma, eta)
     return Section(gamma.atlas, pieces, gamma.tolerance)
 
-
-def split_components(section: Section, first: int):
-    """Split a section of a product target into its two factors, exactly."""
-    if not 0 < first < section.components:
-        raise InputError("split index must be interior")
-    left = tuple(
-        SampledField(p.domain, np.ascontiguousarray(p.values[:, :first]))
-        for p in section.pieces
-    )
-    right = tuple(
-        SampledField(p.domain, np.ascontiguousarray(p.values[:, first:]))
-        for p in section.pieces
-    )
-    return (
-        Section(section.atlas, left, section.tolerance),
-        Section(section.atlas, right, section.tolerance),
-    )
-
-
-def merge_components(a: Section, b: Section) -> Section:
-    """Inverse of :func:`split_components` (exact concatenation)."""
-    require_same_atlas(a.atlas, b.atlas, "sections")
-    pieces = tuple(
-        SampledField(pa.domain, np.ascontiguousarray(np.hstack([pa.values, pb.values])))
-        for pa, pb in zip(a.pieces, b.pieces)
-    )
-    return Section(a.atlas, pieces, max(a.tolerance, b.tolerance))

@@ -5,8 +5,8 @@ Sobolev weight exponent the stored quantities assume ("paper-s/2" or
 "standard-s").  JSON is written with sorted keys and fixed separators so
 identical data produces identical bytes.
 
-Bulk arrays (sampled values, grid masks, group-section pieces, band-limited
-coefficients) are written as encoded-array objects
+Bulk arrays (sampled values, grid masks, group-section pieces) are written
+as encoded-array objects
 ``{"dtype": "<f8" | "|b1", "shape": [...], "b64": "..."}``: the C-order
 little-endian bytes of the array in RFC 4648 base64.  Loaders also read
 the same arrays as nested JSON lists.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .atlas import Atlas, builtin_atlas
 from .errors import InputError
-from .fields import INTERP_POINTS, BandlimitedField, GridDomain, SampledField
+from .fields import INTERP_POINTS, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
 from .sections import DEFAULT_TOLERANCE, Section
@@ -171,37 +171,6 @@ def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
 def _require_array(doc: dict, key: str, kinds: str = "iuf") -> np.ndarray:
     what = f"{doc.get('kind', 'grid')} key {key!r}"
     return _numeric_array(_require(doc, key, (list, dict)), what, kinds)
-
-
-def _complex_pairs(arr: np.ndarray) -> dict:
-    flat = np.asarray(arr, dtype=complex).reshape(arr.shape[0], -1)
-    return encode_array(np.stack([flat.real, flat.imag], axis=-1))
-
-
-def dump_bandlimited(field: BandlimitedField, convention: str = "paper") -> dict:
-    return {
-        "kind": "bandlimited",
-        "m": field.m,
-        "modes": field.modes,
-        "components": field.components,
-        "reality": bool(field.real),
-        "coeffs": _complex_pairs(field.coeffs),
-        "weight_exponent_convention": convention_tag(convention),
-    }
-
-
-def load_bandlimited(doc: dict) -> BandlimitedField:
-    _expect_kind(doc, "bandlimited", "band-limited field")
-    m = _require(doc, "m", int)
-    if m not in (1, 2):
-        raise InputError(f"dimension m must be 1 or 2, got {m}")
-    modes, n = _require(doc, "modes", int), _require(doc, "components", int)
-    width = 2 * modes + 1
-    pairs = _require_array(doc, "coeffs").astype(float, copy=False)
-    if pairs.shape != (n, width**m, 2):
-        raise InputError(f"coefficient table has shape {pairs.shape}")
-    coeffs = (pairs[..., 0] + 1j * pairs[..., 1]).reshape((n,) + (width,) * m)
-    return BandlimitedField(m, modes, coeffs, real=_require(doc, "reality", bool))
 
 
 def dump_grid(grid: GridDomain) -> dict:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mapgroups.atlas import circle_two_charts, validate_atlas
+from mapgroups.atlas import Atlas, circle_two_charts, validate_atlas
 from mapgroups.axioms import probe_cutoff_bound
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import FlowField, boundary_samples, disc, flow, shrink_domain
@@ -31,7 +31,6 @@ from mapgroups.groups import bracket_from_products, random_algebra_section, so3
 from mapgroups.limits import (
     constant_curve,
     critical_order_estimate,
-    decay_field,
     decay_partial_norm_sq,
     evolution_smoothness_probe,
     evolve,
@@ -73,7 +72,6 @@ COUNTS = [
     ("rung_compactness_probe", lambda v: rung_compactness_probe(LADDER, v, 8), "j", 1),
     ("rung_compactness_probe", lambda v: rung_compactness_probe(LADDER, 1, v), "modes", 0),
     ("ladder", lambda v: ladder(0.5, v), "count", 2),
-    ("decay_field", lambda v: decay_field(2.0, v), "modes", 0),
     ("BandlimitedField", lambda v: BandlimitedField(1, v, np.zeros((1, 3), complex)), "modes", 0),
     ("flow", lambda v: flow(FLOW_FIELD, POINTS, 0.1, v), "steps", 16),
     ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, samples=v), "samples", 1),
@@ -131,6 +129,25 @@ VALUE_ROWS = [
                  id=f"GridDomain-axis_indices-{bad}")
     for bad in ([0.5, 1.5], [True, False], np.array([1.0, 2.0]))
 ] + [
+    # Every dimension goes through one check, which rejects a float.
+    pytest.param(call, 1.0, "m", id=f"{fn}-m-1.0")
+    for fn, call in (
+        ("GridDomain", lambda v: GridDomain(v, (9,), ((0.0, TWO_PI),), (np.arange(9),))),
+        ("GridDomain.full_torus", lambda v: GridDomain.full_torus(v, 9)),
+        ("BandlimitedField", lambda v: BandlimitedField(v, 1, np.zeros((1, 3), complex))),
+        ("Atlas", lambda v: Atlas("circle2", v, ATLAS.charts)),
+        ("ladder", lambda v: ladder(2.0, 3, m=v)),
+        ("wavenumber_squares", lambda v: wavenumber_squares(v, 2)),
+    )
+] + [
+    # A list resolution is checked and stored as a tuple of counts.
+    pytest.param(lambda v: GridDomain(1, v, ((0.0, TWO_PI),), (np.arange(9),)), [9.5],
+                 "resolution", id="GridDomain-resolution-[9.5]"),
+] + [
+    pytest.param(lambda v: SampledField(TORUS_FIELD.domain, TORUS_FIELD.values, parent_modes=v),
+                 bad, "parent_modes", id=f"SampledField-parent_modes-{bad}")
+    for bad in (2.5, -3)
+] + [
     pytest.param(lambda v: SampledField(WINDOW, v), bad, "values", id=f"SampledField-{label}")
     for label, bad in (("flat-list", [1.0] * WINDOW.node_count),
                        ("short-list", [[1.0]] * 3),
@@ -143,8 +160,7 @@ VALUE_ROWS = [
                        ("nan-list", [[0j, complex(math.nan, 0.0), 0j]]))
 ] + [
     pytest.param(call, bad, "decay exponent", id=f"{fn}-alpha-{bad}")
-    for fn, call in (("decay_field", lambda v: decay_field(v, 4)),
-                     ("decay_partial_norm_sq", lambda v: decay_partial_norm_sq(v, 1.0, 8)),
+    for fn, call in (("decay_partial_norm_sq", lambda v: decay_partial_norm_sq(v, 1.0, 8)),
                      ("critical_order_estimate", critical_order_estimate))
     for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)
 ]

@@ -15,7 +15,6 @@ from mapgroups.domains import (
     domain_by_name,
     ellipse,
     flow,
-    inner_normal,
     monotone_descent_check,
     peanut,
     shrink_domain,
@@ -78,22 +77,6 @@ def test_gradient_matches_central_differences_of_the_level(build):
     gr = dom.gradient(pts)
     rel = np.linalg.norm(fd - gr, axis=1) / np.linalg.norm(gr, axis=1)
     assert rel.max() <= 1e-6, (dom.name, rel.max())
-
-
-def test_inner_normal_on_the_disc():
-    d = disc()
-    n = inner_normal(d, np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert np.abs(n - np.array([[-1.0, 0.0], [0.0, 1.0]])).max() < 1e-14
-    # normals are unit length wherever they exist
-    rng = np.random.default_rng(5)
-    pts = boundary_samples(ellipse(), 40, rng)
-    nn = inner_normal(ellipse(), pts)
-    assert np.abs(np.linalg.norm(nn, axis=1) - 1.0).max() < 1e-12
-
-
-def test_inner_normal_wants_boundary_points():
-    with pytest.raises(InputError):
-        inner_normal(disc(), np.array([[0.5, 0.0]]))
 
 
 def test_flow_field_vanishes_on_the_core():

@@ -177,6 +177,11 @@ def test_value_types_store_list_inputs_as_arrays():
     values = np.ones((5, 1))
     assert GridDomain(1, (9,), ((0.0, TWO_PI),), (lattice,)).axis_indices[0] is lattice
     assert SampledField(grid, values).values is values
+    # A list resolution is stored as a tuple, so the grid equals its builder's.
+    listed = GridDomain(1, [9], ((0.0, TWO_PI),), (np.arange(9),))
+    assert listed.resolution == (9,)
+    ones = SampledField(GridDomain.full_torus(1, 9), np.ones((9, 1)))
+    assert np.array_equal((SampledField(listed, np.ones((9, 1))) + ones).values, 2 * ones.values)
 
 
 def test_field_arithmetic_shapes():

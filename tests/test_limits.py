@@ -27,7 +27,6 @@ from mapgroups.limits import (
     _rk4_factor,
     constant_curve,
     critical_order_estimate,
-    decay_field,
     decay_partial_norm_sq,
     evolution_smoothness_probe,
     evolve,
@@ -85,15 +84,6 @@ def test_ladder_rejects_a_nonfinite_base_and_an_unsupported_dimension(s0, m, mat
 
 # ---------------------------------------------------------------------------
 # decay fields and the critical order
-
-
-def test_decay_field_coefficients():
-    f = decay_field(2.0, 3)
-    k = np.arange(-3, 4, dtype=float)
-    want = (1.0 + k**2) ** -1.0
-    assert np.abs(f.coeffs[0] - want).max() < 1e-15
-    with pytest.raises(InputError):
-        decay_field(0.0, 3)
 
 
 def test_partial_norm_small_case():

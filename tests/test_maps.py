@@ -4,47 +4,39 @@ import pytest
 from mapgroups.errors import InputError, NumericError, ShapeMismatchError
 from mapgroups.fields import GridDomain, random_field, sample
 from mapgroups.maps import (
-    affine_map,
+    Diffeo,
     compose_maps,
-    identity_map,
+    constant_jacobian,
     nemytskij,
     pullback,
     torus_translation,
-    validate_diffeo,
 )
-
-
-def test_identity_round_trip():
-    theta = identity_map(2)
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(0.0, 2 * np.pi, size=(50, 2))
-    rep = validate_diffeo(theta, pts)
-    assert rep["passed"]
-    assert rep["round_trip"] == 0.0
-    assert rep["min_abs_det"] == pytest.approx(1.0)
 
 
 def test_translation_round_trip_and_jacobian():
     theta = torus_translation(1, [1.3])
     pts = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)[:, None]
-    rep = validate_diffeo(theta, pts)
-    assert rep["passed"], f"round trip {rep['round_trip']:.3e}"
+    delta = np.abs(theta.inverse(theta.forward(pts)) - pts)
+    # A round trip may differ by a full period.
+    assert np.minimum(delta, np.abs(delta - 2 * np.pi)).max() <= 1e-10
     jac = theta.jacobian(pts)
     assert np.array_equal(jac, np.ones_like(jac))
 
 
-def test_affine_map_checks():
-    theta = affine_map([[2.0, 0.0], [0.0, 0.5]], [0.1, -0.2], ((0.0, 1.0), (0.0, 1.0)))
-    p = np.array([[0.5, 0.5]])
-    assert np.allclose(theta.forward(p), [[1.1, 0.05]])
-    assert np.allclose(theta.inverse(theta.forward(p)), p)
-    with pytest.raises(InputError):
-        affine_map([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], ((0.0, 1.0), (0.0, 1.0)))
+def _scaling(factor, offset, domain):
+    """x -> factor * x + offset on a 1-D box."""
+    return Diffeo(
+        lambda p: factor * np.atleast_2d(p) + offset,
+        lambda p: (np.atleast_2d(p) - offset) / factor,
+        constant_jacobian(np.array([[factor]])),
+        (domain,),
+        ((factor * domain[0] + offset, factor * domain[1] + offset),),
+    )
 
 
 def test_composition_uses_chain_rule():
-    a = affine_map([[2.0]], [0.3], ((0.0, 1.0),))
-    b = affine_map([[0.5]], [0.1], ((0.0, 2.3),))
+    a = _scaling(2.0, 0.3, (0.0, 1.0))
+    b = _scaling(0.5, 0.1, (0.0, 2.3))
     c = compose_maps(b, a)
     p = np.array([[0.4]])
     assert np.allclose(c.forward(p), b.forward(a.forward(p)))
@@ -60,7 +52,7 @@ def test_pullback_by_identity_is_identity():
     f = random_field(1, 6, 2, rng)
     g = GridDomain.box(((0.5, 3.0),), 129)
     v = sample(f, GridDomain.full_torus(1, 65))
-    got = pullback(identity_map(1), v, g)
+    got = pullback(torus_translation(1, [0.0]), v, g)
     want = f.evaluate(g.nodes())
     assert np.abs(got.values - want).max() < 1e-9
 

@@ -1,8 +1,9 @@
 """Module boundaries: no package module imports a private name of another,
-the Sobolev weight lattice has one home, and only the atlas module builds
-the builtin atlases."""
+the Sobolev weight lattice has one home, only the atlas module builds the
+builtin atlases, and every public name has a caller or a reason to stay."""
 
 import ast
+import re
 from pathlib import Path
 
 import mapgroups
@@ -85,3 +86,75 @@ def test_the_check_sees_a_builder_call(tmp_path):
     assert _calls(probe, *BUILDERS) == [
         "probe.py:3 calls torus_four_charts", "probe.py:4 calls circle_two_charts",
     ]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Public names that no program calls and no acceptance criterion uses, each
+# kept for the reason given.
+KEEP = {
+    "load_group_section": "reads back evolve_eta1.json, which the CLI writes: "
+                          "the round trip of that file format",
+}
+
+# A string spelling a dotted identifier counts as a use: the benchmark
+# tracer names the calls it wraps that way.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _public_names(path: Path) -> list[str]:
+    """Public top-level functions, classes and assigned names of a module."""
+    names = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def _used_names(path: Path) -> set[str]:
+    """Names a file reads, attributes it reads, and dotted-string parts.
+
+    An import is not a use, so a re-export alone does not count."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                used.update(node.value.split("."))
+    return used
+
+
+def _uncalled(modules, users) -> list[str]:
+    used = set().union(*map(_used_names, users))
+    return [
+        f"{path.name}: {name}"
+        for path in modules for name in _public_names(path) if name not in used
+    ]
+
+
+def test_every_public_name_has_a_caller_or_a_reason_to_stay():
+    """Callers are the programs (src/, perfbench/, tools/) and the
+    acceptance criteria; KEEP holds exactly the names with neither."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    users = [p for d in ("src", "perfbench", "tools") for p in sorted((REPO / d).rglob("*.py"))]
+    found = _uncalled(modules, users + [REPO / "tests" / "test_acceptance.py"])
+    assert sorted(hit.split(": ")[1] for hit in found) == sorted(KEEP), "\n".join(found)
+
+
+def test_the_check_sees_an_uncalled_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "LIMIT = 3\n\ndef used():\n    return LIMIT\n\ndef unused():\n    pass\n\n"
+        "class Orphan:\n    pass\n\ndef _private():\n    pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from probe import Orphan, unused, used\nused()\n")
+    assert _uncalled([probe], [probe, caller]) == ["probe.py: unused", "probe.py: Orphan"]

@@ -1,5 +1,5 @@
 """Sections over chart atlases: gluing, evaluation, quotient inner products,
-openness margins, and fiberwise maps."""
+and fiberwise maps."""
 
 import re
 
@@ -8,28 +8,21 @@ import pytest
 
 from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import (
-    ChartDomainError,
     IncompatibleSectionError,
     InputError,
     ShapeMismatchError,
 )
 from mapgroups.fields import SampledField
 from mapgroups.sections import (
-    BallComplement,
-    OpenBall,
-    OpenBox,
     Section,
     compatibility_defect,
     glue,
     hilbert_inner,
-    merge_components,
-    open_margin,
     point_eval,
     pushforward,
     pushforward_derivative,
     random_section,
     section_from_function,
-    split_components,
     theta_embed,
 )
 
@@ -207,47 +200,6 @@ def test_hilbert_inner_rejects_mismatched_sections():
 
 
 # ---------------------------------------------------------------------------
-# openness margins
-
-
-def test_ball_margin_for_small_section():
-    # nodes only come within ~2e-5 of the sine extrema, hence the loose abs
-    a = circle_two_charts()
-    sec = circle_section(lambda th: 0.3 * np.sin(th[:, 0]), a)
-    om = open_margin(sec, OpenBall([0.0], 1.0))
-    assert om > 0.0
-    assert om == pytest.approx(0.7, abs=1e-4)
-
-
-def test_margin_clamps_to_zero_when_exiting():
-    a = circle_two_charts()
-    sec = circle_section(lambda th: 1.5 * np.sin(th[:, 0]), a)
-    om = open_margin(sec, OpenBall([0.0], 1.0))
-    assert om == 0.0
-
-
-def test_margin_in_box_and_complement():
-    a = circle_two_charts()
-    sec = circle_section(lambda th: 2.0 + 0.1 * np.cos(th[:, 0]), a)
-    box = OpenBox([1.5], [2.5])
-    assert open_margin(sec, box) == pytest.approx(0.4, abs=1e-4)
-    away = BallComplement([0.0], 1.0)
-    assert open_margin(sec, away) == pytest.approx(0.9, abs=1e-4)
-
-
-@pytest.mark.parametrize("target", [OpenBall, BallComplement])
-def test_balls_reject_a_nan_radius(target):
-    with pytest.raises(InputError, match="ball radius must be positive"):
-        target([0.0], float("nan"))
-
-
-@pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan])])
-def test_box_rejects_nan_bounds(lo, hi):
-    with pytest.raises(InputError, match="box upper bounds must exceed lower bounds"):
-        OpenBox(lo, hi)
-
-
-# ---------------------------------------------------------------------------
 # fiberwise maps
 
 
@@ -275,17 +227,6 @@ def test_pushforward_may_use_base_point():
     assert worst < 1e-12
 
 
-def test_pushforward_guards_the_target_set():
-    a = circle_two_charts()
-    sec = circle_section(lambda th: 1.5 * np.sin(th[:, 0]), a)
-    with pytest.raises(ChartDomainError):
-        pushforward(lambda p, y: y, sec, target=OpenBall([0.0], 1.0))
-    # with a roomier target the same map goes through
-    small = circle_section(lambda th: 0.5 * np.sin(th[:, 0]), a)
-    out = pushforward(lambda p, y: y, small, target=OpenBall([0.0], 1.0))
-    assert out.components == 1
-
-
 def test_pushforward_derivative_of_square_is_2gh():
     rng = np.random.default_rng(17)
     a = circle_two_charts()
@@ -304,16 +245,3 @@ def test_pushforward_derivative_vanishes_for_zero_direction():
     deriv = pushforward_derivative(lambda p, g, e: np.cos(g) * e, gamma, zero)
     assert all(not p.values.any() for p in deriv.pieces)
 
-
-def test_split_and_merge_round_trip():
-    rng = np.random.default_rng(23)
-    a = circle_two_charts()
-    sec = random_section(a, 3, rng)
-    left, right = split_components(sec, 1)
-    assert left.components == 1 and right.components == 2
-    back = merge_components(left, right)
-    assert all(
-        np.array_equal(p.values, q.values) for p, q in zip(back.pieces, sec.pieces)
-    )
-    with pytest.raises(InputError):
-        split_components(sec, 3)

@@ -19,14 +19,12 @@ from mapgroups.serialize import (
     atlas_hash,
     canonical_json,
     decode_array,
-    dump_bandlimited,
     dump_curve,
     dump_grid,
     dump_group_section,
     dump_sampled,
     dump_section,
     encode_array,
-    load_bandlimited,
     load_curve,
     load_grid,
     load_group_section,
@@ -40,17 +38,6 @@ from mapgroups.sobolev import rellich_spectrum
 def test_canonical_json_is_key_sorted_with_newline():
     s = canonical_json({"b": 1, "a": [2, 3]})
     assert s == '{"a":[2,3],"b":1}\n'
-
-
-def test_bandlimited_round_trip_bitwise():
-    rng = np.random.default_rng(3)
-    for m in (1, 2):
-        f = random_field(m, 4, 2, rng)
-        doc = dump_bandlimited(f)
-        assert doc["weight_exponent_convention"] == "paper-s/2"
-        back = load_bandlimited(doc)
-        assert np.array_equal(back.coeffs, f.coeffs)
-        assert back.modes == f.modes and back.m == f.m
 
 
 def test_sampled_round_trip_keeps_parent_modes():
@@ -234,11 +221,8 @@ def test_array_dumps_write_the_bytes_of_per_entry_floats():
     v = SampledField(grid, values)
     gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
                                             np.random.default_rng(19)))
-    f = random_field(2, 3, 2, np.random.default_rng(29))
-    flat = f.coeffs.reshape(2, -1)
     encoded = [
         (dump_sampled(v)["values"], values),
-        (dump_bandlimited(f)["coeffs"], np.stack([flat.real, flat.imag], axis=-1)),
         *zip(dump_group_section(gs)["pieces"], (p.reshape(9, -1).T for p in gs.pieces)),
     ]
     for doc, arr in encoded:
@@ -252,10 +236,6 @@ def test_array_dumps_write_the_bytes_of_per_entry_floats():
     ])
     back = load_group_section(through_json(listed))
     assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
-    listed = dict(dump_bandlimited(f), coeffs=[
-        [[float(z.real), float(z.imag)] for z in row] for row in flat
-    ])
-    assert same_bytes(load_bandlimited(through_json(listed)).coeffs, f.coeffs)
 
 
 def _sampled_doc():
@@ -295,16 +275,6 @@ def test_load_sampled_names_the_missing_or_malformed_key():
         load_sampled(dict(_sampled_doc(), parent_modes="6"))
     with pytest.raises(InputError, match="not a sampled field document"):
         load_sampled(["sampled"])
-
-
-def test_load_bandlimited_names_the_missing_or_malformed_key():
-    doc = dump_bandlimited(random_field(1, 4, 1, np.random.default_rng(37)))
-    with pytest.raises(InputError, match="'reality'"):
-        load_bandlimited({k: v for k, v in doc.items() if k != "reality"})
-    with pytest.raises(InputError, match="'modes'"):
-        load_bandlimited(dict(doc, modes=4.0))
-    with pytest.raises(InputError, match="'coeffs'"):
-        load_bandlimited(dict(doc, coeffs="none"))
 
 
 def test_load_group_section_names_the_missing_or_malformed_key():
@@ -383,9 +353,6 @@ def test_documents_round_trip_bitwise_in_both_encodings(atlas_name, encoding, na
         return as_lists(doc) if encoding == "lists" else doc
 
     f = random_field(atlas.m, 3, 2, rng)
-    back = load_bandlimited(again(dump_bandlimited(f)))
-    assert same_bytes(back.coeffs, f.coeffs) and back.real == f.real
-
     grid = atlas.charts[-1].window
     back = load_grid(again(dump_grid(grid)))
     assert back.window == grid.window and back.resolution == grid.resolution
@@ -444,9 +411,6 @@ def test_malformed_encoded_arrays_name_the_document_and_key(case):
     docs = [
         (load_sampled, dict(_sampled_doc(), values=bad), "sampled key 'values'"),
         (load_grid, dict(dump_grid(grid), mask=bad), "grid key 'mask'"),
-        (load_bandlimited,
-         dict(dump_bandlimited(random_field(1, 4, 1, np.random.default_rng(47))), coeffs=bad),
-         "bandlimited key 'coeffs'"),
         (load_group_section, dict(dump_group_section(gs), pieces=[bad, bad]),
          "group_section piece 0"),
     ]
@@ -461,7 +425,6 @@ DATA = Path(__file__).parent / "data"
 # Circle2 files in the list form, written by the serializer of commit
 # 56f7f43 before bulk arrays were encoded.
 LEGACY = {
-    "bandlimited.json": load_bandlimited,
     "curve_so3_3.json": load_curve,
     "evolve_eta1_so3.json": load_group_section,
     "section.json": load_section,
@@ -473,7 +436,6 @@ def test_list_form_files_load_and_equal_their_encoded_redump(name):
     text = (DATA / name).read_text()
     doc = json.loads(text)
     redump = {
-        load_bandlimited: dump_bandlimited,
         load_curve: dump_curve,
         load_group_section: dump_group_section,
         load_section: dump_section,
