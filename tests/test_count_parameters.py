@@ -129,8 +129,9 @@ VALUE_ROWS = [
                  id=f"GridDomain-axis_indices-{bad}")
     for bad in ([0.5, 1.5], [True, False], np.array([1.0, 2.0]))
 ] + [
-    # Every dimension goes through one check, which rejects a float.
-    pytest.param(call, 1.0, "m", id=f"{fn}-m-1.0")
+    # Every dimension goes through one check, which rejects a float and
+    # anything outside 1..2.
+    pytest.param(call, bad, "m", id=f"{fn}-m-{bad}")
     for fn, call in (
         ("GridDomain", lambda v: GridDomain(v, (9,), ((0.0, TWO_PI),), (np.arange(9),))),
         ("GridDomain.full_torus", lambda v: GridDomain.full_torus(v, 9)),
@@ -139,6 +140,7 @@ VALUE_ROWS = [
         ("ladder", lambda v: ladder(2.0, 3, m=v)),
         ("wavenumber_squares", lambda v: wavenumber_squares(v, 2)),
     )
+    for bad in (1.0, 0, 3)
 ] + [
     # A list resolution is checked and stored as a tuple of counts.
     pytest.param(lambda v: GridDomain(1, v, ((0.0, TWO_PI),), (np.arange(9),)), [9.5],

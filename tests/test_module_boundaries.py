@@ -158,3 +158,15 @@ def test_the_check_sees_an_uncalled_name(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("from probe import Orphan, unused, used\nused()\n")
     assert _uncalled([probe], [probe, caller]) == ["probe.py: unused", "probe.py: Orphan"]
+
+
+def test_the_check_counts_traced_strings_and_attribute_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def traced():\n    pass\n\ndef read():\n    pass\n\n"
+                     "def named_in_prose():\n    pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        'import probe\n\nTRACED = ("probe.traced",)\nNOTE = "named_in_prose is not called"\n'
+        "probe.read()\n"
+    )
+    assert _uncalled([probe], [caller]) == ["probe.py: named_in_prose"]
