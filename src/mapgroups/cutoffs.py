@@ -98,40 +98,28 @@ def _support_inside(h: SmoothCutoff, box) -> bool:
     return True
 
 
-def cutoff_multiply(h: SmoothCutoff, field, oversample: int = 2):
-    """Multiply a field by a smooth cutoff.
+def cutoff_multiply(
+    h: SmoothCutoff, field: BandlimitedField, oversample: int = 2
+) -> BandlimitedField:
+    """Multiply a band-limited field by a smooth cutoff.
 
-    Sampled fields are multiplied pointwise at their nodes.  Band-limited
-    fields are sampled on a full-torus grid ``oversample`` (an integer
+    The field is sampled on a full-torus grid ``oversample`` (an integer
     >= 1) times finer than the doubled cutoff requires, multiplied, and
     resynthesized at cutoff ``2 * modes``; the modes beyond that are
     dropped (controlled aliasing, since the cutoff itself is not
     band-limited).
     """
-    if isinstance(field, SampledField):
-        if h.m != field.domain.m:
-            raise InputError("cutoff and field dimensions differ")
-        if not _support_inside(h, field.domain.window):
-            raise SupportError(
-                f"cutoff support {h.support_box} sticks out of window "
-                f"{field.domain.window}"
-            )
-        vals = field.values * h(field.domain.nodes())[:, None]
-        return SampledField(field.domain, vals)
-    if isinstance(field, BandlimitedField):
-        if h.m != field.m:
-            raise InputError("cutoff and field dimensions differ")
-        torus = tuple((0.0, TWO_PI) for _ in range(field.m))
-        if not _support_inside(h, torus):
-            raise SupportError(
-                f"cutoff support {h.support_box} sticks out of the fundamental "
-                "domain"
-            )
-        oversample = check_count(oversample, "oversample", 1)
-        out_modes = 2 * field.modes
-        res = oversample * (2 * out_modes + 1)
-        grid = GridDomain.full_torus(field.m, res)
-        v = sample(field, grid)
-        prod = SampledField(grid, v.values * h(grid.nodes())[:, None])
-        return synthesize(prod, out_modes)
-    raise InputError(f"cannot multiply object of type {type(field).__name__}")
+    if h.m != field.m:
+        raise InputError("cutoff and field dimensions differ")
+    torus = tuple((0.0, TWO_PI) for _ in range(field.m))
+    if not _support_inside(h, torus):
+        raise SupportError(
+            f"cutoff support {h.support_box} sticks out of the fundamental domain"
+        )
+    oversample = check_count(oversample, "oversample", 1)
+    out_modes = 2 * field.modes
+    res = oversample * (2 * out_modes + 1)
+    grid = GridDomain.full_torus(field.m, res)
+    v = sample(field, grid)
+    prod = SampledField(grid, v.values * h(grid.nodes())[:, None])
+    return synthesize(prod, out_modes)

@@ -217,7 +217,6 @@ class DescentReport:
     """Finite-difference slopes of g along the flow at boundary points."""
 
     slopes: np.ndarray
-    gradient_norms: np.ndarray
     max_abs_error: float
     all_descending: bool
 
@@ -236,7 +235,7 @@ def monotone_descent_check(
     slopes = (gv[:n] - gv[n:]) / (2.0 * h)
     norms = np.linalg.norm(field.domain.gradient(pts), axis=1)
     err = float(np.abs(slopes + norms).max())
-    return DescentReport(slopes, norms, err, bool(np.all(slopes < 0.0)))
+    return DescentReport(slopes, err, bool(np.all(slopes < 0.0)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,8 @@ def shrink_domain(
     t0: float,
     samples: int = 200,
     steps: int = 256,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ShrinkCertificate:
     """Certificate that the time-t0 flow moves the boundary strictly
     inward (t0 > 0) or outward (t0 < 0), from ``samples >= 1`` boundary
@@ -278,8 +278,6 @@ def shrink_domain(
         raise InputError(f"flow time must be finite, got {t0}")
     if t0 == 0.0:
         raise InputError("flow time must be nonzero")
-    if rng is None:
-        rng = np.random.default_rng(0)
     dom = field.domain
     pts = boundary_samples(dom, samples, rng)
     # Samples and anchors flow as one stack: rows [:samples], then anchors.

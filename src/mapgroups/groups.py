@@ -33,13 +33,7 @@ import numpy as np
 from .atlas import Atlas, require_same_atlas
 from .errors import ChartDomainError, InputError, NumericError, ShapeMismatchError
 from .fields import SampledField, check_node_values
-from .sections import (
-    DEFAULT_TOLERANCE,
-    Section,
-    check_tolerance,
-    random_section,
-    require_compatible,
-)
+from .sections import Section, random_section, require_compatible
 
 LOGGER = logging.getLogger("mapgroups.groups")
 
@@ -387,13 +381,11 @@ class GroupSection:
     atlas: Atlas
     group: MatrixGroup
     pieces: tuple[np.ndarray, ...]
-    tolerance: float = DEFAULT_TOLERANCE
     relation_defects: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # The node-wise kernel slows down many times over on strided stacks.
         object.__setattr__(self, "pieces", tuple(map(np.ascontiguousarray, self.pieces)))
-        check_tolerance(self.tolerance)
         if len(self.pieces) != self.atlas.chart_count:
             raise ShapeMismatchError("one piece per chart required")
         d = self.group.dim
@@ -419,12 +411,10 @@ class GroupSection:
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
-        require_compatible(
-            lattices, self.atlas, self.tolerance, "group section ", InputError
-        )
+        require_compatible(lattices, self.atlas, "group section ")
 
     @classmethod
-    def computed(cls, atlas, group, mats, threshold, what, tolerance=DEFAULT_TOLERANCE):
+    def computed(cls, atlas, group, mats, threshold, what):
         """Group section of computed per-chart matrices ``mats``, each chart
         measured once and projected onto the group (with an INFO record) when
         its relation defect exceeds ``threshold``.  Products and time-1 values
@@ -449,7 +439,7 @@ class GroupSection:
         # The measurements go in before __init__, whose checks then use them.
         self = cls.__new__(cls)
         object.__setattr__(self, "relation_defects", tuple(defects))
-        self.__init__(atlas, group, pieces, tolerance)
+        self.__init__(atlas, group, pieces)
         return self
 
 
@@ -508,32 +498,28 @@ def group_multiply(a: GroupSection, b: GroupSection) -> GroupSection:
     require_same_group(a, b)
     return GroupSection.computed(
         a.atlas, a.group, (node_product(pa, pb) for pa, pb in zip(a.pieces, b.pieces)),
-        PROJECTION_THRESHOLD, "product", max(a.tolerance, b.tolerance),
+        PROJECTION_THRESHOLD, "product",
     )
 
 
 def group_invert(a: GroupSection) -> GroupSection:
-    return GroupSection(
-        a.atlas, a.group, tuple(a.group.invert(p) for p in a.pieces), a.tolerance
-    )
+    return GroupSection(a.atlas, a.group, tuple(a.group.invert(p) for p in a.pieces))
 
 
-def exp_section(xi: AlgebraSection, tolerance=DEFAULT_TOLERANCE) -> GroupSection:
+def exp_section(xi: AlgebraSection) -> GroupSection:
     """Node-wise group exponential of an algebra section."""
     pieces = tuple(
         xi.group.exp(xi.chart_coords(j)) for j in range(xi.atlas.chart_count)
     )
-    return GroupSection(xi.atlas, xi.group, pieces, tolerance)
+    return GroupSection(xi.atlas, xi.group, pieces)
 
 
-def _algebra_section(
-    group: MatrixGroup, atlas: Atlas, coords, tolerance: float
-) -> AlgebraSection:
+def _algebra_section(group: MatrixGroup, atlas: Atlas, coords) -> AlgebraSection:
     """Algebra section from per-chart coordinate arrays (node_count, dim)."""
     pieces = tuple(
         SampledField(c.window, np.ascontiguousarray(v)) for c, v in zip(atlas.charts, coords)
     )
-    return AlgebraSection(group, Section(atlas, pieces, tolerance))
+    return AlgebraSection(group, Section(atlas, pieces))
 
 
 def log_section(gamma: GroupSection) -> AlgebraSection:
@@ -548,7 +534,7 @@ def log_section(gamma: GroupSection) -> AlgebraSection:
                 f"log domain of {gamma.group.name}"
             )
     coords = (gamma.group.log(p) for p in gamma.pieces)
-    return _algebra_section(gamma.group, gamma.atlas, coords, gamma.tolerance)
+    return _algebra_section(gamma.group, gamma.atlas, coords)
 
 
 def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection:
@@ -558,7 +544,7 @@ def adjoint_operator(gamma: GroupSection, eta: AlgebraSection) -> AlgebraSection
     coords = (
         gamma.group.adjoint(g, eta.chart_coords(j)) for j, g in enumerate(gamma.pieces)
     )
-    return _algebra_section(gamma.group, gamma.atlas, coords, eta.section.tolerance)
+    return _algebra_section(gamma.group, gamma.atlas, coords)
 
 
 def bracket(xi: AlgebraSection, eta: AlgebraSection) -> AlgebraSection:
@@ -569,7 +555,7 @@ def bracket(xi: AlgebraSection, eta: AlgebraSection) -> AlgebraSection:
         xi.group.bracket_coords(xi.chart_coords(j), eta.chart_coords(j))
         for j in range(xi.atlas.chart_count)
     )
-    return _algebra_section(xi.group, xi.atlas, coords, xi.section.tolerance)
+    return _algebra_section(xi.group, xi.atlas, coords)
 
 
 def random_algebra_section(

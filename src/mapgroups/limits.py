@@ -141,12 +141,9 @@ class RungCompactnessReport:
 
     s_fine: float
     s_coarse: float
-    modes: int
     sigma_max: float
     sigma_min: float
     decreasing: bool
-    index_below_threshold: int | None
-    threshold: float
     spectrum: np.ndarray
 
 
@@ -156,7 +153,6 @@ def rung_compactness_probe(
     modes: int,
     m: int = 1,
     convention: str = "paper",
-    threshold: float = 1e-3,
 ) -> RungCompactnessReport:
     """Inclusion spectrum from rung j into rung j+1 (1-based, j < count).
 
@@ -172,16 +168,12 @@ def rung_compactness_probe(
     s_coarse = lad.rungs[j]
     sig = rellich_spectrum(s_fine, s_coarse, modes, m=m, convention=convention)
     uniq = np.unique(sig)[::-1]
-    below = np.nonzero(sig < threshold)[0]
     return RungCompactnessReport(
         s_fine,
         s_coarse,
-        modes,
         float(sig[0]),
         float(sig[-1]),
         bool(np.all(np.diff(uniq) < 0.0)),
-        int(below[0]) if below.size else None,
-        threshold,
         sig,
     )
 

@@ -13,31 +13,19 @@ from .fields import TWO_PI, GridDomain, SampledField
 
 @dataclass(frozen=True, eq=False)
 class Diffeo:
-    """Closed-form diffeomorphism between boxes.
+    """Closed-form diffeomorphism of a box.
 
-    ``forward``, ``inverse`` map point arrays of shape (Q, m) to (Q, m);
-    ``jacobian`` returns (Q, m, m).  ``domain`` and ``codomain`` are boxes;
-    a (0, 2*pi) box on every axis means the map acts on the full torus and
-    points are understood modulo 2*pi.
+    ``forward`` maps point arrays of shape (Q, m) to (Q, m).  ``domain`` is
+    a box; a (0, 2*pi) box on every axis means the map acts on the full
+    torus and points are understood modulo 2*pi.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
-    codomain: tuple[tuple[float, float], ...]
 
     @property
     def m(self) -> int:
         return len(self.domain)
-
-
-def constant_jacobian(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Jacobian callable returning the matrix ``a`` at every point."""
-    def jac(p):
-        return np.broadcast_to(a, (np.atleast_2d(p).shape[0],) + a.shape).copy()
-
-    return jac
 
 
 def torus_translation(m: int, shift) -> Diffeo:
@@ -50,29 +38,18 @@ def torus_translation(m: int, shift) -> Diffeo:
     def fwd(p):
         return np.mod(np.atleast_2d(np.asarray(p, dtype=float)) + tau, TWO_PI)
 
-    def inv(p):
-        return np.mod(np.atleast_2d(np.asarray(p, dtype=float)) - tau, TWO_PI)
-
-    return Diffeo(fwd, inv, constant_jacobian(np.eye(m)), box, box)
+    return Diffeo(fwd, box)
 
 
 def compose_maps(outer: Diffeo, inner: Diffeo) -> Diffeo:
-    """Composition outer(inner(x)), with the chain-rule Jacobian."""
+    """Composition outer(inner(x)) on the domain of ``inner``."""
     if outer.m != inner.m:
         raise ShapeMismatchError("map dimensions differ")
 
     def fwd(p):
         return outer.forward(inner.forward(p))
 
-    def inv(p):
-        return inner.inverse(outer.inverse(p))
-
-    def jac(p):
-        ji = inner.jacobian(p)
-        jo = outer.jacobian(inner.forward(p))
-        return np.einsum("qij,qjk->qik", jo, ji)
-
-    return Diffeo(fwd, inv, jac, inner.domain, outer.codomain)
+    return Diffeo(fwd, inner.domain)
 
 
 def _box_inside(inner_box, outer_box) -> bool:

@@ -31,18 +31,14 @@ from .fields import (
 )
 from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
 
-DEFAULT_TOLERANCE = 1e-9
+# Largest overlap defect a family of chart pieces may have and still be
+# one section.
+OVERLAP_TOLERANCE = 1e-9
 
 # Node budgets for the quotient-norm surrogate inner product; the
 # extension cutoff is twice the per-axis node count.
 EXTENSION_NODES_1D = 24
 EXTENSION_NODES_2D = 12
-
-
-def check_tolerance(tolerance: float) -> None:
-    """Raise InputError unless an overlap tolerance is positive and finite."""
-    if not 0.0 < tolerance < np.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tolerance}")
 
 
 def _window_lattices(pieces, atlas: Atlas) -> list[np.ndarray]:
@@ -119,34 +115,33 @@ def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     return worst
 
 
-def require_compatible(pieces, atlas: Atlas, tolerance: float, what: str, error) -> None:
-    """Raise ``error`` when the pieces' overlap defect exceeds ``tolerance``.
+def require_compatible(pieces, atlas: Atlas, what: str) -> None:
+    """Raise IncompatibleSectionError when the pieces' overlap defect
+    exceeds OVERLAP_TOLERANCE.
 
     The message, prefixed by ``what``, names the defect, the chart pair and
     the manifold point where it is largest.
     """
     defect, where = compatibility_defect(pieces, atlas, return_worst=True)
-    if defect > tolerance:
-        raise error(
-            f"{what}overlap defect {defect:.3e} exceeds {tolerance:.1e} near "
+    if defect > OVERLAP_TOLERANCE:
+        raise IncompatibleSectionError(
+            f"{what}overlap defect {defect:.3e} exceeds {OVERLAP_TOLERANCE:.1e} near "
             f"charts {where[0]}/{where[1]} at point {where[2]}"
         )
 
 
 @dataclass(frozen=True, eq=False)
 class Section:
-    """Compatible chart family of sampled fields over an atlas."""
+    """Compatible chart family of sampled fields over an atlas: the pieces
+    agree on overlaps to within OVERLAP_TOLERANCE."""
 
     atlas: Atlas
     pieces: tuple[SampledField, ...]
-    tolerance: float = DEFAULT_TOLERANCE
+    tolerance = OVERLAP_TOLERANCE  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        check_tolerance(self.tolerance)
-        require_compatible(
-            self.pieces, self.atlas, self.tolerance, "", IncompatibleSectionError
-        )
+        require_compatible(self.pieces, self.atlas, "")
 
     @property
     def components(self) -> int:
@@ -155,7 +150,7 @@ class Section:
     def _binary(self, other: "Section", op) -> "Section":
         require_same_atlas(self.atlas, other.atlas, "sections")
         new = tuple(op(a, b) for a, b in zip(self.pieces, other.pieces))
-        return Section(self.atlas, new, max(self.tolerance, other.tolerance))
+        return Section(self.atlas, new)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -164,9 +159,7 @@ class Section:
         return self._binary(other, lambda a, b: a - b)
 
     def scaled(self, factor: float) -> "Section":
-        return Section(
-            self.atlas, tuple(p.scaled(factor) for p in self.pieces), self.tolerance
-        )
+        return Section(self.atlas, tuple(p.scaled(factor) for p in self.pieces))
 
     def sup_norm(self) -> float:
         """Largest Euclidean value norm over all stored nodes."""
@@ -175,14 +168,12 @@ class Section:
         )
 
 
-def section_from_function(
-    atlas: Atlas, fn, tolerance: float = DEFAULT_TOLERANCE
-) -> Section:
+def section_from_function(atlas: Atlas, fn) -> Section:
     """Sample a global function of manifold points into chart pieces.
 
     ``fn`` maps angle arrays (Q, m) to value arrays (Q, n).
     """
-    return Section(atlas, _chart_samples(atlas, fn), tolerance)
+    return Section(atlas, _chart_samples(atlas, fn))
 
 
 def _chart_samples(atlas: Atlas, fn, *sections) -> tuple[SampledField, ...]:
@@ -220,7 +211,7 @@ def theta_embed(section: Section) -> tuple[SampledField, ...]:
     return section.pieces
 
 
-def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
+def glue(pieces, atlas: Atlas) -> Section:
     """Assemble compatible chart pieces into a section.
 
     The value on chart j's window is the partition-of-unity combination
@@ -231,9 +222,7 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
     cut to their live columns, with the lattice block they touch.
     """
     lattices = _window_lattices(pieces, atlas)
-    require_compatible(
-        lattices, atlas, tolerance, "cannot glue: ", IncompatibleSectionError
-    )
+    require_compatible(lattices, atlas, "cannot glue: ")
     n = lattices[0].shape[0]
     out = []
     for c, ops in zip(atlas.charts, atlas.partition_transfers):
@@ -245,7 +234,7 @@ def glue(pieces, atlas: Atlas, tolerance: float = DEFAULT_TOLERANCE) -> Section:
             )
         vals = np.moveaxis(vals, 0, -1).reshape(c.window.node_count, n)
         out.append(SampledField(c.window, np.ascontiguousarray(vals)))
-    return Section(atlas, tuple(out), tolerance)
+    return Section(atlas, tuple(out))
 
 
 def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
@@ -336,7 +325,7 @@ def pushforward(f, section: Section) -> Section:
     (K, p).
     """
     pieces = _chart_samples(section.atlas, f, section)
-    return Section(section.atlas, pieces, section.tolerance)
+    return Section(section.atlas, pieces)
 
 
 def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
@@ -348,5 +337,5 @@ def pushforward_derivative(d2f, gamma: Section, eta: Section) -> Section:
     """
     require_same_atlas(gamma.atlas, eta.atlas, "sections")
     pieces = _chart_samples(gamma.atlas, d2f, gamma, eta)
-    return Section(gamma.atlas, pieces, gamma.tolerance)
+    return Section(gamma.atlas, pieces)
 

@@ -28,7 +28,7 @@ from .errors import InputError
 from .fields import INTERP_POINTS, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
-from .sections import DEFAULT_TOLERANCE, Section
+from .sections import OVERLAP_TOLERANCE, Section
 from .sobolev import CONVENTION_TAGS
 
 # Between-node scheme of section pieces, recorded in section files.
@@ -95,10 +95,14 @@ def _require(doc: dict, key: str, kind):
     return doc[key]
 
 
-def _tolerance(doc: dict) -> float:
-    if "tolerance" not in doc:
-        return DEFAULT_TOLERANCE
-    return float(_require(doc, "tolerance", (int, float)))
+def _check_tolerance(doc: dict) -> None:
+    """A document may state the overlap tolerance, but only as the constant."""
+    if "tolerance" in doc:
+        value = _require(doc, "tolerance", (int, float))
+        if value != OVERLAP_TOLERANCE:  # NaN differs too
+            raise InputError(
+                f"{doc['kind']} key 'tolerance' must be {OVERLAP_TOLERANCE!r}, got {value!r}"
+            )
 
 
 # Encoded-array dtypes: little-endian float64 and one-byte booleans.
@@ -190,7 +194,11 @@ def load_grid(doc: dict) -> GridDomain:
     if res.shape != (m,) or window.shape != (m, 2):
         raise InputError(f"grid {res.tolist()} and window do not match dimension {m}")
     res = tuple(int(r) for r in res)
-    if any(r < 1 for r in res) or mask.shape != (int(np.prod(res)),):
+    if any(r < 3 for r in res):  # the least resolution a GridDomain takes
+        raise InputError(
+            f"{doc.get('kind', 'grid')} key 'grid' entries must be >= 3, got {list(res)}"
+        )
+    if mask.shape != (int(np.prod(res)),):
         raise InputError(f"mask of shape {mask.shape} does not fit grid {list(res)}")
     mask = mask.reshape(res)
     window = tuple((float(lo), float(hi)) for lo, hi in window)
@@ -293,7 +301,7 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
         "kind": "section",
         **_atlas_header(sec.atlas, convention),
         "components": sec.components,
-        "tolerance": sec.tolerance,
+        "tolerance": OVERLAP_TOLERANCE,
         "interpolation": SECTION_INTERPOLATION,
         "pieces": [dump_sampled(p, convention) for p in sec.pieces],
     }
@@ -320,7 +328,8 @@ def _load_section(doc: dict, where: str = "") -> Section:
         with _errors_start(f"{where}, piece {j}: " if where else f"section piece {j}: "):
             pieces.append(load_sampled(p))
     with _errors_start(head):
-        return Section(a, tuple(pieces), _tolerance(doc))
+        _check_tolerance(doc)
+        return Section(a, tuple(pieces))
 
 
 def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
@@ -328,7 +337,7 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
         "kind": "group_section",
         "group": gs.group.name,
         **_atlas_header(gs.atlas, convention),
-        "tolerance": gs.tolerance,
+        "tolerance": OVERLAP_TOLERANCE,
         # Files keep one row of d * d entries per node.
         "pieces": [encode_array(p.reshape(-1, p.shape[-1]).T) for p in gs.pieces],
     }
@@ -348,7 +357,8 @@ def load_group_section(doc: dict) -> GroupSection:
                 f"got shape {arr.shape}"
             )
         pieces.append(arr.astype(float, copy=False).T.reshape(d, d, -1))
-    return GroupSection(a, group, tuple(pieces), _tolerance(doc))
+    _check_tolerance(doc)
+    return GroupSection(a, group, tuple(pieces))
 
 
 def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:

@@ -331,8 +331,19 @@ def test_a_huge_integer_tolerance_is_accepted(tmp_path):
             },
             "'m'",
         ),
+        (
+            {
+                "kind": "curve", "group": "SO3", "times": [0.0, 1.0],
+                "sections": [{
+                    "kind": "section", "atlas": "circle2", "lattice_resolution": 257,
+                    "pieces": [{"kind": "sampled", "m": 1, "grid": [2],
+                                "window": [[0.0, 1.0]], "mask": [True, True]}],
+                }],
+            },
+            "sampled key 'grid'",
+        ),
     ],
-    ids=["no-group", "no-sections", "sections-object", "list", "bare-piece"],
+    ids=["no-group", "no-sections", "sections-object", "list", "bare-piece", "grid-below-3"],
 )
 def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
     path = tmp_path / "curve.json"
@@ -342,7 +353,7 @@ def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
     assert err.startswith("error: ") and str(path) in err and key in err
 
 
-@pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1"])
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1", "1e-6"])
 def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
     from mapgroups.atlas import circle_two_charts
     from mapgroups.groups import random_algebra_section, so3
@@ -356,7 +367,9 @@ def test_curve_file_with_a_bad_tolerance_exits_2(tmp_path, capsys, tol):
     path.write_text(json.dumps(doc))
     assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: curve section 0: tolerance must be positive")
+    assert err.startswith(
+        f"error: {path}: curve section 0: section key 'tolerance' must be 1e-09, got"
+    )
     assert not (tmp_path / "evolve.json").exists()
 
 

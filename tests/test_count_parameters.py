@@ -74,8 +74,10 @@ COUNTS = [
     ("ladder", lambda v: ladder(0.5, v), "count", 2),
     ("BandlimitedField", lambda v: BandlimitedField(1, v, np.zeros((1, 3), complex)), "modes", 0),
     ("flow", lambda v: flow(FLOW_FIELD, POINTS, 0.1, v), "steps", 16),
-    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, samples=v), "samples", 1),
-    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, 4, steps=v), "steps", 16),
+    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, samples=v, rng=rng()),
+     "samples", 1),
+    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, 4, steps=v, rng=rng()),
+     "steps", 16),
     ("boundary_samples", lambda v: boundary_samples(disc(), v, rng()), "count", 0),
     ("extension_probe", lambda v: extension_probe(rng(), instances=v), "instances", 1),
     ("extension_probe", lambda v: extension_probe(rng(), competitors=v), "competitors", 1),

@@ -3,7 +3,7 @@ import pytest
 
 from mapgroups.cutoffs import SmoothCutoff, bump_profile, cutoff_multiply, smooth_step
 from mapgroups.errors import InputError, SupportError
-from mapgroups.fields import GridDomain, SampledField, random_field, sample
+from mapgroups.fields import BandlimitedField, random_field
 from mapgroups.sobolev import hs_norm
 
 
@@ -49,22 +49,11 @@ def test_cutoff_validation():
         SmoothCutoff(center=[1.0], radius=[0.5], plateau=0.0)
 
 
-def test_multiply_sampled_is_pointwise():
-    rng = np.random.default_rng(29)
-    g = GridDomain.box(((1.0, 5.0),), 129)
-    v = SampledField(g, rng.standard_normal((g.node_count, 2)))
-    h = SmoothCutoff(center=[3.0], radius=[1.5])
-    out = cutoff_multiply(h, v)
-    want = v.values * h(g.nodes())[:, None]
-    assert np.array_equal(out.values, want)
-
-
-def test_multiply_refuses_support_outside_window():
-    g = GridDomain.box(((1.0, 4.0),), 129)
-    v = SampledField(g, np.ones((g.node_count, 1)))
-    h = SmoothCutoff(center=[3.5], radius=[1.0])
-    with pytest.raises(SupportError):
-        cutoff_multiply(h, v)
+def test_multiply_refuses_support_outside_the_fundamental_domain():
+    f = random_field(1, 4, 1, np.random.default_rng(29))
+    h = SmoothCutoff(center=[0.5], radius=[1.0])
+    with pytest.raises(SupportError, match="fundamental domain"):
+        cutoff_multiply(h, f)
 
 
 def test_multiply_bandlimited_doubles_cutoff():
@@ -84,10 +73,9 @@ def test_multiply_bandlimited_doubles_cutoff():
 
 
 def test_multiply_zero_field_gives_zero():
-    g = GridDomain.full_torus(1, 65)
-    v = SampledField(g, np.zeros((g.node_count, 1)))
+    f = BandlimitedField(1, 8, np.zeros((1, 17), complex))
     h = SmoothCutoff(center=[3.0], radius=[1.0])
-    assert not cutoff_multiply(h, v).values.any()
+    assert not cutoff_multiply(h, f).coeffs.any()
 
 
 def test_multiply_norm_bound_is_moderate():

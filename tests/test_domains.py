@@ -137,12 +137,13 @@ def test_shrink_certificate_on_the_disc():
 
 def test_shrink_rejects_zero_time():
     with pytest.raises(InputError):
-        shrink_domain(FlowField(disc()), 0.0)
+        shrink_domain(FlowField(disc()), 0.0, rng=np.random.default_rng(0))
 
 
 def test_shrink_rejects_a_non_finite_time():
     with pytest.raises(InputError, match="flow time must be finite, got nan"):
-        shrink_domain(FlowField(disc()), float("nan"), samples=10)
+        shrink_domain(FlowField(disc()), float("nan"), samples=10,
+                      rng=np.random.default_rng(0))
 
 
 def test_negative_time_grows_the_domain():
@@ -196,7 +197,7 @@ def descent_by_separate_flows(field, pts, h=1e-5, steps=64):
     slopes = (fwd - bwd) / (2.0 * h)
     norms = np.linalg.norm(field.domain.gradient(pts), axis=1)
     err = float(np.abs(slopes + norms).max())
-    return DescentReport(slopes, norms, err, bool(np.all(slopes < 0.0)))
+    return DescentReport(slopes, err, bool(np.all(slopes < 0.0)))
 
 
 def shrink_by_separate_flows(field, t0, samples, steps, rng):
@@ -221,7 +222,6 @@ def test_stacked_descent_check_matches_separate_flows_bitwise(name):
     pts = boundary_samples(d, 40, np.random.default_rng(19))
     got, ref = monotone_descent_check(f, pts), descent_by_separate_flows(f, pts)
     assert same_bytes(got.slopes, ref.slopes)
-    assert same_bytes(got.gradient_norms, ref.gradient_norms)
     assert (got.max_abs_error, got.all_descending) == (ref.max_abs_error, ref.all_descending)
 
 

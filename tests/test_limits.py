@@ -116,23 +116,7 @@ def test_rung_probe_reference_report():
     assert rep.sigma_max == 1.0
     assert rep.decreasing
     assert rep.spectrum.shape == (129,)
-    # adjacent rungs differ by only 1/2, so nothing reaches the threshold
     assert rep.sigma_min == pytest.approx((1.0 + 64.0**2) ** (-0.5 / 4.0), rel=1e-12)
-    assert rep.index_below_threshold is None
-
-
-def test_rung_probe_threshold_hit_when_gap_is_large():
-    # real ladders have adjacent gaps of at most 1/2, which cannot reach
-    # the default threshold at this cutoff; a stand-in with a gap of 8
-    # exercises the index branch
-    class WideLadder:
-        s0 = 0.5
-        rungs = (8.5, 0.5)
-        count = 2
-
-    rep = rung_compactness_probe(WideLadder(), 1, 64, threshold=1e-3)
-    assert rep.index_below_threshold is not None
-    assert rep.spectrum[rep.index_below_threshold] < 1e-3
 
 
 def test_rung_probe_index_bounds():

@@ -6,41 +6,24 @@ from mapgroups.fields import GridDomain, random_field, sample
 from mapgroups.maps import (
     Diffeo,
     compose_maps,
-    constant_jacobian,
     nemytskij,
     pullback,
     torus_translation,
 )
 
 
-def test_translation_round_trip_and_jacobian():
-    theta = torus_translation(1, [1.3])
-    pts = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)[:, None]
-    delta = np.abs(theta.inverse(theta.forward(pts)) - pts)
-    # A round trip may differ by a full period.
-    assert np.minimum(delta, np.abs(delta - 2 * np.pi)).max() <= 1e-10
-    jac = theta.jacobian(pts)
-    assert np.array_equal(jac, np.ones_like(jac))
-
-
 def _scaling(factor, offset, domain):
     """x -> factor * x + offset on a 1-D box."""
-    return Diffeo(
-        lambda p: factor * np.atleast_2d(p) + offset,
-        lambda p: (np.atleast_2d(p) - offset) / factor,
-        constant_jacobian(np.array([[factor]])),
-        (domain,),
-        ((factor * domain[0] + offset, factor * domain[1] + offset),),
-    )
+    return Diffeo(lambda p: factor * np.atleast_2d(p) + offset, (domain,))
 
 
-def test_composition_uses_chain_rule():
+def test_composition_applies_inner_then_outer_on_the_inner_domain():
     a = _scaling(2.0, 0.3, (0.0, 1.0))
     b = _scaling(0.5, 0.1, (0.0, 2.3))
     c = compose_maps(b, a)
     p = np.array([[0.4]])
-    assert np.allclose(c.forward(p), b.forward(a.forward(p)))
-    assert np.allclose(c.jacobian(p)[0], [[1.0]])
+    assert np.array_equal(c.forward(p), b.forward(a.forward(p)))
+    assert c.domain == a.domain
 
 
 # ---------------------------------------------------------------------------

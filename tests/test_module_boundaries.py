@@ -1,6 +1,7 @@
 """Module boundaries: no package module imports a private name of another,
 the Sobolev weight lattice has one home, only the atlas module builds the
-builtin atlases, and every public name has a caller or a reason to stay."""
+builtin atlases, and every public name and dataclass field has a reader or
+a reason to stay."""
 
 import ast
 import re
@@ -90,12 +91,31 @@ def test_the_check_sees_a_builder_call(tmp_path):
 
 REPO = Path(__file__).resolve().parents[1]
 
-# Public names that no program calls and no acceptance criterion uses, each
-# kept for the reason given.
+# Public names and dataclass fields (``Class.field``) that no program reads
+# and no acceptance criterion uses, each kept for the reason given.
+_ATLAS_REPORT = ("a validate_atlas result; tools/same_answers.py compares whole "
+                 "reports through repr")
 KEEP = {
     "load_group_section": "reads back evolve_eta1.json, which the CLI writes: "
                           "the round trip of that file format",
+    "AtlasReport.cover_margin": _ATLAS_REPORT,
+    "AtlasReport.inverse_residual": _ATLAS_REPORT,
+    "AtlasReport.cocycle_residual": _ATLAS_REPORT,
+    "AtlasReport.partition_residual": _ATLAS_REPORT,
+    "AtlasReport.enlarged_window_ok": _ATLAS_REPORT,
+    "MatrixGroup.q_radius": "states the chart ball of log; each group's "
+                            "log_valid_fn tests the same radius",
 }
+
+
+def _kept(fields: bool) -> list[str]:
+    return sorted(k for k in KEEP if ("." in k) == fields)
+
+
+def _readers() -> list[Path]:
+    """The programs (src/, perfbench/, tools/) and the acceptance criteria."""
+    programs = [p for d in ("src", "perfbench", "tools") for p in sorted((REPO / d).rglob("*.py"))]
+    return programs + [REPO / "tests" / "test_acceptance.py"]
 
 # A string spelling a dotted identifier counts as a use: the benchmark
 # tracer names the calls it wraps that way.
@@ -144,9 +164,8 @@ def test_every_public_name_has_a_caller_or_a_reason_to_stay():
     acceptance criteria; KEEP holds exactly the names with neither."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
-    users = [p for d in ("src", "perfbench", "tools") for p in sorted((REPO / d).rglob("*.py"))]
-    found = _uncalled(modules, users + [REPO / "tests" / "test_acceptance.py"])
-    assert sorted(hit.split(": ")[1] for hit in found) == sorted(KEEP), "\n".join(found)
+    found = _uncalled(modules, _readers())
+    assert sorted(hit.split(": ")[1] for hit in found) == _kept(False), "\n".join(found)
 
 
 def test_the_check_sees_an_uncalled_name(tmp_path):
@@ -170,3 +189,62 @@ def test_the_check_counts_traced_strings_and_attribute_reads(tmp_path):
         "probe.read()\n"
     )
     assert _uncalled([probe], [caller]) == ["probe.py: named_in_prose"]
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(path: Path) -> list[str]:
+    """``Class.field`` for each public field of a module's public dataclasses."""
+    fields = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and any(map(_is_dataclass, node.decorator_list))):
+            fields += [
+                f"{node.name}.{b.target.id}" for b in node.body
+                if isinstance(b, ast.AnnAssign) and isinstance(b.target, ast.Name)
+                and not b.target.id.startswith("_")
+            ]
+    return fields
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    return {
+        node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_fields(modules, users) -> list[str]:
+    """Fields whose name no user reads as an attribute (of any object)."""
+    read = set().union(*map(_attribute_reads, users))
+    return [
+        f"{path.name}: {field}"
+        for path in modules for field in _dataclass_fields(path)
+        if field.split(".")[1] not in read
+    ]
+
+
+def test_every_public_dataclass_field_is_read_or_has_a_reason_to_stay():
+    """Readers are the programs and the acceptance criteria, as above."""
+    found = _unread_fields(sorted(PACKAGE.glob("*.py")), _readers())
+    assert sorted(hit.split(": ")[1] for hit in found) == _kept(True), "\n".join(found)
+
+
+def test_the_check_sees_an_unread_field(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from dataclasses import dataclass, field\nimport dataclasses\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    read: int\n    written: int\n"
+        "    stored: float = field(default=0.0)\n    _private: int = 0\n\n"
+        "@dataclasses.dataclass\nclass Other:\n    unread: str\n\n"
+        "class Plain:\n    annotated: int = 0\n\n"
+        "@dataclass\nclass _Hidden:\n    gone: int\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("r = make()\nprint(r.read)\nr.written = 1\n")
+    assert _unread_fields([probe], [caller]) == [
+        "probe.py: Report.written", "probe.py: Report.stored", "probe.py: Other.unread",
+    ]

@@ -67,10 +67,10 @@ def test_section_round_trip():
     assert doc["atlas"] == "circle2"
     assert doc["atlas_hash"] == atlas_hash(a)
     assert doc["interpolation"] == "local-poly-10"
+    assert doc["tolerance"] == 1e-9  # the one overlap tolerance, still written
     back = load_section(doc)
     for p, q in zip(back.pieces, sec.pieces):
         assert np.array_equal(p.values, q.values)
-    assert back.tolerance == sec.tolerance
 
 
 def test_section_load_rejects_stale_hash():
@@ -117,24 +117,26 @@ def test_curve_sections_share_one_atlas():
 
 
 @pytest.mark.parametrize(
-    "tol", [float("nan"), float("inf"), 0.0, -1.0], ids=["NaN", "Infinity", "0", "-1"]
+    "tol", [float("nan"), float("inf"), 0.0, -1.0, 1e-6],
+    ids=["NaN", "Infinity", "0", "-1", "looser"],
 )
 def test_files_with_a_bad_tolerance_are_rejected(tol):
+    """A file may state the overlap tolerance only as the fixed 1e-9."""
     xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
     curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
     curve["sections"][1]["tolerance"] = tol
     cases = [
-        (load_section, {**dump_section(xi.section), "tolerance": tol}, ""),
+        (load_section, {**dump_section(xi.section), "tolerance": tol}, "section"),
         (
             load_group_section,
             {**dump_group_section(exp_section(xi)), "tolerance": tol},
-            "",
+            "group_section",
         ),
-        (load_curve, curve, "curve section 1: "),
+        (load_curve, curve, "curve section 1: section"),
     ]
     for load, doc, where in cases:
         # Through JSON text: Python's json writes and reads NaN and Infinity.
-        with pytest.raises(InputError, match=f"^{where}tolerance must be positive"):
+        with pytest.raises(InputError, match=f"^{where} key 'tolerance' must be 1e-09, got"):
             load(json.loads(canonical_json(doc)))
 
 
@@ -177,7 +179,7 @@ def test_group_section_round_trip_is_bitwise(name, seed, fraction):
     )
     gs = exp_section(xi)
     back = load_group_section(dump_group_section(gs))
-    assert back.group.name == name and back.tolerance == gs.tolerance
+    assert back.group.name == name
     assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
 
 
@@ -194,7 +196,6 @@ def test_curve_round_trip_is_bitwise(name, seed, samples):
     back = load_curve(dump_curve(curve))
     assert back.group.name == name and same_bytes(back.times, curve.times)
     for s, t in zip(back.sections, curve.sections):
-        assert s.section.tolerance == t.section.tolerance
         assert all(
             same_bytes(p.values, q.values) and p.parent_modes == q.parent_modes
             for p, q in zip(s.section.pieces, t.section.pieces)
