@@ -110,6 +110,7 @@ from .sobolev import (
     extension_probe,
     hs_inner,
     hs_norm,
+    hs_norms,
     min_norm_extension,
     mode_weights,
     rellich_spectrum,

@@ -62,7 +62,7 @@ from .serialize import (
     write_json,
     write_weighted_csv,
 )
-from .sobolev import CONVENTIONS, extension_probe, hs_norm
+from .sobolev import CONVENTIONS, extension_probe, hs_norms
 
 # Config file keys and the JSON type of each value.
 CONFIG_KEYS = {
@@ -230,14 +230,14 @@ def cmd_norms(config: RunConfig, args: argparse.Namespace) -> int:
     worst = 0.0
     for _ in range(fields):
         gamma = random_field(1, config.modes, 2, rng)
-        for _ in range(pairs):
-            t, s = np.sort(rng.uniform(0.0, 4.0, size=2))
-            ns = hs_norm(gamma, float(s), config.convention)
-            nt = hs_norm(gamma, float(t), config.convention)
+        # Each row is a pair (t, s) with t <= s.
+        orders = np.sort(rng.uniform(0.0, 4.0, size=(pairs, 2)), axis=1)
+        norms = hs_norms(gamma, orders.ravel(), config.convention)
+        for nt, ns in zip(norms[0::2], norms[1::2]):
             worst = max(worst, (nt - ns) / max(ns, 1e-300))
     exponents = [round(0.25 * j, 2) for j in range(17)]
     probe = random_field(1, config.modes, 1, rng)
-    rows = [(s, hs_norm(probe, s, config.convention)) for s in exponents]
+    rows = list(zip(exponents, hs_norms(probe, exponents, config.convention)))
     csv_path = _out_path(config, "norms.csv")
     write_weighted_csv(csv_path, ("s", "norm"), rows, config.convention)
     report = {
@@ -396,9 +396,7 @@ def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
     worst_mono = 0.0
     for _ in range(20):
         gamma = random_field(1, config.modes, 1, rng)
-        norms = [
-            hs_norm(gamma, s, config.convention) for s in lad.rungs
-        ]
+        norms = hs_norms(gamma, lad.rungs, config.convention)
         for coarse, fine in zip(norms[1:], norms[:-1]):
             worst_mono = max(worst_mono, (coarse - fine) / max(fine, 1e-300))
     spectra_files = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -380,6 +381,27 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
     return np.exp(1j * np.outer(x, np.arange(-modes, modes + 1)))
 
 
+# Keyed by (resolution, modes); four tables cover every lattice axis of a
+# circle-reports pass, and the bound keeps a process that samples at many
+# resolutions from keeping every table alive.
+@lru_cache(maxsize=4)
+def lattice_phases(resolution: int, modes: int) -> np.ndarray:
+    """Read-only ``phase_matrix`` of every node 2*pi*i/resolution of one
+    lattice axis; row i is bitwise the phases of node i, so a grid axis
+    reads its phases as the rows ``axis_indices[d]``."""
+    table = phase_matrix(TWO_PI * np.arange(resolution) / resolution, modes)
+    table.flags.writeable = False
+    return table
+
+
+def axis_phases(grid: GridDomain, modes: int) -> list[np.ndarray]:
+    """Phase matrix of each axis of a grid's nodes, from the lattice tables."""
+    return [
+        lattice_phases(grid.resolution[d], modes)[grid.axis_indices[d]]
+        for d in range(grid.m)
+    ]
+
+
 def wavenumber_squares(m: int, modes: int) -> np.ndarray:
     """Lattice of |k|^2 over every |k_d| <= modes, shape (2*modes+1,)*m."""
     m = check_dimension(m)
@@ -392,14 +414,26 @@ def wavenumber_squares(m: int, modes: int) -> np.ndarray:
 
 def sobolev_weights(m: int, modes: int, exponent: float) -> np.ndarray:
     """Lattice of (1 + |k|^2)^exponent over every |k_d| <= modes."""
-    return (1.0 + wavenumber_squares(m, modes)) ** exponent
+    return sobolev_weight_rows(m, modes, [exponent]).reshape((2 * modes + 1,) * m)
+
+
+def sobolev_weight_rows(m: int, modes: int, exponents) -> np.ndarray:
+    """Weights at each exponent, shape (len(exponents), (2*modes+1)**m).
+
+    Row i is the C-order lattice of (1 + |k|^2)^exponents[i].  Each row
+    is one power with a scalar exponent, so numpy's fast paths at 0, 0.5,
+    1 and 2 apply; an array of exponents would take the general power,
+    which differs in the last bit at 0.5.
+    """
+    base = (1.0 + wavenumber_squares(m, modes)).ravel()
+    return np.array([base**e for e in exponents]).reshape(-1, base.size)
 
 
 def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     """Evaluate a band-limited field at the masked nodes of a grid."""
     if field.m != grid.m:
         raise ShapeMismatchError("field and grid dimensions differ")
-    phases = [phase_matrix(grid.axis_nodes(d), field.modes) for d in range(grid.m)]
+    phases = axis_phases(grid, field.modes)
     vals = np.moveaxis(tensor_transfer(phases, field.coeffs), 0, -1)
     vals = vals.reshape(grid.node_count, field.components)
     vals = vals.real if field.real else vals

@@ -21,10 +21,11 @@ from .fields import (
     BandlimitedField,
     GridDomain,
     SampledField,
+    axis_phases,
     check_same_layout,
-    phase_matrix,
     random_field,
     sample,
+    sobolev_weight_rows,
     sobolev_weights,
 )
 
@@ -84,7 +85,29 @@ def hs_inner(
 
 
 def hs_norm(a: BandlimitedField, s, convention: str = "paper") -> float:
-    return float(np.sqrt(max(hs_inner(a, a, s, convention), 0.0)))
+    return _norms(a, [s], convention, "hs_norm")[0]
+
+
+def hs_norms(a: BandlimitedField, orders, convention: str = "paper") -> list[float]:
+    """Sobolev norms of one real field at each of ``orders``, in one pass.
+
+    Entry i is bitwise ``hs_norm(a, orders[i], convention)``: each weight
+    row meets the same elementwise products and the same row-wise sum
+    over the C-order coefficients.
+    """
+    return _norms(a, orders, convention, "hs_norms")
+
+
+def _norms(a: BandlimitedField, orders, convention: str, caller: str) -> list[float]:
+    if not a.real:
+        raise InputError(f"{caller} expects a real-flagged field")
+    check_convention(convention)
+    exponents = [weight_exponent(check_order(s), convention) for s in orders]
+    w = sobolev_weight_rows(a.m, a.modes, exponents)
+    c = a.coeffs.reshape(a.components, -1)
+    terms = w[:, None, :] * c * np.conj(c)
+    totals = terms.reshape(len(exponents), c.size).sum(axis=1)
+    return np.sqrt(np.maximum(totals.real, 0.0)).tolist()
 
 
 def _pair_split(ncoef: int):
@@ -112,7 +135,7 @@ def _weighted_real_system(grid: GridDomain, modes: int, s, convention: str):
     ncoef = (2 * modes + 1) ** grid.m
     half = mode_weights(grid.m, modes, s, convention).reshape(ncoef) ** -0.5
     # Columns follow the C-order flattening of the coefficient lattice.
-    phases = [phase_matrix(grid.axis_nodes(d), modes) for d in range(grid.m)]
+    phases = axis_phases(grid, modes)
     a = phases[0] if grid.m == 1 else np.einsum("ia,jb->ijab", *phases)
     aw = a.reshape(grid.node_count, ncoef) * half[None, :]
     npairs, p_idx, q_idx = _pair_split(ncoef)

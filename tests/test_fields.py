@@ -17,6 +17,7 @@ from mapgroups.fields import (
     SampledField,
     extend_by_zero,
     hermitian_part,
+    lattice_phases,
     phase_matrix,
     random_field,
     restrict_sampled,
@@ -406,6 +407,40 @@ def test_phase_and_wavenumber_helpers():
     assert k2.shape == (3, 3) and k2[1, 1] == 0.0 and k2[0, 2] == 2.0
     with pytest.raises(InputError):
         wavenumber_squares(3, 1)
+
+
+def reference_sample(field, grid):
+    """Node values from phases computed at the grid's own node coordinates."""
+    phases = [phase_matrix(grid.axis_nodes(d), field.modes) for d in range(grid.m)]
+    vals = np.moveaxis(tensor_transfer(phases, field.coeffs), 0, -1)
+    return vals.reshape(grid.node_count, field.components).real
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridDomain.full_torus(1, 129),
+        GridDomain.box(((0.4, 4.1),), 98),
+        GridDomain.full_torus(2, 33),
+        GridDomain.box(((0.4, 4.1), (2.0, 5.9)), (97, 129)),
+    ],
+    ids=["curve-full", "curve-window", "surface-full", "surface-window"],
+)
+def test_sample_is_bitwise_the_node_phase_reference(grid):
+    rng = np.random.default_rng(41)
+    for modes in (0, 5, 12):
+        f = random_field(grid.m, modes, 2, rng, decay=0.5)
+        assert sample(f, grid).values.tobytes() == reference_sample(f, grid).tobytes()
+
+
+def test_lattice_phase_tables_are_shared_and_read_only():
+    table = lattice_phases(98, 12)
+    assert lattice_phases(98, 12) is table
+    assert table.shape == (98, 25) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    nodes = TWO_PI * np.arange(98) / 98
+    assert table.tobytes() == phase_matrix(nodes, 12).tobytes()
 
 
 def test_restrict_zero_field():

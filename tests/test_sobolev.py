@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgroups.errors import InputError
 from mapgroups.fields import (
@@ -16,6 +18,7 @@ from mapgroups.sobolev import (
     extension_probe,
     hs_inner,
     hs_norm,
+    hs_norms,
     min_norm_extension,
     mode_weights,
     rellich_spectrum,
@@ -84,6 +87,67 @@ def test_norm_rejects_negative_order():
     f = cos_field()
     with pytest.raises(InputError):
         hs_norm(f, -1.0)
+
+
+def reference_norm(f, s, convention):
+    """The order-s norm as one weight lattice (1 + |k|^2)^e, one product
+    and one sum over the C-order coefficients."""
+    w = (1.0 + wavenumber_squares(f.m, f.modes)) ** weight_exponent(s, convention)
+    return float(np.sqrt(max(np.sum(w * f.coeffs * np.conj(f.coeffs)).real, 0.0)))
+
+
+# Exponents 0, 0.5, 1 and 2 (numpy's scalar-power fast paths) in both
+# conventions, plus orders that take the general power.
+FAST_PATH_ORDERS = [0.0, 0.5, 1.0, 2.0, 4.0, 0.3, 1.7, 3.99]
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("m, modes", [(1, 0), (1, 12), (1, 32), (2, 3), (2, 8)])
+def test_norms_at_many_orders_are_bitwise_the_reference(m, modes, convention):
+    f = random_field(m, modes, 2, np.random.default_rng(7 + m + modes))
+    want = [reference_norm(f, s, convention) for s in FAST_PATH_ORDERS]
+    got = hs_norms(f, FAST_PATH_ORDERS, convention)
+    assert type(got) is list and all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    single = [hs_norm(f, s, convention) for s in FAST_PATH_ORDERS]
+    assert np.array(single).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 2),
+    modes=st.integers(0, 12),
+    components=st.integers(1, 3),
+    convention=st.sampled_from(["paper", "standard"]),
+    orders=st.lists(st.floats(0.0, 4.0), max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_at_random_orders_are_bitwise_the_reference(
+    m, modes, components, convention, orders, seed
+):
+    f = random_field(m, modes, components, np.random.default_rng(seed))
+    want = [reference_norm(f, s, convention) for s in orders]
+    assert np.array(hs_norms(f, orders, convention)).tobytes() == np.array(want).tobytes()
+
+
+def test_norms_check_every_order_and_take_none():
+    f = cos_field()
+    assert hs_norms(f, []) == []
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InputError, match="Sobolev order must be finite and >= 0"):
+            hs_norms(f, [1.0, bad])
+    with pytest.raises(InputError, match="unknown weight convention"):
+        hs_norms(f, [1.0], "mixed")
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("hs_norm", lambda f: hs_norm(f, 1.0)), ("hs_norms", lambda f: hs_norms(f, [1.0]))],
+)
+def test_norm_of_a_complex_field_names_the_function_called(name, call):
+    f = BandlimitedField(1, 2, np.ones((1, 5), dtype=complex), real=False)
+    with pytest.raises(InputError, match=f"^{name} expects a real-flagged field$"):
+        call(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """``tools/unrun_lines.py``: which lines count as statements, and which of
 them a traced call leaves unrun."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -75,3 +76,29 @@ def test_a_traced_run_leaves_the_untaken_branches(tmp_path):
     ]
     # Lines not traced at all are all unrun.
     assert len(unrun_lines.unrun([other], ran)) == 2
+
+
+def _body_lines(path: Path, qualname: str) -> set[int]:
+    """Statement lines inside the body of the function ``qualname`` of a module."""
+    scope = ast.parse(path.read_text())
+    for part in qualname.split("."):
+        scope = next(n for n in scope.body if getattr(n, "name", None) == part)
+    inside = {n.lineno for stmt in scope.body for n in ast.walk(stmt) if isinstance(n, ast.stmt)}
+    return inside & set(unrun_lines.statement_lines(path))
+
+
+def test_the_torus_sections_stage_runs_the_pipeline_field_and_file_ops(tmp_path):
+    """The benchmark's section pipeline adds and scales band-limited fields
+    and loads a section file; the matrix runs it, so these are not unrun."""
+    package = TOOL.parents[1] / "src" / "mapgroups"
+    fields, serialize = package / "fields.py", package / "serialize.py"
+    wanted = {
+        fields: _body_lines(fields, "BandlimitedField.__add__")
+        | _body_lines(fields, "BandlimitedField.scaled"),
+        serialize: _body_lines(serialize, "load_section"),
+    }
+    assert all(wanted.values())
+    run = {name: run for name, _, run in unrun_lines.stages(tmp_path)}["torus-sections"]
+    ran = unrun_lines.trace_lines(list(wanted), lambda: run(0))
+    for path, lines in wanted.items():
+        assert lines <= ran[path.resolve()], (path.name, sorted(lines - ran[path.resolve()]))

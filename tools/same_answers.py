@@ -17,7 +17,10 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
 * evolve on two curve files: the SO3 circle2 test curve and a seeded
   9-sample UT2 curve on torus4;
 * glue, point_eval, hilbert_inner, the worst overlap defect, the partition
-  weights, the bumps and validate_atlas on both builtin atlases.
+  weights, the bumps and validate_atlas on both builtin atlases;
+* hs_norm of a seeded surface field at orders 0, 1, 2 and 4 in both weight
+  conventions, and sample on the full 129-node torus grid and on a torus4
+  chart window.
 """
 
 from __future__ import annotations
@@ -122,6 +125,16 @@ def library_rows(seed: int):
         yield f"{head}/partition_weights", array_digest(atlas.partition_weights(grid))
         yield f"{head}/bump_values", array_digest(atlas.bump_values(points))
         yield f"{head}/validate_atlas", repr(mg.validate_atlas(atlas))
+    rng = np.random.default_rng(seed)
+    field = mg.random_field(2, 12, 2, rng)
+    for convention in mg.CONVENTIONS:
+        for order in (0.0, 1.0, 2.0, 4.0):
+            name = f"s{seed}/hs_norm/{convention}/s{order:g}"
+            yield name, repr(mg.hs_norm(field, order, convention))
+    full = mg.GridDomain.full_torus(2, 129)
+    window = mg.builtin_atlas("torus4").charts[0].window
+    for name, grid in (("full", full), ("window", window)):
+        yield f"s{seed}/sample/{name}", array_digest(mg.sample(field, grid).values)
 
 
 def main() -> int:

@@ -4,9 +4,11 @@ Usage::
 
     python3 tools/unrun_lines.py > unrun.txt
 
-The matrix is the one ``tools/same_answers.py`` runs (``cli_rows`` and
-``library_rows`` at each of its seeds) followed by the acceptance criteria,
-``pytest tests/test_acceptance.py``, all in this process under
+The matrix is a list of named stages (``stages``): the CLI runs and the
+library rows of ``tools/same_answers.py`` at each of its seeds, and the
+benchmark's torus-sections pipeline (``perfbench/workloads.py``, every op
+executed and checked once, at seed 0).  The acceptance criteria, ``pytest
+tests/test_acceptance.py``, follow; all of it runs in this process under
 ``sys.settrace``.  Each statement whose first line carries bytecode and
 never ran is printed once, sorted by module and line, as
 ``module.py:LINE: source``.  Only frames of those modules are traced; a
@@ -24,6 +26,7 @@ import sys
 import tempfile
 import types
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mapgroups"
@@ -83,14 +86,41 @@ def unrun(paths, ran: dict[Path, set[int]]) -> list[str]:
     return rows
 
 
+def _import_from(directory: Path, name: str):
+    sys.path.insert(0, str(directory))
+    return importlib.import_module(name)
+
+
+def run_plan(plan, work: Path) -> None:
+    """Execute and check each op of a benchmark plan once, as one pass does."""
+    ctx: dict = {"attempt": 0}
+    for op in plan.ops:
+        ctx["dir"] = work / op.name
+        ctx["dir"].mkdir(parents=True, exist_ok=True)
+        op.check(ctx, op.execute(ctx))
+
+
+def stages(work: Path) -> list[tuple[str, tuple[int, ...], Callable[[int], object]]]:
+    """The matrix as ``(name, seeds, run)``: ``run(seed)`` runs the stage at
+    one seed, writing into ``work``; the matrix runs it at each of ``seeds``."""
+    same_answers = _import_from(ROOT / "tools", "same_answers")  # imports mapgroups
+    workloads = _import_from(ROOT / "perfbench", "workloads")
+    return [
+        ("same-answers-cli", same_answers.SEEDS,
+         lambda seed: list(same_answers.cli_rows(seed, work))),
+        ("same-answers-library", same_answers.SEEDS,
+         lambda seed: list(same_answers.library_rows(seed))),
+        ("torus-sections", (0,),
+         lambda seed: run_plan(workloads.torus_sections(work, seed), work / f"sections-{seed}")),
+    ]
+
+
 def run_matrix() -> None:
-    """The same-answers matrix, then the acceptance criteria."""
-    sys.path.insert(0, str(ROOT / "tools"))
-    same_answers = importlib.import_module("same_answers")  # imports mapgroups
+    """Every stage at each of its seeds, then the acceptance criteria."""
     with tempfile.TemporaryDirectory(prefix="unrun-lines-") as tmp:
-        for seed in same_answers.SEEDS:
-            list(same_answers.cli_rows(seed, Path(tmp)))
-            list(same_answers.library_rows(seed))
+        for _, seeds, run in stages(Path(tmp)):
+            for seed in seeds:
+                run(seed)
     import pytest
 
     # pytest's report goes to stderr, so stdout holds only the rows.
