@@ -11,8 +11,9 @@ inside the fundamental domain of the coordinate torus.  All transitions are
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .fields import (
     TWO_PI,
     GridDomain,
     axis_interpolation_matrix,
-    check_dimension,
     tensor_points,
 )
 
@@ -47,26 +47,30 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """One chart: an offset arc/box with a strictly smaller witness window."""
+    """One chart: an offset arc/box with a strictly smaller witness window.
+
+    The window is the box (pi +- window_half)^m on the lattice of
+    ``resolution`` nodes per axis.
+    """
 
     index: int
     offset: np.ndarray
     half_width: float
     window_half: float
-    window: GridDomain
+    resolution: InitVar[int]
+    window: GridDomain = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, resolution):
         off = np.atleast_1d(np.asarray(self.offset, dtype=float))
         object.__setattr__(self, "offset", off)
         if not 0.0 < self.window_half < self.half_width < PI:
             raise InputError(
                 "need 0 < window_half < half_width < pi for a proper chart"
             )
-        want = tuple(
-            (PI - self.window_half, PI + self.window_half) for _ in range(off.size)
+        box = tuple((PI - self.window_half, PI + self.window_half) for _ in range(off.size))
+        object.__setattr__(
+            self, "window", GridDomain.box(box, check_count(resolution, "resolution", 3))
         )
-        if self.window.window != want:
-            raise InputError("witness window box does not match window_half")
 
     @property
     def m(self) -> int:
@@ -157,18 +161,24 @@ class Atlas:
     """
 
     name: str
-    m: int
     charts: tuple[Chart, ...]
     plateau: float = 0.5
-    lattice_resolution: int = 257
 
     def __post_init__(self):
-        object.__setattr__(self, "m", check_dimension(self.m))
         if len(self.charts) < 2:
             raise InputError("an atlas needs at least two charts")
-        for c in self.charts:
-            if c.m != self.m:
-                raise InputError("chart dimension mismatch")
+        lattices = sorted({c.window.resolution for c in self.charts})
+        if len(lattices) > 1:
+            raise InputError(f"chart windows lie on different lattices {lattices}")
+
+    @property
+    def m(self) -> int:
+        return self.charts[0].m
+
+    @property
+    def lattice_resolution(self) -> int:
+        """Lattice nodes per axis of every chart window."""
+        return self.charts[0].window.resolution[0]
 
     @property
     def chart_count(self) -> int:
@@ -331,28 +341,45 @@ class Atlas:
         return tuple(tables)
 
 
+def atlas_descriptor(a: Atlas) -> dict:
+    """Every fact that makes an atlas what it is, as JSON data."""
+    return {
+        "name": a.name,
+        "m": a.m,
+        "lattice_resolution": a.lattice_resolution,
+        "transition_kind": "translation",
+        "bump": {"plateau": a.plateau},
+        "charts": [
+            {
+                "index": c.index,
+                "offset": [float(x) for x in c.offset],
+                "half_width": c.half_width,
+                "window_half": c.window_half,
+                "codomain": [[lo, hi] for lo, hi in c.codomain()],
+                "window": [[lo, hi] for lo, hi in c.window.window],
+            }
+            for c in a.charts
+        ],
+    }
+
+
 def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
-    """Raise InputError unless two atlases are the same chart collection."""
-    if a is not b and not (
-        a.name == b.name
-        and a.m == b.m
-        and a.lattice_resolution == b.lattice_resolution
-        and a.chart_count == b.chart_count
-        and all(
-            np.array_equal(x.offset, y.offset)
-            and x.half_width == y.half_width
-            and x.window_half == y.window_half
-            for x, y in zip(a.charts, b.charts)
-        )
-    ):
+    """Raise InputError unless two atlases have one descriptor."""
+    if not (a is b or atlas_descriptor(a) == atlas_descriptor(b)):
         raise InputError(f"{what} live on different atlases")
 
 
-def _make_chart(index, offset, half_width, window_half, resolution, m) -> Chart:
-    window = GridDomain.box(
-        tuple((PI - window_half, PI + window_half) for _ in range(m)), resolution
+def _corner_atlas(name, m, resolution, half_width, window_half, plateau) -> Atlas:
+    """Charts at the offsets {0, pi}^m, axis 0 varying fastest."""
+    if not window_half - PI / 2 > MIN_OVERLAP:
+        raise InputError(
+            f"window_half must exceed pi/2 + {MIN_OVERLAP:g} so {2 ** m} charts cover {name}"
+        )
+    charts = tuple(
+        Chart(k, off[::-1], half_width, window_half, resolution)
+        for k, off in enumerate(product((0.0, PI), repeat=m))
     )
-    return Chart(index, np.asarray(offset, dtype=float), half_width, window_half, window)
+    return Atlas(name, charts, plateau)
 
 
 def circle_two_charts(
@@ -362,13 +389,7 @@ def circle_two_charts(
     plateau: float = 0.5,
 ) -> Atlas:
     """Two arcs offset by pi; transitions are translations by +-pi."""
-    if not window_half - PI / 2 > MIN_OVERLAP:
-        raise InputError("window_half must exceed pi/2 + 1e-12 so two arcs cover the circle")
-    charts = tuple(
-        _make_chart(k, [off], half_width, window_half, resolution, 1)
-        for k, off in enumerate((0.0, PI))
-    )
-    return Atlas("circle2", 1, charts, plateau, resolution)
+    return _corner_atlas("circle2", 1, resolution, half_width, window_half, plateau)
 
 
 def torus_four_charts(
@@ -378,14 +399,7 @@ def torus_four_charts(
     plateau: float = 0.5,
 ) -> Atlas:
     """Product of two 2-chart circles: offsets (0,0), (pi,0), (0,pi), (pi,pi)."""
-    if not window_half - PI / 2 > MIN_OVERLAP:
-        raise InputError("window_half must exceed pi/2 + 1e-12 for a four-chart cover")
-    offsets = ((0.0, 0.0), (PI, 0.0), (0.0, PI), (PI, PI))
-    charts = tuple(
-        _make_chart(k, off, half_width, window_half, resolution, 2)
-        for k, off in enumerate(offsets)
-    )
-    return Atlas("torus4", 2, charts, plateau, resolution)
+    return _corner_atlas("torus4", 2, resolution, half_width, window_half, plateau)
 
 
 BUILTIN_ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}

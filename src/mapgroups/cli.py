@@ -62,7 +62,7 @@ from .serialize import (
     write_json,
     write_weighted_csv,
 )
-from .sobolev import CONVENTIONS, extension_probe, hs_norms
+from .sobolev import CONVENTIONS, extension_probe, hs_norms, weight_exponent
 
 # Config file keys and the JSON type of each value.
 CONFIG_KEYS = {
@@ -389,9 +389,10 @@ def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
     estimates = []
     for alpha in (1.0, 1.5, 2.0):
         est = critical_order_estimate(alpha, convention=config.convention)
-        estimates.append(
-            {"alpha": alpha, "estimate": est, "target": 2.0 * alpha - 1.0}
-        )
+        # The decay field lies in H^s exactly while the weight exponent of s
+        # stays below alpha - 1/2.
+        target = (alpha - 0.5) / weight_exponent(1.0, config.convention)
+        estimates.append({"alpha": alpha, "estimate": est, "target": target})
     max_err = max(abs(e["estimate"] - e["target"]) for e in estimates)
     worst_mono = 0.0
     for _ in range(20):

@@ -269,12 +269,6 @@ class BandlimitedField:
             self.m, self.modes, self.coeffs + other.coeffs, self.real and other.real
         )
 
-    def __sub__(self, other: "BandlimitedField") -> "BandlimitedField":
-        check_same_layout(self, other)
-        return BandlimitedField(
-            self.m, self.modes, self.coeffs - other.coeffs, self.real and other.real
-        )
-
     def scaled(self, factor: float) -> "BandlimitedField":
         return BandlimitedField(
             self.m, self.modes, float(factor) * self.coeffs, self.real

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import Atlas, builtin_atlas
+from .atlas import Atlas, atlas_descriptor, builtin_atlas
 from .errors import InputError
 from .fields import INTERP_POINTS, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
@@ -95,14 +95,12 @@ def _require(doc: dict, key: str, kind):
     return doc[key]
 
 
-def _check_tolerance(doc: dict) -> None:
-    """A document may state the overlap tolerance, but only as the constant."""
-    if "tolerance" in doc:
-        value = _require(doc, "tolerance", (int, float))
-        if value != OVERLAP_TOLERANCE:  # NaN differs too
-            raise InputError(
-                f"{doc['kind']} key 'tolerance' must be {OVERLAP_TOLERANCE!r}, got {value!r}"
-            )
+def _check_stated(doc: dict, key: str, value, kind) -> None:
+    """A document may state ``key``, but only as the loaded ``value``."""
+    if key in doc:
+        stated = _require(doc, key, kind)
+        if stated != value:  # NaN differs too
+            raise InputError(f"{doc['kind']} key {key!r} must be {value!r}, got {stated!r}")
 
 
 # Encoded-array dtypes: little-endian float64 and one-byte booleans.
@@ -234,28 +232,9 @@ def load_sampled(doc: dict) -> SampledField:
     parent = doc.get("parent_modes")
     if parent is not None:
         parent = _require(doc, "parent_modes", int)
-    return SampledField(grid, values, parent)
-
-
-def atlas_descriptor(a: Atlas) -> dict:
-    return {
-        "name": a.name,
-        "m": a.m,
-        "lattice_resolution": a.lattice_resolution,
-        "transition_kind": "translation",
-        "bump": {"plateau": a.plateau},
-        "charts": [
-            {
-                "index": c.index,
-                "offset": [float(x) for x in c.offset],
-                "half_width": c.half_width,
-                "window_half": c.window_half,
-                "codomain": [[lo, hi] for lo, hi in c.codomain()],
-                "window": [[lo, hi] for lo, hi in c.window.window],
-            }
-            for c in a.charts
-        ],
-    }
+    field = SampledField(grid, values, parent)
+    _check_stated(doc, "components", field.components, int)
+    return field
 
 
 def atlas_hash(a: Atlas) -> str:
@@ -328,8 +307,11 @@ def _load_section(doc: dict, where: str = "") -> Section:
         with _errors_start(f"{where}, piece {j}: " if where else f"section piece {j}: "):
             pieces.append(load_sampled(p))
     with _errors_start(head):
-        _check_tolerance(doc)
-        return Section(a, tuple(pieces))
+        _check_stated(doc, "tolerance", OVERLAP_TOLERANCE, (int, float))
+        _check_stated(doc, "interpolation", SECTION_INTERPOLATION, str)
+        sec = Section(a, tuple(pieces))
+        _check_stated(doc, "components", sec.components, int)
+        return sec
 
 
 def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
@@ -357,7 +339,7 @@ def load_group_section(doc: dict) -> GroupSection:
                 f"got shape {arr.shape}"
             )
         pieces.append(arr.astype(float, copy=False).T.reshape(d, d, -1))
-    _check_tolerance(doc)
+    _check_stated(doc, "tolerance", OVERLAP_TOLERANCE, (int, float))
     return GroupSection(a, group, tuple(pieces))
 
 

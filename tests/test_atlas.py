@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from mapgroups.atlas import (
     MIN_OVERLAP,
     Atlas,
+    Chart,
+    atlas_descriptor,
     builtin_atlas,
     circle_two_charts,
+    require_same_atlas,
     torus_four_charts,
     validate_atlas,
     wrap_angle,
@@ -156,6 +159,38 @@ def test_builtin_atlas_is_one_instance_per_name_and_resolution():
         builtin_atlas("circle2", half_width=1.9)
 
 
+def test_charts_on_two_lattices_make_no_atlas():
+    charts = (Chart(0, [0.0], 2.0, 1.7, 257), Chart(1, [PI], 2.0, 1.7, 129))
+    with pytest.raises(InputError, match="different lattices"):
+        Atlas("circle2", charts)
+
+
+def test_charts_of_two_dimensions_make_no_atlas():
+    charts = (Chart(0, [0.0], 2.0, 1.7, 129), Chart(1, [PI, PI], 2.0, 1.7, 129))
+    with pytest.raises(InputError, match="different lattices"):
+        Atlas("mixed", charts)
+
+
+def test_an_atlas_reads_dimension_and_lattice_from_its_charts():
+    torus = builtin_atlas("torus4")
+    rebuilt = Atlas("torus4", torus.charts)
+    assert rebuilt.m == 2
+    assert rebuilt.lattice_resolution == 129
+    assert [c.window.resolution for c in rebuilt.charts] == [(129, 129)] * 4
+    require_same_atlas(rebuilt, torus, "atlases")
+    assert atlas_descriptor(rebuilt) == atlas_descriptor(torus)
+
+
+@pytest.mark.parametrize("other", [
+    circle_two_charts(plateau=0.3),
+    circle_two_charts(window_half=1.8),
+    Atlas("circle3", builtin_atlas("circle2").charts),
+], ids=["plateau", "window_half", "name"])
+def test_atlases_with_different_descriptors_are_not_the_same(other):
+    with pytest.raises(InputError, match="sections live on different atlases"):
+        require_same_atlas(other, builtin_atlas("circle2"), "sections")
+
+
 def test_unknown_builtin_atlas_is_never_cached():
     for _ in range(2):
         with pytest.raises(InputError, match="unknown atlas 'moebius'"):
@@ -299,7 +334,7 @@ def test_validation_catches_corrupted_transition():
             return out
 
     base = torus_four_charts()
-    bad = Corrupted(base.name, base.m, base.charts, base.plateau, base.lattice_resolution)
+    bad = Corrupted(base.name, base.charts, base.plateau)
     rep = validate_atlas(bad, overlap_per_axis=9)
     assert not rep.passed
     assert rep.cocycle_residual == pytest.approx(0.01, abs=1e-12)
@@ -307,11 +342,7 @@ def test_validation_catches_corrupted_transition():
 
 def test_uncovered_point_raises():
     # arcs of half-width 1 around 0 and pi leave theta = pi/2 uncovered
-    from mapgroups.atlas import _make_chart
-
-    charts = tuple(
-        _make_chart(k, [off], 2.0, 1.0, 257, 1) for k, off in enumerate((0.0, PI))
-    )
-    gappy = Atlas("gappy", 1, charts)
+    charts = tuple(Chart(k, [off], 2.0, 1.0, 257) for k, off in enumerate((0.0, PI)))
+    gappy = Atlas("gappy", charts)
     with pytest.raises(CoverageError):
         gappy.partition_weights(np.array([[PI / 2]]))

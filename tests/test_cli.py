@@ -131,6 +131,34 @@ def test_ladder_reports_orders_and_spectra(tmp_path):
         assert s["decreasing"] is True
 
 
+def test_standard_convention_ladder_targets_its_own_critical_orders(tmp_path):
+    code = main(["ladder", "--out", str(tmp_path), "--convention", "standard"])
+    assert code == 0
+    rep = read(tmp_path / "ladder.json")
+    assert [e["target"] for e in rep["critical_orders"]] == [0.5, 1.0, 1.5]
+    assert rep["max_order_error"] < 0.1
+
+
+STANDARD_RUNS = [
+    *([command] for command in ("verify-axioms", "norms", "extend", "ladder")),
+    *(["shrink-domain", domain] for domain in ("disc", "ellipse", "peanut")),
+    *([command, group] for command in ("group-demo", "evolve") for group in ("SO3", "SU2", "UT2")),
+]
+
+
+@pytest.mark.parametrize("run", STANDARD_RUNS, ids="-".join)
+def test_every_circle2_subcommand_passes_under_the_standard_convention(tmp_path, run):
+    command, *rest = run
+    argv = [command, "--out", str(tmp_path), "--convention", "standard"]
+    if command in ("group-demo", "evolve"):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"atlas": "circle2", "group": rest[0]}))
+        argv += ["--config", str(config)]
+    else:
+        argv += rest
+    assert main(argv) == 0
+
+
 def test_extend_probe_cli(tmp_path):
     code = main(["extend", "--out", str(tmp_path), "--modes", "16"])
     assert code == 0

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mapgroups.atlas import Atlas, circle_two_charts, validate_atlas
+from mapgroups.atlas import Chart, circle_two_charts, validate_atlas
 from mapgroups.axioms import probe_cutoff_bound
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import FlowField, boundary_samples, disc, flow, shrink_domain
@@ -138,11 +138,14 @@ VALUE_ROWS = [
         ("GridDomain", lambda v: GridDomain(v, (9,), ((0.0, TWO_PI),), (np.arange(9),))),
         ("GridDomain.full_torus", lambda v: GridDomain.full_torus(v, 9)),
         ("BandlimitedField", lambda v: BandlimitedField(v, 1, np.zeros((1, 3), complex))),
-        ("Atlas", lambda v: Atlas("circle2", v, ATLAS.charts)),
         ("ladder", lambda v: ladder(2.0, 3, m=v)),
         ("wavenumber_squares", lambda v: wavenumber_squares(v, 2)),
     )
     for bad in (1.0, 0, 3)
+] + [
+    # A chart's dimension is its offset's size.
+    pytest.param(lambda v: Chart(0, np.zeros(v), 2.0, 1.7, 9), bad, "m", id=f"Chart-m-{bad}")
+    for bad in (0, 3)
 ] + [
     # A list resolution is checked and stored as a tuple of counts.
     pytest.param(lambda v: GridDomain(1, v, ((0.0, TWO_PI),), (np.arange(9),)), [9.5],

@@ -97,7 +97,7 @@ def test_real_fields_stay_hermitian(m, modes, components, factor, extra, seed):
     g = random_field(m, modes, components, rng)
     grid = GridDomain.full_torus(m, max(2 * modes + 1, 3) + extra)  # lattices need 3 nodes
     back = synthesize(sample(f, grid), modes)
-    for h in (f + g, f - g, f.scaled(factor), back):
+    for h in (f + g, f + g.scaled(-1), f.scaled(factor), back):
         assert h.real and is_mirror_symmetric(h.coeffs)
 
 

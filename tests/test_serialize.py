@@ -141,6 +141,47 @@ def test_files_with_a_bad_tolerance_are_rejected(tol):
 
 
 @pytest.mark.parametrize(
+    "edit, in_piece, fault",
+    [
+        (lambda doc: doc.update(components=7), False,
+         "section key 'components' must be {c}, got 7"),
+        (lambda doc: doc["pieces"][1].update(components=5), True,
+         "sampled key 'components' must be {c}, got 5"),
+        (lambda doc: doc.update(interpolation="spline"), False,
+         "section key 'interpolation' must be 'local-poly-10', got 'spline'"),
+        (lambda doc: doc.update(components="2"), False,
+         "section key 'components' must be int, got str"),
+    ],
+    ids=["section-components", "piece-components", "interpolation", "mistyped"],
+)
+def test_section_files_state_their_facts_only_as_loaded(edit, in_piece, fault):
+    section = dump_section(random_section(circle_two_charts(), 2, np.random.default_rng(31)))
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
+    curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
+    # (loader, document, section document to edit, its components, error prefix)
+    cases = (
+        (load_section, section, section, 2, "section piece 1: " if in_piece else ""),
+        (load_curve, curve, curve["sections"][1], 3,
+         "curve section 1, piece 1: " if in_piece else "curve section 1: "),
+    )
+    for load, doc, target, components, prefix in cases:
+        edit(target)
+        with pytest.raises(InputError, match=f"^{prefix}{fault.format(c=components)}$"):
+            load(doc)
+
+
+def test_section_files_may_omit_the_facts_they_state():
+    sec = random_section(circle_two_charts(), 2, np.random.default_rng(31))
+    doc = dump_section(sec)
+    for key in ("components", "interpolation", "tolerance"):
+        del doc[key]
+    for piece in doc["pieces"]:
+        del piece["components"]
+    loaded = load_section(doc)
+    assert all(np.array_equal(p.values, q.values) for p, q in zip(loaded.pieces, sec.pieces))
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("atlas_hash", "000000000000", "atlas hash mismatch: file has 000000000000"),

@@ -21,11 +21,15 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
 * hs_norm of a seeded surface field at orders 0, 1, 2 and 4 in both weight
   conventions, and sample on the full 129-node torus grid and on a torus4
   chart window.
+
+Then, once, each builtin atlas's file hash and every array of its overlap
+and partition transfers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -137,12 +141,34 @@ def library_rows(seed: int):
         yield f"s{seed}/sample/{name}", array_digest(mg.sample(field, grid).values)
 
 
+def atlas_rows():
+    for name in ("circle2", "torus4"):
+        atlas = mg.builtin_atlas(name)
+        yield f"{name}/atlas_hash", serialize.atlas_hash(atlas)
+        ops = [(f"overlap_transfers/{op.i}-{op.j}", op) for op in atlas.overlap_transfers]
+        ops += [
+            (f"partition_transfers/{target}/{op.source}", op)
+            for target, table in enumerate(atlas.partition_transfers)
+            for op in table
+        ]
+        for label, op in ops:
+            for field in dataclasses.fields(op):
+                value = getattr(op, field.name)
+                if isinstance(value, np.ndarray):
+                    yield f"{name}/{label}/{field.name}", array_digest(value)
+                elif isinstance(value, tuple):
+                    for d, arr in enumerate(value):
+                        yield f"{name}/{label}/{field.name}{d}", array_digest(arr)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
         work = Path(tmp)
         for seed in SEEDS:
             for name, value in (*cli_rows(seed, work), *library_rows(seed)):
                 print(name, value)
+    for name, value in atlas_rows():
+        print(name, value)
     return 0
 
 
