@@ -45,6 +45,16 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
     return PI - np.mod(PI - np.asarray(theta, dtype=float), TWO_PI)
 
 
+def _chart_coords(theta, offset):
+    """Chart coordinates of angles ``theta`` in the chart at ``offset``."""
+    return PI + wrap_angle(theta - offset)
+
+
+def _chart_angles(x, offset):
+    """Angles of chart coordinates ``x`` in the chart at ``offset``."""
+    return np.mod(x - PI + offset, TWO_PI)
+
+
 @dataclass(frozen=True, eq=False)
 class Chart:
     """One chart: an offset arc/box with a strictly smaller witness window.
@@ -77,12 +87,17 @@ class Chart:
         return self.offset.size
 
     def to_chart(self, theta: np.ndarray) -> np.ndarray:
-        th = np.atleast_2d(np.asarray(theta, dtype=float))
-        return PI + wrap_angle(th - self.offset)
+        return _chart_coords(np.atleast_2d(np.asarray(theta, dtype=float)), self.offset)
 
     def from_chart(self, x: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.mod(pts - PI + self.offset, TWO_PI)
+        return _chart_angles(np.atleast_2d(np.asarray(x, dtype=float)), self.offset)
+
+    def window_angles(self) -> list[np.ndarray]:
+        """Angles of the window's lattice nodes along each axis; the
+        window's nodes map to their tensor grid, in C order."""
+        return [
+            _chart_angles(self.window.axis_nodes(d), self.offset[d]) for d in range(self.m)
+        ]
 
     def codomain(self) -> tuple[tuple[float, float], ...]:
         return tuple((PI - self.half_width, PI + self.half_width) for _ in range(self.m))
@@ -288,7 +303,7 @@ class Atlas:
         c = self.charts[k]
         mats, cols = [], []
         for d, a in enumerate(angles):
-            full = axis_interpolation_matrix(c.window, d, PI + wrap_angle(a - c.offset[d]))
+            full = axis_interpolation_matrix(c.window, d, _chart_coords(a, c.offset[d]))
             live = np.flatnonzero(full.any(axis=0))
             mats.append(full[:, live])
             cols.append(live)
@@ -316,14 +331,11 @@ class Atlas:
         chart, indexed by that target chart."""
         tables = []
         for c in self.charts:
-            axes = [
-                np.mod(c.window.axis_nodes(d) - PI + c.offset[d], TWO_PI)
-                for d in range(self.m)
-            ]
+            axes = c.window_angles()
             weights = self.partition_weights(tensor_points(axes))
             ops = []
             for i, src in enumerate(self.charts):
-                coords = [PI + wrap_angle(a - src.offset[d]) for d, a in enumerate(axes)]
+                coords = [_chart_coords(a, src.offset[d]) for d, a in enumerate(axes)]
                 hits = tuple(
                     np.flatnonzero(
                         bump_profile(np.abs(x - PI) / src.window_half, self.plateau) > 0.0

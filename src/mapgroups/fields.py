@@ -253,14 +253,35 @@ class BandlimitedField:
         if pts.shape[1] != self.m:
             raise ShapeMismatchError("points do not match field dimension")
         if self.m == 1:
-            vals = phase_matrix(pts[:, 0], self.modes) @ self.coeffs.T
+            return self.evaluate_grid([pts[:, 0]])
+        x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
+        x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
+        p0 = phase_matrix(x0, self.modes)
+        p1 = phase_matrix(x1, self.modes)
+        tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)[inv0]
+        vals = np.einsum("qb,qnb->qn", p1[inv1], tmp)
+        return vals.real if self.real else vals
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """Evaluate at the tensor grid of per-axis coordinates ``axes``,
+        shape (Q, components) in the C order of ``tensor_points(axes)``.
+
+        Phases are computed once per coordinate of each axis, and for
+        m = 2 the axis-0 contraction once per axis-0 coordinate.  The sums
+        run in :meth:`evaluate`'s order, so the result is bitwise equal
+        to ``evaluate(tensor_points(axes))``, and C-contiguous like it.
+        """
+        if len(axes) != self.m:
+            raise ShapeMismatchError("axes do not match field dimension")
+        p = [phase_matrix(np.asarray(x, dtype=float), self.modes) for x in axes]
+        if self.m == 1:
+            vals = p[0] @ self.coeffs.T
         else:
-            x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
-            x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
-            p0 = phase_matrix(x0, self.modes)
-            p1 = phase_matrix(x1, self.modes)
-            tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)[inv0]
-            vals = np.einsum("qb,qnb->qn", p1[inv1], tmp)
+            tmp = np.einsum("qa,nab->qnb", p[0], self.coeffs)
+            # Components first, so the einsum's inner loop runs along axis 1
+            # rather than over the few components; then one copy to C order.
+            vals = np.einsum("yb,xnb->nxy", p[1], tmp).reshape(self.components, -1)
+            vals = np.ascontiguousarray(vals.T)
         return vals.real if self.real else vals
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":

@@ -235,8 +235,16 @@ def su2_real() -> MatrixGroup:
         small = theta < 1e-8
         hs = np.where(small, 1.0, half)
         sinc_half = np.where(small, 1.0 - half**2 / 6.0, np.sin(hs) / hs)
-        xi = np.tensordot(basis, v, (0, -1))
-        return np.cos(half) * _eye(4, theta.shape) + sinc_half * xi
+        cos_half = np.cos(half)
+        # cos(theta/2) I + sinc(theta/2) xi, written into the xi stack.  Adding
+        # the signed zero cos * 0 everywhere keeps the sign of each zero
+        # entry as the sum with the identity stack gave it.
+        out = np.tensordot(basis, v, (0, -1))
+        out *= sinc_half
+        out += cos_half * 0.0
+        for i in range(4):
+            out[i, i] += cos_half
+        return out
 
     def _half_angle(g):
         return np.arccos(np.clip(np.trace(g) / 4.0, -1.0, 1.0))
@@ -569,6 +577,8 @@ def random_algebra_section(
     radius)."""
     if amplitude is None:
         amplitude = 0.9 * group.v_radius
+    elif not 0.0 <= amplitude < np.inf:  # NaN fails too
+        raise InputError(f"amplitude must be finite and >= 0, got {amplitude}")
     sec = random_section(atlas, group.algebra_dim, rng, order=2)
     scale = amplitude / max(sec.sup_norm(), 1e-12)
     return AlgebraSection(group, sec.scaled(scale))

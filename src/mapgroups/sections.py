@@ -27,6 +27,7 @@ from .fields import (
     SampledField,
     same_grid,
     sobolev_weights,
+    tensor_points,
     tensor_transfer,
 )
 from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
@@ -181,7 +182,7 @@ def _chart_samples(atlas: Atlas, fn, *sections) -> tuple[SampledField, ...]:
     given sections' values there, as a (Q, n) or (Q,) array."""
     pieces = []
     for j, c in enumerate(atlas.charts):
-        theta = c.from_chart(c.window.nodes())
+        theta = tensor_points(c.window_angles())
         vals = np.asarray(fn(theta, *(s.pieces[j].values for s in sections)), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -195,6 +196,8 @@ def random_section(
     """Random smooth section from a low-order trigonometric polynomial.
 
     Coefficients are complex normal draws weighted by (1 + |k|^2)^(-1).
+    Each chart piece is the real part of the polynomial on the tensor
+    grid of the chart's window angles, bitwise its values at each node.
     """
     components = check_count(components, "components", 1)
     order = check_count(order, "order", 0)
@@ -203,7 +206,10 @@ def random_section(
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= sobolev_weights(m, order, -1.0)
     poly = BandlimitedField(m, order, coef, real=False)
-    return section_from_function(atlas, lambda theta: poly.evaluate(theta).real)
+    return Section(atlas, tuple(
+        SampledField(c.window, poly.evaluate_grid(c.window_angles()).real)
+        for c in atlas.charts
+    ))
 
 
 def theta_embed(section: Section) -> tuple[SampledField, ...]:

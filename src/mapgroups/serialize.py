@@ -354,6 +354,8 @@ def dump_curve(curve: TimeSampledCurve, convention: str = "paper") -> dict:
 
 
 def load_curve(doc: dict) -> TimeSampledCurve:
+    """Curve document; its ``atlas``, ``lattice_resolution`` and
+    ``atlas_hash`` keys are each absent or equal to what its sections load."""
     _expect_kind(doc, "curve", "curve")
     group = group_by_name(_require(doc, "group", str))
     sections = []
@@ -362,7 +364,11 @@ def load_curve(doc: dict) -> TimeSampledCurve:
         with _errors_start(f"curve section {k}: "):
             sections.append(AlgebraSection(group, section))
     times = _require_array(doc, "times").astype(float, copy=False)
-    return TimeSampledCurve(times, tuple(sections))
+    curve = TimeSampledCurve(times, tuple(sections))
+    _check_stated(doc, "atlas", curve.atlas.name, str)
+    _check_stated(doc, "lattice_resolution", curve.atlas.lattice_resolution, int)
+    _check_stated(doc, "atlas_hash", atlas_hash(curve.atlas), str)
+    return curve
 
 
 def write_weighted_csv(path, columns, rows, convention: str = "paper") -> None:

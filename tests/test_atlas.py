@@ -19,6 +19,7 @@ from mapgroups.atlas import (
 )
 from mapgroups.cutoffs import bump_profile
 from mapgroups.errors import ChartDomainError, CoverageError, InputError
+from mapgroups.fields import tensor_points
 
 PI = np.pi
 
@@ -40,6 +41,13 @@ def test_chart_coordinates_center_the_offset():
         assert x[0, 0] == pytest.approx(PI, abs=1e-15)
         back = c.from_chart(x)
         assert abs(wrap_angle(back[0, 0] - c.offset[0])) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
+def test_window_angles_are_the_window_nodes_mapped_bitwise(name):
+    for c in builtin_atlas(name).charts:
+        got = tensor_points(c.window_angles())
+        assert got.tobytes() == c.from_chart(c.window.nodes()).tobytes()
 
 
 def test_circle_transition_is_shift_by_pi():

@@ -425,6 +425,23 @@ def test_curve_file_with_a_huge_lattice_resolution_exits_2(tmp_path, capsys, res
     assert not (tmp_path / "evolve.json").exists()
 
 
+def test_curve_file_whose_header_names_another_atlas_exits_2(tmp_path, capsys):
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import random_algebra_section, so3
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve
+
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(5))
+    doc = dump_curve(constant_curve(xi))
+    doc.update(atlas="torus4", atlas_hash="000000000000", lattice_resolution=7)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: curve key 'atlas' must be 'circle2', got 'torus4'\n"
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
     from mapgroups.atlas import circle_two_charts
     from mapgroups.groups import random_algebra_section, so3

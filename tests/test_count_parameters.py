@@ -110,6 +110,11 @@ ROWS = [
     pytest.param(lambda v: bracket_from_products(XI, XI, v), bad, "t",
                  id=f"bracket_from_products-t-{bad}")
     for bad in (0.0, -1e-3, math.nan, math.inf)
+] + [
+    # Not a count: the sup norm to scale to must be finite and >= 0.
+    pytest.param(lambda v: random_algebra_section(ATLAS, so3(), rng(), v), bad, "amplitude",
+                 id=f"random_algebra_section-amplitude-{bad}")
+    for bad in (-0.5, math.nan, math.inf, -math.inf)
 ]
 
 

@@ -23,7 +23,9 @@ from mapgroups.fields import (
     restrict_sampled,
     same_grid,
     sample,
+    sobolev_weights,
     synthesize,
+    tensor_points,
     tensor_transfer,
     wavenumber_squares,
 )
@@ -388,12 +390,73 @@ def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, real, 
         assert f.evaluate(pts).tobytes() == per_point_evaluate(f, pts).tobytes(), name
 
 
-def test_random_torus_section_is_bitwise_per_point(torus4, monkeypatch):
+def test_random_torus_section_is_bitwise_per_point(torus4):
     got = random_section(torus4, 3, np.random.default_rng(31))
-    monkeypatch.setattr(BandlimitedField, "evaluate", per_point_evaluate)
-    want = random_section(torus4, 3, np.random.default_rng(31))
-    for g, w in zip(got.pieces, want.pieces):
-        assert g.values.tobytes() == w.values.tobytes()
+    rng = np.random.default_rng(31)
+    shape = (3, 7, 7)  # order 3, random_section's default
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coef *= sobolev_weights(2, 3, -1.0)
+    poly = BandlimitedField(2, 3, coef, real=False)
+    for c, g in zip(torus4.charts, got.pieces):
+        want = per_point_evaluate(poly, c.from_chart(c.window.nodes())).real
+        assert g.values.tobytes() == want.tobytes()
+
+
+def wrapped_axis(start, count, step):
+    """An arithmetic run of angles taken mod 2*pi, so it may wrap past 0."""
+    return np.mod(start + step * np.arange(count), TWO_PI)
+
+
+ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def grid_axes(draw, m):
+    """Per-axis coordinates: wrapped runs, or unsorted draws with repeats."""
+    axes = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            count = draw(st.integers(1, 40))
+            step = draw(st.floats(min_value=1e-3, max_value=1.0))
+            axes.append(wrapped_axis(draw(ANGLES), count, step))
+        else:
+            axes.append(np.array(draw(st.lists(ANGLES, min_size=1, max_size=25))))
+    return axes
+
+
+def layout(a):
+    """Strides of the axes longer than 1, which fix the order of the elements."""
+    return [step for step, n in zip(a.strides, a.shape) if n > 1]
+
+
+@settings(max_examples=40)
+@given(
+    data=st.data(),
+    m=st.integers(1, 2),
+    components=st.integers(1, 4),
+    modes=st.integers(0, 6),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_evaluate_is_bitwise_evaluate_at_the_tensor_points(
+    data, m, components, modes, real, seed
+):
+    rng = np.random.default_rng(seed)
+    shape = (components,) + (2 * modes + 1,) * m
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = BandlimitedField(m, modes, hermitian_part(coeffs) if real else coeffs, real)
+    axes = data.draw(grid_axes(m))
+    got = f.evaluate_grid(axes)
+    want = f.evaluate(tensor_points(axes))
+    assert got.shape == want.shape == (int(np.prod([a.size for a in axes])), components)
+    # One layout too: reductions over a value row may group their sums by it.
+    assert got.dtype == want.dtype and layout(got) == layout(want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_evaluate_needs_one_axis_per_dimension():
+    with pytest.raises(ShapeMismatchError, match="axes"):
+        random_field(2, 2, 1, np.random.default_rng(0)).evaluate_grid([np.zeros(3)])
 
 
 def test_phase_and_wavenumber_helpers():

@@ -182,6 +182,46 @@ def test_su2_entry_vector_defect_equals_block_form_bitwise(batch):
         assert got.tobytes() == want.tobytes(), kind
 
 
+def su2_exp_reference(v):
+    """SU2 exp as first written: the sum of the cos(theta/2) identity stack
+    and the sinc(theta/2)-scaled algebra stack."""
+    theta = np.linalg.norm(v, axis=-1)
+    half = 0.5 * theta
+    small = theta < 1e-8
+    hs = np.where(small, 1.0, half)
+    sinc_half = np.where(small, 1.0 - half**2 / 6.0, np.sin(hs) / hs)
+    xi = np.tensordot(su2_real().basis, v, (0, -1))
+    eye = np.eye(4).reshape((4, 4) + (1,) * theta.ndim)
+    return np.cos(half) * eye + sinc_half * xi
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_su2_exp_is_bitwise_its_identity_stack_sum(seed):
+    """Sign bits included: rows at many scales, zero rows of either sign,
+    rows below the 1e-8 series switch, rows at the chart-ball radius and
+    rows with some coordinates exactly zero."""
+    g = su2_real()
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_normal((200, 3))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    radius = g.q_radius * np.array([1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9])
+    partial = rng.standard_normal((200, 3)) * rng.choice([1e-9, 1.0, 20.0], (200, 1))
+    partial[rng.random((200, 3)) < 0.4] = 0.0
+    partial[rng.random((200, 3)) < 0.2] = -0.0
+    rows = np.concatenate([
+        *(scale * rng.standard_normal((200, 3)) for scale in (1e-12, 1e-6, 0.3, 1.5, 5.0, 40.0)),
+        np.zeros((5, 3)), -np.zeros((5, 3)),
+        unit * rng.uniform(0.0, 1e-8, (200, 1)),
+        (unit[:, None, :] * radius[:, None]).reshape(-1, 3),
+        partial,
+    ])
+    rows = rng.permutation(rows)
+    for batch in (rows, rows[0], rows[:180].reshape(12, 15, 3)):
+        got, want = g.exp(batch), su2_exp_reference(batch)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_coordinate_pseudoinverse_built_once():
     for g in ALL_GROUPS:
         pinv = np.linalg.pinv(g.basis.reshape(g.algebra_dim, -1).T)
@@ -536,6 +576,19 @@ def test_adjoint_by_identity_fixes_direction(atlas):
     eta = random_algebra_section(atlas, g, rng)
     out = adjoint_operator(identity_group_section(atlas, g), eta)
     assert (out - eta).section.sup_norm() < 1e-12
+
+
+def test_random_algebra_section_scales_to_any_finite_amplitude(atlas):
+    g = su2_real()
+    zero = random_algebra_section(atlas, g, np.random.default_rng(3), amplitude=0.0)
+    assert zero.section.sup_norm() == 0.0
+    default = random_algebra_section(atlas, g, np.random.default_rng(3))
+    stated = random_algebra_section(atlas, g, np.random.default_rng(3), 0.9 * g.v_radius)
+    for p, q in zip(default.section.pieces, stated.section.pieces):
+        assert p.values.tobytes() == q.values.tobytes()
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(InputError, match=f"^amplitude must be finite and >= 0, got {bad}$"):
+            random_algebra_section(atlas, g, np.random.default_rng(3), amplitude=bad)
 
 
 def test_random_sections_stay_in_the_safe_ball(atlas):

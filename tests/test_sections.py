@@ -12,7 +12,7 @@ from mapgroups.errors import (
     InputError,
     ShapeMismatchError,
 )
-from mapgroups.fields import SampledField
+from mapgroups.fields import BandlimitedField, SampledField, sobolev_weights
 from mapgroups.sections import (
     Section,
     compatibility_defect,
@@ -136,6 +136,39 @@ def test_random_section_names_a_bad_count(kwargs, message):
     args = {"components": 1, **kwargs}
     with pytest.raises(InputError, match=message):
         random_section(circle_two_charts(), rng=np.random.default_rng(37), **args)
+
+
+def node_by_node_random_section(atlas, components, rng, order):
+    """random_section as first written: the polynomial evaluated at the
+    manifold point of each window node, ``from_chart`` of the window's nodes,
+    as section_from_function reached them."""
+    shape = (components,) + (2 * order + 1,) * atlas.m
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coef *= sobolev_weights(atlas.m, order, -1.0)
+    poly = BandlimitedField(atlas.m, order, coef, real=False)
+    pieces = tuple(
+        SampledField(c.window, poly.evaluate(c.from_chart(c.window.nodes())).real)
+        for c in atlas.charts
+    )
+    return Section(atlas, pieces)
+
+
+@pytest.mark.parametrize("name", ["circle2", "torus4"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_random_section_is_bitwise_its_node_by_node_form(name, order, components):
+    atlas = torus_four_charts() if name == "torus4" else circle_two_charts()
+    rng_new, rng_old = np.random.default_rng(order), np.random.default_rng(order)
+    got = random_section(atlas, components, rng_new, order)
+    want = node_by_node_random_section(atlas, components, rng_old, order)
+    for g, w in zip(got.pieces, want.pieces):
+        # One shape and node stride: reductions over a value row may group
+        # their sums by the layout.
+        assert g.values.shape == w.values.shape
+        assert g.values.strides[0] == w.values.strides[0]
+        assert g.values.tobytes() == w.values.tobytes()
+    # The generators are left in one state.
+    assert rng_new.integers(2**62) == rng_old.integers(2**62)
 
 
 # ---------------------------------------------------------------------------

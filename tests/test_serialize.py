@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,28 @@ def test_curve_sections_share_one_atlas():
     doc["sections"][1]["atlas_hash"] = "000000000000"
     with pytest.raises(InputError, match="000000000000"):
         load_curve(doc)
+
+
+@pytest.mark.parametrize(
+    "header, fault",
+    [
+        ({"atlas": "torus4", "atlas_hash": "000000000000", "lattice_resolution": 7},
+         "'atlas' must be 'circle2', got 'torus4'"),
+        ({"lattice_resolution": 7}, "'lattice_resolution' must be 257, got 7"),
+        ({"lattice_resolution": 257.0}, "'lattice_resolution' must be int, got float"),
+        ({"atlas_hash": "000000000000"},
+         "'atlas_hash' must be '6eb0321ad086', got '000000000000'"),
+    ],
+    ids=["all-three", "lattice", "lattice-float", "hash"],
+)
+def test_curve_header_states_its_atlas_only_as_its_sections_load(header, fault):
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
+    doc = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
+    with pytest.raises(InputError, match=f"^curve key {re.escape(fault)}$"):
+        load_curve({**doc, **header})
+    for key in ("atlas", "atlas_hash", "lattice_resolution"):
+        del doc[key]
+    assert load_curve(doc).atlas is builtin_atlas("circle2")
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
   weights, the bumps and validate_atlas on both builtin atlases;
 * hs_norm of a seeded surface field at orders 0, 1, 2 and 4 in both weight
   conventions, and sample on the full 129-node torus grid and on a torus4
-  chart window.
+  chart window;
+* the chart pieces of a seeded random_section on both builtin atlases, and
+  the SU2 exp of a seeded coordinate stack with zero rows and zero entries.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
 and partition transfers.
@@ -139,6 +141,14 @@ def library_rows(seed: int):
     window = mg.builtin_atlas("torus4").charts[0].window
     for name, grid in (("full", full), ("window", window)):
         yield f"s{seed}/sample/{name}", array_digest(mg.sample(field, grid).values)
+    for name in ("circle2", "torus4"):
+        sec = mg.random_section(mg.builtin_atlas(name), 3, np.random.default_rng(seed))
+        for j, p in enumerate(sec.pieces):
+            yield f"s{seed}/{name}/random_section/piece{j}", array_digest(p.values)
+    coords = np.random.default_rng(seed).standard_normal((4900, 3))
+    coords[::7] = 0.0
+    coords[3::11, 1] = 0.0
+    yield f"s{seed}/su2_exp", array_digest(mg.su2_real().exp(coords))
 
 
 def atlas_rows():
