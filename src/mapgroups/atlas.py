@@ -18,7 +18,14 @@ from itertools import product
 import numpy as np
 
 from .cutoffs import SmoothCutoff, bump_profile
-from .errors import ChartDomainError, CoverageError, InputError, check_count
+from .errors import (
+    ChartDomainError,
+    CoverageError,
+    InputError,
+    check_count,
+    check_name,
+    check_real,
+)
 from .fields import (
     TWO_PI,
     GridDomain,
@@ -71,8 +78,10 @@ class Chart:
     window: GridDomain = field(init=False)
 
     def __post_init__(self, resolution):
-        off = np.atleast_1d(np.asarray(self.offset, dtype=float))
+        off = np.array([check_real(x, "offset") for x in np.atleast_1d(self.offset)])
         object.__setattr__(self, "offset", off)
+        check_real(self.window_half, "window_half")
+        check_real(self.half_width, "half_width")
         if not 0.0 < self.window_half < self.half_width < PI:
             raise InputError(
                 "need 0 < window_half < half_width < pi for a proper chart"
@@ -182,6 +191,7 @@ class Atlas:
     def __post_init__(self):
         if len(self.charts) < 2:
             raise InputError("an atlas needs at least two charts")
+        check_real(self.plateau, "plateau", 0.0, 1.0, strict=True)
         lattices = sorted({c.window.resolution for c in self.charts})
         if len(lattices) > 1:
             raise InputError(f"chart windows lie on different lattices {lattices}")
@@ -383,14 +393,14 @@ def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
 
 def _corner_atlas(name, m, resolution, half_width, window_half, plateau) -> Atlas:
     """Charts at the offsets {0, pi}^m, axis 0 varying fastest."""
-    if not window_half - PI / 2 > MIN_OVERLAP:
-        raise InputError(
-            f"window_half must exceed pi/2 + {MIN_OVERLAP:g} so {2 ** m} charts cover {name}"
-        )
     charts = tuple(
         Chart(k, off[::-1], half_width, window_half, resolution)
         for k, off in enumerate(product((0.0, PI), repeat=m))
     )
+    if not window_half - PI / 2 > MIN_OVERLAP:
+        raise InputError(
+            f"window_half must exceed pi/2 + {MIN_OVERLAP:g} so {2 ** m} charts cover {name}"
+        )
     return Atlas(name, charts, plateau)
 
 
@@ -423,10 +433,7 @@ def builtin_atlas(name: str, resolution: int | None = None) -> Atlas:
     ``resolution=None`` means the builder's default, and gives the same
     instance as passing that default.
     """
-    if name not in BUILTIN_ATLASES:
-        raise InputError(
-            f"unknown atlas {name!r}; available: {sorted(BUILTIN_ATLASES)}"
-        )
+    check_name(name, BUILTIN_ATLASES, "atlas")
     if resolution is None:
         resolution = inspect.signature(BUILTIN_ATLASES[name]).parameters["resolution"].default
     return _shared_atlas(name, resolution)

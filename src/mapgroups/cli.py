@@ -28,7 +28,7 @@ from .domains import (
     monotone_descent_check,
     shrink_domain,
 )
-from .errors import InputError, NumericError, SolverError
+from .errors import InputError, NumericError, SolverError, check_count, check_name, check_real
 from .fields import random_field
 from .groups import (
     GROUP_BUILDERS,
@@ -108,31 +108,19 @@ class RunConfig:
     out: Path = Path("out")
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise InputError(f"modes must be >= 1, got {self.modes}")
-        if self.grid_factor < 2:
-            raise InputError(f"grid_factor must be >= 2, got {self.grid_factor}")
+        check_count(self.modes, "modes", 1)
+        check_count(self.grid_factor, "grid_factor", 2)
         if self.resolution > MAX_LATTICE_RESOLUTION:
             raise InputError(
                 f"grid_factor * modes + 1 must be at most {MAX_LATTICE_RESOLUTION}, "
                 f"got {self.resolution}"
             )
-        if self.atlas not in BUILTIN_ATLASES:
-            raise InputError(
-                f"unknown atlas {self.atlas!r}; "
-                f"choose from {sorted(BUILTIN_ATLASES)}"
-            )
-        if self.group not in GROUP_BUILDERS:
-            raise InputError(
-                f"unknown group {self.group!r}; "
-                f"choose from {sorted(GROUP_BUILDERS)}"
-            )
-        if self.convention not in CONVENTIONS:
-            raise InputError(f"unknown convention {self.convention!r}")
+        check_name(self.atlas, BUILTIN_ATLASES, "atlas")
+        check_name(self.group, GROUP_BUILDERS, "group")
+        check_name(self.convention, CONVENTIONS, "weight convention")
         for name, value in self.tolerances.items():
-            # Exact comparisons: a JSON integer may not fit a float.
-            if not 0 <= value <= sys.float_info.max:
-                raise InputError(f"tolerance {name!r} must be finite and >= 0")
+            check_name(name, TOLERANCE_NAMES, "tolerance")
+            check_real(value, f"tolerance {name!r}", 0.0)
 
     @property
     def resolution(self) -> int:
@@ -152,24 +140,11 @@ def load_config_file(path: Path) -> dict:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise InputError(f"{path}: unknown config keys {unknown}")
-    for key, kind in CONFIG_KEYS.items():
-        if key in doc and not json_is(doc[key], kind):
-            raise InputError(
-                f"{path}: config key {key!r} must be {kind.__name__}, got {doc[key]!r}"
-            )
-    for name, value in doc.get("tolerances", {}).items():
-        if not json_is(value, (int, float)):
-            raise InputError(
-                f"{path}: tolerance {name!r} must be a number, got {value!r}"
-            )
-        if name not in TOLERANCE_NAMES:
-            raise InputError(
-                f"{path}: unknown tolerance {name!r}; choose from {TOLERANCE_NAMES}"
-            )
     try:
+        for key, value in doc.items():
+            kind = CONFIG_KEYS[check_name(key, CONFIG_KEYS, "config key")]
+            if not json_is(value, kind):
+                raise InputError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         RunConfig(**{k: v for k, v in doc.items() if k != "out"})
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

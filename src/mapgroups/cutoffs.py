@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SupportError, check_count
+from .errors import InputError, SupportError, check_count, check_real
 from .fields import TWO_PI, BandlimitedField, GridDomain, SampledField, sample, synthesize
 
 
@@ -30,14 +30,13 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_profile(r: np.ndarray, plateau: float = 0.5) -> np.ndarray:
+def bump_profile(r: np.ndarray, plateau: float) -> np.ndarray:
     """1-D bump in the scaled radius r = |x - c| / radius.
 
     Equals 1 for r <= plateau, 0 for r >= 1, with a smooth exponential
     transition in between.
     """
-    if not 0.0 < plateau < 1.0:
-        raise InputError("plateau fraction must lie strictly between 0 and 1")
+    plateau = check_real(plateau, "plateau", 0.0, 1.0, strict=True)
     r = np.abs(np.asarray(r, dtype=float))
     return smooth_step((1.0 - r) / (1.0 - plateau))
 
@@ -59,16 +58,14 @@ class SmoothCutoff:
     plateau: float = 0.5
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        r = np.atleast_1d(np.asarray(self.radius, dtype=float))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
+        c, r = np.atleast_1d(self.center), np.atleast_1d(self.radius)
         if c.shape != r.shape or c.ndim != 1:
             raise InputError("center and radius must be 1-D arrays of equal length")
-        if np.any(r <= 0.0):
-            raise InputError("support radii must be positive")
-        if not 0.0 < self.plateau < 1.0:
-            raise InputError("plateau fraction must lie strictly between 0 and 1")
+        c = np.array([check_real(x, "center") for x in c])
+        r = np.array([check_real(x, "radius", 0.0, strict=True) for x in r])
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "radius", r)
+        check_real(self.plateau, "plateau", 0.0, 1.0, strict=True)
 
     @property
     def m(self) -> int:

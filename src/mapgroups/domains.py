@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .cutoffs import bump_profile
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_name, check_real
 
 GRADIENT_FLOOR = 1e-12
 
@@ -111,11 +111,7 @@ DOMAIN_BUILDERS = {"disc": disc, "ellipse": ellipse, "peanut": peanut}
 
 
 def domain_by_name(name: str) -> LevelSetDomain:
-    if name not in DOMAIN_BUILDERS:
-        raise InputError(
-            f"unknown domain {name!r}; available: {sorted(DOMAIN_BUILDERS)}"
-        )
-    return DOMAIN_BUILDERS[name]()
+    return DOMAIN_BUILDERS[check_name(name, DOMAIN_BUILDERS, "domain")]()
 
 
 def boundary_samples(
@@ -188,21 +184,18 @@ def flow(
     reduction, so a row flowed in a stack is bitwise equal to the same row
     flowed alone at its own time.  ``steps`` must be an integer >= 16.
     """
-    if not steps >= 16:  # NaN fails too
-        raise InputError("use at least 16 integration steps")
     steps = check_count(steps, "steps", 16)
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    times = np.asarray(t, dtype=float)
-    if times.ndim and times.shape != (len(pts),):
-        raise InputError(
-            f"per-row flow times must have shape ({len(pts)},) for "
-            f"{len(pts)} points, got shape {times.shape}"
-        )
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        row = f" in row {bad[0]}" if times.ndim else ""
-        raise InputError(f"flow time must be finite, got {times.flat[bad[0]]}{row}")
-    h = float(t) / steps if times.ndim == 0 else (times / steps)[:, None]
+    if np.ndim(t) == 0:
+        h = check_real(t, "t") / steps
+    else:
+        if np.shape(t) != (len(pts),):
+            raise InputError(
+                f"per-row flow times must have shape ({len(pts)},) for "
+                f"{len(pts)} points, got shape {np.shape(t)}"
+            )
+        times = np.array([check_real(x, f"t[{i}]") for i, x in enumerate(t)])
+        h = (times / steps)[:, None]
     for _ in range(steps):
         k1 = field(pts)
         k2 = field(pts + 0.5 * h * k1)
@@ -274,10 +267,9 @@ def shrink_domain(
     A nonpositive margin yields ``passed = False`` rather than an error.
     """
     samples = check_count(samples, "samples", 1)
-    if not np.isfinite(t0):
-        raise InputError(f"flow time must be finite, got {t0}")
+    t0 = check_real(t0, "t0")
     if t0 == 0.0:
-        raise InputError("flow time must be nonzero")
+        raise InputError("t0 must be nonzero")
     dom = field.domain
     pts = boundary_samples(dom, samples, rng)
     # Samples and anchors flow as one stack: rows [:samples], then anchors.
@@ -290,7 +282,7 @@ def shrink_domain(
     fixed_defect = float(np.abs(moved[samples:] - dom.anchors).max())
     return ShrinkCertificate(
         dom.name,
-        float(t0),
+        t0,
         steps,
         samples,
         margin,

@@ -1,5 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules every
+module asks: counts, real values and names."""
 
+import math
+import numbers
 import operator
 
 
@@ -57,3 +60,33 @@ def check_count(value, name: str, minimum: int) -> int:
     if count < minimum:
         raise InputError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def check_real(value, name: str, low=-math.inf, high=math.inf, strict=False) -> float:
+    """``value`` as a float; InputError naming ``name`` unless it is a real
+    number (a bool is not), finite, and in [low, high], or in (low, high)
+    when ``strict``.  An integer beyond the float range counts as infinite."""
+    # A float (NumPy's float64 is one) skips the slower abstract-class test.
+    if not isinstance(value, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(x) and (low < x < high if strict else low <= x <= high)):
+        rules = ["finite"] + [
+            f"{op} {bound:g}"
+            for op, bound in ((">" if strict else ">=", low), ("<" if strict else "<=", high))
+            if math.isfinite(bound)
+        ]
+        raise InputError(f"{name} must be {' and '.join(rules)}, got {x!r}")
+    return x
+
+
+def check_name(name, table, kind: str) -> str:
+    """``name``; InputError unless it is a string key of ``table``."""
+    if not isinstance(name, str) or name not in table:
+        raise InputError(f"unknown {kind} {name!r}; available: {sorted(table)}")
+    return name

@@ -24,6 +24,7 @@ from .errors import (
     InputError,
     ShapeMismatchError,
     check_count,
+    check_real,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -524,7 +525,8 @@ def random_field(
 ) -> BandlimitedField:
     """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
     components = check_count(components, "components", 1)
-    weights = sobolev_weights(m, modes, -decay / 2.0)
+    amplitude = check_real(amplitude, "amplitude", 0.0)
+    weights = sobolev_weights(m, modes, -check_real(decay, "decay") / 2.0)
     shape = (components,) + weights.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw *= amplitude * weights

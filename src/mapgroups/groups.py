@@ -11,7 +11,8 @@ Three groups are built in:
 
 Every group states a chart ball: ``log`` is trusted only inside radius
 ``q_radius`` (measured in algebra coordinates), and ``v_radius`` is small
-enough that products of two exponentials stay inside the chart ball.
+enough that the product of two exponentials of norms strictly below
+``v_radius`` stays inside the chart ball.
 
 Layout: group values are entry-first stacks ``(d, d, *nodes)``, entry
 ``g[i, j]`` one array over the nodes, and every node-wise matrix product
@@ -31,7 +32,14 @@ from typing import Callable
 import numpy as np
 
 from .atlas import Atlas, require_same_atlas
-from .errors import ChartDomainError, InputError, NumericError, ShapeMismatchError
+from .errors import (
+    ChartDomainError,
+    InputError,
+    NumericError,
+    ShapeMismatchError,
+    check_name,
+    check_real,
+)
 from .fields import SampledField, check_node_values
 from .sections import Section, random_section, require_compatible
 
@@ -368,11 +376,7 @@ GROUP_BUILDERS = {"SO3": so3, "SU2": su2_real, "UT2": upper_triangular2}
 
 
 def group_by_name(name: str) -> MatrixGroup:
-    if name not in GROUP_BUILDERS:
-        raise InputError(
-            f"unknown group {name!r}; available: {sorted(GROUP_BUILDERS)}"
-        )
-    return GROUP_BUILDERS[name]()
+    return GROUP_BUILDERS[check_name(name, GROUP_BUILDERS, "group")]()
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,8 +581,7 @@ def random_algebra_section(
     radius)."""
     if amplitude is None:
         amplitude = 0.9 * group.v_radius
-    elif not 0.0 <= amplitude < np.inf:  # NaN fails too
-        raise InputError(f"amplitude must be finite and >= 0, got {amplitude}")
+    amplitude = check_real(amplitude, "amplitude", 0.0)
     sec = random_section(atlas, group.algebra_dim, rng, order=2)
     scale = amplitude / max(sec.sup_norm(), 1e-12)
     return AlgebraSection(group, sec.scaled(scale))
@@ -590,6 +593,7 @@ def bch_residual(xi: AlgebraSection, eta: AlgebraSection, t: float) -> float:
     Compares log(exp(t xi) exp(t eta)) against
     t (xi + eta) + t^2/2 [xi, eta]; the remainder is cubic in t.
     """
+    t = check_real(t, "t")
     g = group_multiply(exp_section(xi.scaled(t)), exp_section(eta.scaled(t)))
     lg = log_section(g)
     model = (xi + eta).scaled(t) + bracket(xi, eta).scaled(0.5 * t * t)
@@ -613,8 +617,7 @@ def bracket_from_products(
     """Extract the bracket from small products:
     (log(exp(t xi) exp(t eta)) - log(exp(t eta) exp(t xi))) / t^2,
     accurate to O(t^2) because the cubic product terms are symmetric."""
-    if not 0.0 < t < np.inf:  # NaN fails too
-        raise InputError(f"t must be positive and finite, got {t}")
+    t = check_real(t, "t", 0.0, strict=True)
     a, b = exp_section(xi.scaled(t)), exp_section(eta.scaled(t))
     ab = log_section(group_multiply(a, b))
     ba = log_section(group_multiply(b, a))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import require_same_atlas
-from .errors import InputError, NumericError, ShapeMismatchError, check_count
+from .errors import InputError, NumericError, ShapeMismatchError, check_count, check_real
 from .fields import check_dimension, sobolev_weights
 from .groups import (
     RELATION_DEFECT_LIMIT,
@@ -36,7 +36,7 @@ from .groups import (
     node_product,
     require_same_group,
 )
-from .sobolev import check_convention, rellich_spectrum, weight_exponent
+from .sobolev import rellich_spectrum, weight_exponent
 
 # Critical-order estimation: the growth ratio compares partial sums over
 # RATIO_WINDOW doublings of the cutoff from RATIO_START, and bisection over
@@ -63,29 +63,18 @@ class SobolevLadder:
 
 
 def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
-    s0 = float(s0)
-    m = check_dimension(m)
-    if not m / 2.0 <= s0 < np.inf:
-        raise InputError(f"ladder base s0 must be finite and >= m/2 = {m / 2.0}, got {s0}")
+    """Rungs s0 + 1/j above a finite base ``s0 >= m/2``."""
+    s0 = check_real(s0, "s0", check_dimension(m) / 2.0)
     count = check_count(count, "count", 2)
     rungs = tuple(s0 + 1.0 / j for j in range(1, count + 1))
     return SobolevLadder(s0, rungs)
-
-
-def _check_decay(alpha) -> float:
-    """``alpha`` as a float; InputError unless it is positive and finite."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < np.inf:  # NaN fails too
-        raise InputError(f"decay exponent must be positive and finite, got {alpha}")
-    return alpha
 
 
 def decay_partial_norm_sq(
     alpha: float, s: float, modes: int, convention: str = "paper"
 ) -> float:
     """Squared order-s norm of the decay field truncated at ``modes`` (m=1)."""
-    check_convention(convention)
-    expo = weight_exponent(s, convention) - _check_decay(alpha)
+    expo = weight_exponent(s, convention) - check_real(alpha, "alpha", 0.0, strict=True)
     return float(np.sum(sobolev_weights(1, modes, expo)))
 
 
@@ -159,11 +148,9 @@ def rung_compactness_probe(
     The inclusion goes from the smaller exponent index to the larger one
     in the ladder order, i.e. from s_j down to s_{j+1} < s_j.
     """
-    if not 1 <= j < lad.count:  # NaN fails too
-        raise InputError(
-            f"rung index must satisfy 1 <= j < {lad.count}, got {j}"
-        )
     j = check_count(j, "j", 1)
+    if j >= lad.count:
+        raise InputError(f"j must be below the ladder's count {lad.count}, got {j}")
     s_fine = lad.rungs[j - 1]
     s_coarse = lad.rungs[j]
     sig = rellich_spectrum(s_fine, s_coarse, modes, m=m, convention=convention)
@@ -285,10 +272,6 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     projection cannot repair, or whose chart pieces fail the GroupSection
     construction checks, raises NumericError: the curve was valid input.
     """
-    if not steps >= curve.resolution:  # NaN fails too
-        raise InputError(
-            f"need at least {curve.resolution} steps for this time grid"
-        )
     steps = check_count(steps, "steps", curve.resolution)
     group = curve.group
     h = 1.0 / steps
@@ -317,14 +300,18 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
 
 
 def sup_entry_gap(pieces_a, pieces_b) -> float:
-    """Largest entry difference between two equally shaped piece tuples."""
-    return max(
-        float(np.abs(a - b).max()) for a, b in zip(pieces_a, pieces_b)
-    )
+    """Largest entry difference between two equally shaped piece tuples;
+    each difference takes its absolute value in place."""
+
+    def gap(a, b):
+        d = a - b
+        return float(np.abs(d, out=d).max())
+
+    return max(gap(a, b) for a, b in zip(pieces_a, pieces_b))
 
 
 def evolution_smoothness_probe(
-    curve: TimeSampledCurve, direction: AlgebraSection, steps: int = 64
+    curve: TimeSampledCurve, direction: AlgebraSection, steps: int
 ) -> float:
     """Log-log slope of central-difference convergence for the time-1 map.
 

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError, ShapeMismatchError
+from .errors import InputError, NumericError, ShapeMismatchError, check_real
 from .fields import TWO_PI, GridDomain, SampledField
 
 
@@ -30,7 +30,7 @@ class Diffeo:
 
 def torus_translation(m: int, shift) -> Diffeo:
     """Rigid rotation of the torus by a fixed shift vector."""
-    tau = np.atleast_1d(np.asarray(shift, dtype=float))
+    tau = np.array([check_real(x, "shift") for x in np.atleast_1d(shift)])
     if tau.size != m:
         raise InputError("shift must have one entry per axis")
     box = tuple((0.0, TWO_PI) for _ in range(m))

@@ -20,6 +20,8 @@ from .errors import (
     InputError,
     ShapeMismatchError,
     check_count,
+    check_name,
+    check_real,
 )
 from .fields import (
     BandlimitedField,
@@ -30,7 +32,7 @@ from .fields import (
     tensor_points,
     tensor_transfer,
 )
-from .sobolev import check_convention, check_order, min_norm_extension, hs_inner
+from .sobolev import CONVENTIONS, min_norm_extension, hs_inner
 
 # Largest overlap defect a family of chart pieces may have and still be
 # one section.
@@ -280,8 +282,8 @@ def hilbert_inner(
     doubles the node count per axis, which keeps the systems well
     conditioned; it is reported in the detail dictionary.
     """
-    s = check_order(s)
-    check_convention(convention)
+    s = check_real(s, "s", 0.0)
+    check_name(convention, CONVENTIONS, "weight convention")
     require_same_atlas(a.atlas, b.atlas, "sections")
     if a.components != b.components:
         raise ShapeMismatchError("component counts differ")

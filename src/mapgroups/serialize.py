@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import Atlas, atlas_descriptor, builtin_atlas
-from .errors import InputError
+from .errors import InputError, check_name
 from .fields import INTERP_POINTS, GridDomain, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
@@ -36,9 +36,7 @@ SECTION_INTERPOLATION = f"local-poly-{INTERP_POINTS}"
 
 
 def convention_tag(convention: str) -> str:
-    if convention not in CONVENTION_TAGS:
-        raise InputError(f"unknown weight convention {convention!r}")
-    return CONVENTION_TAGS[convention]
+    return CONVENTION_TAGS[check_name(convention, CONVENTION_TAGS, "weight convention")]
 
 
 def canonical_json(obj) -> str:
@@ -371,7 +369,7 @@ def load_curve(doc: dict) -> TimeSampledCurve:
     return curve
 
 
-def write_weighted_csv(path, columns, rows, convention: str = "paper") -> None:
+def write_weighted_csv(path, columns, rows, convention: str) -> None:
     """CSV of ``(key, value)`` rows, values as float reprs, under a convention tag."""
     lines = [f"# weight_exponent_convention={convention_tag(convention)}"]
     lines.append(",".join(columns))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, SolverError, check_count
+from .errors import InputError, SolverError, check_count, check_name, check_real
 from .fields import (
     BandlimitedField,
     GridDomain,
@@ -44,29 +44,16 @@ RESIDUAL_TOL = 1e-8
 FACTOR_CACHE_SIZE = 16
 
 
-def check_order(s) -> float:
-    s = float(s)
-    if not np.isfinite(s) or s < 0.0:
-        raise InputError(f"Sobolev order must be finite and >= 0, got {s}")
-    return s
-
-
-def check_convention(convention: str) -> str:
-    if convention not in CONVENTIONS:
-        raise InputError(
-            f"unknown weight convention {convention!r}; expected one of {CONVENTIONS}"
-        )
-    return convention
-
-
 def weight_exponent(s: float, convention: str = "paper") -> float:
-    check_convention(convention)
-    return 0.5 * s if convention == "paper" else float(s)
+    """Exponent e of the order-``s`` weights (1 + |k|^2)^e."""
+    s = check_real(s, "s", 0.0)
+    check_name(convention, CONVENTIONS, "weight convention")
+    return 0.5 * s if convention == "paper" else s
 
 
 def mode_weights(m: int, modes: int, s, convention: str = "paper") -> np.ndarray:
     """Weight lattice (1 + |k|^2)^e over all |k_d| <= modes."""
-    return sobolev_weights(m, modes, weight_exponent(check_order(s), convention))
+    return sobolev_weights(m, modes, weight_exponent(s, convention))
 
 
 def hs_inner(
@@ -101,8 +88,8 @@ def hs_norms(a: BandlimitedField, orders, convention: str = "paper") -> list[flo
 def _norms(a: BandlimitedField, orders, convention: str, caller: str) -> list[float]:
     if not a.real:
         raise InputError(f"{caller} expects a real-flagged field")
-    check_convention(convention)
-    exponents = [weight_exponent(check_order(s), convention) for s in orders]
+    check_name(convention, CONVENTIONS, "weight convention")
+    exponents = [weight_exponent(s, convention) for s in orders]
     w = sobolev_weight_rows(a.m, a.modes, exponents)
     c = a.coeffs.reshape(a.components, -1)
     terms = w[:, None, :] * c * np.conj(c)
@@ -209,8 +196,8 @@ def min_norm_extension(
     modes : int
         Cutoff of the extension.
     """
-    s = check_order(s)
-    check_convention(convention)
+    s = check_real(s, "s", 0.0)
+    check_name(convention, CONVENTIONS, "weight convention")
     modes = check_count(modes, "modes", 0)
     grid = v.domain
     ncoef = (2 * modes + 1) ** grid.m
@@ -249,8 +236,8 @@ def restriction_kernel_basis(
     SVD and every basis field is exactly symmetric.  The returned fields
     are orthonormal in the order-s inner product.
     """
-    s = check_order(s)
-    check_convention(convention)
+    s = check_real(s, "s", 0.0)
+    check_name(convention, CONVENTIONS, "weight convention")
     b, half = _weighted_real_system(grid, modes, s, convention)
     _, sig, vt = np.linalg.svd(b, full_matrices=True)
     tol = PINV_RCOND * (sig[0] if sig.size else 1.0)
@@ -283,8 +270,8 @@ def rellich_spectrum(
     ``(1 + |k|^2)^((t - s) * e / 2)`` with e the convention exponent,
     returned sorted in decreasing order (one entry per lattice mode).
     """
-    s = check_order(s)
-    t = check_order(t)
+    s = check_real(s, "s", 0.0)
+    t = check_real(t, "t", 0.0)
     if not s > t:
         raise InputError(f"need s > t >= 0, got s={s}, t={t}")
     ws = mode_weights(m, modes, s, convention)

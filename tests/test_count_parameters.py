@@ -171,7 +171,7 @@ VALUE_ROWS = [
                        ("short-list", [[0j, 1 + 0j]]),
                        ("nan-list", [[0j, complex(math.nan, 0.0), 0j]]))
 ] + [
-    pytest.param(call, bad, "decay exponent", id=f"{fn}-alpha-{bad}")
+    pytest.param(call, bad, "alpha", id=f"{fn}-alpha-{bad}")
     for fn, call in (("decay_partial_norm_sq", lambda v: decay_partial_norm_sq(v, 1.0, 8)),
                      ("critical_order_estimate", critical_order_estimate))
     for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)

@@ -141,7 +141,7 @@ def test_shrink_rejects_zero_time():
 
 
 def test_shrink_rejects_a_non_finite_time():
-    with pytest.raises(InputError, match="flow time must be finite, got nan"):
+    with pytest.raises(InputError, match="^t0 must be finite, got nan$"):
         shrink_domain(FlowField(disc()), float("nan"), samples=10,
                       rng=np.random.default_rng(0))
 
@@ -237,9 +237,9 @@ def test_stacked_shrink_certificate_matches_separate_flows_bitwise(name, t0):
 @pytest.mark.parametrize(
     "t, message",
     [
-        (float("nan"), "flow time must be finite, got nan$"),
-        (float("-inf"), "flow time must be finite, got -inf$"),
-        (np.array([0.1, np.nan, 0.1]), "flow time must be finite, got nan in row 1"),
+        (float("nan"), "^t must be finite, got nan$"),
+        (float("-inf"), "^t must be finite, got -inf$"),
+        (np.array([0.1, np.nan, 0.1]), r"^t\[1\] must be finite, got nan$"),
         (np.array([0.1, 0.1]), r"must have shape \(3,\) for 3 points, got shape \(2,\)"),
         (np.full((3, 1), 0.1), r"must have shape \(3,\) for 3 points, got shape \(3, 1\)"),
     ],

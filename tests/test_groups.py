@@ -106,6 +106,42 @@ def test_log_inverts_exp_at_the_ball_radii_property(group, radius, direction):
     assert err <= 1e-12, f"{group.name} at {radius}: |log(exp(v)) - v| = {err:.3e}"
 
 
+DIRECTION = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3)
+FRACTION = st.floats(min_value=0.0, max_value=1.0 - 1e-9)
+
+
+@settings(max_examples=60)
+@given(
+    group=st.sampled_from(ALL_GROUPS),
+    du=DIRECTION,
+    dv=DIRECTION,
+    fu=FRACTION,
+    fv=FRACTION,
+)
+def test_products_of_exponentials_below_v_radius_are_log_valid_property(
+    group, du, dv, fu, fv
+):
+    """exp(u) exp(v) stays in the chart ball for |u|, |v| strictly below
+    v_radius.  The largest norm drawn is (1 - 1e-9) v_radius: on the
+    collinear edge the product lies on the ball's boundary, where rounding
+    (about 1e-16 relative) decides ``log_valid`` either way."""
+    u, v = np.asarray(du), np.asarray(dv)
+    assume(np.linalg.norm(u) > 1e-3 and np.linalg.norm(v) > 1e-3)
+    u *= fu * group.v_radius / np.linalg.norm(u)
+    v *= fv * group.v_radius / np.linalg.norm(v)
+    assert group.log_valid(node_product(group.exp(u[None]), group.exp(v[None])))[0]
+
+
+@pytest.mark.parametrize("name, valid", [("SO3", False), ("SU2", False), ("UT2", True)])
+def test_the_product_of_two_collinear_exponentials_at_v_radius(name, valid):
+    """At |u| = |v| = v_radius in one direction, SO3 and SU2 land on the
+    boundary of their chart ball, which ``log_valid`` excludes: the bound
+    on the factors is strict."""
+    g = group_by_name(name)
+    u = np.array([[g.v_radius, 0.0, 0.0]])
+    assert g.log_valid(node_product(g.exp(u), g.exp(u)))[0] == valid
+
+
 def test_log_domain_guards():
     g = so3()
     # rotation by pi about the x axis sits outside the log ball

@@ -32,6 +32,7 @@ from mapgroups.limits import (
     evolve,
     ladder,
     rung_compactness_probe,
+    sup_entry_gap,
 )
 from mapgroups.serialize import dump_curve, load_curve
 
@@ -72,8 +73,8 @@ def test_ladder_takes_only_an_integer_count():
 @pytest.mark.parametrize(
     "s0, m, match",
     [
-        (float("nan"), 1, r"^ladder base s0 must be finite and >= m/2 = 0\.5, got nan$"),
-        (float("inf"), 1, r"^ladder base s0 must be finite and >= m/2 = 0\.5, got inf$"),
+        (float("nan"), 1, r"^s0 must be finite and >= 0\.5, got nan$"),
+        (float("inf"), 1, r"^s0 must be finite and >= 0\.5, got inf$"),
         (2.0, 3, r"^dimension m must be 1 or 2, got 3$"),
     ],
 )
@@ -408,6 +409,22 @@ def test_rk4_factor_matches_the_allocating_formula_bitwise(d):
         b4 = a4 + h * node_product(b3, a4)
         want = np.eye(d)[..., None] + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
         assert _rk4_factor(a1, a2, a4, h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sup_entry_gap_matches_the_allocating_formula_bitwise(d):
+    """The in-place absolute value gives the maximum of ``abs(a - b)``, NaN
+    included, and leaves both piece tuples as they were."""
+    rng = np.random.default_rng(70 + d)
+    pieces_a = tuple(rng.standard_normal((d, d, 40)) for _ in range(4))
+    pieces_b = tuple(rng.standard_normal((d, d, 40)) for _ in range(4))
+    pieces_b[2][0, 1, 7] = np.nan
+    for a, b in ((pieces_a, pieces_b), (pieces_a, pieces_b[:2]), (pieces_a, pieces_a)):
+        before = [p.tobytes() for p in a + b]
+        want = max(float(np.abs(x - y).max()) for x, y in zip(a, b))
+        got = sup_entry_gap(a, b)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert [p.tobytes() for p in a + b] == before
 
 
 @pytest.mark.parametrize("group_name", ["SO3", "SU2", "UT2"])

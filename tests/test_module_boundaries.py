@@ -1,7 +1,7 @@
 """Module boundaries: no package module imports a private name of another,
 the Sobolev weight lattice has one home, only the atlas module builds the
-builtin atlases, and every public name and dataclass field has a reader or
-a reason to stay."""
+builtin atlases, only the errors module words an unknown-name error, and
+every public name and dataclass field has a reader or a reason to stay."""
 
 import ast
 import re
@@ -87,6 +87,46 @@ def test_the_check_sees_a_builder_call(tmp_path):
     assert _calls(probe, *BUILDERS) == [
         "probe.py:3 calls torus_four_charts", "probe.py:4 calls circle_two_charts",
     ]
+
+
+def _unknown_name_raises(path: Path) -> list[str]:
+    """Raise statements whose message (first argument) starts with
+    ``unknown ``, as a string or as the first part of an f-string."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        first = node.exc.args[0] if node.exc.args else None
+        if isinstance(first, ast.JoinedStr) and first.values:
+            first = first.values[0]
+        if isinstance(first, ast.Constant) and str(first.value).startswith("unknown "):
+            found.append(f"{path.name}:{node.lineno} words an unknown name")
+    return found
+
+
+def test_only_the_errors_module_words_an_unknown_name():
+    """Every unknown-name error is errors.check_name's one message."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py")
+    found = [hit for path in modules for hit in _unknown_name_raises(path)]
+    assert not found, "\n".join(found)
+
+
+def test_the_check_sees_an_unknown_name_message(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def pick(name, table):\n"
+        "    if name not in table:\n"
+        "        raise InputError(f\"unknown group {name!r}\")\n"
+        "    if not name:\n"
+        "        raise KeyError('unknown key')\n"
+        "    raise ValueError('an unknown value', name)\n"
+    )
+    assert _unknown_name_raises(probe) == [
+        "probe.py:3 words an unknown name", "probe.py:5 words an unknown name",
+    ]
+    # The one message the guard allows is errors.check_name's.
+    (hit,) = _unknown_name_raises(PACKAGE / "errors.py")
+    assert hit.startswith("errors.py:")
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -134,7 +134,7 @@ def test_norms_check_every_order_and_take_none():
     f = cos_field()
     assert hs_norms(f, []) == []
     for bad in (float("nan"), -1.0):
-        with pytest.raises(InputError, match="Sobolev order must be finite and >= 0"):
+        with pytest.raises(InputError, match="^s must be finite and >= 0, got "):
             hs_norms(f, [1.0, bad])
     with pytest.raises(InputError, match="unknown weight convention"):
         hs_norms(f, [1.0], "mixed")
