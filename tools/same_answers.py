@@ -22,7 +22,11 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
   conventions, and sample on the full 129-node torus grid and on a torus4
   chart window;
 * the chart pieces of a seeded random_section on both builtin atlases, and
-  the SU2 exp of a seeded coordinate stack with zero rows and zero entries.
+  the SU2 exp of a seeded coordinate stack with zero rows and zero entries;
+* flow on each domain of a seeded point stack over its bounding box, which
+  spans the flow field's core, transition, plateau and outside, plus the
+  anchors; and cutoff_multiply of a seeded 3-component field on the
+  circle and on the torus.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
 and partition transfers.
@@ -48,6 +52,7 @@ from mapgroups import cli, serialize  # noqa: E402
 
 SEEDS = (0, 1)
 GROUPS = ("SO3", "SU2", "UT2")
+DOMAINS = ("disc", "ellipse", "peanut")
 CURVE_SAMPLES = 9
 
 
@@ -85,7 +90,7 @@ def cli_rows(seed: int, work: Path):
     base = ["--config", config(work, seed, "circle2", "SO3")]
     for command in ("verify-axioms", "norms", "extend", "ladder"):
         yield from run_cli(f"s{seed}/circle2/{command}", [*base, command], work)
-    for domain in ("disc", "ellipse", "peanut"):
+    for domain in DOMAINS:
         yield from run_cli(
             f"s{seed}/circle2/shrink-domain/{domain}", [*base, "shrink-domain", domain], work
         )
@@ -149,6 +154,17 @@ def library_rows(seed: int):
     coords[::7] = 0.0
     coords[3::11, 1] = 0.0
     yield f"s{seed}/su2_exp", array_digest(mg.su2_real().exp(coords))
+    for name in DOMAINS:
+        domain = mg.domain_by_name(name)
+        lows, highs = np.transpose(domain.bbox)
+        pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
+        pts = np.vstack([pts, domain.anchors])
+        moved = mg.flow(mg.FlowField(domain), pts, 0.25, 16)
+        yield f"s{seed}/{name}/flow", array_digest(moved)
+    for m, modes in ((1, 12), (2, 6)):
+        h = mg.SmoothCutoff(np.full(m, np.pi), np.full(m, 2.0))
+        field = mg.random_field(m, modes, 3, np.random.default_rng(seed))
+        yield f"s{seed}/cutoff_multiply/m{m}", array_digest(mg.cutoff_multiply(h, field).coeffs)
 
 
 def atlas_rows():
