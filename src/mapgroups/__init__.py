@@ -108,6 +108,7 @@ from .sobolev import (
     CONVENTION_TAGS,
     CONVENTIONS,
     extension_probe,
+    group_norms,
     hs_inner,
     hs_norm,
     hs_norms,

@@ -292,9 +292,8 @@ class BandlimitedField:
         )
 
     def scaled(self, factor: float) -> "BandlimitedField":
-        return BandlimitedField(
-            self.m, self.modes, float(factor) * self.coeffs, self.real
-        )
+        factor = check_real(factor, "factor")
+        return BandlimitedField(self.m, self.modes, factor * self.coeffs, self.real)
 
 
 def check_same_layout(a: BandlimitedField, b: BandlimitedField):
@@ -389,7 +388,8 @@ class SampledField:
         return self._binary(other, np.subtract)
 
     def scaled(self, factor: float) -> "SampledField":
-        return SampledField(self.domain, float(factor) * self.values, self.parent_modes)
+        factor = check_real(factor, "factor")
+        return SampledField(self.domain, factor * self.values, self.parent_modes)
 
 
 def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:

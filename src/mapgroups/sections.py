@@ -162,6 +162,7 @@ class Section:
         return self._binary(other, lambda a, b: a - b)
 
     def scaled(self, factor: float) -> "Section":
+        factor = check_real(factor, "factor")
         return Section(self.atlas, tuple(p.scaled(factor) for p in self.pieces))
 
     def sup_norm(self) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mapgroups.axioms import (
+    MU_MODES,
+    MU_ORDER,
     probe_cutoff_bound,
     probe_extend_by_zero,
     probe_pullback_functoriality,
@@ -11,6 +13,9 @@ from mapgroups.axioms import (
     run_axiom_suite,
 )
 from mapgroups.cli import RunConfig
+from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
+from mapgroups.fields import random_field
+from mapgroups.sobolev import hs_norm
 
 
 def test_superposition_probe_first_order():
@@ -47,6 +52,34 @@ def test_cutoff_bound_probe_compares_the_same_fields(seed):
     # differ only by the grid; separate draws differed by up to 6%.
     m = probe_cutoff_bound(np.random.default_rng(seed), trials=20).measures
     assert abs(m["bound_fine"] - m["bound_coarse"]) <= 1e-5 * m["bound_coarse"]
+
+
+def cutoff_bounds_field_by_field(rng, trials):
+    """axiom-MU's two bounds as they read before the fields were stacked:
+    one draw, one product and two norms per field and grid."""
+    h = SmoothCutoff(np.array([np.pi]), np.array([2.0]))
+    seed = rng.integers(0, 2**63)
+
+    def bound(oversample):
+        gen = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(trials):
+            g = random_field(1, MU_MODES, 1, gen)
+            denom = hs_norm(g, MU_ORDER)
+            if denom < 1e-12:
+                continue
+            prod = cutoff_multiply(h, g, oversample=oversample)
+            worst = max(worst, hs_norm(prod, MU_ORDER) / denom)
+        return worst
+
+    return bound(2), bound(4)
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 100), (1, 100), (5, 1), (9, 17)])
+def test_stacked_cutoff_bound_is_the_field_by_field_bound(seed, trials):
+    m = probe_cutoff_bound(np.random.default_rng(seed), trials=trials).measures
+    coarse, fine = cutoff_bounds_field_by_field(np.random.default_rng(seed), trials)
+    assert (m["bound_coarse"], m["bound_fine"]) == (coarse, fine)
 
 
 def test_suite_runs_all_four_and_is_reproducible():

@@ -3,7 +3,14 @@ import pytest
 
 from mapgroups.cutoffs import SmoothCutoff, bump_profile, cutoff_multiply, smooth_step
 from mapgroups.errors import InputError, SupportError
-from mapgroups.fields import BandlimitedField, random_field
+from mapgroups.fields import (
+    BandlimitedField,
+    GridDomain,
+    SampledField,
+    random_field,
+    sample,
+    synthesize,
+)
 from mapgroups.sobolev import hs_norm
 
 
@@ -92,3 +99,32 @@ def test_multiply_norm_bound_is_moderate():
             continue
         worst = max(worst, hs_norm(out, 1.0) / denom)
     assert worst < 3.0, f"operator ratio {worst:.3f}"
+
+
+def multiply_by_sampling(h, field, oversample):
+    """cutoff_multiply of one field as it read before stacking: sample,
+    multiply, resynthesize."""
+    out_modes = 2 * field.modes
+    grid = GridDomain.full_torus(field.m, oversample * (2 * out_modes + 1))
+    prod = sample(field, grid).values * h(grid.nodes())[:, None]
+    return synthesize(SampledField(grid, prod), out_modes)
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("m, modes", [(1, 12), (1, 3), (2, 4)])
+def test_multiply_of_a_stack_is_each_component_alone_bitwise(m, modes, oversample):
+    h = SmoothCutoff(center=np.full(m, np.pi), radius=np.full(m, 2.0))
+    f = random_field(m, modes, 5, np.random.default_rng(53 + m + modes))
+    stacked = cutoff_multiply(h, f, oversample).coeffs
+    for i in range(f.components):
+        one = BandlimitedField(m, modes, f.coeffs[i : i + 1])
+        alone = cutoff_multiply(h, one, oversample).coeffs
+        assert stacked[i : i + 1].tobytes() == alone.tobytes(), i
+        assert alone.tobytes() == multiply_by_sampling(h, one, oversample).coeffs.tobytes(), i
+
+
+def test_multiply_refuses_a_complex_field_as_sampling_does():
+    f = BandlimitedField(1, 2, np.ones((1, 5), dtype=complex), real=False)
+    h = SmoothCutoff(center=[np.pi], radius=[2.0])
+    with pytest.raises(InputError, match="^sampled values must be real floats$"):
+        cutoff_multiply(h, f)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from mapgroups.domains import (
     DOMAIN_BUILDERS,
+    FLOW_BAND,
+    FLOW_PLATEAU,
+    GRADIENT_FLOOR,
     DescentReport,
     FlowField,
     ShrinkCertificate,
@@ -249,3 +252,76 @@ def test_flow_rejects_bad_times(t, message):
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InputError, match=message):
         flow(FlowField(disc()), pts, t, steps=16)
+
+
+def reference_smooth_step(t):
+    """smooth_step as it read before its plateau fast path."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = a / (a + b)
+    return out
+
+
+def reference_level_grad(name, p):
+    """Each domain's (g, grad g) with the gradient built by column_stack."""
+    x, y = p[:, 0], p[:, 1]
+    if name == "disc":
+        return x**2 + y**2 - 1.0, 2.0 * p
+    if name == "ellipse":
+        g = (x / 2.0) ** 2 + (y / 1.0) ** 2 - 1.0
+        return g, np.column_stack([2.0 * x / 2.0**2, 2.0 * y / 1.0**2])
+    u1 = (x - 1.0) ** 2 + y**2
+    u2 = (x + 1.0) ** 2 + y**2
+    gx = 2.0 * (x - 1.0) * u2 + 2.0 * (x + 1.0) * u1
+    return u1 * u2 - 1.15**4, np.column_stack([gx, 2.0 * y * (u1 + u2)])
+
+
+def reference_flow_field(name, points):
+    """FlowField as it read before the fused form: np.linalg.norm of the
+    gradient and bump_profile's formula over every row."""
+    gv, gr = reference_level_grad(name, points)
+    nrm = np.maximum(np.linalg.norm(gr, axis=1), GRADIENT_FLOOR)
+    r = np.abs(np.abs(gv) / FLOW_BAND)
+    xi = reference_smooth_step((1.0 - r) / (1.0 - FLOW_PLATEAU))
+    return -(xi / nrm)[:, None] * gr
+
+
+def onto_level(domain, pts, level):
+    """Newton steps along the gradient towards g = level; the rows that
+    reach it to 1e-12."""
+    for _ in range(40):
+        g, grad = domain.evaluate(pts)
+        pts = pts - ((g - level) / np.sum(grad * grad, axis=1))[:, None] * grad
+    return pts[np.abs(domain.level(pts) - level) < 1e-12]
+
+
+# The level values where the field changes regime: the band edge and the
+# plateau edge, inside and outside the domain.
+EDGE_LEVELS = [s * e for s in (1.0, -1.0) for e in (FLOW_BAND, FLOW_PLATEAU * FLOW_BAND)]
+
+
+@settings(max_examples=30)
+@given(
+    name=st.sampled_from(sorted(DOMAIN_BUILDERS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    nudge=st.floats(min_value=-1e-9, max_value=1e-9, allow_subnormal=False),
+)
+def test_flow_field_is_bitwise_the_reference_formula(name, seed, nudge):
+    d = domain_by_name(name)
+    (xlo, xhi), (ylo, yhi) = d.bbox
+    rng = np.random.default_rng(seed)
+    # Points anywhere in the box (core, band and outside), points on and
+    # just off each edge level, the anchors and the origin, where the
+    # gradient of the disc and of the peanut is below GRADIENT_FLOOR.
+    box = np.column_stack([rng.uniform(xlo, xhi, 24), rng.uniform(ylo, yhi, 24)])
+    edges = [onto_level(d, box[np.abs(box).sum(axis=1) > 0.3], c) for c in EDGE_LEVELS]
+    pts = np.vstack([box, *edges, *(e * (1.0 + nudge) for e in edges), d.anchors, [[0.0, 0.0]]])
+    scaled = np.abs(d.level(pts)) / FLOW_BAND
+    assert all(e.size for e in edges) and np.any((scaled > FLOW_PLATEAU) & (scaled < 1.0))
+    assert same_bytes(FlowField(d)(pts), reference_flow_field(name, pts))
+    assert same_bytes(d.evaluate(pts)[1], reference_level_grad(name, pts)[1])

@@ -107,6 +107,9 @@ REALS = [
     ("circle_two_charts", "window_half",
      lambda v: circle_two_charts(65, window_half=v), -INF, INF, False),
     ("torus_translation", "shift", lambda v: torus_translation(2, [0.5, v]), -INF, INF, False),
+    ("BandlimitedField.scaled", "factor", lambda v: FIELD.scaled(v), -INF, INF, False),
+    ("SampledField.scaled", "factor", lambda v: DATA.scaled(v), -INF, INF, False),
+    ("Section.scaled", "factor", lambda v: SECTION.scaled(v), -INF, INF, False),
     ("RunConfig", "tolerance 'bracket'",
      lambda v: RunConfig(tolerances={"bracket": v}), 0.0, INF, False),
 ]

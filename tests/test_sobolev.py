@@ -16,6 +16,7 @@ from mapgroups.fields import (
 from mapgroups.sobolev import (
     CONVENTION_TAGS,
     extension_probe,
+    group_norms,
     hs_inner,
     hs_norm,
     hs_norms,
@@ -130,6 +131,35 @@ def test_norms_at_random_orders_are_bitwise_the_reference(
     assert np.array(hs_norms(f, orders, convention)).tobytes() == np.array(want).tobytes()
 
 
+@settings(max_examples=40)
+@given(
+    m=st.integers(1, 2),
+    modes=st.integers(0, 8),
+    size=st.integers(1, 3),
+    groups=st.integers(1, 6),
+    convention=st.sampled_from(["paper", "standard"]),
+    s=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_norms_are_bitwise_hs_norm_of_each_group(m, modes, size, groups, convention, s, seed):
+    f = random_field(m, modes, size * groups, np.random.default_rng(seed))
+    got = group_norms(f, s, size, convention)
+    want = [
+        hs_norm(BandlimitedField(m, modes, f.coeffs[i : i + size]), s, convention)
+        for i in range(0, f.components, size)
+    ]
+    assert type(got) is list and all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_group_norms_need_whole_groups():
+    f = random_field(1, 4, 3, np.random.default_rng(5))
+    with pytest.raises(InputError, match="^3 components do not split into groups of 2$"):
+        group_norms(f, 1.0, 2)
+    with pytest.raises(InputError, match="^size must be >= 1, got 0$"):
+        group_norms(f, 1.0, 0)
+
+
 def test_norms_check_every_order_and_take_none():
     f = cos_field()
     assert hs_norms(f, []) == []
@@ -232,6 +262,66 @@ def test_extension_probe_smoke():
     assert out["max_interp_residual"] < 1e-8
     assert out["max_kernel_overlap"] < 1e-10
     assert out["min_minimality_margin"] >= -1e-12
+
+
+def extension_probe_rival_by_rival(
+    rng, instances=20, competitors=50, modes=32, resolution=129, convention="paper"
+):
+    """extension_probe as it read before its rivals were stacked: one
+    draw, one field and one norm per rival."""
+    worst_residual = worst_overlap = 0.0
+    min_margin = np.inf
+    width_hi = min(3.0, 0.85 * 2.0 * np.pi * (2 * modes + 1) / resolution)
+    for _ in range(instances):
+        s = float(rng.uniform(0.5, 3.0))
+        lo = float(rng.uniform(0.1, 2.5))
+        width = float(rng.uniform(0.5 * width_hi, width_hi))
+        grid = GridDomain.box(((lo, lo + width),), resolution)
+        data = sample(random_field(1, modes, 2, rng), grid)
+        ext = min_norm_extension(data, s, modes, convention=convention)
+        resid = float(np.abs(ext.evaluate(grid.nodes()) - data.values).max())
+        worst_residual = max(worst_residual, resid / max(1.0, float(np.abs(data.values).max())))
+        kernel = restriction_kernel_basis(grid, s, modes, convention=convention)
+        norm_ext = hs_norm(ext, s, convention)
+        for kb in kernel:
+            kn = hs_norm(kb, s, convention)
+            if kn < 1e-14:
+                continue
+            for i in range(ext.components):
+                comp = BandlimitedField(1, modes, ext.coeffs[i : i + 1])
+                overlap = abs(hs_inner(comp, kb, s, convention)) / (kn * max(1.0, norm_ext))
+                worst_overlap = max(worst_overlap, overlap)
+        if not kernel:
+            continue
+        kernel_coeffs = np.stack([kb.coeffs[0] for kb in kernel])
+        for _ in range(competitors):
+            mix = rng.standard_normal((ext.components, len(kernel)))
+            pert = np.tensordot(mix, kernel_coeffs, axes=1)
+            rival = BandlimitedField(1, modes, ext.coeffs + pert, real=True)
+            min_margin = min(min_margin, hs_norm(rival, s, convention) - norm_ext)
+    return {
+        "instances": instances,
+        "competitors": competitors,
+        "max_interp_residual": worst_residual,
+        "max_kernel_overlap": worst_overlap,
+        "min_minimality_margin": float(min_margin),
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, kwargs",
+    [
+        (0, {}),
+        (1, {"convention": "standard"}),
+        (2, {"instances": 4, "competitors": 7, "modes": 12, "resolution": 49}),
+        (3, {"instances": 5, "competitors": 1, "modes": 9, "resolution": 41}),
+    ],
+)
+def test_stacked_rivals_reproduce_the_rival_by_rival_probe(seed, kwargs):
+    got = extension_probe(np.random.default_rng(seed), **kwargs)
+    want = extension_probe_rival_by_rival(np.random.default_rng(seed), **kwargs)
+    assert got == want
+    assert all(type(v) is type(want[k]) for k, v in got.items())
 
 
 # ---------------------------------------------------------------------------
