@@ -328,9 +328,11 @@ def extension_probe(
         lo = float(rng.uniform(0.1, 2.5))
         width = float(rng.uniform(0.5 * width_hi, width_hi))
         grid = GridDomain.box(((lo, lo + width),), resolution)
-        data = sample(random_field(1, modes, 2, rng), grid)
+        gamma = random_field(1, modes, 2, rng)
+        data = sample(gamma, grid)
         ext = min_norm_extension(data, s, modes, convention=convention)
-        resid = float(np.abs(ext.evaluate(grid.nodes()) - data.values).max())
+        nodes = grid.nodes()
+        resid = float(np.abs(ext.evaluate(nodes) - data.values).max())
         scale = max(1.0, float(np.abs(data.values).max()))
         worst_residual = max(worst_residual, resid / scale)
 

@@ -40,6 +40,7 @@ from mapgroups.limits import (
 from mapgroups.sections import random_section
 from mapgroups.sobolev import (
     extension_probe,
+    group_norms,
     min_norm_extension,
     rellich_spectrum,
     restriction_kernel_basis,
@@ -99,6 +100,7 @@ COUNTS = [
     ("Atlas.overlap_samples", lambda v: ATLAS.overlap_samples(0, 1, v), "per_axis", 1),
     ("validate_atlas", lambda v: validate_atlas(ATLAS, v), "overlap_per_axis", 1),
     ("probe_cutoff_bound", lambda v: probe_cutoff_bound(rng(), trials=v), "trials", 1),
+    ("group_norms", lambda v: group_norms(BANDLIMITED, 1.0, v), "size", 1),
 ]
 
 ROWS = [

@@ -36,6 +36,7 @@ from mapgroups.maps import torus_translation
 from mapgroups.sections import hilbert_inner, random_section
 from mapgroups.serialize import convention_tag
 from mapgroups.sobolev import (
+    group_norms,
     hs_inner,
     hs_norm,
     hs_norms,
@@ -70,6 +71,7 @@ REALS = [
     ("hs_inner", "s", lambda v: hs_inner(FIELD, FIELD, v), 0.0, INF, False),
     ("hs_norm", "s", lambda v: hs_norm(FIELD, v), 0.0, INF, False),
     ("hs_norms", "s", lambda v: hs_norms(FIELD, [1.0, v]), 0.0, INF, False),
+    ("group_norms", "s", lambda v: group_norms(FIELD, v, 1), 0.0, INF, False),
     ("min_norm_extension", "s", lambda v: min_norm_extension(DATA, v, 8), 0.0, INF, False),
     ("restriction_kernel_basis", "s",
      lambda v: restriction_kernel_basis(WINDOW, v, 8), 0.0, INF, False),
