@@ -26,7 +26,10 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
 * flow on each domain of a seeded point stack over its bounding box, which
   spans the flow field's core, transition, plateau and outside, plus the
   anchors; and cutoff_multiply of a seeded 3-component field on the
-  circle and on the torus.
+  circle and on the torus;
+* the restriction_kernel_basis coefficients of a seeded circle window and
+  a seeded torus window, each with a nonempty kernel, in both weight
+  conventions.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
 and partition transfers.
@@ -165,6 +168,20 @@ def library_rows(seed: int):
         h = mg.SmoothCutoff(np.full(m, np.pi), np.full(m, 2.0))
         field = mg.random_field(m, modes, 3, np.random.default_rng(seed))
         yield f"s{seed}/cutoff_multiply/m{m}", array_digest(mg.cutoff_multiply(h, field).coeffs)
+    rng = np.random.default_rng(seed)
+    for m, modes, resolution in ((1, 20, 129), (2, 4, 33)):
+        lows = rng.uniform(0.1, 2.5, size=m)
+        window = [(lo, lo + w) for lo, w in zip(lows, rng.uniform(1.0, 1.5, size=m))]
+        grid = mg.GridDomain.box(window, resolution)
+        s = float(rng.uniform(0.5, 3.0))
+        for convention in mg.CONVENTIONS:
+            kernel = mg.restriction_kernel_basis(grid, s, modes, convention)
+            # Older checkouts return the kernel as a list of one-component fields.
+            if isinstance(kernel, list):
+                coeffs = np.concatenate([q.coeffs for q in kernel])
+            else:
+                coeffs = kernel.coeffs
+            yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", array_digest(coeffs)
 
 
 def atlas_rows():
