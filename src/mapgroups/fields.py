@@ -41,7 +41,8 @@ class GridDomain:
     node coordinate ``2*pi*i/resolution[d]`` lies inside the window.  The
     masked node set is the Cartesian product of the per-axis index sets,
     enumerated in C order.  ``resolution`` is stored as a tuple of checked
-    counts, so grids given it as a list or a tuple compare equal.
+    counts and ``window`` as a tuple of float (lo, hi) pairs, one per axis,
+    so grids given them as lists or tuples compare equal.
     """
 
     m: int
@@ -52,6 +53,7 @@ class GridDomain:
     def __post_init__(self):
         object.__setattr__(self, "m", check_dimension(self.m))
         object.__setattr__(self, "resolution", _resolution_tuple(self.resolution, self.m))
+        object.__setattr__(self, "window", _window_tuple(self.window, self.m))
         if len(self.axis_indices) != self.m:
             raise InputError("per-axis data does not match dimension")
         if not self.is_full_torus:
@@ -107,9 +109,7 @@ class GridDomain:
 
     def subwindow(self, window) -> "GridDomain":
         """Sub-box of this window on the same lattice (exact node subset)."""
-        box = tuple((float(lo), float(hi)) for lo, hi in window)
-        if len(box) != self.m:
-            raise InputError(f"window needs one (lo, hi) pair per axis, got {box!r}")
+        box = _window_tuple(window, self.m)
         for lo, hi in box:
             if not (0.0 <= lo < hi <= TWO_PI):
                 raise InputError(f"window ({lo}, {hi}) not inside [0, 2*pi)")
@@ -166,6 +166,13 @@ def _resolution_tuple(resolution, m):
     if len(res) != m:
         raise InputError("resolution needs one entry per axis")
     return res
+
+
+def _window_tuple(window, m):
+    box = tuple((float(lo), float(hi)) for lo, hi in window)
+    if len(box) != m:
+        raise InputError(f"window needs one (lo, hi) pair per axis, got {box!r}")
+    return box
 
 
 def same_grid(a: GridDomain, b: GridDomain) -> bool:

@@ -197,7 +197,6 @@ def load_grid(doc: dict) -> GridDomain:
     if mask.shape != (int(np.prod(res)),):
         raise InputError(f"mask of shape {mask.shape} does not fit grid {list(res)}")
     mask = mask.reshape(res)
-    window = tuple((float(lo), float(hi)) for lo, hi in window)
     axis_idx = []
     for d in range(m):
         other = tuple(i for i in range(m) if i != d)

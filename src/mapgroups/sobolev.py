@@ -107,9 +107,10 @@ def _norms(a: BandlimitedField, orders, convention: str, caller: str, groups: in
     check_name(convention, CONVENTIONS, "weight convention")
     exponents = [weight_exponent(s, convention) for s in orders]
     w = sobolev_weight_rows(a.m, a.modes, exponents)
-    c = a.coeffs.reshape(a.components, -1)
+    c = a.coeffs.reshape(a.components, w.shape[1])
     terms = w[:, None, :] * c * np.conj(c)
-    totals = terms.reshape(len(exponents), groups, c.size // groups).sum(axis=2)
+    # A field with no components has norm 0 and no groups.
+    totals = terms.reshape(len(exponents), groups, c.size // max(groups, 1)).sum(axis=2)
     return np.sqrt(np.maximum(totals.real, 0.0)).tolist()
 
 
@@ -198,7 +199,9 @@ def min_norm_extension(
     Euclidean, so the truncated pseudoinverse solution is the minimizer
     and is orthogonal to every band-limited field vanishing on the nodes
     (the kernel returned by ``restriction_kernel_basis``, which cuts the
-    same decomposition at the same singular-value floor, ``PINV_RCOND``).
+    same weighted system at the same singular-value floor, ``PINV_RCOND``,
+    but from its own full SVD: that one is not bitwise this cached thin
+    SVD, so the two are not shared).
     The achieved node residual must be at most ``RESIDUAL_TOL`` times
     max(1, data sup); a larger one raises SolverError.
 
@@ -244,32 +247,23 @@ def min_norm_extension(
 
 def restriction_kernel_basis(
     grid: GridDomain, s, modes: int, convention: str = "paper"
-) -> list[BandlimitedField]:
-    """Real band-limited fields vanishing at every masked node.
+) -> BandlimitedField:
+    """Real band-limited field whose components span the fields vanishing
+    at every masked node.
 
     The Hermitian-symmetric coefficient subspace is parametrized by real
     cosine/sine pair coordinates, so the null space comes from one real
-    SVD and every basis field is exactly symmetric.  The returned fields
-    are orthonormal in the order-s inner product.
+    SVD and every component is exactly symmetric.  The components are
+    orthonormal in the order-s inner product; a trivial kernel gives a
+    field with no components.
     """
     s = check_real(s, "s", 0.0)
     check_name(convention, CONVENTIONS, "weight convention")
     b, half = _weighted_real_system(grid, modes, s, convention)
     _, sig, vt = np.linalg.svd(b, full_matrices=True)
-    tol = PINV_RCOND * (sig[0] if sig.size else 1.0)
-    rank = int(np.sum(sig > tol))
-    rows = vt[rank:]
-    width = 2 * modes + 1
-    lattice = (width,) * grid.m
-    return [
-        BandlimitedField(
-            grid.m,
-            modes,
-            _real_coords_to_coeffs(r, half).reshape((1,) + lattice),
-            real=True,
-        )
-        for r in rows
-    ]
+    rows = vt[int(np.sum(sig > PINV_RCOND * sig[0])) :]
+    coeffs = _real_coords_to_coeffs(rows, half).reshape((-1,) + (2 * modes + 1,) * grid.m)
+    return BandlimitedField(grid.m, modes, coeffs)
 
 
 def rellich_spectrum(
@@ -337,23 +331,23 @@ def extension_probe(
         worst_residual = max(worst_residual, resid / scale)
 
         kernel = restriction_kernel_basis(grid, s, modes, convention=convention)
-        if not kernel:
+        if not kernel.components:
             continue
         norm_ext = hs_norm(ext, s, convention)
-        # The kernel fields, and then the rivals, are measured as one stack
-        # by the sums of hs_inner and hs_norm, so every number is bitwise
-        # the one a field-by-field loop takes.
-        kernel_field = BandlimitedField(1, modes, np.concatenate([kb.coeffs for kb in kernel]))
-        kn = np.array(group_norms(kernel_field, s, 1, convention))
+        # The kernel components, and then the rivals, are measured as one
+        # stack by the sums of hs_inner and hs_norm, so every number is
+        # bitwise the one a field-by-field loop takes.
+        kn = np.array(group_norms(kernel, s, 1, convention))
         w = mode_weights(1, modes, s, convention)
-        inner = np.sum(w * ext.coeffs[:, None] * np.conj(kernel_field.coeffs), axis=2).real
+        inner = np.sum(w * ext.coeffs[:, None] * np.conj(kernel.coeffs), axis=2).real
         keep = kn >= 1e-14
         overlaps = np.abs(inner[:, keep]) / (kn[keep] * max(1.0, norm_ext))
         worst_overlap = max([worst_overlap, *overlaps.ravel().tolist()])
-        # One draw is the stream of one (components, kernel) draw per rival.
-        mix = rng.standard_normal((competitors, ext.components, len(kernel)))
-        rivals = [ext.coeffs + np.tensordot(row, kernel_field.coeffs, axes=1) for row in mix]
-        stack = BandlimitedField(1, modes, np.concatenate(rivals), real=True)
+        # One draw is the stream of one (components, kernel) draw per rival,
+        # and the stacked matmul is bitwise one product per rival.
+        mix = rng.standard_normal((competitors, ext.components, kernel.components))
+        rivals = ext.coeffs + mix @ kernel.coeffs
+        stack = BandlimitedField(1, modes, rivals.reshape(-1, rivals.shape[-1]))
         norms = group_norms(stack, s, ext.components, convention)
         min_margin = min(min_margin, *(n - norm_ext for n in norms))
     return {

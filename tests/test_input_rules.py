@@ -23,7 +23,7 @@ from mapgroups.cli import RunConfig, load_config_file
 from mapgroups.cutoffs import SmoothCutoff, bump_profile
 from mapgroups.domains import FlowField, disc, domain_by_name, flow, shrink_domain
 from mapgroups.errors import InputError, check_name, check_real
-from mapgroups.fields import GridDomain, random_field, sample
+from mapgroups.fields import GridDomain, SampledField, random_field, same_grid, sample
 from mapgroups.groups import (
     bch_residual,
     bracket_from_products,
@@ -34,7 +34,7 @@ from mapgroups.groups import (
 from mapgroups.limits import critical_order_estimate, decay_partial_norm_sq, ladder
 from mapgroups.maps import torus_translation
 from mapgroups.sections import hilbert_inner, random_section
-from mapgroups.serialize import convention_tag
+from mapgroups.serialize import convention_tag, dump_sampled, load_sampled
 from mapgroups.sobolev import (
     group_norms,
     hs_inner,
@@ -191,6 +191,30 @@ def test_an_unknown_config_key_names_the_file_and_the_key(tmp_path, key):
     with pytest.raises(InputError) as caught:
         load_config_file(path)
     assert str(caught.value).startswith(f"{path}: unknown config key {key!r}; available: [")
+
+
+IDX = np.arange(10, 20)
+
+
+@pytest.mark.parametrize(
+    "m, window, axes",
+    [
+        (2, ((0.4, 1.0),), (IDX, IDX)),
+        (1, ((0.4, 1.0), (0.1, 0.2)), (IDX,)),
+        (1, (), (IDX,)),
+    ],
+)
+def test_a_grid_window_needs_one_pair_per_axis(m, window, axes):
+    with pytest.raises(InputError, match=r"^window needs one \(lo, hi\) pair per axis, got "):
+        GridDomain(m, 129, window, axes)
+
+
+def test_a_grid_stores_its_window_as_float_pairs():
+    grid = GridDomain(1, 129, [[0.4, 1]], (IDX,))
+    assert grid.window == ((0.4, 1.0),)
+    assert all(type(x) is float for pair in grid.window for x in pair)
+    loaded = load_sampled(dump_sampled(SampledField(grid, np.ones((10, 1))))).domain
+    assert same_grid(loaded, grid) and same_grid(grid, GridDomain(1, 129, ((0.4, 1.0),), (IDX,)))
 
 
 REAL_BOUNDS = st.sampled_from([(-INF, INF), (0.0, INF), (0.5, INF), (0.0, 1.0)])

@@ -15,6 +15,10 @@ from mapgroups.fields import (
 )
 from mapgroups.sobolev import (
     CONVENTION_TAGS,
+    CONVENTIONS,
+    PINV_RCOND,
+    _real_coords_to_coeffs,
+    _weighted_real_system,
     extension_probe,
     group_norms,
     hs_inner,
@@ -180,6 +184,17 @@ def test_norm_of_a_complex_field_names_the_function_called(name, call):
         call(f)
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_field_with_no_components_has_zero_norms_and_no_groups(m, convention):
+    empty = BandlimitedField(m, 3, np.zeros((0,) + (7,) * m, dtype=complex))
+    norm = hs_norm(empty, 1.5, convention)
+    assert type(norm) is float and norm == 0.0
+    assert hs_norms(empty, [0.0, 1.0, 2.5], convention) == [0.0, 0.0, 0.0]
+    assert group_norms(empty, 1.5, 1, convention) == []
+    assert group_norms(empty, 1.5, 3, convention) == []
+
+
 # ---------------------------------------------------------------------------
 # minimal-norm extension
 
@@ -187,6 +202,20 @@ def test_norm_of_a_complex_field_names_the_function_called(name, call):
 def window_grid():
     # 23 nodes: cutoffs of 11 or more leave free coefficients
     return GridDomain.box(((0.7, 2.9),), 65)
+
+
+def lattice_window(n, resolution=82):
+    """The circle window holding exactly lattice nodes 1 to n."""
+    step = 2 * np.pi / resolution
+    return GridDomain(1, resolution, ((0.5 * step, (n + 0.5) * step),), (np.arange(1, n + 1),))
+
+
+def kernel_components(kernel):
+    """The components of a kernel field, each as a one-component field."""
+    return [
+        BandlimitedField(kernel.m, kernel.modes, kernel.coeffs[i : i + 1])
+        for i in range(kernel.components)
+    ]
 
 
 def test_extension_of_zero_data_is_zero():
@@ -220,8 +249,8 @@ def test_extension_interpolates_and_is_minimal():
         assert node_err < 1e-9, f"trial {trial}: node residual {node_err:.3e}"
         base = hs_norm(ext, s)
         kernel = restriction_kernel_basis(g, s, modes)
-        assert kernel, "window should leave free coefficients at this cutoff"
-        for q in kernel[:6]:
+        assert kernel.components, "window should leave free coefficients at this cutoff"
+        for q in kernel_components(kernel)[:6]:
             coef = float(rng.standard_normal())
             rival = ext + q.scaled(coef)
             assert hs_norm(rival, s) >= base - 1e-12
@@ -232,7 +261,7 @@ def test_extension_orthogonal_to_vanishing_fields():
     g = window_grid()
     f = random_field(1, 4, 1, rng)
     ext = min_norm_extension(sample(f, g), 2.0, 14)
-    for q in restriction_kernel_basis(g, 2.0, 14):
+    for q in kernel_components(restriction_kernel_basis(g, 2.0, 14)):
         ip = hs_inner(ext, q, 2.0)
         assert abs(ip) < 1e-10, f"overlap {ip:.3e}"
 
@@ -241,8 +270,8 @@ def test_kernel_fields_vanish_on_nodes():
     g = window_grid()
     basis = restriction_kernel_basis(g, 1.0, 14)
     # at least the coefficient surplus; near-dependent node rows may add more
-    assert len(basis) >= 29 - g.node_count
-    for q in basis:
+    assert basis.components >= 29 - g.node_count
+    for q in kernel_components(basis):
         vals = q.evaluate(g.nodes())
         assert np.abs(vals).max() < 1e-9
 
@@ -283,7 +312,7 @@ def extension_probe_rival_by_rival(
         worst_residual = max(worst_residual, resid / max(1.0, float(np.abs(data.values).max())))
         kernel = restriction_kernel_basis(grid, s, modes, convention=convention)
         norm_ext = hs_norm(ext, s, convention)
-        for kb in kernel:
+        for kb in kernel_components(kernel):
             kn = hs_norm(kb, s, convention)
             if kn < 1e-14:
                 continue
@@ -291,12 +320,11 @@ def extension_probe_rival_by_rival(
                 comp = BandlimitedField(1, modes, ext.coeffs[i : i + 1])
                 overlap = abs(hs_inner(comp, kb, s, convention)) / (kn * max(1.0, norm_ext))
                 worst_overlap = max(worst_overlap, overlap)
-        if not kernel:
+        if not kernel.components:
             continue
-        kernel_coeffs = np.stack([kb.coeffs[0] for kb in kernel])
         for _ in range(competitors):
-            mix = rng.standard_normal((ext.components, len(kernel)))
-            pert = np.tensordot(mix, kernel_coeffs, axes=1)
+            mix = rng.standard_normal((ext.components, kernel.components))
+            pert = np.tensordot(mix, kernel.coeffs, axes=1)
             rival = BandlimitedField(1, modes, ext.coeffs + pert, real=True)
             min_margin = min(min_margin, hs_norm(rival, s, convention) - norm_ext)
     return {
@@ -322,6 +350,73 @@ def test_stacked_rivals_reproduce_the_rival_by_rival_probe(seed, kwargs):
     want = extension_probe_rival_by_rival(np.random.default_rng(seed), **kwargs)
     assert got == want
     assert all(type(v) is type(want[k]) for k, v in got.items())
+
+
+def kernel_basis_vector_by_vector(grid, s, modes, convention):
+    """restriction_kernel_basis as it read when it returned a list: one
+    one-component field per kernel vector."""
+    b, half = _weighted_real_system(grid, modes, s, convention)
+    _, sig, vt = np.linalg.svd(b, full_matrices=True)
+    tol = PINV_RCOND * (sig[0] if sig.size else 1.0)
+    rank = int(np.sum(sig > tol))
+    lattice = (1,) + (2 * modes + 1,) * grid.m
+    return [
+        BandlimitedField(grid.m, modes, _real_coords_to_coeffs(r, half).reshape(lattice))
+        for r in vt[rank:]
+    ]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize(
+    "grid, s, modes",
+    [
+        (window_grid(), 1.0, 14),
+        (window_grid(), 2.7, 32),
+        (lattice_window(1), 0.5, 40),
+        (lattice_window(80), 2.0, 40),
+        (GridDomain.box(((0.3, 1.5), (2.0, 3.1)), 33), 1.5, 4),
+    ],
+)
+def test_kernel_components_are_bitwise_the_vector_by_vector_fields(grid, s, modes, convention):
+    kernel = restriction_kernel_basis(grid, s, modes, convention)
+    fields = kernel_basis_vector_by_vector(grid, s, modes, convention)
+    assert fields and kernel.real
+    assert kernel.coeffs.shape == (len(fields),) + (2 * modes + 1,) * grid.m
+    for i, q in enumerate(fields):
+        assert kernel.coeffs[i : i + 1].tobytes() == q.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_stacked_rival_product_is_bitwise_one_tensordot_per_rival(convention):
+    # Node counts 1 to 80 of 82 leave kernels of every size from 80 to 1.
+    rng = np.random.default_rng(43)
+    sizes = set()
+    for n in range(1, 81):
+        kernel = restriction_kernel_basis(lattice_window(n), 0.5 + n / 40, 40, convention)
+        components = 1 + n % 3
+        ext = random_field(1, 40, components, rng).coeffs
+        mix = rng.standard_normal((4, components, kernel.components))
+        stacked = ext + mix @ kernel.coeffs
+        for row, got in zip(mix, stacked):
+            assert got.tobytes() == (ext + np.tensordot(row, kernel.coeffs, axes=1)).tobytes()
+        sizes.add(kernel.components)
+    assert sizes == set(range(1, 81))
+
+
+@pytest.mark.parametrize(
+    "grid, modes",
+    [
+        (lattice_window(81), 40),
+        (GridDomain.full_torus(1, 9), 3),
+        (GridDomain.box(((0.2, 6.0), (0.2, 6.0)), 9), 2),
+    ],
+)
+def test_enough_nodes_leave_a_kernel_with_no_components(grid, modes):
+    assert grid.node_count >= (2 * modes + 1) ** grid.m
+    kernel = restriction_kernel_basis(grid, 1.0, modes)
+    assert kernel.coeffs.shape == (0,) + (2 * modes + 1,) * grid.m
+    assert hs_norm(kernel, 1.0) == 0.0
+    assert group_norms(kernel, 1.0, 1) == []
 
 
 # ---------------------------------------------------------------------------
