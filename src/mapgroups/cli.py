@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -497,7 +496,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         return args.run(config, args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, NumericError) as exc:

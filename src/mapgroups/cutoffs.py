@@ -128,5 +128,5 @@ def cutoff_multiply(
     # One product per component, the one a one-component ``sample`` takes.
     lattice = np.concatenate([tensor_transfer(phases, c[None]) for c in field.coeffs])
     values = lattice.reshape(field.components, grid.node_count).T
-    prod = (values.real if field.real else values) * h(grid.nodes())[:, None]
+    prod = values.real * h(grid.nodes())[:, None]
     return synthesize(SampledField(grid, prod), out_modes)

@@ -6,8 +6,8 @@ taken from that lattice, so restriction and extension-by-zero are exact
 index operations rather than approximate resamplings.
 
 A band-limited field stores complex Fourier coefficients ``c_k`` for all
-multi-indices with ``|k_d| <= modes``; real-valued fields keep the mirror
-symmetry ``c_{-k} = conj(c_k)`` exactly.
+multi-indices with ``|k_d| <= modes``; every field is real-valued, so its
+coefficients keep the mirror symmetry ``c_{-k} = conj(c_k)`` exactly.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _is_hermitian(coeffs: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class BandlimitedField:
-    """Trigonometric polynomial field on the m-torus.
+    """Real trigonometric polynomial field on the m-torus.
 
     Parameters
     ----------
@@ -212,16 +212,14 @@ class BandlimitedField:
         Cutoff N; coefficients cover every |k_d| <= N.
     coeffs : ndarray
         Complex array of shape (components,) + (2N+1,)*m.  Axis index i
-        corresponds to wavenumber k = i - N.
-    real : bool
-        When set, the mirror symmetry c_{-k} = conj(c_k) must hold exactly;
-        use :func:`hermitian_part` to build such arrays.
+        corresponds to wavenumber k = i - N.  The mirror symmetry
+        c_{-k} = conj(c_k) must hold exactly, so the field is real; use
+        :func:`hermitian_part` to build such arrays.
     """
 
     m: int
     modes: int
     coeffs: np.ndarray
-    real: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "m", check_dimension(self.m))
@@ -238,10 +236,10 @@ class BandlimitedField:
             raise InputError("coefficients must be complex")
         if not np.all(np.isfinite(c.view(float))):
             raise InputError("coefficients must be finite")
-        if self.real and not _is_hermitian(c):
+        if not _is_hermitian(c):
             raise InputError(
-                "reality flag set but c_{-k} != conj(c_k); "
-                "build coefficients with hermitian_part()"
+                "coefficients break c_{-k} = conj(c_k); "
+                "build them with hermitian_part()"
             )
 
     @property
@@ -261,46 +259,21 @@ class BandlimitedField:
         if pts.shape[1] != self.m:
             raise ShapeMismatchError("points do not match field dimension")
         if self.m == 1:
-            return self.evaluate_grid([pts[:, 0]])
+            return grid_values(self.coeffs, [pts[:, 0]]).real
         x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
         x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
         p0 = phase_matrix(x0, self.modes)
         p1 = phase_matrix(x1, self.modes)
         tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)[inv0]
-        vals = np.einsum("qb,qnb->qn", p1[inv1], tmp)
-        return vals.real if self.real else vals
-
-    def evaluate_grid(self, axes) -> np.ndarray:
-        """Evaluate at the tensor grid of per-axis coordinates ``axes``,
-        shape (Q, components) in the C order of ``tensor_points(axes)``.
-
-        Phases are computed once per coordinate of each axis, and for
-        m = 2 the axis-0 contraction once per axis-0 coordinate.  The sums
-        run in :meth:`evaluate`'s order, so the result is bitwise equal
-        to ``evaluate(tensor_points(axes))``, and C-contiguous like it.
-        """
-        if len(axes) != self.m:
-            raise ShapeMismatchError("axes do not match field dimension")
-        p = [phase_matrix(np.asarray(x, dtype=float), self.modes) for x in axes]
-        if self.m == 1:
-            vals = p[0] @ self.coeffs.T
-        else:
-            tmp = np.einsum("qa,nab->qnb", p[0], self.coeffs)
-            # Components first, so the einsum's inner loop runs along axis 1
-            # rather than over the few components; then one copy to C order.
-            vals = np.einsum("yb,xnb->nxy", p[1], tmp).reshape(self.components, -1)
-            vals = np.ascontiguousarray(vals.T)
-        return vals.real if self.real else vals
+        return np.einsum("qb,qnb->qn", p1[inv1], tmp).real
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":
         check_same_layout(self, other)
-        return BandlimitedField(
-            self.m, self.modes, self.coeffs + other.coeffs, self.real and other.real
-        )
+        return BandlimitedField(self.m, self.modes, self.coeffs + other.coeffs)
 
     def scaled(self, factor: float) -> "BandlimitedField":
         factor = check_real(factor, "factor")
-        return BandlimitedField(self.m, self.modes, factor * self.coeffs, self.real)
+        return BandlimitedField(self.m, self.modes, factor * self.coeffs)
 
 
 def check_same_layout(a: BandlimitedField, b: BandlimitedField):
@@ -404,6 +377,30 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
     return np.exp(1j * np.outer(x, np.arange(-modes, modes + 1)))
 
 
+def grid_values(coeffs: np.ndarray, axes) -> np.ndarray:
+    """Complex values of the trigonometric polynomial with coefficients
+    ``coeffs`` (shape (components,) + (2N+1,)*m, one axis per entry of
+    ``axes``) at the tensor grid of per-axis coordinates ``axes``, shape
+    (Q, components) in the C order of ``tensor_points(axes)``.
+
+    Phases are computed once per coordinate of each axis, and for m = 2
+    the axis-0 contraction once per axis-0 coordinate.  The sums run in
+    :meth:`BandlimitedField.evaluate`'s order, so the real part is bitwise
+    ``evaluate(tensor_points(axes))`` of a field with these coefficients,
+    and C-contiguous like it.
+    """
+    if len(axes) != coeffs.ndim - 1:
+        raise ShapeMismatchError("axes do not match coefficient dimension")
+    p = [phase_matrix(np.asarray(x, dtype=float), coeffs.shape[1] // 2) for x in axes]
+    if len(p) == 1:
+        return p[0] @ coeffs.T
+    tmp = np.einsum("qa,nab->qnb", p[0], coeffs)
+    # Components first, so the einsum's inner loop runs along axis 1
+    # rather than over the few components; then one copy to C order.
+    vals = np.einsum("yb,xnb->nxy", p[1], tmp).reshape(coeffs.shape[0], -1)
+    return np.ascontiguousarray(vals.T)
+
+
 # Keyed by (resolution, modes); four tables cover every lattice axis of a
 # circle-reports pass, and the bound keeps a process that samples at many
 # resolutions from keeping every table alive.
@@ -458,8 +455,7 @@ def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
         raise ShapeMismatchError("field and grid dimensions differ")
     phases = axis_phases(grid, field.modes)
     vals = np.moveaxis(tensor_transfer(phases, field.coeffs), 0, -1)
-    vals = vals.reshape(grid.node_count, field.components)
-    vals = vals.real if field.real else vals
+    vals = vals.reshape(grid.node_count, field.components).real
     return SampledField(grid, np.ascontiguousarray(vals), parent_modes=field.modes)
 
 
@@ -519,7 +515,7 @@ def synthesize(v: SampledField, modes: int) -> BandlimitedField:
     take = [k % grid.resolution[d] for d in range(grid.m)]
     coeffs = spec[np.ix_(np.arange(vals.shape[0]), *take)]
     coeffs = hermitian_part(np.ascontiguousarray(coeffs))
-    return BandlimitedField(grid.m, modes, coeffs, real=True)
+    return BandlimitedField(grid.m, modes, coeffs)
 
 
 def random_field(
@@ -537,7 +533,7 @@ def random_field(
     shape = (components,) + weights.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw *= amplitude * weights
-    return BandlimitedField(m, modes, hermitian_part(raw), real=True)
+    return BandlimitedField(m, modes, hermitian_part(raw))
 
 
 def _equispaced_barycentric(p: int) -> np.ndarray:

@@ -24,9 +24,9 @@ from .errors import (
     check_real,
 )
 from .fields import (
-    BandlimitedField,
     GridDomain,
     SampledField,
+    grid_values,
     same_grid,
     sobolev_weights,
     tensor_points,
@@ -208,9 +208,8 @@ def random_section(
     shape = (components,) + (2 * order + 1,) * m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= sobolev_weights(m, order, -1.0)
-    poly = BandlimitedField(m, order, coef, real=False)
     return Section(atlas, tuple(
-        SampledField(c.window, poly.evaluate_grid(c.window_angles()).real)
+        SampledField(c.window, grid_values(coef, c.window_angles()).real)
         for c in atlas.charts
     ))
 

@@ -48,9 +48,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """Parse a JSON file; InputError naming the file unless its bytes are
+    UTF-8 JSON nested shallowly enough for the parser."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -64,15 +64,13 @@ def hs_inner(
 ) -> float:
     """Sobolev inner product of two real band-limited fields."""
     check_same_layout(a, b)
-    if not (a.real and b.real):
-        raise InputError("hs_inner expects real-flagged fields")
     w = mode_weights(a.m, a.modes, s, convention)
     total = np.sum(w * a.coeffs * np.conj(b.coeffs))
     return float(total.real)
 
 
 def hs_norm(a: BandlimitedField, s, convention: str = "paper") -> float:
-    return _norms(a, [s], convention, "hs_norm", 1)[0][0]
+    return _norms(a, [s], convention, 1)[0][0]
 
 
 def hs_norms(a: BandlimitedField, orders, convention: str = "paper") -> list[float]:
@@ -82,7 +80,7 @@ def hs_norms(a: BandlimitedField, orders, convention: str = "paper") -> list[flo
     row meets the same elementwise products and the same row-wise sum
     over the C-order coefficients.
     """
-    return [row[0] for row in _norms(a, orders, convention, "hs_norms", 1)]
+    return [row[0] for row in _norms(a, orders, convention, 1)]
 
 
 def group_norms(a: BandlimitedField, s, size: int, convention: str = "paper") -> list[float]:
@@ -96,14 +94,12 @@ def group_norms(a: BandlimitedField, s, size: int, convention: str = "paper") ->
     size = check_count(size, "size", 1)
     if a.components % size:
         raise InputError(f"{a.components} components do not split into groups of {size}")
-    return _norms(a, [s], convention, "group_norms", a.components // size)[0]
+    return _norms(a, [s], convention, a.components // size)[0]
 
 
-def _norms(a: BandlimitedField, orders, convention: str, caller: str, groups: int):
+def _norms(a: BandlimitedField, orders, convention: str, groups: int):
     """Norms at each order (rows) of each of ``groups`` equal consecutive
     component groups (columns)."""
-    if not a.real:
-        raise InputError(f"{caller} expects a real-flagged field")
     check_name(convention, CONVENTIONS, "weight convention")
     exponents = [weight_exponent(s, convention) for s in orders]
     w = sobolev_weight_rows(a.m, a.modes, exponents)
@@ -232,7 +228,7 @@ def min_norm_extension(
     r = v_kept @ ((ut @ v.values) / sig)  # (ncoef, n) real coordinates
     cflat = _real_coords_to_coeffs(r.T, half)  # (n, ncoef)
     lattice = (2 * modes + 1,) * grid.m
-    ext = BandlimitedField(grid.m, modes, cflat.reshape((-1,) + lattice), real=True)
+    ext = BandlimitedField(grid.m, modes, cflat.reshape((-1,) + lattice))
     residual = float(np.max(np.abs(sample(ext, grid).values - v.values)))
     scale = max(1.0, float(np.max(np.abs(v.values))))
     if residual > RESIDUAL_TOL * scale:

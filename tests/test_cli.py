@@ -292,6 +292,32 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Bytes that are not UTF-8, and nesting deeper than the JSON parser's
+# recursion limit: each is bad input, so it exits 2 naming the file rather
+# than escaping as a traceback.
+UNPARSABLE_FILES = pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deep-nesting"]
+)
+
+
+@UNPARSABLE_FILES
+def test_unparsable_config_is_an_input_error_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+
+
+@UNPARSABLE_FILES
+def test_unparsable_curve_file_is_an_input_error_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "curve.json"
+    path.write_bytes(content)
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+
+
 @pytest.mark.parametrize(
     "doc, key",
     [

@@ -121,10 +121,3 @@ def test_multiply_of_a_stack_is_each_component_alone_bitwise(m, modes, oversampl
         alone = cutoff_multiply(h, one, oversample).coeffs
         assert stacked[i : i + 1].tobytes() == alone.tobytes(), i
         assert alone.tobytes() == multiply_by_sampling(h, one, oversample).coeffs.tobytes(), i
-
-
-def test_multiply_refuses_a_complex_field_as_sampling_does():
-    f = BandlimitedField(1, 2, np.ones((1, 5), dtype=complex), real=False)
-    h = SmoothCutoff(center=[np.pi], radius=[2.0])
-    with pytest.raises(InputError, match="^sampled values must be real floats$"):
-        cutoff_multiply(h, f)

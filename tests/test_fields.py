@@ -16,6 +16,7 @@ from mapgroups.fields import (
     GridDomain,
     SampledField,
     extend_by_zero,
+    grid_values,
     hermitian_part,
     lattice_phases,
     phase_matrix,
@@ -63,7 +64,10 @@ def test_cos_field_matches_closed_form():
 def test_reality_flag_rejects_asymmetric_coefficients():
     c = np.zeros((1, 9), dtype=complex)
     c[0, 5] = 1.0  # k=+1 only, mirror missing
-    with pytest.raises(InputError):
+    with pytest.raises(
+        InputError,
+        match=r"^coefficients break c_\{-k\} = conj\(c_k\); build them with hermitian_part\(\)$",
+    ):
         BandlimitedField(1, 4, c)
 
 
@@ -100,7 +104,7 @@ def test_real_fields_stay_hermitian(m, modes, components, factor, extra, seed):
     grid = GridDomain.full_torus(m, max(2 * modes + 1, 3) + extra)  # lattices need 3 nodes
     back = synthesize(sample(f, grid), modes)
     for h in (f + g, f + g.scaled(-1), f.scaled(factor), back):
-        assert h.real and is_mirror_symmetric(h.coeffs)
+        assert is_mirror_symmetric(h.coeffs)
 
 
 def test_random_field_rejects_negative_modes():
@@ -347,14 +351,15 @@ def test_surface_sample_matches_evaluate_at_nodes(grid):
     assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-def per_point_evaluate(field, points):
-    """Reference for m = 2 evaluate: phases and both contractions per point."""
+def per_point_values(coeffs, points):
+    """Complex values of a surface polynomial, the reference for m = 2
+    evaluate: phases and both contractions per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p0 = phase_matrix(pts[:, 0], field.modes)
-    p1 = phase_matrix(pts[:, 1], field.modes)
-    tmp = np.einsum("qa,nab->qnb", p0, field.coeffs)
-    vals = np.einsum("qb,qnb->qn", p1, tmp)
-    return vals.real if field.real else vals
+    modes = (coeffs.shape[1] - 1) // 2
+    p0 = phase_matrix(pts[:, 0], modes)
+    p1 = phase_matrix(pts[:, 1], modes)
+    tmp = np.einsum("qa,nab->qnb", p0, coeffs)
+    return np.einsum("qb,qnb->qn", p1, tmp)
 
 
 @pytest.fixture(scope="module")
@@ -366,15 +371,14 @@ def torus4():
 @given(
     components=st.integers(1, 9),
     modes=st.integers(0, 6),
-    real=st.booleans(),
     chart=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, real, chart, seed):
+def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, chart, seed):
     rng = np.random.default_rng(seed)
     shape = (components,) + (2 * modes + 1,) * 2
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = BandlimitedField(2, modes, hermitian_part(coeffs) if real else coeffs, real)
+    f = BandlimitedField(2, modes, hermitian_part(coeffs))
     c = torus4.charts[chart]
     nodes = c.from_chart(c.window.nodes())
     q = int(rng.integers(1, 200))
@@ -387,7 +391,7 @@ def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, real, 
         "signed zeros": rng.choice([0.0, -0.0, 1.5], (q, 2)),
     }
     for name, pts in point_sets.items():
-        assert f.evaluate(pts).tobytes() == per_point_evaluate(f, pts).tobytes(), name
+        assert f.evaluate(pts).tobytes() == per_point_values(f.coeffs, pts).real.tobytes(), name
 
 
 def test_random_torus_section_is_bitwise_per_point(torus4):
@@ -396,9 +400,8 @@ def test_random_torus_section_is_bitwise_per_point(torus4):
     shape = (3, 7, 7)  # order 3, random_section's default
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= sobolev_weights(2, 3, -1.0)
-    poly = BandlimitedField(2, 3, coef, real=False)
     for c, g in zip(torus4.charts, got.pieces):
-        want = per_point_evaluate(poly, c.from_chart(c.window.nodes())).real
+        want = per_point_values(coef, c.from_chart(c.window.nodes())).real
         assert g.values.tobytes() == want.tobytes()
 
 
@@ -438,25 +441,33 @@ def layout(a):
     real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grid_evaluate_is_bitwise_evaluate_at_the_tensor_points(
+def test_grid_values_is_bitwise_evaluate_at_the_tensor_points(
     data, m, components, modes, real, seed
 ):
     rng = np.random.default_rng(seed)
     shape = (components,) + (2 * modes + 1,) * m
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = BandlimitedField(m, modes, hermitian_part(coeffs) if real else coeffs, real)
+    coeffs = hermitian_part(coeffs) if real else coeffs
     axes = data.draw(grid_axes(m))
-    got = f.evaluate_grid(axes)
-    want = f.evaluate(tensor_points(axes))
+    points = tensor_points(axes)
+    got = grid_values(coeffs, axes)
+    if m == 1:
+        want = phase_matrix(points[:, 0], modes) @ coeffs.T
+    else:
+        want = per_point_values(coeffs, points)
     assert got.shape == want.shape == (int(np.prod([a.size for a in axes])), components)
     # One layout too: reductions over a value row may group their sums by it.
     assert got.dtype == want.dtype and layout(got) == layout(want)
     assert got.tobytes() == want.tobytes()
+    if real:
+        field = BandlimitedField(m, modes, coeffs).evaluate(points)
+        assert layout(got.real) == layout(field)
+        assert got.real.tobytes() == field.tobytes()
 
 
-def test_grid_evaluate_needs_one_axis_per_dimension():
+def test_grid_values_needs_one_axis_per_dimension():
     with pytest.raises(ShapeMismatchError, match="axes"):
-        random_field(2, 2, 1, np.random.default_rng(0)).evaluate_grid([np.zeros(3)])
+        grid_values(random_field(2, 2, 1, np.random.default_rng(0)).coeffs, [np.zeros(3)])
 
 
 def test_phase_and_wavenumber_helpers():
@@ -601,3 +612,10 @@ def test_sampled_field_validation():
     bad[3, 0] = np.nan
     with pytest.raises(InputError):
         SampledField(g, bad)
+
+
+@pytest.mark.parametrize("dtype", [complex, int])
+def test_sampled_field_refuses_values_that_are_not_real_floats(dtype):
+    g = GridDomain.box(((0.5, 2.5),), 65)
+    with pytest.raises(InputError, match="^sampled values must be real floats$"):
+        SampledField(g, np.ones((g.node_count, 1), dtype=dtype))

@@ -12,7 +12,7 @@ from mapgroups.errors import (
     InputError,
     ShapeMismatchError,
 )
-from mapgroups.fields import BandlimitedField, SampledField, sobolev_weights
+from mapgroups.fields import SampledField, phase_matrix, sobolev_weights
 from mapgroups.sections import (
     Section,
     compatibility_defect,
@@ -145,12 +145,16 @@ def node_by_node_random_section(atlas, components, rng, order):
     shape = (components,) + (2 * order + 1,) * atlas.m
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= sobolev_weights(atlas.m, order, -1.0)
-    poly = BandlimitedField(atlas.m, order, coef, real=False)
-    pieces = tuple(
-        SampledField(c.window, poly.evaluate(c.from_chart(c.window.nodes())).real)
-        for c in atlas.charts
-    )
-    return Section(atlas, pieces)
+    pieces = []
+    for c in atlas.charts:
+        pts = c.from_chart(c.window.nodes())
+        p = [phase_matrix(pts[:, d], order) for d in range(atlas.m)]
+        if atlas.m == 1:
+            vals = p[0] @ coef.T
+        else:
+            vals = np.einsum("qb,qnb->qn", p[1], np.einsum("qa,nab->qnb", p[0], coef))
+        pieces.append(SampledField(c.window, vals.real))
+    return Section(atlas, tuple(pieces))
 
 
 @pytest.mark.parametrize("name", ["circle2", "torus4"])

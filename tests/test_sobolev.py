@@ -174,16 +174,6 @@ def test_norms_check_every_order_and_take_none():
         hs_norms(f, [1.0], "mixed")
 
 
-@pytest.mark.parametrize(
-    "name, call",
-    [("hs_norm", lambda f: hs_norm(f, 1.0)), ("hs_norms", lambda f: hs_norms(f, [1.0]))],
-)
-def test_norm_of_a_complex_field_names_the_function_called(name, call):
-    f = BandlimitedField(1, 2, np.ones((1, 5), dtype=complex), real=False)
-    with pytest.raises(InputError, match=f"^{name} expects a real-flagged field$"):
-        call(f)
-
-
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("m", [1, 2])
 def test_a_field_with_no_components_has_zero_norms_and_no_groups(m, convention):
@@ -325,7 +315,7 @@ def extension_probe_rival_by_rival(
         for _ in range(competitors):
             mix = rng.standard_normal((ext.components, kernel.components))
             pert = np.tensordot(mix, kernel.coeffs, axes=1)
-            rival = BandlimitedField(1, modes, ext.coeffs + pert, real=True)
+            rival = BandlimitedField(1, modes, ext.coeffs + pert)
             min_margin = min(min_margin, hs_norm(rival, s, convention) - norm_ext)
     return {
         "instances": instances,
@@ -380,7 +370,7 @@ def kernel_basis_vector_by_vector(grid, s, modes, convention):
 def test_kernel_components_are_bitwise_the_vector_by_vector_fields(grid, s, modes, convention):
     kernel = restriction_kernel_basis(grid, s, modes, convention)
     fields = kernel_basis_vector_by_vector(grid, s, modes, convention)
-    assert fields and kernel.real
+    assert fields and isinstance(kernel, BandlimitedField)
     assert kernel.coeffs.shape == (len(fields),) + (2 * modes + 1,) * grid.m
     for i, q in enumerate(fields):
         assert kernel.coeffs[i : i + 1].tobytes() == q.coeffs.tobytes()

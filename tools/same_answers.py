@@ -176,12 +176,7 @@ def library_rows(seed: int):
         s = float(rng.uniform(0.5, 3.0))
         for convention in mg.CONVENTIONS:
             kernel = mg.restriction_kernel_basis(grid, s, modes, convention)
-            # Older checkouts return the kernel as a list of one-component fields.
-            if isinstance(kernel, list):
-                coeffs = np.concatenate([q.coeffs for q in kernel])
-            else:
-                coeffs = kernel.coeffs
-            yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", array_digest(coeffs)
+            yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", array_digest(kernel.coeffs)
 
 
 def atlas_rows():
