@@ -29,7 +29,10 @@ last digits of some sums.  The matrix, at seeds 0 and 1:
   circle and on the torus;
 * the restriction_kernel_basis coefficients of a seeded circle window and
   a seeded torus window, each with a nonempty kernel, in both weight
-  conventions.
+  conventions;
+* BandlimitedField.evaluate at seeded scattered points on curves and
+  surfaces with 1 to 3 components, and SampledField.interpolate at seeded
+  points of a circle window and of the full 129-node circle and torus.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
 and partition transfers.
@@ -177,6 +180,21 @@ def library_rows(seed: int):
         for convention in mg.CONVENTIONS:
             kernel = mg.restriction_kernel_basis(grid, s, modes, convention)
             yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", array_digest(kernel.coeffs)
+    rng = np.random.default_rng(seed)
+    for m in (1, 2):
+        points = rng.uniform(-1.0, 2.0 * np.pi + 1.0, size=(300, m))
+        for components in (1, 2, 3):
+            field = mg.random_field(m, 6, components, rng)
+            yield f"s{seed}/evaluate/m{m}/n{components}", array_digest(field.evaluate(points))
+    window = mg.GridDomain.box(((0.7, 3.9),), 129)
+    grids = (("circle-window", window), *(
+        (f"full-m{m}", mg.GridDomain.full_torus(m, 129)) for m in (1, 2)
+    ))
+    for name, grid in grids:
+        values = mg.sample(mg.random_field(grid.m, 8, 2, rng), grid)
+        lows, highs = np.transpose(grid.window)
+        points = rng.uniform(lows + 0.05, highs - 0.05, size=(300, grid.m))
+        yield f"s{seed}/interpolate/{name}", array_digest(values.interpolate(points))
 
 
 def atlas_rows():
