@@ -20,8 +20,8 @@ from .fields import (
     GridDomain,
     SampledField,
     axis_phases,
+    grid_values,
     synthesize,
-    tensor_transfer,
 )
 
 
@@ -126,7 +126,6 @@ def cutoff_multiply(
     grid = GridDomain.full_torus(field.m, res)
     phases = axis_phases(grid, field.modes)
     # One product per component, the one a one-component ``sample`` takes.
-    lattice = np.concatenate([tensor_transfer(phases, c[None]) for c in field.coeffs])
-    values = lattice.reshape(field.components, grid.node_count).T
+    values = np.hstack([grid_values(c[None], phases) for c in field.coeffs])
     prod = values.real * h(grid.nodes())[:, None]
     return synthesize(SampledField(grid, prod), out_modes)

@@ -247,19 +247,19 @@ class BandlimitedField:
         return self.coeffs.shape[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points, shape (Q, m) -> (Q, components).
+        """Evaluate at arbitrary finite points, shape (Q, m) -> (Q, components).
 
-        For m = 2, phases and the axis-0 contraction are computed once per
-        distinct coordinate of each axis (a chart window's nodes repeat
-        each coordinate many times) and gathered back per point.  Each
-        output row sums the same terms in the same order as the per-point
-        contraction, so the result is bitwise equal to it.
+        On curves the points are a tensor grid of one axis, evaluated by
+        :func:`grid_values`.  For scattered points on surfaces, phases and
+        the axis-0 contraction are computed once per distinct coordinate of
+        each axis (a chart window's nodes repeat each coordinate many
+        times) and gathered back per point.  Each output row sums the same
+        terms in the same order as the per-point contraction, so the result
+        is bitwise equal to it.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.m:
-            raise ShapeMismatchError("points do not match field dimension")
+        pts = check_points(points, self.m)
         if self.m == 1:
-            return grid_values(self.coeffs, [pts[:, 0]]).real
+            return grid_values(self.coeffs, [phase_matrix(pts[:, 0], self.modes)]).real
         x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
         x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
         p0 = phase_matrix(x0, self.modes)
@@ -281,6 +281,18 @@ def check_same_layout(a: BandlimitedField, b: BandlimitedField):
         raise ShapeMismatchError(
             "fields differ in dimension, cutoff, or component count"
         )
+
+
+def check_points(points, m: int) -> np.ndarray:
+    """``points`` as a float array (Q, m); ShapeMismatchError unless it has
+    that shape, InputError naming the first point that is not finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != m:
+        raise ShapeMismatchError("points do not match field dimension")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise InputError(f"point {pts[int(np.argmin(finite))]} is not finite")
+    return pts
 
 
 def check_node_values(values: np.ndarray) -> None:
@@ -336,9 +348,7 @@ class SampledField:
         axis, which keeps smooth compatible sections consistent to well
         below 1e-9.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.domain.m:
-            raise ShapeMismatchError("points do not match field dimension")
+        pts = check_points(points, self.domain.m)
         if self.domain.is_full_torus:
             nyquist = min((r - 1) // 2 for r in self.domain.resolution)
             n = self.parent_modes if self.parent_modes is not None else nyquist
@@ -377,27 +387,22 @@ def phase_matrix(x: np.ndarray, modes: int) -> np.ndarray:
     return np.exp(1j * np.outer(x, np.arange(-modes, modes + 1)))
 
 
-def grid_values(coeffs: np.ndarray, axes) -> np.ndarray:
+def grid_values(coeffs: np.ndarray, phases) -> np.ndarray:
     """Complex values of the trigonometric polynomial with coefficients
-    ``coeffs`` (shape (components,) + (2N+1,)*m, one axis per entry of
-    ``axes``) at the tensor grid of per-axis coordinates ``axes``, shape
-    (Q, components) in the C order of ``tensor_points(axes)``.
+    ``coeffs`` (shape (components,) + (2N+1,)*m) on a tensor grid, given
+    the ``phase_matrix`` of each axis's coordinates, one per coefficient
+    axis; shape (Q, components), C-contiguous, in the C order of the
+    grid's points.
 
-    Phases are computed once per coordinate of each axis, and for m = 2
-    the axis-0 contraction once per axis-0 coordinate.  The sums run in
-    :meth:`BandlimitedField.evaluate`'s order, so the real part is bitwise
-    ``evaluate(tensor_points(axes))`` of a field with these coefficients,
-    and C-contiguous like it.
+    The one kernel for tensor grids: the separable product of
+    :func:`tensor_transfer` (sum factorization, Orszag, J. Comput. Phys.
+    37, 1980).  On curves it is bitwise ``phases[0] @ coeffs.T``, and so
+    :meth:`BandlimitedField.evaluate`; on surfaces it sums in another order
+    than the per-point contraction and agrees with it to rounding.
     """
-    if len(axes) != coeffs.ndim - 1:
+    if len(phases) != coeffs.ndim - 1:
         raise ShapeMismatchError("axes do not match coefficient dimension")
-    p = [phase_matrix(np.asarray(x, dtype=float), coeffs.shape[1] // 2) for x in axes]
-    if len(p) == 1:
-        return p[0] @ coeffs.T
-    tmp = np.einsum("qa,nab->qnb", p[0], coeffs)
-    # Components first, so the einsum's inner loop runs along axis 1
-    # rather than over the few components; then one copy to C order.
-    vals = np.einsum("yb,xnb->nxy", p[1], tmp).reshape(coeffs.shape[0], -1)
+    vals = tensor_transfer(phases, coeffs).reshape(coeffs.shape[0], -1)
     return np.ascontiguousarray(vals.T)
 
 
@@ -453,9 +458,7 @@ def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:
     """Evaluate a band-limited field at the masked nodes of a grid."""
     if field.m != grid.m:
         raise ShapeMismatchError("field and grid dimensions differ")
-    phases = axis_phases(grid, field.modes)
-    vals = np.moveaxis(tensor_transfer(phases, field.coeffs), 0, -1)
-    vals = vals.reshape(grid.node_count, field.components).real
+    vals = grid_values(field.coeffs, axis_phases(grid, field.modes)).real
     return SampledField(grid, np.ascontiguousarray(vals), parent_modes=field.modes)
 
 

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericError, ShapeMismatchError, check_real
-from .fields import TWO_PI, GridDomain, SampledField
+from .fields import TWO_PI, GridDomain, SampledField, check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +30,7 @@ class Diffeo:
 
 def torus_translation(m: int, shift) -> Diffeo:
     """Rigid rotation of the torus by a fixed shift vector."""
+    m = check_dimension(m)
     tau = np.array([check_real(x, "shift") for x in np.atleast_1d(shift)])
     if tau.size != m:
         raise InputError("shift must have one entry per axis")

@@ -26,7 +26,9 @@ from .errors import (
 from .fields import (
     GridDomain,
     SampledField,
+    check_points,
     grid_values,
+    phase_matrix,
     same_grid,
     sobolev_weights,
     tensor_points,
@@ -209,7 +211,9 @@ def random_section(
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= sobolev_weights(m, order, -1.0)
     return Section(atlas, tuple(
-        SampledField(c.window, grid_values(coef, c.window_angles()).real)
+        SampledField(c.window, grid_values(
+            coef, [phase_matrix(x, order) for x in c.window_angles()]
+        ).real)
         for c in atlas.charts
     ))
 
@@ -247,12 +251,7 @@ def glue(pieces, atlas: Atlas) -> Section:
 
 def point_eval(section: Section, theta: np.ndarray) -> np.ndarray:
     """Evaluate a section at finite manifold points through the deepest chart."""
-    pts = np.atleast_2d(np.asarray(theta, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != section.atlas.m:
-        raise ShapeMismatchError("points do not match field dimension")
-    if not np.isfinite(pts).all():
-        bad = pts[int(np.argmin(np.isfinite(pts).all(axis=1)))]
-        raise InputError(f"point {bad} is not finite")
+    pts = check_points(theta, section.atlas.m)
     out = np.empty((pts.shape[0], section.components))
     if not len(pts):
         return out

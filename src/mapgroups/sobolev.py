@@ -321,8 +321,7 @@ def extension_probe(
         gamma = random_field(1, modes, 2, rng)
         data = sample(gamma, grid)
         ext = min_norm_extension(data, s, modes, convention=convention)
-        nodes = grid.nodes()
-        resid = float(np.abs(ext.evaluate(nodes) - data.values).max())
+        resid = float(np.abs(sample(ext, grid).values - data.values).max())
         scale = max(1.0, float(np.abs(data.values).max()))
         worst_residual = max(worst_residual, resid / scale)
 

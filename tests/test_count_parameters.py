@@ -37,6 +37,7 @@ from mapgroups.limits import (
     ladder,
     rung_compactness_probe,
 )
+from mapgroups.maps import torus_translation
 from mapgroups.sections import random_section
 from mapgroups.sobolev import (
     extension_probe,
@@ -147,6 +148,7 @@ VALUE_ROWS = [
         ("BandlimitedField", lambda v: BandlimitedField(v, 1, np.zeros((1, 3), complex))),
         ("ladder", lambda v: ladder(2.0, 3, m=v)),
         ("wavenumber_squares", lambda v: wavenumber_squares(v, 2)),
+        ("torus_translation", lambda v: torus_translation(v, [0.0])),
     )
     for bad in (1.0, 0, 3)
 ] + [

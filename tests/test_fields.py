@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapgroups.atlas import torus_four_charts
+from mapgroups.atlas import builtin_atlas, torus_four_charts
 from mapgroups.errors import (
     AliasingError,
     EmptyMaskError,
@@ -15,6 +17,7 @@ from mapgroups.fields import (
     BandlimitedField,
     GridDomain,
     SampledField,
+    axis_phases,
     extend_by_zero,
     grid_values,
     hermitian_part,
@@ -30,7 +33,7 @@ from mapgroups.fields import (
     tensor_transfer,
     wavenumber_squares,
 )
-from mapgroups.sections import random_section
+from mapgroups.sections import point_eval, random_section
 
 
 def cos_field(m=1, modes=4):
@@ -394,7 +397,14 @@ def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, chart,
         assert f.evaluate(pts).tobytes() == per_point_values(f.coeffs, pts).real.tobytes(), name
 
 
+def l1_scale(coeffs):
+    """Largest coefficient l1 norm of a component, a bound on its values."""
+    return float(np.abs(coeffs).reshape(coeffs.shape[0], -1).sum(axis=1).max())
+
+
 def test_random_torus_section_is_bitwise_per_point(torus4):
+    # grid_values sums a surface in another order than the per-point
+    # contraction, so the two agree to rounding.
     got = random_section(torus4, 3, np.random.default_rng(31))
     rng = np.random.default_rng(31)
     shape = (3, 7, 7)  # order 3, random_section's default
@@ -402,7 +412,8 @@ def test_random_torus_section_is_bitwise_per_point(torus4):
     coef *= sobolev_weights(2, 3, -1.0)
     for c, g in zip(torus4.charts, got.pieces):
         want = per_point_values(coef, c.from_chart(c.window.nodes())).real
-        assert g.values.tobytes() == want.tobytes()
+        assert g.values.shape == want.shape
+        assert np.abs(g.values - want).max() <= 1e-14 * l1_scale(coef)
 
 
 def wrapped_axis(start, count, step):
@@ -450,7 +461,7 @@ def test_grid_values_is_bitwise_evaluate_at_the_tensor_points(
     coeffs = hermitian_part(coeffs) if real else coeffs
     axes = data.draw(grid_axes(m))
     points = tensor_points(axes)
-    got = grid_values(coeffs, axes)
+    got = grid_values(coeffs, [phase_matrix(x, modes) for x in axes])
     if m == 1:
         want = phase_matrix(points[:, 0], modes) @ coeffs.T
     else:
@@ -458,11 +469,76 @@ def test_grid_values_is_bitwise_evaluate_at_the_tensor_points(
     assert got.shape == want.shape == (int(np.prod([a.size for a in axes])), components)
     # One layout too: reductions over a value row may group their sums by it.
     assert got.dtype == want.dtype and layout(got) == layout(want)
-    assert got.tobytes() == want.tobytes()
+    field = BandlimitedField(m, modes, coeffs).evaluate(points) if real else None
     if real:
-        field = BandlimitedField(m, modes, coeffs).evaluate(points)
         assert layout(got.real) == layout(field)
-        assert got.real.tobytes() == field.tobytes()
+    if m == 1:
+        assert got.tobytes() == want.tobytes()
+        if real:
+            assert got.real.tobytes() == field.tobytes()
+    else:
+        # The separable product sums in another order than the per-point
+        # contraction.
+        assert np.abs(got - want).max() <= 1e-14 * l1_scale(coeffs)
+        if real:
+            assert np.abs(got.real - field).max() <= 1e-14 * l1_scale(coeffs)
+
+
+@st.composite
+def tensor_grids(draw, m, modes):
+    """Per-axis coordinates of a tensor grid and their phase matrices: a
+    chart window of the builtin atlas of dimension m, a lattice subgrid
+    read from the lattice tables, or wrapped runs."""
+    kind = draw(st.sampled_from(["chart window", "lattice subgrid", "wrapped"]))
+    if kind == "chart window":
+        atlas = builtin_atlas("circle2" if m == 1 else "torus4")
+        axes = atlas.charts[draw(st.integers(0, atlas.chart_count - 1))].window_angles()
+    elif kind == "lattice subgrid":
+        res = draw(st.integers(3, 130))
+        idx = [
+            np.array(sorted(draw(st.sets(st.integers(0, res - 1), min_size=1, max_size=40))))
+            for _ in range(m)
+        ]
+        grid = GridDomain(m, res, ((0.0, TWO_PI),) * m, tuple(idx))
+        axes = [grid.axis_nodes(d) for d in range(m)]
+        return axes, axis_phases(grid, modes)
+    else:
+        axes = [
+            wrapped_axis(draw(ANGLES), draw(st.integers(1, 40)),
+                         draw(st.floats(min_value=1e-3, max_value=1.0)))
+            for _ in range(m)
+        ]
+    return axes, [phase_matrix(x, modes) for x in axes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 2),
+    components=st.integers(1, 3),
+    modes=st.integers(0, 12),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_values_is_evaluate_at_the_tensor_points_to_rounding(
+    data, m, components, modes, hermitian, seed
+):
+    rng = np.random.default_rng(seed)
+    shape = (components,) + (2 * modes + 1,) * m
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes, phases = data.draw(tensor_grids(m, modes))
+    points = tensor_points(axes)
+    if hermitian:
+        coeffs = hermitian_part(coeffs)
+        got = grid_values(coeffs, phases).real
+        want = BandlimitedField(m, modes, coeffs).evaluate(points)
+    else:
+        got = grid_values(coeffs, phases)
+        want = phase_matrix(points[:, 0], modes) @ coeffs.T if m == 1 else per_point_values(
+            coeffs, points
+        )
+    assert got.shape == want.shape == (points.shape[0], components)
+    assert np.abs(got - want).max() <= 1e-14 * l1_scale(coeffs)
 
 
 def test_grid_values_needs_one_axis_per_dimension():
@@ -602,6 +678,53 @@ def test_window_interpolation_rejects_outside_points():
     v = SampledField(g, np.zeros((g.node_count, 1)))
     with pytest.raises(InputError):
         v.interpolate(np.array([[5.3]]))
+
+
+@pytest.fixture(scope="module")
+def point_sites():
+    """Each call that takes a point array, with the dimension it expects."""
+    f1, f2 = (random_field(m, 4, 2, np.random.default_rng(m)) for m in (1, 2))
+    sections = {
+        name: random_section(builtin_atlas(name), 2, np.random.default_rng(3))
+        for name in ("circle2", "torus4")
+    }
+    return {
+        "evaluate-m1": (1, f1.evaluate),
+        "evaluate-m2": (2, f2.evaluate),
+        "interpolate-window": (1, sample(f1, GridDomain.box(((0.5, 4.5),), 65)).interpolate),
+        "interpolate-full-m1": (1, sample(f1, GridDomain.full_torus(1, 33)).interpolate),
+        "interpolate-full-m2": (2, sample(f2, GridDomain.full_torus(2, 33)).interpolate),
+        "point_eval-circle2": (1, lambda p: point_eval(sections["circle2"], p)),
+        "point_eval-torus4": (2, lambda p: point_eval(sections["torus4"], p)),
+    }
+
+
+POINT_SITES = [
+    "evaluate-m1", "evaluate-m2", "interpolate-window", "interpolate-full-m1",
+    "interpolate-full-m2", "point_eval-circle2", "point_eval-torus4",
+]
+
+
+@pytest.mark.parametrize("site", POINT_SITES)
+@pytest.mark.parametrize("shape", [lambda m: (2, m, 3), lambda m: (2, 1, m)],
+                         ids=["2-m-3", "2-1-m"])
+def test_a_point_array_of_three_dimensions_is_refused(point_sites, site, shape):
+    m, call = point_sites[site]
+    points = np.ones(shape(m))
+    with pytest.raises(ShapeMismatchError, match="^points do not match field dimension$"):
+        call(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("site", POINT_SITES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_point_is_named_as_given(point_sites, site, bad):
+    m, call = point_sites[site]
+    points = np.ones((3, m))
+    points[1, -1] = bad
+    message = "^" + re.escape(f"point {points[1]} is not finite") + "$"
+    with pytest.raises(InputError, match=message):
+        call(points)
 
 
 def test_sampled_field_validation():
