@@ -15,11 +15,21 @@ enough that the product of two exponentials of norms strictly below
 ``v_radius`` stays inside the chart ball.
 
 Layout: group values are entry-first stacks ``(d, d, *nodes)``, entry
-``g[i, j]`` one array over the nodes, and every node-wise matrix product
-goes through one kernel, :func:`node_product`.  Algebra coordinates are
-node-first, ``(*nodes, a)``, like the values of a sampled field.  Only the
-SVD in ``project`` and the SO3 determinant move the entry axes last, for
-LAPACK, and their results come back as C-contiguous stacks.
+``g[i, j]`` one array over the nodes.  Every node-wise product of group
+values goes through its group's ``multiply``: :func:`node_product` on SO3
+and UT2, and on SU2 that kernel on the top half, with the bottom half
+copied from it.  Algebra coordinates are node-first, ``(*nodes, a)``, like
+the values of a sampled field.  Only the SVD in ``project`` and the SO3
+determinant move the entry axes last, for LAPACK, and their results come
+back as C-contiguous stacks.
+
+SU2 values the program computes are exactly realified: the two copies of
+X, and of Y, in ``[[X, -Y], [Y, X]]`` are equal, the second Y negated.
+``exact_fn`` is the witness of that form.  A stack that passes it is fixed
+by its top half, so its relation defect has no structure term and a group
+section's overlap check reads the 8 entry rows of that half.  A stack that
+fails it (a file written before products were exact, or a caller's own
+stack) is measured and checked on all 16 rows.
 """
 
 from __future__ import annotations
@@ -61,17 +71,23 @@ def node_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", a, b)
 
 
-def node_power(a: np.ndarray, n: int) -> np.ndarray:
+def node_power(multiply, a: np.ndarray, n: int) -> np.ndarray:
     """Node-wise power ``a**n`` (n >= 1) of a (d, d, *nodes) stack by repeated
-    squaring, the powers of two multiplied in from the right."""
+    squaring with the product ``multiply``, the powers of two multiplied in
+    from the right."""
     result = None
     while True:
         n, bit = divmod(n, 2)
         if bit:
-            result = a if result is None else node_product(result, a)
+            result = a if result is None else multiply(result, a)
         if not n:
             return result
-        a = node_product(a, a)
+        a = multiply(a, a)
+
+
+def _no_witness(g: np.ndarray) -> bool:
+    """``exact_fn`` of a group without one: every entry row is checked."""
+    return False
 
 
 def _eye(d: int, nodes: tuple) -> np.ndarray:
@@ -105,7 +121,13 @@ class MatrixGroup:
     log_valid_fn: Callable[[np.ndarray], np.ndarray]
     invert_fn: Callable[[np.ndarray], np.ndarray]
     project_fn: Callable[[np.ndarray], np.ndarray]
-    defect_fn: Callable[[np.ndarray], np.ndarray]
+    # defect_fn(g, exact) is told exact_fn(g), whose verdict settles the
+    # terms of the relations that only an inexact stack can break.
+    defect_fn: Callable[[np.ndarray, bool], np.ndarray]
+    # The node-wise product of two group stacks, and the witness that a
+    # stack's top half of entry rows fixes its bottom half exactly.
+    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exact_fn: Callable[[np.ndarray], bool]
 
     @property
     def algebra_dim(self) -> int:
@@ -137,8 +159,11 @@ class MatrixGroup:
     def project(self, mats: np.ndarray) -> np.ndarray:
         return self.project_fn(np.asarray(mats, dtype=float))
 
-    def relation_defect(self, mats: np.ndarray) -> np.ndarray:
-        return self.defect_fn(np.asarray(mats, dtype=float))
+    def relation_defect(self, mats: np.ndarray, exact: bool | None = None) -> np.ndarray:
+        """Node-wise relation defects; ``exact`` is ``exact_fn(mats)`` when
+        the caller has taken it already."""
+        mats = np.asarray(mats, dtype=float)
+        return self.defect_fn(mats, self.exact_fn(mats) if exact is None else exact)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -146,11 +171,11 @@ class MatrixGroup:
     def adjoint(self, g: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Ad_g in algebra coordinates: g X g^{-1} pushed back to coords."""
         x = self.to_matrix(coords)
-        return self.from_matrix(node_product(node_product(g, x), self.invert(g)))
+        return self.from_matrix(self.multiply(self.multiply(g, x), self.invert(g)))
 
     def bracket_coords(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         xu, xv = self.to_matrix(u), self.to_matrix(v)
-        return self.from_matrix(node_product(xu, xv) - node_product(xv, xu))
+        return self.from_matrix(self.multiply(xu, xv) - self.multiply(xv, xu))
 
 
 def _hat3(v: np.ndarray) -> np.ndarray:
@@ -199,7 +224,7 @@ def so3() -> MatrixGroup:
         u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
         return np.ascontiguousarray(np.moveaxis(u @ vt, (-2, -1), (0, 1)))
 
-    def defect_fn(g):
+    def defect_fn(g, exact):
         gtg = node_product(g.swapaxes(0, 1), g)
         orth = np.abs(gtg - _eye(3, g.shape[2:])).max(axis=(0, 1))
         det = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1))) - 1.0)
@@ -208,6 +233,7 @@ def so3() -> MatrixGroup:
     return MatrixGroup(
         "SO3", 3, basis, q_radius, q_radius / 2.0,
         exp_fn, log_fn, log_valid_fn, _transpose, project_fn, defect_fn,
+        node_product, _no_witness,
     )
 
 
@@ -275,18 +301,13 @@ def su2_real() -> MatrixGroup:
         w = w * (np.linalg.det(w) ** (-0.5))[..., None, None]
         return np.ascontiguousarray(np.moveaxis(_realify(w.real, w.imag), (-2, -1), (0, 1)))
 
-    def defect_fn(g):
+    def defect_fn(g, exact):
         # One row per entry: e[4 r + c] is entry (r, c).  In the block form
         # [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2, X(r, c) is e[k]
         # and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].  Rows, not
         # scalars, for one matrix too: numpy's complex scalar product rounds
         # unlike its array loop.
         e = g.reshape(16, -1)
-        struct = np.abs(e[0] - e[10])
-        for k in (1, 4, 5):
-            struct = np.maximum(struct, np.abs(e[k] - e[k + 10]))
-        for k in (0, 1, 4, 5):
-            struct = np.maximum(struct, np.abs(e[k + 8] + e[k + 2]))
         # Entries of U = [[a, b], [c, d]] = X + i Y: the unitarity
         # residuals of U^H U and |det U - 1| in closed form.
         a, b, c, d = (e[k] + 1j * e[k + 8] for k in (0, 1, 4, 5))
@@ -295,11 +316,33 @@ def su2_real() -> MatrixGroup:
             np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)
         )
         det = np.abs(a * d - b * c - 1.0)
-        return np.maximum(np.maximum(struct, np.maximum(unit, off)), det).reshape(g.shape[2:])
+        defect = np.maximum(np.maximum(unit, off), det)
+        # The structure term: the gap between the two copies of X and of Y,
+        # exactly 0 on a stack that passes the witness.
+        if not exact:
+            for k in (0, 1, 4, 5):
+                np.maximum(defect, np.abs(e[k] - e[k + 10]), out=defect)
+                np.maximum(defect, np.abs(e[k + 8] + e[k + 2]), out=defect)
+        return defect.reshape(g.shape[2:])
+
+    def multiply(a, b):
+        # The top half [X, -Y] of the product is node_product's, bitwise;
+        # the bottom half [Y, X] is copied from it, the Y block negated.
+        out = np.empty((4, 4) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
+        np.einsum("ik...,kj...->ij...", a[:2], b, out=out[:2])
+        np.negative(out[:2, 2:], out=out[2:, :2])
+        out[2:, 2:] = out[:2, :2]
+        return out
+
+    def exact_fn(g):
+        return bool(
+            np.array_equal(g[2:, 2:], g[:2, :2]) and np.array_equal(g[2:, :2], -g[:2, 2:])
+        )
 
     return MatrixGroup(
         "SU2", 4, basis, q_radius, q_radius / 2.0,
         exp_fn, log_fn, log_valid_fn, _transpose, project_fn, defect_fn,
+        multiply, exact_fn,
     )
 
 
@@ -361,7 +404,7 @@ def upper_triangular2() -> MatrixGroup:
         out[1, 1] = np.abs(out[1, 1])
         return out
 
-    def defect_fn(g):
+    def defect_fn(g, exact):
         lower = np.abs(g[1, 0])
         diag = np.minimum(g[0, 0], g[1, 1])
         return np.maximum(lower, np.maximum(-diag, 0.0))
@@ -369,6 +412,7 @@ def upper_triangular2() -> MatrixGroup:
     return MatrixGroup(
         "UT2", 2, basis, 5.0, 1.0,
         exp_fn, log_fn, log_valid_fn, invert_fn, project_fn, defect_fn,
+        node_product, _no_witness,
     )
 
 
@@ -385,7 +429,8 @@ class GroupSection:
 
     Each piece is one C-contiguous entry-first stack, ``(d, d, K)`` for a
     chart window of K nodes.  ``relation_defects`` keeps each chart's
-    largest relation defect.
+    largest relation defect and ``exact`` each piece's ``exact_fn``
+    witness, taken once.
     Values an operation computes are built by :meth:`computed`, which
     measures each chart once and hands that measurement to the checks here.
     """
@@ -394,6 +439,7 @@ class GroupSection:
     group: MatrixGroup
     pieces: tuple[np.ndarray, ...]
     relation_defects: tuple[float, ...] = field(init=False, repr=False)
+    exact: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # The node-wise kernel slows down many times over on strided stacks.
@@ -401,7 +447,6 @@ class GroupSection:
         if len(self.pieces) != self.atlas.chart_count:
             raise ShapeMismatchError("one piece per chart required")
         d = self.group.dim
-        lattices = []
         for c, p in zip(self.atlas.charts, self.pieces):
             if p.shape != (d, d, c.window.node_count):
                 raise ShapeMismatchError(
@@ -411,11 +456,13 @@ class GroupSection:
             # Nonfinite entries pass the relation check (NaN compares false),
             # so they are rejected before any defect is measured.
             check_node_values(p.reshape(d * d, -1).T)
-            # The overlap check reads each piece as its component-first
-            # lattice (d*d, c0[, c1]), a view of the contiguous stack.
-            lattices.append(p.reshape((d * d,) + c.window.axis_counts))
+        if "exact" not in vars(self):
+            object.__setattr__(self, "exact", tuple(map(self.group.exact_fn, self.pieces)))
         if "relation_defects" not in vars(self):
-            defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
+            defects = tuple(
+                float(self.group.relation_defect(p, e).max())
+                for p, e in zip(self.pieces, self.exact)
+            )
             object.__setattr__(self, "relation_defects", defects)
         for c, defect in zip(self.atlas.charts, self.relation_defects):
             if defect > RELATION_DEFECT_LIMIT:
@@ -423,6 +470,16 @@ class GroupSection:
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
                 )
+        # The overlap check reads each piece as its component-first lattice
+        # (rows, c0[, c1]), a view of the contiguous stack.  A transfer acts
+        # on each row alone and negation is exact, so when every piece is
+        # fixed by its top half, the defect and its worst point on those
+        # rows are bitwise those on all d*d.
+        rows = d * d // 2 if all(self.exact) else d * d
+        lattices = [
+            p.reshape((d * d,) + c.window.axis_counts)[:rows]
+            for c, p in zip(self.atlas.charts, self.pieces)
+        ]
         require_compatible(lattices, self.atlas, "group section ")
 
     @classmethod
@@ -432,24 +489,28 @@ class GroupSection:
         its relation defect exceeds ``threshold``.  Products and time-1 values
         of valid sections lie on the group, so a projection that leaves more
         than RELATION_DEFECT_LIMIT raises NumericError."""
-        pieces, defects = list(mats), []
+        pieces, exact, defects = list(mats), [], []
         for chart, p in enumerate(pieces):
-            drift = float(group.relation_defect(p).max())
+            witness = group.exact_fn(p)
+            drift = float(group.relation_defect(p, witness).max())
             if drift > threshold:
                 pieces[chart] = p = group.project(p)
                 LOGGER.info(
                     f"chart %d: {what} drifted %.3e off %s; re-projected",
                     chart, drift, group.name,
                 )
-                drift = float(group.relation_defect(p).max())
+                witness = group.exact_fn(p)
+                drift = float(group.relation_defect(p, witness).max())
                 if drift > RELATION_DEFECT_LIMIT:
                     raise NumericError(
                         f"chart {chart}: {what} relation defect {drift:.3e} exceeds "
                         f"{RELATION_DEFECT_LIMIT:.1e} even after re-projection"
                     )
+            exact.append(witness)
             defects.append(drift)
         # The measurements go in before __init__, whose checks then use them.
         self = cls.__new__(cls)
+        object.__setattr__(self, "exact", tuple(exact))
         object.__setattr__(self, "relation_defects", tuple(defects))
         self.__init__(atlas, group, pieces)
         return self
@@ -509,7 +570,7 @@ def group_multiply(a: GroupSection, b: GroupSection) -> GroupSection:
     require_same_atlas(a.atlas, b.atlas, "group sections")
     require_same_group(a, b)
     return GroupSection.computed(
-        a.atlas, a.group, (node_product(pa, pb) for pa, pb in zip(a.pieces, b.pieces)),
+        a.atlas, a.group, (a.group.multiply(pa, pb) for pa, pb in zip(a.pieces, b.pieces)),
         PROJECTION_THRESHOLD, "product",
     )
 

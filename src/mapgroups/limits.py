@@ -16,7 +16,8 @@ time sample is the same, all factors are equal and the product is a
 matrix power, taken by repeated squaring.  Group values are entry-first
 node stacks, ``(d, d, K)`` for K nodes, as everywhere in ``groups``;
 algebra coordinates are node-first, ``(K, a)``.  Every matrix product goes
-through the one node-wise kernel, ``groups.node_product``.
+through the group's node-wise product, ``MatrixGroup.multiply``, so an SU2
+time-1 value is exactly realified.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .groups import (
     AlgebraSection,
     GroupSection,
     node_power,
-    node_product,
     require_same_group,
 )
 from .sobolev import rellich_spectrum, weight_exponent
@@ -227,22 +227,23 @@ def _interp_matrices(stack: np.ndarray, times: np.ndarray, t: float) -> np.ndarr
 
 
 def _rk4_factor(
-    a1: np.ndarray, a2: np.ndarray, a4: np.ndarray, h: float
+    multiply, a1: np.ndarray, a2: np.ndarray, a4: np.ndarray, h: float
 ) -> np.ndarray:
     """Right factor R of one classical RK4 step of eta' = eta @ a(t).
 
     ``a1``, ``a2``, ``a4`` are the curve at the step's start, midpoint and
-    end, as (d, d, K) stacks; they are only read.  The stages k1..k4 are
-    ``eta @ a1``, ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
+    end, as (d, d, K) stacks; they are only read, and ``multiply`` is the
+    group's node-wise product.  The stages k1..k4 are ``eta @ a1``,
+    ``eta @ B2``, ``eta @ B3``, ``eta @ B4``, so the step is
     ``eta -> eta @ R`` with R independent of eta.
     """
-    b2 = node_product(a1, a2)
+    b2 = multiply(a1, a2)
     b2 *= 0.5 * h
     b2 += a2
-    b3 = node_product(b2, a2)
+    b3 = multiply(b2, a2)
     b3 *= 0.5 * h
     b3 += a2
-    b4 = node_product(b3, a4)
+    b4 = multiply(b3, a4)
     b4 *= h
     b4 += a4
     # r = eye + (h/6) ((a1 + 2 b2) + 2 b3 + b4), summed in that order into
@@ -274,21 +275,22 @@ def evolve(curve: TimeSampledCurve, steps: int) -> GroupSection:
     """
     steps = check_count(steps, "steps", curve.resolution)
     group = curve.group
+    multiply = group.multiply
     h = 1.0 / steps
     pieces = []
     for j in range(curve.atlas.chart_count):
         stack = _chart_curve_matrices(curve, j)
         if (stack == stack[0]).all():
             a = stack[0]
-            eta = node_power(_rk4_factor(a, a, a, h), steps)
+            eta = node_power(multiply, _rk4_factor(multiply, a, a, a, h), steps)
         else:
             eta, a1 = None, _interp_matrices(stack, curve.times, 0.0)
             for i in range(steps):
                 t = i * h
                 a2 = _interp_matrices(stack, curve.times, t + 0.5 * h)
                 a4 = _interp_matrices(stack, curve.times, t + h)
-                r = _rk4_factor(a1, a2, a4, h)
-                eta = r if eta is None else node_product(eta, r)
+                r = _rk4_factor(multiply, a1, a2, a4, h)
+                eta = r if eta is None else multiply(eta, r)
                 a1 = a4
         pieces.append(eta)
     try:

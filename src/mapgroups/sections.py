@@ -87,8 +87,9 @@ def _lattice_block(lattice: np.ndarray, cols) -> np.ndarray:
     return lattice
 
 
-def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
-    """Largest disagreement between chart pieces over sampled overlaps.
+def compatibility_defect(pieces, atlas: Atlas):
+    """Largest disagreement between chart pieces over sampled overlaps, and
+    where it lies.
 
     ``pieces`` holds one piece per chart: a ``SampledField`` on the chart's
     window, or its component-first lattice (n, c0[, c1]).  Pieces are
@@ -100,8 +101,9 @@ def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
     there are a product of the atlas's cached per-axis interpolation
     matrices with its lattice values.  Each transfer keeps only its live
     columns, so only the lattice block its stencils touch enters the
-    product.  With ``return_worst`` the chart
-    pair and manifold point of the maximum are returned as well.
+    product.  Returns ``(defect, where)``: ``where`` is the chart pair and
+    manifold point of the maximum, ``(i, j, point)``, or None when no
+    overlap sample differs.
     """
     lattices = _window_lattices(pieces, atlas)
     worst = 0.0
@@ -115,9 +117,7 @@ def compatibility_defect(pieces, atlas: Atlas, return_worst: bool = False):
         if diff[k] > worst:
             worst = float(diff[k])
             worst_point = (op.i, op.j, [float(a[q]) for a, q in zip(op.angles, k)])
-    if return_worst:
-        return worst, worst_point
-    return worst
+    return worst, worst_point
 
 
 def require_compatible(pieces, atlas: Atlas, what: str) -> None:
@@ -127,7 +127,7 @@ def require_compatible(pieces, atlas: Atlas, what: str) -> None:
     The message, prefixed by ``what``, names the defect, the chart pair and
     the manifold point where it is largest.
     """
-    defect, where = compatibility_defect(pieces, atlas, return_worst=True)
+    defect, where = compatibility_defect(pieces, atlas)
     if defect > OVERLAP_TOLERANCE:
         raise IncompatibleSectionError(
             f"{what}overlap defect {defect:.3e} exceeds {OVERLAP_TOLERANCE:.1e} near "

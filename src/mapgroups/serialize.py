@@ -39,8 +39,51 @@ def convention_tag(convention: str) -> str:
     return CONVENTION_TAGS[check_name(convention, CONVENTION_TAGS, "weight convention")]
 
 
+class _Base64Text(str):
+    """Base64 text that ``encode_array`` made: no character of it needs a
+    JSON escape, so ``canonical_json`` splices it in as it is."""
+
+
+# Stands in for each base64 text while the rest of a document is encoded;
+# _SPLICE_TOKEN is its JSON form.
+_SPLICE = "\x00b64\x00"
+_SPLICE_TOKEN = json.dumps(_SPLICE)
+
+
+def _without_base64(obj, texts: list):
+    """A copy of the JSON document ``obj`` with each ``_Base64Text`` replaced
+    by ``_SPLICE``, the texts appended to ``texts`` in the order the sorted
+    encoding writes them."""
+    if isinstance(obj, dict):
+        return {k: _without_base64(v, texts) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_without_base64(v, texts) for v in obj]
+    if isinstance(obj, _Base64Text):
+        texts.append(obj)
+        return _SPLICE
+    return obj
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``.
+
+    The JSON encoder scans every character of a string for escapes, and
+    base64 text needs none, so the document is encoded with each array's
+    text replaced by a placeholder and the texts are spliced back in.  A
+    document string that holds the placeholder's encoding shows as an extra
+    occurrence, and then the whole document is encoded directly.
+    """
+    texts = []
+    parts = json.dumps(
+        _without_base64(obj, texts), sort_keys=True, separators=(",", ":")
+    ).split(_SPLICE_TOKEN)
+    if len(parts) != len(texts) + 1:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    spliced = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        spliced += ('"', text, '"', part)
+    spliced.append("\n")
+    return "".join(spliced)
 
 
 def write_json(path, obj) -> None:
@@ -114,7 +157,7 @@ def encode_array(arr, dtype: str = "<f8") -> dict:
     return {
         "dtype": dtype,
         "shape": list(arr.shape),
-        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "b64": _Base64Text(base64.b64encode(arr.tobytes()), "ascii"),
     }
 
 

@@ -298,6 +298,7 @@ def test_ops_act_node_by_node_bitwise_property(group, nodes, drift, seed):
         "adjoint": (group.adjoint, g, v),
         "bracket_coords": (group.bracket_coords, u, v),
         "node_product": (node_product, g, h),
+        "multiply": (group.multiply, g, h),
     }
     for name, (op, *args) in ops.items():
         stacked = np.asarray(op(*args))
@@ -370,6 +371,81 @@ def test_bracket_jacobi_identity():
                 + g.bracket_coords(w, g.bracket_coords(u, v))
             )
             assert np.abs(total).max() < 1e-12, f"{g.name} trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# exactly realified SU2
+
+
+def realified_exactly(g):
+    """Both copies of X, and of Y, in [[X, -Y], [Y, X]] are equal as floats."""
+    return bool(np.all(g[2:, 2:] == g[:2, :2]) and np.all(g[2:, :2] == -g[:2, 2:]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([(), (1,), (140,), (4900,), (3, 40)]),
+    drift=st.sampled_from([0.0, 1e-9, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_su2_product_top_rows_are_node_product_bitwise_property(batch, drift, seed):
+    """The top half of the SU2 product is node_product's, byte for byte, on
+    group values and on any stacks; the bottom half is copied from it."""
+    g = su2_real()
+    rng = np.random.default_rng(seed)
+    a, b = (
+        g.exp(rng.uniform(-1.4, 1.4, size=batch + (3,)))
+        + drift * rng.standard_normal((4, 4) + batch)
+        for _ in range(2)
+    )
+    got, want = g.multiply(a, b), node_product(a, b)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got[:2].tobytes() == want[:2].tobytes()
+    assert realified_exactly(got) and g.exact_fn(got)
+
+
+@pytest.mark.parametrize("atlas_name", ["circle2", "torus4"])
+def test_su2_values_the_program_computes_pass_the_witness(atlas_name):
+    """exp, multiply, invert, project, the identity and evolve's time-1
+    value, on a sampled and on a constant curve."""
+    atlas = {"circle2": circle_two_charts, "torus4": torus_four_charts}[atlas_name]()
+    g = su2_real()
+    rng = np.random.default_rng(67)
+    xi, eta, zeta = (random_algebra_section(atlas, g, rng) for _ in range(3))
+    a, b = exp_section(xi), exp_section(eta)
+    drifted = a.pieces[0] + 1e-6 * rng.standard_normal(a.pieces[0].shape)
+    assert not g.exact_fn(drifted)
+    sections = {
+        "exp": a,
+        "multiply": group_multiply(a, b),
+        "invert": group_invert(a),
+        "identity": identity_group_section(atlas, g),
+        "evolve sampled": evolve(TimeSampledCurve(np.linspace(0.0, 1.0, 3), (xi, eta, zeta)), 4),
+        "evolve constant": evolve(constant_curve(xi), 8),
+    }
+    for what, gs in sections.items():
+        assert gs.exact == (True,) * atlas.chart_count, what
+        for p in gs.pieces:
+            assert realified_exactly(p), what
+    projected = g.project(drifted)
+    assert g.exact_fn(projected) and realified_exactly(projected)
+
+
+def test_the_witness_sees_one_unequal_twin_entry():
+    g = su2_real()
+    mats = g.exp(np.random.default_rng(71).uniform(-1.0, 1.0, size=(50, 3)))
+    assert g.exact_fn(mats)
+    for row, col in [(2, 2), (3, 3), (2, 0), (3, 1), (0, 0), (1, 2)]:
+        bad = mats.copy()
+        bad[row, col, 17] = np.nextafter(bad[row, col, 17], 2.0)
+        assert not g.exact_fn(bad), (row, col)
+        assert not realified_exactly(bad)
+        # The structure term is measured again where the witness fails.
+        assert g.relation_defect(bad)[17] > 0.0
+    # The structure term of a stack that passes is 0, as the formula gives.
+    assert g.relation_defect(mats, True).tobytes() == g.relation_defect(mats, False).tobytes()
+    assert [group.exact_fn(group.identity()) for group in ALL_GROUPS] == [False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +608,24 @@ def test_product_projection_cannot_repair_is_a_numeric_error(atlas):
 
 
 def _counting(group):
-    """``group`` with a defect_fn that records each call, and the record."""
-    calls = []
+    """``group`` with a defect_fn and an exact_fn that record each call,
+    and the two records."""
+    calls, witnesses = [], []
 
-    def counting(mats):
+    def counting(mats, exact):
         calls.append(mats.shape)
-        return group.defect_fn(mats)
+        return group.defect_fn(mats, exact)
 
-    return dataclasses.replace(group, defect_fn=counting), calls
+    def witness(mats):
+        witnesses.append(mats.shape)
+        return group.exact_fn(mats)
+
+    return dataclasses.replace(group, defect_fn=counting, exact_fn=witness), calls, witnesses
 
 
 @pytest.mark.parametrize("base", ALL_GROUPS, ids=lambda g: g.name)
 def test_each_constructed_value_is_measured_once_per_chart(atlas, caplog, base):
-    group, calls = _counting(base)
+    group, calls, witnesses = _counting(base)
     rng = np.random.default_rng(53)
     xi, eta = (random_algebra_section(atlas, group, rng) for _ in range(2))
     g, h = exp_section(xi), exp_section(eta)
@@ -554,16 +635,18 @@ def test_each_constructed_value_is_measured_once_per_chart(atlas, caplog, base):
         lambda: group_multiply(g, h),
     ):
         calls.clear()
+        witnesses.clear()
         with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
             built = build()
         assert len(calls) == atlas.chart_count
+        assert len(witnesses) == atlas.chart_count
         assert not caplog.records
         want = tuple(float(base.relation_defect(p).max()) for p in built.pieces)
         assert built.relation_defects == want
 
 
 def test_a_reprojected_product_is_measured_twice_per_chart(atlas, caplog):
-    group, calls = _counting(upper_triangular2())
+    group, calls, _ = _counting(upper_triangular2())
     rng = np.random.default_rng(59)
     pieces = []
     for p in exp_section(random_algebra_section(atlas, group, rng)).pieces:

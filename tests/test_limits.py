@@ -396,19 +396,21 @@ def test_chart_curve_stack_is_entry_first_and_contiguous(torus, group_name):
             assert np.array_equal(stack[t], sec.chart_matrices(j))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_rk4_factor_matches_the_allocating_formula_bitwise(d):
+@pytest.mark.parametrize("d, product", [
+    (2, node_product), (3, node_product), (4, node_product), (4, group_by_name("SU2").multiply),
+], ids=["2", "3", "4", "SU2"])
+def test_rk4_factor_matches_the_allocating_formula_bitwise(d, product):
     """The in-place factor keeps the sum order and the full-identity add of
-    ``eye + (h/6) (a1 + 2 b2 + 2 b3 + b4)``, so every byte agrees, signed
-    zeros included (half the entries are zero)."""
+    ``eye + (h/6) (a1 + 2 b2 + 2 b3 + b4)``, with the product it is given,
+    so every byte agrees, signed zeros included (half the entries are zero)."""
     rng = np.random.default_rng(60 + d)
     for h in (1.0 / 64, -0.37, 1.0):
         a1, a2, a4 = rng.standard_normal((3, d, d, 50)) * rng.integers(0, 2, (3, d, d, 50))
-        b2 = a2 + (0.5 * h) * node_product(a1, a2)
-        b3 = a2 + (0.5 * h) * node_product(b2, a2)
-        b4 = a4 + h * node_product(b3, a4)
+        b2 = a2 + (0.5 * h) * product(a1, a2)
+        b3 = a2 + (0.5 * h) * product(b2, a2)
+        b4 = a4 + h * product(b3, a4)
         want = np.eye(d)[..., None] + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
-        assert _rk4_factor(a1, a2, a4, h).tobytes() == want.tobytes()
+        assert _rk4_factor(product, a1, a2, a4, h).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -435,9 +437,9 @@ def test_evolve_measures_each_time1_chart_once(atlas, caplog, group_name, sample
     calls = []
     base = group_by_name(group_name)
 
-    def counting(mats):
+    def counting(mats, exact):
         calls.append(mats.shape)
-        return base.defect_fn(mats)
+        return base.defect_fn(mats, exact)
 
     group = dataclasses.replace(base, defect_fn=counting)
     rng = np.random.default_rng(61)

@@ -20,7 +20,7 @@ from mapgroups.atlas import (
     torus_four_charts,
     wrap_angle,
 )
-from mapgroups.errors import InputError
+from mapgroups.errors import IncompatibleSectionError, InputError
 from mapgroups import sections
 from mapgroups.fields import (
     TWO_PI,
@@ -33,6 +33,7 @@ from mapgroups.groups import (
     GroupSection,
     exp_section,
     group_multiply,
+    node_product,
     random_algebra_section,
     so3,
     su2_real,
@@ -185,7 +186,7 @@ def test_defect_matches_pointwise_reference(atlas_name, kind):
     pieces[-1] = SampledField(
         last.domain, last.values + 1e-7 * rng.standard_normal(last.values.shape)
     )
-    worst, where = compatibility_defect(pieces, atlas, return_worst=True)
+    worst, where = compatibility_defect(pieces, atlas)
     ref_worst, ref_where = pointwise_defect(pieces, atlas)
     assert worst > 1e-8
     assert abs(worst - ref_worst) <= 1e-15
@@ -230,7 +231,7 @@ def test_defect_matches_dense_reference(atlas_name, name):
     pieces[-1] = SampledField(
         last.domain, last.values + 1e-7 * rng.standard_normal(last.values.shape)
     )
-    worst, where = compatibility_defect(pieces, atlas, return_worst=True)
+    worst, where = compatibility_defect(pieces, atlas)
     ref_worst, ref_where = dense_defect(pieces, atlas)
     scale = max(float(np.abs(p.values).max()) for p in pieces)
     assert worst > 1e-8
@@ -257,7 +258,7 @@ def test_defect_and_glue_equal_the_gathered_reference_bitwise(atlas_name, kind):
     )
     ref = gathered_defect(pieces, atlas)
     assert ref[0] > 1e-8
-    assert compatibility_defect(pieces, atlas, return_worst=True) == ref
+    assert compatibility_defect(pieces, atlas) == ref
 
 
 def recording_check(monkeypatch):
@@ -286,15 +287,84 @@ def test_group_section_hands_its_stacks_to_the_check_uncopied(
     GroupSection(atlas, gamma.group, gamma.pieces)
     (lattices,) = seen
     d = gamma.group.dim
+    # An exactly realified SU2 stack is checked on the 8 rows of its top half.
+    rows = 8 if name == "SU2" else d * d
     for c, lattice, piece in zip(atlas.charts, lattices, gamma.pieces):
-        assert lattice.shape == (d * d,) + c.window.axis_counts
+        assert lattice.shape == (rows,) + c.window.axis_counts
+        assert lattice.flags.c_contiguous
         assert np.shares_memory(lattice, piece)
     entries = [
         SampledField(c.window, p.reshape(d * d, -1).T)
         for c, p in zip(atlas.charts, gamma.pieces)
     ]
-    got = compatibility_defect(lattices, atlas, return_worst=True)
+    got = compatibility_defect(lattices, atlas)
     assert got == gathered_defect(entries, atlas)
+
+
+def entry_lattices(atlas, pieces, rows=16):
+    """The first ``rows`` entry rows of each (4, 4, K) piece as its lattice."""
+    return [p.reshape((16,) + c.window.axis_counts)[:rows] for c, p in zip(atlas.charts, pieces)]
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+@pytest.mark.parametrize("seed", [23, 29])
+def test_top_half_defect_is_the_full_defect_bitwise(atlas_name, seed):
+    """On exactly realified SU2 pieces, the defect and worst point of the 8
+    top-half rows are those of all 16, on a compatible section and on one
+    whose last piece is moved off by an exact product."""
+    atlas = ATLASES[atlas_name]()
+    g = su2_real()
+    rng = np.random.default_rng(seed)
+    gamma = exp_section(random_algebra_section(atlas, g, rng))
+    moved = list(gamma.pieces)
+    moved[-1] = g.multiply(moved[-1], g.exp(1e-6 * rng.standard_normal(3)))
+    assert g.exact_fn(moved[-1])
+    for pieces, compatible in ((gamma.pieces, True), (moved, False)):
+        full = compatibility_defect(entry_lattices(atlas, pieces), atlas)
+        half = compatibility_defect(entry_lattices(atlas, pieces, 8), atlas)
+        assert repr(half) == repr(full)
+        assert (full[0] <= sections.OVERLAP_TOLERANCE) == compatible
+    with pytest.raises(IncompatibleSectionError):
+        GroupSection(atlas, g, tuple(moved))
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+def test_pieces_of_the_plain_product_are_checked_on_every_row(atlas_name, monkeypatch):
+    """node_product, the SU2 product before it wrote its bottom half from the
+    top, leaves the copies unequal; such pieces, as in an older file, keep
+    the 16-row check."""
+    atlas = ATLASES[atlas_name]()
+    g = su2_real()
+    rng = np.random.default_rng(37)
+    a, b = (exp_section(random_algebra_section(atlas, g, rng)) for _ in range(2))
+    pieces = tuple(node_product(pa, pb) for pa, pb in zip(a.pieces, b.pieces))
+    seen = recording_check(monkeypatch)
+    gamma = GroupSection(atlas, g, pieces)
+    assert not all(gamma.exact)
+    (lattices,) = seen
+    assert [lattice.shape[0] for lattice in lattices] == [16] * atlas.chart_count
+
+
+@pytest.mark.parametrize("atlas_name", sorted(ATLASES))
+def test_a_twin_row_change_in_an_inexact_piece_is_checked(atlas_name, monkeypatch):
+    """A piece that fails the witness sends every piece to the check on all
+    16 rows, so a change confined to a bottom-half row still fails it."""
+    atlas = ATLASES[atlas_name]()
+    g = su2_real()
+    gamma = exp_section(random_algebra_section(atlas, g, np.random.default_rng(31)))
+    pieces = list(gamma.pieces)
+    bad = pieces[-1].copy()
+    bad[2, 0] += 1e-7  # the second copy of Y(0, 0)
+    pieces[-1] = bad
+    assert not g.exact_fn(bad)
+    half = compatibility_defect(entry_lattices(atlas, pieces, 8), atlas)
+    full = compatibility_defect(entry_lattices(atlas, pieces), atlas)
+    assert half[0] <= sections.OVERLAP_TOLERANCE < full[0]
+    # The relation check would refuse the piece first; lifted, the overlap
+    # check alone must see the change.
+    monkeypatch.setattr("mapgroups.groups.RELATION_DEFECT_LIMIT", 1.0)
+    with pytest.raises(IncompatibleSectionError, match="^group section overlap defect"):
+        GroupSection(atlas, g, tuple(pieces))
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))

@@ -34,11 +34,11 @@ def circle_section(fn, atlas=None):
 def test_global_function_gives_compatible_pieces():
     a = circle_two_charts()
     sec = circle_section(lambda th: np.sin(th[:, 0]), a)
-    d = compatibility_defect(sec.pieces, a)
+    d, _ = compatibility_defect(sec.pieces, a)
     assert d < 1e-12, f"circle defect {d:.3e}"
     b = torus_four_charts()
     sec2 = section_from_function(b, lambda th: np.cos(th[:, 0]) * np.sin(th[:, 1]))
-    d2 = compatibility_defect(sec2.pieces, b)
+    d2, _ = compatibility_defect(sec2.pieces, b)
     assert d2 < 1e-9, f"torus defect {d2:.3e}"
 
 
@@ -48,8 +48,9 @@ def test_incompatible_pieces_are_rejected():
     pieces = list(sec.pieces)
     bumped = pieces[1].values + 0.5
     pieces[1] = SampledField(pieces[1].domain, bumped)
-    d = compatibility_defect(tuple(pieces), a)
+    d, where = compatibility_defect(tuple(pieces), a)
     assert d == pytest.approx(0.5, abs=1e-12)
+    assert where[:2] == (0, 1)
     with pytest.raises(IncompatibleSectionError, match=r"near charts 0/1 at point \["):
         Section(a, tuple(pieces))
     with pytest.raises(IncompatibleSectionError, match=r"near charts 0/1 at point \["):

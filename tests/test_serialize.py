@@ -41,6 +41,53 @@ def test_canonical_json_is_key_sorted_with_newline():
     assert s == '{"a":[2,3],"b":1}\n'
 
 
+# Strings that look like the splice placeholder, its JSON form, an encoded
+# array's key, or need escapes: control, quote, backslash, non-ASCII.
+ODD_TEXT = st.sampled_from([
+    "", "b64", "\x00", "\x00b64\x00", '"\x00b64\x00', "\x00b64\x00\"", "\\u0000b64\\u0000",
+    '"\\u0000b64\\u0000"', 'a"b', "back\\slash", "\n\t\x1f\x7f", "é", " ", "😀",
+])
+TEXT = st.one_of(ODD_TEXT, st.text(max_size=8))
+ARRAYS = st.builds(
+    lambda shape, seed, dtype: encode_array(np.random.default_rng(seed).random(shape) < 0.5
+                                            if dtype == "|b1" else
+                                            np.random.default_rng(seed).standard_normal(shape),
+                                            dtype),
+    st.lists(st.integers(0, 4), max_size=2), st.integers(0, 2**32 - 1),
+    st.sampled_from(["<f8", "|b1"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=True), TEXT
+)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(TEXT, inner, max_size=4),
+        # An object that has an encoded array's keys, but values of its own.
+        st.fixed_dictionaries({"b64": TEXT, "dtype": inner, "shape": inner}),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_canonical_json_is_the_sorted_compact_dump_bitwise_property(doc):
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_json(doc) == want
+
+
+def test_canonical_json_splices_each_array_in_document_order():
+    arrays = [encode_array(np.arange(k, dtype=float)) for k in range(1, 5)]
+    doc = {"z": arrays[0], "a": [arrays[1], {"b64": "\x00b64\x00"}], "m": {"k": arrays[2:]}}
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_json(doc) == want
+    assert canonical_json({"x": arrays[3]}) == (
+        '{"x":{"b64":"' + arrays[3]["b64"] + '","dtype":"<f8","shape":[4]}}\n'
+    )
+
+
 def test_sampled_round_trip_keeps_parent_modes():
     rng = np.random.default_rng(5)
     f = random_field(1, 6, 2, rng)

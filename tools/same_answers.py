@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/same_answers.py > answers.txt
+    python3 tools/same_answers.py [--values DIR] > answers.txt
 
 The program is imported from this checkout's ``src/``.  Each row is
 ``name value``: a sha256 of an output file or array, an exit code, a
@@ -10,7 +10,13 @@ stderr line, or the repr of a number.  Temporary paths never appear, so
 running the script on two checkouts and diffing the outputs shows
 whether a change keeps every answer.  Run both sides with the same BLAS
 thread count (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS changes the
-last digits of some sums.  The matrix, at seeds 0 and 1:
+last digits of some sums.
+
+With ``--values DIR`` the script also keeps what it digests, so that
+``tools/answer_moves.py`` can say by how much a moved row moved: each
+output file as ``DIR/<row name>``, each array as ``DIR/<row name>.npy``,
+and the rows themselves as ``DIR/answers.txt``.  The matrix, at seeds 0
+and 1:
 
 * every circle2 subcommand, with shrink-domain on disc, ellipse and peanut;
 * group-demo and evolve on circle2 and torus4 for SO3, SU2 and UT2;
@@ -40,10 +46,13 @@ and partition transfers.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -71,9 +80,18 @@ def array_digest(arr) -> str:
     return digest(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
 
 
+def worst_overlap(pieces, atlas):
+    """``compatibility_defect``'s defect and where it lies, also from a
+    checkout whose function returns the pair only when given
+    ``return_worst=True``."""
+    if "return_worst" in inspect.signature(mg.compatibility_defect).parameters:
+        return mg.compatibility_defect(pieces, atlas, return_worst=True)
+    return mg.compatibility_defect(pieces, atlas)
+
+
 def run_cli(name: str, argv: list[str], work: Path):
     """Rows of one in-process CLI run: exit code, stdout and stderr lines,
-    and one digest per file it wrote."""
+    and the bytes of each file it wrote."""
     out = work / name.replace("/", "_")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -83,7 +101,7 @@ def run_cli(name: str, argv: list[str], work: Path):
         for line in text.getvalue().splitlines():
             yield name, f"{stream} {line.replace(str(work), '<work>')}"
     for path in sorted(out.glob("*")) if out.is_dir() else ():
-        yield f"{name}/{path.name}", digest(path.read_bytes())
+        yield f"{name}/{path.name}", path.read_bytes()
 
 
 def config(work: Path, seed: int, atlas: str, group: str) -> str:
@@ -130,17 +148,17 @@ def library_rows(seed: int):
         mean = (s1 + s2).scaled(0.5)
         glued = mg.glue(mean.pieces, atlas)
         for j, p in enumerate(glued.pieces):
-            yield f"{head}/glue/piece{j}", array_digest(p.values)
+            yield f"{head}/glue/piece{j}", p.values
         points = rng.uniform(0.0, 2.0 * np.pi, size=(200, atlas.m))
-        yield f"{head}/point_eval", array_digest(mg.point_eval(glued, points))
+        yield f"{head}/point_eval", mg.point_eval(glued, points)
         total, detail = mg.hilbert_inner(s1, s2, 1.0, return_detail=True)
         yield f"{head}/hilbert_inner", repr((total, detail))
         yield f"{head}/overlap_defect", repr(
-            mg.compatibility_defect(mean.pieces, atlas, return_worst=True)
+            worst_overlap(mean.pieces, atlas)
         )
         grid = atlas.manifold_grid(64)
-        yield f"{head}/partition_weights", array_digest(atlas.partition_weights(grid))
-        yield f"{head}/bump_values", array_digest(atlas.bump_values(points))
+        yield f"{head}/partition_weights", atlas.partition_weights(grid)
+        yield f"{head}/bump_values", atlas.bump_values(points)
         yield f"{head}/validate_atlas", repr(mg.validate_atlas(atlas))
     rng = np.random.default_rng(seed)
     field = mg.random_field(2, 12, 2, rng)
@@ -151,26 +169,26 @@ def library_rows(seed: int):
     full = mg.GridDomain.full_torus(2, 129)
     window = mg.builtin_atlas("torus4").charts[0].window
     for name, grid in (("full", full), ("window", window)):
-        yield f"s{seed}/sample/{name}", array_digest(mg.sample(field, grid).values)
+        yield f"s{seed}/sample/{name}", mg.sample(field, grid).values
     for name in ("circle2", "torus4"):
         sec = mg.random_section(mg.builtin_atlas(name), 3, np.random.default_rng(seed))
         for j, p in enumerate(sec.pieces):
-            yield f"s{seed}/{name}/random_section/piece{j}", array_digest(p.values)
+            yield f"s{seed}/{name}/random_section/piece{j}", p.values
     coords = np.random.default_rng(seed).standard_normal((4900, 3))
     coords[::7] = 0.0
     coords[3::11, 1] = 0.0
-    yield f"s{seed}/su2_exp", array_digest(mg.su2_real().exp(coords))
+    yield f"s{seed}/su2_exp", mg.su2_real().exp(coords)
     for name in DOMAINS:
         domain = mg.domain_by_name(name)
         lows, highs = np.transpose(domain.bbox)
         pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
         pts = np.vstack([pts, domain.anchors])
         moved = mg.flow(mg.FlowField(domain), pts, 0.25, 16)
-        yield f"s{seed}/{name}/flow", array_digest(moved)
+        yield f"s{seed}/{name}/flow", moved
     for m, modes in ((1, 12), (2, 6)):
         h = mg.SmoothCutoff(np.full(m, np.pi), np.full(m, 2.0))
         field = mg.random_field(m, modes, 3, np.random.default_rng(seed))
-        yield f"s{seed}/cutoff_multiply/m{m}", array_digest(mg.cutoff_multiply(h, field).coeffs)
+        yield f"s{seed}/cutoff_multiply/m{m}", mg.cutoff_multiply(h, field).coeffs
     rng = np.random.default_rng(seed)
     for m, modes, resolution in ((1, 20, 129), (2, 4, 33)):
         lows = rng.uniform(0.1, 2.5, size=m)
@@ -179,13 +197,13 @@ def library_rows(seed: int):
         s = float(rng.uniform(0.5, 3.0))
         for convention in mg.CONVENTIONS:
             kernel = mg.restriction_kernel_basis(grid, s, modes, convention)
-            yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", array_digest(kernel.coeffs)
+            yield f"s{seed}/restriction_kernel_basis/m{m}/{convention}", kernel.coeffs
     rng = np.random.default_rng(seed)
     for m in (1, 2):
         points = rng.uniform(-1.0, 2.0 * np.pi + 1.0, size=(300, m))
         for components in (1, 2, 3):
             field = mg.random_field(m, 6, components, rng)
-            yield f"s{seed}/evaluate/m{m}/n{components}", array_digest(field.evaluate(points))
+            yield f"s{seed}/evaluate/m{m}/n{components}", field.evaluate(points)
     window = mg.GridDomain.box(((0.7, 3.9),), 129)
     grids = (("circle-window", window), *(
         (f"full-m{m}", mg.GridDomain.full_torus(m, 129)) for m in (1, 2)
@@ -194,7 +212,7 @@ def library_rows(seed: int):
         values = mg.sample(mg.random_field(grid.m, 8, 2, rng), grid)
         lows, highs = np.transpose(grid.window)
         points = rng.uniform(lows + 0.05, highs - 0.05, size=(300, grid.m))
-        yield f"s{seed}/interpolate/{name}", array_digest(values.interpolate(points))
+        yield f"s{seed}/interpolate/{name}", values.interpolate(points)
 
 
 def atlas_rows():
@@ -211,20 +229,44 @@ def atlas_rows():
             for field in dataclasses.fields(op):
                 value = getattr(op, field.name)
                 if isinstance(value, np.ndarray):
-                    yield f"{name}/{label}/{field.name}", array_digest(value)
+                    yield f"{name}/{label}/{field.name}", value
                 elif isinstance(value, tuple):
                     for d, arr in enumerate(value):
-                        yield f"{name}/{label}/{field.name}{d}", array_digest(arr)
+                        yield f"{name}/{label}/{field.name}{d}", arr
 
 
-def main() -> int:
+def row_text(name: str, value, values: Path | None) -> str:
+    """The printed value of a row: the digest of an array or of a file's
+    bytes, kept under ``values`` when given, or the text itself."""
+    if isinstance(value, str):
+        return value
+    if values is not None:
+        kept = values / name
+        kept.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(value, bytes):
+            kept.write_bytes(value)
+        else:
+            np.save(kept.with_name(kept.name + ".npy"), np.ascontiguousarray(value))
+    return digest(value) if isinstance(value, bytes) else array_digest(value)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--values", type=Path, help="keep each digested array and file here")
+    values = parser.parse_args(argv).values
+    lines = []
     with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
         work = Path(tmp)
-        for seed in SEEDS:
-            for name, value in (*cli_rows(seed, work), *library_rows(seed)):
-                print(name, value)
-    for name, value in atlas_rows():
-        print(name, value)
+        rows = itertools.chain(
+            *(itertools.chain(cli_rows(seed, work), library_rows(seed)) for seed in SEEDS),
+            atlas_rows(),
+        )
+        for name, value in rows:
+            line = f"{name} {row_text(name, value, values)}"
+            print(line)
+            lines.append(line)
+    if values is not None:
+        (values / "answers.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
