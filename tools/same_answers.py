@@ -41,7 +41,9 @@ and 1:
   points of a circle window and of the full 129-node circle and torus.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
-and partition transfers.
+and partition transfers; and, in both weight conventions,
+critical_order_estimate at alpha 1, 1.5 and 2 and decay_partial_norm_sq at
+the cuts 32 to 32768 of the ladder's growth ratio.
 """
 
 from __future__ import annotations
@@ -235,6 +237,19 @@ def atlas_rows():
                         yield f"{name}/{label}/{field.name}{d}", arr
 
 
+def ladder_rows():
+    cuts = [mg.limits.RATIO_START * 2**j for j in range(mg.limits.RATIO_WINDOW + 1)]
+    for convention in mg.CONVENTIONS:
+        for alpha in (1.0, 1.5, 2.0):
+            head = f"{convention}/alpha{alpha:g}"
+            yield f"{head}/critical_order_estimate", repr(
+                mg.critical_order_estimate(alpha, convention)
+            )
+            for s in (0.5, 1.0, 2.5):
+                sums = [mg.decay_partial_norm_sq(alpha, s, n, convention) for n in cuts]
+                yield f"{head}/decay_partial_norm_sq/s{s:g}", repr(sums)
+
+
 def row_text(name: str, value, values: Path | None) -> str:
     """The printed value of a row: the digest of an array or of a file's
     bytes, kept under ``values`` when given, or the text itself."""
@@ -260,6 +275,7 @@ def main(argv=None) -> int:
         rows = itertools.chain(
             *(itertools.chain(cli_rows(seed, work), library_rows(seed)) for seed in SEEDS),
             atlas_rows(),
+            ladder_rows(),
         )
         for name, value in rows:
             line = f"{name} {row_text(name, value, values)}"
