@@ -10,6 +10,7 @@ or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -458,6 +459,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+# One parser serves every call in a process; parse_args keeps no state.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapgroups",

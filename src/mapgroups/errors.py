@@ -52,8 +52,10 @@ class NumericError(RuntimeError):
 
 def check_count(value, name: str, minimum: int) -> int:
     """``value`` as an int; InputError naming ``name`` unless it is a Python
-    or NumPy integer of at least ``minimum``."""
+    or NumPy integer (a bool is not one) of at least ``minimum``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None

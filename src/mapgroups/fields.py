@@ -94,7 +94,7 @@ class GridDomain:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod([idx.size for idx in self.axis_indices]))
+        return math.prod(idx.size for idx in self.axis_indices)
 
     @property
     def axis_counts(self) -> tuple[int, ...]:
@@ -450,8 +450,19 @@ def sobolev_weight_rows(m: int, modes: int, exponents) -> np.ndarray:
     1 and 2 apply; an array of exponents would take the general power,
     which differs in the last bit at 0.5.
     """
-    base = (1.0 + wavenumber_squares(m, modes)).ravel()
+    base = _weight_base(check_dimension(m), check_count(modes, "modes", 0))
     return np.array([base**e for e in exponents]).reshape(-1, base.size)
+
+
+# Keyed by the checked (m, modes), so a value the checks refuse never meets
+# a cached entry.  (1, 32768), the critical-order ladder's top cut, is the
+# largest key the program asks for: 65,537 floats, 524,296 bytes.
+@lru_cache(maxsize=4)
+def _weight_base(m: int, modes: int) -> np.ndarray:
+    """Read-only C-order lattice of 1 + |k|^2 over every |k_d| <= modes."""
+    base = (1.0 + wavenumber_squares(m, modes)).ravel()
+    base.flags.writeable = False
+    return base
 
 
 def sample(field: BandlimitedField, grid: GridDomain) -> SampledField:

@@ -70,12 +70,17 @@ def ladder(s0: float, count: int, m: int = 1) -> SobolevLadder:
     return SobolevLadder(s0, rungs)
 
 
+def _decay_terms(alpha: float, s: float, modes: int, convention: str) -> np.ndarray:
+    """Terms of the squared order-s norm of the decay field, |k| <= modes."""
+    expo = weight_exponent(s, convention) - check_real(alpha, "alpha", 0.0, strict=True)
+    return sobolev_weights(1, modes, expo)
+
+
 def decay_partial_norm_sq(
     alpha: float, s: float, modes: int, convention: str = "paper"
 ) -> float:
     """Squared order-s norm of the decay field truncated at ``modes`` (m=1)."""
-    expo = weight_exponent(s, convention) - check_real(alpha, "alpha", 0.0, strict=True)
-    return float(np.sum(sobolev_weights(1, modes, expo)))
+    return float(np.sum(_decay_terms(alpha, s, modes, convention)))
 
 
 def _increment_ratio(alpha: float, s: float, convention: str) -> float:
@@ -86,11 +91,16 @@ def _increment_ratio(alpha: float, s: float, convention: str) -> float:
     The ratio of the last increment to the one ``RATIO_WINDOW`` doublings
     earlier is < 1 exactly on the convergent side, with sharp sensitivity
     in s.
+
+    The terms are built once, at the largest cut; each partial sum is the
+    central slice |k| <= n of them.  A slice holds the values of the
+    lattice at cut n in the same order, so its sum is bitwise
+    ``decay_partial_norm_sq`` at n.
     """
-    cuts = RATIO_START * 2 ** np.arange(RATIO_WINDOW + 1)
-    sums = np.array(
-        [decay_partial_norm_sq(alpha, s, int(n), convention) for n in cuts]
-    )
+    top = RATIO_START << RATIO_WINDOW
+    terms = _decay_terms(alpha, s, top, convention)
+    cuts = (RATIO_START << j for j in range(RATIO_WINDOW + 1))
+    sums = np.array([np.sum(terms[top - n : top + n + 1]) for n in cuts])
     inc = np.diff(sums)
     if inc[0] <= 0.0:
         return 0.0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapgroups
-from mapgroups.cli import TOLERANCE_NAMES, TOLERANCES, main
+from mapgroups.cli import TOLERANCE_NAMES, TOLERANCES, build_parser, main
 from mapgroups.serialize import MAX_LATTICE_RESOLUTION
 
 
@@ -213,6 +213,29 @@ def test_flags_work_before_and_after_the_subcommand(tmp_path):
     c = tmp_path / "c"
     assert main(["--seed", "1", "evolve", "--seed", "4", "--out", str(c)]) == 0
     assert read(c / "evolve.json")["seed"] == 4
+
+
+def test_one_parser_serves_repeated_calls(tmp_path):
+    """The parser is built once per process; flags on both sides of the
+    subcommand and an argparse error leave nothing behind for the next
+    call, whose files are those of the same call on a fresh parser."""
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    build_parser.cache_clear()
+    assert main(["ladder", "--out", str(a)]) == 0
+    parser = build_parser()
+    flags = ["--seed", "5", "--modes", "16"]
+    assert main([*flags, "ladder", *flags, "--out", str(b)]) == 0
+    assert read(b / "ladder.json")["seed"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["ladder", "--modes", "many"])
+    assert exc.value.code == 2
+    assert main(["ladder", "--out", str(c)]) == 0
+    assert build_parser() is parser
+    assert files(c) == files(a)
+    assert files(b) != files(a)
 
 
 def test_config_file_merges_under_flags(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapgroups import fields
 from mapgroups.atlas import builtin_atlas, torus_four_charts
 from mapgroups.errors import (
     AliasingError,
@@ -27,6 +28,7 @@ from mapgroups.fields import (
     restrict_sampled,
     same_grid,
     sample,
+    sobolev_weight_rows,
     sobolev_weights,
     synthesize,
     tensor_points,
@@ -127,6 +129,30 @@ def test_wavenumber_lattices_take_only_integer_modes():
             rellich_spectrum(2.0, 1.0, modes)
     assert random_field(1, np.int64(2), 1, np.random.default_rng(0)).coeffs.shape == (1, 5)
     assert rellich_spectrum(2.0, 1.0, np.int32(2)).shape == (5,)
+
+
+def test_the_cached_weight_base_keeps_the_input_rules_and_hands_out_copies():
+    """The base 1 + |k|^2 is cached by the checked (m, modes): a value the
+    checks refuse fails even when an equal key is cached, the cached base
+    is read-only, and a caller's edit of a returned row reaches no later
+    call."""
+    want = np.array([0.2, 0.5, 1.0, 0.5, 0.2])
+    first = sobolev_weights(1, 2, -1.0)  # primes the (1, 2) entry
+    np.testing.assert_array_equal(first, want)
+    for m, modes, name in ((1, np.float64(2.0), "modes"), (1, True, "modes"), (True, 2, "m")):
+        with pytest.raises(InputError, match=rf"^{name} must be an integer, got "):
+            sobolev_weights(m, modes, -1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        fields._weight_base(1, 2)[0] = 0.0
+    # Exponents 0 and 1 take numpy's fast paths, which could hand back the
+    # base itself.
+    rows = sobolev_weight_rows(1, 2, [0.0, 1.0, -1.0])
+    rows[...] = -1.0
+    first[...] = -1.0
+    np.testing.assert_array_equal(sobolev_weights(1, 2, -1.0), want)
+    np.testing.assert_array_equal(
+        sobolev_weight_rows(1, 2, [0.0, 1.0]), [[1.0] * 5, [5.0, 2.0, 1.0, 2.0, 5.0]]
+    )
 
 
 @settings(max_examples=60)

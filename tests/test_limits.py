@@ -21,8 +21,14 @@ from mapgroups.groups import (
     upper_triangular2,
 )
 from mapgroups.limits import (
+    ORDER_MAX,
+    ORDER_STEP,
+    RATIO_START,
+    RATIO_WINDOW,
     TimeSampledCurve,
     _chart_curve_matrices,
+    _decay_terms,
+    _increment_ratio,
     _interp_matrices,
     _rk4_factor,
     constant_curve,
@@ -104,6 +110,68 @@ def test_critical_order_near_two_alpha_minus_one():
         got = critical_order_estimate(alpha)
         assert got == pytest.approx(want, abs=1e-12), f"alpha={alpha}: {got}"
         assert abs(got - (2.0 * alpha - 1.0)) < 0.05
+
+
+CUTS = [RATIO_START << j for j in range(RATIO_WINDOW + 1)]
+
+
+def reference_increment_ratio(alpha, s, convention):
+    """The growth ratio from one fresh lattice per cut."""
+    sums = np.array([decay_partial_norm_sq(alpha, s, n, convention) for n in CUTS])
+    inc = np.diff(sums)
+    if inc[0] <= 0.0:
+        return 0.0
+    return float(inc[-1] / inc[0])
+
+
+def reference_critical_order(alpha, convention):
+    """Bisection on the per-cut growth ratio."""
+
+    def divergent(s):
+        return reference_increment_ratio(alpha, s, convention) >= 1.0
+
+    lo, hi = 0.0, ORDER_MAX
+    if divergent(lo):
+        return 0.0
+    if not divergent(hi):
+        return hi
+    while hi - lo > ORDER_STEP:
+        mid = 0.5 * (lo + hi)
+        if divergent(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=40)
+@given(
+    alpha=st.floats(0.05, 5.0),
+    s=st.floats(0.0, ORDER_MAX),
+    convention=st.sampled_from(["paper", "standard"]),
+    extra=st.integers(0, CUTS[-1]),
+)
+def test_nested_slice_sums_are_the_partial_norms(alpha, s, convention, extra):
+    """The central slice |k| <= n of the top cut's terms sums bitwise to
+    decay_partial_norm_sq at n, at every cut of the ratio and one more;
+    so the ratio is bitwise the per-cut one."""
+    top = CUTS[-1]
+    terms = _decay_terms(alpha, s, top, convention)
+    for n in [*CUTS, extra]:
+        assert np.sum(terms[top - n : top + n + 1]) == decay_partial_norm_sq(
+            alpha, s, n, convention
+        ), n
+    assert _increment_ratio(alpha, s, convention) == reference_increment_ratio(
+        alpha, s, convention
+    )
+
+
+@settings(max_examples=12)
+@given(alpha=st.floats(0.05, 5.0), convention=st.sampled_from(["paper", "standard"]))
+def test_critical_order_is_the_per_cut_bisection(alpha, convention):
+    assert critical_order_estimate(alpha, convention) == reference_critical_order(
+        alpha, convention
+    )
 
 
 # ---------------------------------------------------------------------------
