@@ -31,7 +31,9 @@ and 1:
   the SU2 exp of a seeded coordinate stack with zero rows and zero entries;
 * flow on each domain of a seeded point stack over its bounding box, which
   spans the flow field's core, transition, plateau and outside, plus the
-  anchors; and cutoff_multiply of a seeded 3-component field on the
+  anchors: at 16 steps, as one 64-step stack whose rows take 0.025 or
+  +-DESCENT_OFFSET, and as three chained flows of 0.025, 0.05 and 0.025 in
+  64, 128 and 64 steps; and cutoff_multiply of a seeded 3-component field on the
   circle and on the torus;
 * the restriction_kernel_basis coefficients of a seeded circle window and
   a seeded torus window, each with a nonempty kernel, in both weight
@@ -185,8 +187,16 @@ def library_rows(seed: int):
         lows, highs = np.transpose(domain.bbox)
         pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
         pts = np.vstack([pts, domain.anchors])
-        moved = mg.flow(mg.FlowField(domain), pts, 0.25, 16)
-        yield f"s{seed}/{name}/flow", moved
+        field = mg.FlowField(domain)
+        yield f"s{seed}/{name}/flow", mg.flow(field, pts, 0.25, 16)
+        offset = mg.domains.DESCENT_OFFSET
+        mixed = np.vstack([pts, pts[:40], pts[:40]])
+        times = np.repeat([0.025, offset, -offset], [len(pts), 40, 40])
+        yield f"s{seed}/{name}/flow_mixed_times", mg.flow(field, mixed, times, 64)
+        chained = pts
+        for t, steps in ((0.025, 64), (0.05, 128), (0.025, 64)):
+            chained = mg.flow(field, chained, t, steps)
+        yield f"s{seed}/{name}/flow_chained", chained
     for m, modes in ((1, 12), (2, 6)):
         h = mg.SmoothCutoff(np.full(m, np.pi), np.full(m, 2.0))
         field = mg.random_field(m, modes, 3, np.random.default_rng(seed))
