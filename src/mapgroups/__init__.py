@@ -23,6 +23,7 @@ from .domains import (
     LevelSetDomain,
     ShrinkCertificate,
     boundary_samples,
+    descent_and_shrink,
     disc,
     domain_by_name,
     ellipse,

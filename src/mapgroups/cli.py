@@ -24,9 +24,8 @@ from .domains import (
     DOMAIN_BUILDERS,
     FlowField,
     boundary_samples,
+    descent_and_shrink,
     domain_by_name,
-    monotone_descent_check,
-    shrink_domain,
 )
 from .errors import InputError, NumericError, SolverError, check_count, check_name, check_real
 from .fields import random_field
@@ -416,10 +415,9 @@ def cmd_shrink(config: RunConfig, args: argparse.Namespace) -> int:
     domain = domain_by_name(args.domain)
     flow_field = FlowField(domain)
     rng = config.rng_for("shrink-domain")
-    descent = monotone_descent_check(
-        flow_field, boundary_samples(domain, 40, rng)
+    descent, cert = descent_and_shrink(
+        flow_field, boundary_samples(domain, 40, rng), t0=0.1, samples=200, rng=rng
     )
-    cert = shrink_domain(flow_field, t0=0.1, samples=200, rng=rng)
     slope_tol = config.tol("descent-slope")
     report = {
         "suite": "shrink-domain",
@@ -437,7 +435,7 @@ def cmd_shrink(config: RunConfig, args: argparse.Namespace) -> int:
         _record("descent_direction", descent.all_descending,
                 max_slope=float(descent.slopes.max())),
         _at_most("descent_slope", descent.max_abs_error, slope_tol),
-        # shrink_domain passes a margin strictly above the minimum.
+        # The certificate passes a margin strictly above the minimum.
         _record("shrink_margin", cert.passed, value=cert.margin, minimum=0.0),
     ]
     return _finish(config, f"shrink_{domain.name}", report, checks)

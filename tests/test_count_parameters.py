@@ -15,7 +15,14 @@ import pytest
 from mapgroups.atlas import Chart, circle_two_charts, validate_atlas
 from mapgroups.axioms import probe_cutoff_bound
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
-from mapgroups.domains import FlowField, boundary_samples, disc, flow, shrink_domain
+from mapgroups.domains import (
+    FlowField,
+    boundary_samples,
+    descent_and_shrink,
+    disc,
+    flow,
+    shrink_domain,
+)
 from mapgroups.errors import InputError
 from mapgroups.fields import (
     TWO_PI,
@@ -80,6 +87,8 @@ COUNTS = [
      "samples", 1),
     ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, 4, steps=v, rng=rng()),
      "steps", 16),
+    ("descent_and_shrink",
+     lambda v: descent_and_shrink(FLOW_FIELD, POINTS, 0.1, samples=v, rng=rng()), "samples", 1),
     ("boundary_samples", lambda v: boundary_samples(disc(), v, rng()), "count", 0),
     ("extension_probe", lambda v: extension_probe(rng(), instances=v), "instances", 1),
     ("extension_probe", lambda v: extension_probe(rng(), competitors=v), "competitors", 1),

@@ -13,7 +13,9 @@ from mapgroups.domains import (
     DescentReport,
     FlowField,
     ShrinkCertificate,
+    _inner_normal,
     boundary_samples,
+    descent_and_shrink,
     disc,
     domain_by_name,
     ellipse,
@@ -62,6 +64,7 @@ def test_boundary_samples_land_on_the_level_set():
         pts = boundary_samples(d, 50, rng)
         assert pts.shape == (50, 2)
         assert np.abs(d.level(pts)).max() < 1e-12, d.name
+        assert boundary_samples(d, 0, rng).shape == (0, 2)
 
 
 @pytest.mark.parametrize("build", [disc, ellipse, peanut])
@@ -126,6 +129,15 @@ def test_descent_slopes_match_gradient_norm():
         # disc: |grad g| = 2 on the unit circle, so slopes are all -2
         if d.name == "disc":
             assert np.abs(rep.slopes + 2.0).max() < 1e-4
+
+
+@pytest.mark.parametrize("check", [
+    monotone_descent_check,
+    lambda f, p: descent_and_shrink(f, p, 0.1, 4, rng=np.random.default_rng(0)),
+], ids=["monotone_descent_check", "descent_and_shrink"])
+def test_the_descent_check_needs_a_point(check):
+    with pytest.raises(InputError, match="^the descent check needs at least one boundary point$"):
+        check(FlowField(disc()), np.empty((0, 2)))
 
 
 def test_shrink_certificate_on_the_disc():
@@ -237,6 +249,51 @@ def test_stacked_shrink_certificate_matches_separate_flows_bitwise(name, t0):
     assert got == ref
 
 
+@settings(max_examples=12)
+@given(
+    name=st.sampled_from(sorted(DOMAIN_BUILDERS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.one_of(
+        st.sampled_from([0.1, -0.1]),
+        # t/4 must be exact: no quarter below the smallest normal float.
+        st.floats(min_value=-0.5, max_value=0.5).filter(lambda t: t == 0.0 or abs(t) > 1e-300),
+    ),
+)
+def test_a_flow_in_quarter_half_quarter_calls_is_bitwise_one_flow(name, seed, t):
+    """256 steps of t/256 are 64 of t/4, 128 of t/2 and 64 of t/4, bitwise,
+    on the field's core, plateau, transition and outside its band."""
+    d = domain_by_name(name)
+    (xlo, xhi), (ylo, yhi) = d.bbox
+    rng = np.random.default_rng(seed)
+    box = np.column_stack([rng.uniform(xlo, xhi, 40), rng.uniform(ylo, yhi, 40)])
+    levels = (0.0, 0.75 * FLOW_BAND, -0.75 * FLOW_BAND)
+    ringed = [onto_level(d, box[np.abs(box).sum(axis=1) > 0.3], c) for c in levels]
+    pts = np.vstack([box, *ringed, d.anchors, [[xhi, yhi]]])
+    g = d.level(pts)
+    assert all(r.size for r in ringed)
+    assert np.any(g <= -FLOW_BAND) and np.any(g >= FLOW_BAND)
+    f = FlowField(d)
+    chained = flow(f, flow(f, flow(f, pts, t / 4, 64), t / 2, 128), t / 4, 64)
+    assert same_bytes(chained, flow(f, pts, t, 256))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
+def test_descent_and_shrink_is_bitwise_the_two_checks(name):
+    """The one-pass run equals monotone_descent_check followed by
+    shrink_domain, and leaves the generator in the same state."""
+    f = FlowField(domain_by_name(name))
+    rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    pts = boundary_samples(f.domain, 40, rng)
+    descent, cert = descent_and_shrink(f, pts, 0.1, 200, rng=rng)
+    ref_descent = monotone_descent_check(f, boundary_samples(f.domain, 40, ref_rng))
+    ref_cert = shrink_domain(f, 0.1, 200, rng=ref_rng)
+    assert same_bytes(descent.slopes, ref_descent.slopes)
+    assert (descent.max_abs_error, descent.all_descending) == (
+        ref_descent.max_abs_error, ref_descent.all_descending)
+    assert cert == ref_cert
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "t, message",
     [
@@ -323,5 +380,8 @@ def test_flow_field_is_bitwise_the_reference_formula(name, seed, nudge):
     pts = np.vstack([box, *edges, *(e * (1.0 + nudge) for e in edges), d.anchors, [[0.0, 0.0]]])
     scaled = np.abs(d.level(pts)) / FLOW_BAND
     assert all(e.size for e in edges) and np.any((scaled > FLOW_PLATEAU) & (scaled < 1.0))
-    assert same_bytes(FlowField(d)(pts), reference_flow_field(name, pts))
+    reference = reference_flow_field(name, pts)
+    assert same_bytes(FlowField(d)(pts), reference)
+    # The unchecked core that every RK4 stage of flow evaluates.
+    assert same_bytes(_inner_normal(*d.level_grad(pts)), reference)
     assert same_bytes(d.evaluate(pts)[1], reference_level_grad(name, pts)[1])

@@ -7,6 +7,13 @@ from hypothesis import strategies as st
 
 from mapgroups import fields
 from mapgroups.atlas import builtin_atlas, torus_four_charts
+from mapgroups.domains import (
+    FlowField,
+    descent_and_shrink,
+    disc,
+    flow,
+    monotone_descent_check,
+)
 from mapgroups.errors import (
     AliasingError,
     EmptyMaskError,
@@ -723,12 +730,22 @@ def point_sites():
         "interpolate-full-m2": (2, sample(f2, GridDomain.full_torus(2, 33)).interpolate),
         "point_eval-circle2": (1, lambda p: point_eval(sections["circle2"], p)),
         "point_eval-torus4": (2, lambda p: point_eval(sections["torus4"], p)),
+        "domain-evaluate": (2, disc().evaluate),
+        "domain-level": (2, disc().level),
+        "domain-gradient": (2, disc().gradient),
+        "FlowField": (2, FlowField(disc())),
+        "flow": (2, lambda p: flow(FlowField(disc()), p, 0.1, 16)),
+        "monotone_descent_check": (2, lambda p: monotone_descent_check(FlowField(disc()), p)),
+        "descent_and_shrink": (2, lambda p: descent_and_shrink(
+            FlowField(disc()), p, 0.1, 4, rng=np.random.default_rng(0))),
     }
 
 
 POINT_SITES = [
     "evaluate-m1", "evaluate-m2", "interpolate-window", "interpolate-full-m1",
     "interpolate-full-m2", "point_eval-circle2", "point_eval-torus4",
+    "domain-evaluate", "domain-level", "domain-gradient", "FlowField", "flow",
+    "monotone_descent_check", "descent_and_shrink",
 ]
 
 
@@ -740,6 +757,17 @@ def test_a_point_array_of_three_dimensions_is_refused(point_sites, site, shape):
     points = np.ones(shape(m))
     with pytest.raises(ShapeMismatchError, match="^points do not match field dimension$"):
         call(points)
+
+
+@pytest.mark.parametrize("site", POINT_SITES)
+@pytest.mark.parametrize("shape", [lambda m: (3, m + 1), lambda m: (m + 1,)],
+                         ids=["3-wide", "vector-wide"])
+def test_a_point_of_the_wrong_width_is_refused(point_sites, site, shape):
+    """A stack of points one coordinate too wide, and one such point given
+    as a vector, are refused rather than read as points."""
+    m, call = point_sites[site]
+    with pytest.raises(ShapeMismatchError, match="^points do not match field dimension$"):
+        call(np.zeros(shape(m)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

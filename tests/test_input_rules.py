@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from mapgroups.atlas import Atlas, Chart, builtin_atlas, circle_two_charts
 from mapgroups.cli import RunConfig, load_config_file
 from mapgroups.cutoffs import SmoothCutoff, bump_profile
-from mapgroups.domains import FlowField, disc, domain_by_name, flow, shrink_domain
+from mapgroups.domains import (
+    FlowField,
+    descent_and_shrink,
+    disc,
+    domain_by_name,
+    flow,
+    shrink_domain,
+)
 from mapgroups.errors import InputError, check_name, check_real
 from mapgroups.fields import GridDomain, SampledField, random_field, same_grid, sample
 from mapgroups.groups import (
@@ -97,6 +104,8 @@ REALS = [
      lambda v: flow(FLOW_FIELD, POINTS, [0.1, v, 0.1], 16), -INF, INF, False),
     ("shrink_domain", "t0",
      lambda v: shrink_domain(FLOW_FIELD, v, samples=4, rng=rng()), -INF, INF, False),
+    ("descent_and_shrink", "t0",
+     lambda v: descent_and_shrink(FLOW_FIELD, POINTS, v, 4, rng=rng()), -INF, INF, False),
     ("bump_profile", "plateau", lambda v: bump_profile(np.zeros(3), v), 0.0, 1.0, True),
     ("SmoothCutoff", "plateau", lambda v: SmoothCutoff([1.0], [0.5], v), 0.0, 1.0, True),
     ("SmoothCutoff", "radius", lambda v: SmoothCutoff([1.0, 1.0], [0.5, v]), 0.0, INF, True),
@@ -119,7 +128,8 @@ REALS = [
 # Values a parameter documents as its default, and values a rule beside
 # the range refuses.
 DEFAULTS = {("random_algebra_section", "amplitude"): [None]}
-EXTRA = {("shrink_domain", "t0"): [0.0, -0.0], ("RunConfig", "tolerance 'bracket'"): [10**400]}
+EXTRA = {("shrink_domain", "t0"): [0.0, -0.0], ("descent_and_shrink", "t0"): [0.0, -0.0],
+         ("RunConfig", "tolerance 'bracket'"): [10**400]}
 
 
 def bad_values(low, high, strict):
