@@ -40,7 +40,10 @@ and 1:
   conventions;
 * BandlimitedField.evaluate at seeded scattered points on curves and
   surfaces with 1 to 3 components, and SampledField.interpolate at seeded
-  points of a circle window and of the full 129-node circle and torus.
+  points of a circle window and of the full 129-node circle and torus, and
+  with 1 to 3 components at seeded points of a torus4 chart window, a third
+  of them within one stencil of its corners;
+* hilbert_inner of the same two sections after a dump/load round trip.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
 and partition transfers; and, in both weight conventions,
@@ -157,6 +160,10 @@ def library_rows(seed: int):
         yield f"{head}/point_eval", mg.point_eval(glued, points)
         total, detail = mg.hilbert_inner(s1, s2, 1.0, return_detail=True)
         yield f"{head}/hilbert_inner", repr((total, detail))
+        loaded = [serialize.load_section(serialize.dump_section(s)) for s in (s1, s2)]
+        yield f"{head}/hilbert_inner_loaded", repr(
+            mg.hilbert_inner(*loaded, 1.0, return_detail=True)
+        )
         yield f"{head}/overlap_defect", repr(
             worst_overlap(mean.pieces, atlas)
         )
@@ -225,6 +232,19 @@ def library_rows(seed: int):
         lows, highs = np.transpose(grid.window)
         points = rng.uniform(lows + 0.05, highs - 0.05, size=(300, grid.m))
         yield f"s{seed}/interpolate/{name}", values.interpolate(points)
+    rng = np.random.default_rng(seed)
+    window = mg.builtin_atlas("torus4").charts[0].window
+    lows, highs = np.transpose(window.window)
+    # A third of the points lie within one stencil width of a window corner,
+    # some of them outside the outermost nodes.
+    edge = mg.fields.INTERP_POINTS * 2.0 * np.pi / window.resolution[0]
+    near = rng.uniform(1e-3, 1.0, size=(100, 2)) * edge
+    points = np.vstack(
+        [rng.uniform(lows, highs, size=(200, 2)), lows + near[:50], highs - near[50:]]
+    )
+    for components in (1, 2, 3):
+        values = mg.sample(mg.random_field(2, 8, components, rng), window)
+        yield f"s{seed}/interpolate/torus4-window/n{components}", values.interpolate(points)
 
 
 def atlas_rows():
