@@ -108,6 +108,15 @@ class Chart:
             _chart_angles(self.window.axis_nodes(d), self.offset[d]) for d in range(self.m)
         ]
 
+    @cached_property
+    def window_points(self) -> np.ndarray:
+        """Read-only manifold points of the window's nodes, shape
+        (node_count, m): the tensor grid of ``window_angles()``, built once
+        per chart."""
+        pts = tensor_points(self.window_angles())
+        pts.flags.writeable = False
+        return pts
+
     def codomain(self) -> tuple[tuple[float, float], ...]:
         return tuple((PI - self.half_width, PI + self.half_width) for _ in range(self.m))
 
@@ -342,7 +351,7 @@ class Atlas:
         tables = []
         for c in self.charts:
             axes = c.window_angles()
-            weights = self.partition_weights(tensor_points(axes))
+            weights = self.partition_weights(c.window_points)
             ops = []
             for i, src in enumerate(self.charts):
                 coords = [_chart_coords(a, src.offset[d]) for d, a in enumerate(axes)]

@@ -211,7 +211,10 @@ def flow(
                 f"per-row flow times must have shape ({len(pts)},) for "
                 f"{len(pts)} points, got shape {np.shape(t)}"
             )
-        times = np.array([check_real(x, f"t[{i}]") for i, x in enumerate(t)])
+        if isinstance(t, np.ndarray) and t.dtype.kind == "f" and np.isfinite(t).all():
+            times = t.astype(float, copy=False)
+        else:
+            times = np.array([check_real(x, f"t[{i}]") for i, x in enumerate(t)])
         h = (times / steps)[:, None]
     half, sixth = 0.5 * h, h / 6.0
     level_grad = field.domain.level_grad

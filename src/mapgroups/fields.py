@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AliasingError,
@@ -184,6 +185,15 @@ def same_grid(a: GridDomain, b: GridDomain) -> bool:
     )
 
 
+def grid_key(grid: GridDomain) -> tuple:
+    """``(resolution, window, index_bytes)``: a hashable key that grids
+    compare equal under :func:`same_grid` share, for caches of objects
+    built from a grid; ``index_bytes`` holds each axis's indices as int64
+    bytes."""
+    index_bytes = tuple(np.asarray(i, np.int64).tobytes() for i in grid.axis_indices)
+    return grid.resolution, grid.window, index_bytes
+
+
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto the mirror symmetry c_{-k} = conj(c_k), exactly.
 
@@ -289,8 +299,9 @@ def check_points(points, m: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != m:
         raise ShapeMismatchError("points do not match field dimension")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
+    # One scan of the whole array; the per-row scan only names the culprit.
+    if not np.isfinite(pts).all():
+        finite = np.isfinite(pts).all(axis=1)
         raise InputError(f"point {pts[int(np.argmin(finite))]} is not finite")
     return pts
 
@@ -626,5 +637,17 @@ def _lagrange_interpolate(v: SampledField, pts: np.ndarray) -> np.ndarray:
         return np.einsum("qp,qpn->qn", w, lat[idx])
     idx0, w0 = _axis_stencils(pts[:, 0], grid.axis_nodes(0))
     idx1, w1 = _axis_stencils(pts[:, 1], grid.axis_nodes(1))
-    sub = lat[idx0[:, :, None], idx1[:, None, :]]
-    return np.einsum("qa,qb,qabn->qn", w0, w1, sub)
+    return np.einsum("qa,qb,qabn->qn", w0, w1, _stencil_blocks(lat, idx0, idx1))
+
+
+def _stencil_blocks(lat: np.ndarray, idx0: np.ndarray, idx1: np.ndarray) -> np.ndarray:
+    """C-contiguous (Q, p0, p1, n) stack of each point's stencil block
+    ``lat[np.ix_(idx0[q], idx1[q])]``.
+
+    Each stencil is a run of consecutive nodes, so its block is one window
+    of the lattice: a gather of Q windows by their corners, with the same
+    values and layout as the 2-D fancy gather ``lat[idx0[:, :, None],
+    idx1[:, None, :]]`` at a fraction of its index arithmetic.
+    """
+    windows = sliding_window_view(lat, (idx0.shape[1], idx1.shape[1]), axis=(0, 1))
+    return np.ascontiguousarray(np.moveaxis(windows, 2, -1)[idx0[:, 0], idx1[:, 0]])

@@ -261,6 +261,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def su2_real() -> MatrixGroup:
     mats = -0.5j * _SIGMA
     basis = _realify(mats.real, mats.imag)
+    # One row per entry of the flattened basis but the last two, 14 and 15:
+    # those are X's second row, which exp_fn copies from the top-left block.
+    basis_rows = np.ascontiguousarray(basis.reshape(3, 16)[:, :14].T)
     coords_pinv = _entry_pinv(basis)
     q_radius = np.pi - 0.1
 
@@ -272,11 +275,17 @@ def su2_real() -> MatrixGroup:
         hs = np.where(small, 1.0, half)
         sinc_half = np.where(small, 1.0 - half**2 / 6.0, np.sin(hs) / hs)
         cos_half = np.cos(half)
-        # cos(theta/2) I + sinc(theta/2) xi, written into the xi stack.  Adding
-        # the signed zero cos * 0 everywhere keeps the sign of each zero
-        # entry as the sum with the identity stack gave it.
-        out = np.tensordot(basis, v, (0, -1))
-        out *= sinc_half
+        # cos(theta/2) I + sinc(theta/2) xi, written into the xi stack.  The
+        # product fills entries 0 to 13, each bitwise as a full product of
+        # the basis fills it.  The Y block is a product, not the negated -Y
+        # block: a zero sum's sign does not follow negation.  Adding the
+        # signed zero cos * 0 everywhere keeps the sign of each zero entry
+        # as the sum with the identity stack gave it.
+        out = np.empty((4, 4) + v.shape[:-1])
+        rows = out.reshape(16, -1)[:14]
+        np.dot(basis_rows, v.reshape(-1, 3).T, out=rows)
+        rows *= sinc_half.reshape(-1)
+        out[3, 2:] = out[1, :2]
         out += cos_half * 0.0
         for i in range(4):
             out[i, i] += cos_half

@@ -10,6 +10,7 @@ extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .fields import (
     GridDomain,
     SampledField,
     check_points,
+    grid_key,
     grid_values,
     phase_matrix,
     same_grid,
     sobolev_weights,
-    tensor_points,
     tensor_transfer,
 )
 from .sobolev import CONVENTIONS, min_norm_extension, hs_inner
@@ -177,18 +178,20 @@ class Section:
 def section_from_function(atlas: Atlas, fn) -> Section:
     """Sample a global function of manifold points into chart pieces.
 
-    ``fn`` maps angle arrays (Q, m) to value arrays (Q, n).
+    ``fn`` maps angle arrays (Q, m) to value arrays (Q, n); the angles are
+    each chart's cached, read-only ``Chart.window_points``.
     """
     return Section(atlas, _chart_samples(atlas, fn))
 
 
 def _chart_samples(atlas: Atlas, fn, *sections) -> tuple[SampledField, ...]:
-    """One field per chart: ``fn`` of the window's manifold points and the
-    given sections' values there, as a (Q, n) or (Q,) array."""
+    """One field per chart: ``fn`` of the window's read-only manifold points
+    and the given sections' values there, as a (Q, n) or (Q,) array."""
     pieces = []
     for j, c in enumerate(atlas.charts):
-        theta = tensor_points(c.window_angles())
-        vals = np.asarray(fn(theta, *(s.pieces[j].values for s in sections)), dtype=float)
+        vals = np.asarray(
+            fn(c.window_points, *(s.pieces[j].values for s in sections)), dtype=float
+        )
         if vals.ndim == 1:
             vals = vals[:, None]
         pieces.append(SampledField(c.window, vals))
@@ -304,32 +307,39 @@ def hilbert_inner(
 
 def _thin_for_extension(piece: SampledField, max_nodes_per_axis: int):
     """Stride-subsample a window piece so the extension system is square."""
-    grid = piece.domain
-    lat = piece.lattice_values()
-    take = []
-    for d in range(grid.m):
-        count = grid.axis_counts[d]
-        stride = max(1, int(np.ceil(count / max_nodes_per_axis)))
-        take.append(np.arange(0, count, stride))
-    sub = lat[np.ix_(*take)]
-    counts = [t.size for t in take]
+    thin, take, modes = _thin_grid(*grid_key(piece.domain), max_nodes_per_axis)
+    vals = piece.lattice_values()[np.ix_(*take)].reshape(thin.node_count, piece.components)
+    return SampledField(thin, np.ascontiguousarray(vals)), modes
+
+
+# Keyed by value, as sobolev's factor cache is, so pieces loaded from files
+# share their window's entry; eight entries hold every chart window of one
+# builtin atlas.
+@lru_cache(maxsize=8)
+def _thin_grid(resolution, window, index_bytes, max_nodes_per_axis):
+    """The stride-thinned grid of a window, the read-only stride positions
+    on each axis of its lattice, and the extension cutoff."""
+    axes = [np.frombuffer(b, dtype=np.int64) for b in index_bytes]
+    take = tuple(
+        np.arange(0, a.size, max(1, int(np.ceil(a.size / max_nodes_per_axis)))) for a in axes
+    )
+    idx = tuple(a[t] for a, t in zip(axes, take))
+    for arr in (*take, *idx):
+        arr.flags.writeable = False
     # Cutoff equal to the node count doubles the coefficients per axis.
     # A square system on a window arc is catastrophically ill-conditioned
     # (~1e9 already at 24 nodes), while this 2x margin keeps the condition
     # number in the tens, so the surrogate inner product stays bilinear
     # to rounding accuracy.
-    modes = max(counts)
-    idx = tuple(grid.axis_indices[d][take[d]] for d in range(grid.m))
-    thin = GridDomain(grid.m, grid.resolution, grid.window, idx)
-    vals = sub.reshape(thin.node_count, piece.components)
-    return SampledField(thin, np.ascontiguousarray(vals)), modes
+    modes = max(t.size for t in take)
+    return GridDomain(len(resolution), resolution, window, idx), take, modes
 
 
 def pushforward(f, section: Section) -> Section:
     """Apply a smooth map fiberwise: node values f(p, gamma(p)).
 
-    ``f`` receives manifold points (K, m) and values (K, n), returning
-    (K, p).
+    ``f`` receives read-only manifold points (K, m) and values (K, n),
+    returning (K, p).
     """
     pieces = _chart_samples(section.atlas, f, section)
     return Section(section.atlas, pieces)

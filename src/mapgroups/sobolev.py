@@ -23,6 +23,7 @@ from .fields import (
     SampledField,
     axis_phases,
     check_same_layout,
+    grid_key,
     random_field,
     sample,
     sobolev_weight_rows,
@@ -221,10 +222,7 @@ def min_norm_extension(
             f"{grid.node_count} nodes exceed {ncoef} coefficients; "
             "raise the cutoff or thin the mask"
         )
-    index_bytes = tuple(np.asarray(i, np.int64).tobytes() for i in grid.axis_indices)
-    half, ut, sig, v_kept = _factored_system(
-        grid.resolution, grid.window, index_bytes, modes, s, convention
-    )
+    half, ut, sig, v_kept = _factored_system(*grid_key(grid), modes, s, convention)
     r = v_kept @ ((ut @ v.values) / sig)  # (ncoef, n) real coordinates
     cflat = _real_coords_to_coeffs(r.T, half)  # (n, ncoef)
     lattice = (2 * modes + 1,) * grid.m

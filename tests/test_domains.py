@@ -300,15 +300,31 @@ def test_descent_and_shrink_is_bitwise_the_two_checks(name):
         (float("nan"), "^t must be finite, got nan$"),
         (float("-inf"), "^t must be finite, got -inf$"),
         (np.array([0.1, np.nan, 0.1]), r"^t\[1\] must be finite, got nan$"),
+        (np.array([np.nan, 0.1, np.inf]), r"^t\[0\] must be finite, got nan$"),
+        (np.array([0.1, 0.1, -np.inf], np.float32), r"^t\[2\] must be finite, got -inf$"),
+        ([0.1, True, 0.1], r"^t\[1\] must be a real number, got True$"),
         (np.array([0.1, 0.1]), r"must have shape \(3,\) for 3 points, got shape \(2,\)"),
         (np.full((3, 1), 0.1), r"must have shape \(3,\) for 3 points, got shape \(3, 1\)"),
     ],
-    ids=["nan", "-inf", "row-nan", "short", "column"],
+    ids=["nan", "-inf", "row-nan", "first-row-nan", "last-row-float32-inf", "list-bool",
+         "short", "column"],
 )
 def test_flow_rejects_bad_times(t, message):
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InputError, match=message):
         flow(FlowField(disc()), pts, t, steps=16)
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.1, -0.05, 0.2]),
+    np.array([0.1, -0.05, 0.2], np.float32),
+    np.array([1, 0, -1]),
+], ids=["float64", "float32", "int"])
+def test_per_row_times_flow_alike_as_an_array_or_a_list(times):
+    pts = np.array([[0.9, 0.1], [0.2, 0.95], [0.5, 0.5]])
+    f = FlowField(disc())
+    want = flow(f, pts, [float(x) for x in times], 16)
+    assert same_bytes(flow(f, pts, times, 16), want)
 
 
 def reference_smooth_step(t):

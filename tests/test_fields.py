@@ -797,3 +797,45 @@ def test_sampled_field_refuses_values_that_are_not_real_floats(dtype):
     g = GridDomain.box(((0.5, 2.5),), 65)
     with pytest.raises(InputError, match="^sampled values must be real floats$"):
         SampledField(g, np.ones((g.node_count, 1), dtype=dtype))
+
+
+@settings(max_examples=60)
+@given(
+    counts=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    n=st.integers(1, 3),
+    q=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_block_gather_is_the_fancy_gather_bitwise(counts, n, q, seed):
+    """Each point's stencil block, gathered as a window of the lattice, has
+    the values and the layout of the 2-D fancy gather.  Lattices with fewer
+    nodes than INTERP_POINTS on an axis, no points at all and points past
+    the outermost nodes all occur."""
+    rng = np.random.default_rng(seed)
+    lat = rng.standard_normal(counts + (n,))
+    stencils = []
+    for c in counts:
+        # Nodes 0, ..., c - 1.  Two thirds of the points lie within one
+        # stencil of the low or the high end, some beyond the outermost node.
+        ends = rng.uniform(-0.5, min(c, fields.INTERP_POINTS) - 0.5, q)
+        xq = np.choose(rng.integers(0, 3, q), [rng.uniform(-0.5, c - 0.5, q), ends, c - 1 - ends])
+        stencils.append(fields._axis_stencils(xq, np.arange(c, dtype=float))[0])
+    idx0, idx1 = stencils
+    want = lat[idx0[:, :, None], idx1[:, None, :]]
+    got = fields._stencil_blocks(lat, idx0, idx1)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("m", [1, 2])
+def test_check_points_names_the_first_nonfinite_point(m, bad, row):
+    points = np.arange(5.0 * m).reshape(5, m)
+    points[row, -1] = bad
+    if row < 4:
+        points[4, 0] = np.nan  # a later bad point is not the one named
+    message = "^" + re.escape(f"point {points[row]} is not finite") + "$"
+    with pytest.raises(InputError, match=message):
+        fields.check_points(points, m)

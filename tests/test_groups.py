@@ -231,11 +231,27 @@ def su2_exp_reference(v):
     return np.cos(half) * eye + sinc_half * xi
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_su2_exp_is_bitwise_its_identity_stack_sum(seed):
-    """Sign bits included: rows at many scales, zero rows of either sign,
-    rows below the 1e-8 series switch, rows at the chart-ball radius and
-    rows with some coordinates exactly zero."""
+def su2_exp_product_reference(v):
+    """SU2 exp as the full product of the 16-entry basis with the
+    coordinates, scaled, then shifted by the identity stack in place."""
+    theta = np.linalg.norm(v, axis=-1)
+    half = 0.5 * theta
+    small = theta < 1e-8
+    hs = np.where(small, 1.0, half)
+    sinc_half = np.where(small, 1.0 - half**2 / 6.0, np.sin(hs) / hs)
+    cos_half = np.cos(half)
+    out = np.tensordot(su2_real().basis, v, (0, -1))
+    out *= sinc_half
+    out += cos_half * 0.0
+    for i in range(4):
+        out[i, i] += cos_half
+    return out
+
+
+def su2_exp_batches(seed):
+    """Rows at many scales, zero rows of either sign, rows below the 1e-8
+    series switch, rows at the chart-ball radius and rows with some
+    coordinates exactly zero: as one stack, one row and a 2-D batch."""
     g = su2_real()
     rng = np.random.default_rng(seed)
     unit = rng.standard_normal((200, 3))
@@ -252,8 +268,24 @@ def test_su2_exp_is_bitwise_its_identity_stack_sum(seed):
         partial,
     ])
     rows = rng.permutation(rows)
-    for batch in (rows, rows[0], rows[:180].reshape(12, 15, 3)):
-        got, want = g.exp(batch), su2_exp_reference(batch)
+    return rows, rows[0], rows[:180].reshape(12, 15, 3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_su2_exp_is_bitwise_its_identity_stack_sum(seed):
+    for batch in su2_exp_batches(seed):
+        got, want = su2_real().exp(batch), su2_exp_reference(batch)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_su2_exp_is_bitwise_the_full_basis_product(seed):
+    """Sign bits included.  exp writes the Y block as a product too: a zero
+    entry of -Y need not be the negated zero of Y, and once cos(theta/2)
+    < 0 the sign of a zero entry survives the identity shift."""
+    for batch in su2_exp_batches(seed):
+        got, want = su2_real().exp(batch), su2_exp_product_reference(batch)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 

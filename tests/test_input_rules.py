@@ -100,8 +100,12 @@ REALS = [
     ("bracket_from_products", "t", lambda v: bracket_from_products(XI, XI, v), 0.0, INF, True),
     ("bch_residual", "t", lambda v: bch_residual(XI, XI, v), -INF, INF, False),
     ("flow", "t", lambda v: flow(FLOW_FIELD, POINTS, v, 16), -INF, INF, False),
+    ("flow-rows", "t[0]",
+     lambda v: flow(FLOW_FIELD, POINTS, [v, 0.1, 0.1], 16), -INF, INF, False),
     ("flow-rows", "t[1]",
      lambda v: flow(FLOW_FIELD, POINTS, [0.1, v, 0.1], 16), -INF, INF, False),
+    ("flow-rows", "t[2]",
+     lambda v: flow(FLOW_FIELD, POINTS, [0.1, 0.1, v], 16), -INF, INF, False),
     ("shrink_domain", "t0",
      lambda v: shrink_domain(FLOW_FIELD, v, samples=4, rng=rng()), -INF, INF, False),
     ("descent_and_shrink", "t0",

@@ -6,15 +6,25 @@ import re
 import numpy as np
 import pytest
 
-from mapgroups.atlas import circle_two_charts, torus_four_charts
+from mapgroups.atlas import builtin_atlas, circle_two_charts, torus_four_charts
 from mapgroups.errors import (
     IncompatibleSectionError,
     InputError,
     ShapeMismatchError,
 )
-from mapgroups.fields import SampledField, phase_matrix, sobolev_weights
+from mapgroups.fields import (
+    GridDomain,
+    SampledField,
+    grid_key,
+    phase_matrix,
+    sobolev_weights,
+    tensor_points,
+)
 from mapgroups.sections import (
+    EXTENSION_NODES_2D,
     Section,
+    _thin_for_extension,
+    _thin_grid,
     compatibility_defect,
     glue,
     hilbert_inner,
@@ -25,6 +35,7 @@ from mapgroups.sections import (
     section_from_function,
     theta_embed,
 )
+from mapgroups.serialize import dump_section, load_section
 
 
 def circle_section(fn, atlas=None):
@@ -247,6 +258,49 @@ def test_hilbert_inner_rejects_mismatched_sections():
     a = circle_two_charts()
     with pytest.raises(InputError):
         hilbert_inner(random_section(a, 1, rng), random_section(torus_four_charts(), 1, rng), 1.0)
+
+
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+def test_window_points_are_built_once_read_only_and_handed_to_fn(build):
+    atlas = build()
+    for c in atlas.charts:
+        want = tensor_points(c.window_angles())
+        assert c.window_points is c.window_points
+        assert not c.window_points.flags.writeable
+        assert c.window_points.dtype == want.dtype and c.window_points.shape == want.shape
+        assert c.window_points.tobytes() == want.tobytes()
+    seen = []
+    section_from_function(atlas, lambda th: seen.append(th) or np.ones(th.shape[0]))
+    assert all(th is c.window_points for th, c in zip(seen, atlas.charts, strict=True))
+    with pytest.raises(ValueError, match="read-only"):
+        seen[0][0, 0] = 0.0
+
+
+def test_thinned_extension_grids_are_shared_by_value_read_only_and_bounded():
+    atlas = builtin_atlas("torus4")
+    sec = random_section(atlas, 2, np.random.default_rng(5))
+    loaded = load_section(dump_section(sec))
+    for piece, twin in zip(sec.pieces, loaded.pieces):
+        assert piece.domain is not twin.domain
+        (thin, modes), (thin_twin, modes_twin) = (
+            _thin_for_extension(p, EXTENSION_NODES_2D) for p in (piece, twin)
+        )
+        assert thin.domain is thin_twin.domain and modes == modes_twin == 12
+        grid, take, _ = _thin_grid(*grid_key(piece.domain), EXTENSION_NODES_2D)
+        assert grid is thin.domain
+        assert not any(a.flags.writeable for a in (*take, *grid.axis_indices))
+        # Every sixth of the 70 nodes per axis, from the first.
+        stride = (slice(None, None, 6),) * 2
+        want = piece.lattice_values()[stride].reshape(-1, 2)
+        assert [a.tolist() for a in grid.axis_indices] == [
+            a[::6].tolist() for a in piece.domain.axis_indices
+        ]
+        assert thin.values.tobytes() == thin_twin.values.tobytes() == want.tobytes()
+    size = _thin_grid.cache_info().maxsize
+    for k in range(size + 2):
+        box = GridDomain.box(((1.0, 2.0 + 0.1 * k),), 65)
+        _thin_for_extension(SampledField(box, np.ones((box.node_count, 1))), 24)
+    assert _thin_grid.cache_info().currsize == size == 8
 
 
 # ---------------------------------------------------------------------------
