@@ -21,7 +21,8 @@ and 1:
 * every circle2 subcommand, with shrink-domain on disc, ellipse and peanut;
 * group-demo and evolve on circle2 and torus4 for SO3, SU2 and UT2;
 * evolve on two curve files: the SO3 circle2 test curve and a seeded
-  9-sample UT2 curve on torus4;
+  9-sample UT2 curve on torus4, and the node coordinates and values of
+  every piece of that UT2 curve after a dump_curve/load_curve round trip;
 * glue, point_eval, hilbert_inner, the worst overlap defect, the partition
   weights, the bumps and validate_atlas on both builtin atlases;
 * hs_norm of a seeded surface field at orders 0, 1, 2 and 4 in both weight
@@ -43,6 +44,9 @@ and 1:
   points of a circle window and of the full 129-node circle and torus, and
   with 1 to 3 components at seeded points of a torus4 chart window, a third
   of them within one stencil of its corners;
+* BandlimitedField.evaluate on tensor grids: at each torus4 chart's window
+  points with 1 to 3 components, at the nodes of the full 129-node torus,
+  and at a shuffled torus4 chart window with repeated rows;
 * hilbert_inner of the same two sections after a dump/load round trip.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
@@ -141,6 +145,12 @@ def cli_rows(seed: int, work: Path):
     serialize.write_json(ut2_curve, serialize.dump_curve(curve))
     cfg = ["--config", config(work, seed, "torus4", "UT2")]
     yield from run_cli(f"s{seed}/evolve-file/UT2", [*cfg, "evolve", str(ut2_curve)], work)
+    loaded = serialize.load_curve(serialize.dump_curve(curve))
+    for k, s in enumerate(loaded.sections):
+        for j, p in enumerate(s.section.pieces):
+            yield f"s{seed}/curve_round_trip/UT2/section{k}/piece{j}", np.column_stack(
+                [p.domain.nodes(), p.values]
+            )
 
 
 def library_rows(seed: int):
@@ -245,6 +255,19 @@ def library_rows(seed: int):
     for components in (1, 2, 3):
         values = mg.sample(mg.random_field(2, 8, components, rng), window)
         yield f"s{seed}/interpolate/torus4-window/n{components}", values.interpolate(points)
+    rng = np.random.default_rng(seed)
+    torus4 = mg.builtin_atlas("torus4")
+    for components in (1, 2, 3):
+        field = mg.random_field(2, 6, components, rng)
+        for j, c in enumerate(torus4.charts):
+            yield f"s{seed}/evaluate/torus4-window{j}/n{components}", field.evaluate(
+                c.window_points
+            )
+    nodes = mg.GridDomain.full_torus(2, 129).nodes()
+    yield f"s{seed}/evaluate/full-m2", field.evaluate(nodes)
+    window = torus4.charts[0].window_points
+    repeated = np.vstack([window, window[: len(window) // 3]])
+    yield f"s{seed}/evaluate/shuffled-window", field.evaluate(rng.permutation(repeated))
 
 
 def atlas_rows():
