@@ -260,12 +260,14 @@ class BandlimitedField:
         """Evaluate at arbitrary finite points, shape (Q, m) -> (Q, components).
 
         On curves the points are a tensor grid of one axis, evaluated by
-        :func:`grid_values`.  For scattered points on surfaces, phases and
-        the axis-0 contraction are computed once per distinct coordinate of
-        each axis (a chart window's nodes repeat each coordinate many
-        times) and gathered back per point.  Each output row sums the same
-        terms in the same order as the per-point contraction, so the result
-        is bitwise equal to it.
+        :func:`grid_values`.  On surfaces, phases and the axis-0
+        contraction are computed once per distinct coordinate of each axis
+        (a chart window's nodes repeat each coordinate many times).  When
+        there are no more distinct coordinate pairs than points, as on any
+        tensor grid, the axis-1 contraction is taken once per pair and each
+        point gathers its row; otherwise each point contracts its own row.
+        Either way each output row sums the same terms in the same order as
+        the per-point contraction, so the result is bitwise equal to it.
         """
         pts = check_points(points, self.m)
         if self.m == 1:
@@ -274,8 +276,13 @@ class BandlimitedField:
         x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
         p0 = phase_matrix(x0, self.modes)
         p1 = phase_matrix(x1, self.modes)
-        tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)[inv0]
-        return np.einsum("qb,qnb->qn", p1[inv1], tmp).real
+        tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)
+        if x0.size * x1.size <= len(pts):
+            # Row i * n1 + j of the pair table holds the values at (x0[i], x1[j]).
+            table = np.einsum("inb,jb->inj", tmp, p1).transpose(0, 2, 1)
+            rows = table.reshape(-1, self.components)
+            return rows.take(inv0 * x1.size + inv1, axis=0).real
+        return np.einsum("qb,qnb->qn", p1[inv1], tmp[inv0]).real
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":
         check_same_layout(self, other)

@@ -18,7 +18,9 @@ import base64
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -227,18 +229,65 @@ def dump_grid(grid: GridDomain) -> dict:
     }
 
 
+# Grids decoded so far, least recently used first, keyed by ``_exact_key``
+# of the document keys ``load_grid`` reads.  Files hold one grid per chart,
+# so eight cover both builtin atlases.  Errors are not stored.
+_GRID_MEMO: OrderedDict = OrderedDict()
+GRID_MEMO_SIZE = 8
+_GRID_KEYS = ("kind", "m", "grid", "window", "mask")
+
+
+def _exact_key(value):
+    """A hashable form of a JSON value that equals another's only when both
+    hold the same types and values, floats compared by their bits (-0.0 is
+    not 0.0); a value of any other type gets a key that nothing equals."""
+    if isinstance(value, dict):
+        return dict, tuple((k, _exact_key(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_exact_key, value))
+    if type(value) is float:
+        return float, value.hex()
+    if isinstance(value, str):
+        return str, value
+    if value is None or type(value) in (bool, int):
+        return type(value), value
+    return object()
+
+
 def load_grid(doc: dict) -> GridDomain:
+    """The grid of a document's ``m``, ``grid``, ``window`` and ``mask``.
+
+    Each distinct document is decoded and checked once per process, while
+    it stays among the last ``GRID_MEMO_SIZE``: equal documents get the
+    same grid, whose index arrays are read-only.
+    """
+    key = tuple(_exact_key(doc.get(k)) for k in _GRID_KEYS)
+    grid = _GRID_MEMO.pop(key, None)
+    if grid is None:
+        grid = _decode_grid(doc)
+    _GRID_MEMO[key] = grid
+    if len(_GRID_MEMO) > GRID_MEMO_SIZE:
+        _GRID_MEMO.popitem(last=False)
+    return grid
+
+
+def _decode_grid(doc: dict) -> GridDomain:
+    what = doc.get("kind", "grid")
     m = _require(doc, "m", int)
     res = _require_array(doc, "grid", "iu")
     window = _require_array(doc, "window").astype(float, copy=False)
     mask = _require_array(doc, "mask", "b")
     if res.shape != (m,) or window.shape != (m, 2):
         raise InputError(f"grid {res.tolist()} and window do not match dimension {m}")
+    for pair in window:
+        if not (np.isfinite(pair).all() and pair[0] < pair[1]):
+            raise InputError(
+                f"{what} key 'window' must be finite (lo, hi) pairs with lo < hi, "
+                f"got {pair.tolist()}"
+            )
     res = tuple(int(r) for r in res)
     if any(r < 3 for r in res):  # the least resolution a GridDomain takes
-        raise InputError(
-            f"{doc.get('kind', 'grid')} key 'grid' entries must be >= 3, got {list(res)}"
-        )
+        raise InputError(f"{what} key 'grid' entries must be >= 3, got {list(res)}")
     if mask.shape != (int(np.prod(res)),):
         raise InputError(f"mask of shape {mask.shape} does not fit grid {list(res)}")
     mask = mask.reshape(res)
@@ -250,6 +299,8 @@ def load_grid(doc: dict) -> GridDomain:
     grid = GridDomain(m, res, window, tuple(axis_idx))
     if not np.array_equal(grid.mask_lattice(), mask):
         raise InputError("mask is not an axis-aligned box of lattice nodes")
+    for idx in grid.axis_indices:
+        idx.flags.writeable = False
     return grid
 
 
@@ -279,6 +330,8 @@ def load_sampled(doc: dict) -> SampledField:
     return field
 
 
+# Atlases hash by identity; the builtin ones are shared, four at most.
+@lru_cache(maxsize=4)
 def atlas_hash(a: Atlas) -> str:
     digest = hashlib.sha256(canonical_json(atlas_descriptor(a)).encode())
     return digest.hexdigest()[:12]

@@ -575,6 +575,65 @@ def test_grid_values_is_evaluate_at_the_tensor_points_to_rounding(
     assert np.abs(got - want).max() <= 1e-14 * l1_scale(coeffs)
 
 
+def per_point_evaluate(field, points):
+    """m = 2 ``evaluate`` before the pair table, the reference for it:
+    phases and the axis-0 contraction once per distinct coordinate, then
+    one axis-1 contraction per point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
+    x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
+    p0 = phase_matrix(x0, field.modes)
+    p1 = phase_matrix(x1, field.modes)
+    tmp = np.einsum("qa,nab->qnb", p0, field.coeffs)[inv0]
+    return np.einsum("qb,qnb->qn", p1[inv1], tmp).real
+
+
+@st.composite
+def pair_table_points(draw):
+    """Points with no more distinct coordinate pairs than rows: a tensor
+    grid (a single row or column included) in C order, shuffled, with
+    descending axes or with repeated rows, or no points at all."""
+    axes = [
+        np.array(draw(st.lists(ANGLES, min_size=1, max_size=20))) for _ in range(2)
+    ]
+    kind = draw(st.sampled_from(["grid", "shuffled", "descending", "repeated", "empty"]))
+    if kind == "descending":
+        axes = [np.sort(x)[::-1] for x in axes]
+    points = tensor_points(axes)
+    order = draw(st.permutations(range(len(points))))
+    if kind == "shuffled":
+        points = points[list(order)]
+    elif kind == "repeated":
+        points = np.vstack([points, points[list(order[: draw(st.integers(1, len(order)))])]])
+    elif kind == "empty":
+        points = points[:0]
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=pair_table_points(),
+    components=st.integers(1, 4),
+    modes=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_table_evaluate_is_bitwise_the_per_point_contraction(
+    points, components, modes, seed
+):
+    # Repeated angles make the distinct pairs fewer than the grid's rows.
+    assert np.unique(points[:, 0]).size * np.unique(points[:, 1]).size <= len(points)
+    rng = np.random.default_rng(seed)
+    shape = (components, 2 * modes + 1, 2 * modes + 1)
+    field = BandlimitedField(
+        2, modes, hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    )
+    got = field.evaluate(points)
+    want = per_point_evaluate(field, points)
+    assert got.shape == want.shape == (len(points), components)
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grid_values_needs_one_axis_per_dimension():
     with pytest.raises(ShapeMismatchError, match="axes"):
         grid_values(random_field(2, 2, 1, np.random.default_rng(0)).coeffs, [np.zeros(3)])

@@ -41,7 +41,7 @@ from mapgroups.groups import (
 from mapgroups.limits import critical_order_estimate, decay_partial_norm_sq, ladder
 from mapgroups.maps import torus_translation
 from mapgroups.sections import hilbert_inner, random_section
-from mapgroups.serialize import convention_tag, dump_sampled, load_sampled
+from mapgroups.serialize import convention_tag, dump_grid, dump_sampled, load_grid, load_sampled
 from mapgroups.sobolev import (
     group_norms,
     hs_inner,
@@ -61,6 +61,7 @@ SECTION = random_section(ATLAS, 1, np.random.default_rng(4))
 FIELD = random_field(1, 4, 1, np.random.default_rng(5))
 WINDOW = GridDomain.box(((1.0, 2.5),), 17)
 DATA = sample(FIELD, WINDOW)
+GRID_DOC = dump_grid(WINDOW)
 FLOW_FIELD = FlowField(disc())
 POINTS = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
 CHARTS = ATLAS.charts
@@ -127,13 +128,19 @@ REALS = [
     ("Section.scaled", "factor", lambda v: SECTION.scaled(v), -INF, INF, False),
     ("RunConfig", "tolerance 'bracket'",
      lambda v: RunConfig(tolerances={"bracket": v}), 0.0, INF, False),
+    ("load_grid-lo", "grid key 'window'",
+     lambda v: load_grid(dict(GRID_DOC, window=[[v, 2.5]])), -INF, 2.5, True),
+    ("load_grid-hi", "grid key 'window'",
+     lambda v: load_grid(dict(GRID_DOC, window=[[1.0, v]])), 1.0, INF, True),
 ]
 
 # Values a parameter documents as its default, and values a rule beside
 # the range refuses.
 DEFAULTS = {("random_algebra_section", "amplitude"): [None]}
 EXTRA = {("shrink_domain", "t0"): [0.0, -0.0], ("descent_and_shrink", "t0"): [0.0, -0.0],
-         ("RunConfig", "tolerance 'bracket'"): [10**400]}
+         ("RunConfig", "tolerance 'bracket'"): [10**400],
+         ("load_grid-lo", "grid key 'window'"): [3.0],
+         ("load_grid-hi", "grid key 'window'"): [0.5]}
 
 
 def bad_values(low, high, strict):

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapgroups.atlas import builtin_atlas, circle_two_charts, torus_four_charts
+from mapgroups import serialize
+from mapgroups.atlas import atlas_descriptor, builtin_atlas, circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
-from mapgroups.fields import GridDomain, SampledField, random_field, sample
+from mapgroups.fields import GridDomain, SampledField, random_field, same_grid, sample
 from mapgroups.groups import exp_section, group_by_name, random_algebra_section, so3
 from mapgroups.limits import TimeSampledCurve
 from mapgroups.sections import random_section
@@ -105,6 +107,19 @@ def test_atlas_hashes_are_stable():
     assert atlas_hash(torus_four_charts()) == "98595f68aa76"
     # different parameters give a different fingerprint
     assert atlas_hash(circle_two_charts(resolution=129)) != "6eb0321ad086"
+
+
+def test_an_atlas_is_hashed_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return atlas_descriptor(a)
+
+    monkeypatch.setattr(serialize, "atlas_descriptor", counted)
+    a, b = circle_two_charts(resolution=65), circle_two_charts(resolution=65)
+    assert atlas_hash(a) == atlas_hash(a) == atlas_hash(b)
+    assert calls == [a, b]
 
 
 def test_section_round_trip():
@@ -376,6 +391,80 @@ def test_load_grid_names_the_missing_or_malformed_key():
         load_grid(dict(doc, window=[[0.5, "x"]]))
     with pytest.raises(InputError, match="do not match dimension"):
         load_grid(dict(doc, grid=[[65]]))
+
+
+def test_equal_grid_documents_share_one_read_only_grid():
+    doc = dump_grid(GridDomain.box(((0.5, 3.0), (1.0, 2.0)), 33))
+    first = load_grid(through_json(doc))
+    assert load_grid(through_json(doc)) is first
+    for idx in first.axis_indices:
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 0
+
+
+def test_the_grid_memo_never_exceeds_its_bound():
+    for k in range(serialize.GRID_MEMO_SIZE + 5):
+        load_grid(dump_grid(GridDomain.box(((0.1 + 0.05 * k, 3.0),), 65)))
+        assert len(serialize._GRID_MEMO) <= serialize.GRID_MEMO_SIZE
+    assert len(serialize._GRID_MEMO) == serialize.GRID_MEMO_SIZE
+
+
+def _respelled(text):
+    """Another base64 spelling of the same bytes: the character before the
+    padding with its lowest bit flipped, a bit that decoding drops."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    body = text.rstrip("=")
+    assert len(body) < len(text), "the bytes need padding to leave bits unused"
+    last = alphabet[alphabet.index(body[-1]) ^ 1]
+    return body[:-1] + last + text[len(body):]
+
+
+def test_grid_documents_that_differ_in_type_or_spelling_load_as_they_always_did():
+    grid = GridDomain.box(((0.5, 3.0),), 65)
+    doc = through_json(dump_grid(grid))
+    assert same_grid(load_grid(doc), grid)
+    # A bool is no integer, even after the same document with "m": 1 loaded.
+    for _ in range(2):
+        with pytest.raises(InputError, match=r"^grid key 'm' must be int, got bool$"):
+            load_grid(dict(doc, m=True))
+    # Integer and signed-zero windows load as the floats they are.
+    floats = load_grid(dict(doc, window=[[0.0, 3.0]]))
+    ints = load_grid(dict(doc, window=[[0, 3]]))
+    assert same_grid(ints, floats) and all(type(x) is float for x in ints.window[0])
+    negative_zero = load_grid(dict(doc, window=[[-0.0, 3.0]])).window[0][0]
+    assert math.copysign(1.0, negative_zero) == -1.0
+    # Base64 text spelled another way holds the same mask.
+    text = _respelled(doc["mask"]["b64"])
+    assert text != doc["mask"]["b64"]
+    assert base64.b64decode(text, validate=True) == base64.b64decode(doc["mask"]["b64"])
+    assert same_grid(load_grid(dict(doc, mask=dict(doc["mask"], b64=text))), grid)
+
+
+def test_a_grid_mask_corrupted_after_a_good_load_fails_as_it_always_did():
+    doc = through_json(dump_grid(GridDomain.box(((0.5, 3.0),), 65)))
+    load_grid(doc)
+    good = doc["mask"]["b64"]
+    doc["mask"]["b64"] = "*" + good[1:]
+    with pytest.raises(InputError, match=r"^grid key 'mask' b64 is not valid base64$"):
+        load_grid(doc)
+    mask = np.frombuffer(base64.b64decode(good), dtype=bool).copy()
+    mask[0] = True  # the node at 0, outside the window
+    doc["mask"]["b64"] = base64.b64encode(mask.tobytes()).decode()
+    with pytest.raises(InputError, match="^axis 0 node outside the open window$"):
+        load_grid(doc)
+
+
+def test_a_curve_mask_corrupted_after_a_good_load_names_the_section_and_piece():
+    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(43))
+    doc = through_json(dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi))))
+    load_curve(doc)
+    mask = doc["sections"][1]["pieces"][0]["mask"]
+    mask["b64"] = mask["b64"][:10] + "!" + mask["b64"][11:]
+    with pytest.raises(
+        InputError, match="^curve section 1, piece 0: sampled key 'mask' b64 is not valid base64$"
+    ):
+        load_curve(doc)
 
 
 def test_load_sampled_names_the_missing_or_malformed_key():
