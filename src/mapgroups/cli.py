@@ -10,6 +10,7 @@ or configuration.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import sys
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .atlas import BUILTIN_ATLASES, builtin_atlas
 from .axioms import TOLERANCE_KEYWORDS, run_axiom_suite
@@ -491,7 +493,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h), and the size both are set to.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_KEEP_BYTES = 256 << 20
+
+
+def _native_function(library, name: str, argtypes: tuple):
+    """The C function ``name`` of the shared ``library`` (None: the
+    process's own symbols), returning int, or None where it is missing."""
+    try:
+        fn = getattr(ctypes.CDLL(library), name)
+    except (OSError, AttributeError, TypeError):  # TypeError: no process handle on Windows
+        return None
+    fn.argtypes = argtypes
+    fn.restype = ctypes.c_int
+    return fn
+
+
+# Process state, so set once per process.
+@functools.cache
+def set_process_profile() -> None:
+    """Keep freed heap in the process and run numpy's BLAS on one thread.
+
+    glibc then trims the heap only when more than ``HEAP_KEEP_BYTES`` lie
+    free at its top, and maps a block of its own only for an allocation of
+    that size or more, so a freed ``(4, 4, 4900)`` group stack's pages serve
+    the next stack instead of being faulted in again; up to that much freed
+    heap stays with the process.  One OpenBLAS thread
+    makes every sum the same whatever ``OPENBLAS_NUM_THREADS`` says.  Each
+    setting is skipped where its symbol is missing (another libc, another
+    BLAS build).
+    """
+    mallopt = _native_function(None, "mallopt", (ctypes.c_int, ctypes.c_int))
+    if mallopt is not None:
+        mallopt(M_TRIM_THRESHOLD, HEAP_KEEP_BYTES)
+        mallopt(M_MMAP_THRESHOLD, HEAP_KEEP_BYTES)
+    # numpy's bundled OpenBLAS is a dependency of its linalg extension.
+    set_threads = _native_function(
+        _umath_linalg.__file__, "scipy_openblas_set_num_threads64_", (ctypes.c_int,)
+    )
+    if set_threads is not None:
+        set_threads(1)
+
+
 def main(argv=None) -> int:
+    set_process_profile()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,9 +8,11 @@ The program is imported from this checkout's ``src/``.  Each row is
 ``name value``: a sha256 of an output file or array, an exit code, a
 stderr line, or the repr of a number.  Temporary paths never appear, so
 running the script on two checkouts and diffing the outputs shows
-whether a change keeps every answer.  Run both sides with the same BLAS
-thread count (``OPENBLAS_NUM_THREADS=1``): a threaded BLAS changes the
-last digits of some sums.
+whether a change keeps every answer.  The first rows call ``cli.main``,
+which runs numpy's OpenBLAS on one thread for the rest of the process, so
+the rows are the same at any ``OPENBLAS_NUM_THREADS``.  A checkout whose
+``cli.main`` predates that needs ``OPENBLAS_NUM_THREADS=1``: a threaded
+BLAS changes the last digits of some sums.
 
 With ``--values DIR`` the script also keeps what it digests, so that
 ``tools/answer_moves.py`` can say by how much a moved row moved: each
@@ -325,6 +327,8 @@ def main(argv=None) -> int:
     lines = []
     with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
         work = Path(tmp)
+        # CLI rows first: cli.main sets the process profile that pins BLAS
+        # threads before any library row sums anything.
         rows = itertools.chain(
             *(itertools.chain(cli_rows(seed, work), library_rows(seed)) for seed in SEEDS),
             atlas_rows(),
