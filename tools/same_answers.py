@@ -48,7 +48,10 @@ and 1:
   of them within one stencil of its corners;
 * BandlimitedField.evaluate on tensor grids: at each torus4 chart's window
   points with 1 to 3 components, at the nodes of the full 129-node torus,
-  and at a shuffled torus4 chart window with repeated rows;
+  at a shuffled torus4 chart window with repeated rows, at the chart's
+  window in F order and with its last point or its last row of points
+  repeated, at a 1 x n and an n x 1 grid of its angles, and at a single
+  seeded point;
 * hilbert_inner of the same two sections after a dump/load round trip.
 
 Then, once, each builtin atlas's file hash and every array of its overlap
@@ -270,6 +273,18 @@ def library_rows(seed: int):
     window = torus4.charts[0].window_points
     repeated = np.vstack([window, window[: len(window) // 3]])
     yield f"s{seed}/evaluate/shuffled-window", field.evaluate(rng.permutation(repeated))
+    x0, x1 = torus4.charts[0].window_angles()
+    xx, yy = np.meshgrid(x0, x1, indexing="xy")
+    point_sets = {
+        "f-order-window": np.column_stack([xx.ravel(), yy.ravel()]),
+        "window-last-point-twice": np.vstack([window, window[-1:]]),
+        "window-last-row-twice": np.vstack([window, window[-x1.size:]]),
+        "1xn-grid": mg.fields.tensor_points([x0[:1], x1]),
+        "nx1-grid": mg.fields.tensor_points([x0, x1[:1]]),
+        "single-point": rng.uniform(0.0, 2.0 * np.pi, size=(1, 2)),
+    }
+    for name, points in point_sets.items():
+        yield f"s{seed}/evaluate/{name}", field.evaluate(points)
 
 
 def atlas_rows():
