@@ -259,30 +259,19 @@ class BandlimitedField:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary finite points, shape (Q, m) -> (Q, components).
 
-        On curves the points are a tensor grid of one axis, evaluated by
-        :func:`grid_values`.  On surfaces, phases and the axis-0
-        contraction are computed once per distinct coordinate of each axis
-        (a chart window's nodes repeat each coordinate many times).  When
-        there are no more distinct coordinate pairs than points, as on any
-        tensor grid, the axis-1 contraction is taken once per pair and each
-        point gathers its row; otherwise each point contracts its own row.
-        Either way each output row sums the same terms in the same order as
-        the per-point contraction, so the result is bitwise equal to it.
+        Points that form a C-order tensor grid, as every curve's points and
+        a chart's window points do, are evaluated by :func:`grid_values` on
+        the grid's axes, in point order; on surfaces that sums in another
+        order than the per-point contraction and agrees with it to
+        rounding.  Any other surface points contract their own phases one
+        point at a time.  The choice rests on the points alone.
         """
         pts = check_points(points, self.m)
-        if self.m == 1:
-            return grid_values(self.coeffs, [phase_matrix(pts[:, 0], self.modes)]).real
-        x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
-        x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
-        p0 = phase_matrix(x0, self.modes)
-        p1 = phase_matrix(x1, self.modes)
-        tmp = np.einsum("qa,nab->qnb", p0, self.coeffs)
-        if x0.size * x1.size <= len(pts):
-            # Row i * n1 + j of the pair table holds the values at (x0[i], x1[j]).
-            table = np.einsum("inb,jb->inj", tmp, p1).transpose(0, 2, 1)
-            rows = table.reshape(-1, self.components)
-            return rows.take(inv0 * x1.size + inv1, axis=0).real
-        return np.einsum("qb,qnb->qn", p1[inv1], tmp[inv0]).real
+        axes = [pts[:, 0]] if self.m == 1 else _surface_grid_axes(pts)
+        if axes is not None:
+            return grid_values(self.coeffs, [phase_matrix(x, self.modes) for x in axes]).real
+        p0, p1 = (phase_matrix(x, self.modes) for x in pts.T)
+        return np.einsum("qb,qnb->qn", p1, np.einsum("qa,nab->qnb", p0, self.coeffs)).real
 
     def __add__(self, other: "BandlimitedField") -> "BandlimitedField":
         check_same_layout(self, other)
@@ -291,6 +280,27 @@ class BandlimitedField:
     def scaled(self, factor: float) -> "BandlimitedField":
         factor = check_real(factor, "factor")
         return BandlimitedField(self.m, self.modes, factor * self.coeffs)
+
+
+def _surface_grid_axes(pts: np.ndarray):
+    """The axes ``[x0, x1]`` of the C-order tensor grid that the (Q, 2)
+    points ``pts`` form, or None if they are empty or form none.
+
+    The first change in column 0 gives the length n1 of axis 1; the points
+    are the grid when each run of n1 rows holds one axis-0 value and the
+    axis-1 values of the first run.  O(Q), no sort.
+    """
+    if not len(pts):
+        return None
+    col0 = pts[:, 0]
+    n1 = int(np.argmax(col0 != col0[0])) or len(pts)
+    if len(pts) % n1:
+        return None
+    grid = pts.reshape(-1, n1, 2)
+    x0, x1 = grid[:, 0, 0], grid[0, :, 1]
+    if (grid[:, :, 0] == x0[:, None]).all() and (grid[:, :, 1] == x1).all():
+        return [x0, x1]
+    return None
 
 
 def check_same_layout(a: BandlimitedField, b: BandlimitedField):
@@ -414,9 +424,10 @@ def grid_values(coeffs: np.ndarray, phases) -> np.ndarray:
 
     The one kernel for tensor grids: the separable product of
     :func:`tensor_transfer` (sum factorization, Orszag, J. Comput. Phys.
-    37, 1980).  On curves it is bitwise ``phases[0] @ coeffs.T``, and so
-    :meth:`BandlimitedField.evaluate`; on surfaces it sums in another order
-    than the per-point contraction and agrees with it to rounding.
+    37, 1980), and so :meth:`BandlimitedField.evaluate` at any C-order
+    tensor grid.  On curves it is bitwise ``phases[0] @ coeffs.T``; on
+    surfaces it sums in another order than the per-point contraction and
+    agrees with it to rounding.
     """
     if len(phases) != coeffs.ndim - 1:
         raise ShapeMismatchError("axes do not match coefficient dimension")

@@ -205,7 +205,8 @@ def random_section(
 
     Coefficients are complex normal draws weighted by (1 + |k|^2)^(-1).
     Each chart piece is the real part of the polynomial on the tensor
-    grid of the chart's window angles, bitwise its values at each node.
+    grid of the chart's window angles: bitwise its values at each node on
+    curves, equal to them to rounding on surfaces.
     """
     components = check_count(components, "components", 1)
     order = check_count(order, "order", 0)

@@ -426,13 +426,41 @@ def test_surface_evaluate_is_bitwise_per_point(torus4, components, modes, chart,
         "single point": rng.uniform(0.0, TWO_PI, (1, 2)),
         "signed zeros": rng.choice([0.0, -0.0, 1.5], (q, 2)),
     }
-    for name, pts in point_sets.items():
-        assert f.evaluate(pts).tobytes() == per_point_values(f.coeffs, pts).real.tobytes(), name
+    # Bitwise where the points form no C-order tensor grid; the chart
+    # window forms one, and a single point a 1 x 1 grid.
+    grids = {
+        name: assert_evaluates_as_per_point(f, pts, name) is not None
+        for name, pts in point_sets.items()
+    }
+    assert grids["chart window"] and grids["single point"]
+    assert not grids["shuffled window"]
 
 
 def l1_scale(coeffs):
     """Largest coefficient l1 norm of a component, a bound on its values."""
     return float(np.abs(coeffs).reshape(coeffs.shape[0], -1).sum(axis=1).max())
+
+
+def assert_evaluates_as_per_point(field, points, name=""):
+    """Surface ``evaluate``'s contract, in the per-point contraction's
+    dtype, shape and layout: bitwise that contraction, strides included,
+    where the points form no C-order tensor grid; where they do,
+    ``grid_values`` on the grid's axes, which sums in another order and
+    agrees with it to within 1e-14 of the coefficients' l1 scale.  Returns
+    the recognised axes."""
+    got = field.evaluate(points)
+    want = per_point_values(field.coeffs, points).real
+    assert got.shape == want.shape == (len(points), field.components), name
+    assert got.dtype == want.dtype and layout(got) == layout(want), name
+    axes = fields._surface_grid_axes(np.asarray(points, dtype=float))
+    if axes is None:
+        assert got.strides == want.strides and got.tobytes() == want.tobytes(), name
+        return None
+    assert np.array_equal(tensor_points(axes), points), name
+    phases = [phase_matrix(x, field.modes) for x in axes]
+    assert got.tobytes() == grid_values(field.coeffs, phases).real.tobytes(), name
+    assert np.abs(got - want).max() <= 1e-14 * l1_scale(field.coeffs), name
+    return axes
 
 
 def test_random_torus_section_is_bitwise_per_point(torus4):
@@ -575,19 +603,6 @@ def test_grid_values_is_evaluate_at_the_tensor_points_to_rounding(
     assert np.abs(got - want).max() <= 1e-14 * l1_scale(coeffs)
 
 
-def per_point_evaluate(field, points):
-    """m = 2 ``evaluate`` before the pair table, the reference for it:
-    phases and the axis-0 contraction once per distinct coordinate, then
-    one axis-1 contraction per point."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x0, inv0 = np.unique(pts[:, 0], return_inverse=True)
-    x1, inv1 = np.unique(pts[:, 1], return_inverse=True)
-    p0 = phase_matrix(x0, field.modes)
-    p1 = phase_matrix(x1, field.modes)
-    tmp = np.einsum("qa,nab->qnb", p0, field.coeffs)[inv0]
-    return np.einsum("qb,qnb->qn", p1[inv1], tmp).real
-
-
 @st.composite
 def pair_table_points(draw):
     """Points with no more distinct coordinate pairs than rows: a tensor
@@ -620,18 +635,109 @@ def pair_table_points(draw):
 def test_pair_table_evaluate_is_bitwise_the_per_point_contraction(
     points, components, modes, seed
 ):
-    # Repeated angles make the distinct pairs fewer than the grid's rows.
-    assert np.unique(points[:, 0]).size * np.unique(points[:, 1]).size <= len(points)
+    # The point sets that once took a table of distinct coordinate pairs:
+    # bitwise the per-point contraction unless they form a C-order grid.
     rng = np.random.default_rng(seed)
     shape = (components, 2 * modes + 1, 2 * modes + 1)
     field = BandlimitedField(
         2, modes, hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     )
-    got = field.evaluate(points)
-    want = per_point_evaluate(field, points)
-    assert got.shape == want.shape == (len(points), components)
-    assert got.dtype == want.dtype and got.strides == want.strides
-    assert got.tobytes() == want.tobytes()
+    assert_evaluates_as_per_point(field, points)
+
+
+@st.composite
+def repeating_axis(draw):
+    """An axis of 1 to 20 values drawn from a pool of at most 6 angles, so
+    values repeat, also next to each other."""
+    pool = draw(st.lists(ANGLES, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
+    return np.array(pool)[picks]
+
+
+@st.composite
+def surface_point_sets(draw):
+    """A kind and the points of a tensor grid of two repeating axes (a
+    single row or column included): in C order, with no axis-0 value, in
+    F order, shuffled, or with repeated rows appended."""
+    axes = [draw(repeating_axis()), draw(repeating_axis())]
+    kind = draw(st.sampled_from(["C order", "empty", "F order", "shuffled", "repeated"]))
+    if kind == "empty":
+        axes[0] = axes[0][:0]
+    if kind == "F order":
+        points = np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="xy")])
+    else:
+        points = tensor_points(axes)
+    if kind == "shuffled":
+        points = points[list(draw(st.permutations(range(len(points)))))]
+    elif kind == "repeated":
+        rows = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=10))
+        points = np.vstack([points, points[rows]])
+    return kind, axes, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=surface_point_sets(),
+    components=st.integers(1, 3),
+    modes=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surface_evaluate_takes_the_grid_kernel_on_c_order_grids(case, components, modes, seed):
+    kind, axes, points = case
+    rng = np.random.default_rng(seed)
+    shape = (components, 2 * modes + 1, 2 * modes + 1)
+    field = BandlimitedField(
+        2, modes, hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    )
+    found = assert_evaluates_as_per_point(field, points)
+    # Every C-order grid whose axis 0 never repeats a value in a row is
+    # recognised; a run of equal axis-0 values may hide the row length.
+    x0 = axes[0]
+    if kind == "C order" and not np.any(x0[1:] == x0[:-1]):
+        assert found is not None
+
+
+A, B, C, U, V, W = 0.5, 1.5, 2.5, 3.0, 4.0, 5.0
+
+
+@pytest.mark.parametrize(
+    "points, axes",
+    [
+        ([(A, U), (A, V), (B, U), (B, V)], ([A, B], [U, V])),
+        ([(A, U), (A, V), (A, W)], ([A], [U, V, W])),
+        ([(A, U), (B, U), (C, U)], ([A, B, C], [U])),
+        ([(A, U), (B, U), (A, U), (B, U)], ([A, B, A, B], [U])),
+        ([(A, U)], ([A], [U])),
+        ([(A, U), (B, U), (A, V), (B, V)], None),  # F order
+        ([(A, U), (A, V), (B, U), (C, V)], None),  # axis 0 changes within a row
+        ([(A, U), (A, V), (B, U), (B, W)], None),  # axis 1 differs between rows
+        ([(A, U), (A, V), (B, U)], None),  # a row cut short
+        (np.empty((0, 2)), None),
+    ],
+)
+def test_the_grid_recogniser_takes_only_c_order_grids(points, axes):
+    points = np.array(points, dtype=float)
+    found = fields._surface_grid_axes(points)
+    if axes is None:
+        assert found is None
+    else:
+        assert [x.tolist() for x in found] == [list(x) for x in axes]
+    field = random_field(2, 2, 2, np.random.default_rng(9))
+    assert_evaluates_as_per_point(field, points)
+
+
+def test_a_chart_window_evaluates_without_sorting(monkeypatch, torus4):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    field = random_field(2, 3, 2, np.random.default_rng(5))
+    monkeypatch.setattr(np, "unique", no_sort)
+    for c in torus4.charts:
+        phases = [phase_matrix(x, 3) for x in c.window_angles()]
+        want = grid_values(field.coeffs, phases).real
+        assert field.evaluate(c.window_points).tobytes() == want.tobytes()
+    scattered = np.random.default_rng(5).uniform(0.0, TWO_PI, (50, 2))
+    assert field.evaluate(scattered).shape == (50, 2)
 
 
 def test_grid_values_needs_one_axis_per_dimension():

@@ -1,6 +1,7 @@
 """The CLI's process profile: glibc keeps freed heap, numpy's OpenBLAS runs
 one thread.  Both act on the whole process, so the checks that read them run
-in a fresh interpreter."""
+in a fresh interpreter, as does the check that a library-only process, which
+sets no profile, evaluates the same bytes at any BLAS thread count."""
 
 import os
 import platform
@@ -107,6 +108,25 @@ def test_cli_main_leaves_openblas_on_one_thread(tmp_path):
     if threads == "missing":
         pytest.skip("numpy's BLAS exports no thread setter")
     assert threads == "1"
+
+
+def test_library_evaluate_keeps_its_bytes_at_any_blas_thread_count():
+    # A process that never calls cli.main sets no thread count, and
+    # evaluate on a tensor grid multiplies with BLAS through grid_values.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "import mapgroups as mg\n"
+        "grids = [c.window_points for c in mg.builtin_atlas('torus4').charts]\n"
+        "grids.append(mg.GridDomain.full_torus(2, 129).nodes())\n"
+        "for order in (3, 12, 32):\n"
+        "    field = mg.random_field(2, order, 3, np.random.default_rng(order))\n"
+        "    for points in grids:\n"
+        "        print(hashlib.sha256(field.evaluate(points).tobytes()).hexdigest())\n"
+    )
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert len(one.split()) == 15
+    assert one == two
 
 
 def test_the_profile_is_set_once_per_process(monkeypatch, fresh_profile):
