@@ -736,6 +736,7 @@ def test_a_chart_window_evaluates_without_sorting(monkeypatch, torus4):
         phases = [phase_matrix(x, 3) for x in c.window_angles()]
         want = grid_values(field.coeffs, phases).real
         assert field.evaluate(c.window_points).tobytes() == want.tobytes()
+    # Scattered points take no sort either.
     scattered = np.random.default_rng(5).uniform(0.0, TWO_PI, (50, 2))
     assert field.evaluate(scattered).shape == (50, 2)
 
