@@ -136,8 +136,6 @@ REPO = Path(__file__).resolve().parents[1]
 _ATLAS_REPORT = ("a validate_atlas result; tools/same_answers.py compares whole "
                  "reports through repr")
 KEEP = {
-    "load_group_section": "reads back evolve_eta1.json, which the CLI writes: "
-                          "the round trip of that file format",
     "AtlasReport.cover_margin": _ATLAS_REPORT,
     "AtlasReport.inverse_residual": _ATLAS_REPORT,
     "AtlasReport.cocycle_residual": _ATLAS_REPORT,

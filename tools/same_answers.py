@@ -26,7 +26,9 @@ and 1:
   9-sample UT2 curve on torus4, and the node coordinates and values of
   every piece of that UT2 curve after a dump_curve/load_curve round trip;
 * glue, point_eval, hilbert_inner, the worst overlap defect, the partition
-  weights, the bumps and validate_atlas on both builtin atlases;
+  weights, the bumps and validate_atlas on both builtin atlases, and the
+  pieces and relation defects of a seeded SU2 product after a
+  dump_group_section/load_group_section round trip through canonical_json;
 * hs_norm of a seeded surface field at orders 0, 1, 2 and 4 in both weight
   conventions, and sample on the full 129-node torus grid and on a torus4
   chart window;
@@ -69,6 +71,7 @@ import hashlib
 import inspect
 import io
 import itertools
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -158,6 +161,20 @@ def cli_rows(seed: int, work: Path):
             )
 
 
+def su2_round_trip_rows(atlas, rng, head: str):
+    """The pieces and relation defects of a seeded SU2 product after a
+    dump_group_section, canonical_json and load_group_section round trip."""
+    su2 = mg.su2_real()
+    product = mg.group_multiply(
+        *(mg.exp_section(mg.random_algebra_section(atlas, su2, rng)) for _ in range(2))
+    )
+    text = serialize.canonical_json(serialize.dump_group_section(product))
+    loaded = serialize.load_group_section(json.loads(text))
+    for j, p in enumerate(loaded.pieces):
+        yield f"{head}/su2_round_trip/piece{j}", p
+    yield f"{head}/su2_round_trip/relation_defects", repr(loaded.relation_defects)
+
+
 def library_rows(seed: int):
     for name in ("circle2", "torus4"):
         atlas = mg.builtin_atlas(name)
@@ -186,6 +203,7 @@ def library_rows(seed: int):
         yield f"{head}/partition_weights", atlas.partition_weights(grid)
         yield f"{head}/bump_values", atlas.bump_values(points)
         yield f"{head}/validate_atlas", repr(mg.validate_atlas(atlas))
+        yield from su2_round_trip_rows(atlas, np.random.default_rng(seed), head)
     rng = np.random.default_rng(seed)
     field = mg.random_field(2, 12, 2, rng)
     for convention in mg.CONVENTIONS:
