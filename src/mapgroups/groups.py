@@ -23,13 +23,13 @@ the values of a sampled field.  Only the SVD in ``project`` and the SO3
 determinant move the entry axes last, for LAPACK, and their results come
 back as C-contiguous stacks.
 
-SU2 values the program computes are exactly realified: the two copies of
-X, and of Y, in ``[[X, -Y], [Y, X]]`` are equal, the second Y negated.
-``exact_fn`` is the witness of that form.  A stack that passes it is fixed
-by its top half, so its relation defect has no structure term and a group
-section's overlap check reads the 8 entry rows of that half.  A stack that
-fails it (a file written before products were exact, or a caller's own
-stack) is measured and checked on all 16 rows.
+SU2 values are exactly realified: the two copies of X, and of Y, in
+``[[X, -Y], [Y, X]]`` are equal as floats, the second Y negated.  Every
+value the program computes has that form, and ``GroupSection`` refuses a
+piece that does not (``exact_fn``, the door check), naming its chart and
+first node.  So an SU2 value is fixed by its top half: its relation defect
+reads X and Y once, and a group section's overlap check reads the 8 entry
+rows of that half.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def node_power(multiply, a: np.ndarray, n: int) -> np.ndarray:
         a = multiply(a, a)
 
 
-def _no_witness(g: np.ndarray) -> bool:
-    """``exact_fn`` of a group without one: every entry row is checked."""
-    return False
-
-
 def _eye(d: int, nodes: tuple) -> np.ndarray:
     """The identity, shaped to broadcast against a (d, d, *nodes) stack."""
     return np.eye(d).reshape((d, d) + (1,) * len(nodes))
@@ -121,13 +116,13 @@ class MatrixGroup:
     log_valid_fn: Callable[[np.ndarray], np.ndarray]
     invert_fn: Callable[[np.ndarray], np.ndarray]
     project_fn: Callable[[np.ndarray], np.ndarray]
-    # defect_fn(g, exact) is told exact_fn(g), whose verdict settles the
-    # terms of the relations that only an inexact stack can break.
-    defect_fn: Callable[[np.ndarray, bool], np.ndarray]
-    # The node-wise product of two group stacks, and the witness that a
-    # stack's top half of entry rows fixes its bottom half exactly.
+    defect_fn: Callable[[np.ndarray], np.ndarray]
+    # The node-wise product of two group stacks.
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    exact_fn: Callable[[np.ndarray], bool]
+    # The door check of a group whose values are fixed by the top half of
+    # their entry rows (SU2): per node, whether the bottom half is that
+    # half's exact copy.  SO3 and UT2 have none; every entry row is free.
+    exact_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def algebra_dim(self) -> int:
@@ -159,11 +154,11 @@ class MatrixGroup:
     def project(self, mats: np.ndarray) -> np.ndarray:
         return self.project_fn(np.asarray(mats, dtype=float))
 
-    def relation_defect(self, mats: np.ndarray, exact: bool | None = None) -> np.ndarray:
-        """Node-wise relation defects; ``exact`` is ``exact_fn(mats)`` when
-        the caller has taken it already."""
-        mats = np.asarray(mats, dtype=float)
-        return self.defect_fn(mats, self.exact_fn(mats) if exact is None else exact)
+    def relation_defect(self, mats: np.ndarray) -> np.ndarray:
+        """Node-wise relation defects.  SU2's is that of a realified stack:
+        it reads X and Y once, from the left half of [[X, -Y], [Y, X]], and
+        takes the right half for their copy, as ``exact_fn`` checks."""
+        return self.defect_fn(np.asarray(mats, dtype=float))
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -225,7 +220,7 @@ def so3() -> MatrixGroup:
         u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
         return np.ascontiguousarray(np.moveaxis(u @ vt, (-2, -1), (0, 1)))
 
-    def defect_fn(g, exact):
+    def defect_fn(g):
         gtg = node_product(g.swapaxes(0, 1), g)
         orth = np.abs(gtg - _eye(3, g.shape[2:])).max(axis=(0, 1))
         det = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1))) - 1.0)
@@ -234,7 +229,7 @@ def so3() -> MatrixGroup:
     return MatrixGroup(
         "SO3", 3, basis, q_radius, q_radius / 2.0,
         exp_fn, log_fn, log_valid_fn, _transpose, project_fn, defect_fn,
-        node_product, _no_witness,
+        node_product,
     )
 
 
@@ -312,7 +307,7 @@ def su2_real() -> MatrixGroup:
         w = w * (np.linalg.det(w) ** (-0.5))[..., None, None]
         return np.ascontiguousarray(np.moveaxis(_realify(w.real, w.imag), (-2, -1), (0, 1)))
 
-    def defect_fn(g, exact):
+    def defect_fn(g):
         # One row per entry: e[4 r + c] is entry (r, c).  In the block form
         # [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2, X(r, c) is e[k]
         # and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].  Rows, not
@@ -327,14 +322,7 @@ def su2_real() -> MatrixGroup:
             np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)
         )
         det = np.abs(a * d - b * c - 1.0)
-        defect = np.maximum(np.maximum(unit, off), det)
-        # The structure term: the gap between the two copies of X and of Y,
-        # exactly 0 on a stack that passes the witness.
-        if not exact:
-            for k in (0, 1, 4, 5):
-                np.maximum(defect, np.abs(e[k] - e[k + 10]), out=defect)
-                np.maximum(defect, np.abs(e[k + 8] + e[k + 2]), out=defect)
-        return defect.reshape(g.shape[2:])
+        return np.maximum(np.maximum(unit, off), det).reshape(g.shape[2:])
 
     def multiply(a, b):
         # The top half [X, -Y] of the product is node_product's, bitwise;
@@ -346,9 +334,7 @@ def su2_real() -> MatrixGroup:
         return out
 
     def exact_fn(g):
-        return bool(
-            np.array_equal(g[2:, 2:], g[:2, :2]) and np.array_equal(g[2:, :2], -g[:2, 2:])
-        )
+        return ((g[2:, 2:] == g[:2, :2]) & (g[2:, :2] == -g[:2, 2:])).all(axis=(0, 1))
 
     return MatrixGroup(
         "SU2", 4, basis, q_radius, q_radius / 2.0,
@@ -415,7 +401,7 @@ def upper_triangular2() -> MatrixGroup:
         out[1, 1] = np.abs(out[1, 1])
         return out
 
-    def defect_fn(g, exact):
+    def defect_fn(g):
         lower = np.abs(g[1, 0])
         diag = np.minimum(g[0, 0], g[1, 1])
         return np.maximum(lower, np.maximum(-diag, 0.0))
@@ -423,7 +409,7 @@ def upper_triangular2() -> MatrixGroup:
     return MatrixGroup(
         "UT2", 2, basis, 5.0, 1.0,
         exp_fn, log_fn, log_valid_fn, invert_fn, project_fn, defect_fn,
-        node_product, _no_witness,
+        node_product,
     )
 
 
@@ -439,9 +425,8 @@ class GroupSection:
     """Chart family of node-wise group elements over an atlas.
 
     Each piece is one C-contiguous entry-first stack, ``(d, d, K)`` for a
-    chart window of K nodes.  ``relation_defects`` keeps each chart's
-    largest relation defect and ``exact`` each piece's ``exact_fn``
-    witness, taken once.
+    chart window of K nodes, and passes its group's door check ``exact_fn``,
+    where it has one, at every node.  ``relation_defects`` keeps each chart's largest relation defect.
     Values an operation computes are built by :meth:`computed`, which
     measures each chart once and hands that measurement to the checks here.
     """
@@ -450,7 +435,6 @@ class GroupSection:
     group: MatrixGroup
     pieces: tuple[np.ndarray, ...]
     relation_defects: tuple[float, ...] = field(init=False, repr=False)
-    exact: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # The node-wise kernel slows down many times over on strided stacks.
@@ -467,13 +451,15 @@ class GroupSection:
             # Nonfinite entries pass the relation check (NaN compares false),
             # so they are rejected before any defect is measured.
             check_node_values(p.reshape(d * d, -1).T)
-        if "exact" not in vars(self):
-            object.__setattr__(self, "exact", tuple(map(self.group.exact_fn, self.pieces)))
+            if self.group.exact_fn is not None:
+                twins = self.group.exact_fn(p)
+                if not twins.all():
+                    raise InputError(
+                        f"chart {c.index}, node {int(np.argmin(twins))}: matrix is not "
+                        f"of the realified {self.group.name} form [[X, -Y], [Y, X]]"
+                    )
         if "relation_defects" not in vars(self):
-            defects = tuple(
-                float(self.group.relation_defect(p, e).max())
-                for p, e in zip(self.pieces, self.exact)
-            )
+            defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
             object.__setattr__(self, "relation_defects", defects)
         for c, defect in zip(self.atlas.charts, self.relation_defects):
             if defect > RELATION_DEFECT_LIMIT:
@@ -483,10 +469,10 @@ class GroupSection:
                 )
         # The overlap check reads each piece as its component-first lattice
         # (rows, c0[, c1]), a view of the contiguous stack.  A transfer acts
-        # on each row alone and negation is exact, so when every piece is
-        # fixed by its top half, the defect and its worst point on those
-        # rows are bitwise those on all d*d.
-        rows = d * d // 2 if all(self.exact) else d * d
+        # on each row alone and negation is exact, so where the door check
+        # fixes every piece by its top half, the defect and its worst point
+        # on those rows are bitwise those on all d*d.
+        rows = d * d if self.group.exact_fn is None else d * d // 2
         lattices = [
             p.reshape((d * d,) + c.window.axis_counts)[:rows]
             for c, p in zip(self.atlas.charts, self.pieces)
@@ -500,28 +486,24 @@ class GroupSection:
         its relation defect exceeds ``threshold``.  Products and time-1 values
         of valid sections lie on the group, so a projection that leaves more
         than RELATION_DEFECT_LIMIT raises NumericError."""
-        pieces, exact, defects = list(mats), [], []
+        pieces, defects = list(mats), []
         for chart, p in enumerate(pieces):
-            witness = group.exact_fn(p)
-            drift = float(group.relation_defect(p, witness).max())
+            drift = float(group.relation_defect(p).max())
             if drift > threshold:
                 pieces[chart] = p = group.project(p)
                 LOGGER.info(
                     f"chart %d: {what} drifted %.3e off %s; re-projected",
                     chart, drift, group.name,
                 )
-                witness = group.exact_fn(p)
-                drift = float(group.relation_defect(p, witness).max())
+                drift = float(group.relation_defect(p).max())
                 if drift > RELATION_DEFECT_LIMIT:
                     raise NumericError(
                         f"chart {chart}: {what} relation defect {drift:.3e} exceeds "
                         f"{RELATION_DEFECT_LIMIT:.1e} even after re-projection"
                     )
-            exact.append(witness)
             defects.append(drift)
         # The measurements go in before __init__, whose checks then use them.
         self = cls.__new__(cls)
-        object.__setattr__(self, "exact", tuple(exact))
         object.__setattr__(self, "relation_defects", tuple(defects))
         self.__init__(atlas, group, pieces)
         return self

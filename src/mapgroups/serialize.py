@@ -421,6 +421,10 @@ def dump_group_section(gs: GroupSection, convention: str = "paper") -> dict:
 
 
 def load_group_section(doc: dict) -> GroupSection:
+    """Group section document.  An SU2 piece whose two copies of X or of Y
+    differ at any node is refused, not repaired: ``GroupSection`` raises
+    InputError naming its chart and first such node.  Files written before
+    SU2 products were exact can hold such pieces."""
     _expect_kind(doc, "group_section", "group section")
     a = _resolve_atlas(doc)
     group = group_by_name(_require(doc, "group", str))

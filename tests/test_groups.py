@@ -1,6 +1,8 @@
 """Matrix groups and node-wise group sections over an atlas."""
 
 import dataclasses
+import functools
+import json
 import logging
 
 import numpy as np
@@ -12,6 +14,7 @@ from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import ChartDomainError, InputError, NumericError
 from mapgroups.groups import (
     GROUP_BUILDERS,
+    RELATION_DEFECT_LIMIT,
     AlgebraSection,
     GroupSection,
     adjoint_operator,
@@ -32,9 +35,12 @@ from mapgroups.groups import (
     upper_triangular2,
 )
 from mapgroups.limits import TimeSampledCurve, constant_curve, evolve
+from mapgroups.sections import OVERLAP_TOLERANCE, compatibility_defect
 from mapgroups.serialize import (
+    canonical_json,
     dump_curve,
     dump_group_section,
+    encode_array,
     load_curve,
     load_group_section,
 )
@@ -152,17 +158,22 @@ def test_log_domain_guards():
     assert not ut.log_valid(np.array([[[-1.0], [0.0]], [[0.0], [1.0]]]))[0]
 
 
+def with_bottom_copied(mats):
+    """A (4, 4, *nodes) stack with its bottom half of entry rows rewritten
+    from its top half, as the realified form [[X, -Y], [Y, X]] fixes it."""
+    out = mats.copy()
+    out[2:, :2] = -out[:2, 2:]
+    out[2:, 2:] = out[:2, :2]
+    return out
+
+
 def su2_defect_reference(g):
     """The SU2 relation defect through a batched U^H U and np.linalg.det."""
-    x1, x2, y1, y2 = g[..., :2, :2], g[..., 2:, 2:], g[..., 2:, :2], -g[..., :2, 2:]
-    struct = np.maximum(
-        np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
-    )
-    u = x1 + 1j * y1
+    u = g[..., :2, :2] + 1j * g[..., 2:, :2]
     uhu = np.conj(np.swapaxes(u, -1, -2)) @ u
     unit = np.abs(uhu - np.eye(2)).max(axis=(-2, -1))
     det = np.abs(np.linalg.det(u) - 1.0)
-    return np.maximum(np.maximum(struct, unit), det)
+    return np.maximum(unit, det)
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-9, 1e-3])
@@ -170,7 +181,8 @@ def test_su2_closed_form_defect_matches_matrix_reference(drift):
     g = su2_real()
     rng = np.random.default_rng(17)
     mats = g.exp(rng.uniform(-1.4, 1.4, size=(500, 3)))
-    mats = mats + drift * rng.standard_normal(mats.shape)
+    mats[:2] += drift * rng.standard_normal(mats[:2].shape)
+    mats = with_bottom_copied(mats)
     got = g.relation_defect(mats)
     want = su2_defect_reference(matrix_last(mats))
     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
@@ -180,10 +192,7 @@ def test_su2_closed_form_defect_matches_matrix_reference(drift):
 
 def su2_block_defect(g):
     """The SU2 relation defect read from strided 2x2 blocks of each matrix."""
-    x1, x2, y1, y2 = g[..., :2, :2], g[..., 2:, 2:], g[..., 2:, :2], -g[..., :2, 2:]
-    struct = np.maximum(
-        np.abs(x1 - x2).max(axis=(-2, -1)), np.abs(y1 - y2).max(axis=(-2, -1))
-    )
+    x1, y1 = g[..., :2, :2], g[..., 2:, :2]
     a, b, c, d = (x1[..., i, j] + 1j * y1[..., i, j] for i in (0, 1) for j in (0, 1))
     off = np.abs(np.conj(a) * b + np.conj(c) * d)
 
@@ -192,7 +201,7 @@ def su2_block_defect(g):
 
     unit = np.maximum(np.abs(abs2(a) + abs2(c) - 1.0), np.abs(abs2(b) + abs2(d) - 1.0))
     det = np.abs(a * d - b * c - 1.0)
-    return np.maximum(np.maximum(struct, np.maximum(unit, off)), det)
+    return np.maximum(np.maximum(unit, off), det)
 
 
 @pytest.mark.parametrize("batch", [(), (500,), (3, 40)])
@@ -203,6 +212,7 @@ def test_su2_entry_vector_defect_equals_block_form_bitwise(batch):
     def draw():
         return g.exp(rng.uniform(-1.4, 1.4, size=batch + (3,)))
 
+    # Every stack but exp's drifts in its top half and copies it down.
     cases = {
         "exp": draw(),
         "product": node_product(draw(), draw()),
@@ -211,6 +221,7 @@ def test_su2_entry_vector_defect_equals_block_form_bitwise(batch):
         "normal": rng.standard_normal((4, 4) + batch),
     }
     for kind, mats in cases.items():
+        mats = with_bottom_copied(mats)
         got = np.asarray(g.relation_defect(mats))
         # One matrix is a one-node stack: array arithmetic on both sides.
         want = np.asarray(su2_block_defect(matrix_last(mats.reshape(4, 4, -1)))).reshape(batch)
@@ -434,7 +445,7 @@ def test_su2_product_top_rows_are_node_product_bitwise_property(batch, drift, se
     assert got.shape == want.shape
     assert got.flags.c_contiguous
     assert got[:2].tobytes() == want[:2].tobytes()
-    assert realified_exactly(got) and g.exact_fn(got)
+    assert realified_exactly(got) and g.exact_fn(got).all()
 
 
 @pytest.mark.parametrize("atlas_name", ["circle2", "torus4"])
@@ -447,7 +458,7 @@ def test_su2_values_the_program_computes_pass_the_witness(atlas_name):
     xi, eta, zeta = (random_algebra_section(atlas, g, rng) for _ in range(3))
     a, b = exp_section(xi), exp_section(eta)
     drifted = a.pieces[0] + 1e-6 * rng.standard_normal(a.pieces[0].shape)
-    assert not g.exact_fn(drifted)
+    assert not g.exact_fn(drifted).any()
     sections = {
         "exp": a,
         "multiply": group_multiply(a, b),
@@ -457,27 +468,107 @@ def test_su2_values_the_program_computes_pass_the_witness(atlas_name):
         "evolve constant": evolve(constant_curve(xi), 8),
     }
     for what, gs in sections.items():
-        assert gs.exact == (True,) * atlas.chart_count, what
         for p in gs.pieces:
-            assert realified_exactly(p), what
+            assert g.exact_fn(p).all() and realified_exactly(p), what
     projected = g.project(drifted)
-    assert g.exact_fn(projected) and realified_exactly(projected)
+    assert g.exact_fn(projected).all() and realified_exactly(projected)
 
 
 def test_the_witness_sees_one_unequal_twin_entry():
     g = su2_real()
     mats = g.exp(np.random.default_rng(71).uniform(-1.0, 1.0, size=(50, 3)))
-    assert g.exact_fn(mats)
+    assert g.exact_fn(mats).all()
     for row, col in [(2, 2), (3, 3), (2, 0), (3, 1), (0, 0), (1, 2)]:
         bad = mats.copy()
         bad[row, col, 17] = np.nextafter(bad[row, col, 17], 2.0)
-        assert not g.exact_fn(bad), (row, col)
+        assert np.flatnonzero(~g.exact_fn(bad)).tolist() == [17], (row, col)
         assert not realified_exactly(bad)
-        # The structure term is measured again where the witness fails.
-        assert g.relation_defect(bad)[17] > 0.0
-    # The structure term of a stack that passes is 0, as the formula gives.
-    assert g.relation_defect(mats, True).tobytes() == g.relation_defect(mats, False).tobytes()
-    assert [group.exact_fn(group.identity()) for group in ALL_GROUPS] == [False, True, False]
+        # The relation defect reads X and Y from the left half only, so a
+        # change in the right half leaves it; the door check sees it.
+        if col >= 2:
+            assert g.relation_defect(bad).tobytes() == g.relation_defect(mats).tobytes()
+    assert g.exact_fn(g.identity()).shape == ()
+    assert [group.exact_fn is None for group in ALL_GROUPS] == [True, False, True]
+
+
+@functools.cache
+def door_case(atlas_name, group_name):
+    """A builtin atlas and a seeded exp section of a group on it."""
+    atlas = {"circle2": circle_two_charts, "torus4": torus_four_charts}[atlas_name]()
+    xi = random_algebra_section(atlas, group_by_name(group_name), np.random.default_rng(73))
+    return atlas, exp_section(xi)
+
+
+def stepped(value, delta):
+    """``value + delta``, or ``value`` moved one ulp toward ``delta``'s sign
+    where that sum rounds back to ``value``."""
+    out = value + delta
+    return out if out != value else np.nextafter(value, np.copysign(np.inf, delta))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    atlas_name=st.sampled_from(["circle2", "torus4"]),
+    entry=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    delta=st.one_of(st.floats(-1.0, -5e-324), st.floats(5e-324, 1.0)),
+    data=st.data(),
+)
+def test_the_door_refuses_any_one_twin_entry_change(atlas_name, entry, delta, data):
+    """Each of the 16 SU2 entries is one side of one of 8 twin pairs.  Moved
+    by at least one ulp at any node of any chart, it is refused, from a
+    caller and from a file, with the chart and node named.  A NaN there is
+    named by the finiteness scan first, a zero against a negative zero is a
+    twin pair, and SO3 and UT2 pieces moved alike meet the relation and
+    overlap checks alone."""
+    atlas, gamma = door_case(atlas_name, "SU2")
+    chart = data.draw(st.integers(0, atlas.chart_count - 1), label="chart")
+    node = data.draw(st.integers(0, atlas.charts[chart].window.node_count - 1), label="node")
+    row, col = entry
+
+    def with_entry(section, at, value):
+        pieces = [p.copy() for p in section.pieces]
+        pieces[chart][at + (node,)] = value
+        return tuple(pieces)
+
+    g = gamma.group
+    moved = with_entry(gamma, entry, stepped(gamma.pieces[chart][row, col, node], delta))
+    doc = dump_group_section(gamma)
+    doc["pieces"][chart] = encode_array(moved[chart].reshape(16, -1).T)
+    refusal = rf"^chart {chart}, node {node}: matrix is not of the realified SU2 form"
+    with pytest.raises(InputError, match=refusal):
+        GroupSection(atlas, g, moved)
+    with pytest.raises(InputError, match=refusal):
+        load_group_section(json.loads(canonical_json(doc)))
+    with pytest.raises(
+        InputError, match=rf"^nonfinite value at node {node}, component {4 * row + col}$"
+    ):
+        GroupSection(atlas, g, with_entry(gamma, entry, np.nan))
+    # A zero entry of the identity, its sign flipped: np.array_equal
+    # takes -0.0 for 0.0, and so does the door.
+    ident = identity_group_section(atlas, g)
+    signed = with_entry(ident, (row, col ^ 2) if row == col else entry, -0.0)
+    piece = signed[chart]
+    assert np.signbit(piece).sum() == 1
+    assert np.array_equal(piece[2:, 2:], piece[:2, :2])
+    assert np.array_equal(piece[2:, :2], -piece[:2, 2:])
+    assert GroupSection(atlas, g, signed).relation_defects == ident.relation_defects
+    for name in ("SO3", "UT2"):
+        other = door_case(atlas_name, name)[1]
+        h, d = other.group, other.group.dim
+        at = (row % d, col % d)
+        pieces = with_entry(other, at, stepped(other.pieces[chart][at + (node,)], delta))
+        lattices = [
+            p.reshape((d * d,) + c.window.axis_counts) for c, p in zip(atlas.charts, pieces)
+        ]
+        if h.relation_defect(pieces[chart]).max() > RELATION_DEFECT_LIMIT:
+            expected = rf"^chart {chart}: node matrices violate the group relations"
+        elif compatibility_defect(lattices, atlas)[0] > OVERLAP_TOLERANCE:
+            expected = r"^group section overlap defect"
+        else:
+            GroupSection(atlas, h, pieces)
+            continue
+        with pytest.raises(InputError, match=expected):
+            GroupSection(atlas, h, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +669,7 @@ def test_group_section_rejects_non_members(atlas):
 def test_group_section_names_the_worst_overlap_point(atlas, g):
     rng = np.random.default_rng(37)
     pieces = list(exp_section(random_algebra_section(atlas, g, rng)).pieces)
-    pieces[1] = node_product(pieces[1], g.exp(np.full(g.algebra_dim, 1e-6)))
+    pieces[1] = g.multiply(pieces[1], g.exp(np.full(g.algebra_dim, 1e-6)))
     with pytest.raises(
         InputError,
         match=r"^group section overlap defect \S+ exceeds 1\.0e-09 near charts "
@@ -640,19 +731,20 @@ def test_product_projection_cannot_repair_is_a_numeric_error(atlas):
 
 
 def _counting(group):
-    """``group`` with a defect_fn and an exact_fn that record each call,
-    and the two records."""
+    """``group`` with a defect_fn and, where it has one, an exact_fn that
+    record each call, and the two records."""
     calls, witnesses = [], []
 
-    def counting(mats, exact):
+    def counting(mats):
         calls.append(mats.shape)
-        return group.defect_fn(mats, exact)
+        return group.defect_fn(mats)
 
     def witness(mats):
         witnesses.append(mats.shape)
         return group.exact_fn(mats)
 
-    return dataclasses.replace(group, defect_fn=counting, exact_fn=witness), calls, witnesses
+    door = witness if group.exact_fn else None
+    return dataclasses.replace(group, defect_fn=counting, exact_fn=door), calls, witnesses
 
 
 @pytest.mark.parametrize("base", ALL_GROUPS, ids=lambda g: g.name)
@@ -671,7 +763,7 @@ def test_each_constructed_value_is_measured_once_per_chart(atlas, caplog, base):
         with caplog.at_level(logging.INFO, logger="mapgroups.groups"):
             built = build()
         assert len(calls) == atlas.chart_count
-        assert len(witnesses) == atlas.chart_count
+        assert len(witnesses) == (atlas.chart_count if base.exact_fn else 0)
         assert not caplog.records
         want = tuple(float(base.relation_defect(p).max()) for p in built.pieces)
         assert built.relation_defects == want

@@ -505,9 +505,9 @@ def test_evolve_measures_each_time1_chart_once(atlas, caplog, group_name, sample
     calls = []
     base = group_by_name(group_name)
 
-    def counting(mats, exact):
+    def counting(mats):
         calls.append(mats.shape)
-        return base.defect_fn(mats, exact)
+        return base.defect_fn(mats)
 
     group = dataclasses.replace(base, defect_fn=counting)
     rng = np.random.default_rng(61)

@@ -318,7 +318,7 @@ def test_top_half_defect_is_the_full_defect_bitwise(atlas_name, seed):
     gamma = exp_section(random_algebra_section(atlas, g, rng))
     moved = list(gamma.pieces)
     moved[-1] = g.multiply(moved[-1], g.exp(1e-6 * rng.standard_normal(3)))
-    assert g.exact_fn(moved[-1])
+    assert g.exact_fn(moved[-1]).all()
     for pieces, compatible in ((gamma.pieces, True), (moved, False)):
         full = compatibility_defect(entry_lattices(atlas, pieces), atlas)
         half = compatibility_defect(entry_lattices(atlas, pieces, 8), atlas)
@@ -329,26 +329,27 @@ def test_top_half_defect_is_the_full_defect_bitwise(atlas_name, seed):
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))
-def test_pieces_of_the_plain_product_are_checked_on_every_row(atlas_name, monkeypatch):
+def test_pieces_of_the_plain_product_are_refused_at_the_door(atlas_name, monkeypatch):
     """node_product, the SU2 product before it wrote its bottom half from the
-    top, leaves the copies unequal; such pieces, as in an older file, keep
-    the 16-row check."""
+    top, leaves the copies unequal; such pieces, as in an older file, are
+    refused before any overlap check."""
     atlas = ATLASES[atlas_name]()
     g = su2_real()
     rng = np.random.default_rng(37)
     a, b = (exp_section(random_algebra_section(atlas, g, rng)) for _ in range(2))
     pieces = tuple(node_product(pa, pb) for pa, pb in zip(a.pieces, b.pieces))
+    exact = g.exact_fn(pieces[0])
+    assert not exact.all()
     seen = recording_check(monkeypatch)
-    gamma = GroupSection(atlas, g, pieces)
-    assert not all(gamma.exact)
-    (lattices,) = seen
-    assert [lattice.shape[0] for lattice in lattices] == [16] * atlas.chart_count
+    with pytest.raises(InputError, match=rf"^chart 0, node {np.argmin(exact)}: matrix is not "):
+        GroupSection(atlas, g, pieces)
+    assert seen == []
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))
-def test_a_twin_row_change_in_an_inexact_piece_is_checked(atlas_name, monkeypatch):
-    """A piece that fails the witness sends every piece to the check on all
-    16 rows, so a change confined to a bottom-half row still fails it."""
+def test_a_twin_row_change_is_refused_at_the_door(atlas_name, monkeypatch):
+    """A change confined to a bottom-half row, which the 8-row overlap check
+    cannot see, is refused before the relation and overlap checks."""
     atlas = ATLASES[atlas_name]()
     g = su2_real()
     gamma = exp_section(random_algebra_section(atlas, g, np.random.default_rng(31)))
@@ -356,15 +357,16 @@ def test_a_twin_row_change_in_an_inexact_piece_is_checked(atlas_name, monkeypatc
     bad = pieces[-1].copy()
     bad[2, 0] += 1e-7  # the second copy of Y(0, 0)
     pieces[-1] = bad
-    assert not g.exact_fn(bad)
+    assert not g.exact_fn(bad).any()
+    assert g.relation_defect(bad).max() > 1e-8
     half = compatibility_defect(entry_lattices(atlas, pieces, 8), atlas)
     full = compatibility_defect(entry_lattices(atlas, pieces), atlas)
     assert half[0] <= sections.OVERLAP_TOLERANCE < full[0]
-    # The relation check would refuse the piece first; lifted, the overlap
-    # check alone must see the change.
-    monkeypatch.setattr("mapgroups.groups.RELATION_DEFECT_LIMIT", 1.0)
-    with pytest.raises(IncompatibleSectionError, match="^group section overlap defect"):
+    seen = recording_check(monkeypatch)
+    refusal = rf"^chart {atlas.chart_count - 1}, node 0: matrix is not of the realified SU2"
+    with pytest.raises(InputError, match=refusal):
         GroupSection(atlas, g, tuple(pieces))
+    assert seen == []
 
 
 @pytest.mark.parametrize("atlas_name", sorted(ATLASES))
