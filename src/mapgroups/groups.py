@@ -448,8 +448,9 @@ class GroupSection:
                     f"chart {c.index} matrices must have shape "
                     f"({d}, {d}, {c.window.node_count}), got {p.shape}"
                 )
-            # Nonfinite entries pass the relation check (NaN compares false),
-            # so they are rejected before any defect is measured.
+            # Nonfinite entries pass the relation check (NaN compares false)
+            # and would fail the door check as unequal twins, so they are
+            # rejected first, by name.
             check_node_values(p.reshape(d * d, -1).T)
             if self.group.exact_fn is not None:
                 twins = self.group.exact_fn(p)
