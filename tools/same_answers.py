@@ -22,9 +22,11 @@ and 1:
 
 * every circle2 subcommand, with shrink-domain on disc, ellipse and peanut;
 * group-demo and evolve on circle2 and torus4 for SO3, SU2 and UT2;
-* evolve on two curve files: the SO3 circle2 test curve and a seeded
-  9-sample UT2 curve on torus4, and the node coordinates and values of
-  every piece of that UT2 curve after a dump_curve/load_curve round trip;
+* evolve on three curve files: the SO3 circle2 test curve, a seeded
+  9-sample UT2 curve on torus4, and a 65-sample circle2 UT2 curve that is 0
+  but for a last sample of (-1000, 0, 0) at every node, whose RK4 factors
+  blow up; and the node coordinates and values of every piece of the seeded
+  UT2 curve after a dump_curve/load_curve round trip;
 * glue, point_eval, hilbert_inner, the worst overlap defect, the partition
   weights, the bumps and validate_atlas on both builtin atlases, and the
   pieces and relation defects of a seeded SU2 product after a
@@ -34,6 +36,12 @@ and 1:
   chart window;
 * the chart pieces of a seeded random_section on both builtin atlases, and
   the SU2 exp of a seeded coordinate stack with zero rows and zero entries;
+* project of seeded drifted stacks of group values of 139 nodes (a circle2
+  window) and 4,900 (a torus4 window): SO3 at drifts 1e-9, 1e-6 and 1e-3,
+  SU2 at 1e-9 with the bottom half copied from the top, so that the stack
+  stays realified, and UT2 at 1e-6; the SO3 relation_defect of a seeded
+  stack at drift 0 and 1e-9; and from_matrix(to_matrix(v)) of seeded
+  coordinates for each group;
 * flow on each domain of a seeded point stack over its bounding box, which
   spans the flow field's core, transition, plateau and outside, plus the
   anchors: at 16 steps, as one 64-step stack whose rows take 0.025 or
@@ -88,6 +96,9 @@ SEEDS = (0, 1)
 GROUPS = ("SO3", "SU2", "UT2")
 DOMAINS = ("disc", "ellipse", "peanut")
 CURVE_SAMPLES = 9
+SPIKE_SAMPLES = 65
+PROJECT_NODES = (139, 4900)
+PROJECT_DRIFTS = {"SO3": (1e-9, 1e-6, 1e-3), "SU2": (1e-9,), "UT2": (1e-6,)}
 
 
 def digest(data: bytes) -> str:
@@ -159,6 +170,59 @@ def cli_rows(seed: int, work: Path):
             yield f"s{seed}/curve_round_trip/UT2/section{k}/piece{j}", np.column_stack(
                 [p.domain.nodes(), p.values]
             )
+    spiked = work / "curve_ut2_spiked.json"
+    serialize.write_json(spiked, serialize.dump_curve(spiked_ut2_curve()))
+    cfg = ["--config", config(work, seed, "circle2", "UT2")]
+    yield from run_cli(f"s{seed}/evolve-file/UT2-spiked", [*cfg, "evolve", str(spiked)], work)
+
+
+def spiked_ut2_curve():
+    """A circle2 UT2 curve of SPIKE_SAMPLES samples, 0 at every node but for
+    the last, (-1000, 0, 0): its time-1 diagonal comes out negative."""
+    atlas = mg.builtin_atlas("circle2")
+    group = mg.group_by_name("UT2")
+
+    def constant(value):
+        pieces = tuple(
+            mg.SampledField(c.window, np.tile(value, (c.window.node_count, 1)))
+            for c in atlas.charts
+        )
+        return mg.AlgebraSection(group, mg.Section(atlas, pieces))
+
+    zero, spike = constant([0.0, 0.0, 0.0]), constant([-1000.0, 0.0, 0.0])
+    sections = (zero,) * (SPIKE_SAMPLES - 1) + (spike,)
+    return mg.TimeSampledCurve(np.linspace(0.0, 1.0, SPIKE_SAMPLES), sections)
+
+
+def drifted_stack(group, rng, nodes: int, drift: float):
+    """``group.exp`` of seeded coordinates in the product-safe ball, every
+    entry then moved by ``drift`` times a standard normal; on SU2 the bottom
+    half of the entry rows is then rewritten from the top half, so that the
+    stack stays realified."""
+    coords = group.v_radius * rng.uniform(-1.0, 1.0, size=(nodes, group.algebra_dim))
+    mats = group.exp(coords) + drift * rng.standard_normal((group.dim, group.dim, nodes))
+    if group.name == "SU2":
+        mats[2:, :2] = -mats[:2, 2:]
+        mats[2:, 2:] = mats[:2, :2]
+    return mats
+
+
+def group_rows(seed: int):
+    """project of drifted stacks, the SO3 relation_defect, and the
+    from_matrix/to_matrix round trip, each on seeded input."""
+    rng = np.random.default_rng(seed)
+    for name in GROUPS:
+        group = mg.group_by_name(name)
+        for drift in PROJECT_DRIFTS[name]:
+            for nodes in PROJECT_NODES:
+                mats = drifted_stack(group, rng, nodes, drift)
+                yield f"s{seed}/project/{name}/drift{drift:g}/n{nodes}", group.project(mats)
+        coords = rng.standard_normal((PROJECT_NODES[-1], group.algebra_dim))
+        yield f"s{seed}/from_matrix/{name}", group.from_matrix(group.to_matrix(coords))
+    so3 = mg.so3()
+    for drift in (0.0, 1e-9):
+        mats = drifted_stack(so3, rng, PROJECT_NODES[-1], drift)
+        yield f"s{seed}/relation_defect/SO3/drift{drift:g}", so3.relation_defect(mats)
 
 
 def su2_round_trip_rows(atlas, rng, head: str):
@@ -222,6 +286,7 @@ def library_rows(seed: int):
     coords[::7] = 0.0
     coords[3::11, 1] = 0.0
     yield f"s{seed}/su2_exp", mg.su2_real().exp(coords)
+    yield from group_rows(seed)
     for name in DOMAINS:
         domain = mg.domain_by_name(name)
         lows, highs = np.transpose(domain.bbox)
