@@ -531,6 +531,39 @@ def test_time1_value_failing_the_overlap_check_exits_1(tmp_path, capsys, group):
     assert not (tmp_path / "run" / "evolve.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_time1_value_with_a_negative_ut2_diagonal_exits_1(tmp_path, capsys):
+    """A 65-sample UT2 curve that is 0 but for a last sample of (-1000, 0, 0)
+    blows up the RK4 factors, and its time-1 diagonal comes out negative.
+    Re-projection zeroes only the lower entry, so the value stays off the
+    group and the run fails, naming the chart."""
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.fields import SampledField
+    from mapgroups.groups import AlgebraSection, upper_triangular2
+    from mapgroups.limits import TimeSampledCurve
+    from mapgroups.sections import Section
+    from mapgroups.serialize import dump_curve, write_json
+
+    atlas, group = circle_two_charts(), upper_triangular2()
+
+    def constant(value):
+        pieces = tuple(
+            SampledField(c.window, np.tile(value, (c.window.node_count, 1)))
+            for c in atlas.charts
+        )
+        return AlgebraSection(group, Section(atlas, pieces))
+
+    sections = (constant([0.0, 0.0, 0.0]),) * 64 + (constant([-1000.0, 0.0, 0.0]),)
+    path = tmp_path / "curve.json"
+    write_json(path, dump_curve(TimeSampledCurve(np.linspace(0.0, 1.0, 65), sections)))
+    assert main(["evolve", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: chart 0: time-1 value relation defect 5.577e+01 exceeds "
+        "1.0e-10 even after re-projection\n"
+    )
+    assert not (tmp_path / "run" / "evolve.json").exists()
+
+
 @functools.cache
 def three_sample_curve(group_name: str) -> str:
     """A valid circle2 curve file of three random algebra sections, as JSON."""

@@ -14,6 +14,7 @@ from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.errors import ChartDomainError, InputError, NumericError
 from mapgroups.groups import (
     GROUP_BUILDERS,
+    PROJECTION_THRESHOLD,
     RELATION_DEFECT_LIMIT,
     AlgebraSection,
     GroupSection,
@@ -302,12 +303,30 @@ def test_su2_exp_is_bitwise_the_full_basis_product(seed):
 
 
 def test_coordinate_pseudoinverse_built_once():
+    """The coordinate pseudoinverse is each flat basis element over its
+    squared norm, within an ulp of the LAPACK pseudoinverse."""
     for g in ALL_GROUPS:
-        pinv = np.linalg.pinv(g.basis.reshape(g.algebra_dim, -1).T)
+        flat = g.basis.reshape(g.algebra_dim, -1)
+        pinv = flat / (flat * flat).sum(axis=1, keepdims=True)
+        assert np.abs(pinv - np.linalg.pinv(flat.T)).max() <= np.finfo(float).eps
         v = np.random.default_rng(2).standard_normal((5, g.algebra_dim))
         want = np.einsum("ab,b...->...a", pinv, g.to_matrix(v).reshape(-1, 5))
         assert np.array_equal(g.from_matrix(g.to_matrix(v)), want)
         assert g._coords_pinv is g._coords_pinv
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from(ALL_GROUPS),
+    batch=st.sampled_from([(), (1,), (139,), (3, 40)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coordinates_round_trip_bitwise_property(group, batch, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(batch + (group.algebra_dim,)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    got = group.from_matrix(group.to_matrix(v))
+    assert got.shape == v.shape
+    assert got.tobytes() == v.tobytes()
 
 
 def at_node(x, n):
@@ -372,6 +391,157 @@ def test_projection_repairs_small_drift():
         fixed = g.project(mats)
         assert g.relation_defect(fixed).max() < 1e-12, g.name
         assert np.abs(fixed - mats).max() < 1e-4, g.name
+
+
+# ---------------------------------------------------------------------------
+# closed-form projections and determinant, against the LAPACK forms they
+# replaced, kept here as the references
+
+
+def so3_svd_projection(g):
+    """The nearest rotation by SVD: the polar factor, its last singular
+    vector flipped where the determinant is negative."""
+    u, _, vt = np.linalg.svd(matrix_last(g))
+    u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return np.moveaxis(u @ vt, (-2, -1), (0, 1))
+
+
+def so3_lapack_defect(g):
+    """The SO3 relation defect with the determinant from np.linalg.det."""
+    orth = np.abs(node_product(g.swapaxes(0, 1), g) - np.eye(3)[..., None]).max(axis=(0, 1))
+    return np.maximum(orth, np.abs(np.linalg.det(matrix_last(g)) - 1.0))
+
+
+def realify(w):
+    """The real 4x4 block form [[X, -Y], [Y, X]] of complex 2x2 matrices
+    X + iY, entry-first."""
+    x, y = w.real, w.imag
+    return np.moveaxis(np.block([[x, -y], [y, x]]), (-2, -1), (0, 1))
+
+
+def su2_svd_projection(g):
+    """The SU2 projection by a complex SVD of U = X + iY, with the residual
+    phase divided out so that the determinant is one."""
+    uu, _, vt = np.linalg.svd(matrix_last(g[:2, :2] + 1j * g[2:, :2]))
+    w = uu @ vt
+    return realify(w * (np.linalg.det(w) ** (-0.5))[..., None, None])
+
+
+def drifted(group, drift, nodes=1000, seed=73):
+    """Seeded group values with every entry moved by ``drift`` times a
+    standard normal; on SU2 the bottom half is rewritten from the top, so
+    that the stack stays realified."""
+    rng = np.random.default_rng(seed)
+    mats = group.exp(group.v_radius * rng.uniform(-1.0, 1.0, size=(nodes, group.algebra_dim)))
+    mats += drift * rng.standard_normal(mats.shape)
+    return with_bottom_copied(mats) if group.name == "SU2" else mats
+
+
+SO3_DRIFTS = [0.0, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.05]
+
+
+@pytest.mark.parametrize("drift", SO3_DRIFTS)
+def test_so3_newton_schulz_is_the_svd_polar_factor(drift):
+    g = so3()
+    mats = drifted(g, drift)
+    assert g.relation_defect(mats).max() <= 0.5
+    got = g.project(mats)
+    assert np.abs(got - so3_svd_projection(mats)).max() <= 1e-14
+    assert g.relation_defect(got).max() <= 4 * np.finfo(float).eps
+
+
+def test_the_so3_drifts_span_relation_defects_from_1e_14_to_half():
+    g = so3()
+    defects = [g.relation_defect(drifted(g, d)).max() for d in SO3_DRIFTS]
+    assert min(d for d in defects if d > 1e-14) < 1e-12 and 0.3 < max(defects) <= 0.5
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-14, 1e-9, 1e-6, 1e-3, 0.05, 1.0])
+def test_so3_triple_product_determinant_is_lapack_det_within_ulps(drift):
+    """The defect is the larger of the orthogonality and determinant terms,
+    so two defects differ by no more than their determinants do."""
+    g = so3()
+    mats = drifted(g, drift)
+    got, want = g.relation_defect(mats), so3_lapack_defect(mats)
+    scale = np.maximum(1.0, np.abs(matrix_last(mats)).sum(axis=-1).prod(axis=-1))
+    assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seven_steps_repair_every_stack_up_to_a_defect_of_one(seed):
+    """Normal drifts of rotations whose largest relation defect is about 1,
+    and stacks whose singular values lie at the ends of [0.35, 1.53]."""
+    g = so3()
+    mats = drifted(g, 0.1, nodes=4900, seed=seed)
+    assert 0.9 < g.relation_defect(mats).max() < 1.2
+    assert g.relation_defect(g.project(mats)).max() < RELATION_DEFECT_LIMIT
+    rng = np.random.default_rng(seed)
+    u, v = (g.exp(rng.uniform(-1.0, 1.0, size=(2, 500, 3))[k]) for k in range(2))
+    sigma = rng.choice([0.35, 1.0, 1.53], size=(3, 500))
+    mats = np.einsum("ik...,k...,jk...->ij...", u, sigma, v)
+    assert g.relation_defect(g.project(mats)).max() < RELATION_DEFECT_LIMIT
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2])
+def test_su2_quaternion_projection_matches_the_svd_form(drift):
+    """Within 1e-14 for realified drifts up to 1e-9; above, the two agree to
+    second order in the drift."""
+    g = su2_real()
+    mats = drifted(g, drift)
+    got = g.project(mats)
+    assert np.abs(got - su2_svd_projection(mats)).max() <= max(1e-14, 10 * drift**2)
+    assert g.relation_defect(got).max() <= 4 * np.finfo(float).eps
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([(), (1,), (139,), (3, 40)]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_su2_projection_of_any_finite_stack_is_realified_exactly_property(batch, scale, seed):
+    g = su2_real()
+    mats = scale * np.random.default_rng(seed).standard_normal((4, 4) + batch)
+    got = g.project(mats)
+    assert got.shape == mats.shape
+    assert g.exact_fn(got).all() and realified_exactly(got)
+
+
+def test_ut2_projection_zeroes_only_the_lower_entry():
+    g = upper_triangular2()
+    mats = np.random.default_rng(79).standard_normal((2, 2, 50))
+    got = g.project(mats)
+    assert not got[1, 0].any()
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        assert got[i, j].tobytes() == mats[i, j].tobytes()
+
+
+def unrepairable(g, scale):
+    """A stack scaled by ``scale``, or, for SU2, diag(1, -1) realified, whose
+    quaternion part is zero."""
+    if g.name == "SU2":
+        return np.broadcast_to(np.diag([1.0, -1.0, 1.0, -1.0])[..., None], (4, 4, 139)).copy()
+    return scale * g.exp(np.random.default_rng(83).uniform(-1.0, 1.0, size=(139, 3)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "group, scale",
+    [(so3(), 3.0), (so3(), 1e3), (so3(), 2.0), (so3(), 1e-3), (su2_real(), None)],
+    ids=["SO3-overflow", "SO3-overflow-early", "SO3-sign-flip", "SO3-too-small", "SU2-zero"],
+)
+def test_a_stack_the_projection_cannot_repair_is_a_numeric_error(atlas, group, scale):
+    """Singular values of sqrt(3) or more go to 0, flip sign or overflow;
+    small ones are not brought to 1; a zero quaternion part divides 0 by 0.
+    None of it warns, and each ends in the NumericError naming the chart."""
+    xi = random_algebra_section(atlas, group, np.random.default_rng(89))
+    pieces = list(exp_section(xi).pieces)
+    pieces[1] = unrepairable(group, scale)[..., : pieces[1].shape[2]]
+    with pytest.raises(
+        NumericError,
+        match=r"^chart 1: product relation defect \S+ exceeds 1\.0e-10 even after re-projection$",
+    ):
+        GroupSection.computed(atlas, group, pieces, PROJECTION_THRESHOLD, "product")
 
 
 def test_adjoint_matches_conjugation():

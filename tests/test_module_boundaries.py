@@ -129,6 +129,40 @@ def test_the_check_sees_an_unknown_name_message(tmp_path):
     assert hit.startswith("errors.py:")
 
 
+def _off_the_stack(path: Path) -> list[str]:
+    """Uses of ``np.linalg`` and ``np.moveaxis``, and imports from
+    ``numpy.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.linalg", "np.moveaxis"):
+            found.append(f"{path.name}:{node.lineno} uses {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            found.append(f"{path.name}:{node.lineno} imports from {node.module}")
+    return found
+
+
+def test_group_maths_stays_on_the_entry_first_stack():
+    """groups.py computes on (d, d, *nodes) stacks in closed form: no LAPACK
+    call and no move of the entry axes."""
+    found = _off_the_stack(PACKAGE / "groups.py")
+    assert not found, "\n".join(found)
+
+
+def test_the_check_sees_linalg_and_moveaxis(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nfrom numpy.linalg import svd\n"
+        "d = np.linalg.det(np.moveaxis(a, 0, -1))\nsolve = np.linalg.solve\n"
+        "n = np.einsum('ii', a)\n"
+    )
+    assert sorted(_off_the_stack(probe)) == [
+        "probe.py:2 imports from numpy.linalg",
+        "probe.py:3 uses np.linalg",
+        "probe.py:3 uses np.moveaxis",
+        "probe.py:4 uses np.linalg",
+    ]
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 # Public names and dataclass fields (``Class.field``) that no program reads
