@@ -237,8 +237,11 @@ def so3() -> MatrixGroup:
     def defect_fn(g):
         gtg = node_product(g.swapaxes(0, 1), g)
         orth = np.abs(gtg - _eye(3, g.shape[2:])).max(axis=(0, 1))
-        # The determinant, as the triple product of the entry rows.
-        det = np.abs((g[0] * np.cross(g[1], g[2], axis=0)).sum(axis=0) - 1.0)
+        # The determinant, as the triple product of the entry rows.  Where it
+        # overflows it reads inf or NaN, which fails every defect test, so
+        # numpy's warning would say nothing more.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.abs((g[0] * np.cross(g[1], g[2], axis=0)).sum(axis=0) - 1.0)
         return np.maximum(orth, det)
 
     return MatrixGroup(

@@ -452,8 +452,8 @@ def test_so3_newton_schulz_is_the_svd_polar_factor(drift):
 
 def test_the_so3_drifts_span_relation_defects_from_1e_14_to_half():
     g = so3()
-    defects = [g.relation_defect(drifted(g, d)).max() for d in SO3_DRIFTS]
-    assert min(d for d in defects if d > 1e-14) < 1e-12 and 0.3 < max(defects) <= 0.5
+    defects = [g.relation_defect(drifted(g, d)).max() for d in SO3_DRIFTS[1:]]
+    assert 1e-14 < defects[0] < 1e-12 and 0.3 < defects[-1] <= 0.5
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-14, 1e-9, 1e-6, 1e-3, 0.05, 1.0])
@@ -465,6 +465,13 @@ def test_so3_triple_product_determinant_is_lapack_det_within_ulps(drift):
     got, want = g.relation_defect(mats), so3_lapack_defect(mats)
     scale = np.maximum(1.0, np.abs(matrix_last(mats)).sum(axis=-1).prod(axis=-1))
     assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_so3_defect_of_an_overflowing_stack_is_not_finite_and_does_not_warn():
+    g = so3()
+    mats = 1e120 * g.exp(np.random.default_rng(97).uniform(-1.0, 1.0, size=(50, 3)))
+    assert not np.isfinite(g.relation_defect(mats)).any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -516,27 +523,20 @@ def test_ut2_projection_zeroes_only_the_lower_entry():
         assert got[i, j].tobytes() == mats[i, j].tobytes()
 
 
-def unrepairable(g, scale):
-    """A stack scaled by ``scale``, or, for SU2, diag(1, -1) realified, whose
-    quaternion part is zero."""
-    if g.name == "SU2":
-        return np.broadcast_to(np.diag([1.0, -1.0, 1.0, -1.0])[..., None], (4, 4, 139)).copy()
-    return scale * g.exp(np.random.default_rng(83).uniform(-1.0, 1.0, size=(139, 3)))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "group, scale",
-    [(so3(), 3.0), (so3(), 1e3), (so3(), 2.0), (so3(), 1e-3), (su2_real(), None)],
+    [(so3(), 3.0), (so3(), 1e3), (so3(), 2.0), (so3(), 1e-3), (su2_real(), 0.0)],
     ids=["SO3-overflow", "SO3-overflow-early", "SO3-sign-flip", "SO3-too-small", "SU2-zero"],
 )
 def test_a_stack_the_projection_cannot_repair_is_a_numeric_error(atlas, group, scale):
-    """Singular values of sqrt(3) or more go to 0, flip sign or overflow;
-    small ones are not brought to 1; a zero quaternion part divides 0 by 0.
-    None of it warns, and each ends in the NumericError naming the chart."""
+    """Chart 1's piece scaled by ``scale``.  Singular values of sqrt(3) or
+    more go to 0, flip sign or overflow; small ones are not brought to 1; a
+    zero quaternion part divides 0 by 0.  None of it warns, and each ends in
+    the NumericError naming the chart."""
     xi = random_algebra_section(atlas, group, np.random.default_rng(89))
     pieces = list(exp_section(xi).pieces)
-    pieces[1] = unrepairable(group, scale)[..., : pieces[1].shape[2]]
+    pieces[1] = scale * pieces[1]
     with pytest.raises(
         NumericError,
         match=r"^chart 1: product relation defect \S+ exceeds 1\.0e-10 even after re-projection$",
