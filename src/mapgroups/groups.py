@@ -109,9 +109,11 @@ def _entry_pinv(basis: np.ndarray) -> np.ndarray:
 
 
 def _coords(pinv: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Algebra coordinates (*nodes, a) of a (d, d, *nodes) stack."""
+    """Algebra coordinates (*nodes, a) of a (d, d, *nodes) stack: a view of
+    the coordinate-first sum, which einsum writes several times faster than
+    a node-first one."""
     flat = mats.reshape((-1,) + mats.shape[2:])
-    return np.einsum("ba,b...->...a", pinv, flat)
+    return np.einsum("ba,b...->a...", pinv, flat).transpose((*range(1, flat.ndim), 0))
 
 
 @dataclass(frozen=True, eq=False)
