@@ -475,7 +475,7 @@ def test_so3_defect_of_an_overflowing_stack_is_not_finite_and_does_not_warn():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_seven_steps_repair_every_stack_up_to_a_defect_of_one(seed):
+def test_seven_steps_repair_defects_near_one_and_the_stated_singular_values(seed):
     """Normal drifts of rotations whose largest relation defect is about 1,
     and stacks whose singular values lie at the ends of [0.35, 1.53]."""
     g = so3()
@@ -483,7 +483,7 @@ def test_seven_steps_repair_every_stack_up_to_a_defect_of_one(seed):
     assert 0.9 < g.relation_defect(mats).max() < 1.2
     assert g.relation_defect(g.project(mats)).max() < RELATION_DEFECT_LIMIT
     rng = np.random.default_rng(seed)
-    u, v = (g.exp(rng.uniform(-1.0, 1.0, size=(2, 500, 3))[k]) for k in range(2))
+    u, v = (g.exp(rng.uniform(-1.0, 1.0, size=(500, 3))) for _ in range(2))
     sigma = rng.choice([0.35, 1.0, 1.53], size=(3, 500))
     mats = np.einsum("ik...,k...,jk...->ij...", u, sigma, v)
     assert g.relation_defect(g.project(mats)).max() < RELATION_DEFECT_LIMIT
