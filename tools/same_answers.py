@@ -40,8 +40,12 @@ and 1:
   window) and 4,900 (a torus4 window): SO3 at drifts 1e-9, 1e-6 and 1e-3,
   SU2 at 1e-9 with the bottom half copied from the top, so that the stack
   stays realified, and UT2 at 1e-6; the SO3 relation_defect of a seeded
-  stack at drift 0 and 1e-9; and from_matrix(to_matrix(v)) of seeded
-  coordinates for each group;
+  stack at drift 0 and 1e-9; the SU2 relation_defect of seeded realified
+  stacks of 139 and 4,900 nodes at drifts 0, 1e-9 and 1e-3; the SO3 and
+  SU2 relation_defect of a seeded 139-node stack whose nodes are scaled in
+  turn by 1e200, 1e120 and 1, so that its defects hold NaN and inf; and
+  from_matrix(to_matrix(v)) of seeded coordinates for each group;
+* boundary_samples(domain, 200, rng) of a seeded generator on each domain;
 * flow on each domain of a seeded point stack over its bounding box, which
   spans the flow field's core, transition, plateau and outside, plus the
   anchors: at 16 steps, as one 64-step stack whose rows take 0.025 or
@@ -99,6 +103,10 @@ CURVE_SAMPLES = 9
 SPIKE_SAMPLES = 65
 PROJECT_NODES = (139, 4900)
 PROJECT_DRIFTS = {"SO3": (1e-9, 1e-6, 1e-3), "SU2": (1e-9,), "UT2": (1e-6,)}
+DEFECT_DRIFTS = (0.0, 1e-9, 1e-3)
+# Node scales of the overflow rows: entry products of 1e200 overflow to inf
+# and their sums to NaN, the triple product of 1e120 overflows, 1 does not.
+OVERFLOW_SCALES = (1e200, 1e120, 1.0)
 
 
 def digest(data: bytes) -> str:
@@ -208,8 +216,8 @@ def drifted_stack(group, rng, nodes: int, drift: float):
 
 
 def group_rows(seed: int):
-    """project of drifted stacks, the SO3 relation_defect, and the
-    from_matrix/to_matrix round trip, each on seeded input."""
+    """project of drifted stacks, the from_matrix/to_matrix round trip, and
+    the SO3 and SU2 relation_defect, each on seeded input."""
     rng = np.random.default_rng(seed)
     for name in GROUPS:
         group = mg.group_by_name(name)
@@ -223,6 +231,22 @@ def group_rows(seed: int):
     for drift in (0.0, 1e-9):
         mats = drifted_stack(so3, rng, PROJECT_NODES[-1], drift)
         yield f"s{seed}/relation_defect/SO3/drift{drift:g}", so3.relation_defect(mats)
+    su2 = mg.su2_real()
+    for drift in DEFECT_DRIFTS:
+        for nodes in PROJECT_NODES:
+            mats = drifted_stack(su2, rng, nodes, drift)
+            yield f"s{seed}/relation_defect/SU2/drift{drift:g}/n{nodes}", su2.relation_defect(
+                mats
+            )
+    for group in (so3, su2):
+        mats = drifted_stack(group, rng, PROJECT_NODES[0], 1e-3)
+        for offset, scale in enumerate(OVERFLOW_SCALES):
+            mats[..., offset :: len(OVERFLOW_SCALES)] *= scale
+        # The row is the defect array; where numpy warns of the overflow is
+        # not an answer.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = group.relation_defect(mats)
+        yield f"s{seed}/relation_defect/{group.name}/overflow", defect
 
 
 def su2_round_trip_rows(atlas, rng, head: str):
@@ -289,6 +313,8 @@ def library_rows(seed: int):
     yield from group_rows(seed)
     for name in DOMAINS:
         domain = mg.domain_by_name(name)
+        samples = mg.boundary_samples(domain, 200, np.random.default_rng(seed))
+        yield f"s{seed}/{name}/boundary_samples", samples
         lows, highs = np.transpose(domain.bbox)
         pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
         pts = np.vstack([pts, domain.anchors])
