@@ -43,9 +43,11 @@ SHRINK_STEPS = 4 * DESCENT_STEPS
 class LevelSetDomain:
     """Open planar domain {g < 0} with a closed-form gradient.
 
-    ``level_grad`` maps a float (N, 2) point array to the pair
-    ``(g, grad g)`` of shapes (N,) and (N, 2), unchecked; ``evaluate``
-    checks its points with ``fields.check_points`` first.  ``anchors`` are
+    ``level_grad`` maps a coordinate-first float (2, N) point stack
+    ``x, y = p`` to the pair ``(g, grad g)`` of shapes (N,) and (2, N),
+    unchecked, the gradient a fresh array; ``evaluate`` checks (N, 2)
+    points with ``fields.check_points`` first and returns the gradient as
+    (N, 2).  ``anchors`` are
     points deep inside where any boundary-band flow field vanishes; they
     serve as fixed-point witnesses in certificates.
     """
@@ -56,7 +58,8 @@ class LevelSetDomain:
     anchors: np.ndarray
 
     def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.level_grad(check_points(points, 2))
+        gv, gr = self.level_grad(check_points(points, 2).T)
+        return gv, gr.T
 
     def level(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)[0]
@@ -67,7 +70,8 @@ class LevelSetDomain:
 
 def disc() -> LevelSetDomain:
     def level_grad(p):
-        return p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0, 2.0 * p
+        x, y = p
+        return x**2 + y**2 - 1.0, 2.0 * p
 
     return LevelSetDomain(
         "disc", level_grad, ((-1.5, 1.5), (-1.5, 1.5)), np.array([[0.0, 0.0]])
@@ -77,10 +81,10 @@ def disc() -> LevelSetDomain:
 def ellipse() -> LevelSetDomain:
     """Ellipse (x/2)^2 + y^2 < 1."""
     rx, ry = 2.0, 1.0
-    radii_sq = np.array([rx**2, ry**2])
+    radii_sq = np.array([[rx**2], [ry**2]])
 
     def level_grad(p):
-        x, y = p[:, 0], p[:, 1]
+        x, y = p
         return (x / rx) ** 2 + (y / ry) ** 2 - 1.0, 2.0 * p / radii_sq
 
     return LevelSetDomain(
@@ -98,12 +102,13 @@ def peanut() -> LevelSetDomain:
     a4 = size**4
 
     def level_grad(p):
-        x, y = p[:, 0], p[:, 1]
-        u1 = (x - focus) ** 2 + y**2
-        u2 = (x + focus) ** 2 + y**2
-        grad = np.empty_like(p)
-        grad[:, 0] = 2.0 * (x - focus) * u2 + 2.0 * (x + focus) * u1
-        grad[:, 1] = 2.0 * y * (u1 + u2)
+        x, y = p
+        left, right, y2 = x - focus, x + focus, y**2
+        u1 = left**2 + y2
+        u2 = right**2 + y2
+        grad = np.empty(p.shape)
+        np.add(2.0 * left * u2, 2.0 * right * u1, out=grad[0])
+        np.multiply(2.0 * y, u1 + u2, out=grad[1])
         return u1 * u2 - a4, grad
 
     reach = np.sqrt(focus**2 + size**2)
@@ -134,25 +139,21 @@ def boundary_samples(
     for _ in range(POLISH_ROUNDS):
         if len(out) >= count:
             break
-        pts = np.column_stack(
-            [
-                rng.uniform(xlo, xhi, size=4 * count),
-                rng.uniform(ylo, yhi, size=4 * count),
-            ]
+        # Coordinate-first, (2, 4 * count), as level_grad takes it.
+        pts = np.array(
+            [rng.uniform(xlo, xhi, size=4 * count), rng.uniform(ylo, yhi, size=4 * count)]
         )
         gv, gr = domain.level_grad(pts)
         for _ in range(60):
-            nrm2 = np.sum(gr * gr, axis=1)
+            nrm2 = gr[0] * gr[0] + gr[1] * gr[1]
             ok = nrm2 > GRADIENT_FLOOR
-            pts[ok] -= (gv[ok] / nrm2[ok])[:, None] * gr[ok]
+            pts[:, ok] -= gv[ok] / nrm2[ok] * gr[:, ok]
             gv, gr = domain.level_grad(pts)
             if np.all(np.abs(gv) < POLISH_TOL):
                 break
-        inside_box = (
-            (pts[:, 0] > xlo) & (pts[:, 0] < xhi)
-            & (pts[:, 1] > ylo) & (pts[:, 1] < yhi)
-        )
-        good = pts[(np.abs(gv) < POLISH_TOL) & inside_box]
+        x, y = pts
+        inside_box = (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
+        good = pts[:, (np.abs(gv) < POLISH_TOL) & inside_box].T
         out.extend(good.tolist())
     if len(out) < count:
         raise InputError(
@@ -175,18 +176,20 @@ class FlowField:
     domain: LevelSetDomain
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return _inner_normal(*self.domain.evaluate(points))
+        return _inner_normal(*self.domain.level_grad(check_points(points, 2).T)).T
 
 
 def _inner_normal(gv: np.ndarray, gr: np.ndarray) -> np.ndarray:
-    """The flow field from (g, grad g): the one core that ``FlowField`` and
-    every RK4 stage of ``flow`` share, with no check of its own."""
-    # Bitwise np.linalg.norm(gr, axis=1), without its overhead.
-    nrm = np.maximum(np.sqrt(gr[:, 0] ** 2 + gr[:, 1] ** 2), GRADIENT_FLOOR)
+    """The flow field (2, N) from (g, grad g) of ``level_grad``, written over
+    the gradient: the one core that ``FlowField`` and every RK4 stage of
+    ``flow`` share, with no check of its own."""
+    # Bitwise np.linalg.norm of each gradient, without its overhead.
+    nrm = np.maximum(np.sqrt(gr[0] ** 2 + gr[1] ** 2), GRADIENT_FLOOR)
     # Bitwise bump_profile(|g| / FLOW_BAND, FLOW_PLATEAU): the scaled radius
     # is already >= 0, and the plateau is a constant in (0, 1).
     xi = smooth_step((1.0 - np.abs(gv) / FLOW_BAND) / (1.0 - FLOW_PLATEAU))
-    return -(xi / nrm)[:, None] * gr
+    gr *= -(xi / nrm)
+    return gr
 
 
 def flow(
@@ -215,17 +218,23 @@ def flow(
             times = t.astype(float, copy=False)
         else:
             times = np.array([check_real(x, f"t[{i}]") for i, x in enumerate(t)])
-        h = (times / steps)[:, None]
+        h = times / steps
     half, sixth = 0.5 * h, h / 6.0
     level_grad = field.domain.level_grad
-    # Each step makes new arrays, so the caller's points are never written.
+    # The state is coordinate-first, (2, N): a view of the points here, and
+    # a new array after each step, so the caller's points are never written.
+    pts = pts.T
     for _ in range(steps):
         k1 = _inner_normal(*level_grad(pts))
         k2 = _inner_normal(*level_grad(pts + half * k1))
         k3 = _inner_normal(*level_grad(pts + half * k2))
         k4 = _inner_normal(*level_grad(pts + h * k3))
-        pts = pts + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return pts
+        # k1 + 2 k2 + 2 k3 + k4, summed in that order, in place.
+        k1 += 2.0 * k2
+        k1 += 2.0 * k3
+        k1 += k4
+        pts = pts + sixth * k1
+    return pts.T
 
 
 @dataclass(frozen=True)

@@ -238,13 +238,19 @@ def so3() -> MatrixGroup:
 
     def defect_fn(g):
         gtg = node_product(g.swapaxes(0, 1), g)
-        orth = np.abs(gtg - _eye(3, g.shape[2:])).max(axis=(0, 1))
-        # The determinant, as the triple product of the entry rows.  Where it
+        gtg -= _eye(3, g.shape[2:])
+        orth = np.abs(gtg, out=gtg).max(axis=(0, 1))
+        # The determinant, as the triple product g[0] . (g[1] x g[2]) of the
+        # entry rows, summed in np.cross's and sum(axis=0)'s order.  Where it
         # overflows it reads inf or NaN, which fails every defect test, so
         # numpy's warning would say nothing more.
+        (a0, a1, a2), (b0, b1, b2) = g[1], g[2]
         with np.errstate(over="ignore", invalid="ignore"):
-            det = np.abs((g[0] * np.cross(g[1], g[2], axis=0)).sum(axis=0) - 1.0)
-        return np.maximum(orth, det)
+            det = g[0, 0] * (a1 * b2 - a2 * b1)
+            det += g[0, 1] * (a2 * b0 - a0 * b2)
+            det += g[0, 2] * (a0 * b1 - a1 * b0)
+            det -= 1.0
+        return np.maximum(orth, np.abs(det))
 
     return MatrixGroup(
         "SO3", 3, basis, q_radius, q_radius / 2.0,
@@ -324,19 +330,19 @@ def su2_real() -> MatrixGroup:
         return q / np.sqrt(a * a + (v * v).sum(axis=-1) / 4.0)
 
     def defect_fn(g):
-        # One row per entry: e[4 r + c] is entry (r, c).  In the block form
-        # [[X, -Y], [Y, X]], with k = 4 r + c for r, c < 2, X(r, c) is e[k]
-        # and e[k + 10], Y(r, c) is e[k + 8] and -e[k + 2].  Rows, not
+        # Entries of U = [[a, b], [c, d]] = X + i Y, one (4, K) complex stack
+        # read from the left half [X; Y] of [[X, -Y], [Y, X]]: the unitarity
+        # residuals of U^H U and |det U - 1| in closed form.  Rows, not
         # scalars, for one matrix too: numpy's complex scalar product rounds
         # unlike its array loop.
-        e = g.reshape(16, -1)
-        # Entries of U = [[a, b], [c, d]] = X + i Y: the unitarity
-        # residuals of U^H U and |det U - 1| in closed form.
-        a, b, c, d = (e[k] + 1j * e[k + 8] for k in (0, 1, 4, 5))
+        u = np.empty((2, 2) + g.shape[2:], complex)
+        u.real = g[:2, :2]
+        u.imag = g[2:, :2]
+        u = u.reshape(4, -1)
+        sq = _abs2(u)
+        unit = np.maximum(np.abs(sq[0] + sq[2] - 1.0), np.abs(sq[1] + sq[3] - 1.0))
+        a, b, c, d = u
         off = np.abs(np.conj(a) * b + np.conj(c) * d)
-        unit = np.maximum(
-            np.abs(_abs2(a) + _abs2(c) - 1.0), np.abs(_abs2(b) + _abs2(d) - 1.0)
-        )
         det = np.abs(a * d - b * c - 1.0)
         return np.maximum(np.maximum(unit, off), det).reshape(g.shape[2:])
 
@@ -465,9 +471,9 @@ class GroupSection:
                     f"chart {c.index} matrices must have shape "
                     f"({d}, {d}, {c.window.node_count}), got {p.shape}"
                 )
-            # Nonfinite entries pass the relation check (NaN compares false)
-            # and would fail the door check as unequal twins, so they are
-            # rejected first, by name.
+            # Nonfinite entries would fail the door check as unequal twins,
+            # or the relation check by a NaN defect, so they are rejected
+            # first, naming the node.
             check_node_values(p.reshape(d * d, -1).T)
             if self.group.exact_fn is not None:
                 twins = self.group.exact_fn(p)
@@ -479,8 +485,9 @@ class GroupSection:
         if "relation_defects" not in vars(self):
             defects = tuple(float(self.group.relation_defect(p).max()) for p in self.pieces)
             object.__setattr__(self, "relation_defects", defects)
+        # A NaN defect (an entry product that overflowed) fails too.
         for c, defect in zip(self.atlas.charts, self.relation_defects):
-            if defect > RELATION_DEFECT_LIMIT:
+            if not defect <= RELATION_DEFECT_LIMIT:
                 raise InputError(
                     f"chart {c.index}: node matrices violate the group "
                     f"relations by {defect:.3e}"
@@ -501,13 +508,13 @@ class GroupSection:
     def computed(cls, atlas, group, mats, threshold, what):
         """Group section of computed per-chart matrices ``mats``, each chart
         measured once and projected onto the group (with an INFO record) when
-        its relation defect exceeds ``threshold``.  Products and time-1 values
+        its relation defect exceeds ``threshold`` or is NaN.  Products and time-1 values
         of valid sections lie on the group, so a projection that leaves more
         than RELATION_DEFECT_LIMIT raises NumericError."""
         pieces, defects = list(mats), []
         for chart, p in enumerate(pieces):
             drift = float(group.relation_defect(p).max())
-            if drift > threshold:
+            if not drift <= threshold:
                 LOGGER.info(
                     f"chart %d: {what} drifted %.3e off %s; re-projected",
                     chart, drift, group.name,

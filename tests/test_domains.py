@@ -354,6 +354,43 @@ def reference_level_grad(name, p):
     return u1 * u2 - 1.15**4, np.column_stack([gx, 2.0 * y * (u1 + u2)])
 
 
+def reference_boundary_samples(name, count, rng):
+    """boundary_samples as it read on (N, 2) point stacks, polished with
+    reference_level_grad."""
+    (xlo, xhi), (ylo, yhi) = domain_by_name(name).bbox
+    out = []
+    for _ in range(200):
+        if len(out) >= count:
+            break
+        pts = np.column_stack(
+            [rng.uniform(xlo, xhi, size=4 * count), rng.uniform(ylo, yhi, size=4 * count)]
+        )
+        gv, gr = reference_level_grad(name, pts)
+        for _ in range(60):
+            nrm2 = np.sum(gr * gr, axis=1)
+            ok = nrm2 > GRADIENT_FLOOR
+            pts[ok] -= (gv[ok] / nrm2[ok])[:, None] * gr[ok]
+            gv, gr = reference_level_grad(name, pts)
+            if np.all(np.abs(gv) < 1e-12):
+                break
+        inside_box = (
+            (pts[:, 0] > xlo) & (pts[:, 0] < xhi) & (pts[:, 1] > ylo) & (pts[:, 1] < yhi)
+        )
+        out.extend(pts[(np.abs(gv) < 1e-12) & inside_box].tolist())
+    return np.asarray(out[:count]).reshape(count, 2)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_boundary_samples_are_bitwise_the_reference_polish(name, seed):
+    for count in (0, 1, 7, 200):
+        rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = boundary_samples(domain_by_name(name), count, rng)
+        assert same_bytes(got, reference_boundary_samples(name, count, reference_rng))
+        # The same draws, so the same generator state after them.
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def reference_flow_field(name, points):
     """FlowField as it read before the fused form: np.linalg.norm of the
     gradient and bump_profile's formula over every row."""
@@ -398,6 +435,7 @@ def test_flow_field_is_bitwise_the_reference_formula(name, seed, nudge):
     assert all(e.size for e in edges) and np.any((scaled > FLOW_PLATEAU) & (scaled < 1.0))
     reference = reference_flow_field(name, pts)
     assert same_bytes(FlowField(d)(pts), reference)
-    # The unchecked core that every RK4 stage of flow evaluates.
-    assert same_bytes(_inner_normal(*d.level_grad(pts)), reference)
+    # The unchecked core that every RK4 stage of flow evaluates, on the
+    # coordinate-first (2, N) stack that flow keeps.
+    assert same_bytes(_inner_normal(*d.level_grad(np.ascontiguousarray(pts.T))).T, reference)
     assert same_bytes(d.evaluate(pts)[1], reference_level_grad(name, pts)[1])

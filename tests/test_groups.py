@@ -474,6 +474,78 @@ def test_so3_defect_of_an_overflowing_stack_is_not_finite_and_does_not_warn():
     assert not np.isfinite(g.relation_defect(mats)).any()
 
 
+def so3_cross_defect(g):
+    """The SO3 relation defect as it read with np.cross: |g^T g - I| out of
+    place and the triple product as a sum over the crossed entry rows."""
+    orth = np.abs(node_product(g.swapaxes(0, 1), g) - np.eye(3)[..., None]).max(axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.abs((g[0] * np.cross(g[1], g[2], axis=0)).sum(axis=0) - 1.0)
+    return np.maximum(orth, det)
+
+
+def su2_entry_defect(g):
+    """The SU2 relation defect as it read with one complex array per entry
+    of U = X + iY, each its real row plus 1j times its imaginary row."""
+    e = g.reshape(16, -1)
+    a, b, c, d = (e[k] + 1j * e[k + 8] for k in (0, 1, 4, 5))
+    off = np.abs(np.conj(a) * b + np.conj(c) * d)
+
+    def abs2(z):
+        return z.real * z.real + z.imag * z.imag
+
+    unit = np.maximum(np.abs(abs2(a) + abs2(c) - 1.0), np.abs(abs2(b) + abs2(d) - 1.0))
+    det = np.abs(a * d - b * c - 1.0)
+    return np.maximum(np.maximum(unit, off), det).reshape(g.shape[2:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["SO3", "SU2"]),
+    nodes=st.sampled_from([1, 139, 4900]),
+    drift=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    scale=st.sampled_from([1.0, 1e200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_defect_is_bitwise_its_reference_form(name, nodes, drift, scale, seed):
+    """Compared as int64 views, so each NaN and inf, and its sign, sits
+    where the reference puts it; a 1e200 scale overflows every product."""
+    g = group_by_name(name)
+    mats = scale * drifted(g, drift, nodes=nodes, seed=seed)
+    reference = so3_cross_defect if name == "SO3" else su2_entry_defect
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = g.relation_defect(mats), reference(mats)
+    assert got.shape == want.shape == (nodes,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if scale != 1.0:
+        assert not np.isfinite(got).any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, projected", [("SO3", "nan"), ("SU2", r"1\.000e\+00")], ids=["SO3", "SU2"]
+)
+def test_a_nan_relation_defect_fails_both_relation_checks(atlas, name, projected):
+    """Finite entries of 1e200 overflow every entry product, so the defect
+    is NaN, which compares false with any limit; both checks still fail.
+    Re-projection cannot repair the chart: SO3's Newton-Schulz steps keep
+    the overflow, and SU2's quaternion norm overflows to inf, so its
+    projected value is 0."""
+    g = group_by_name(name)
+    gamma = exp_section(random_algebra_section(atlas, g, np.random.default_rng(5)))
+    pieces = (1e200 * gamma.pieces[0],) + gamma.pieces[1:]
+    assert np.isfinite(pieces[0]).all() and np.isnan(g.relation_defect(pieces[0])).any()
+    with pytest.raises(
+        InputError, match=r"^chart 0: node matrices violate the group relations by nan$"
+    ):
+        GroupSection(atlas, g, pieces)
+    with pytest.raises(
+        NumericError,
+        match=rf"^chart 0: product relation defect {projected} exceeds 1\.0e-10 even after "
+        r"re-projection$",
+    ):
+        GroupSection.computed(atlas, g, pieces, PROJECTION_THRESHOLD, "product")
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_seven_steps_repair_defects_near_one_and_the_stated_singular_values(seed):
     """Normal drifts of rotations whose largest relation defect is about 1,
