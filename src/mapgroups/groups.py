@@ -508,9 +508,9 @@ class GroupSection:
     def computed(cls, atlas, group, mats, threshold, what):
         """Group section of computed per-chart matrices ``mats``, each chart
         measured once and projected onto the group (with an INFO record) when
-        its relation defect exceeds ``threshold`` or is NaN.  Products and time-1 values
-        of valid sections lie on the group, so a projection that leaves more
-        than RELATION_DEFECT_LIMIT raises NumericError."""
+        its relation defect exceeds ``threshold`` or is NaN.  Products and
+        time-1 values of valid sections lie on the group, so a projection
+        that leaves more than RELATION_DEFECT_LIMIT raises NumericError."""
         pieces, defects = list(mats), []
         for chart, p in enumerate(pieces):
             drift = float(group.relation_defect(p).max())

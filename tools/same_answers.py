@@ -235,9 +235,8 @@ def group_rows(seed: int):
     for drift in DEFECT_DRIFTS:
         for nodes in PROJECT_NODES:
             mats = drifted_stack(su2, rng, nodes, drift)
-            yield f"s{seed}/relation_defect/SU2/drift{drift:g}/n{nodes}", su2.relation_defect(
-                mats
-            )
+            name = f"s{seed}/relation_defect/SU2/drift{drift:g}/n{nodes}"
+            yield name, su2.relation_defect(mats)
     for group in (so3, su2):
         mats = drifted_stack(group, rng, PROJECT_NODES[0], 1e-3)
         for offset, scale in enumerate(OVERFLOW_SCALES):
