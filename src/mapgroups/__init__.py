@@ -19,7 +19,6 @@ from .atlas import (
 from .axioms import AxiomCheck, run_axiom_suite
 from .cutoffs import SmoothCutoff, bump_profile, cutoff_multiply, smooth_step
 from .domains import (
-    FlowField,
     LevelSetDomain,
     ShrinkCertificate,
     boundary_samples,

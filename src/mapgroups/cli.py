@@ -24,7 +24,6 @@ from .atlas import BUILTIN_ATLASES, builtin_atlas
 from .axioms import TOLERANCE_KEYWORDS, run_axiom_suite
 from .domains import (
     DOMAIN_BUILDERS,
-    FlowField,
     boundary_samples,
     descent_and_shrink,
     domain_by_name,
@@ -415,10 +414,9 @@ def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_shrink(config: RunConfig, args: argparse.Namespace) -> int:
     domain = domain_by_name(args.domain)
-    flow_field = FlowField(domain)
     rng = config.rng_for("shrink-domain")
     descent, cert = descent_and_shrink(
-        flow_field, boundary_samples(domain, 40, rng), t0=0.1, samples=200, rng=rng
+        domain, boundary_samples(domain, 40, rng), t0=0.1, samples=200, rng=rng
     )
     slope_tol = config.tol("descent-slope")
     report = {

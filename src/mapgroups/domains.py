@@ -61,12 +61,6 @@ class LevelSetDomain:
         gv, gr = self.level_grad(check_points(points, 2).T)
         return gv, gr.T
 
-    def level(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)[0]
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)[1]
-
 
 def disc() -> LevelSetDomain:
     def level_grad(p):
@@ -162,9 +156,10 @@ def boundary_samples(
     return np.asarray(out[:count]).reshape(count, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class FlowField:
-    """Inner-normal flow supported in a band around the boundary.
+def _inner_normal(gv: np.ndarray, gr: np.ndarray) -> np.ndarray:
+    """The domain's inner-normal flow field (2, N) from (g, grad g) of
+    ``level_grad``, written over the gradient, with no check of its own;
+    every RK4 stage of ``flow`` evaluates it.
 
     ``F(y) = -xi(g(y)) * grad g(y) / max(|grad g(y)|, GRADIENT_FLOOR)``
     where ``xi`` is a smooth even bump in the level value, supported on
@@ -172,17 +167,6 @@ class FlowField:
     equals the unit inner normal on the boundary and vanishes outside the
     band (in particular on the compact core {g <= -FLOW_BAND}).
     """
-
-    domain: LevelSetDomain
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return _inner_normal(*self.domain.level_grad(check_points(points, 2).T)).T
-
-
-def _inner_normal(gv: np.ndarray, gr: np.ndarray) -> np.ndarray:
-    """The flow field (2, N) from (g, grad g) of ``level_grad``, written over
-    the gradient: the one core that ``FlowField`` and every RK4 stage of
-    ``flow`` share, with no check of its own."""
     # Bitwise np.linalg.norm of each gradient, without its overhead.
     nrm = np.maximum(np.sqrt(gr[0] ** 2 + gr[1] ** 2), GRADIENT_FLOOR)
     # Bitwise bump_profile(|g| / FLOW_BAND, FLOW_PLATEAU): the scaled radius
@@ -193,9 +177,10 @@ def _inner_normal(gv: np.ndarray, gr: np.ndarray) -> np.ndarray:
 
 
 def flow(
-    field: FlowField, points: np.ndarray, t: float | np.ndarray, steps: int = 256
+    domain: LevelSetDomain, points: np.ndarray, t: float | np.ndarray, steps: int = 256
 ) -> np.ndarray:
-    """Flow points with fixed-step RK4 for time ``t`` (either sign).
+    """Flow points along the domain's inner-normal field (``_inner_normal``)
+    with fixed-step RK4 for time ``t`` (either sign).
 
     ``points`` pass ``fields.check_points(points, 2)``.  ``t`` is one time
     for every row of ``points``, or an ``(N,)`` array holding one time per
@@ -220,7 +205,7 @@ def flow(
             times = np.array([check_real(x, f"t[{i}]") for i, x in enumerate(t)])
         h = times / steps
     half, sixth = 0.5 * h, h / 6.0
-    level_grad = field.domain.level_grad
+    level_grad = domain.level_grad
     # The state is coordinate-first, (2, N): a view of the points here, and
     # a new array after each step, so the caller's points are never written.
     pts = pts.T
@@ -263,21 +248,21 @@ def _descent_report(
     """The report from ``pts`` and their ``_descent_rows`` stack flowed for
     DESCENT_STEPS RK4 steps."""
     n = len(pts)
-    gv = domain.level(moved)
+    gv = domain.evaluate(moved)[0]
     slopes = (gv[:n] - gv[n:]) / (2.0 * DESCENT_OFFSET)
-    norms = np.linalg.norm(domain.gradient(pts), axis=1)
+    norms = np.linalg.norm(domain.evaluate(pts)[1], axis=1)
     err = float(np.abs(slopes + norms).max())
     return DescentReport(slopes, err, bool(np.all(slopes < 0.0)))
 
 
 def monotone_descent_check(
-    field: FlowField, boundary_points: np.ndarray
+    domain: LevelSetDomain, boundary_points: np.ndarray
 ) -> DescentReport:
     """Compare d/dt g(flow(y, t)) at t = 0 against -|grad g(y)|, by central
     differences at t = +-DESCENT_OFFSET of DESCENT_STEPS RK4 steps each,
     over at least one boundary point."""
     pts, rows, times = _descent_rows(boundary_points)
-    return _descent_report(field.domain, pts, flow(field, rows, times, DESCENT_STEPS))
+    return _descent_report(domain, pts, flow(domain, rows, times, DESCENT_STEPS))
 
 
 @dataclass(frozen=True)
@@ -313,12 +298,12 @@ def _shrink_samples(
 
 
 def _certificate(
-    domain: LevelSetDomain, t0: float, steps: int, pts: np.ndarray, moved: np.ndarray
+    domain: LevelSetDomain, t0: float, pts: np.ndarray, moved: np.ndarray
 ) -> ShrinkCertificate:
     """The certificate from boundary samples ``pts`` and the stack
-    [pts, anchors] flowed for time t0 in ``steps`` RK4 steps."""
+    [pts, anchors] flowed for time t0 in SHRINK_STEPS RK4 steps."""
     samples = len(pts)
-    gv = domain.level(moved[:samples])
+    gv = domain.evaluate(moved[:samples])[0]
     signed = -gv if t0 > 0 else gv
     margin = float(signed.min())
     order = np.argsort(signed)[:3]
@@ -327,7 +312,7 @@ def _certificate(
     return ShrinkCertificate(
         domain.name,
         t0,
-        steps,
+        SHRINK_STEPS,
         samples,
         margin,
         margin > 0.0,
@@ -337,36 +322,30 @@ def _certificate(
 
 
 def shrink_domain(
-    field: FlowField,
-    t0: float,
-    samples: int = 200,
-    steps: int = SHRINK_STEPS,
-    *,
-    rng: np.random.Generator,
+    domain: LevelSetDomain, t0: float, samples: int, *, rng: np.random.Generator
 ) -> ShrinkCertificate:
     """Certificate that the time-t0 flow moves the boundary strictly
     inward (t0 > 0) or outward (t0 < 0), from ``samples >= 1`` boundary
-    points flowed in ``steps`` RK4 steps (checked by ``flow``).
+    points flowed in SHRINK_STEPS RK4 steps.
 
     A nonpositive margin yields ``passed = False`` rather than an error.
     """
-    dom = field.domain
-    t0, pts = _shrink_samples(dom, t0, samples, rng)
+    t0, pts = _shrink_samples(domain, t0, samples, rng)
     # Samples and anchors flow as one stack: rows [:samples], then anchors.
-    moved = flow(field, np.vstack([pts, dom.anchors]), t0, steps)
-    return _certificate(dom, t0, steps, pts, moved)
+    moved = flow(domain, np.vstack([pts, domain.anchors]), t0, SHRINK_STEPS)
+    return _certificate(domain, t0, pts, moved)
 
 
 def descent_and_shrink(
-    field: FlowField,
+    domain: LevelSetDomain,
     boundary_points: np.ndarray,
     t0: float,
-    samples: int = 200,
+    samples: int,
     *,
     rng: np.random.Generator,
 ) -> tuple[DescentReport, ShrinkCertificate]:
-    """``monotone_descent_check(field, boundary_points)``, then
-    ``shrink_domain(field, t0, samples, rng=rng)``, bitwise, in one RK4 pass
+    """``monotone_descent_check(domain, boundary_points)``, then
+    ``shrink_domain(domain, t0, samples, rng=rng)``, bitwise, in one RK4 pass
     of 1,024 field evaluations where the two calls take 1,280.
 
     The shrink flow's SHRINK_STEPS steps of t0/256 run as 64 steps of t0/4,
@@ -375,17 +354,16 @@ def descent_and_shrink(
     normal float).  The descent rows ride in the first call, whose 64 steps
     are DESCENT_STEPS; a row of a stack flows bitwise as it would alone.
     """
-    dom = field.domain
     pts, rows, times = _descent_rows(boundary_points)
-    t0, samples_pts = _shrink_samples(dom, t0, samples, rng)
-    stack = np.vstack([samples_pts, dom.anchors])
+    t0, samples_pts = _shrink_samples(domain, t0, samples, rng)
+    stack = np.vstack([samples_pts, domain.anchors])
     n = len(stack)
     first = flow(
-        field,
+        domain,
         np.vstack([stack, rows]),
         np.concatenate([np.full(n, t0 / 4), times]),
         DESCENT_STEPS,
     )
-    moved = flow(field, flow(field, first[:n], t0 / 2, 2 * DESCENT_STEPS), t0 / 4, DESCENT_STEPS)
-    descent = _descent_report(dom, pts, first[n:])
-    return descent, _certificate(dom, t0, SHRINK_STEPS, samples_pts, moved)
+    moved = flow(domain, flow(domain, first[:n], t0 / 2, 2 * DESCENT_STEPS), t0 / 4, DESCENT_STEPS)
+    descent = _descent_report(domain, pts, first[n:])
+    return descent, _certificate(domain, t0, samples_pts, moved)

@@ -15,7 +15,6 @@ from mapgroups.atlas import circle_two_charts, torus_four_charts
 from mapgroups.axioms import run_axiom_suite
 from mapgroups.cli import RunConfig, main
 from mapgroups.domains import (
-    FlowField,
     boundary_samples,
     disc,
     ellipse,
@@ -320,15 +319,14 @@ def test_criterion_11_domain_flow():
     rng = np.random.default_rng(1111)
     slope_err = 0.0
     for d in (disc(), ellipse()):
-        f = FlowField(d)
-        rep = monotone_descent_check(f, boundary_samples(d, 40, rng))
+        rep = monotone_descent_check(d, boundary_samples(d, 40, rng))
         assert rep.all_descending
         slope_err = max(slope_err, rep.max_abs_error)
-    cert = shrink_domain(FlowField(disc()), 0.1, samples=SAMPLES, rng=rng)
-    f = FlowField(ellipse())
+    cert = shrink_domain(disc(), 0.1, samples=SAMPLES, rng=rng)
+    d = ellipse()
     pts = boundary_samples(ellipse(), 40, rng)
     group_law = float(
-        np.abs(flow(f, pts, 0.12) - flow(f, flow(f, pts, 0.05), 0.07)).max()
+        np.abs(flow(d, pts, 0.12) - flow(d, flow(d, pts, 0.05), 0.07)).max()
     )
     ok = slope_err <= 1e-4 and cert.margin > 0.0 and group_law <= 1e-8
     line = verdict(

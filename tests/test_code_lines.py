@@ -1,5 +1,5 @@
-"""``tools/code_lines.py``: what counts as a code line, and the per-module
-table with and without ``--base``."""
+"""``tools/code_lines.py``: what counts as a code line and as a defaulted
+public parameter, and the per-module table with and without ``--base``."""
 
 import importlib.util
 import subprocess
@@ -48,6 +48,32 @@ def test_strings_that_are_not_docstrings_and_split_statements_count_each_line():
     assert code_lines.code_lines('"""Only a docstring."""\n') == 0
 
 
+def test_defaults_count_public_functions_methods_and_fields():
+    text = (
+        "def f(a, b=1, *, c, d=2): pass\n"        # 2
+        "async def g(a=1): pass\n"               # 1
+        "def _private(a=1): pass\n"
+        "h = lambda a=1: a\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"                        # 1
+        "    _z: int = 0\n"                       # 1
+        "    w = 0\n"
+        "    def m(self, a=1): pass\n"            # 1
+        "    def _n(self, a=1): pass\n"
+        "    def __init__(self, a=1): pass\n"
+        "    class Inner:\n"
+        "        v: int = 0\n"
+        "class _B:\n"
+        "    y: int = 0\n"
+        "    def m(self, a=1): pass\n"
+        "def outer():\n"
+        "    def inner(a=1): pass\n"
+    )
+    assert code_lines.defaulted_parameters(text) == 6
+
+
 def _run(monkeypatch, capsys, *argv):
     monkeypatch.setattr(sys, "argv", ["code_lines.py", *argv])
     code_lines.main()
@@ -58,10 +84,10 @@ def test_the_table_lists_every_module_and_their_total(monkeypatch, capsys, tmp_p
     package = tmp_path / "src" / "mapgroups"
     package.mkdir(parents=True)
     (package / "a.py").write_text("x = 1\ny = 2\n")
-    (package / "b.py").write_text('"""Doc."""\n\nz = 3\n')
+    (package / "b.py").write_text('"""Doc."""\n\ndef f(z=3): pass\n')
     monkeypatch.setattr(code_lines, "ROOT", tmp_path)
     rows = [line.split() for line in _run(monkeypatch, capsys)]
-    assert rows == [["a.py", "2"], ["b.py", "1"], ["total", "3"]]
+    assert rows == [["a.py", "2"], ["b.py", "1"], ["total", "3"], ["defaults", "1"]]
 
 
 def test_base_mode_reads_the_revision_and_prints_the_difference(monkeypatch, capsys, tmp_path):
@@ -71,12 +97,12 @@ def test_base_mode_reads_the_revision_and_prints_the_difference(monkeypatch, cap
 
     package = tmp_path / "src" / "mapgroups"
     package.mkdir(parents=True)
-    (package / "kept.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (package / "kept.py").write_text("a = 1\nb = 2\ndef c(x=3, y=4): pass\n")
     (package / "gone.py").write_text("d = 4\n")
     git("init", "-q")
     git("add", ".")
     git("commit", "-q", "-m", "base")
-    (package / "kept.py").write_text("a = 1\n")
+    (package / "kept.py").write_text("def a(x=1): pass\n")
     (package / "gone.py").unlink()
     (package / "new.py").write_text("e = 5\nf = 6\n")
     monkeypatch.setattr(code_lines, "ROOT", tmp_path)
@@ -87,6 +113,7 @@ def test_base_mode_reads_the_revision_and_prints_the_difference(monkeypatch, cap
         ["kept.py", "3", "1", "-2"],
         ["new.py", "0", "2", "+2"],
         ["total", "4", "3", "-1"],
+        ["defaults", "2", "1", "-1"],
     ]
 
 

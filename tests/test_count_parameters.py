@@ -16,7 +16,6 @@ from mapgroups.atlas import Chart, circle_two_charts, validate_atlas
 from mapgroups.axioms import probe_cutoff_bound
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import (
-    FlowField,
     boundary_samples,
     descent_and_shrink,
     disc,
@@ -71,7 +70,7 @@ def rng():
 
 
 LADDER = ladder(0.5, 4)
-FLOW_FIELD = FlowField(disc())
+DISC = disc()
 
 # (function, call on the value, parameter name, least accepted value)
 COUNTS = [
@@ -82,13 +81,11 @@ COUNTS = [
     ("rung_compactness_probe", lambda v: rung_compactness_probe(LADDER, 1, v), "modes", 0),
     ("ladder", lambda v: ladder(0.5, v), "count", 2),
     ("BandlimitedField", lambda v: BandlimitedField(1, v, np.zeros((1, 3), complex)), "modes", 0),
-    ("flow", lambda v: flow(FLOW_FIELD, POINTS, 0.1, v), "steps", 16),
-    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, samples=v, rng=rng()),
+    ("flow", lambda v: flow(DISC, POINTS, 0.1, v), "steps", 16),
+    ("shrink_domain", lambda v: shrink_domain(DISC, 0.1, samples=v, rng=rng()),
      "samples", 1),
-    ("shrink_domain", lambda v: shrink_domain(FLOW_FIELD, 0.1, 4, steps=v, rng=rng()),
-     "steps", 16),
     ("descent_and_shrink",
-     lambda v: descent_and_shrink(FLOW_FIELD, POINTS, 0.1, samples=v, rng=rng()), "samples", 1),
+     lambda v: descent_and_shrink(DISC, POINTS, 0.1, samples=v, rng=rng()), "samples", 1),
     ("boundary_samples", lambda v: boundary_samples(disc(), v, rng()), "count", 0),
     ("extension_probe", lambda v: extension_probe(rng(), instances=v), "instances", 1),
     ("extension_probe", lambda v: extension_probe(rng(), competitors=v), "competitors", 1),

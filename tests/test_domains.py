@@ -10,8 +10,8 @@ from mapgroups.domains import (
     FLOW_BAND,
     FLOW_PLATEAU,
     GRADIENT_FLOOR,
+    SHRINK_STEPS,
     DescentReport,
-    FlowField,
     ShrinkCertificate,
     _inner_normal,
     boundary_samples,
@@ -35,16 +35,16 @@ def test_domain_lookup():
 
 
 def test_level_signs():
-    d = disc()
-    assert d.level(np.array([[0.0, 0.0]]))[0] < 0
-    assert d.level(np.array([[1.0, 0.0]]))[0] == 0.0
-    assert d.level(np.array([[2.0, 0.0]]))[0] > 0
+    g = disc().evaluate(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))[0]
+    assert g[0] < 0
+    assert g[1] == 0.0
+    assert g[2] > 0
 
 
 def test_peanut_shape_constraint():
     p = peanut()
     # waist point between the lobes is inside
-    assert p.level(np.array([[0.0, 0.0]]))[0] < 0
+    assert p.evaluate(np.array([[0.0, 0.0]]))[0][0] < 0
 
 
 def test_boundary_samples_rejects_a_negative_count():
@@ -63,7 +63,7 @@ def test_boundary_samples_land_on_the_level_set():
     for d in (disc(), ellipse(), peanut()):
         pts = boundary_samples(d, 50, rng)
         assert pts.shape == (50, 2)
-        assert np.abs(d.level(pts)).max() < 1e-12, d.name
+        assert np.abs(d.evaluate(pts)[0]).max() < 1e-12, d.name
         assert boundary_samples(d, 0, rng).shape == (0, 2)
 
 
@@ -74,56 +74,54 @@ def test_gradient_matches_central_differences_of_the_level(build):
     dom = build()
     edge = boundary_samples(dom, 40, np.random.default_rng(8))
     pts = np.vstack([edge, 0.5 * edge])  # the half-scaled ones lie inside
-    assert np.all(dom.level(pts[40:]) < 0.0)
+    gv, gr = dom.evaluate(pts)
+    assert np.all(gv[40:] < 0.0)
     h = 1e-5
     fd = np.column_stack([
-        (dom.level(pts + h * e) - dom.level(pts - h * e)) / (2.0 * h)
+        (dom.evaluate(pts + h * e)[0] - dom.evaluate(pts - h * e)[0]) / (2.0 * h)
         for e in np.eye(2)
     ])
-    gr = dom.gradient(pts)
     rel = np.linalg.norm(fd - gr, axis=1) / np.linalg.norm(gr, axis=1)
     assert rel.max() <= 1e-6, (dom.name, rel.max())
 
 
 def test_flow_field_vanishes_on_the_core():
-    f = FlowField(disc())
-    deep = np.array([[0.0, 0.0], [0.1, -0.1]])
-    assert np.abs(f(deep)).max() == 0.0
+    d = disc()
+    deep = np.array([[0.0, 0.1], [0.0, -0.1]])
+    assert np.abs(_inner_normal(*d.level_grad(deep))).max() == 0.0
     # on the boundary it is exactly the unit inner normal
-    v = f(np.array([[1.0, 0.0]]))
-    assert np.abs(v - [[-1.0, 0.0]]).max() < 1e-12
+    v = _inner_normal(*d.level_grad(np.array([[1.0], [0.0]])))
+    assert np.abs(v - [[-1.0], [0.0]]).max() < 1e-12
 
 
 def test_radial_flow_on_the_disc_matches_closed_form():
     """Near the boundary of the disc the field is the constant-speed
     inward radial direction while the bump plateau holds, so the point
     (1, 0) moves to (1 - t, 0)."""
-    f = FlowField(disc())
     for t in (0.05, 0.1):
-        moved = flow(f, np.array([[1.0, 0.0]]), t)
+        moved = flow(disc(), np.array([[1.0, 0.0]]), t)
         assert np.abs(moved - [[1.0 - t, 0.0]]).max() < 1e-10, f"t={t}"
 
 
 def test_flow_group_law():
-    f = FlowField(ellipse())
+    d = ellipse()
     rng = np.random.default_rng(7)
-    pts = boundary_samples(ellipse(), 20, rng)
-    once = flow(f, pts, 0.12)
-    twice = flow(f, flow(f, pts, 0.05), 0.07)
+    pts = boundary_samples(d, 20, rng)
+    once = flow(d, pts, 0.12)
+    twice = flow(d, flow(d, pts, 0.05), 0.07)
     assert np.abs(once - twice).max() < 1e-8
 
 
 def test_flow_step_floor():
     with pytest.raises(InputError):
-        flow(FlowField(disc()), np.array([[1.0, 0.0]]), 0.1, steps=4)
+        flow(disc(), np.array([[1.0, 0.0]]), 0.1, steps=4)
 
 
 def test_descent_slopes_match_gradient_norm():
     rng = np.random.default_rng(9)
     for d in (disc(), ellipse()):
-        f = FlowField(d)
         pts = boundary_samples(d, 30, rng)
-        rep = monotone_descent_check(f, pts)
+        rep = monotone_descent_check(d, pts)
         assert rep.all_descending
         assert rep.max_abs_error < 1e-4, f"{d.name}: {rep.max_abs_error:.3e}"
         # disc: |grad g| = 2 on the unit circle, so slopes are all -2
@@ -133,16 +131,15 @@ def test_descent_slopes_match_gradient_norm():
 
 @pytest.mark.parametrize("check", [
     monotone_descent_check,
-    lambda f, p: descent_and_shrink(f, p, 0.1, 4, rng=np.random.default_rng(0)),
+    lambda d, p: descent_and_shrink(d, p, 0.1, 4, rng=np.random.default_rng(0)),
 ], ids=["monotone_descent_check", "descent_and_shrink"])
 def test_the_descent_check_needs_a_point(check):
     with pytest.raises(InputError, match="^the descent check needs at least one boundary point$"):
-        check(FlowField(disc()), np.empty((0, 2)))
+        check(disc(), np.empty((0, 2)))
 
 
 def test_shrink_certificate_on_the_disc():
-    f = FlowField(disc())
-    cert = shrink_domain(f, 0.1, samples=100, rng=np.random.default_rng(11))
+    cert = shrink_domain(disc(), 0.1, samples=100, rng=np.random.default_rng(11))
     assert cert.passed
     # radial motion: boundary lands on radius 0.9, so -g = 1 - 0.81
     assert cert.margin == pytest.approx(0.19, abs=1e-6)
@@ -152,27 +149,24 @@ def test_shrink_certificate_on_the_disc():
 
 def test_shrink_rejects_zero_time():
     with pytest.raises(InputError):
-        shrink_domain(FlowField(disc()), 0.0, rng=np.random.default_rng(0))
+        shrink_domain(disc(), 0.0, 10, rng=np.random.default_rng(0))
 
 
 def test_shrink_rejects_a_non_finite_time():
     with pytest.raises(InputError, match="^t0 must be finite, got nan$"):
-        shrink_domain(FlowField(disc()), float("nan"), samples=10,
+        shrink_domain(disc(), float("nan"), samples=10,
                       rng=np.random.default_rng(0))
 
 
 def test_negative_time_grows_the_domain():
-    f = FlowField(disc())
-    cert = shrink_domain(f, -0.1, samples=60, rng=np.random.default_rng(13))
+    cert = shrink_domain(disc(), -0.1, samples=60, rng=np.random.default_rng(13))
     assert cert.passed
     assert cert.margin == pytest.approx(1.1**2 - 1.0, abs=1e-6)
 
 
 def test_anchors_never_move():
     for d in (disc(), ellipse(), peanut()):
-        cert = shrink_domain(
-            FlowField(d), 0.1, samples=40, rng=np.random.default_rng(17)
-        )
+        cert = shrink_domain(d, 0.1, samples=40, rng=np.random.default_rng(17))
         assert cert.fixed_defect == 0.0, d.name
 
 
@@ -199,31 +193,29 @@ def test_per_row_flow_equals_separate_flows_bitwise(name, seed, times, steps):
     pts = np.column_stack([
         rng.uniform(xlo, xhi, len(times)), rng.uniform(ylo, yhi, len(times))
     ])
-    f = FlowField(d)
-    stacked = flow(f, pts, np.array(times), steps)
+    stacked = flow(d, pts, np.array(times), steps)
     for i, t in enumerate(times):
-        assert same_bytes(stacked[i:i + 1], flow(f, pts[i:i + 1], t, steps)), (i, t)
+        assert same_bytes(stacked[i:i + 1], flow(d, pts[i:i + 1], t, steps)), (i, t)
 
 
-def descent_by_separate_flows(field, pts, h=1e-5, steps=64):
+def descent_by_separate_flows(domain, pts, h=1e-5, steps=64):
     """The descent check as two flows, one at +h and one at -h."""
-    fwd = field.domain.level(flow(field, pts, h, steps))
-    bwd = field.domain.level(flow(field, pts, -h, steps))
+    fwd = domain.evaluate(flow(domain, pts, h, steps))[0]
+    bwd = domain.evaluate(flow(domain, pts, -h, steps))[0]
     slopes = (fwd - bwd) / (2.0 * h)
-    norms = np.linalg.norm(field.domain.gradient(pts), axis=1)
+    norms = np.linalg.norm(domain.evaluate(pts)[1], axis=1)
     err = float(np.abs(slopes + norms).max())
     return DescentReport(slopes, err, bool(np.all(slopes < 0.0)))
 
 
-def shrink_by_separate_flows(field, t0, samples, steps, rng):
+def shrink_by_separate_flows(dom, t0, samples, steps, rng):
     """The shrink certificate with samples and anchors flowed apart."""
-    dom = field.domain
     pts = boundary_samples(dom, samples, rng)
-    gv = dom.level(flow(field, pts, t0, steps))
+    gv = dom.evaluate(flow(dom, pts, t0, steps))[0]
     signed = -gv if t0 > 0 else gv
     margin = float(signed.min())
     worst = tuple((float(p[0]), float(p[1])) for p in pts[np.argsort(signed)[:3]])
-    anchors_moved = flow(field, dom.anchors, t0, steps)
+    anchors_moved = flow(dom, dom.anchors, t0, steps)
     fixed_defect = float(np.abs(anchors_moved - dom.anchors).max())
     return ShrinkCertificate(
         dom.name, float(t0), steps, samples, margin, margin > 0.0, fixed_defect, worst
@@ -233,9 +225,8 @@ def shrink_by_separate_flows(field, t0, samples, steps, rng):
 @pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
 def test_stacked_descent_check_matches_separate_flows_bitwise(name):
     d = domain_by_name(name)
-    f = FlowField(d)
     pts = boundary_samples(d, 40, np.random.default_rng(19))
-    got, ref = monotone_descent_check(f, pts), descent_by_separate_flows(f, pts)
+    got, ref = monotone_descent_check(d, pts), descent_by_separate_flows(d, pts)
     assert same_bytes(got.slopes, ref.slopes)
     assert (got.max_abs_error, got.all_descending) == (ref.max_abs_error, ref.all_descending)
 
@@ -243,9 +234,9 @@ def test_stacked_descent_check_matches_separate_flows_bitwise(name):
 @pytest.mark.parametrize("t0", [0.1, -0.1])
 @pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
 def test_stacked_shrink_certificate_matches_separate_flows_bitwise(name, t0):
-    f = FlowField(domain_by_name(name))
-    got = shrink_domain(f, t0, samples=60, steps=128, rng=np.random.default_rng(23))
-    ref = shrink_by_separate_flows(f, t0, 60, 128, np.random.default_rng(23))
+    d = domain_by_name(name)
+    got = shrink_domain(d, t0, samples=60, rng=np.random.default_rng(23))
+    ref = shrink_by_separate_flows(d, t0, 60, SHRINK_STEPS, np.random.default_rng(23))
     assert got == ref
 
 
@@ -269,24 +260,23 @@ def test_a_flow_in_quarter_half_quarter_calls_is_bitwise_one_flow(name, seed, t)
     levels = (0.0, 0.75 * FLOW_BAND, -0.75 * FLOW_BAND)
     ringed = [onto_level(d, box[np.abs(box).sum(axis=1) > 0.3], c) for c in levels]
     pts = np.vstack([box, *ringed, d.anchors, [[xhi, yhi]]])
-    g = d.level(pts)
+    g = d.evaluate(pts)[0]
     assert all(r.size for r in ringed)
     assert np.any(g <= -FLOW_BAND) and np.any(g >= FLOW_BAND)
-    f = FlowField(d)
-    chained = flow(f, flow(f, flow(f, pts, t / 4, 64), t / 2, 128), t / 4, 64)
-    assert same_bytes(chained, flow(f, pts, t, 256))
+    chained = flow(d, flow(d, flow(d, pts, t / 4, 64), t / 2, 128), t / 4, 64)
+    assert same_bytes(chained, flow(d, pts, t, 256))
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_BUILDERS))
 def test_descent_and_shrink_is_bitwise_the_two_checks(name):
     """The one-pass run equals monotone_descent_check followed by
     shrink_domain, and leaves the generator in the same state."""
-    f = FlowField(domain_by_name(name))
+    d = domain_by_name(name)
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
-    pts = boundary_samples(f.domain, 40, rng)
-    descent, cert = descent_and_shrink(f, pts, 0.1, 200, rng=rng)
-    ref_descent = monotone_descent_check(f, boundary_samples(f.domain, 40, ref_rng))
-    ref_cert = shrink_domain(f, 0.1, 200, rng=ref_rng)
+    pts = boundary_samples(d, 40, rng)
+    descent, cert = descent_and_shrink(d, pts, 0.1, 200, rng=rng)
+    ref_descent = monotone_descent_check(d, boundary_samples(d, 40, ref_rng))
+    ref_cert = shrink_domain(d, 0.1, 200, rng=ref_rng)
     assert same_bytes(descent.slopes, ref_descent.slopes)
     assert (descent.max_abs_error, descent.all_descending) == (
         ref_descent.max_abs_error, ref_descent.all_descending)
@@ -312,7 +302,7 @@ def test_descent_and_shrink_is_bitwise_the_two_checks(name):
 def test_flow_rejects_bad_times(t, message):
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InputError, match=message):
-        flow(FlowField(disc()), pts, t, steps=16)
+        flow(disc(), pts, t, steps=16)
 
 
 @pytest.mark.parametrize("times", [
@@ -322,9 +312,8 @@ def test_flow_rejects_bad_times(t, message):
 ], ids=["float64", "float32", "int"])
 def test_per_row_times_flow_alike_as_an_array_or_a_list(times):
     pts = np.array([[0.9, 0.1], [0.2, 0.95], [0.5, 0.5]])
-    f = FlowField(disc())
-    want = flow(f, pts, [float(x) for x in times], 16)
-    assert same_bytes(flow(f, pts, times, 16), want)
+    want = flow(disc(), pts, [float(x) for x in times], 16)
+    assert same_bytes(flow(disc(), pts, times, 16), want)
 
 
 def reference_smooth_step(t):
@@ -392,7 +381,7 @@ def test_boundary_samples_are_bitwise_the_reference_polish(name, seed):
 
 
 def reference_flow_field(name, points):
-    """FlowField as it read before the fused form: np.linalg.norm of the
+    """The flow field as it read before the fused form: np.linalg.norm of the
     gradient and bump_profile's formula over every row."""
     gv, gr = reference_level_grad(name, points)
     nrm = np.maximum(np.linalg.norm(gr, axis=1), GRADIENT_FLOOR)
@@ -407,7 +396,7 @@ def onto_level(domain, pts, level):
     for _ in range(40):
         g, grad = domain.evaluate(pts)
         pts = pts - ((g - level) / np.sum(grad * grad, axis=1))[:, None] * grad
-    return pts[np.abs(domain.level(pts) - level) < 1e-12]
+    return pts[np.abs(domain.evaluate(pts)[0] - level) < 1e-12]
 
 
 # The level values where the field changes regime: the band edge and the
@@ -431,10 +420,9 @@ def test_flow_field_is_bitwise_the_reference_formula(name, seed, nudge):
     box = np.column_stack([rng.uniform(xlo, xhi, 24), rng.uniform(ylo, yhi, 24)])
     edges = [onto_level(d, box[np.abs(box).sum(axis=1) > 0.3], c) for c in EDGE_LEVELS]
     pts = np.vstack([box, *edges, *(e * (1.0 + nudge) for e in edges), d.anchors, [[0.0, 0.0]]])
-    scaled = np.abs(d.level(pts)) / FLOW_BAND
+    scaled = np.abs(d.evaluate(pts)[0]) / FLOW_BAND
     assert all(e.size for e in edges) and np.any((scaled > FLOW_PLATEAU) & (scaled < 1.0))
     reference = reference_flow_field(name, pts)
-    assert same_bytes(FlowField(d)(pts), reference)
     # The unchecked core that every RK4 stage of flow evaluates, on the
     # coordinate-first (2, N) stack that flow keeps.
     assert same_bytes(_inner_normal(*d.level_grad(np.ascontiguousarray(pts.T))).T, reference)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mapgroups import fields
 from mapgroups.atlas import builtin_atlas, torus_four_charts
 from mapgroups.domains import (
-    FlowField,
     descent_and_shrink,
     disc,
     flow,
@@ -897,21 +896,17 @@ def point_sites():
         "point_eval-circle2": (1, lambda p: point_eval(sections["circle2"], p)),
         "point_eval-torus4": (2, lambda p: point_eval(sections["torus4"], p)),
         "domain-evaluate": (2, disc().evaluate),
-        "domain-level": (2, disc().level),
-        "domain-gradient": (2, disc().gradient),
-        "FlowField": (2, FlowField(disc())),
-        "flow": (2, lambda p: flow(FlowField(disc()), p, 0.1, 16)),
-        "monotone_descent_check": (2, lambda p: monotone_descent_check(FlowField(disc()), p)),
+        "flow": (2, lambda p: flow(disc(), p, 0.1, 16)),
+        "monotone_descent_check": (2, lambda p: monotone_descent_check(disc(), p)),
         "descent_and_shrink": (2, lambda p: descent_and_shrink(
-            FlowField(disc()), p, 0.1, 4, rng=np.random.default_rng(0))),
+            disc(), p, 0.1, 4, rng=np.random.default_rng(0))),
     }
 
 
 POINT_SITES = [
     "evaluate-m1", "evaluate-m2", "interpolate-window", "interpolate-full-m1",
     "interpolate-full-m2", "point_eval-circle2", "point_eval-torus4",
-    "domain-evaluate", "domain-level", "domain-gradient", "FlowField", "flow",
-    "monotone_descent_check", "descent_and_shrink",
+    "domain-evaluate", "flow", "monotone_descent_check", "descent_and_shrink",
 ]
 
 

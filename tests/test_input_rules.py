@@ -22,7 +22,6 @@ from mapgroups.atlas import Atlas, Chart, builtin_atlas, circle_two_charts
 from mapgroups.cli import RunConfig, load_config_file
 from mapgroups.cutoffs import SmoothCutoff, bump_profile
 from mapgroups.domains import (
-    FlowField,
     descent_and_shrink,
     disc,
     domain_by_name,
@@ -62,7 +61,7 @@ FIELD = random_field(1, 4, 1, np.random.default_rng(5))
 WINDOW = GridDomain.box(((1.0, 2.5),), 17)
 DATA = sample(FIELD, WINDOW)
 GRID_DOC = dump_grid(WINDOW)
-FLOW_FIELD = FlowField(disc())
+DISC = disc()
 POINTS = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
 CHARTS = ATLAS.charts
 
@@ -100,17 +99,17 @@ REALS = [
      lambda v: random_algebra_section(ATLAS, so3(), rng(), v), 0.0, INF, False),
     ("bracket_from_products", "t", lambda v: bracket_from_products(XI, XI, v), 0.0, INF, True),
     ("bch_residual", "t", lambda v: bch_residual(XI, XI, v), -INF, INF, False),
-    ("flow", "t", lambda v: flow(FLOW_FIELD, POINTS, v, 16), -INF, INF, False),
+    ("flow", "t", lambda v: flow(DISC, POINTS, v, 16), -INF, INF, False),
     ("flow-rows", "t[0]",
-     lambda v: flow(FLOW_FIELD, POINTS, [v, 0.1, 0.1], 16), -INF, INF, False),
+     lambda v: flow(DISC, POINTS, [v, 0.1, 0.1], 16), -INF, INF, False),
     ("flow-rows", "t[1]",
-     lambda v: flow(FLOW_FIELD, POINTS, [0.1, v, 0.1], 16), -INF, INF, False),
+     lambda v: flow(DISC, POINTS, [0.1, v, 0.1], 16), -INF, INF, False),
     ("flow-rows", "t[2]",
-     lambda v: flow(FLOW_FIELD, POINTS, [0.1, 0.1, v], 16), -INF, INF, False),
+     lambda v: flow(DISC, POINTS, [0.1, 0.1, v], 16), -INF, INF, False),
     ("shrink_domain", "t0",
-     lambda v: shrink_domain(FLOW_FIELD, v, samples=4, rng=rng()), -INF, INF, False),
+     lambda v: shrink_domain(DISC, v, samples=4, rng=rng()), -INF, INF, False),
     ("descent_and_shrink", "t0",
-     lambda v: descent_and_shrink(FLOW_FIELD, POINTS, v, 4, rng=rng()), -INF, INF, False),
+     lambda v: descent_and_shrink(DISC, POINTS, v, 4, rng=rng()), -INF, INF, False),
     ("bump_profile", "plateau", lambda v: bump_profile(np.zeros(3), v), 0.0, 1.0, True),
     ("SmoothCutoff", "plateau", lambda v: SmoothCutoff([1.0], [0.5], v), 0.0, 1.0, True),
     ("SmoothCutoff", "radius", lambda v: SmoothCutoff([1.0, 1.0], [0.5, v]), 0.0, INF, True),

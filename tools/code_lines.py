@@ -1,8 +1,14 @@
-"""Print the code lines of each ``src/mapgroups`` module.
+"""Print the code lines of each ``src/mapgroups`` module, and the package's
+defaulted public parameters.
 
 A code line holds at least one token that is neither a comment nor part of
 a docstring, so blank lines, comment lines and docstring lines do not
 count.  A statement spread over several lines counts each of them.
+
+The ``defaults`` row counts the parameters with a default value of public
+top-level functions and of public methods of public classes, plus the
+annotated class-body assignments with a value (dataclass fields) of public
+classes.  A name is public unless it starts with an underscore.
 
 Usage::
 
@@ -45,40 +51,73 @@ def code_lines(text: str) -> int:
     return len(lines - docstrings)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def defaulted_parameters(text: str) -> int:
+    count = 0
+    for node in ast.parse(text).body:
+        if isinstance(node, FUNCTIONS) and _public(node.name):
+            count += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and _public(node.name):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and _public(item.name):
+                    count += _defaults(item)
+                elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                    count += 1
+    return count
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout
 
 
-def modules_at(rev: str) -> dict[str, int]:
+def sources_at(rev: str) -> dict[str, str]:
     paths = git("ls-tree", "--name-only", rev, f"{PACKAGE}/").split()
-    return {
-        Path(p).name: code_lines(git("show", f"{rev}:{p}")) for p in paths if p.endswith(".py")
-    }
+    return {Path(p).name: git("show", f"{rev}:{p}") for p in paths if p.endswith(".py")}
 
 
-def modules_here() -> dict[str, int]:
-    return {p.name: code_lines(p.read_text()) for p in sorted((ROOT / PACKAGE).glob("*.py"))}
+def sources_here() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py"))}
+
+
+def defaults_total(sources: dict[str, str]) -> int:
+    return sum(defaulted_parameters(text) for text in sources.values())
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", metavar="REV", help="git revision to compare against")
     args = parser.parse_args()
-    head = modules_here()
+    sources = sources_here()
+    head = {name: code_lines(text) for name, text in sources.items()}
     if args.base is None:
         for name, count in head.items():
             print(f"{name:16} {count:6}")
         print(f"{'total':16} {sum(head.values()):6}")
+        print(f"{'defaults':16} {defaults_total(sources):6}")
         return
-    base = modules_at(args.base)
+    base_sources = sources_at(args.base)
+    base = {name: code_lines(text) for name, text in base_sources.items()}
     print(f"{'module':16} {'base':>6} {'head':>6} {'delta':>6}")
     for name in sorted(base.keys() | head.keys()):
         b, h = base.get(name, 0), head.get(name, 0)
         print(f"{name:16} {b:6} {h:6} {h - b:+6}")
-    b, h = sum(base.values()), sum(head.values())
-    print(f"{'total':16} {b:6} {h:6} {h - b:+6}")
+    for label, b, h in (
+        ("total", sum(base.values()), sum(head.values())),
+        ("defaults", defaults_total(base_sources), defaults_total(sources)),
+    ):
+        print(f"{label:16} {b:6} {h:6} {h - b:+6}")
 
 
 if __name__ == "__main__":

@@ -317,7 +317,9 @@ def library_rows(seed: int):
         lows, highs = np.transpose(domain.bbox)
         pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
         pts = np.vstack([pts, domain.anchors])
-        field = mg.FlowField(domain)
+        # A checkout whose flow still takes a FlowField wraps the domain
+        # in one; elsewhere the domain is the flow's argument as it is.
+        field = getattr(mg, "FlowField", lambda d: d)(domain)
         yield f"s{seed}/{name}/flow", mg.flow(field, pts, 0.25, 16)
         offset = mg.domains.DESCENT_OFFSET
         mixed = np.vstack([pts, pts[:40], pts[:40]])
