@@ -24,25 +24,30 @@ tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
 
-def _owner_and_original(modname, path):
+def _owner_and_attr(modname, path):
     module = importlib.import_module(modname)
     if "." in path:
         cls_name, attr = path.split(".")
-        cls = getattr(module, cls_name)
-        return cls, attr, cls.__dict__[attr]
-    return module, path, getattr(module, path)
+        return getattr(module, cls_name), attr
+    return module, path
+
+
+def _bound(owner, attr):
+    # A class attribute is read from the class dict, so a method is seen
+    # as the function the tracer swaps, not as a bound method.
+    return vars(owner)[attr]
 
 
 def test_every_traced_name_binds_and_is_restored():
-    before = [_owner_and_original(modname, path) for _, modname, path in tracer.TRACED]
+    owners = [_owner_and_attr(modname, path) for _, modname, path in tracer.TRACED]
+    before = [_bound(owner, attr) for owner, attr in owners]
     with tracer.Tracer().installed():
-        for (owner, attr, original), (name, _, _) in zip(before, tracer.TRACED):
-            bound = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        for (owner, attr), original, (name, _, _) in zip(owners, before, tracer.TRACED):
+            bound = _bound(owner, attr)
             assert bound is not original, name
             assert bound.__wrapped__ is original, name
-    for owner, attr, original in before:
-        now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
-        assert now is original
+    for (owner, attr), original in zip(owners, before):
+        assert _bound(owner, attr) is original
 
 
 DEFAULT_STEPS = inspect.signature(domains.flow).parameters["steps"].default
