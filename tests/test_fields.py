@@ -10,8 +10,10 @@ from mapgroups.atlas import builtin_atlas, torus_four_charts
 from mapgroups.domains import (
     descent_and_shrink,
     disc,
+    ellipse,
     flow,
     monotone_descent_check,
+    peanut,
 )
 from mapgroups.errors import (
     AliasingError,
@@ -896,7 +898,10 @@ def point_sites():
         "point_eval-circle2": (1, lambda p: point_eval(sections["circle2"], p)),
         "point_eval-torus4": (2, lambda p: point_eval(sections["torus4"], p)),
         "domain-evaluate": (2, disc().evaluate),
+        "domain-evaluate-ellipse": (2, ellipse().evaluate),
+        "domain-evaluate-peanut": (2, peanut().evaluate),
         "flow": (2, lambda p: flow(disc(), p, 0.1, 16)),
+        "flow-rows": (2, lambda p: flow(disc(), p, np.full(len(p), 0.1), 16)),
         "monotone_descent_check": (2, lambda p: monotone_descent_check(disc(), p)),
         "descent_and_shrink": (2, lambda p: descent_and_shrink(
             disc(), p, 0.1, 4, rng=np.random.default_rng(0))),
@@ -906,7 +911,8 @@ def point_sites():
 POINT_SITES = [
     "evaluate-m1", "evaluate-m2", "interpolate-window", "interpolate-full-m1",
     "interpolate-full-m2", "point_eval-circle2", "point_eval-torus4",
-    "domain-evaluate", "flow", "monotone_descent_check", "descent_and_shrink",
+    "domain-evaluate", "domain-evaluate-ellipse", "domain-evaluate-peanut", "flow",
+    "flow-rows", "monotone_descent_check", "descent_and_shrink",
 ]
 
 
