@@ -466,17 +466,7 @@ class AtlasReport:
     inverse_residual: float
     cocycle_residual: float
     partition_residual: float
-    enlarged_window_ok: bool
     passed: bool
-
-
-def enlarged_window(a: Atlas, j: int) -> GridDomain:
-    """A strictly larger witness box still inside the chart codomain."""
-    c = a.charts[j]
-    half = c.window_half + 0.5 * (c.half_width - c.window_half)
-    return GridDomain.box(
-        tuple((PI - half, PI + half) for _ in range(a.m)), a.lattice_resolution
-    )
 
 
 def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
@@ -521,25 +511,16 @@ def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
     part = a.partition_weights(pts).sum(axis=1)
     partition_residual = float(np.abs(part - 1.0).max())
 
-    enlarged_ok = True
-    try:
-        for j in range(a.chart_count):
-            enlarged_window(a, j)
-    except InputError:
-        enlarged_ok = False
-
     passed = (
         cover_margin > 0.0
         and inverse_residual <= VALIDATION_TOL
         and cocycle_residual <= VALIDATION_TOL
         and partition_residual <= VALIDATION_TOL
-        and enlarged_ok
     )
     return AtlasReport(
         cover_margin,
         inverse_residual,
         cocycle_residual,
         partition_residual,
-        enlarged_ok,
         passed,
     )

@@ -391,7 +391,6 @@ def cmd_ladder(config: RunConfig, args: argparse.Namespace) -> int:
                 "s_coarse": probe.s_coarse,
                 "sigma_max": probe.sigma_max,
                 "sigma_min": probe.sigma_min,
-                "decreasing": probe.decreasing,
                 "file": path.name,
             }
         )

@@ -137,12 +137,6 @@ class GridDomain:
             ok &= (pts[:, d] > lo) & (pts[:, d] < hi)
         return ok
 
-    def mask_lattice(self) -> np.ndarray:
-        """Dense boolean mask over the full lattice (C order)."""
-        mask = np.zeros(self.resolution, dtype=bool)
-        mask[np.ix_(*self.axis_indices)] = True
-        return mask
-
 
 def tensor_points(axes) -> np.ndarray:
     """Tensor grid of per-axis coordinates, shape (Q, m), C order."""

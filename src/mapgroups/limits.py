@@ -142,7 +142,6 @@ class RungCompactnessReport:
     s_coarse: float
     sigma_max: float
     sigma_min: float
-    decreasing: bool
     spectrum: np.ndarray
 
 
@@ -164,15 +163,7 @@ def rung_compactness_probe(
     s_fine = lad.rungs[j - 1]
     s_coarse = lad.rungs[j]
     sig = rellich_spectrum(s_fine, s_coarse, modes, m=m, convention=convention)
-    uniq = np.unique(sig)[::-1]
-    return RungCompactnessReport(
-        s_fine,
-        s_coarse,
-        float(sig[0]),
-        float(sig[-1]),
-        bool(np.all(np.diff(uniq) < 0.0)),
-        sig,
-    )
+    return RungCompactnessReport(s_fine, s_coarse, float(sig[0]), float(sig[-1]), sig)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,17 @@
-"""JSON and CSV interchange for fields, sections, curves, and spectra.
+"""JSON and CSV interchange for sections, group sections, curves, and spectra.
 
 Every file carries a ``weight_exponent_convention`` tag naming which
 Sobolev weight exponent the stored quantities assume ("paper-s/2" or
 "standard-s").  JSON is written with sorted keys and fixed separators so
 identical data produces identical bytes.
 
-Bulk arrays (sampled values, grid masks, group-section pieces) are written
-as encoded-array objects
-``{"dtype": "<f8" | "|b1", "shape": [...], "b64": "..."}``: the C-order
-little-endian bytes of the array in RFC 4648 base64.  Loaders also read
-the same arrays as nested JSON lists.
+A section or group-section document names a builtin atlas, whose charts
+fix each piece's window, so a piece holds node values only: piece ``j`` is
+the ``(K_j, n)`` values (``(K_j, d*d)`` for a group section) at chart
+``j``'s window nodes in C order.  Pieces are written as encoded-array
+objects ``{"dtype": "<f8" | "|b1", "shape": [...], "b64": "..."}``: the
+C-order little-endian bytes of the array in RFC 4648 base64.  Loaders
+also read the same arrays as nested JSON lists.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import base64
 import hashlib
 import json
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -26,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import Atlas, atlas_descriptor, builtin_atlas
-from .errors import InputError, check_name
-from .fields import INTERP_POINTS, GridDomain, SampledField
+from .errors import InputError, ShapeMismatchError, check_name
+from .fields import INTERP_POINTS, SampledField
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
 from .sections import OVERLAP_TOLERANCE, Section
@@ -129,7 +130,7 @@ _KIND_NAMES = {(int, float): "number", (list, dict): "array"}
 
 def _require(doc: dict, key: str, kind):
     """``doc[key]``, or InputError naming the key when absent or not a ``kind``."""
-    what = doc.get("kind", "grid")  # grid documents are the only ones without a kind
+    what = doc["kind"]
     if key not in doc:
         raise InputError(f"{what} document has no key {key!r}")
     if not json_is(doc[key], kind):
@@ -199,9 +200,9 @@ def decode_array(raw: dict, what: str) -> np.ndarray:
         raise InputError(f"{what} shape {shape} is not usable: {exc}") from None
 
 
-def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
-    """``raw`` -- a nested list or an encoded-array object -- as a
-    rectangular array whose dtype kind is one of ``kinds``."""
+def _numeric_array(raw, what: str) -> np.ndarray:
+    """``raw`` -- a nested list or an encoded-array object of numbers -- as a
+    rectangular float array."""
     if json_is(raw, dict):
         arr = decode_array(raw, what)
     else:
@@ -209,125 +210,9 @@ def _numeric_array(raw, what: str, kinds: str = "iuf") -> np.ndarray:
             arr = np.asarray(raw)
         except ValueError:  # ragged nesting
             arr = None
-    if arr is None or arr.dtype.kind not in kinds:
-        entries = "booleans" if kinds == "b" else "numbers"
-        raise InputError(f"{what} must be a rectangular array of {entries}")
-    return arr
-
-
-def _require_array(doc: dict, key: str, kinds: str = "iuf") -> np.ndarray:
-    what = f"{doc.get('kind', 'grid')} key {key!r}"
-    return _numeric_array(_require(doc, key, (list, dict)), what, kinds)
-
-
-def dump_grid(grid: GridDomain) -> dict:
-    return {
-        "m": grid.m,
-        "grid": list(grid.resolution),
-        "window": [[lo, hi] for lo, hi in grid.window],
-        "mask": encode_array(grid.mask_lattice().ravel(), "|b1"),
-    }
-
-
-# Grids decoded so far, least recently used first, keyed by ``_exact_key``
-# of the document keys ``load_grid`` reads.  Files hold one grid per chart,
-# so eight cover both builtin atlases.  Errors are not stored.
-_GRID_MEMO: OrderedDict = OrderedDict()
-GRID_MEMO_SIZE = 8
-_GRID_KEYS = ("kind", "m", "grid", "window", "mask")
-
-
-def _exact_key(value):
-    """A hashable form of a JSON value that equals another's only when both
-    hold the same types and values, floats compared by their bits (-0.0 is
-    not 0.0); a value of any other type gets a key that nothing equals."""
-    if isinstance(value, dict):
-        return dict, tuple((k, _exact_key(v)) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return type(value), tuple(map(_exact_key, value))
-    if type(value) is float:
-        return float, value.hex()
-    if isinstance(value, str):
-        return str, value
-    if value is None or type(value) in (bool, int):
-        return type(value), value
-    return object()
-
-
-def load_grid(doc: dict) -> GridDomain:
-    """The grid of a document's ``m``, ``grid``, ``window`` and ``mask``.
-
-    Each distinct document is decoded and checked once per process, while
-    it stays among the last ``GRID_MEMO_SIZE``: equal documents get the
-    same grid, whose index arrays are read-only.
-    """
-    key = tuple(_exact_key(doc.get(k)) for k in _GRID_KEYS)
-    grid = _GRID_MEMO.pop(key, None)
-    if grid is None:
-        grid = _decode_grid(doc)
-    _GRID_MEMO[key] = grid
-    if len(_GRID_MEMO) > GRID_MEMO_SIZE:
-        _GRID_MEMO.popitem(last=False)
-    return grid
-
-
-def _decode_grid(doc: dict) -> GridDomain:
-    what = doc.get("kind", "grid")
-    m = _require(doc, "m", int)
-    res = _require_array(doc, "grid", "iu")
-    window = _require_array(doc, "window").astype(float, copy=False)
-    mask = _require_array(doc, "mask", "b")
-    if res.shape != (m,) or window.shape != (m, 2):
-        raise InputError(f"grid {res.tolist()} and window do not match dimension {m}")
-    for pair in window:
-        if not (np.isfinite(pair).all() and pair[0] < pair[1]):
-            raise InputError(
-                f"{what} key 'window' must be finite (lo, hi) pairs with lo < hi, "
-                f"got {pair.tolist()}"
-            )
-    res = tuple(int(r) for r in res)
-    if any(r < 3 for r in res):  # the least resolution a GridDomain takes
-        raise InputError(f"{what} key 'grid' entries must be >= 3, got {list(res)}")
-    if mask.shape != (int(np.prod(res)),):
-        raise InputError(f"mask of shape {mask.shape} does not fit grid {list(res)}")
-    mask = mask.reshape(res)
-    axis_idx = []
-    for d in range(m):
-        other = tuple(i for i in range(m) if i != d)
-        hit = mask.any(axis=other) if other else mask
-        axis_idx.append(np.nonzero(hit)[0].astype(np.int64))
-    grid = GridDomain(m, res, window, tuple(axis_idx))
-    if not np.array_equal(grid.mask_lattice(), mask):
-        raise InputError("mask is not an axis-aligned box of lattice nodes")
-    for idx in grid.axis_indices:
-        idx.flags.writeable = False
-    return grid
-
-
-def dump_sampled(v: SampledField, convention: str = "paper") -> dict:
-    doc = dump_grid(v.domain)
-    doc.update(
-        {
-            "kind": "sampled",
-            "components": v.components,
-            "values": encode_array(v.values),
-            "parent_modes": v.parent_modes,
-            "weight_exponent_convention": convention_tag(convention),
-        }
-    )
-    return doc
-
-
-def load_sampled(doc: dict) -> SampledField:
-    _expect_kind(doc, "sampled", "sampled field")
-    grid = load_grid(doc)
-    values = _require_array(doc, "values").astype(float, copy=False)
-    parent = doc.get("parent_modes")
-    if parent is not None:
-        parent = _require(doc, "parent_modes", int)
-    field = SampledField(grid, values, parent)
-    _check_stated(doc, "components", field.components, int)
-    return field
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be a rectangular array of numbers")
+    return arr.astype(float, copy=False)
 
 
 # Atlases hash by identity; the builtin ones are shared, four at most.
@@ -377,7 +262,8 @@ def dump_section(sec: Section, convention: str = "paper") -> dict:
         "components": sec.components,
         "tolerance": OVERLAP_TOLERANCE,
         "interpolation": SECTION_INTERPOLATION,
-        "pieces": [dump_sampled(p, convention) for p in sec.pieces],
+        # Files keep piece j as the (K_j, n) values of chart j's window nodes.
+        "pieces": [encode_array(p.values) for p in sec.pieces],
     }
 
 
@@ -397,10 +283,12 @@ def _load_section(doc: dict, where: str = "") -> Section:
         _expect_kind(doc, "section", "section")
         a = _resolve_atlas(doc)
         piece_docs = _require(doc, "pieces", list)
+        if len(piece_docs) != a.chart_count:
+            raise ShapeMismatchError("one piece per chart required")
     pieces = []
-    for j, p in enumerate(piece_docs):
+    for j, (c, p) in enumerate(zip(a.charts, piece_docs)):
         with _errors_start(f"{where}, piece {j}: " if where else f"section piece {j}: "):
-            pieces.append(load_sampled(p))
+            pieces.append(SampledField(c.window, _numeric_array(p, "values")))
     with _errors_start(head):
         _check_stated(doc, "tolerance", OVERLAP_TOLERANCE, (int, float))
         _check_stated(doc, "interpolation", SECTION_INTERPOLATION, str)
@@ -437,7 +325,7 @@ def load_group_section(doc: dict) -> GroupSection:
                 f"group_section piece {j} must hold rows of {d * d} entries, "
                 f"got shape {arr.shape}"
             )
-        pieces.append(arr.astype(float, copy=False).T.reshape(d, d, -1))
+        pieces.append(arr.T.reshape(d, d, -1))
     _check_stated(doc, "tolerance", OVERLAP_TOLERANCE, (int, float))
     return GroupSection(a, group, tuple(pieces))
 
@@ -462,7 +350,7 @@ def load_curve(doc: dict) -> TimeSampledCurve:
         section = _load_section(s, f"curve section {k}")
         with _errors_start(f"curve section {k}: "):
             sections.append(AlgebraSection(group, section))
-    times = _require_array(doc, "times").astype(float, copy=False)
+    times = _numeric_array(_require(doc, "times", (list, dict)), "curve key 'times'")
     curve = TimeSampledCurve(times, tuple(sections))
     _check_stated(doc, "atlas", curve.atlas.name, str)
     _check_stated(doc, "lattice_resolution", curve.atlas.lattice_resolution, int)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import mapgroups
 from mapgroups.cli import TOLERANCE_NAMES, TOLERANCES, build_parser, main
-from mapgroups.serialize import MAX_LATTICE_RESOLUTION
+from mapgroups.serialize import MAX_LATTICE_RESOLUTION, encode_array
 
 
 def read(path: Path):
@@ -128,7 +128,6 @@ def test_ladder_reports_orders_and_spectra(tmp_path):
     for s in rep["spectra"]:
         assert (tmp_path / s["file"]).exists()
         assert s["sigma_max"] == 1.0
-        assert s["decreasing"] is True
 
 
 def test_standard_convention_ladder_targets_its_own_critical_orders(tmp_path):
@@ -402,25 +401,24 @@ def test_a_huge_integer_tolerance_is_accepted(tmp_path):
             {
                 "kind": "curve", "group": "SO3", "times": [0.0, 1.0],
                 "sections": [{
-                    "kind": "section", "atlas": "circle2",
-                    "lattice_resolution": 257, "pieces": [{"kind": "sampled"}],
+                    "kind": "section", "atlas": "circle2", "lattice_resolution": 257,
+                    "pieces": [{"kind": "sampled"}, {"kind": "sampled"}],
                 }],
             },
-            "'m'",
+            "curve section 0, piece 0: values must have exactly the keys",
         ),
         (
             {
                 "kind": "curve", "group": "SO3", "times": [0.0, 1.0],
                 "sections": [{
-                    "kind": "section", "atlas": "circle2", "lattice_resolution": 257,
-                    "pieces": [{"kind": "sampled", "m": 1, "grid": [2],
-                                "window": [[0.0, 1.0]], "mask": [True, True]}],
+                    "kind": "section", "atlas": "circle2",
+                    "lattice_resolution": 257, "pieces": [[[0.0, 0.0, 0.0]]],
                 }],
             },
-            "sampled key 'grid'",
+            "curve section 0: one piece per chart required",
         ),
     ],
-    ids=["no-group", "no-sections", "sections-object", "list", "bare-piece", "grid-below-3"],
+    ids=["no-group", "no-sections", "sections-object", "list", "bare-piece", "one-piece"],
 )
 def test_malformed_curve_files_are_input_errors(tmp_path, capsys, doc, key):
     path = tmp_path / "curve.json"
@@ -499,15 +497,46 @@ def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
 
     xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(5))
     doc = dump_curve(constant_curve(xi))
-    values = doc["sections"][1]["pieces"][0]["values"]
+    values = doc["sections"][1]["pieces"][0]
     values["b64"] = values["b64"][:10] + "!" + values["b64"][11:]
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(doc))
     assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: {path}: curve section 1, piece 0: sampled key 'values' b64 is not valid base64"
-    )
+    assert err == f"error: {path}: curve section 1, piece 0: values b64 is not valid base64\n"
+    assert not (tmp_path / "evolve.json").exists()
+
+
+@pytest.mark.parametrize(
+    "replace, fault",
+    [
+        # A piece as a sampled-field document, the form before pieces were
+        # bare node values (tests/test_serialize.py builds the full form).
+        (lambda piece, chart: {"kind": "sampled", "values": piece},
+         "values must have exactly the keys ['b64', 'dtype', 'shape'], got ['kind', 'values']"),
+        (lambda piece, chart: encode_array(np.zeros((chart.window.node_count - 1, 3))),
+         "values must have shape (node_count, n), got (139, 3)"),
+    ],
+    ids=["old-form-piece", "short-piece"],
+)
+def test_curve_file_with_a_piece_not_of_its_charts_nodes_exits_2(
+    tmp_path, capsys, replace, fault
+):
+    from mapgroups.atlas import circle_two_charts
+    from mapgroups.groups import random_algebra_section, so3
+    from mapgroups.limits import constant_curve
+    from mapgroups.serialize import dump_curve
+
+    a = circle_two_charts()
+    doc = dump_curve(constant_curve(random_algebra_section(a, so3(), np.random.default_rng(5))))
+    pieces = doc["sections"][0]["pieces"]
+    pieces[0] = replace(pieces[0], a.charts[0])
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: curve section 0, piece 0: {fault}")
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "evolve.json").exists()
 
 

@@ -183,7 +183,6 @@ def test_rung_probe_reference_report():
     rep = rung_compactness_probe(lad, 1, 64)
     assert rep.s_fine == 1.5 and rep.s_coarse == 1.0
     assert rep.sigma_max == 1.0
-    assert rep.decreasing
     assert rep.spectrum.shape == (129,)
     assert rep.sigma_min == pytest.approx((1.0 + 64.0**2) ** (-0.5 / 4.0), rel=1e-12)
 

@@ -174,7 +174,6 @@ KEEP = {
     "AtlasReport.inverse_residual": _ATLAS_REPORT,
     "AtlasReport.cocycle_residual": _ATLAS_REPORT,
     "AtlasReport.partition_residual": _ATLAS_REPORT,
-    "AtlasReport.enlarged_window_ok": _ATLAS_REPORT,
     "MatrixGroup.q_radius": "states the chart ball of log; each group's "
                             "log_valid_fn tests the same radius",
 }

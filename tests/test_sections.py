@@ -35,7 +35,6 @@ from mapgroups.sections import (
     section_from_function,
     theta_embed,
 )
-from mapgroups.serialize import dump_section, load_section
 
 
 def circle_section(fn, atlas=None):
@@ -279,9 +278,13 @@ def test_window_points_are_built_once_read_only_and_handed_to_fn(build):
 def test_thinned_extension_grids_are_shared_by_value_read_only_and_bounded():
     atlas = builtin_atlas("torus4")
     sec = random_section(atlas, 2, np.random.default_rng(5))
-    loaded = load_section(dump_section(sec))
-    for piece, twin in zip(sec.pieces, loaded.pieces):
-        assert piece.domain is not twin.domain
+    for piece in sec.pieces:
+        # The same piece on an equal grid that shares no object with it.
+        w = piece.domain
+        twin = SampledField(
+            GridDomain(w.m, w.resolution, w.window, tuple(i.copy() for i in w.axis_indices)),
+            piece.values.copy(),
+        )
         (thin, modes), (thin_twin, modes_twin) = (
             _thin_for_extension(p, EXTENSION_NODES_2D) for p in (piece, twin)
         )

@@ -2,7 +2,6 @@
 
 import base64
 import json
-import math
 import re
 from pathlib import Path
 
@@ -14,24 +13,20 @@ from hypothesis import strategies as st
 from mapgroups import serialize
 from mapgroups.atlas import atlas_descriptor, builtin_atlas, circle_two_charts, torus_four_charts
 from mapgroups.errors import InputError
-from mapgroups.fields import GridDomain, SampledField, random_field, same_grid, sample
+from mapgroups.fields import SampledField
 from mapgroups.groups import exp_section, group_by_name, random_algebra_section, so3
 from mapgroups.limits import TimeSampledCurve
-from mapgroups.sections import random_section
+from mapgroups.sections import Section, random_section
 from mapgroups.serialize import (
     atlas_hash,
     canonical_json,
     decode_array,
     dump_curve,
-    dump_grid,
     dump_group_section,
-    dump_sampled,
     dump_section,
     encode_array,
     load_curve,
-    load_grid,
     load_group_section,
-    load_sampled,
     load_section,
     write_weighted_csv,
 )
@@ -88,18 +83,6 @@ def test_canonical_json_splices_each_array_in_document_order():
     assert canonical_json({"x": arrays[3]}) == (
         '{"x":{"b64":"' + arrays[3]["b64"] + '","dtype":"<f8","shape":[4]}}\n'
     )
-
-
-def test_sampled_round_trip_keeps_parent_modes():
-    rng = np.random.default_rng(5)
-    f = random_field(1, 6, 2, rng)
-    v = sample(f, GridDomain.box(((0.5, 3.0),), 65))
-    doc = dump_sampled(v, convention="standard")
-    assert doc["weight_exponent_convention"] == "standard-s"
-    back = load_sampled(doc)
-    assert np.array_equal(back.values, v.values)
-    assert back.parent_modes == 6
-    assert back.domain.window == v.domain.window
 
 
 def test_atlas_hashes_are_stable():
@@ -226,28 +209,25 @@ def test_files_with_a_bad_tolerance_are_rejected(tol):
 
 
 @pytest.mark.parametrize(
-    "edit, in_piece, fault",
+    "edit, fault",
     [
-        (lambda doc: doc.update(components=7), False,
+        (lambda doc: doc.update(components=7),
          "section key 'components' must be {c}, got 7"),
-        (lambda doc: doc["pieces"][1].update(components=5), True,
-         "sampled key 'components' must be {c}, got 5"),
-        (lambda doc: doc.update(interpolation="spline"), False,
+        (lambda doc: doc.update(interpolation="spline"),
          "section key 'interpolation' must be 'local-poly-10', got 'spline'"),
-        (lambda doc: doc.update(components="2"), False,
+        (lambda doc: doc.update(components="2"),
          "section key 'components' must be int, got str"),
     ],
-    ids=["section-components", "piece-components", "interpolation", "mistyped"],
+    ids=["section-components", "interpolation", "mistyped"],
 )
-def test_section_files_state_their_facts_only_as_loaded(edit, in_piece, fault):
+def test_section_files_state_their_facts_only_as_loaded(edit, fault):
     section = dump_section(random_section(circle_two_charts(), 2, np.random.default_rng(31)))
     xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(29))
     curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
     # (loader, document, section document to edit, its components, error prefix)
     cases = (
-        (load_section, section, section, 2, "section piece 1: " if in_piece else ""),
-        (load_curve, curve, curve["sections"][1], 3,
-         "curve section 1, piece 1: " if in_piece else "curve section 1: "),
+        (load_section, section, section, 2, ""),
+        (load_curve, curve, curve["sections"][1], 3, "curve section 1: "),
     )
     for load, doc, target, components, prefix in cases:
         edit(target)
@@ -260,8 +240,6 @@ def test_section_files_may_omit_the_facts_they_state():
     doc = dump_section(sec)
     for key in ("components", "interpolation", "tolerance"):
         del doc[key]
-    for piece in doc["pieces"]:
-        del piece["components"]
     loaded = load_section(doc)
     assert all(np.array_equal(p.values, q.values) for p, q in zip(loaded.pieces, sec.pieces))
 
@@ -343,21 +321,30 @@ def test_loaded_documents_share_the_builtin_atlas():
 def test_array_dumps_write_the_bytes_of_per_entry_floats():
     tricky = [1e300, -1e-300, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
               2.0**53, 2.0**53 + 2.0, 1e16, -1e16, 0.1, 1.0 / 3.0]
-    grid = GridDomain.box(((0.5, 3.0),), 65)
-    values = np.resize(np.array(tricky), (grid.node_count, 2))
-    v = SampledField(grid, values)
+    values = np.resize(np.array(tricky), (139, 2))
+    # Values below 1e-9 in magnitude make a section whatever their pattern.
+    atlas = circle_two_charts()
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-310]
+    sec = Section(atlas, tuple(
+        SampledField(c.window, np.resize(np.array(tiny), (c.window.node_count, 2)))
+        for c in atlas.charts
+    ))
     gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
                                             np.random.default_rng(19)))
     encoded = [
-        (dump_sampled(v)["values"], values),
+        (encode_array(values), values),
+        *zip(dump_section(sec)["pieces"], (p.values for p in sec.pieces)),
         *zip(dump_group_section(gs)["pieces"], (p.reshape(9, -1).T for p in gs.pieces)),
     ]
     for doc, arr in encoded:
         assert doc["dtype"] == "<f8" and doc["shape"] == list(arr.shape)
         assert base64.b64decode(doc["b64"]) == arr.astype("<f8").tobytes()
     # List documents of the same floats load to the same bytes.
-    listed = dict(dump_sampled(v), values=[[float(x) for x in row] for row in values])
-    assert same_bytes(load_sampled(through_json(listed)).values, values)
+    listed = dict(dump_section(sec), pieces=[
+        [[float(x) for x in row] for row in p.values] for p in sec.pieces
+    ])
+    back = load_section(through_json(listed))
+    assert all(same_bytes(p.values, q.values) for p, q in zip(back.pieces, sec.pieces))
     listed = dict(dump_group_section(gs), pieces=[
         [[float(x) for x in row] for row in p.reshape(9, -1).T] for p in gs.pieces
     ])
@@ -365,49 +352,18 @@ def test_array_dumps_write_the_bytes_of_per_entry_floats():
     assert all(same_bytes(p, q) for p, q in zip(back.pieces, gs.pieces))
 
 
-def _sampled_doc():
-    f = random_field(1, 6, 1, np.random.default_rng(31))
-    return dump_sampled(sample(f, GridDomain.box(((0.5, 3.0),), 65)))
-
-
-def test_load_grid_names_the_missing_or_malformed_key():
-    grid = GridDomain.box(((0.5, 3.0),), 65)
-    mask = grid.mask_lattice().ravel()
-    doc = dump_grid(grid)
-    assert doc["mask"]["dtype"] == "|b1" and doc["mask"]["shape"] == [mask.size]
-    assert base64.b64decode(doc["mask"]["b64"]) == mask.tobytes()
-    listed = dict(doc, mask=[bool(b) for b in mask])
-    for d in (doc, listed):
-        assert np.array_equal(load_grid(through_json(d)).mask_lattice(), grid.mask_lattice())
-    with pytest.raises(InputError, match="'mask'"):
-        load_grid({k: v for k, v in doc.items() if k != "mask"})
-    for short in (encode_array(mask[:-1], "|b1"), listed["mask"][:-1]):
-        with pytest.raises(InputError, match="does not fit grid"):
-            load_grid(dict(doc, mask=short))
-    for floats in (encode_array(mask), [float(b) for b in mask]):
-        with pytest.raises(InputError, match="'mask' must be a rectangular array of booleans"):
-            load_grid(dict(doc, mask=floats))
-    with pytest.raises(InputError, match="'window'"):
-        load_grid(dict(doc, window=[[0.5, "x"]]))
-    with pytest.raises(InputError, match="do not match dimension"):
-        load_grid(dict(doc, grid=[[65]]))
-
-
-def test_equal_grid_documents_share_one_read_only_grid():
-    doc = dump_grid(GridDomain.box(((0.5, 3.0), (1.0, 2.0)), 33))
-    first = load_grid(through_json(doc))
-    assert load_grid(through_json(doc)) is first
-    for idx in first.axis_indices:
-        assert not idx.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            idx[0] = 0
-
-
-def test_the_grid_memo_never_exceeds_its_bound():
-    for k in range(serialize.GRID_MEMO_SIZE + 5):
-        load_grid(dump_grid(GridDomain.box(((0.1 + 0.05 * k, 3.0),), 65)))
-        assert len(serialize._GRID_MEMO) <= serialize.GRID_MEMO_SIZE
-    assert len(serialize._GRID_MEMO) == serialize.GRID_MEMO_SIZE
+@pytest.mark.parametrize("atlas_name", ["circle2", "torus4"])
+def test_a_section_piece_is_its_charts_node_values(atlas_name):
+    """A file keeps piece j as the (K_j, n) values at chart j's window
+    nodes, and the loaded piece lies on that very window."""
+    atlas = builtin_atlas(atlas_name)
+    sec = random_section(atlas, 3, np.random.default_rng(37))
+    doc = through_json(dump_section(sec))
+    for c, piece, p in zip(atlas.charts, doc["pieces"], sec.pieces, strict=True):
+        assert piece["shape"] == [c.window.node_count, 3]
+        assert base64.b64decode(piece["b64"]) == p.values.tobytes()
+    for c, p in zip(atlas.charts, load_section(doc).pieces, strict=True):
+        assert p.domain is c.window
 
 
 def _respelled(text):
@@ -420,62 +376,52 @@ def _respelled(text):
     return body[:-1] + last + text[len(body):]
 
 
-def test_grid_documents_that_differ_in_type_or_spelling_load_as_they_always_did():
-    grid = GridDomain.box(((0.5, 3.0),), 65)
-    doc = through_json(dump_grid(grid))
-    assert same_grid(load_grid(doc), grid)
-    # A bool is no integer, even after the same document with "m": 1 loaded.
-    for _ in range(2):
-        with pytest.raises(InputError, match=r"^grid key 'm' must be int, got bool$"):
-            load_grid(dict(doc, m=True))
-    # Integer and signed-zero windows load as the floats they are.
-    floats = load_grid(dict(doc, window=[[0.0, 3.0]]))
-    ints = load_grid(dict(doc, window=[[0, 3]]))
-    assert same_grid(ints, floats) and all(type(x) is float for x in ints.window[0])
-    negative_zero = load_grid(dict(doc, window=[[-0.0, 3.0]])).window[0][0]
-    assert math.copysign(1.0, negative_zero) == -1.0
-    # Base64 text spelled another way holds the same mask.
-    text = _respelled(doc["mask"]["b64"])
-    assert text != doc["mask"]["b64"]
-    assert base64.b64decode(text, validate=True) == base64.b64decode(doc["mask"]["b64"])
-    assert same_grid(load_grid(dict(doc, mask=dict(doc["mask"], b64=text))), grid)
+def test_a_piece_spelled_another_way_in_base64_loads_the_same_values():
+    sec = random_section(circle_two_charts(), 1, np.random.default_rng(41))
+    doc = through_json(dump_section(sec))
+    text = _respelled(doc["pieces"][0]["b64"])
+    assert text != doc["pieces"][0]["b64"]
+    assert base64.b64decode(text, validate=True) == base64.b64decode(doc["pieces"][0]["b64"])
+    doc["pieces"][0]["b64"] = text
+    assert same_bytes(load_section(doc).pieces[0].values, sec.pieces[0].values)
 
 
-def test_a_grid_mask_corrupted_after_a_good_load_fails_as_it_always_did():
-    doc = through_json(dump_grid(GridDomain.box(((0.5, 3.0),), 65)))
-    load_grid(doc)
-    good = doc["mask"]["b64"]
-    doc["mask"]["b64"] = "*" + good[1:]
-    with pytest.raises(InputError, match=r"^grid key 'mask' b64 is not valid base64$"):
-        load_grid(doc)
-    mask = np.frombuffer(base64.b64decode(good), dtype=bool).copy()
-    mask[0] = True  # the node at 0, outside the window
-    doc["mask"]["b64"] = base64.b64encode(mask.tobytes()).decode()
-    with pytest.raises(InputError, match="^axis 0 node outside the open window$"):
-        load_grid(doc)
+def _old_form(piece, chart):
+    """A section piece as files held it before pieces were bare node
+    values: a sampled-field document restating the chart's grid."""
+    w = chart.window
+    mask = np.zeros(w.resolution, dtype=bool)
+    mask[np.ix_(*w.axis_indices)] = True
+    return {
+        "kind": "sampled", "m": w.m, "grid": list(w.resolution),
+        "window": [list(pair) for pair in w.window],
+        "mask": encode_array(mask.ravel(), "|b1"), "components": 2,
+        "parent_modes": None, "values": piece, "weight_exponent_convention": "paper-s/2",
+    }
 
 
-def test_a_curve_mask_corrupted_after_a_good_load_names_the_section_and_piece():
-    xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(43))
-    doc = through_json(dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi))))
-    load_curve(doc)
-    mask = doc["sections"][1]["pieces"][0]["mask"]
-    mask["b64"] = mask["b64"][:10] + "!" + mask["b64"][11:]
-    with pytest.raises(
-        InputError, match="^curve section 1, piece 0: sampled key 'mask' b64 is not valid base64$"
+def test_pieces_not_of_their_charts_nodes_are_refused():
+    atlas = circle_two_charts()
+    sec = random_section(atlas, 2, np.random.default_rng(47))
+    xi = random_algebra_section(atlas, so3(), np.random.default_rng(43))
+    curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
+    short = encode_array(np.zeros((atlas.charts[1].window.node_count - 1, 2)))
+    old = "values must have exactly the keys ['b64', 'dtype', 'shape'], got ['components', "
+    for j, piece, fault in (
+        (0, lambda doc: _old_form(doc["pieces"][0], atlas.charts[0]), old),
+        (1, lambda doc: short, "values must have shape (node_count, n), got (139, 2)"),
     ):
-        load_curve(doc)
-
-
-def test_load_sampled_names_the_missing_or_malformed_key():
-    with pytest.raises(InputError, match="'m'"):
-        load_sampled({"kind": "sampled"})
-    with pytest.raises(InputError, match="'values'"):
-        load_sampled(dict(_sampled_doc(), values=[[1.0], [2.0, 3.0]]))
-    with pytest.raises(InputError, match="'parent_modes'"):
-        load_sampled(dict(_sampled_doc(), parent_modes="6"))
-    with pytest.raises(InputError, match="not a sampled field document"):
-        load_sampled(["sampled"])
+        doc = dump_section(sec)
+        doc["pieces"][j] = piece(doc)
+        with pytest.raises(InputError, match=f"^section piece {j}: {re.escape(fault)}"):
+            load_section(doc)
+        doc = through_json(curve)
+        doc["sections"][1]["pieces"][j] = piece(doc["sections"][1])
+        with pytest.raises(InputError, match=f"^curve section 1, piece {j}: {re.escape(fault)}"):
+            load_curve(doc)
+    for pieces in ([], dump_section(sec)["pieces"] * 2):
+        with pytest.raises(InputError, match="^one piece per chart required$"):
+            load_section(dict(dump_section(sec), pieces=pieces))
 
 
 def test_load_group_section_names_the_missing_or_malformed_key():
@@ -494,7 +440,7 @@ def test_section_and_curve_loaders_name_the_bad_piece():
     xi = random_algebra_section(circle_two_charts(), so3(), np.random.default_rng(43))
     curve = dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi)))
     section = dump_section(xi.section)
-    b64 = section["pieces"][1]["values"]
+    b64 = section["pieces"][1]
     corrupt = dict(b64, b64=b64["b64"][:10] + "!" + b64["b64"][11:])
     ragged = [[1.0], [2.0, 3.0]]
     for values, fault in (
@@ -502,14 +448,12 @@ def test_section_and_curve_loaders_name_the_bad_piece():
         (ragged, "must be a rectangular array of numbers"),
     ):
         doc = json.loads(canonical_json(section))
-        doc["pieces"][1]["values"] = values
-        with pytest.raises(InputError, match=f"^section piece 1: sampled key 'values' {fault}"):
+        doc["pieces"][1] = values
+        with pytest.raises(InputError, match=f"^section piece 1: values {fault}"):
             load_section(doc)
         doc = json.loads(canonical_json(curve))
-        doc["sections"][1]["pieces"][0]["values"] = values
-        with pytest.raises(
-            InputError, match=f"^curve section 1, piece 0: sampled key 'values' {fault}"
-        ):
+        doc["sections"][1]["pieces"][0] = values
+        with pytest.raises(InputError, match=f"^curve section 1, piece 0: values {fault}"):
             load_curve(doc)
 
 
@@ -553,20 +497,10 @@ def test_documents_round_trip_bitwise_in_both_encodings(atlas_name, encoding, na
         doc = through_json(doc)
         return as_lists(doc) if encoding == "lists" else doc
 
-    f = random_field(atlas.m, 3, 2, rng)
-    grid = atlas.charts[-1].window
-    back = load_grid(again(dump_grid(grid)))
-    assert back.window == grid.window and back.resolution == grid.resolution
-    assert all(same_bytes(a, b) for a, b in zip(back.axis_indices, grid.axis_indices))
-
-    v = sample(f, grid)
-    back = load_sampled(again(dump_sampled(v)))
-    assert same_bytes(back.values, v.values) and loaded_array_ok(back.values)
-    assert back.parent_modes == v.parent_modes
-
     sec = random_section(atlas, 2, rng)
     back = load_section(again(dump_section(sec)))
-    assert all(same_bytes(p.values, q.values) for p, q in zip(back.pieces, sec.pieces))
+    assert all(same_bytes(p.values, q.values) and loaded_array_ok(p.values)
+               for p, q in zip(back.pieces, sec.pieces))
 
     xi, eta = (random_algebra_section(atlas, group, rng) for _ in range(2))
     gs = exp_section(xi)
@@ -606,12 +540,11 @@ BAD_ENCODINGS = {
 @pytest.mark.parametrize("case", list(BAD_ENCODINGS))
 def test_malformed_encoded_arrays_name_the_document_and_key(case):
     bad, message = BAD_ENCODINGS[case]
-    grid = GridDomain.box(((0.5, 3.0),), 65)
+    sec = random_section(circle_two_charts(), 2, np.random.default_rng(43))
     gs = exp_section(random_algebra_section(circle_two_charts(), so3(),
                                             np.random.default_rng(43)))
     docs = [
-        (load_sampled, dict(_sampled_doc(), values=bad), "sampled key 'values'"),
-        (load_grid, dict(dump_grid(grid), mask=bad), "grid key 'mask'"),
+        (load_section, dict(dump_section(sec), pieces=[bad, bad]), "section piece 0: values"),
         (load_group_section, dict(dump_group_section(gs), pieces=[bad, bad]),
          "group_section piece 0"),
     ]
@@ -623,8 +556,8 @@ def test_malformed_encoded_arrays_name_the_document_and_key(case):
 
 DATA = Path(__file__).parent / "data"
 
-# Circle2 files in the list form, written by the serializer of commit
-# 56f7f43 before bulk arrays were encoded.
+# Circle2 files in the list form: bulk arrays as nested JSON lists, each
+# section piece the (K_j, n) node values of chart j's window.
 LEGACY = {
     "curve_so3_3.json": load_curve,
     "evolve_eta1_so3.json": load_group_section,

@@ -10,9 +10,7 @@ stderr line, or the repr of a number.  Temporary paths never appear, so
 running the script on two checkouts and diffing the outputs shows
 whether a change keeps every answer.  The first rows call ``cli.main``,
 which runs numpy's OpenBLAS on one thread for the rest of the process, so
-the rows are the same at any ``OPENBLAS_NUM_THREADS``.  A checkout whose
-``cli.main`` predates that needs ``OPENBLAS_NUM_THREADS=1``: a threaded
-BLAS changes the last digits of some sums.
+the rows are the same at any ``OPENBLAS_NUM_THREADS``.
 
 With ``--values DIR`` the script also keeps what it digests, so that
 ``tools/answer_moves.py`` can say by how much a moved row moved: each
@@ -80,7 +78,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import io
 import itertools
 import json
@@ -116,15 +113,6 @@ def digest(data: bytes) -> str:
 def array_digest(arr) -> str:
     arr = np.ascontiguousarray(arr)
     return digest(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
-
-
-def worst_overlap(pieces, atlas):
-    """``compatibility_defect``'s defect and where it lies, also from a
-    checkout whose function returns the pair only when given
-    ``return_worst=True``."""
-    if "return_worst" in inspect.signature(mg.compatibility_defect).parameters:
-        return mg.compatibility_defect(pieces, atlas, return_worst=True)
-    return mg.compatibility_defect(pieces, atlas)
 
 
 def run_cli(name: str, argv: list[str], work: Path):
@@ -283,9 +271,7 @@ def library_rows(seed: int):
         yield f"{head}/hilbert_inner_loaded", repr(
             mg.hilbert_inner(*loaded, 1.0, return_detail=True)
         )
-        yield f"{head}/overlap_defect", repr(
-            worst_overlap(mean.pieces, atlas)
-        )
+        yield f"{head}/overlap_defect", repr(mg.compatibility_defect(mean.pieces, atlas))
         grid = atlas.manifold_grid(64)
         yield f"{head}/partition_weights", atlas.partition_weights(grid)
         yield f"{head}/bump_values", atlas.bump_values(points)
@@ -317,17 +303,14 @@ def library_rows(seed: int):
         lows, highs = np.transpose(domain.bbox)
         pts = np.random.default_rng(seed).uniform(lows, highs, size=(200, 2))
         pts = np.vstack([pts, domain.anchors])
-        # A checkout whose flow still takes a FlowField wraps the domain
-        # in one; elsewhere the domain is the flow's argument as it is.
-        field = getattr(mg, "FlowField", lambda d: d)(domain)
-        yield f"s{seed}/{name}/flow", mg.flow(field, pts, 0.25, 16)
+        yield f"s{seed}/{name}/flow", mg.flow(domain, pts, 0.25, 16)
         offset = mg.domains.DESCENT_OFFSET
         mixed = np.vstack([pts, pts[:40], pts[:40]])
         times = np.repeat([0.025, offset, -offset], [len(pts), 40, 40])
-        yield f"s{seed}/{name}/flow_mixed_times", mg.flow(field, mixed, times, 64)
+        yield f"s{seed}/{name}/flow_mixed_times", mg.flow(domain, mixed, times, 64)
         chained = pts
         for t, steps in ((0.025, 64), (0.05, 128), (0.025, 64)):
-            chained = mg.flow(field, chained, t, steps)
+            chained = mg.flow(domain, chained, t, steps)
         yield f"s{seed}/{name}/flow_chained", chained
     for m, modes in ((1, 12), (2, 6)):
         h = mg.SmoothCutoff(np.full(m, np.pi), np.full(m, 2.0))
