@@ -516,8 +516,14 @@ def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
          "values must have exactly the keys ['b64', 'dtype', 'shape'], got ['kind', 'values']"),
         (lambda piece, chart: encode_array(np.zeros((chart.window.node_count - 1, 3))),
          "values must have shape (node_count, n), got (139, 3)"),
+        (lambda piece, chart: [[0.0, 0.0, 0.0], [0.0]],
+         "values must be a rectangular array of numbers"),
+        (lambda piece, chart: encode_array(np.ones((chart.window.node_count, 3), bool), "|b1"),
+         "values must be a rectangular array of numbers"),
+        (lambda piece, chart: [[0.0, float("nan"), 0.0]] * chart.window.node_count,
+         "nonfinite value at node 0, component 1"),
     ],
-    ids=["old-form-piece", "short-piece"],
+    ids=["old-form-piece", "short-piece", "ragged-piece", "boolean-piece", "nonfinite-piece"],
 )
 def test_curve_file_with_a_piece_not_of_its_charts_nodes_exits_2(
     tmp_path, capsys, replace, fault

@@ -457,6 +457,74 @@ def test_section_and_curve_loaders_name_the_bad_piece():
             load_curve(doc)
 
 
+def _with_node_3(value):
+    """Piece 0 of a 2-component circle2 section with node 3 set to ``value``."""
+    values = np.zeros((circle_two_charts().charts[0].window.node_count, 2))
+    values[3] = value
+    return encode_array(values)
+
+
+# A section file's piece 0, with its count of chart 0's nodes K, refused
+# with this message after the piece's prefix.
+BAD_PIECES = {
+    "nan": (lambda k: _with_node_3(np.nan), "nonfinite value at node 3, component 0"),
+    "inf": (lambda k: _with_node_3(np.inf), "nonfinite value at node 3, component 0"),
+    "minus-inf": (lambda k: _with_node_3(-np.inf), "nonfinite value at node 3, component 0"),
+    "one-axis": (lambda k: encode_array(np.zeros(k)),
+                 "values must have shape (node_count, n), got (140,)"),
+    "three-axes": (lambda k: encode_array(np.zeros((k, 2, 1))),
+                   "values must have shape (node_count, n), got (140, 2, 1)"),
+    "scalar": (lambda k: 3.0, "values must have shape (node_count, n), got ()"),
+    "empty-list": (lambda k: [], "values must have shape (node_count, n), got (0,)"),
+    "extra-row": (lambda k: encode_array(np.zeros((k + 1, 2))),
+                  "values must have shape (node_count, n), got (141, 2)"),
+    "boolean-bytes": (lambda k: encode_array(np.ones((k, 2), bool), "|b1"),
+                      "values must be a rectangular array of numbers"),
+    "boolean-lists": (lambda k: [[True, False]] * k,
+                      "values must be a rectangular array of numbers"),
+    "string-lists": (lambda k: [["0", "1"]] * k,
+                     "values must be a rectangular array of numbers"),
+    "null-entries": (lambda k: [[None, 1.0]] * k,
+                     "values must be a rectangular array of numbers"),
+    "null": (lambda k: None, "values must be a rectangular array of numbers"),
+    "text": (lambda k: "0.0", "values must be a rectangular array of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PIECES))
+def test_a_malformed_piece_is_refused_naming_its_section_and_piece(case):
+    make, fault = BAD_PIECES[case]
+    atlas = circle_two_charts()
+    piece = make(atlas.charts[0].window.node_count)
+    xi = random_algebra_section(atlas, so3(), np.random.default_rng(43))
+    sec = random_section(atlas, 2, np.random.default_rng(47))
+    doc = through_json(dump_section(sec))
+    doc["pieces"][0] = piece
+    with pytest.raises(InputError, match=f"^section piece 0: {re.escape(fault)}$"):
+        load_section(doc)
+    doc = through_json(dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi))))
+    doc["sections"][1]["pieces"][0] = piece
+    with pytest.raises(InputError, match=f"^curve section 1, piece 0: {re.escape(fault)}$"):
+        load_curve(doc)
+
+
+@pytest.mark.parametrize("columns", [0, 4])
+def test_pieces_must_agree_on_their_component_count(columns):
+    """Each piece reads well alone; the section refuses them together."""
+    atlas = circle_two_charts()
+    piece = encode_array(np.zeros((atlas.charts[1].window.node_count, columns)))
+    sec = random_section(atlas, 2, np.random.default_rng(47))
+    doc = through_json(dump_section(sec))
+    doc["pieces"][1] = piece
+    with pytest.raises(InputError, match="^pieces disagree on component count$"):
+        load_section(doc)
+    xi = random_algebra_section(atlas, so3(), np.random.default_rng(43))
+    doc = through_json(dump_curve(TimeSampledCurve(np.array([0.0, 1.0]), (xi, xi))))
+    doc["sections"][0]["pieces"][1] = piece
+    with pytest.raises(InputError, match="^curve section 0: pieces disagree on component count$"):
+        load_curve(doc)
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     sig = rellich_spectrum(2.0, 1.0, 16)
     path = tmp_path / "spec.csv"
