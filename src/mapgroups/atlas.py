@@ -3,7 +3,7 @@
 Manifold points are canonical angles in [0, 2*pi)^m.  Chart j centers the
 arc (or box) around its offset: chart coordinates are
 ``x = pi + wrap(theta - offset_j)`` with ``wrap`` the principal value in
-(-pi, pi], so every codomain is the box (pi - half_width, pi + half_width)^m
+(-pi, pi], so every codomain is the box (pi - HALF_WIDTH, pi + HALF_WIDTH)^m
 inside the fundamental domain of the coordinate torus.  All transitions are
 (piecewise) translations with unit Jacobian.
 """
@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .cutoffs import SmoothCutoff, bump_profile
+from .cutoffs import PLATEAU, SmoothCutoff, bump_profile
 from .errors import (
     ChartDomainError,
     CoverageError,
@@ -35,9 +35,13 @@ from .fields import (
 
 PI = np.pi
 
-# Least half-width window_half - pi/2 of a chart overlap: the rounding of
-# thinner overlaps' sample angles (~1e-15 rad) can put them outside a codomain.
-MIN_OVERLAP = 1e-12
+# Half-width of every chart's codomain box around pi, and of its witness
+# window inside it.  The 2^m corner charts at offsets {0, pi}^m cover the
+# manifold because WINDOW_HALF exceeds pi/2, and their overlaps are wide
+# enough that the rounding of sample angles (~1e-15 rad) stays inside a
+# codomain; tests/test_atlas.py holds these invariants.
+HALF_WIDTH = 2.0
+WINDOW_HALF = 1.7
 
 # Largest inverse, cocycle and partition residual validate_atlas accepts.
 VALIDATION_TOL = 1e-9
@@ -45,6 +49,9 @@ VALIDATION_TOL = 1e-9
 # Overlap sample points per axis of the cached overlap transfers, which
 # the section compatibility check applies.
 OVERLAP_SAMPLES = 24
+
+# Overlap sample points per axis of validate_atlas's inverse and cocycle checks.
+VALIDATION_SAMPLES = 64
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -66,27 +73,19 @@ def _chart_angles(x, offset):
 class Chart:
     """One chart: an offset arc/box with a strictly smaller witness window.
 
-    The window is the box (pi +- window_half)^m on the lattice of
+    The window is the box (pi +- WINDOW_HALF)^m on the lattice of
     ``resolution`` nodes per axis.
     """
 
     index: int
     offset: np.ndarray
-    half_width: float
-    window_half: float
     resolution: InitVar[int]
     window: GridDomain = field(init=False)
 
     def __post_init__(self, resolution):
         off = np.array([check_real(x, "offset") for x in np.atleast_1d(self.offset)])
         object.__setattr__(self, "offset", off)
-        check_real(self.window_half, "window_half")
-        check_real(self.half_width, "half_width")
-        if not 0.0 < self.window_half < self.half_width < PI:
-            raise InputError(
-                "need 0 < window_half < half_width < pi for a proper chart"
-            )
-        box = tuple((PI - self.window_half, PI + self.window_half) for _ in range(off.size))
+        box = tuple((PI - WINDOW_HALF, PI + WINDOW_HALF) for _ in range(off.size))
         object.__setattr__(
             self, "window", GridDomain.box(box, check_count(resolution, "resolution", 3))
         )
@@ -118,16 +117,16 @@ class Chart:
         return pts
 
     def codomain(self) -> tuple[tuple[float, float], ...]:
-        return tuple((PI - self.half_width, PI + self.half_width) for _ in range(self.m))
+        return tuple((PI - HALF_WIDTH, PI + HALF_WIDTH) for _ in range(self.m))
 
     def in_codomain(self, x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.all(np.abs(pts - PI) < self.half_width, axis=1)
+        return np.all(np.abs(pts - PI) < HALF_WIDTH, axis=1)
 
     def window_depth(self, theta: np.ndarray) -> np.ndarray:
         """Distance of phi_j(theta) to the witness window boundary (signed)."""
         x = self.to_chart(theta)
-        return self.window_half - np.max(np.abs(x - PI), axis=1)
+        return WINDOW_HALF - np.max(np.abs(x - PI), axis=1)
 
 
 class _ReadOnlyArrays:
@@ -195,12 +194,10 @@ class Atlas:
 
     name: str
     charts: tuple[Chart, ...]
-    plateau: float = 0.5
 
     def __post_init__(self):
         if len(self.charts) < 2:
             raise InputError("an atlas needs at least two charts")
-        check_real(self.plateau, "plateau", 0.0, 1.0, strict=True)
         lattices = sorted({c.window.resolution for c in self.charts})
         if len(lattices) > 1:
             raise InputError(f"chart windows lie on different lattices {lattices}")
@@ -243,7 +240,7 @@ class Atlas:
         """
         th = np.atleast_2d(np.asarray(theta, dtype=float))
         return np.column_stack([
-            SmoothCutoff([PI] * self.m, [c.window_half] * self.m, self.plateau)(c.to_chart(th))
+            SmoothCutoff([PI] * self.m, [WINDOW_HALF] * self.m)(c.to_chart(th))
             for c in self.charts
         ])
 
@@ -270,7 +267,7 @@ class Atlas:
         (center, half_width) pairs for the nonempty ones.
         """
         ci, cj = self.charts[i], self.charts[j]
-        h = min(ci.window_half, cj.window_half)
+        h = WINDOW_HALF
         delta = abs(float(wrap_angle(cj.offset[d] - ci.offset[d])))
         mid = float(ci.offset[d]) + 0.5 * delta
         arcs = []
@@ -357,7 +354,7 @@ class Atlas:
                 coords = [_chart_coords(a, src.offset[d]) for d, a in enumerate(axes)]
                 hits = tuple(
                     np.flatnonzero(
-                        bump_profile(np.abs(x - PI) / src.window_half, self.plateau) > 0.0
+                        bump_profile(np.abs(x - PI) / WINDOW_HALF) > 0.0
                     )
                     for x in coords
                 )
@@ -379,13 +376,13 @@ def atlas_descriptor(a: Atlas) -> dict:
         "m": a.m,
         "lattice_resolution": a.lattice_resolution,
         "transition_kind": "translation",
-        "bump": {"plateau": a.plateau},
+        "bump": {"plateau": PLATEAU},
         "charts": [
             {
                 "index": c.index,
                 "offset": [float(x) for x in c.offset],
-                "half_width": c.half_width,
-                "window_half": c.window_half,
+                "half_width": HALF_WIDTH,
+                "window_half": WINDOW_HALF,
                 "codomain": [[lo, hi] for lo, hi in c.codomain()],
                 "window": [[lo, hi] for lo, hi in c.window.window],
             }
@@ -400,37 +397,21 @@ def require_same_atlas(a: Atlas, b: Atlas, what: str) -> None:
         raise InputError(f"{what} live on different atlases")
 
 
-def _corner_atlas(name, m, resolution, half_width, window_half, plateau) -> Atlas:
+def _corner_atlas(name, m, resolution) -> Atlas:
     """Charts at the offsets {0, pi}^m, axis 0 varying fastest."""
-    charts = tuple(
-        Chart(k, off[::-1], half_width, window_half, resolution)
-        for k, off in enumerate(product((0.0, PI), repeat=m))
-    )
-    if not window_half - PI / 2 > MIN_OVERLAP:
-        raise InputError(
-            f"window_half must exceed pi/2 + {MIN_OVERLAP:g} so {2 ** m} charts cover {name}"
-        )
-    return Atlas(name, charts, plateau)
+    return Atlas(name, tuple(
+        Chart(k, off[::-1], resolution) for k, off in enumerate(product((0.0, PI), repeat=m))
+    ))
 
 
-def circle_two_charts(
-    resolution: int = 257,
-    half_width: float = 2.0,
-    window_half: float = 1.7,
-    plateau: float = 0.5,
-) -> Atlas:
+def circle_two_charts(resolution: int = 257) -> Atlas:
     """Two arcs offset by pi; transitions are translations by +-pi."""
-    return _corner_atlas("circle2", 1, resolution, half_width, window_half, plateau)
+    return _corner_atlas("circle2", 1, resolution)
 
 
-def torus_four_charts(
-    resolution: int = 129,
-    half_width: float = 2.0,
-    window_half: float = 1.7,
-    plateau: float = 0.5,
-) -> Atlas:
+def torus_four_charts(resolution: int = 129) -> Atlas:
     """Product of two 2-chart circles: offsets (0,0), (pi,0), (0,pi), (pi,pi)."""
-    return _corner_atlas("torus4", 2, resolution, half_width, window_half, plateau)
+    return _corner_atlas("torus4", 2, resolution)
 
 
 BUILTIN_ATLASES = {"circle2": circle_two_charts, "torus4": torus_four_charts}
@@ -469,15 +450,14 @@ class AtlasReport:
     passed: bool
 
 
-def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
+def validate_atlas(a: Atlas) -> AtlasReport:
     """Covering, inverse, cocycle, and partition checks on dense samples.
 
     Covering and partition run on a manifold grid of 1024 points on the
     circle, 128 per axis on the torus; inverse and cocycle on each chart
-    pair's ``overlap_per_axis >= 1`` overlap samples.  Residuals pass at
-    most ``VALIDATION_TOL``.
+    pair's ``VALIDATION_SAMPLES`` overlap samples.  Residuals pass at most
+    ``VALIDATION_TOL``.
     """
-    overlap_per_axis = check_count(overlap_per_axis, "overlap_per_axis", 1)
     pts = a.manifold_grid(1024 if a.m == 1 else 128)
     depths = np.column_stack([c.window_depth(pts) for c in a.charts])
     cover_margin = float(depths.max(axis=1).min())
@@ -488,7 +468,7 @@ def validate_atlas(a: Atlas, overlap_per_axis: int = 64) -> AtlasReport:
         for j in range(a.chart_count):
             if i == j:
                 continue
-            ov = a.overlap_samples(i, j, overlap_per_axis)
+            ov = a.overlap_samples(i, j, VALIDATION_SAMPLES)
             if ov.size == 0:
                 continue
             x = a.charts[j].to_chart(ov)

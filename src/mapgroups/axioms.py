@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import SmoothCutoff, cutoff_multiply
-from .errors import check_count
 from .fields import (
     BandlimitedField,
     GridDomain,
@@ -38,6 +37,8 @@ PROBE_MODES = 16
 PROBE_RESOLUTION = 257
 MU_MODES = 12
 MU_ORDER = 1.0
+# Random fields over which axiom-MU takes its bound.
+MU_TRIALS = 100
 
 # Perturbation sizes of the superposition probe, largest first.
 PF_OFFSETS = (1e-2, 3e-3, 1e-3)
@@ -120,18 +121,15 @@ def probe_extend_by_zero(rng: np.random.Generator) -> AxiomCheck:
     )
 
 
-def probe_cutoff_bound(
-    rng: np.random.Generator, trials: int = 100, rel_tol: float = 0.05
-) -> AxiomCheck:
+def probe_cutoff_bound(rng: np.random.Generator, rel_tol: float = 0.05) -> AxiomCheck:
     """axiom-MU: empirical cutoff-multiplication bound is grid-stable,
-    over ``trials >= 1`` random fields."""
-    trials = check_count(trials, "trials", 1)
+    over ``MU_TRIALS`` random fields."""
     h = SmoothCutoff(np.array([np.pi]), np.array([2.0]))
     # Both grids see the same fields, stacked as the components of one, so
     # the change measures the grid alone; a field of norm below 1e-12 is
     # left out of the bound.
     gen = np.random.default_rng(rng.integers(0, 2**63))
-    trial_coeffs = [random_field(1, MU_MODES, 1, gen).coeffs for _ in range(trials)]
+    trial_coeffs = [random_field(1, MU_MODES, 1, gen).coeffs for _ in range(MU_TRIALS)]
     stack = BandlimitedField(1, MU_MODES, np.concatenate(trial_coeffs))
     denoms = group_norms(stack, MU_ORDER, 1)
 

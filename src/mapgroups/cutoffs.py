@@ -24,6 +24,9 @@ from .fields import (
     synthesize,
 )
 
+# Fraction of the scaled radius on which every bump is exactly 1.
+PLATEAU = 0.5
+
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
     """Monotone C-infinity step: 0 for t <= 0, 1 for t >= 1.
@@ -43,32 +46,29 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_profile(r: np.ndarray, plateau: float) -> np.ndarray:
+def bump_profile(r: np.ndarray) -> np.ndarray:
     """1-D bump in the scaled radius r = |x - c| / radius.
 
-    Equals 1 for r <= plateau, 0 for r >= 1, with a smooth exponential
+    Equals 1 for r <= PLATEAU, 0 for r >= 1, with a smooth exponential
     transition in between.
     """
-    plateau = check_real(plateau, "plateau", 0.0, 1.0, strict=True)
     r = np.abs(np.asarray(r, dtype=float))
-    return smooth_step((1.0 - r) / (1.0 - plateau))
+    return smooth_step((1.0 - r) / (1.0 - PLATEAU))
 
 
 @dataclass(frozen=True, eq=False)
 class SmoothCutoff:
-    """Tensor-product bump supported in a box.
+    """Tensor-product bump supported in a box, exactly 1 on the inner
+    ``PLATEAU`` fraction of each radius.
 
     Parameters
     ----------
     center, radius : ndarray, shape (m,)
         Box center and per-axis support half-widths.
-    plateau : float
-        Fraction of the radius on which the bump is exactly 1.
     """
 
     center: np.ndarray
     radius: np.ndarray
-    plateau: float = 0.5
 
     def __post_init__(self):
         c, r = np.atleast_1d(self.center), np.atleast_1d(self.radius)
@@ -78,7 +78,6 @@ class SmoothCutoff:
         r = np.array([check_real(x, "radius", 0.0, strict=True) for x in r])
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
-        check_real(self.plateau, "plateau", 0.0, 1.0, strict=True)
 
     @property
     def m(self) -> int:
@@ -97,7 +96,7 @@ class SmoothCutoff:
         out = np.ones(pts.shape[0])
         for d in range(self.m):
             r = np.abs(pts[:, d] - self.center[d]) / self.radius[d]
-            out *= bump_profile(r, self.plateau)
+            out *= bump_profile(r)
         return out
 
 

@@ -169,8 +169,8 @@ def _inner_normal(gv: np.ndarray, gr: np.ndarray) -> np.ndarray:
     """
     # Bitwise np.linalg.norm of each gradient, without its overhead.
     nrm = np.maximum(np.sqrt(gr[0] ** 2 + gr[1] ** 2), GRADIENT_FLOOR)
-    # Bitwise bump_profile(|g| / FLOW_BAND, FLOW_PLATEAU): the scaled radius
-    # is already >= 0, and the plateau is a constant in (0, 1).
+    # bump_profile's formula at the scaled radius |g| / FLOW_BAND (already
+    # >= 0), with the flow's own plateau FLOW_PLATEAU in place of PLATEAU.
     xi = smooth_step((1.0 - np.abs(gv) / FLOW_BAND) / (1.0 - FLOW_PLATEAU))
     gr *= -(xi / nrm)
     return gr

@@ -346,7 +346,7 @@ class SampledField:
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != self.domain.node_count:
             raise ShapeMismatchError(
-                f"values must have shape (node_count, n), got {v.shape}"
+                f"values must have shape ({self.domain.node_count}, n), got {v.shape}"
             )
         check_node_values(v)
         if self.parent_modes is not None:
@@ -560,16 +560,13 @@ def random_field(
     modes: int,
     components: int,
     rng: np.random.Generator,
-    decay: float = 2.0,
-    amplitude: float = 1.0,
 ) -> BandlimitedField:
-    """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-decay/2)."""
+    """Random real field with coefficient magnitudes ~ (1+|k|^2)^(-1)."""
     components = check_count(components, "components", 1)
-    amplitude = check_real(amplitude, "amplitude", 0.0)
-    weights = sobolev_weights(m, modes, -check_real(decay, "decay") / 2.0)
+    weights = sobolev_weights(m, modes, -1.0)
     shape = (components,) + weights.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw *= amplitude * weights
+    raw *= weights
     return BandlimitedField(m, modes, hermitian_part(raw))
 
 

@@ -9,8 +9,8 @@ A section or group-section document names a builtin atlas, whose charts
 fix each piece's window, so a piece holds node values only: piece ``j`` is
 the ``(K_j, n)`` values (``(K_j, d*d)`` for a group section) at chart
 ``j``'s window nodes in C order.  Pieces are written as encoded-array
-objects ``{"dtype": "<f8" | "|b1", "shape": [...], "b64": "..."}``: the
-C-order little-endian bytes of the array in RFC 4648 base64.  Loaders
+objects ``{"dtype": "<f8", "shape": [...], "b64": "..."}``: the C-order
+little-endian float64 bytes of the array in RFC 4648 base64.  Loaders
 also read the same arrays as nested JSON lists.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .atlas import Atlas, atlas_descriptor, builtin_atlas
 from .errors import InputError, ShapeMismatchError, check_name
-from .fields import INTERP_POINTS, SampledField
+from .fields import INTERP_POINTS, SampledField, check_node_values
 from .groups import AlgebraSection, GroupSection, group_by_name
 from .limits import TimeSampledCurve
 from .sections import OVERLAP_TOLERANCE, Section
@@ -149,16 +149,16 @@ def _check_stated(doc: dict, key: str, value, kind) -> None:
             raise InputError(f"{doc['kind']} key {key!r} must be {value!r}, got {stated!r}")
 
 
-# Encoded-array dtypes: little-endian float64 and one-byte booleans.
-ENCODED_DTYPES = ("<f8", "|b1")
+# The one encoded-array dtype: little-endian float64.
+ENCODED_DTYPE = "<f8"
 _ENCODED_KEYS = ("b64", "dtype", "shape")
 
 
-def encode_array(arr, dtype: str = "<f8") -> dict:
-    """Encoded-array object holding the C-order bytes of ``arr`` as ``dtype``."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+def encode_array(arr) -> dict:
+    """Encoded-array object holding the C-order bytes of ``arr`` as ``ENCODED_DTYPE``."""
+    arr = np.ascontiguousarray(arr, dtype=ENCODED_DTYPE)
     return {
-        "dtype": dtype,
+        "dtype": ENCODED_DTYPE,
         "shape": list(arr.shape),
         "b64": _Base64Text(base64.b64encode(arr.tobytes()), "ascii"),
     }
@@ -177,10 +177,8 @@ def decode_array(raw: dict, what: str) -> np.ndarray:
             f"got {sorted(raw)}"
         )
     dtype, shape, text = raw["dtype"], raw["shape"], raw["b64"]
-    if not json_is(dtype, str) or dtype not in ENCODED_DTYPES:
-        raise InputError(
-            f"{what} has dtype {dtype!r}, expected one of {list(ENCODED_DTYPES)}"
-        )
+    if dtype != ENCODED_DTYPE:
+        raise InputError(f"{what} has dtype {dtype!r}, expected {ENCODED_DTYPE!r}")
     if not json_is(shape, list) or not all(json_is(n, int) and n >= 0 for n in shape):
         raise InputError(f"{what} shape must be a list of sizes >= 0, got {shape!r}")
     if not json_is(text, str):
@@ -189,13 +187,13 @@ def decode_array(raw: dict, what: str) -> np.ndarray:
         data = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or text that is not ASCII
         raise InputError(f"{what} b64 is not valid base64") from None
-    needed = math.prod(shape) * np.dtype(dtype).itemsize
+    needed = math.prod(shape) * np.dtype(ENCODED_DTYPE).itemsize
     if len(data) != needed:
         raise InputError(
             f"{what} holds {len(data)} bytes, shape {shape} needs {needed}"
         )
     try:
-        return np.frombuffer(bytearray(data), dtype=dtype).reshape(shape)
+        return np.frombuffer(bytearray(data), dtype=ENCODED_DTYPE).reshape(shape)
     except ValueError as exc:  # more dimensions or elements than numpy allows
         raise InputError(f"{what} shape {shape} is not usable: {exc}") from None
 
@@ -325,6 +323,8 @@ def load_group_section(doc: dict) -> GroupSection:
                 f"group_section piece {j} must hold rows of {d * d} entries, "
                 f"got shape {arr.shape}"
             )
+        with _errors_start(f"group_section piece {j}: "):
+            check_node_values(arr)
         pieces.append(arr.T.reshape(d, d, -1))
     _check_stated(doc, "tolerance", OVERLAP_TOLERANCE, (int, float))
     return GroupSection(a, group, tuple(pieces))

@@ -1,12 +1,17 @@
 """Chart covers of the circle and torus: transitions, bumps, validation."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapgroups.atlas import (
-    MIN_OVERLAP,
+    HALF_WIDTH,
+    VALIDATION_SAMPLES,
+    WINDOW_HALF,
     Atlas,
     Chart,
     atlas_descriptor,
@@ -17,11 +22,36 @@ from mapgroups.atlas import (
     validate_atlas,
     wrap_angle,
 )
-from mapgroups.cutoffs import bump_profile
+from mapgroups.axioms import MU_TRIALS
+from mapgroups.cutoffs import PLATEAU, bump_profile
 from mapgroups.errors import ChartDomainError, CoverageError, InputError
 from mapgroups.fields import tensor_points
 
 PI = np.pi
+
+# Least half-width WINDOW_HALF - pi/2 of a chart overlap that the atlas code
+# is shown to handle: the rounding of thinner overlaps' sample angles
+# (~1e-15 rad) can put them outside a codomain.
+MIN_OVERLAP = 1e-12
+
+
+def test_the_geometry_constants_keep_the_invariants_the_code_relies_on():
+    # The 2^m corner charts cover the manifold, with overlaps wider than rounding.
+    assert WINDOW_HALF - PI / 2 > MIN_OVERLAP
+    # Each witness window lies strictly inside its codomain, a proper chart.
+    assert 0.0 < WINDOW_HALF < HALF_WIDTH < PI
+    # Each bump has a plateau and a transition.
+    assert 0.0 < PLATEAU < 1.0
+    assert MU_TRIALS >= 1 and VALIDATION_SAMPLES >= 1
+
+
+@contextmanager
+def geometry(half_width, window_half, plateau=PLATEAU):
+    """Run a block with other chart half-widths and bump plateau: the atlas
+    and cutoff code read these constants at each call."""
+    with mock.patch.multiple("mapgroups.atlas", HALF_WIDTH=half_width, WINDOW_HALF=window_half), \
+            mock.patch("mapgroups.cutoffs.PLATEAU", plateau):
+        yield
 
 
 def test_wrap_angle_principal_value():
@@ -133,10 +163,10 @@ def per_axis_bumps(a, theta):
     """The chart bumps as a per-axis product of profiles in chart coordinates."""
     cols = []
     for c in a.charts:
-        r = np.abs(c.to_chart(theta) - PI) / c.window_half
+        r = np.abs(c.to_chart(theta) - PI) / WINDOW_HALF
         vals = np.ones(theta.shape[0])
         for d in range(a.m):
-            vals *= bump_profile(r[:, d], a.plateau)
+            vals *= bump_profile(r[:, d])
         cols.append(vals)
     return np.column_stack(cols)
 
@@ -168,13 +198,13 @@ def test_builtin_atlas_is_one_instance_per_name_and_resolution():
 
 
 def test_charts_on_two_lattices_make_no_atlas():
-    charts = (Chart(0, [0.0], 2.0, 1.7, 257), Chart(1, [PI], 2.0, 1.7, 129))
+    charts = (Chart(0, [0.0], 257), Chart(1, [PI], 129))
     with pytest.raises(InputError, match="different lattices"):
         Atlas("circle2", charts)
 
 
 def test_charts_of_two_dimensions_make_no_atlas():
-    charts = (Chart(0, [0.0], 2.0, 1.7, 129), Chart(1, [PI, PI], 2.0, 1.7, 129))
+    charts = (Chart(0, [0.0], 129), Chart(1, [PI, PI], 129))
     with pytest.raises(InputError, match="different lattices"):
         Atlas("mixed", charts)
 
@@ -190,10 +220,10 @@ def test_an_atlas_reads_dimension_and_lattice_from_its_charts():
 
 
 @pytest.mark.parametrize("other", [
-    circle_two_charts(plateau=0.3),
-    circle_two_charts(window_half=1.8),
+    circle_two_charts(129),
+    Atlas("circle2", (Chart(0, [0.0], 257), Chart(1, [3.0], 257))),
     Atlas("circle3", builtin_atlas("circle2").charts),
-], ids=["plateau", "window_half", "name"])
+], ids=["lattice", "offset", "name"])
 def test_atlases_with_different_descriptors_are_not_the_same(other):
     with pytest.raises(InputError, match="sections live on different atlases"):
         require_same_atlas(other, builtin_atlas("circle2"), "sections")
@@ -238,97 +268,47 @@ def test_shared_chart_offsets_and_window_indices_are_read_only(name):
                 arr[0] = 1
 
 
-def test_narrow_windows_rejected():
-    with pytest.raises(InputError):
-        circle_two_charts(window_half=1.5)
-    with pytest.raises(InputError):
-        torus_four_charts(window_half=PI / 2)
-
-
 @pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
-def test_overlaps_thinner_than_rounding_are_rejected(build):
-    # window_half 3 ulp above pi/2 and half_width 1 ulp above it: the
-    # overlap samples at 3*pi/2 land a rounding error outside the chart 1
-    # codomain, so validate_atlas could not report on such an atlas.
-    with pytest.raises(InputError, match="exceed pi/2"):
-        build(resolution=65, window_half=1.5707963267948972,
-              half_width=1.5707963267948974)
-
-
-@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
-def test_the_thinnest_accepted_overlap_validates(build):
+def test_the_thinnest_overlap_the_invariants_allow_validates(build):
     window_half = PI / 2 + 2.0 * MIN_OVERLAP
-    a = build(resolution=65, window_half=window_half,
-              half_width=np.nextafter(window_half, PI))
-    assert validate_atlas(a, overlap_per_axis=17).passed
+    with geometry(np.nextafter(window_half, PI), window_half):
+        assert validate_atlas(build(resolution=65)).passed
 
 
 def test_validation_passes_for_builtins():
     rep1 = validate_atlas(circle_two_charts())
     assert rep1.passed, rep1
     assert rep1.cover_margin == pytest.approx(0.132271634780875, abs=1e-12)
-    rep2 = validate_atlas(torus_four_charts(), overlap_per_axis=17)
+    rep2 = validate_atlas(torus_four_charts())
     assert rep2.passed, rep2
     assert rep2.cover_margin == pytest.approx(0.15374736581127357, abs=1e-12)
 
 
 @st.composite
-def atlas_parameters(draw, resolutions):
-    """Builtin-atlas keywords across their valid ranges, with at most one
-    of window_half, half_width or plateau pushed out of its range."""
-    broken = draw(st.sampled_from([None, None, "window_half", "half_width", "plateau"]))
-    if broken == "window_half":
-        window_half = draw(st.floats(min_value=1.0, max_value=PI / 2))
-    else:
-        window_half = draw(
-            st.floats(min_value=PI / 2, max_value=3.0, exclude_min=True)
-        )
-    if broken == "half_width":
-        half_width = draw(
-            st.floats(min_value=window_half - 0.5, max_value=window_half)
-            | st.floats(min_value=PI, max_value=PI + 0.5)
-        )
-    else:
-        half_width = draw(st.floats(
-            min_value=window_half, max_value=PI, exclude_min=True, exclude_max=True
-        ))
-    if broken == "plateau":
-        plateau = draw(st.sampled_from([-0.2, 0.0, 1.0, 1.5]))
-    else:
-        plateau = draw(st.floats(min_value=0.2, max_value=0.9))
-    return {
-        "resolution": draw(st.sampled_from(resolutions)),
-        "half_width": half_width,
-        "window_half": window_half,
-        "plateau": plateau,
-    }
-
-
-def assert_validation_verdict(build, params, **validate_kwargs):
-    """A valid parameter set passes validation; any other raises InputError."""
-    valid = (
-        params["window_half"] - PI / 2 > MIN_OVERLAP
-        and params["window_half"] < params["half_width"] < PI
-        and 0.0 < params["plateau"] < 1.0
-    )
-    if valid:
-        rep = validate_atlas(build(**params), **validate_kwargs)
-        assert rep.passed, (params, rep)
-    else:
-        with pytest.raises(InputError):
-            validate_atlas(build(**params), **validate_kwargs)
+def geometries(draw):
+    """Chart half-widths and a bump plateau across the ranges the geometry
+    invariants allow."""
+    window_half = draw(st.floats(min_value=PI / 2 + MIN_OVERLAP, max_value=3.0))
+    half_width = draw(st.floats(
+        min_value=window_half, max_value=PI, exclude_min=True, exclude_max=True
+    ))
+    return half_width, window_half, draw(st.floats(min_value=0.2, max_value=0.9))
 
 
 @settings(max_examples=40)
-@given(params=atlas_parameters([65, 129, 257]))
-def test_circle_validation_across_parameter_ranges_property(params):
-    assert_validation_verdict(circle_two_charts, params)
+@given(geometry_values=geometries(), resolution=st.sampled_from([65, 129, 257]))
+def test_circle_validation_across_the_invariants_ranges_property(geometry_values, resolution):
+    with geometry(*geometry_values):
+        rep = validate_atlas(circle_two_charts(resolution))
+    assert rep.passed, (geometry_values, rep)
 
 
 @settings(max_examples=6)
-@given(params=atlas_parameters([65, 129]))
-def test_torus_validation_across_parameter_ranges_property(params):
-    assert_validation_verdict(torus_four_charts, params, overlap_per_axis=17)
+@given(geometry_values=geometries(), resolution=st.sampled_from([65, 129]))
+def test_torus_validation_across_the_invariants_ranges_property(geometry_values, resolution):
+    with geometry(*geometry_values):
+        rep = validate_atlas(torus_four_charts(resolution))
+    assert rep.passed, (geometry_values, rep)
 
 
 def test_validation_catches_corrupted_transition():
@@ -342,15 +322,14 @@ def test_validation_catches_corrupted_transition():
             return out
 
     base = torus_four_charts()
-    bad = Corrupted(base.name, base.charts, base.plateau)
-    rep = validate_atlas(bad, overlap_per_axis=9)
+    bad = Corrupted(base.name, base.charts)
+    rep = validate_atlas(bad)
     assert not rep.passed
     assert rep.cocycle_residual == pytest.approx(0.01, abs=1e-12)
 
 
 def test_uncovered_point_raises():
     # arcs of half-width 1 around 0 and pi leave theta = pi/2 uncovered
-    charts = tuple(Chart(k, [off], 2.0, 1.0, 257) for k, off in enumerate((0.0, PI)))
-    gappy = Atlas("gappy", charts)
-    with pytest.raises(CoverageError):
-        gappy.partition_weights(np.array([[PI / 2]]))
+    with geometry(HALF_WIDTH, 1.0), pytest.raises(CoverageError):
+        charts = tuple(Chart(k, [off], 257) for k, off in enumerate((0.0, PI)))
+        Atlas("gappy", charts).partition_weights(np.array([[PI / 2]]))

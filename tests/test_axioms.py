@@ -6,6 +6,7 @@ import pytest
 from mapgroups.axioms import (
     MU_MODES,
     MU_ORDER,
+    MU_TRIALS,
     probe_cutoff_bound,
     probe_extend_by_zero,
     probe_pullback_functoriality,
@@ -40,7 +41,7 @@ def test_zero_extension_probe_exact():
 
 
 def test_cutoff_bound_probe_grid_stable():
-    check = probe_cutoff_bound(np.random.default_rng(3), trials=40)
+    check = probe_cutoff_bound(np.random.default_rng(3))
     assert check.check_id == "axiom-MU"
     assert check.passed, check.measures
     assert check.measures["bound_coarse"] > 0.0
@@ -50,7 +51,7 @@ def test_cutoff_bound_probe_grid_stable():
 def test_cutoff_bound_probe_compares_the_same_fields(seed):
     # Both grids resolve the products of the same fields, so the bounds
     # differ only by the grid; separate draws differed by up to 6%.
-    m = probe_cutoff_bound(np.random.default_rng(seed), trials=20).measures
+    m = probe_cutoff_bound(np.random.default_rng(seed)).measures
     assert abs(m["bound_fine"] - m["bound_coarse"]) <= 1e-5 * m["bound_coarse"]
 
 
@@ -75,9 +76,11 @@ def cutoff_bounds_field_by_field(rng, trials):
     return bound(2), bound(4)
 
 
-@pytest.mark.parametrize("seed, trials", [(0, 100), (1, 100), (5, 1), (9, 17)])
-def test_stacked_cutoff_bound_is_the_field_by_field_bound(seed, trials):
-    m = probe_cutoff_bound(np.random.default_rng(seed), trials=trials).measures
+@pytest.mark.parametrize("seed, trials", [(0, MU_TRIALS), (1, MU_TRIALS), (5, 1), (9, 17)])
+def test_stacked_cutoff_bound_is_the_field_by_field_bound(monkeypatch, seed, trials):
+    # The probe reads MU_TRIALS at each call, so smaller stacks are checked too.
+    monkeypatch.setattr("mapgroups.axioms.MU_TRIALS", trials)
+    m = probe_cutoff_bound(np.random.default_rng(seed)).measures
     coarse, fine = cutoff_bounds_field_by_field(np.random.default_rng(seed), trials)
     assert (m["bound_coarse"], m["bound_fine"]) == (coarse, fine)
 

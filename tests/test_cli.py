@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end (in process)."""
 
+import base64
 import contextlib
 import functools
 import inspect
@@ -515,11 +516,14 @@ def test_curve_file_with_corrupt_base64_exits_2(tmp_path, capsys):
         (lambda piece, chart: {"kind": "sampled", "values": piece},
          "values must have exactly the keys ['b64', 'dtype', 'shape'], got ['kind', 'values']"),
         (lambda piece, chart: encode_array(np.zeros((chart.window.node_count - 1, 3))),
-         "values must have shape (node_count, n), got (139, 3)"),
+         "values must have shape (140, n), got (139, 3)"),
         (lambda piece, chart: [[0.0, 0.0, 0.0], [0.0]],
          "values must be a rectangular array of numbers"),
-        (lambda piece, chart: encode_array(np.ones((chart.window.node_count, 3), bool), "|b1"),
-         "values must be a rectangular array of numbers"),
+        # One-byte booleans, an encoded dtype files no longer hold.
+        (lambda piece, chart: {"dtype": "|b1", "shape": [chart.window.node_count, 3],
+                               "b64": base64.b64encode(b"\x01" * chart.window.node_count * 3)
+                               .decode("ascii")},
+         "values has dtype '|b1', expected '<f8'"),
         (lambda piece, chart: [[0.0, float("nan"), 0.0]] * chart.window.node_count,
          "nonfinite value at node 0, component 1"),
     ],

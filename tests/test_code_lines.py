@@ -1,5 +1,6 @@
 """``tools/code_lines.py``: what counts as a code line and as a defaulted
-public parameter, and the per-module table with and without ``--base``."""
+public parameter, and the per-module table with and without ``--base``
+(which also gives each module's defaulted parameters)."""
 
 import importlib.util
 import subprocess
@@ -98,22 +99,22 @@ def test_base_mode_reads_the_revision_and_prints_the_difference(monkeypatch, cap
     package = tmp_path / "src" / "mapgroups"
     package.mkdir(parents=True)
     (package / "kept.py").write_text("a = 1\nb = 2\ndef c(x=3, y=4): pass\n")
-    (package / "gone.py").write_text("d = 4\n")
+    (package / "gone.py").write_text("def d(w=4): pass\n")
     git("init", "-q")
     git("add", ".")
     git("commit", "-q", "-m", "base")
     (package / "kept.py").write_text("def a(x=1): pass\n")
     (package / "gone.py").unlink()
-    (package / "new.py").write_text("e = 5\nf = 6\n")
+    (package / "new.py").write_text("e = 5\ndef f(q=6): pass\n")
     monkeypatch.setattr(code_lines, "ROOT", tmp_path)
     rows = [line.split() for line in _run(monkeypatch, capsys, "--base", "HEAD")]
     assert rows == [
-        ["module", "base", "head", "delta"],
-        ["gone.py", "1", "0", "-1"],
-        ["kept.py", "3", "1", "-2"],
-        ["new.py", "0", "2", "+2"],
+        ["module", "base", "head", "delta", "d-base", "d-head", "d-delta"],
+        ["gone.py", "1", "0", "-1", "1", "0", "-1"],
+        ["kept.py", "3", "1", "-2", "2", "1", "-1"],
+        ["new.py", "0", "2", "+2", "0", "1", "+1"],
         ["total", "4", "3", "-1"],
-        ["defaults", "2", "1", "-1"],
+        ["defaults", "3", "2", "-1"],
     ]
 
 

@@ -12,8 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mapgroups.atlas import Chart, circle_two_charts, validate_atlas
-from mapgroups.axioms import probe_cutoff_bound
+from mapgroups.atlas import Chart, circle_two_charts
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import (
     boundary_samples,
@@ -105,8 +104,6 @@ COUNTS = [
     ("random_section", lambda v: random_section(ATLAS, 1, rng(), v), "order", 0),
     ("cutoff_multiply", lambda v: cutoff_multiply(CUTOFF, BANDLIMITED, v), "oversample", 1),
     ("Atlas.overlap_samples", lambda v: ATLAS.overlap_samples(0, 1, v), "per_axis", 1),
-    ("validate_atlas", lambda v: validate_atlas(ATLAS, v), "overlap_per_axis", 1),
-    ("probe_cutoff_bound", lambda v: probe_cutoff_bound(rng(), trials=v), "trials", 1),
     ("group_norms", lambda v: group_norms(BANDLIMITED, 1.0, v), "size", 1),
 ]
 
@@ -159,7 +156,7 @@ VALUE_ROWS = [
     for bad in (1.0, 0, 3)
 ] + [
     # A chart's dimension is its offset's size.
-    pytest.param(lambda v: Chart(0, np.zeros(v), 2.0, 1.7, 9), bad, "m", id=f"Chart-m-{bad}")
+    pytest.param(lambda v: Chart(0, np.zeros(v), 9), bad, "m", id=f"Chart-m-{bad}")
     for bad in (0, 3)
 ] + [
     # A list resolution is checked and stored as a tuple of counts.

@@ -29,12 +29,10 @@ def test_smooth_step_monotone():
 
 def test_bump_profile_plateau_and_support():
     r = np.array([0.0, 0.3, 0.5, 0.99, 1.0, 1.7])
-    v = bump_profile(r, plateau=0.5)
+    v = bump_profile(r)
     assert np.array_equal(v[:3], [1.0, 1.0, 1.0])
     assert 0.0 < v[3] < 1.0
     assert v[4] == 0.0 and v[5] == 0.0
-    with pytest.raises(InputError):
-        bump_profile(r, plateau=1.0)
 
 
 def test_cutoff_exact_one_on_plateau_zero_outside():
@@ -52,8 +50,6 @@ def test_cutoff_validation():
         SmoothCutoff(center=[1.0], radius=[-0.5])
     with pytest.raises(InputError):
         SmoothCutoff(center=[1.0, 2.0], radius=[0.5])
-    with pytest.raises(InputError):
-        SmoothCutoff(center=[1.0], radius=[0.5], plateau=0.0)
 
 
 def test_multiply_refuses_support_outside_the_fundamental_domain():

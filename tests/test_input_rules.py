@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapgroups.atlas import Atlas, Chart, builtin_atlas, circle_two_charts
+from mapgroups.atlas import Chart, builtin_atlas
 from mapgroups.cli import RunConfig, load_config_file
-from mapgroups.cutoffs import SmoothCutoff, bump_profile
+from mapgroups.cutoffs import SmoothCutoff
 from mapgroups.domains import (
     descent_and_shrink,
     disc,
@@ -62,7 +62,6 @@ WINDOW = GridDomain.box(((1.0, 2.5),), 17)
 DATA = sample(FIELD, WINDOW)
 DISC = disc()
 POINTS = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
-CHARTS = ATLAS.charts
 
 
 def rng():
@@ -91,9 +90,6 @@ REALS = [
     ("critical_order_estimate", "alpha", critical_order_estimate, 0.0, INF, True),
     ("ladder", "s0", lambda v: ladder(v, 3), 0.5, INF, False),
     ("ladder-m2", "s0", lambda v: ladder(v, 3, m=2), 1.0, INF, False),
-    ("random_field", "decay", lambda v: random_field(1, 4, 1, rng(), decay=v), -INF, INF, False),
-    ("random_field", "amplitude",
-     lambda v: random_field(1, 4, 1, rng(), amplitude=v), 0.0, INF, False),
     ("random_algebra_section", "amplitude",
      lambda v: random_algebra_section(ATLAS, so3(), rng(), v), 0.0, INF, False),
     ("bracket_from_products", "t", lambda v: bracket_from_products(XI, XI, v), 0.0, INF, True),
@@ -109,17 +105,9 @@ REALS = [
      lambda v: shrink_domain(DISC, v, samples=4, rng=rng()), -INF, INF, False),
     ("descent_and_shrink", "t0",
      lambda v: descent_and_shrink(DISC, POINTS, v, 4, rng=rng()), -INF, INF, False),
-    ("bump_profile", "plateau", lambda v: bump_profile(np.zeros(3), v), 0.0, 1.0, True),
-    ("SmoothCutoff", "plateau", lambda v: SmoothCutoff([1.0], [0.5], v), 0.0, 1.0, True),
     ("SmoothCutoff", "radius", lambda v: SmoothCutoff([1.0, 1.0], [0.5, v]), 0.0, INF, True),
     ("SmoothCutoff", "center", lambda v: SmoothCutoff([v], [0.5]), -INF, INF, False),
-    ("Atlas", "plateau", lambda v: Atlas("circle2", CHARTS, v), 0.0, 1.0, True),
-    ("circle_two_charts", "plateau", lambda v: circle_two_charts(65, plateau=v), 0.0, 1.0, True),
-    ("Chart", "offset", lambda v: Chart(0, [v], 2.0, 1.7, 9), -INF, INF, False),
-    ("Chart", "half_width", lambda v: Chart(0, [0.0], v, 1.7, 9), -INF, INF, False),
-    ("Chart", "window_half", lambda v: Chart(0, [0.0], 2.0, v, 9), -INF, INF, False),
-    ("circle_two_charts", "window_half",
-     lambda v: circle_two_charts(65, window_half=v), -INF, INF, False),
+    ("Chart", "offset", lambda v: Chart(0, [v], 9), -INF, INF, False),
     ("torus_translation", "shift", lambda v: torus_translation(2, [0.5, v]), -INF, INF, False),
     ("BandlimitedField.scaled", "factor", lambda v: FIELD.scaled(v), -INF, INF, False),
     ("SampledField.scaled", "factor", lambda v: DATA.scaled(v), -INF, INF, False),

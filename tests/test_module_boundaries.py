@@ -1,7 +1,9 @@
 """Module boundaries: no package module imports a private name of another,
 the Sobolev weight lattice has one home, only the atlas module builds the
-builtin atlases, only the errors module words an unknown-name error, and
-every public name and dataclass field has a reader or a reason to stay."""
+builtin atlases or reads the chart half-widths, only the cutoffs module
+defines the bump plateau, only the errors module words an unknown-name
+error, and every public name and dataclass field has a reader or a reason
+to stay."""
 
 import ast
 import re
@@ -86,6 +88,69 @@ def test_the_check_sees_a_builder_call(tmp_path):
     )
     assert _calls(probe, *BUILDERS) == [
         "probe.py:3 calls torus_four_charts", "probe.py:4 calls circle_two_charts",
+    ]
+
+
+def _mentions(path: Path, *names: str) -> list[str]:
+    """Loads, stores, attribute reads and imports of ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            hits = [node.id]
+        elif isinstance(node, ast.Attribute):
+            hits = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            hits = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} names {name}" for name in hits if name in names]
+    return found
+
+
+CHART_GEOMETRY = ("HALF_WIDTH", "WINDOW_HALF")
+
+
+def test_only_the_atlas_module_reads_the_chart_half_widths():
+    """Codomain and window half-widths are decided once, in atlas.py."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "atlas.py")
+    found = [hit for path in modules for hit in _mentions(path, *CHART_GEOMETRY)]
+    assert not found, "\n".join(found)
+
+
+def test_the_check_sees_a_chart_half_width_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .atlas import WINDOW_HALF\nfrom . import atlas\n"
+        "pad = atlas.HALF_WIDTH - WINDOW_HALF\n"
+    )
+    assert _mentions(probe, *CHART_GEOMETRY) == [
+        "probe.py:1 names WINDOW_HALF", "probe.py:3 names HALF_WIDTH",
+        "probe.py:3 names WINDOW_HALF",
+    ]
+
+
+def _definitions(path: Path, name: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            found.append(f"{path.name}:{node.lineno} defines {name}")
+    return found
+
+
+def test_only_the_cutoffs_module_defines_the_bump_plateau():
+    """Every bump of the package has its plateau from cutoffs.PLATEAU."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [hit for path in modules for hit in _definitions(path, "PLATEAU")]
+    assert [hit.split(":")[0] for hit in found] == ["cutoffs.py"], "\n".join(found)
+
+
+def test_the_check_sees_a_plateau_definition(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("FLOW_PLATEAU = 0.5\nPLATEAU = 0.5\n\ndef f():\n    PLATEAU: float = 0.3\n")
+    assert _definitions(probe, "PLATEAU") == [
+        "probe.py:2 defines PLATEAU", "probe.py:5 defines PLATEAU",
     ]
 
 

@@ -16,7 +16,9 @@ Usage::
     python3 tools/code_lines.py --base REV   # git revision REV, this checkout, difference
 
 ``--base`` reads the modules of REV with ``git show``; the working tree
-side is the files as they are on disk.
+side is the files as they are on disk.  Each module row then gives the
+code lines and, after them, the defaulted parameters at REV, here, and
+their difference.
 """
 
 from __future__ import annotations
@@ -91,31 +93,31 @@ def sources_here() -> dict[str, str]:
     return {p.name: p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py"))}
 
 
-def defaults_total(sources: dict[str, str]) -> int:
-    return sum(defaulted_parameters(text) for text in sources.values())
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", metavar="REV", help="git revision to compare against")
     args = parser.parse_args()
     sources = sources_here()
     head = {name: code_lines(text) for name, text in sources.items()}
+    head_defaults = {name: defaulted_parameters(text) for name, text in sources.items()}
     if args.base is None:
         for name, count in head.items():
             print(f"{name:16} {count:6}")
         print(f"{'total':16} {sum(head.values()):6}")
-        print(f"{'defaults':16} {defaults_total(sources):6}")
+        print(f"{'defaults':16} {sum(head_defaults.values()):6}")
         return
     base_sources = sources_at(args.base)
     base = {name: code_lines(text) for name, text in base_sources.items()}
-    print(f"{'module':16} {'base':>6} {'head':>6} {'delta':>6}")
+    base_defaults = {name: defaulted_parameters(text) for name, text in base_sources.items()}
+    print(f"{'module':16} {'base':>6} {'head':>6} {'delta':>6}"
+          f" {'d-base':>6} {'d-head':>6} {'d-delta':>7}")
     for name in sorted(base.keys() | head.keys()):
         b, h = base.get(name, 0), head.get(name, 0)
-        print(f"{name:16} {b:6} {h:6} {h - b:+6}")
+        db, dh = base_defaults.get(name, 0), head_defaults.get(name, 0)
+        print(f"{name:16} {b:6} {h:6} {h - b:+6} {db:6} {dh:6} {dh - db:+7}")
     for label, b, h in (
         ("total", sum(base.values()), sum(head.values())),
-        ("defaults", defaults_total(base_sources), defaults_total(sources)),
+        ("defaults", sum(base_defaults.values()), sum(head_defaults.values())),
     ):
         print(f"{label:16} {b:6} {h:6} {h - b:+6}")
 
