@@ -1,5 +1,6 @@
 """Chart covers of the circle and torus: transitions, bumps, validation."""
 
+import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -35,14 +36,55 @@ PI = np.pi
 MIN_OVERLAP = 1e-12
 
 
+def broken_invariants(half_width, window_half, plateau, mu_trials, validation_samples):
+    """The invariants of the geometry and sample-count constants that the
+    given values break, as a set of keys."""
+    broken = set()
+    if not all(isinstance(x, float) and math.isfinite(x)
+               for x in (half_width, window_half, plateau)):
+        broken.add("finite")
+    else:
+        # The 2^m corner charts cover the manifold, with overlaps wider than rounding.
+        if not window_half - PI / 2 > MIN_OVERLAP:
+            broken.add("cover")
+        # Each witness window lies strictly inside its codomain, a proper chart.
+        if not 0.0 < window_half < half_width < PI:
+            broken.add("nested")
+        # Each bump has a plateau and a transition.
+        if not 0.0 < plateau < 1.0:
+            broken.add("plateau")
+    if not all(type(n) is int and n >= 1 for n in (mu_trials, validation_samples)):
+        broken.add("count")
+    return broken
+
+
+CONSTANTS = dict(half_width=HALF_WIDTH, window_half=WINDOW_HALF, plateau=PLATEAU,
+                 mu_trials=MU_TRIALS, validation_samples=VALIDATION_SAMPLES)
+
+
 def test_the_geometry_constants_keep_the_invariants_the_code_relies_on():
-    # The 2^m corner charts cover the manifold, with overlaps wider than rounding.
-    assert WINDOW_HALF - PI / 2 > MIN_OVERLAP
-    # Each witness window lies strictly inside its codomain, a proper chart.
-    assert 0.0 < WINDOW_HALF < HALF_WIDTH < PI
-    # Each bump has a plateau and a transition.
-    assert 0.0 < PLATEAU < 1.0
-    assert MU_TRIALS >= 1 and VALIDATION_SAMPLES >= 1
+    assert broken_invariants(**CONSTANTS) == set()
+
+
+NOT_FINITE = [(bad, "finite") for bad in (math.nan, math.inf, -math.inf, "abc", None)]
+NOT_A_COUNT = [(bad, "count") for bad in (0, 1.5, math.nan, math.inf)]
+BAD_CONSTANTS = {
+    "half_width": NOT_FINITE + [(WINDOW_HALF, "nested"), (PI, "nested")],
+    "window_half": NOT_FINITE + [(PI / 2, "cover"), (PI / 2 + MIN_OVERLAP / 2, "cover"),
+                                 (HALF_WIDTH, "nested")],
+    "plateau": NOT_FINITE + [(0.0, "plateau"), (1.0, "plateau")],
+    "mu_trials": NOT_A_COUNT,
+    "validation_samples": NOT_A_COUNT,
+}
+
+
+@pytest.mark.parametrize("name, bad, invariant", [
+    pytest.param(name, bad, invariant, id=f"{name.upper()}-{bad!r}")
+    for name, rows in BAD_CONSTANTS.items()
+    for bad, invariant in rows
+])
+def test_the_invariants_check_sees_a_bad_constant(name, bad, invariant):
+    assert broken_invariants(**dict(CONSTANTS, **{name: bad})) == {invariant}
 
 
 @contextmanager
@@ -273,6 +315,23 @@ def test_the_thinnest_overlap_the_invariants_allow_validates(build):
     window_half = PI / 2 + 2.0 * MIN_OVERLAP
     with geometry(np.nextafter(window_half, PI), window_half):
         assert validate_atlas(build(resolution=65)).passed
+
+
+@pytest.mark.parametrize("build", [circle_two_charts, torus_four_charts])
+@pytest.mark.parametrize("half_width, window_half, error", [
+    # windows narrower than a quarter turn leave points of the manifold uncovered
+    pytest.param(HALF_WIDTH, 1.5, CoverageError, id="gap"),
+    # window_half 3 ulp above pi/2 and half_width 1 ulp above it: the overlap
+    # samples at 3*pi/2 land a rounding error outside the chart 1 codomain
+    pytest.param(1.5707963267948974, 1.5707963267948972, ChartDomainError,
+                 id="thinner-than-rounding"),
+])
+def test_a_geometry_outside_the_cover_invariant_cannot_be_validated(
+        build, half_width, window_half, error):
+    assert "cover" in broken_invariants(**dict(CONSTANTS, half_width=half_width,
+                                               window_half=window_half))
+    with geometry(half_width, window_half), pytest.raises(error):
+        validate_atlas(build(resolution=65))
 
 
 def test_validation_passes_for_builtins():

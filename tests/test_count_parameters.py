@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mapgroups.atlas import Chart, circle_two_charts
+from mapgroups.atlas import Chart, builtin_atlas, circle_two_charts, torus_four_charts
 from mapgroups.cutoffs import SmoothCutoff, cutoff_multiply
 from mapgroups.domains import (
     boundary_samples,
@@ -100,6 +100,9 @@ COUNTS = [
     ("synthesize", lambda v: synthesize(TORUS_FIELD, v), "modes", 0),
     ("GridDomain.full_torus", lambda v: GridDomain.full_torus(2, v), "resolution", 3),
     ("circle_two_charts", lambda v: circle_two_charts(resolution=v), "resolution", 3),
+    ("torus_four_charts", lambda v: torus_four_charts(resolution=v), "resolution", 3),
+    ("builtin_atlas", lambda v: builtin_atlas("torus4", v), "resolution", 3),
+    ("Chart", lambda v: Chart(0, [0.0], v), "resolution", 3),
     ("random_section", lambda v: random_section(ATLAS, v, rng()), "components", 1),
     ("random_section", lambda v: random_section(ATLAS, 1, rng(), v), "order", 0),
     ("cutoff_multiply", lambda v: cutoff_multiply(CUTOFF, BANDLIMITED, v), "oversample", 1),

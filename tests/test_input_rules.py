@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mapgroups.atlas import Chart, builtin_atlas
+from mapgroups.axioms import TOLERANCE_KEYWORDS
 from mapgroups.cli import RunConfig, load_config_file
 from mapgroups.cutoffs import SmoothCutoff
 from mapgroups.domains import (
@@ -114,13 +115,19 @@ REALS = [
     ("Section.scaled", "factor", lambda v: SECTION.scaled(v), -INF, INF, False),
     ("RunConfig", "tolerance 'bracket'",
      lambda v: RunConfig(tolerances={"bracket": v}), 0.0, INF, False),
+] + [
+    # The overrides of the axiom probes' acceptance windows.
+    ("RunConfig", f"tolerance {check_id!r}",
+     lambda v, check_id=check_id: RunConfig(tolerances={check_id: v}), 0.0, INF, False)
+    for check_id in TOLERANCE_KEYWORDS
 ]
 
 # Values a parameter documents as its default, and values a rule beside
 # the range refuses.
 DEFAULTS = {("random_algebra_section", "amplitude"): [None]}
 EXTRA = {("shrink_domain", "t0"): [0.0, -0.0], ("descent_and_shrink", "t0"): [0.0, -0.0],
-         ("RunConfig", "tolerance 'bracket'"): [10**400]}
+         **{("RunConfig", f"tolerance {name!r}"): [10**400]
+            for name in ("bracket", *TOLERANCE_KEYWORDS)}}
 
 
 def bad_values(low, high, strict):
